@@ -1,67 +1,38 @@
-// Command experiments runs the darpanet reproduction experiments (E1–E13,
-// one per architectural claim of Clark's 1988 design-philosophy paper,
-// plus the E12 scale run and the E13 congestion-collapse sweep on
-// generated internets) and prints their tables. See DESIGN.md for the
-// experiment index and EXPERIMENTS.md for recorded results.
+// Command experiments runs the darpanet reproduction experiments (E1–E16
+// and the E13-T tournament: one per architectural claim of Clark's 1988
+// design-philosophy paper, then scale, congestion collapse,
+// survivability, naming and the sharded kernel on generated internets)
+// and prints their tables. See DESIGN.md for the experiment index and
+// EXPERIMENTS.md for recorded results.
 //
 // With -runs N (N > 1) each experiment becomes a Monte Carlo campaign:
 // N replicas run on seeds base..base+N-1 — in parallel across -parallel
 // workers — and every metric is reported as mean ± 95% CI. Parallelism
-// never changes results, only wall time. -json exports the aggregated
-// campaign as machine-readable JSON.
+// never changes results, only wall time.
 //
-// -faults overrides E11's failure schedule: a preset name (crash, flap,
-// mixed, partition), "random" (each replica seed draws its own
-// scenario), or the path of a schedule file in the internal/fault text
-// format.
+// Seven flags (-topo -workload -faults -qdisc -cc -fracs -shards; -h
+// gives their grammars) fill one exp.Params, applied to every selected
+// experiment that takes the field. Naming one that no selected
+// experiment takes is an error, as is an unknown -only id.
 //
-// -topo overrides E12's generated internet with an internal/topo spec
-// ("shape:key=val,..."), e.g. -topo waxman:gw=64 or
-// -topo transitstub:gw=40,stubs=9 — the scale experiment reruns on any
-// graph the generator can build.
-//
-// -workload overrides E13's traffic mix with an internal/workload spec
-// ("key=val,..."), e.g. -workload "rate=20,vj=1" to rerun the collapse
-// sweep with Van Jacobson congestion control, or
-// -workload "bulk=1,inter=0,rr=0,voice=0,naive=1" for a pure bulk
-// storm. Keys: bulk, inter, rr, voice, rate, alpha, min, max, think_ms,
-// vj, naive, ecn, onoff, on_ms, off_ms, cc.
-//
-// -qdisc selects the gateway queue policy: for E13 a single
-// internal/phys policy spec ("droptail", "red:min=64,max=256,maxp=0.1",
-// "ecn"), for E13-T a "+"-separated list restricting the tournament
-// grid. -cc does the same for the host congestion response (naive,
-// tahoe, reno, newreno). -ttopo selects the internet the tournament
-// collapses on (transitstub or waxman); the topology id is carried in
-// every tournament metric path and leaderboard entry. -leaderboard
-// writes the E13-T campaign's ranked leaderboard as
-// darpanet/tournament/v2 JSON.
-//
-// -stopo overrides E14's generated internet with an internal/topo spec
-// and -sfracs its loss sweep as comma-separated percentages, e.g.
-// -stopo transitstub:gw=6,stubs=3 -sfracs 5,10,25. -survive writes the
-// E14 campaign's survivability frontier as darpanet/survive/v1 JSON.
-//
-// -names writes the E15 campaign's per-mode naming summary (name-based
-// service continuity vs the address-pinned baseline) as
-// darpanet/names/v1 JSON.
-//
-// -shards sets the worker count of the sharded experiments (E15, E16):
-// the internet is always partitioned into the same region shards, and N
-// workers advance them in lock-step epochs. Results are byte-identical
-// at every -shards value; only wall-clock changes.
-//
-// Usage:
-//
-//	experiments [-seed N] [-only E1,E5] [-runs N] [-parallel N] [-json file] [-faults sched] [-topo spec] [-workload spec] [-qdisc spec] [-cc list] [-ttopo id] [-leaderboard file] [-stopo spec] [-sfracs pcts] [-survive file] [-names file] [-shards N] [-metrics]
+// -export kind=file (repeatable) writes machine-readable JSON after the
+// run: campaign (every selected experiment, darpanet/campaign/v1),
+// leaderboard (E13-T ranked, darpanet/tournament/v2), survive (E14
+// frontier, darpanet/survive/v1) or names (E15 per-mode summary,
+// darpanet/names/v1). The exit status is 1 if any replica failed.
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -70,402 +41,259 @@ import (
 	"darpanet/internal/harness"
 	"darpanet/internal/metrics"
 	"darpanet/internal/phys"
-	"darpanet/internal/tcp"
 	"darpanet/internal/topo"
 	"darpanet/internal/workload"
 )
 
-// parsePolicies parses a "+"-separated list of phys policy specs.
-func parsePolicies(arg string) ([]phys.PolicySpec, error) {
-	var out []phys.PolicySpec
-	for _, s := range strings.Split(arg, "+") {
-		p, err := phys.ParsePolicySpec(s)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
+// options is one parsed command line.
+type options struct {
+	seed           int64
+	runs, parallel int
+	metrics        bool
+	selected       []exp.Experiment // in paper order, already reshaped by the parameter flags
+	exports        [][2]string      // (kind, file) in command-line order
 }
 
-// parseCCs parses a "+"-separated list of congestion-response names.
-func parseCCs(arg string) ([]string, error) {
-	var out []string
-	for _, s := range strings.Split(arg, "+") {
-		s = strings.TrimSpace(s)
-		if tcp.CCByName(s) == nil {
-			return nil, fmt.Errorf("-cc %q: want one of %s", s, strings.Join(tcp.CCNames(), ", "))
-		}
-		out = append(out, s)
-	}
-	return out, nil
+// flagOf names the flag that fills each CLI-settable exp.Params field.
+var flagOf = map[string]string{
+	"Topo": "topo", "Workload": "workload", "Faults": "faults",
+	"Policies": "qdisc", "CCs": "cc", "Fracs": "fracs", "Shards": "shards",
 }
 
-// resolveFaults maps the -faults value to an E11 driver: a preset name,
+// exportKinds maps an -export kind to the experiment whose campaign it
+// distills and the builder returning the document plus one summary line
+// per row. "campaign" distills nothing: it is the whole suite.
+var exportKinds = map[string]struct {
+	from  string
+	build func(*harness.Report) (doc any, rows []string)
+}{
+	"campaign": {},
+	"leaderboard": {"E13-T", func(rep *harness.Report) (any, []string) {
+		t := harness.BuildTournament(rep)
+		var rows []string
+		for _, e := range t.Entries {
+			rows = append(rows, fmt.Sprintf("  #%d %-28s score %.3f (collapse %.2f, peak %.2f Mb/s, jain %.3f)",
+				e.Rank, e.Name, e.Score, e.CollapseRatio, e.PeakGoodputBps/1e6, e.Jain))
+		}
+		return t, rows
+	}},
+	"survive": {"E14", func(rep *harness.Report) (any, []string) {
+		f := harness.BuildFrontier(rep)
+		var rows []string
+		for _, r := range f.Rows {
+			rows = append(rows, fmt.Sprintf("  %-8s %5.1f%% lost: goodput %.2f of baseline, %.1f partitions, largest %.2f",
+				r.Mode, r.LostPct, r.GoodputFrac, r.Partitions, r.LargestFrac))
+		}
+		return f, rows
+	}},
+	"names": {"E15", func(rep *harness.Report) (any, []string) {
+		n := harness.BuildNames(rep)
+		var rows []string
+		for _, r := range n.Rows {
+			rows = append(rows, fmt.Sprintf("  %-5s continuity %.3f (p50 %.1fms, p90 %.1fms, cache hit %.2f, %d attempts)",
+				r.Mode, r.Continuity, r.ResolveP50, r.ResolveP90, r.CacheHit, int(r.Attempts)))
+		}
+		return n, rows
+	}},
+}
+
+// listFlag is a flag.Func that appends each sep-separated, trimmed
+// element of the value to dst.
+func listFlag[T any](dst *[]T, sep string, parse func(string) (T, error)) func(string) error {
+	return func(arg string) error {
+		for _, s := range strings.Split(arg, sep) {
+			v, err := parse(strings.TrimSpace(s))
+			if err != nil {
+				return err
+			}
+			*dst = append(*dst, v)
+		}
+		return nil
+	}
+}
+
+// resolveFaults maps the -faults value to a schedule: a preset name,
 // the "random" keyword, or a schedule file path.
-func resolveFaults(arg string) (func(seed int64) exp.Result, error) {
+func resolveFaults(arg string) (*fault.Schedule, error) {
 	if arg == "random" {
-		return exp.RunE11Random, nil
+		return exp.RandomFaults, nil
 	}
 	if s, ok := fault.Preset(arg); ok {
-		return exp.RunE11With(s), nil
+		return &s, nil
 	}
 	text, err := os.ReadFile(arg)
 	if err != nil {
-		return nil, fmt.Errorf("-faults %q: not a preset (%s), 'random', or readable file: %v",
-			arg, strings.Join(fault.PresetNames(), ", "), err)
+		return nil, fmt.Errorf("not a preset (%s), 'random', or readable file: %v", strings.Join(fault.PresetNames(), ", "), err)
 	}
 	s, err := fault.Parse(filepath.Base(arg), string(text))
-	if err != nil {
-		return nil, err
-	}
-	return exp.RunE11With(s), nil
+	return &s, err
 }
 
-func main() {
-	seed := flag.Int64("seed", 1988, "base simulation seed (replica i runs on seed+i)")
-	only := flag.String("only", "", "comma-separated experiment IDs to run (default: all)")
-	runs := flag.Int("runs", 1, "replicas per experiment (a Monte Carlo campaign when > 1)")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "campaign worker-pool size (affects wall time only, never results)")
-	jsonOut := flag.String("json", "", "write aggregated campaign results to this file as JSON")
-	showMetrics := flag.Bool("metrics", false, "after each single-run table, dump the per-layer counter registry as a tree")
-	faults := flag.String("faults", "", "E11 fault schedule: a preset ("+strings.Join(fault.PresetNames(), ", ")+"), 'random', or a schedule file")
-	topoSpec := flag.String("topo", "", "E12 topology spec, 'shape:key=val,...' (shapes: line, ring, tree, transitstub, waxman)")
-	workloadSpec := flag.String("workload", "", "E13 traffic mix, 'key=val,...' (keys: bulk, inter, rr, voice, rate, alpha, min, max, think_ms, vj, naive, ecn, onoff, on_ms, off_ms, cc)")
-	qdisc := flag.String("qdisc", "", "gateway queue policy: E13 takes one spec (droptail|red|ecn[:k=v,...]), E13-T a '+'-separated grid restriction")
-	ccFlag := flag.String("cc", "", "host congestion response: E13 takes one name (naive|tahoe|reno|newreno), E13-T a '+'-separated grid restriction")
-	tTopo := flag.String("ttopo", "", "E13-T topology id: transitstub (default) or waxman; carried in every tournament metric path")
-	leaderboard := flag.String("leaderboard", "", "write the E13-T campaign's ranked leaderboard to this file as darpanet/tournament/v2 JSON")
-	sTopo := flag.String("stopo", "", "E14 topology spec, 'shape:key=val,...' (same syntax as -topo)")
-	sFracs := flag.String("sfracs", "", "E14 loss sweep as comma-separated percentages of infrastructure lost, e.g. '2,5,10,20'")
-	surviveOut := flag.String("survive", "", "write the E14 campaign's survivability frontier to this file as darpanet/survive/v1 JSON")
-	namesOut := flag.String("names", "", "write the E15 campaign's naming summary to this file as darpanet/names/v1 JSON")
-	shards := flag.Int("shards", 1, "E15/E16 worker count (results are byte-identical at any value; only wall time changes)")
-	flag.Parse()
-
-	e11Run := exp.RunE11
-	if *faults != "" {
-		var err error
-		if e11Run, err = resolveFaults(*faults); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+// parseArgs turns a command line into options: flags parsed, -only
+// resolved against the registry, and the parameter flags bound to every
+// selected experiment that takes them. Like the flag package's own
+// command line it exits on a value a flag's parser rejects (and on -h);
+// what it returns as an error is what only the registry can judge.
+func parseArgs(args []string) (options, error) {
+	var o options
+	var p exp.Params
+	var only string
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	fs.Int64Var(&o.seed, "seed", 1988, "base simulation seed (replica i runs on seed+i)")
+	fs.StringVar(&only, "only", "", "comma-separated experiment IDs to run (default: all)")
+	fs.IntVar(&o.runs, "runs", 1, "replicas per experiment (a Monte Carlo campaign when > 1)")
+	fs.IntVar(&o.parallel, "parallel", runtime.NumCPU(), "campaign worker-pool size (affects wall time only, never results)")
+	fs.BoolVar(&o.metrics, "metrics", false, "after each single-run table, dump the per-layer counter registry as a tree")
+	fs.Func("export", "`kind=file`: write JSON after the run; kinds: campaign, leaderboard (E13-T), survive (E14), names (E15); repeatable", func(s string) error {
+		kind, file, ok := strings.Cut(s, "=")
+		if _, known := exportKinds[kind]; !ok || !known || file == "" {
+			return errors.New("want kind=file with kind one of campaign, leaderboard, survive, names")
 		}
-	}
-	e12Run := exp.RunE12
-	if *topoSpec != "" {
-		spec, err := topo.ParseSpec(*topoSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		e12Run = exp.RunE12With(spec)
-	}
-	policies, err := parsePolicies(nonEmpty(*qdisc, "droptail+red+ecn"))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	ccs, err := parseCCs(nonEmpty(*ccFlag, "naive+tahoe+reno+newreno"))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
-	e13Run := exp.RunE13
-	if *workloadSpec != "" || *qdisc != "" || *ccFlag != "" {
-		ws := exp.E13Workload()
-		if *workloadSpec != "" {
-			if ws, err = workload.ParseSpec(*workloadSpec); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		if *ccFlag != "" {
-			ws.CC = ccs[0] // E13 is a single cell: first named response wins
-			ws.ECN = policies[0].Kind == phys.PolicyECN
-		}
-		e13Run = exp.RunE13Policy(ws, policies[0])
-	}
-
-	e13tRun := exp.RunE13T
-	if *qdisc != "" || *ccFlag != "" || *tTopo != "" {
-		var cells []exp.E13TCell
-		for _, p := range policies {
-			for _, cc := range ccs {
-				cells = append(cells, exp.E13TCell{Policy: p, CC: cc})
-			}
-		}
-		if e13tRun, err = exp.RunE13TGrid(*tTopo, cells, nil, 0, 0); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-
-	e14Run := exp.RunE14
-	if *sTopo != "" || *sFracs != "" {
-		var spec topo.Spec
-		if *sTopo != "" {
-			var err error
-			if spec, err = topo.ParseSpec(*sTopo); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		fracs, err := parseFracs(*sFracs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		e14Run = exp.RunE14With(spec, fracs)
-	}
+		o.exports = append(o.exports, [2]string{kind, file})
+		return nil
+	})
+	fs.Func("topo", "generated-internet `spec` for E12, E13-T, E14, E15, E16: 'shape:key=val,...' (shapes: line, ring, tree, transitstub, waxman)",
+		func(s string) error {
+			spec, err := topo.ParseSpec(s)
+			p.Topo = &spec
+			return err
+		})
+	fs.Func("workload", "traffic-mix `spec` for E13, E14: 'key=val,...' (keys: bulk, inter, rr, voice, rate, alpha, min, max, think_ms, vj, naive, ecn, onoff, on_ms, off_ms, cc)",
+		func(s string) error {
+			ws, err := workload.ParseSpec(s)
+			p.Workload = &ws
+			return err
+		})
+	fs.Func("faults", "E11 fault `schedule`: a preset ("+strings.Join(fault.PresetNames(), ", ")+"), 'random', or a schedule file", func(s string) (err error) {
+		p.Faults, err = resolveFaults(s)
+		return err
+	})
+	fs.Func("qdisc", "'+'-separated gateway queue policy `specs` (droptail|red|ecn[:k=v,...]): E13 runs the first, E13-T restricts its grid",
+		listFlag(&p.Policies, "+", phys.ParsePolicySpec))
+	fs.Func("cc", "'+'-separated host congestion response `names` (naive|tahoe|reno|newreno): E13 runs the first, E13-T restricts its grid",
+		listFlag(&p.CCs, "+", func(s string) (string, error) { return s, nil }))
+	fs.Func("fracs", "E14 loss sweep as comma-separated `percentages` of infrastructure lost, e.g. '2,5,10,20'",
+		listFlag(&p.Fracs, ",", func(s string) (float64, error) {
+			pct, err := strconv.ParseFloat(s, 64)
+			return pct / 100, err
+		}))
+	fs.IntVar(&p.Shards, "shards", 0, "E15/E16 worker count, default 1 (results are byte-identical at any value; only wall time changes)")
+	fs.Parse(args)
 
 	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(strings.ToUpper(id))] = true
+	for _, id := range strings.FieldsFunc(strings.ToUpper(only), func(r rune) bool { return r == ',' || r == ' ' }) {
+		if _, ok := exp.ByID(id); !ok {
+			valid := make([]string, len(exp.All))
+			for i, e := range exp.All {
+				valid[i] = e.ID
+			}
+			return o, fmt.Errorf("-only: unknown experiment %q (valid: %s)", id, strings.Join(valid, ", "))
 		}
+		want[id] = true
 	}
-
-	fmt.Printf("darpanet experiment suite — base seed %d, %d run(s) per experiment\n", *seed, *runs)
-	fmt.Printf("reproducing: Clark, \"The Design Philosophy of the DARPA Internet Protocols\", SIGCOMM 1988\n\n")
-
-	var reports []*harness.Report
-	ran := 0
+	unused := p.Fields()
 	for _, e := range exp.All {
 		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
-		if e.ID == "E11" {
-			e.Run = e11Run
-			if *faults != "" {
-				e.Title += " [-faults " + *faults + "]"
-			}
+		unused = slices.DeleteFunc(unused, e.Takes)
+		e, err := e.With(p)
+		if err != nil {
+			return o, err
 		}
-		if e.ID == "E12" {
-			e.Run = e12Run
-			if *topoSpec != "" {
-				e.Title += " [-topo " + *topoSpec + "]"
-			}
-		}
-		if e.ID == "E13" {
-			e.Run = e13Run
-			if *workloadSpec != "" {
-				e.Title += " [-workload " + *workloadSpec + "]"
-			}
-			if *qdisc != "" {
-				e.Title += " [-qdisc " + *qdisc + "]"
-			}
-		}
-		if e.ID == "E13-T" {
-			e.Run = e13tRun
-			if *qdisc != "" || *ccFlag != "" {
-				e.Title += fmt.Sprintf(" [%d-cell grid]", len(policies)*len(ccs))
-			}
-			if *tTopo != "" {
-				e.Title += " [-ttopo " + *tTopo + "]"
-			}
-		}
-		if e.ID == "E14" {
-			e.Run = e14Run
-			if *sTopo != "" {
-				e.Title += " [-stopo " + *sTopo + "]"
-			}
-			if *sFracs != "" {
-				e.Title += " [-sfracs " + *sFracs + "]"
-			}
-		}
-		// No title suffix for -shards: the worker count must not leave a
-		// trace in the report, which is compared byte for byte across
-		// shard counts.
-		if e.ID == "E15" && *shards != 1 {
-			e.Run = exp.RunE15Workers(*shards)
-		}
-		if e.ID == "E16" && *shards != 1 {
-			e.Run = exp.RunE16Workers(*shards)
-		}
+		o.selected = append(o.selected, e)
+	}
+	if len(unused) > 0 {
+		return o, fmt.Errorf("-%s: no selected experiment takes it", flagOf[unused[0]])
+	}
+	return o, nil
+}
+
+// run executes the selected experiments, prints their reports to stdout
+// (campaign progress to stderr) and writes the exports. Replica failures
+// do not stop the run — the exports are still written — but they are
+// its error.
+func run(o options, stdout, stderr io.Writer) error {
+	fmt.Fprintf(stdout, "darpanet experiment suite — base seed %d, %d run(s) per experiment\n", o.seed, o.runs)
+	fmt.Fprintf(stdout, "reproducing: Clark, \"The Design Philosophy of the DARPA Internet Protocols\", SIGCOMM 1988\n\n")
+
+	var reports []*harness.Report
+	failed := 0
+	for _, e := range o.selected {
 		start := time.Now()
-		c := harness.Campaign{
-			Runs:     *runs,
-			Parallel: *parallel,
-			BaseSeed: *seed,
-			OnReplicaDone: func(done, total int) {
-				if total > 1 {
-					fmt.Fprintf(os.Stderr, "\r%s: %d/%d replicas", e.ID, done, total)
-					if done == total {
-						fmt.Fprintln(os.Stderr)
-					}
+		c := harness.Campaign{Runs: o.runs, Parallel: o.parallel, BaseSeed: o.seed}
+		if o.runs > 1 {
+			c.OnReplicaDone = func(done, total int) {
+				fmt.Fprintf(stderr, "\r%s: %d/%d replicas", e.ID, done, total)
+				if done == total {
+					fmt.Fprintln(stderr)
 				}
-			},
+			}
 		}
 		rep := c.RunExperiment(e)
 		reports = append(reports, rep)
 
-		if *runs <= 1 {
+		if o.runs <= 1 {
 			// Single run: the classic table report.
 			if rep.First != nil {
-				fmt.Println(rep.First.String())
-				if *showMetrics {
-					fmt.Printf("counters (schema %s):\n%s\n", metrics.Schema, rep.First.Counters.Tree())
+				fmt.Fprintln(stdout, rep.First.String())
+				if o.metrics {
+					fmt.Fprintf(stdout, "counters (schema %s):\n%s\n", metrics.Schema, rep.First.Counters.Tree())
 				}
 			}
 		} else {
 			// Campaign: aggregate every metric as mean ± 95% CI.
-			fmt.Printf("%s — %s\n", rep.ID, rep.Title)
-			fmt.Printf("campaign: %d runs, seeds %d..%d, %d workers\n\n",
-				rep.Runs, rep.BaseSeed, rep.BaseSeed+int64(rep.Runs)-1, *parallel)
+			fmt.Fprintf(stdout, "%s — %s\n", rep.ID, rep.Title)
+			fmt.Fprintf(stdout, "campaign: %d runs, seeds %d..%d, %d workers\n\n",
+				rep.Runs, rep.BaseSeed, rep.BaseSeed+int64(rep.Runs)-1, o.parallel)
 			tbl := rep.Table()
-			fmt.Println(tbl.String())
+			fmt.Fprintln(stdout, tbl.String())
 		}
 		for _, f := range rep.Failures {
-			fmt.Printf("FAILED replica seed %d: %s\n", f.Seed, f.Error)
+			fmt.Fprintf(stdout, "FAILED replica seed %d: %s\n", f.Seed, f.Error)
 		}
-		fmt.Printf("(%s wall time: %.1fs)\n\n", e.ID, time.Since(start).Seconds())
-		ran++
+		failed += len(rep.Failures)
+		fmt.Fprintf(stdout, "(%s wall time: %.1fs)\n\n", e.ID, time.Since(start).Seconds())
 	}
-	if ran == 0 {
-		fmt.Fprintln(os.Stderr, "no experiments matched -only")
+
+	for _, x := range o.exports {
+		kind, file := exportKinds[x[0]], x[1]
+		var buf bytes.Buffer
+		var rows []string
+		var err error
+		if kind.build == nil {
+			err = harness.WriteJSON(&buf, o.seed, o.runs, reports)
+		} else if i := slices.IndexFunc(reports, func(r *harness.Report) bool { return r.ID == kind.from }); i < 0 {
+			err = fmt.Errorf("no %s campaign in this run", kind.from)
+		} else {
+			var doc any
+			doc, rows = kind.build(reports[i])
+			err = harness.WriteDocument(&buf, doc)
+		}
+		if err == nil {
+			err = os.WriteFile(file, buf.Bytes(), 0o666)
+		}
+		if err != nil {
+			return fmt.Errorf("-export %s: %v", x[0], err)
+		}
+		fmt.Fprintf(stdout, "wrote %s (%s)\n", file, x[0])
+		for _, row := range rows {
+			fmt.Fprintln(stdout, row)
+		}
+	}
+	if failed > 0 {
+		return fmt.Errorf("%d replica(s) failed", failed)
+	}
+	return nil
+}
+
+func main() {
+	o, err := parseArgs(os.Args[1:])
+	if err == nil {
+		err = run(o, os.Stdout, os.Stderr)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := harness.WriteJSON(f, *seed, *runs, reports); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d experiment campaign(s), schema darpanet/campaign/v1)\n", *jsonOut, len(reports))
-	}
-
-	if *leaderboard != "" {
-		var t *harness.Tournament
-		for _, rep := range reports {
-			if rep.ID == "E13-T" {
-				t = harness.BuildTournament(rep)
-				break
-			}
-		}
-		if t == nil || len(t.Entries) == 0 {
-			fmt.Fprintln(os.Stderr, "-leaderboard: no E13-T campaign in this run")
-			os.Exit(1)
-		}
-		f, err := os.Create(*leaderboard)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := harness.WriteTournamentJSON(f, t); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d-cell leaderboard, schema darpanet/tournament/v2)\n", *leaderboard, len(t.Entries))
-		for _, e := range t.Entries {
-			fmt.Printf("  #%d %-28s score %.3f (collapse %.2f, peak %.2f Mb/s, jain %.3f)\n",
-				e.Rank, e.Name, e.Score, e.CollapseRatio, e.PeakGoodputBps/1e6, e.Jain)
-		}
-	}
-
-	if *surviveOut != "" {
-		var fr *harness.Frontier
-		for _, rep := range reports {
-			if rep.ID == "E14" {
-				fr = harness.BuildFrontier(rep)
-				break
-			}
-		}
-		if fr == nil || len(fr.Rows) == 0 {
-			fmt.Fprintln(os.Stderr, "-survive: no E14 campaign in this run")
-			os.Exit(1)
-		}
-		f, err := os.Create(*surviveOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := harness.WriteFrontierJSON(f, fr); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d-row frontier, schema darpanet/survive/v1)\n", *surviveOut, len(fr.Rows))
-		for _, r := range fr.Rows {
-			fmt.Printf("  %-8s %5.1f%% lost: goodput %.2f of baseline, %.1f partitions, largest %.2f\n",
-				r.Mode, r.LostPct, r.GoodputFrac, r.Partitions, r.LargestFrac)
-		}
-	}
-
-	if *namesOut != "" {
-		var nr *harness.NamesReport
-		for _, rep := range reports {
-			if rep.ID == "E15" {
-				nr = harness.BuildNames(rep)
-				break
-			}
-		}
-		if nr == nil || len(nr.Rows) == 0 {
-			fmt.Fprintln(os.Stderr, "-names: no E15 campaign in this run")
-			os.Exit(1)
-		}
-		f, err := os.Create(*namesOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := harness.WriteNamesJSON(f, nr); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d-row naming summary, schema darpanet/names/v1)\n", *namesOut, len(nr.Rows))
-		for _, r := range nr.Rows {
-			fmt.Printf("  %-5s continuity %.3f (p50 %.1fms, p90 %.1fms, cache hit %.2f, %d attempts)\n",
-				r.Mode, r.Continuity, r.ResolveP50, r.ResolveP90, r.CacheHit, int(r.Attempts))
-		}
-	}
-}
-
-// parseFracs parses a comma-separated percentage list ("2,5,10,20")
-// into fractions; empty input keeps the E14 default sweep.
-func parseFracs(arg string) ([]float64, error) {
-	if arg == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, s := range strings.Split(arg, ",") {
-		var pct float64
-		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%g", &pct); err != nil || pct <= 0 || pct > 100 {
-			return nil, fmt.Errorf("-sfracs %q: want percentages in (0,100], e.g. '2,5,10,20'", arg)
-		}
-		out = append(out, pct/100)
-	}
-	return out, nil
-}
-
-// nonEmpty returns s, or fallback when s is empty.
-func nonEmpty(s, fallback string) string {
-	if s == "" {
-		return fallback
-	}
-	return s
 }

@@ -20,9 +20,9 @@ func recoveryNet(seed int64) *core.Network {
 	return nw
 }
 
-// DefaultE11Schedule is what E11 runs when no -faults override is
-// given: the "mixed" preset, one fault of every class.
-func DefaultE11Schedule() fault.Schedule {
+// e11DefaultSchedule is what E11 runs when Params.Faults is unset: the
+// "mixed" preset, one fault of every class.
+func e11DefaultSchedule() fault.Schedule {
 	s, ok := fault.Preset("mixed")
 	if !ok {
 		panic("exp: mixed preset missing")
@@ -35,20 +35,22 @@ func DefaultE11Schedule() fault.Schedule {
 // storm and a flapping trunk against the dual-path backbone while a
 // bulk TCP transfer rides through, and reports per-event
 // time-to-reconverge and blackout loss.
-func RunE11(seed int64) Result { return runE11(seed, DefaultE11Schedule()) }
+func RunE11(seed int64) Result { return e11With(Params{})(seed) }
 
-// RunE11With returns an E11 driver bound to sched — the same scenario
-// on every replica seed (cmd/experiments -faults <preset|file>).
-func RunE11With(sched fault.Schedule) func(seed int64) Result {
+// e11With binds E11 to Params.Faults: one schedule on every replica
+// seed, or a per-seed draw for RandomFaults.
+func e11With(p Params) func(seed int64) Result {
+	if p.Faults == RandomFaults {
+		return func(seed int64) Result { return runE11(seed, e11RandomSchedule(seed)) }
+	}
+	sched := or(p.Faults, e11DefaultSchedule())
 	return func(seed int64) Result { return runE11(seed, sched) }
 }
 
-// RunE11Random is the Monte Carlo variant (-faults random): every seed
-// draws its own failure scenario, so a campaign explores many distinct
-// but reproducible fault sequences.
-func RunE11Random(seed int64) Result {
+// e11RandomSchedule draws the seed's own failure scenario.
+func e11RandomSchedule(seed int64) fault.Schedule {
 	rng := rand.New(rand.NewSource(seed))
-	sched := fault.Random(rng, fault.RandomOptions{
+	return fault.Random(rng, fault.RandomOptions{
 		Nets: []string{"n1", "n2", "n3", "n4"},
 		// Not gwA: it is lanA's only gateway, so crashing it leaves no
 		// alternate path and the scenario measures nothing but absence.
@@ -60,7 +62,6 @@ func RunE11Random(seed int64) Result {
 		MaxDwell:  20 * time.Second,
 		StormLoss: 0.3,
 	})
-	return runE11(seed, sched)
 }
 
 func runE11(seed int64, sched fault.Schedule) Result {

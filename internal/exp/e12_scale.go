@@ -14,11 +14,12 @@ import (
 
 // RunE12 runs the scale experiment on the reference internet: 200
 // gateways, 380 networks (topo.DefaultSpec).
-func RunE12(seed int64) Result { return runE12(seed, topo.DefaultSpec()) }
+func RunE12(seed int64) Result { return e12With(Params{})(seed) }
 
-// RunE12With returns an E12 driver for an arbitrary generated
-// topology — how the -topo flag reshapes the experiment.
-func RunE12With(spec topo.Spec) func(seed int64) Result {
+// e12With binds E12 to Params.Topo: the scale experiment reruns on any
+// graph the generator can build.
+func e12With(p Params) func(seed int64) Result {
+	spec := or(p.Topo, topo.DefaultSpec())
 	return func(seed int64) Result { return runE12(seed, spec) }
 }
 

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -79,28 +80,25 @@ func E13Workload() workload.Spec {
 
 // RunE13 runs the congestion-collapse sweep with the default workload
 // mix and the era's drop-tail gateway queues.
-func RunE13(seed int64) Result {
-	return runE13(seed, E13Workload(), phys.PolicySpec{}, e13Loads, e13Window, e13Drain)
-}
+func RunE13(seed int64) Result { return e13With(Params{})(seed) }
 
-// RunE13With returns an E13 driver with the workload mix replaced — how
-// the -workload flag reshapes the experiment (e.g. vj=1 to rerun the
-// sweep with Van Jacobson's machinery and watch the cliff flatten).
-func RunE13With(ws workload.Spec) func(seed int64) Result {
-	return RunE13Policy(ws, phys.PolicySpec{})
-}
-
-// RunE13Policy returns an E13 driver with both the workload and the
-// gateway queue policy replaced — how the -qdisc flag turns the
-// collapse experiment into a single tournament cell.
-func RunE13Policy(ws workload.Spec, policy phys.PolicySpec) func(seed int64) Result {
-	return func(seed int64) Result { return runE13(seed, ws, policy, e13Loads, e13Window, e13Drain) }
-}
-
-// RunE13Sweep returns a driver with full control of the sweep — the
-// campaign-determinism tests use a scaled-down variant.
-func RunE13Sweep(ws workload.Spec, loads []float64, window, drain sim.Duration) func(seed int64) Result {
-	return func(seed int64) Result { return runE13(seed, ws, phys.PolicySpec{}, loads, window, drain) }
+// e13With binds E13 to Params: Workload replaces the mix (vj=1 reruns
+// the sweep with Van Jacobson's machinery and the cliff flattens), and
+// the first of Policies and of CCs turn the collapse experiment into a
+// single tournament cell.
+func e13With(p Params) func(seed int64) Result {
+	ws := or(p.Workload, E13Workload())
+	var policy phys.PolicySpec
+	if len(p.Policies) > 0 {
+		policy = p.Policies[0]
+	}
+	if len(p.CCs) > 0 {
+		ws.CC = p.CCs[0]
+		ws.ECN = policy.Kind == phys.PolicyECN
+	}
+	loads := orSlice(p.Loads, e13Loads)
+	window, drain := cmp.Or(p.Window, e13Window), cmp.Or(p.Drain, e13Drain)
+	return func(seed int64) Result { return runE13(seed, ws, policy, loads, window, drain) }
 }
 
 // e13Point is one load point's outcome.

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 
 	"darpanet/internal/phys"
@@ -21,62 +22,34 @@ import (
 // drop-tail vs RED early drop vs ECN marking at the gateway, and the
 // pre-1988 window-blaster vs Tahoe vs Reno/NewReno(+ECN) at the host.
 // A third axis — the topology the cells collapse on — is selectable
-// but not crossed into the grid: one tournament runs on one internet,
-// named in every metric path, so leaderboards from different shapes
-// never mix silently.
+// (Params.Topo) but not crossed into the grid: one tournament runs on
+// one internet, whose shape is named in every metric path, so
+// leaderboards from different shapes never mix silently.
 
-// Topology identifiers the tournament (and the -ttopo flag) accepts.
-const (
-	E13TTopoTransitStub = "transitstub"
-	E13TTopoWaxman      = "waxman"
-)
-
-// e13WaxmanTopo is the tournament's alternative internet: a random
-// Waxman graph at the same scale as e13Topo's transit-stub (every
-// gateway owns one host LAN, all trunks T1). The transit-stub shape
-// concentrates load on a 3-gateway ring; Waxman spreads it over a
-// meshier random graph, so the same policies face a different
-// contention structure.
-func e13WaxmanTopo() topo.Spec {
-	return topo.Spec{Shape: topo.Waxman, Gateways: 12, Alpha: 0.25, Beta: 0.4, Hosts: 1, Mix: false}
-}
-
-// E13TTopoSpec resolves a tournament topology id to the generated
-// internet it runs on. The empty id means the default transit-stub.
-func E13TTopoSpec(id string) (topo.Spec, error) {
-	switch id {
-	case "", E13TTopoTransitStub:
-		return e13Topo(), nil
-	case E13TTopoWaxman:
-		return e13WaxmanTopo(), nil
-	}
-	return topo.Spec{}, fmt.Errorf("e13t: unknown topology %q (want %q or %q)",
-		id, E13TTopoTransitStub, E13TTopoWaxman)
-}
-
-// E13TCell is one tournament cell: a gateway queue policy paired with a
+// e13tCell is one tournament cell: a gateway queue policy paired with a
 // host congestion response.
-type E13TCell struct {
+type e13tCell struct {
 	Policy phys.PolicySpec
 	CC     string
 }
 
-// Name renders the cell as "<policy-kind>/<cc>", the key used in
-// metric paths and the leaderboard.
-func (c E13TCell) Name() string {
-	kind := c.Policy.Kind
-	if kind == "" {
-		kind = phys.PolicyDropTail
+// kind is the cell's policy label in metric paths and the leaderboard.
+func (c e13tCell) kind() string {
+	if c.Policy.Kind == "" {
+		return phys.PolicyDropTail
 	}
-	return kind + "/" + c.CC
+	return c.Policy.Kind
 }
+
+// name renders the cell as "<policy-kind>/<cc>".
+func (c e13tCell) name() string { return c.kind() + "/" + c.CC }
 
 // workload maps the cell to host behavior: the naive response is the
 // full pre-1988 host (go-back-N recovery, fixed no-backoff timer),
 // while tahoe and reno ride the adaptive-RTO machinery. Hosts offer
 // ECN whenever the gateways can mark — only reno answers the echo, so
 // an ecn/naive cell measures marking wasted on deaf hosts.
-func (c E13TCell) workload() workload.Spec {
+func (c e13tCell) workload() workload.Spec {
 	ws := E13Workload()
 	if c.CC == tcp.CCNaive {
 		ws.VJ, ws.NaiveRTO = false, true
@@ -88,13 +61,16 @@ func (c E13TCell) workload() workload.Spec {
 	return ws
 }
 
-// E13TDefaultGrid is the full 3×4 tournament: every queue policy
-// against every congestion response.
-func E13TDefaultGrid() []E13TCell {
-	var cells []E13TCell
-	for _, kind := range []string{phys.PolicyDropTail, phys.PolicyRED, phys.PolicyECN} {
-		for _, cc := range []string{tcp.CCNaive, tcp.CCTahoe, tcp.CCReno, tcp.CCNewReno} {
-			cells = append(cells, E13TCell{Policy: phys.PolicySpec{Kind: kind}, CC: cc})
+// e13tGrid crosses the queue policies with the congestion responses;
+// an empty axis means all of it, so the default is the full 3×4
+// tournament.
+func e13tGrid(policies []phys.PolicySpec, ccs []string) []e13tCell {
+	policies = orSlice(policies, []phys.PolicySpec{{Kind: phys.PolicyDropTail}, {Kind: phys.PolicyRED}, {Kind: phys.PolicyECN}})
+	ccs = orSlice(ccs, []string{tcp.CCNaive, tcp.CCTahoe, tcp.CCReno, tcp.CCNewReno})
+	var cells []e13tCell
+	for _, p := range policies {
+		for _, cc := range ccs {
+			cells = append(cells, e13tCell{Policy: p, CC: cc})
 		}
 	}
 	return cells
@@ -116,35 +92,22 @@ const (
 )
 
 // RunE13T runs the default 3×4 tournament on the transit-stub internet.
-func RunE13T(seed int64) Result {
-	return runE13T(seed, E13TTopoTransitStub, e13Topo(), E13TDefaultGrid(), e13tLoads, e13tWindow, e13tDrain)
+func RunE13T(seed int64) Result { return e13tWith(Params{})(seed) }
+
+// e13tWith binds the tournament to Params: Policies × CCs restrict the
+// grid, Topo replaces the internet the cells collapse on — its shape is
+// the topology id carried in every metric path and leaderboard entry.
+func e13tWith(p Params) func(seed int64) Result {
+	tspec := or(p.Topo, e13Topo())
+	cells := e13tGrid(p.Policies, p.CCs)
+	loads := orSlice(p.Loads, e13tLoads)
+	window, drain := cmp.Or(p.Window, e13tWindow), cmp.Or(p.Drain, e13tDrain)
+	return func(seed int64) Result {
+		return runE13T(seed, string(tspec.Shape), tspec, cells, loads, window, drain)
+	}
 }
 
-// RunE13TGrid returns a tournament driver over a custom grid and
-// topology — how the -ttopo/-qdisc/-cc flags shape the run, and how
-// the CI smoke runs a 2×2 grid on a short sweep. An empty topoID
-// selects the default transit-stub internet.
-func RunE13TGrid(topoID string, cells []E13TCell, loads []float64, window, drain sim.Duration) (func(seed int64) Result, error) {
-	if topoID == "" {
-		topoID = E13TTopoTransitStub
-	}
-	tspec, err := E13TTopoSpec(topoID)
-	if err != nil {
-		return nil, err
-	}
-	if loads == nil {
-		loads = e13tLoads
-	}
-	if window == 0 {
-		window = e13tWindow
-	}
-	if drain == 0 {
-		drain = e13tDrain
-	}
-	return func(seed int64) Result { return runE13T(seed, topoID, tspec, cells, loads, window, drain) }, nil
-}
-
-func runE13T(seed int64, topoID string, tspec topo.Spec, cells []E13TCell, loads []float64, window, drain sim.Duration) Result {
+func runE13T(seed int64, topoID string, tspec topo.Spec, cells []e13tCell, loads []float64, window, drain sim.Duration) Result {
 	table := stats.Table{Header: []string{
 		"policy", "cc", "collapse", "peak goodput", "knee", "jain", "fct p99", "done"}}
 
@@ -154,7 +117,7 @@ func runE13T(seed int64, topoID string, tspec topo.Spec, cells []E13TCell, loads
 	}
 
 	type scored struct {
-		cell E13TCell
+		cell e13tCell
 		out  e13Outcome
 	}
 	ran := make([]scored, 0, len(cells))
@@ -176,13 +139,13 @@ func runE13T(seed int64, topoID string, tspec topo.Spec, cells []E13TCell, loads
 			fmt.Sprintf("%.0f%%", 100*ratio(top.Completed, top.Started)),
 		)
 
-		pre := "t/" + topoID + "/" + cell.Name() + "/"
-		res.AddMetric(pre+"collapse_ratio", "", out.collapseRatio)
-		res.AddMetric(pre+"peak_goodput", "bps", out.peakGoodput)
-		res.AddMetric(pre+"knee_load", "xT1", out.kneeLoad)
-		res.AddMetric(pre+"jain", "", top.Jain)
-		res.AddMetric(pre+"fct_p99", "s", top.FCT.Percentile(99))
-		res.AddMetric(pre+"done", "", ratio(top.Completed, top.Started))
+		labels := []string{topoID, cell.kind(), cell.CC}
+		res.AddLabelled("t", labels, "collapse_ratio", "", out.collapseRatio)
+		res.AddLabelled("t", labels, "peak_goodput", "bps", out.peakGoodput)
+		res.AddLabelled("t", labels, "knee_load", "xT1", out.kneeLoad)
+		res.AddLabelled("t", labels, "jain", "", top.Jain)
+		res.AddLabelled("t", labels, "fct_p99", "s", top.FCT.Percentile(99))
+		res.AddLabelled("t", labels, "done", "", ratio(top.Completed, top.Started))
 	}
 	res.Table = table
 
@@ -198,8 +161,8 @@ func runE13T(seed int64, topoID string, tspec topo.Spec, cells []E13TCell, loads
 	}
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"%s holds %.0f%% of peak goodput at %.0fx T1 where %s holds %.0f%% — the resource-management answer the 1988 architecture had room for but did not ship.",
-		best.cell.Name(), 100*best.out.collapseRatio, loads[len(loads)-1],
-		worst.cell.Name(), 100*worst.out.collapseRatio))
+		best.cell.name(), 100*best.out.collapseRatio, loads[len(loads)-1],
+		worst.cell.name(), 100*worst.out.collapseRatio))
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"every cell sees the same %q topology and the same offered traffic per seed; rank cells with the campaign leaderboard (darpanet/tournament/v2), not single-seed eyeballing.", topoID))
 	return res

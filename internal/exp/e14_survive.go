@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"time"
@@ -54,11 +55,11 @@ const (
 	e14Reconv = 14 * time.Second // post-failure routing window before service is measured
 )
 
-// E14Workload is the mix carried across the attack: bulk-dominated
+// e14Workload is the mix carried across the attack: bulk-dominated
 // adaptive-era hosts (the congestion story is E13's; survivability is
 // measured with hosts that behave), sized so flows complete within the
 // measurement window.
-func E14Workload() workload.Spec {
+func e14Workload() workload.Spec {
 	ws := workload.DefaultSpec()
 	ws.VJ = true
 	ws.MaxBytes = 200_000
@@ -67,26 +68,14 @@ func E14Workload() workload.Spec {
 
 // RunE14 runs the survivability frontier with the default topology,
 // workload and loss sweep.
-func RunE14(seed int64) Result {
-	return runE14(seed, e14Topo(), E14Workload(), e14Fracs, e14Window, e14Reconv)
-}
+func RunE14(seed int64) Result { return e14With(Params{})(seed) }
 
-// RunE14With returns an E14 driver over a different generated internet
-// and/or loss sweep — how the -stopo / -sfracs flags reshape the
-// experiment. Zero-value arguments keep the defaults.
-func RunE14With(spec topo.Spec, fracs []float64) func(seed int64) Result {
-	if spec.Shape == "" {
-		spec = e14Topo()
-	}
-	if len(fracs) == 0 {
-		fracs = e14Fracs
-	}
-	return func(seed int64) Result { return runE14(seed, spec, E14Workload(), fracs, e14Window, e14Reconv) }
-}
-
-// RunE14Sweep returns a driver with full control — the campaign
-// determinism tests run a scaled-down variant.
-func RunE14Sweep(spec topo.Spec, ws workload.Spec, fracs []float64, window, reconv sim.Duration) func(seed int64) Result {
+// e14With binds E14 to Params: a different generated internet (Topo),
+// carried mix (Workload) or loss sweep (Fracs).
+func e14With(p Params) func(seed int64) Result {
+	spec, ws := or(p.Topo, e14Topo()), or(p.Workload, e14Workload())
+	fracs := orSlice(p.Fracs, e14Fracs)
+	window, reconv := cmp.Or(p.Window, e14Window), cmp.Or(p.Drain, e14Reconv)
 	return func(seed int64) Result { return runE14(seed, spec, ws, fracs, window, reconv) }
 }
 
@@ -249,38 +238,41 @@ func runE14(seed int64, spec topo.Spec, ws workload.Spec, fracs []float64, windo
 	res.AddMetric("base_goodput", "bps", baseSum.GoodputBps)
 	res.AddMetric("base_converge_s", "s", convTime.Seconds())
 
-	byCell := map[string]e14Cell{}
+	type e14Key struct {
+		mode string
+		frac float64
+	}
+	byCell := map[e14Key]e14Cell{}
 	for _, c := range cells {
-		pre := fmt.Sprintf("s/%s/f%g/", c.mode, c.frac*100)
-		byCell[pre] = c
-		res.AddMetric(pre+"lost_pct", "%", c.frac*100)
-		res.AddMetric(pre+"cuts", "", float64(c.cuts))
-		res.AddMetric(pre+"crashes", "", float64(c.crashes))
-		res.AddMetric(pre+"goodput", "bps", c.sum.GoodputBps)
-		res.AddMetric(pre+"goodput_frac", "", c.goodputFrac)
-		res.AddMetric(pre+"done_frac", "", ratio(c.sum.Completed, c.sum.Started))
-		res.AddMetric(pre+"partitions", "", float64(c.partitions))
-		res.AddMetric(pre+"largest_frac", "", c.largestFrac)
-		res.AddMetric(pre+"down_nodes", "", float64(c.downNodes))
-		res.AddMetric(pre+"reconv_p50_s", "s", c.reconv.Percentile(50))
-		res.AddMetric(pre+"reconv_p90_s", "s", c.reconv.Percentile(90))
-		res.AddMetric(pre+"reconv_max_s", "s", c.reconv.Max())
-		res.AddMetric(pre+"events", "", c.events)
-		res.AddMetric(pre+"reconverged", "", c.reconverged)
-		res.AddMetric(pre+"unreconverged", "", c.unreconverged)
-		res.AddMetric(pre+"partitioned", "", c.partitionedEvs)
-		res.AddMetric(pre+"loop_exits", "", c.loopExits)
-		res.AddMetric(pre+"lost_frames", "", c.lostFrames)
-		res.AddMetric(pre+"ledger_delta", "", float64(c.ledgerDelta))
-		res.AddMetric(pre+"prefail_converged", "", bool01(c.convergedPrefail))
+		labels := []string{c.mode, fmt.Sprintf("f%g", c.frac*100)}
+		byCell[e14Key{c.mode, c.frac}] = c
+		res.AddLabelled("s", labels, "lost_pct", "%", c.frac*100)
+		res.AddLabelled("s", labels, "cuts", "", float64(c.cuts))
+		res.AddLabelled("s", labels, "crashes", "", float64(c.crashes))
+		res.AddLabelled("s", labels, "goodput", "bps", c.sum.GoodputBps)
+		res.AddLabelled("s", labels, "goodput_frac", "", c.goodputFrac)
+		res.AddLabelled("s", labels, "done_frac", "", ratio(c.sum.Completed, c.sum.Started))
+		res.AddLabelled("s", labels, "partitions", "", float64(c.partitions))
+		res.AddLabelled("s", labels, "largest_frac", "", c.largestFrac)
+		res.AddLabelled("s", labels, "down_nodes", "", float64(c.downNodes))
+		res.AddLabelled("s", labels, "reconv_p50_s", "s", c.reconv.Percentile(50))
+		res.AddLabelled("s", labels, "reconv_p90_s", "s", c.reconv.Percentile(90))
+		res.AddLabelled("s", labels, "reconv_max_s", "s", c.reconv.Max())
+		res.AddLabelled("s", labels, "events", "", c.events)
+		res.AddLabelled("s", labels, "reconverged", "", c.reconverged)
+		res.AddLabelled("s", labels, "unreconverged", "", c.unreconverged)
+		res.AddLabelled("s", labels, "partitioned", "", c.partitionedEvs)
+		res.AddLabelled("s", labels, "loop_exits", "", c.loopExits)
+		res.AddLabelled("s", labels, "lost_frames", "", c.lostFrames)
+		res.AddLabelled("s", labels, "ledger_delta", "", float64(c.ledgerDelta))
+		res.AddLabelled("s", labels, "prefail_converged", "", bool01(c.convergedPrefail))
 	}
 
 	// The headline: at each budget, how much more service does the
 	// targeted attack destroy than the random one?
 	gapSum := 0.0
 	for _, frac := range fracs {
-		t := byCell[fmt.Sprintf("s/t/f%g/", frac*100)]
-		r := byCell[fmt.Sprintf("s/r/f%g/", frac*100)]
+		t, r := byCell[e14Key{"t", frac}], byCell[e14Key{"r", frac}]
 		gap := r.goodputFrac - t.goodputFrac
 		gapSum += gap
 		res.AddMetric(fmt.Sprintf("gap_f%g", frac*100), "", gap)

@@ -47,7 +47,7 @@ func TestE15DeterminismAcrossWorkers(t *testing.T) {
 					// interleaving.
 					e15TraceHook = func(line string) { lines = append(lines, line) }
 				}
-				res := RunE15With(e15TestSpec, e15TestRegions, workers)(seed)
+				res := runE15(seed, e15TestSpec, e15TestRegions, workers)
 				e15TraceHook = nil
 				j, err := json.Marshal(res.Metrics)
 				if err != nil {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -18,10 +19,10 @@ import (
 	"darpanet/internal/workload"
 )
 
-// E15Spec returns the E15 reference internet: a transit-stub graph with
+// e15Spec returns the E15 reference internet: a transit-stub graph with
 // three directory replicas placed on stub gateways spread across the
 // topology (dirs=3 in the manifest).
-func E15Spec() topo.Spec {
+func e15Spec() topo.Spec {
 	return topo.Spec{Shape: topo.TransitStub, Gateways: 6, StubsPer: 3, Hosts: 2, Directories: 3}
 }
 
@@ -71,19 +72,16 @@ func e15TCPOpts() tcp.Options { return tcp.Options{SendBufferSize: 65535} }
 
 // RunE15 runs the naming experiment on the reference internet with a
 // single worker.
-func RunE15(seed int64) Result { return runE15(seed, E15Spec(), e15Regions, 1) }
+func RunE15(seed int64) Result { return e15With(Params{})(seed) }
 
-// RunE15With returns an E15 driver for an arbitrary spec, region count
-// and worker count — how the determinism tests pin byte-identical
-// results across worker counts on scaled-down internets.
-func RunE15With(spec topo.Spec, regions, workers int) func(seed int64) Result {
+// e15With binds E15 to Params: Shards picks the worker count (which
+// must never change a result), Topo and Regions the internet and its
+// partition — how the determinism tests pin byte-identical results
+// across worker counts on scaled-down internets.
+func e15With(p Params) func(seed int64) Result {
+	spec := or(p.Topo, e15Spec())
+	regions, workers := cmp.Or(p.Regions, e15Regions), cmp.Or(p.Shards, 1)
 	return func(seed int64) Result { return runE15(seed, spec, regions, workers) }
-}
-
-// RunE15Workers returns the reference E15 driver with only the worker
-// count replaced — the -shards flag.
-func RunE15Workers(workers int) func(seed int64) Result {
-	return RunE15With(E15Spec(), e15Regions, workers)
 }
 
 // e15Attempt is one scheduled resolve-then-connect: client index,
@@ -613,7 +611,7 @@ func runE15Mode(p *e15Plan, pinned bool) *e15ModeOut {
 
 // e15Mode aggregates one mode's outcome into metrics and table rows.
 func e15Mode(res *Result, p *e15Plan, mode string, out *e15ModeOut) {
-	pre := "n/" + mode + "/"
+	labels := []string{mode}
 	attempts := len(out.atts)
 	resolved, completed := 0, 0
 	for _, a := range out.atts {
@@ -719,25 +717,25 @@ func e15Mode(res *Result, p *e15Plan, mode string, out *e15ModeOut) {
 	res.Table.AddRow(mode, "attach-to-resolvable",
 		fmt.Sprintf("%.2fs (%d probes)", attachS, out.probeTries))
 
-	res.AddMetric(pre+"attempts", "", float64(attempts))
-	res.AddMetric(pre+"resolved", "", float64(resolved))
-	res.AddMetric(pre+"completed", "", float64(completed))
-	res.AddMetric(pre+"continuity", "", ratio(completed, attempts))
-	res.AddMetric(pre+"resolve_p50_ms", "ms", lat.Percentile(50))
-	res.AddMetric(pre+"resolve_p90_ms", "ms", lat.Percentile(90))
-	res.AddMetric(pre+"cache_hit", "", cacheHit)
-	res.AddMetric(pre+"queries", "", float64(st.Queries))
-	res.AddMetric(pre+"retries", "", float64(st.Retries))
-	res.AddMetric(pre+"failovers", "", float64(st.Failovers))
-	res.AddMetric(pre+"fails", "", float64(st.Fails))
-	res.AddMetric(pre+"neg_answers", "", float64(st.NegAnswers))
-	res.AddMetric(pre+"expired", "", float64(st.Expired))
-	res.AddMetric(pre+"autoconf", "", ratio(autoOK, len(out.autoOK)))
-	res.AddMetric(pre+"reg_conv_s", "s", regConv)
-	res.AddMetric(pre+"rereg_s", "s", reregConv)
-	res.AddMetric(pre+"restore_sync_s", "s", restoreSync)
-	res.AddMetric(pre+"attach_s", "s", attachS)
-	res.AddMetric(pre+"attach_ok", "", bool01(out.probeOK))
+	res.AddLabelled("n", labels, "attempts", "", float64(attempts))
+	res.AddLabelled("n", labels, "resolved", "", float64(resolved))
+	res.AddLabelled("n", labels, "completed", "", float64(completed))
+	res.AddLabelled("n", labels, "continuity", "", ratio(completed, attempts))
+	res.AddLabelled("n", labels, "resolve_p50_ms", "ms", lat.Percentile(50))
+	res.AddLabelled("n", labels, "resolve_p90_ms", "ms", lat.Percentile(90))
+	res.AddLabelled("n", labels, "cache_hit", "", cacheHit)
+	res.AddLabelled("n", labels, "queries", "", float64(st.Queries))
+	res.AddLabelled("n", labels, "retries", "", float64(st.Retries))
+	res.AddLabelled("n", labels, "failovers", "", float64(st.Failovers))
+	res.AddLabelled("n", labels, "fails", "", float64(st.Fails))
+	res.AddLabelled("n", labels, "neg_answers", "", float64(st.NegAnswers))
+	res.AddLabelled("n", labels, "expired", "", float64(st.Expired))
+	res.AddLabelled("n", labels, "autoconf", "", ratio(autoOK, len(out.autoOK)))
+	res.AddLabelled("n", labels, "reg_conv_s", "s", regConv)
+	res.AddLabelled("n", labels, "rereg_s", "s", reregConv)
+	res.AddLabelled("n", labels, "restore_sync_s", "s", restoreSync)
+	res.AddLabelled("n", labels, "attach_s", "s", attachS)
+	res.AddLabelled("n", labels, "attach_ok", "", bool01(out.probeOK))
 	res.AddCounterSums(mode, out.s.Group.Kernels()...)
 }
 

@@ -43,12 +43,11 @@ func TestE16DeterminismAcrossWorkers(t *testing.T) {
 				var wantTrace string
 				for _, workers := range []int{1, 2, 4} {
 					var res Result
-					run := RunE16With(sc.spec, e16TestRegions, workers)
 					// g0 is a gateway in exactly one region network;
 					// tapping it makes the trace sensitive to every frame
 					// that transits it, including boundary-trunk frames.
 					gotTrace := captureTrace(func(s int64) Result {
-						res = run(s)
+						res = runE16(s, sc.spec, e16TestRegions, workers)
 						return res
 					}, "g0", seed)
 					if gotTrace == "" {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"time"
@@ -28,21 +29,16 @@ const e16Regions = 8
 
 // RunE16 runs the sharded-kernel scale experiment on the reference
 // internet with a single worker.
-func RunE16(seed int64) Result { return runE16(seed, E16Spec(), e16Regions, 1) }
+func RunE16(seed int64) Result { return e16With(Params{})(seed) }
 
-// RunE16With returns an E16 driver for an arbitrary spec, region count
-// and worker count — how the -topo16/-shards flags reshape the
-// experiment, and how the determinism tests pin byte-identical results
-// across worker counts.
-func RunE16With(spec topo.Spec, regions, workers int) func(seed int64) Result {
+// e16With binds E16 to Params: Shards picks the worker count — the
+// region count stays at the reference value unless Regions moves it, so
+// every metric is byte-identical to the serial run — and Topo the
+// internet.
+func e16With(p Params) func(seed int64) Result {
+	spec := or(p.Topo, E16Spec())
+	regions, workers := cmp.Or(p.Regions, e16Regions), cmp.Or(p.Shards, 1)
 	return func(seed int64) Result { return runE16(seed, spec, regions, workers) }
-}
-
-// RunE16Workers returns the reference E16 driver with only the worker
-// count replaced — the -shards flag. The region count stays at the
-// reference value, so every metric is byte-identical to the serial run.
-func RunE16Workers(workers int) func(seed int64) Result {
-	return RunE16With(E16Spec(), e16Regions, workers)
 }
 
 // runE16 measures whether the architecture's invariants — and the

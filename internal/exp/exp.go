@@ -23,6 +23,21 @@ type Metric struct {
 	Name  string  `json:"name"`
 	Unit  string  `json:"unit,omitempty"`
 	Value float64 `json:"value"`
+	// Path is the structure Name was rendered from, zero for a plain
+	// AddMetric name. It rides to harness.MetricSummary so derived
+	// reports group by labels instead of re-parsing Name; it is never
+	// serialised. (A value, not a pointer: runs are compared for
+	// determinism by printing their metrics.)
+	Path MetricPath `json:"-"`
+}
+
+// MetricPath is a labelled metric's name in structured form:
+// "t/waxman/red/reno/collapse_ratio" is family "t", labels
+// {waxman, red, reno}, leaf "collapse_ratio".
+type MetricPath struct {
+	Family string
+	Labels []string
+	Leaf   string
 }
 
 // Result is one experiment's rendered outcome: the human-readable table
@@ -43,6 +58,20 @@ type Result struct {
 // in a fixed order so replicas of the same experiment are comparable.
 func (r *Result) AddMetric(name, unit string, value float64) {
 	r.Metrics = append(r.Metrics, Metric{Name: name, Unit: unit, Value: value})
+}
+
+// AddLabelled appends one scalar of a labelled metric family — a cell
+// of a grid the driver swept (tournament cell, attack cell, resolution
+// mode). Name renders as "<family>/<labels...>/<leaf>". The "ctr/..."
+// mirrors below stay plain AddMetric names: there are hundreds per
+// result and no derived report groups them.
+func (r *Result) AddLabelled(family string, labels []string, leaf, unit string, value float64) {
+	r.Metrics = append(r.Metrics, Metric{
+		Name:  family + "/" + strings.Join(labels, "/") + "/" + leaf,
+		Unit:  unit,
+		Value: value,
+		Path:  MetricPath{Family: family, Labels: labels, Leaf: leaf},
+	})
 }
 
 // AddCounters snapshots kernel k's metrics registry into the result:
@@ -135,27 +164,42 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   func(seed int64) Result
+
+	// takes names the Params fields the experiment consumes and with
+	// binds a driver to them (see With); both are zero for the fixed
+	// labs E1–E10. grid marks the one experiment that crosses Policies
+	// and CCs into a grid, which titles them differently.
+	takes []string
+	with  func(Params) func(seed int64) Result
+	grid  bool
 }
 
 // All lists the experiments in paper order.
 var All = []Experiment{
-	{"E1", "Survivability: fate-sharing datagrams vs virtual circuits under gateway failure", RunE1},
-	{"E2", "Types of service: four transports on one datagram layer", RunE2},
-	{"E3", "Varieties of networks: one TCP connection across four unlike subnets", RunE3},
-	{"E4", "Distributed management: routing convergence without central control", RunE4},
-	{"E5", "Cost of generality: header and retransmission overhead", RunE5},
-	{"E6", "Host attachment: the damage a naive host's TCP does", RunE6},
-	{"E7", "Accountability: the datagram is the wrong accounting unit", RunE7},
-	{"E8", "Datagrams need no setup: first-byte latency vs circuit establishment", RunE8},
-	{"E9", "Byte-stream sequence space: repacketization on retransmit", RunE9},
-	{"E10", "Flow/congestion control: 1988 TCP with and without Van Jacobson", RunE10},
-	{"E11", "Recovery under scripted failure: fault injection, reconvergence, blackout loss", RunE11},
-	{"E12", "Scale: convergence, forwarding cost and conservation on a generated internet", RunE12},
-	{"E13", "Congestion collapse: goodput vs offered load through the cliff", RunE13},
-	{"E13-T", "Policy tournament: gateway queue policy x host congestion response", RunE13T},
-	{"E14", "Survivability frontier: cut-set-targeted vs random failure at matched budgets", RunE14},
-	{"E15", "Names layer: service continuity by name through directory crash and renumbering", RunE15},
-	{"E16", "Sharded kernel: 2000 gateways under conservative link-delay synchronization", RunE16},
+	{ID: "E1", Title: "Survivability: fate-sharing datagrams vs virtual circuits under gateway failure", Run: RunE1},
+	{ID: "E2", Title: "Types of service: four transports on one datagram layer", Run: RunE2},
+	{ID: "E3", Title: "Varieties of networks: one TCP connection across four unlike subnets", Run: RunE3},
+	{ID: "E4", Title: "Distributed management: routing convergence without central control", Run: RunE4},
+	{ID: "E5", Title: "Cost of generality: header and retransmission overhead", Run: RunE5},
+	{ID: "E6", Title: "Host attachment: the damage a naive host's TCP does", Run: RunE6},
+	{ID: "E7", Title: "Accountability: the datagram is the wrong accounting unit", Run: RunE7},
+	{ID: "E8", Title: "Datagrams need no setup: first-byte latency vs circuit establishment", Run: RunE8},
+	{ID: "E9", Title: "Byte-stream sequence space: repacketization on retransmit", Run: RunE9},
+	{ID: "E10", Title: "Flow/congestion control: 1988 TCP with and without Van Jacobson", Run: RunE10},
+	{ID: "E11", Title: "Recovery under scripted failure: fault injection, reconvergence, blackout loss", Run: RunE11,
+		takes: []string{"Faults"}, with: e11With},
+	{ID: "E12", Title: "Scale: convergence, forwarding cost and conservation on a generated internet", Run: RunE12,
+		takes: []string{"Topo"}, with: e12With},
+	{ID: "E13", Title: "Congestion collapse: goodput vs offered load through the cliff", Run: RunE13,
+		takes: []string{"Workload", "Policies", "CCs", "Loads", "Window", "Drain"}, with: e13With},
+	{ID: "E13-T", Title: "Policy tournament: gateway queue policy x host congestion response", Run: RunE13T,
+		takes: []string{"Topo", "Policies", "CCs", "Loads", "Window", "Drain"}, with: e13tWith, grid: true},
+	{ID: "E14", Title: "Survivability frontier: cut-set-targeted vs random failure at matched budgets", Run: RunE14,
+		takes: []string{"Topo", "Workload", "Fracs", "Window", "Drain"}, with: e14With},
+	{ID: "E15", Title: "Names layer: service continuity by name through directory crash and renumbering", Run: RunE15,
+		takes: []string{"Topo", "Shards", "Regions"}, with: e15With},
+	{ID: "E16", Title: "Sharded kernel: 2000 gateways under conservative link-delay synchronization", Run: RunE16,
+		takes: []string{"Topo", "Shards", "Regions"}, with: e16With},
 }
 
 // ByID returns the experiment with the given ID.

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"darpanet/internal/core"
 	"darpanet/internal/phys"
 	"darpanet/internal/tcp"
+	"darpanet/internal/topo"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -215,5 +217,66 @@ func TestE11Shape(t *testing.T) {
 	// cuts are legitimately superseded.
 	if got := get("events_reconverged"); got < 8 {
 		t.Fatalf("events_reconverged = %g, want >= 8", got)
+	}
+}
+
+// TestWithBindsOnlyWhatAnExperimentTakes pins Experiment.With: fields an
+// experiment does not take leave it untouched, fields it takes rebind
+// Run and suffix Title — except Shards, which must leave no trace in a
+// report — and values no driver can run are rejected.
+func TestWithBindsOnlyWhatAnExperimentTakes(t *testing.T) {
+	spec := topo.Spec{Shape: topo.Waxman, Gateways: 12, Alpha: 0.25, Beta: 0.4, Hosts: 1}
+	runPtr := func(e Experiment) uintptr { return reflect.ValueOf(e.Run).Pointer() }
+
+	e1, _ := ByID("E1")
+	got, err := e1.With(Params{Topo: &spec, Shards: 2, Fracs: []float64{0.1}})
+	if err != nil || got.Title != e1.Title || runPtr(got) != runPtr(e1) {
+		t.Fatalf("E1 takes no parameter but With changed it: %q, %v", got.Title, err)
+	}
+
+	e15, _ := ByID("E15")
+	got, err = e15.With(Params{Shards: 2})
+	if err != nil || got.Title != e15.Title || runPtr(got) == runPtr(e15) {
+		t.Fatalf("E15 with Shards: title %q (want unchanged), rebound %v, err %v", got.Title, runPtr(got) != runPtr(e15), err)
+	}
+
+	e13t, _ := ByID("E13-T")
+	got, err = e13t.With(Params{Topo: &spec, Policies: []phys.PolicySpec{{Kind: phys.PolicyECN}}})
+	if want := e13t.Title + " [4-cell grid] [-topo " + spec.String() + "]"; err != nil || got.Title != want {
+		t.Fatalf("E13-T title = %q, want %q (err %v)", got.Title, want, err)
+	}
+	e14, _ := ByID("E14")
+	got, err = e14.With(Params{Topo: &spec, Fracs: []float64{0.1, 0.25}, Policies: []phys.PolicySpec{{Kind: phys.PolicyECN}}})
+	if want := e14.Title + " [-topo " + spec.String() + "] [-fracs 10,25]"; err != nil || got.Title != want {
+		t.Fatalf("E14 title = %q, want %q (err %v)", got.Title, want, err)
+	}
+
+	for _, bad := range []Params{{CCs: []string{"vegas"}}, {Fracs: []float64{1.5}}, {Shards: -1}} {
+		if _, err := e14.With(bad); err == nil {
+			t.Fatalf("With(%+v) accepted", bad)
+		}
+	}
+}
+
+// TestTakesNamesRealParams guards the registry against a typo or a
+// forgotten field: Fields reports every Params field, every field an
+// experiment claims to take is one of them, and every experiment that
+// takes one has a binder.
+func TestTakesNamesRealParams(t *testing.T) {
+	spec, ws := topo.DefaultSpec(), E13Workload()
+	every := Params{Topo: &spec, Workload: &ws, Faults: RandomFaults, Policies: []phys.PolicySpec{{}}, CCs: []string{tcp.CCReno},
+		Fracs: []float64{0.1}, Shards: 1, Loads: []float64{1}, Window: 1, Drain: 1, Regions: 1}
+	if got, want := len(every.Fields()), reflect.TypeOf(every).NumField(); got != want {
+		t.Fatalf("Fields() reports %d of %d Params fields: %v", got, want, every.Fields())
+	}
+	for _, e := range All {
+		if (len(e.takes) > 0) != (e.with != nil) {
+			t.Fatalf("%s: takes %v but binder set = %v", e.ID, e.takes, e.with != nil)
+		}
+		for _, f := range e.takes {
+			if _, ok := reflect.TypeOf(Params{}).FieldByName(f); !ok {
+				t.Fatalf("%s takes %q, which is not a Params field", e.ID, f)
+			}
+		}
 	}
 }

@@ -1,26 +1,13 @@
 package harness
 
-import (
-	"encoding/json"
-	"io"
-	"sort"
-	"strconv"
-	"strings"
-)
+import "sort"
 
 // Frontier is the survivability frontier distilled from an E14 campaign
 // report: one row per (attack mode × fraction lost) cell, campaign
-// means across replicas, targeted curve first. Like the campaign export
-// it derives from, the JSON depends only on (experiment, base seed,
-// runs) — never on worker count — so it compares byte for byte across
-// parallelism levels.
+// means across replicas, targeted curve first.
 type Frontier struct {
-	Schema   string        `json:"schema"`
-	ID       string        `json:"id"`
-	Title    string        `json:"title"`
-	BaseSeed int64         `json:"base_seed"`
-	Runs     int           `json:"runs"`
-	Rows     []FrontierRow `json:"rows"`
+	Derived
+	Rows []FrontierRow `json:"rows"`
 }
 
 // FrontierRow is one attack cell's campaign-mean outcome.
@@ -40,92 +27,40 @@ type FrontierRow struct {
 	LedgerDelta float64 `json:"ledger_delta"`
 }
 
-// frontierModes orders the curves: the attack before the control.
-var frontierModes = map[string]int{"t": 0, "r": 1}
-
 // BuildFrontier distills a campaign report of the E14 experiment into
-// the survivability frontier. Cells are recognised by the
-// "s/<t|r>/f<pct>/<metric>" naming convention; rows are sorted targeted
-// curve first, then fraction lost ascending, from campaign means only —
-// as deterministic as the report it reads.
+// the survivability frontier, one row per cell of the "s" metric family
+// (labels: attack mode, fraction lost). Rows are sorted targeted curve
+// first, then fraction lost ascending, from campaign means only — as
+// deterministic as the report it reads.
 func BuildFrontier(rep *Report) *Frontier {
-	type key struct {
-		mode string
-		pct  float64
+	f := &Frontier{Derived: derivedFrom("darpanet/survive/v1", rep)}
+	for _, c := range rep.cells("s") {
+		row := FrontierRow{
+			Mode: "targeted",
+			// A parameter, identical in every replica: Min is exact where
+			// the mean of n equal floats need not be.
+			LostPct:     c.leaf["lost_pct"].Min,
+			GoodputFrac: c.leaf["goodput_frac"].Mean,
+			DoneFrac:    c.leaf["done_frac"].Mean,
+			Partitions:  c.leaf["partitions"].Mean,
+			LargestFrac: c.leaf["largest_frac"].Mean,
+			ReconvP50:   c.leaf["reconv_p50_s"].Mean,
+			ReconvP90:   c.leaf["reconv_p90_s"].Mean,
+			ReconvMax:   c.leaf["reconv_max_s"].Mean,
+			LoopExits:   c.leaf["loop_exits"].Mean,
+			LostFrames:  c.leaf["lost_frames"].Mean,
+			LedgerDelta: c.leaf["ledger_delta"].Mean,
+		}
+		if c.labels[0] == "r" {
+			row.Mode = "random"
+		}
+		f.Rows = append(f.Rows, row)
 	}
-	cells := map[key]*FrontierRow{}
-	var order []key
-	for _, m := range rep.Metrics {
-		rest, ok := strings.CutPrefix(m.Name, "s/")
-		if !ok {
-			continue
+	sort.SliceStable(f.Rows, func(i, j int) bool {
+		if f.Rows[i].Mode != f.Rows[j].Mode {
+			return f.Rows[i].Mode == "targeted"
 		}
-		parts := strings.Split(rest, "/")
-		if len(parts) != 3 || !strings.HasPrefix(parts[1], "f") {
-			continue
-		}
-		pct, err := strconv.ParseFloat(parts[1][1:], 64)
-		if err != nil {
-			continue
-		}
-		k := key{parts[0], pct}
-		row := cells[k]
-		if row == nil {
-			mode := "targeted"
-			if parts[0] == "r" {
-				mode = "random"
-			}
-			row = &FrontierRow{Mode: mode, LostPct: pct}
-			cells[k] = row
-			order = append(order, k)
-		}
-		switch parts[2] {
-		case "goodput_frac":
-			row.GoodputFrac = m.Mean
-		case "done_frac":
-			row.DoneFrac = m.Mean
-		case "partitions":
-			row.Partitions = m.Mean
-		case "largest_frac":
-			row.LargestFrac = m.Mean
-		case "reconv_p50_s":
-			row.ReconvP50 = m.Mean
-		case "reconv_p90_s":
-			row.ReconvP90 = m.Mean
-		case "reconv_max_s":
-			row.ReconvMax = m.Mean
-		case "loop_exits":
-			row.LoopExits = m.Mean
-		case "lost_frames":
-			row.LostFrames = m.Mean
-		case "ledger_delta":
-			row.LedgerDelta = m.Mean
-		}
-	}
-
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].mode != order[j].mode {
-			return frontierModes[order[i].mode] < frontierModes[order[j].mode]
-		}
-		return order[i].pct < order[j].pct
+		return f.Rows[i].LostPct < f.Rows[j].LostPct
 	})
-	f := &Frontier{
-		Schema:   "darpanet/survive/v1",
-		ID:       rep.ID,
-		Title:    rep.Title,
-		BaseSeed: rep.BaseSeed,
-		Runs:     rep.Runs,
-	}
-	for _, k := range order {
-		f.Rows = append(f.Rows, *cells[k])
-	}
 	return f
-}
-
-// WriteFrontierJSON writes the frontier as deterministic indented JSON
-// under the darpanet/survive/v1 schema.
-func WriteFrontierJSON(w io.Writer, f *Frontier) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(f)
 }

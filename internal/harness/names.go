@@ -1,25 +1,13 @@
 package harness
 
-import (
-	"encoding/json"
-	"io"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // NamesReport is the naming-layer outcome distilled from an E15
 // campaign report: one row per resolution mode (name-based first, then
-// the address-pinned baseline), campaign means across replicas. Like
-// the campaign export it derives from, the JSON depends only on
-// (experiment, base seed, runs) — never on worker count — so it
-// compares byte for byte across parallelism levels and shard counts.
+// the address-pinned baseline), campaign means across replicas.
 type NamesReport struct {
-	Schema   string     `json:"schema"`
-	ID       string     `json:"id"`
-	Title    string     `json:"title"`
-	BaseSeed int64      `json:"base_seed"`
-	Runs     int        `json:"runs"`
-	Rows     []NamesRow `json:"rows"`
+	Derived
+	Rows []NamesRow `json:"rows"`
 }
 
 // NamesRow is one resolution mode's campaign-mean outcome.
@@ -48,84 +36,34 @@ type NamesRow struct {
 var namesModes = map[string]int{"name": 0, "pin": 1}
 
 // BuildNames distills a campaign report of the E15 experiment into the
-// per-mode naming summary. Cells are recognised by the
-// "n/<mode>/<metric>" naming convention; rows are sorted name mode
-// first, from campaign means only — as deterministic as the report it
-// reads.
+// per-mode naming summary, one row per cell of the "n" metric family
+// (label: resolution mode). Rows are sorted name mode first, from
+// campaign means only — as deterministic as the report it reads.
 func BuildNames(rep *Report) *NamesReport {
-	rows := map[string]*NamesRow{}
-	var order []string
-	for _, m := range rep.Metrics {
-		rest, ok := strings.CutPrefix(m.Name, "n/")
-		if !ok {
-			continue
-		}
-		parts := strings.Split(rest, "/")
-		if len(parts) != 2 {
-			continue
-		}
-		row := rows[parts[0]]
-		if row == nil {
-			row = &NamesRow{Mode: parts[0]}
-			rows[parts[0]] = row
-			order = append(order, parts[0])
-		}
-		switch parts[1] {
-		case "attempts":
-			row.Attempts = m.Mean
-		case "completed":
-			row.Completed = m.Mean
-		case "continuity":
-			row.Continuity = m.Mean
-		case "resolve_p50_ms":
-			row.ResolveP50 = m.Mean
-		case "resolve_p90_ms":
-			row.ResolveP90 = m.Mean
-		case "cache_hit":
-			row.CacheHit = m.Mean
-		case "queries":
-			row.Queries = m.Mean
-		case "retries":
-			row.Retries = m.Mean
-		case "failovers":
-			row.Failovers = m.Mean
-		case "fails":
-			row.Fails = m.Mean
-		case "autoconf":
-			row.Autoconf = m.Mean
-		case "reg_conv_s":
-			row.RegConvS = m.Mean
-		case "rereg_s":
-			row.ReregS = m.Mean
-		case "restore_sync_s":
-			row.RestoreSyncS = m.Mean
-		case "attach_s":
-			row.AttachS = m.Mean
-		case "attach_ok":
-			row.AttachOK = m.Mean
-		}
+	n := &NamesReport{Derived: derivedFrom("darpanet/names/v1", rep)}
+	for _, c := range rep.cells("n") {
+		n.Rows = append(n.Rows, NamesRow{
+			Mode:         c.labels[0],
+			Attempts:     c.leaf["attempts"].Mean,
+			Completed:    c.leaf["completed"].Mean,
+			Continuity:   c.leaf["continuity"].Mean,
+			ResolveP50:   c.leaf["resolve_p50_ms"].Mean,
+			ResolveP90:   c.leaf["resolve_p90_ms"].Mean,
+			CacheHit:     c.leaf["cache_hit"].Mean,
+			Queries:      c.leaf["queries"].Mean,
+			Retries:      c.leaf["retries"].Mean,
+			Failovers:    c.leaf["failovers"].Mean,
+			Fails:        c.leaf["fails"].Mean,
+			Autoconf:     c.leaf["autoconf"].Mean,
+			RegConvS:     c.leaf["reg_conv_s"].Mean,
+			ReregS:       c.leaf["rereg_s"].Mean,
+			RestoreSyncS: c.leaf["restore_sync_s"].Mean,
+			AttachS:      c.leaf["attach_s"].Mean,
+			AttachOK:     c.leaf["attach_ok"].Mean,
+		})
 	}
-
-	sort.SliceStable(order, func(i, j int) bool {
-		return namesModes[order[i]] < namesModes[order[j]]
+	sort.SliceStable(n.Rows, func(i, j int) bool {
+		return namesModes[n.Rows[i].Mode] < namesModes[n.Rows[j].Mode]
 	})
-	n := &NamesReport{
-		Schema:   "darpanet/names/v1",
-		ID:       rep.ID,
-		Title:    rep.Title,
-		BaseSeed: rep.BaseSeed,
-		Runs:     rep.Runs,
-	}
-	for _, k := range order {
-		n.Rows = append(n.Rows, *rows[k])
-	}
 	return n
-}
-
-// WriteNamesJSON writes the naming summary as deterministic indented
-// JSON under the darpanet/names/v1 schema.
-func WriteNamesJSON(w io.Writer, n *NamesReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(n)
 }

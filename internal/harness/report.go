@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -25,6 +24,10 @@ type MetricSummary struct {
 	P90    float64   `json:"p90"`
 	Max    float64   `json:"max"`
 	Values []float64 `json:"values"`
+	// Path is the metric's labelled structure (zero for plain names),
+	// carried from the driver so derived reports group by it instead
+	// of parsing Name. Never serialised: the campaign schema is frozen.
+	Path exp.MetricPath `json:"-"`
 }
 
 // Failure records one replica that panicked instead of returning.
@@ -71,7 +74,7 @@ func (c Campaign) aggregate(id, title string, replicas []replica) *Report {
 			if !ok {
 				j = len(rep.Metrics)
 				index[m.Name] = j
-				rep.Metrics = append(rep.Metrics, MetricSummary{Name: m.Name, Unit: m.Unit})
+				rep.Metrics = append(rep.Metrics, MetricSummary{Name: m.Name, Unit: m.Unit, Path: m.Path})
 				samples = append(samples, &stats.Sample{})
 			}
 			rep.Metrics[j].Values = append(rep.Metrics[j].Values, m.Value)
@@ -131,13 +134,10 @@ type Suite struct {
 // stream depends only on (experiments, base seed, runs) — never on
 // worker count or wall-clock — so exports are comparable across runs.
 func WriteJSON(w io.Writer, baseSeed int64, runs int, reports []*Report) error {
-	s := Suite{
+	return WriteDocument(w, &Suite{
 		Schema:      "darpanet/campaign/v1",
 		BaseSeed:    baseSeed,
 		Runs:        runs,
 		Experiments: reports,
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(&s)
+	})
 }

@@ -1,25 +1,16 @@
 package harness
 
 import (
-	"encoding/json"
-	"io"
 	"sort"
 	"strings"
 )
 
 // Tournament is the ranked leaderboard distilled from an E13-T campaign
 // report: one entry per (gateway policy × congestion response) cell,
-// scored on campaign-mean collapse metrics and sorted best first. Like
-// the campaign export it derives from, the JSON rendering depends only
-// on (experiment, base seed, runs) — never on worker count — so it can
-// be compared byte for byte across parallelism levels.
+// scored on campaign-mean collapse metrics and sorted best first.
 type Tournament struct {
-	Schema   string            `json:"schema"`
-	ID       string            `json:"id"`
-	Title    string            `json:"title"`
-	BaseSeed int64             `json:"base_seed"`
-	Runs     int               `json:"runs"`
-	Entries  []TournamentEntry `json:"entries"`
+	Derived
+	Entries []TournamentEntry `json:"entries"`
 }
 
 // TournamentEntry is one cell's campaign-mean outcome and composite
@@ -49,80 +40,37 @@ const (
 )
 
 // BuildTournament distills a campaign report of the E13-T experiment
-// into the ranked leaderboard. Cells are recognised by the
-// "t/<topo>/<policy>/<cc>/<metric>" naming convention (the pre-v2
-// three-part form without the topology id is still accepted, with an
-// empty topo field); the composite score is
+// into the ranked leaderboard, one entry per cell of the "t" metric
+// family (labels: topology, policy, congestion response). The
+// composite score is
 //
 //	0.45·collapse_ratio + 0.25·(peak_goodput/max) + 0.20·jain + 0.10·(min_fct/fct)
 //
 // — every term in [0,1], computed from campaign means, so the ranking
 // is as deterministic as the report it reads. Ties break by cell name.
 func BuildTournament(rep *Report) *Tournament {
-	cells := map[string]*TournamentEntry{}
-	var order []string
-	for _, m := range rep.Metrics {
-		rest, ok := strings.CutPrefix(m.Name, "t/")
-		if !ok {
-			continue
-		}
-		parts := strings.Split(rest, "/")
-		var topoID string
-		switch len(parts) {
-		case 3: // legacy path without a topology id
-		case 4:
-			topoID, parts = parts[0], parts[1:]
-		default:
-			continue
-		}
-		name := parts[0] + "/" + parts[1]
-		if topoID != "" {
-			name = topoID + "/" + name
-		}
-		e := cells[name]
-		if e == nil {
-			e = &TournamentEntry{Name: name, Topo: topoID, Policy: parts[0], CC: parts[1]}
-			cells[name] = e
-			order = append(order, name)
-		}
-		switch parts[2] {
-		case "collapse_ratio":
-			e.CollapseRatio = m.Mean
-		case "peak_goodput":
-			e.PeakGoodputBps = m.Mean
-		case "jain":
-			e.Jain = m.Mean
-		case "fct_p99":
-			e.FCTp99 = m.Mean
-		case "done":
-			e.Done = m.Mean
-		}
-	}
-
-	t := &Tournament{
-		Schema:   "darpanet/tournament/v2",
-		ID:       rep.ID,
-		Title:    rep.Title,
-		BaseSeed: rep.BaseSeed,
-		Runs:     rep.Runs,
-	}
-	if len(order) == 0 {
-		return t
-	}
-
+	t := &Tournament{Derived: derivedFrom("darpanet/tournament/v2", rep)}
 	// Cross-cell normalizers for the relative terms.
 	maxGoodput, minFCT := 0.0, 0.0
-	for _, name := range order {
-		e := cells[name]
+	for _, c := range rep.cells("t") {
+		e := TournamentEntry{
+			Name: strings.Join(c.labels, "/"), Topo: c.labels[0], Policy: c.labels[1], CC: c.labels[2],
+			CollapseRatio:  c.leaf["collapse_ratio"].Mean,
+			PeakGoodputBps: c.leaf["peak_goodput"].Mean,
+			Jain:           c.leaf["jain"].Mean,
+			FCTp99:         c.leaf["fct_p99"].Mean,
+			Done:           c.leaf["done"].Mean,
+		}
 		if e.PeakGoodputBps > maxGoodput {
 			maxGoodput = e.PeakGoodputBps
 		}
 		if e.FCTp99 > 0 && (minFCT == 0 || e.FCTp99 < minFCT) {
 			minFCT = e.FCTp99
 		}
+		t.Entries = append(t.Entries, e)
 	}
-	for _, name := range order {
-		e := cells[name]
+	for i := range t.Entries {
+		e := &t.Entries[i]
 		goodput := 0.0
 		if maxGoodput > 0 {
 			goodput = e.PeakGoodputBps / maxGoodput
@@ -135,7 +83,6 @@ func BuildTournament(rep *Report) *Tournament {
 			scoreWGoodput*goodput +
 			scoreWJain*e.Jain +
 			scoreWFCT*fct
-		t.Entries = append(t.Entries, *e)
 	}
 	sort.Slice(t.Entries, func(i, j int) bool {
 		if t.Entries[i].Score != t.Entries[j].Score {
@@ -147,12 +94,4 @@ func BuildTournament(rep *Report) *Tournament {
 		t.Entries[i].Rank = i + 1
 	}
 	return t
-}
-
-// WriteTournamentJSON writes the leaderboard as deterministic indented
-// JSON under the darpanet/tournament/v2 schema.
-func WriteTournamentJSON(w io.Writer, t *Tournament) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
 }

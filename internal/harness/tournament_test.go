@@ -1,103 +1,47 @@
 package harness_test
 
 import (
-	"bytes"
 	"math"
 	"testing"
-	"time"
 
 	"darpanet/internal/exp"
 	"darpanet/internal/harness"
-	"darpanet/internal/phys"
-	"darpanet/internal/tcp"
 )
 
-// tournamentSmokeGrid is the 2×2 corner of the E13-T grid the CI smoke
-// runs: the era's status quo and the full RFC 3168 answer.
-func tournamentSmokeGrid() []exp.E13TCell {
-	var cells []exp.E13TCell
-	for _, kind := range []string{phys.PolicyDropTail, phys.PolicyECN} {
-		for _, cc := range []string{tcp.CCNaive, tcp.CCReno} {
-			cells = append(cells, exp.E13TCell{Policy: phys.PolicySpec{Kind: kind}, CC: cc})
-		}
-	}
-	return cells
-}
-
-// TestTournamentJSONByteIdentical is the leaderboard's acceptance
-// check: a tournament campaign aggregated at different worker counts
-// must distill to byte-identical darpanet/tournament/v2 JSON. The
-// leaderboard is built purely from campaign-mean metrics, so this
-// follows from campaign determinism — the test pins that the scoring
-// and ranking layer does not break it (no map-order or float-ordering
-// leaks).
-func TestTournamentJSONByteIdentical(t *testing.T) {
-	const runs = 3
-	run, err := exp.RunE13TGrid(exp.E13TTopoWaxman, tournamentSmokeGrid(), []float64{1, 6}, 4*time.Second, 4*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want, wantReport []byte
-	for _, workers := range []int{1, 3} {
-		rep := harness.Campaign{Runs: runs, Parallel: workers, BaseSeed: 1988}.
-			RunFunc("E13-T", "policy tournament smoke", run)
-		if len(rep.Failures) > 0 {
-			t.Fatalf("workers=%d: replica failures: %+v", workers, rep.Failures)
-		}
-		var repBuf bytes.Buffer
-		if err := harness.WriteJSON(&repBuf, 1988, runs, []*harness.Report{rep}); err != nil {
-			t.Fatal(err)
-		}
-		tour := harness.BuildTournament(rep)
-		if len(tour.Entries) != 4 {
-			t.Fatalf("workers=%d: %d leaderboard entries, want 4", workers, len(tour.Entries))
-		}
-		for _, e := range tour.Entries {
-			if e.Topo != exp.E13TTopoWaxman {
-				t.Fatalf("entry %q: topo = %q, want %q", e.Name, e.Topo, exp.E13TTopoWaxman)
-			}
-		}
-		var buf bytes.Buffer
-		if err := harness.WriteTournamentJSON(&buf, tour); err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want, wantReport = append([]byte(nil), buf.Bytes()...), append([]byte(nil), repBuf.Bytes()...)
-		} else {
-			if !bytes.Equal(wantReport, repBuf.Bytes()) {
-				t.Fatal("campaign JSON diverged between worker counts")
-			}
-			if !bytes.Equal(want, buf.Bytes()) {
-				t.Fatal("tournament JSON diverged between worker counts")
-			}
-		}
-	}
+// labelled builds the summary of one labelled metric the way the
+// campaign aggregation does, with only the mean filled in.
+func labelled(family string, labels []string, leaf string, mean float64) harness.MetricSummary {
+	var r exp.Result
+	r.AddLabelled(family, labels, leaf, "", 0)
+	return harness.MetricSummary{Name: r.Metrics[0].Name, Path: r.Metrics[0].Path, Mean: mean}
 }
 
 // TestBuildTournamentRanking pins the scoring layer against a
 // hand-built report: score weights, goodput/FCT normalization, the
 // zero-FCT guard, rank assignment and the name tie-break.
 func TestBuildTournamentRanking(t *testing.T) {
+	cellA, cellB := []string{"ts", "red", "reno"}, []string{"ts", "droptail", "naive"}
 	rep := &harness.Report{
 		ID: "E13-T", Title: "fixture", BaseSeed: 7, Runs: 1,
 		Metrics: []harness.MetricSummary{
 			// Cell A: perfect collapse, best goodput, perfect fairness.
-			{Name: "t/ts/red/reno/collapse_ratio", Mean: 1},
-			{Name: "t/ts/red/reno/peak_goodput", Mean: 2e6},
-			{Name: "t/ts/red/reno/jain", Mean: 1},
-			{Name: "t/ts/red/reno/fct_p99", Mean: 2},
-			{Name: "t/ts/red/reno/done", Mean: 0.9},
+			labelled("t", cellA, "collapse_ratio", 1),
+			labelled("t", cellA, "peak_goodput", 2e6),
+			labelled("t", cellA, "jain", 1),
+			labelled("t", cellA, "fct_p99", 2),
+			labelled("t", cellA, "done", 0.9),
 			// Cell B: half the goodput, deep collapse, no completions at
 			// the top load (fct 0 must score zero, not blow up).
-			{Name: "t/ts/droptail/naive/collapse_ratio", Mean: 0.5},
-			{Name: "t/ts/droptail/naive/peak_goodput", Mean: 1e6},
-			{Name: "t/ts/droptail/naive/jain", Mean: 0.5},
-			{Name: "t/ts/droptail/naive/fct_p99", Mean: 0},
-			{Name: "t/ts/droptail/naive/done", Mean: 0},
-			// Not a tournament metric: must be ignored.
+			labelled("t", cellB, "collapse_ratio", 0.5),
+			labelled("t", cellB, "peak_goodput", 1e6),
+			labelled("t", cellB, "jain", 0.5),
+			labelled("t", cellB, "fct_p99", 0),
+			labelled("t", cellB, "done", 0),
+			// Not tournament metrics — a plain name, even one that looks
+			// like a tournament path, and another family: must be ignored.
 			{Name: "peak_goodput", Mean: 9e9},
-			{Name: "t/odd/shape", Mean: 1},
-			{Name: "t/a/b/c/d/too_deep", Mean: 1},
+			{Name: "t/ts/ecn/reno/collapse_ratio", Mean: 1},
+			labelled("s", []string{"t", "f10"}, "goodput_frac", 1),
 		},
 	}
 	tour := harness.BuildTournament(rep)
@@ -118,26 +62,5 @@ func TestBuildTournamentRanking(t *testing.T) {
 	}
 	if a.Topo != "ts" || a.Policy != "red" || a.CC != "reno" || b.FCTp99 != 0 {
 		t.Fatalf("entry fields: %+v %+v", a, b)
-	}
-}
-
-// TestBuildTournamentLegacyPaths pins the pre-v2 path form: a metric
-// without a topology segment still yields a cell, with an empty topo
-// field and the short two-part name.
-func TestBuildTournamentLegacyPaths(t *testing.T) {
-	rep := &harness.Report{
-		ID: "E13-T", Title: "legacy", BaseSeed: 1, Runs: 1,
-		Metrics: []harness.MetricSummary{
-			{Name: "t/red/reno/collapse_ratio", Mean: 1},
-			{Name: "t/red/reno/jain", Mean: 1},
-		},
-	}
-	tour := harness.BuildTournament(rep)
-	if len(tour.Entries) != 1 {
-		t.Fatalf("entries = %+v", tour.Entries)
-	}
-	e := tour.Entries[0]
-	if e.Name != "red/reno" || e.Topo != "" || e.Policy != "red" || e.CC != "reno" {
-		t.Fatalf("legacy entry = %+v", e)
 	}
 }

@@ -1,41 +1,54 @@
 package sim
 
 import (
-	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
 
+// shardEvent is one recorded event of a shardTrace kernel.
+type shardEvent struct {
+	at    Time
+	shard int
+	txt   string
+}
+
 // shardTrace runs two kernels exchanging messages through a lookahead
-// barrier and records every event as "kernel@time:msg". Cross-kernel
-// sends are buffered in outboxes and imported at the barrier with a
-// fixed one-lookahead latency, mirroring how boundary links work.
-func shardTrace(t *testing.T, workers int) []string {
+// barrier and records every event. Cross-kernel sends are buffered in
+// outboxes and imported at the barrier with a fixed one-lookahead
+// latency, mirroring how boundary links work.
+//
+// Each kernel records into its own trace: within an epoch the two run on
+// different goroutines, and the order their events interleave in
+// wall-clock time is exactly what the design does not promise (one
+// shared slice would also be a data race). What is promised is each
+// kernel's own event sequence, returned as perKernel[shard], and hence
+// the (time, shard)-merged view.
+func shardTrace(t *testing.T, workers int) (perKernel [2][]shardEvent, merged []shardEvent) {
 	t.Helper()
 	const look = Duration(2 * time.Millisecond)
 	ka, kb := NewKernel(1), NewKernel(2)
 	g := NewShardGroup([]*Kernel{ka, kb}, look, workers)
-	var trace []string
 	type msg struct {
 		at  Time
 		txt string
 	}
 	var outA, outB []msg // messages to b, to a
 
-	record := func(which string, k *Kernel, txt string) {
-		trace = append(trace, fmt.Sprintf("%s@%d:%s", which, k.Now(), txt))
+	record := func(shard int, k *Kernel, txt string) {
+		perKernel[shard] = append(perKernel[shard], shardEvent{k.Now(), shard, txt})
 	}
 	// Each kernel ping-pongs: on receipt, reply after a local delay.
 	var onA, onB func(txt string)
 	onA = func(txt string) {
-		record("a", ka, txt)
+		record(0, ka, txt)
 		ka.After(Duration(300*time.Microsecond), func() {
 			outA = append(outA, msg{ka.Now().Add(look), txt + ">"})
 		})
 	}
 	onB = func(txt string) {
-		record("b", kb, txt)
+		record(1, kb, txt)
 		kb.After(Duration(500*time.Microsecond), func() {
 			outB = append(outB, msg{kb.Now().Add(look), "<" + txt})
 		})
@@ -61,21 +74,35 @@ func shardTrace(t *testing.T, workers int) []string {
 	if ka.Now() != end || kb.Now() != end {
 		t.Fatalf("kernels did not reach the deadline: a=%d b=%d", ka.Now(), kb.Now())
 	}
-	if len(trace) < 10 {
-		t.Fatalf("expected a sustained ping-pong, got %d events: %v", len(trace), trace)
+	merged = append(append(merged, perKernel[0]...), perKernel[1]...)
+	// Stable, so events of one shard at one instant keep their order.
+	sort.SliceStable(merged, func(i, j int) bool {
+		if merged[i].at != merged[j].at {
+			return merged[i].at < merged[j].at
+		}
+		return merged[i].shard < merged[j].shard
+	})
+	if len(merged) < 10 {
+		t.Fatalf("expected a sustained ping-pong, got %d events: %v", len(merged), merged)
 	}
-	return trace
+	return perKernel, merged
 }
 
 // TestShardGroupDeterministicAcrossWorkers pins the tentpole invariant:
-// the exact event trace is identical no matter how many workers execute
+// each kernel's exact event trace — and so the (time, shard)-merged
+// trace of the group — is identical no matter how many workers execute
 // the epoch.
 func TestShardGroupDeterministicAcrossWorkers(t *testing.T) {
-	want := shardTrace(t, 1)
+	want, wantMerged := shardTrace(t, 1)
 	for _, workers := range []int{2, 3, 8} {
-		got := shardTrace(t, workers)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d trace diverged:\n got %v\nwant %v", workers, got, want)
+		got, gotMerged := shardTrace(t, workers)
+		for shard := range want {
+			if !reflect.DeepEqual(got[shard], want[shard]) {
+				t.Fatalf("workers=%d shard %d trace diverged:\n got %v\nwant %v", workers, shard, got[shard], want[shard])
+			}
+		}
+		if !reflect.DeepEqual(gotMerged, wantMerged) {
+			t.Fatalf("workers=%d merged trace diverged:\n got %v\nwant %v", workers, gotMerged, wantMerged)
 		}
 	}
 }

@@ -1,78 +1,158 @@
 #!/usr/bin/env sh
-# Full verification gate, in the same order as .github/workflows/ci.yml:
-# build, vet, formatting, staticcheck (when reachable), the test suite
-# under the race detector (the campaign harness in internal/harness is
-# the one place real concurrency exists — keep it honest), the pooldebug
-# poisoning build, the experiment smokes, and the allocation-regression
-# gate over the datagram hot path.
-set -eux
+# The verification gate, and its one source of truth: every job in
+# .github/workflows/ci.yml runs `scripts/check.sh <leg>` rather than
+# spelling a command out a second time.
+#
+#   scripts/check.sh              every leg, in the order listed below
+#   scripts/check.sh race fuzz    just those legs
+set -eu
 
 cd "$(dirname "$0")/.."
 
-go build ./...
-go vet ./...
-test -z "$(gofmt -l .)"
-# staticcheck, pinned to the same version CI runs. `go run` needs the
-# module proxy; on an offline machine skip with a notice rather than
-# fail — CI remains the authority.
-if command -v staticcheck >/dev/null 2>&1; then
-    staticcheck ./...
-elif go run honnef.co/go/tools/cmd/staticcheck@2024.1.1 -version >/dev/null 2>&1; then
-    go run honnef.co/go/tools/cmd/staticcheck@2024.1.1 ./...
-else
-    echo "check.sh: staticcheck unavailable offline; skipping (CI runs it)" >&2
-fi
-go test -race ./...
-go test -tags pooldebug ./...
-# The crash/restart soak must pass with poisoned pooled buffers: a frame
-# leaked (or double-released) by gateway teardown dies loudly here.
-go test -tags pooldebug -count=1 -run 'TestCrashRestartSoak|TestPartitionHealTransferIntegrity' ./internal/fault/
-# E11 smoke: the fault-injection recovery experiment end to end through
-# the CLI, as a 2-replica campaign.
-go run ./cmd/experiments -only E11 -runs 2 -faults mixed > /dev/null
-# E12 smoke: a small generated internet through the CLI.
-go run ./cmd/experiments -only E12 -topo 'waxman:gw=16' > /dev/null
-# E13 smoke: the congestion-collapse sweep through the CLI as a
-# 2-replica campaign, with the -workload flag exercised.
-go run ./cmd/experiments -only E13 -runs 2 -workload 'naive=1,alpha=1.1,min=30000,max=2000000' > /dev/null
-# Codec fuzzers, 10s each (go test takes one -fuzz target at a time).
-go test -run '^$' -fuzz FuzzIPv4HeaderRoundTrip -fuzztime 10s ./internal/ipv4/
-go test -run '^$' -fuzz FuzzTCPSegmentRoundTrip -fuzztime 10s ./internal/tcp/
-go test -run '^$' -fuzz FuzzUDPDatagramRoundTrip -fuzztime 10s ./internal/udp/
-go test -run '^$' -fuzz FuzzRIPMessageRoundTrip -fuzztime 10s ./internal/rip/
-go test -run '^$' -fuzz FuzzNamesMessageRoundTrip -fuzztime 10s ./internal/names/
-# Metrics determinism: the campaign JSON (which now embeds the full
-# per-layer counter registry as ctr/ metrics) must be byte-identical no
-# matter how many workers ran the replicas.
+LEGS="static staticcheck race race-sim pooldebug smoke-E11 smoke-E12 smoke-E13 fuzz smoke-E5 smoke-E13-T smoke-E14 smoke-E16 smoke-E15 benchsmoke benchguard bench-api"
+
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
-go run ./cmd/experiments -only E5 -runs 4 -parallel 1 -json "$tmpdir/p1.json" > /dev/null
-go run ./cmd/experiments -only E5 -runs 4 -parallel "$(nproc)" -json "$tmpdir/pn.json" > /dev/null
-cmp "$tmpdir/p1.json" "$tmpdir/pn.json"
-# E13-T smoke: a 2x2 tournament cell grid through the CLI (with the
-# topology axis pinned explicitly), the ranked leaderboard required
-# byte-identical at any worker count.
-go run ./cmd/experiments -only E13-T -ttopo transitstub -qdisc 'droptail+ecn' -cc 'naive+newreno' -runs 2 -seed 1988 -parallel 1 -leaderboard "$tmpdir/lb1.json" > /dev/null
-go run ./cmd/experiments -only E13-T -ttopo transitstub -qdisc 'droptail+ecn' -cc 'naive+newreno' -runs 2 -seed 1988 -parallel 3 -leaderboard "$tmpdir/lb3.json" > /dev/null
-cmp "$tmpdir/lb1.json" "$tmpdir/lb3.json"
-# E14 smoke: targeted-vs-random fault campaigns on a small internet,
-# with the survivability frontier required byte-identical at any worker
-# count.
-go run ./cmd/experiments -only E14 -stopo 'transitstub:gw=3,stubs=2,hosts=1,mix=0' -sfracs '10,20' -runs 2 -seed 1988 -parallel 1 -survive "$tmpdir/sf1.json" > /dev/null
-go run ./cmd/experiments -only E14 -stopo 'transitstub:gw=3,stubs=2,hosts=1,mix=0' -sfracs '10,20' -runs 2 -seed 1988 -parallel 3 -survive "$tmpdir/sf3.json" > /dev/null
-cmp "$tmpdir/sf1.json" "$tmpdir/sf3.json"
-# E16 smoke: the 2000-gateway sharded kernel end to end through the
-# CLI; the campaign JSON must be byte-identical at any -shards value —
-# the conservative-sync acceptance check.
-go run ./cmd/experiments -only E16 -seed 1988 -shards 1 -json "$tmpdir/e16-s1.json" > /dev/null
-go run ./cmd/experiments -only E16 -seed 1988 -shards 4 -json "$tmpdir/e16-s4.json" > /dev/null
-cmp "$tmpdir/e16-s1.json" "$tmpdir/e16-s4.json"
-# E15 smoke: name-based service continuity through a directory crash;
-# the darpanet/names/v1 export must be byte-identical at any -parallel
-# AND any -shards value (directory traffic crosses the shard seams).
-go run ./cmd/experiments -only E15 -runs 2 -seed 1988 -parallel 1 -names "$tmpdir/n-p1.json" > /dev/null
-go run ./cmd/experiments -only E15 -runs 2 -seed 1988 -parallel 3 -names "$tmpdir/n-p3.json" > /dev/null
-cmp "$tmpdir/n-p1.json" "$tmpdir/n-p3.json"
-go run ./cmd/experiments -only E15 -runs 2 -seed 1988 -parallel 1 -shards 2 -names "$tmpdir/n-s2.json" > /dev/null
-cmp "$tmpdir/n-p1.json" "$tmpdir/n-s2.json"
-scripts/benchguard.sh
+
+# The CLI exits 1 when any replica fails, so a smoke is more than "it
+# printed something".
+experiments() { go run ./cmd/experiments "$@" > /dev/null; }
+
+run_leg() {
+    case "$1" in
+    static)
+        go build ./...
+        go vet ./...
+        test -z "$(gofmt -l .)"
+        ;;
+    staticcheck)
+        # Pinned: a floating version would let a new check break the gate
+        # without a code change. `go run` needs the module proxy; on an
+        # offline machine skip with a notice — but never in CI, which is
+        # the authority.
+        if command -v staticcheck >/dev/null 2>&1; then
+            staticcheck ./...
+        elif go run honnef.co/go/tools/cmd/staticcheck@2024.1.1 -version >/dev/null 2>&1; then
+            go run honnef.co/go/tools/cmd/staticcheck@2024.1.1 ./...
+        elif [ -n "${CI:-}" ]; then
+            echo "check.sh: staticcheck unavailable in CI" >&2
+            exit 1
+        else
+            echo "check.sh: staticcheck unavailable offline; skipping (CI runs it)" >&2
+        fi
+        ;;
+    race)
+        # The campaign harness and the sharded kernel are the two places
+        # real concurrency exists — keep them honest. The second command
+        # names the sharded determinism and delivery tests explicitly so a
+        # schedule change cannot silently drop them from coverage.
+        go test -race ./...
+        go test -race -count=1 -run 'TestE16DeterminismAcrossWorkers|TestSharded' ./internal/exp/ ./internal/topo/
+        ;;
+    race-sim)
+        # The kernel at 1, 2 and 4 CPUs: a 1-core pass proves nothing
+        # about ShardGroup, and a multi-core-only runner would hide a
+        # serial-path regression.
+        go test -race -cpu 1,2,4 -count=3 ./internal/sim/
+        ;;
+    pooldebug)
+        go test -tags pooldebug ./...
+        # The crash/restart soak must pass with poisoned pooled buffers: a
+        # frame leaked (or double-released) by gateway teardown dies
+        # loudly here.
+        go test -tags pooldebug -count=1 -run 'TestCrashRestartSoak|TestPartitionHealTransferIntegrity' ./internal/fault/
+        ;;
+    smoke-E11)
+        # The fault-injection recovery experiment end to end through the
+        # CLI, as a 2-replica campaign.
+        experiments -only E11 -runs 2 -faults mixed
+        ;;
+    smoke-E12)
+        # A small generated internet through the CLI.
+        experiments -only E12 -topo 'waxman:gw=16'
+        ;;
+    smoke-E13)
+        # The congestion-collapse sweep as a 2-replica campaign, with the
+        # -workload flag exercised.
+        experiments -only E13 -runs 2 -workload 'naive=1,alpha=1.1,min=30000,max=2000000'
+        ;;
+    fuzz)
+        # Codec fuzzers, 10s each (go test takes one -fuzz target at a time).
+        go test -run '^$' -fuzz FuzzIPv4HeaderRoundTrip -fuzztime 10s ./internal/ipv4/
+        go test -run '^$' -fuzz FuzzTCPSegmentRoundTrip -fuzztime 10s ./internal/tcp/
+        go test -run '^$' -fuzz FuzzUDPDatagramRoundTrip -fuzztime 10s ./internal/udp/
+        go test -run '^$' -fuzz FuzzRIPMessageRoundTrip -fuzztime 10s ./internal/rip/
+        go test -run '^$' -fuzz FuzzNamesMessageRoundTrip -fuzztime 10s ./internal/names/
+        ;;
+    smoke-E5)
+        # Metrics determinism: the campaign JSON (which embeds the full
+        # per-layer counter registry as ctr/ metrics) must be
+        # byte-identical no matter how many workers ran the replicas.
+        experiments -only E5 -runs 4 -parallel 1 -export campaign="$tmpdir/p1.json"
+        experiments -only E5 -runs 4 -parallel "$(nproc)" -export campaign="$tmpdir/pn.json"
+        cmp "$tmpdir/p1.json" "$tmpdir/pn.json"
+        ;;
+    smoke-E13-T)
+        # A 2x2 tournament grid (with the topology axis pinned
+        # explicitly), fixed seed, twice: the ranked leaderboard must be
+        # byte-identical at any worker count.
+        for p in 1 3; do
+            experiments -only E13-T -topo 'transitstub:gw=3,stubs=4,hosts=1,mix=0' -qdisc 'droptail+ecn' -cc 'naive+newreno' \
+                -runs 2 -seed 1988 -parallel "$p" -export leaderboard="$tmpdir/lb$p.json"
+        done
+        cmp "$tmpdir/lb1.json" "$tmpdir/lb3.json"
+        ;;
+    smoke-E14)
+        # Targeted-vs-random fault campaigns on a small internet, fixed
+        # seed, twice: the survivability frontier must be byte-identical
+        # at any worker count.
+        for p in 1 3; do
+            experiments -only E14 -topo 'transitstub:gw=3,stubs=2,hosts=1,mix=0' -fracs '10,20' \
+                -runs 2 -seed 1988 -parallel "$p" -export survive="$tmpdir/sf$p.json"
+        done
+        cmp "$tmpdir/sf1.json" "$tmpdir/sf3.json"
+        ;;
+    smoke-E16)
+        # The 2000-gateway sharded kernel, serial and at 4 workers: the
+        # campaign JSON must be byte-identical at any -shards value — the
+        # conservative-sync acceptance check.
+        for s in 1 4; do
+            experiments -only E16 -seed 1988 -shards "$s" -export campaign="$tmpdir/e16-s$s.json"
+        done
+        cmp "$tmpdir/e16-s1.json" "$tmpdir/e16-s4.json"
+        ;;
+    smoke-E15)
+        # Name-based service continuity through a directory crash; the
+        # darpanet/names/v1 export must be byte-identical at any -parallel
+        # AND any -shards value (directory traffic crosses the shard seams).
+        experiments -only E15 -runs 2 -seed 1988 -parallel 1 -export names="$tmpdir/n-p1.json"
+        experiments -only E15 -runs 2 -seed 1988 -parallel 3 -export names="$tmpdir/n-p3.json"
+        experiments -only E15 -runs 2 -seed 1988 -parallel 1 -shards 2 -export names="$tmpdir/n-s2.json"
+        cmp "$tmpdir/n-p1.json" "$tmpdir/n-p3.json"
+        cmp "$tmpdir/n-p1.json" "$tmpdir/n-s2.json"
+        ;;
+    benchsmoke)
+        # Every benchmark still runs (one iteration each).
+        go test -run '^$' -bench . -benchtime 1x ./...
+        ;;
+    benchguard)
+        # The allocation-regression gate over the datagram hot path.
+        scripts/benchguard.sh
+        ;;
+    bench-api)
+        # bench/ is its own module, so `go build ./...` at the root cannot
+        # see an API move that breaks the benchmark.
+        (cd bench && go vet ./... && go test ./...)
+        ;;
+    *)
+        echo "check.sh: unknown leg '$1' (legs: $LEGS)" >&2
+        exit 2
+        ;;
+    esac
+}
+
+[ $# -gt 0 ] || set -- $LEGS
+for leg; do
+    echo "== check.sh: $leg" >&2
+    (set -x; run_leg "$leg")
+done

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"strings"
@@ -162,6 +163,27 @@ func TestAddMetricAndBool01(t *testing.T) {
 	}
 	if bool01(true) != 1 || bool01(false) != 0 {
 		t.Fatal("bool01")
+	}
+}
+
+// TestPatternChunksReproducePattern checks the streamed form of the bulk
+// pattern against the materialised one across several period wraps, with
+// offers of every awkward size a send buffer can ask for.
+func TestPatternChunksReproducePattern(t *testing.T) {
+	const n = 3*patternPeriod + 12345
+	want := patternBytes(n)
+	sizes := []int{1, 535, 32768, 65535, patternPeriod - 1, patternPeriod, n}
+	var got []byte
+	for i := 0; len(got) < n; i++ {
+		space := sizes[i%len(sizes)]
+		chunk := patternChunk(len(got), n-len(got))
+		if want := min(n-len(got), patternPeriod); len(chunk) != want {
+			t.Fatalf("at %d: offered %d bytes, want %d", len(got), len(chunk), want)
+		}
+		got = append(got, chunk[:min(space, len(chunk))]...)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("streamed pattern differs from patternBytes")
 	}
 }
 

@@ -65,20 +65,16 @@ func startBulkTCPPair(cnw, snw *core.Network, from, to string, port uint16, nbyt
 			tr.Err = err
 		}
 	})
-	data := patternBytes(nbytes)
-	remaining := data
-	var write func()
-	write = func() {
-		for len(remaining) > 0 {
-			n, err := conn.Write(remaining)
+	sent := 0
+	write := func() {
+		for sent < nbytes {
+			n, err := conn.Write(patternChunk(sent, nbytes-sent))
 			if err != nil || n == 0 {
 				return
 			}
-			remaining = remaining[n:]
+			sent += n
 		}
-		if len(remaining) == 0 {
-			conn.Close()
-		}
+		conn.Close()
 	}
 	conn.OnWriteSpace(write)
 	conn.OnEstablished(write)
@@ -101,6 +97,23 @@ func patternBytes(n int) []byte {
 		p[i] = byte(i*7 + i>>9)
 	}
 	return p
+}
+
+// The pattern's byte at i depends only on i mod 2^17, so a bulk sender
+// streams from one read-only table shared by every transfer in the
+// process instead of materialising its whole transfer. The table holds
+// two periods so that a chunk of up to one period is contiguous wherever
+// it starts: a Write is then offered exactly what a fully materialised
+// pattern would have offered it, for any send buffer up to 128 KiB.
+const patternPeriod = 1 << 17
+
+var patternTable = patternBytes(2 * patternPeriod)
+
+// patternChunk returns the pattern from offset off on: up to n bytes, and
+// no more than one period.
+func patternChunk(off, n int) []byte {
+	at := off % patternPeriod
+	return patternTable[at : at+min(n, patternPeriod)]
 }
 
 // startUDPEcho runs a UDP request/response responder on node name at

@@ -2,7 +2,7 @@ package ipv4
 
 import (
 	"errors"
-	"sort"
+	"slices"
 
 	"darpanet/internal/metrics"
 	"darpanet/internal/packet"
@@ -13,38 +13,77 @@ import (
 // MTU but carries the don't-fragment flag.
 var ErrFragmentationNeeded = errors.New("ipv4: fragmentation needed but DF set")
 
-// Fragment splits a datagram (header + payload) into fragments whose total
-// length does not exceed mtu. The input header's ID identifies the group;
-// offsets are in 8-byte units as the wire format requires. If the datagram
-// already fits, a single fragment equal to the input is returned.
+// Fragmenter walks the fragments of one datagram for one MTU. It is a
+// value: building one and calling Next until it reports false touches no
+// heap, which is what lets a gateway refragment transit traffic on the
+// pooled hot path. The payloads Next returns alias the datagram's payload.
 //
 // Gateways fragment; only the destination host reassembles — the paper's
 // point that in-network state is avoided even for this mechanism.
-func Fragment(h Header, payload []byte, mtu int) ([]Header, [][]byte, error) {
+type Fragmenter struct {
+	h       Header
+	payload []byte
+	chunk   int // payload bytes per fragment, a multiple of 8
+	off     int // payload offset of the next fragment
+	left    int // fragments not yet returned
+}
+
+// NewFragmenter prepares to split a datagram (header + payload) into
+// fragments whose total length does not exceed mtu. The input header's ID
+// identifies the group; offsets are in 8-byte units as the wire format
+// requires. A datagram that already fits yields itself as its only
+// fragment.
+func NewFragmenter(h Header, payload []byte, mtu int) (Fragmenter, error) {
+	f := Fragmenter{h: h, payload: payload, left: 1}
 	if HeaderLen+len(payload) <= mtu {
-		return []Header{h}, [][]byte{payload}, nil
+		return f, nil
 	}
 	if h.DF {
-		return nil, nil, ErrFragmentationNeeded
+		return Fragmenter{}, ErrFragmentationNeeded
 	}
 	if mtu < HeaderLen+8 {
-		return nil, nil, errors.New("ipv4: mtu too small to fragment")
+		return Fragmenter{}, errors.New("ipv4: mtu too small to fragment")
 	}
-	chunk := (mtu - HeaderLen) &^ 7 // payload per fragment, multiple of 8
-	var hs []Header
-	var ps [][]byte
-	for off := 0; off < len(payload); off += chunk {
-		end := off + chunk
-		more := true
-		if end >= len(payload) {
-			end = len(payload)
-			more = false
-		}
-		fh := h
-		fh.FragOff = h.FragOff + off
-		fh.MF = more || h.MF
+	f.chunk = (mtu - HeaderLen) &^ 7
+	f.left = (len(payload) + f.chunk - 1) / f.chunk
+	return f, nil
+}
+
+// Count returns how many fragments Next has yet to return.
+func (f *Fragmenter) Count() int { return f.left }
+
+// Next returns the next fragment's header and payload, or false once the
+// datagram is exhausted.
+func (f *Fragmenter) Next() (Header, []byte, bool) {
+	if f.left == 0 {
+		return Header{}, nil, false
+	}
+	f.left--
+	end := len(f.payload)
+	if f.left > 0 {
+		end = f.off + f.chunk
+	}
+	fh := f.h
+	fh.FragOff = f.h.FragOff + f.off
+	fh.MF = f.left > 0 || f.h.MF
+	p := f.payload[f.off:end]
+	f.off = end
+	return fh, p, true
+}
+
+// Fragment collects a Fragmenter's output into slices, for tests and
+// probes that want every fragment at once; the forwarding path iterates
+// the Fragmenter directly.
+func Fragment(h Header, payload []byte, mtu int) ([]Header, [][]byte, error) {
+	f, err := NewFragmenter(h, payload, mtu)
+	if err != nil {
+		return nil, nil, err
+	}
+	hs := make([]Header, 0, f.Count())
+	ps := make([][]byte, 0, f.Count())
+	for fh, p, ok := f.Next(); ok; fh, p, ok = f.Next() {
 		hs = append(hs, fh)
-		ps = append(ps, payload[off:end])
+		ps = append(ps, p)
 	}
 	return hs, ps, nil
 }
@@ -61,12 +100,24 @@ type fragPiece struct {
 	data []byte
 }
 
+// fragGroup is one partially reassembled datagram. Groups are recycled
+// through the reassembler's free list: the pieces backing and the bound
+// expiry func outlive any one datagram.
 type fragGroup struct {
-	pieces   []fragPiece
-	totalLen int // payload length once the last fragment arrives; -1 unknown
+	r        *Reassembler
+	key      reassemblyKey
+	pieces   []fragPiece // offset-sorted; equal offsets in arrival order
+	totalLen int         // payload length once the last fragment arrives; -1 unknown
 	timer    sim.Timer
+	expireFn func() // g.expire, bound once
 	tos      uint8
 	ttl      uint8
+}
+
+// expire is the reassembly deadline: the incomplete group is discarded.
+func (g *fragGroup) expire() {
+	g.r.stats.Timeouts++
+	g.r.drop(g)
 }
 
 // ReassemblerStats counts reassembly outcomes.
@@ -84,6 +135,7 @@ type Reassembler struct {
 	k       *sim.Kernel
 	timeout sim.Duration
 	groups  map[reassemblyKey]*fragGroup
+	free    []*fragGroup // retired groups awaiting reuse
 	stats   ReassemblerStats
 	pool    *packet.Pool
 }
@@ -126,14 +178,45 @@ func (r *Reassembler) Pending() int { return len(r.groups) }
 // released. Used on node teardown so a crash strands neither timers nor
 // buffers.
 func (r *Reassembler) Flush() {
-	for key, g := range r.groups {
-		g.timer.Stop()
-		for _, p := range g.pieces {
-			r.pool.Put(p.data)
-		}
-		delete(r.groups, key)
+	for _, g := range r.groups {
 		r.stats.Timeouts++
+		r.drop(g)
 	}
+}
+
+// group returns the group a fragment with header h belongs to, starting
+// one (and its deadline) if this is the first fragment seen.
+func (r *Reassembler) group(h Header) *fragGroup {
+	key := reassemblyKey{h.Src, h.Dst, h.Proto, h.ID}
+	if g := r.groups[key]; g != nil {
+		return g
+	}
+	var g *fragGroup
+	if n := len(r.free); n > 0 {
+		g, r.free[n-1] = r.free[n-1], nil
+		r.free = r.free[:n-1]
+	} else {
+		g = &fragGroup{r: r}
+		g.expireFn = g.expire
+	}
+	g.key, g.totalLen, g.tos, g.ttl = key, -1, h.TOS, h.TTL
+	g.timer = r.k.After(r.timeout, g.expireFn)
+	r.groups[key] = g
+	return g
+}
+
+// drop forgets group g: its deadline is cancelled (a no-op when the
+// deadline is what is running), its pieces go back to the pool and the
+// group to the free list.
+func (r *Reassembler) drop(g *fragGroup) {
+	g.timer.Stop()
+	for i := range g.pieces {
+		r.pool.Put(g.pieces[i].data)
+		g.pieces[i].data = nil
+	}
+	g.pieces = g.pieces[:0]
+	delete(r.groups, g.key)
+	r.free = append(r.free, g)
 }
 
 // Add accepts one fragment. When the fragment completes its datagram, Add
@@ -145,28 +228,24 @@ func (r *Reassembler) Flush() {
 // and is released as soon as Add returns. With SetPool the copies and the
 // reassembled payload come from the pool, and the caller owns (and must
 // Put back) a reassembled result.
+//
+// Where fragments overlap, the lower offset wins each byte, and between
+// equal offsets the earlier arrival.
 func (r *Reassembler) Add(h Header, payload []byte) (Header, []byte, bool) {
 	if !h.MF && h.FragOff == 0 {
 		r.stats.Datagrams++
 		return h, payload, true
 	}
 	r.stats.Fragments++
-	key := reassemblyKey{h.Src, h.Dst, h.Proto, h.ID}
-	g := r.groups[key]
-	if g == nil {
-		g = &fragGroup{totalLen: -1, tos: h.TOS, ttl: h.TTL}
-		g.timer = r.k.After(r.timeout, func() {
-			for _, p := range g.pieces {
-				r.pool.Put(p.data)
-			}
-			delete(r.groups, key)
-			r.stats.Timeouts++
-		})
-		r.groups[key] = g
-	}
+	g := r.group(h)
 	piece := r.pool.Get(len(payload))
 	copy(piece, payload)
-	g.pieces = append(g.pieces, fragPiece{off: h.FragOff, data: piece})
+	// Insert behind every piece at the same or a lower offset.
+	at := len(g.pieces)
+	for at > 0 && g.pieces[at-1].off > h.FragOff {
+		at--
+	}
+	g.pieces = slices.Insert(g.pieces, at, fragPiece{off: h.FragOff, data: piece})
 	if !h.MF {
 		g.totalLen = h.FragOff + len(payload)
 	}
@@ -174,42 +253,34 @@ func (r *Reassembler) Add(h Header, payload []byte) (Header, []byte, bool) {
 		return Header{}, nil, false
 	}
 	// Check contiguous coverage of [0, totalLen).
-	sort.Slice(g.pieces, func(i, j int) bool { return g.pieces[i].off < g.pieces[j].off })
 	covered := 0
 	for _, p := range g.pieces {
 		if p.off > covered {
 			return Header{}, nil, false // hole remains
 		}
-		if end := p.off + len(p.data); end > covered {
-			covered = end
-		}
+		covered = max(covered, p.off+len(p.data))
 	}
 	if covered < g.totalLen {
 		return Header{}, nil, false
 	}
-	// Complete: splice, honoring overlaps by first-writer-wins per byte.
-	// The coverage check above guarantees every byte of buf is written.
+	// Complete: splice. Walking in offset order, everything below covered
+	// is already written, so each piece contributes exactly its bytes in
+	// [covered, end) — first writer wins without a per-byte map.
 	buf := r.pool.Get(g.totalLen)
-	seen := make([]bool, g.totalLen)
+	covered = 0
 	for _, p := range g.pieces {
-		for i, b := range p.data {
-			if at := p.off + i; at < g.totalLen && !seen[at] {
-				buf[at] = b
-				seen[at] = true
-			}
+		if end := min(p.off+len(p.data), g.totalLen); end > covered {
+			copy(buf[covered:end], p.data[covered-p.off:])
+			covered = end
 		}
 	}
-	for _, p := range g.pieces {
-		r.pool.Put(p.data)
-	}
-	g.timer.Stop()
-	delete(r.groups, key)
-	r.stats.Datagrams++
 	out := h
 	out.MF = false
 	out.FragOff = 0
 	out.TOS = g.tos
 	out.TTL = g.ttl
 	out.TotalLen = HeaderLen + g.totalLen
+	r.drop(g)
+	r.stats.Datagrams++
 	return out, buf, true
 }

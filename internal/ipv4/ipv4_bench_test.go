@@ -47,21 +47,24 @@ func BenchmarkDecrementTTL(b *testing.B) {
 
 func BenchmarkFragmentReassemble(b *testing.B) {
 	k := sim.NewKernel(1)
+	pool := packet.NewPool()
 	r := NewReassembler(k, 0)
+	r.SetPool(pool)
 	h := fragHeader()
 	payload := seqPayload(4000)
 	b.SetBytes(4000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.ID = uint16(i)
-		hs, ps, err := Fragment(h, payload, 576)
+		f, err := NewFragmenter(h, payload, 576)
 		if err != nil {
 			b.Fatal(err)
 		}
 		done := false
-		for j := range hs {
-			if _, _, d := r.Add(hs[j], ps[j]); d {
+		for fh, p, ok := f.Next(); ok; fh, p, ok = f.Next() {
+			if _, whole, d := r.Add(fh, p); d {
 				done = true
+				pool.Put(whole)
 			}
 		}
 		if !done {

@@ -11,10 +11,13 @@ import (
 // benchTopo builds h1 -- gw -- h2 over infinitely fast, zero-delay links
 // so the benchmark measures stack cost, not simulated transmission time.
 // A raw protocol handler on h2 counts deliveries.
-func benchTopo() (*sim.Kernel, *Node, *Node, *uint64) {
+func benchTopo() (*sim.Kernel, *Node, *Node, *uint64) { return benchTopoMTU(1500) }
+
+// benchTopoMTU is benchTopo with the gateway's far link at the given MTU.
+func benchTopoMTU(farMTU int) (*sim.Kernel, *Node, *Node, *uint64) {
 	k := sim.NewKernel(1)
 	l1 := phys.NewP2P(k, "l1", phys.Config{MTU: 1500})
-	l2 := phys.NewP2P(k, "l2", phys.Config{MTU: 1500})
+	l2 := phys.NewP2P(k, "l2", phys.Config{MTU: farMTU})
 
 	h1 := NewNode(k, "h1")
 	gw := NewNode(k, "gw")
@@ -88,6 +91,55 @@ func TestForwardHotPathZeroAlloc(t *testing.T) {
 	}
 	if *delivered == 0 {
 		t.Fatal("nothing delivered")
+	}
+}
+
+// fragmentingPath is the "varieties of networks" path: h1 sends a
+// full-size datagram over its MTU-1500 net, gw cuts it into seven
+// fragments for the MTU-256 net beyond, and h2 — only the destination
+// host — reassembles. The returned func sends one datagram end to end.
+func fragmentingPath(t testing.TB) (send func(), delivered *uint64, h2 *Node) {
+	k, h1, h2, delivered := benchTopoMTU(256)
+	payload := make([]byte, 1480)
+	hdr := ipv4.Header{Dst: h2.Addr(), Proto: 200}
+	send = func() {
+		h1.Send(hdr, payload)
+		k.Run()
+	}
+	// Warm the pool, event slabs, flight free lists and the reassembler's
+	// group free list.
+	for i := 0; i < 64; i++ {
+		send()
+	}
+	if *delivered != 64 || h2.Reassembler().Stats().Fragments != 64*7 {
+		t.Fatalf("warm-up delivered %d datagrams from %d fragments, want 64 from 448",
+			*delivered, h2.Reassembler().Stats().Fragments)
+	}
+	return send, delivered, h2
+}
+
+// BenchmarkFragmentForwardReassemble pins the fragmenting path at
+// 0 allocs/op (benchguard baseline): the cursor in forward, the pooled
+// fragment images and the reassembler's recycled groups.
+func BenchmarkFragmentForwardReassemble(b *testing.B) {
+	send, delivered, h2 := fragmentingPath(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
+	}
+	b.StopTimer()
+	if *delivered != uint64(64+b.N) || h2.Reassembler().Pending() != 0 {
+		b.Fatalf("delivered %d of %d, %d groups pending", *delivered, 64+b.N, h2.Reassembler().Pending())
+	}
+}
+
+// TestFragmentForwardReassembleZeroAlloc is the benchmark's claim as a
+// plain test.
+func TestFragmentForwardReassembleZeroAlloc(t *testing.T) {
+	send, _, _ := fragmentingPath(t)
+	if avg := testing.AllocsPerRun(200, send); avg != 0 {
+		t.Fatalf("fragment -> forward -> reassemble allocates %.1f objects per datagram, want 0", avg)
 	}
 }
 

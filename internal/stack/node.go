@@ -337,18 +337,17 @@ func (n *Node) output(ifc *Interface, nexthop ipv4.Addr, h ipv4.Header, payload 
 	mtu := ifc.NIC.MTU()
 	link := ifc.linkAddr(nexthop)
 	if ipv4.HeaderLen+len(payload) <= mtu {
-		// Fast path: the datagram fits in one frame, so skip Fragment
-		// (and its per-call header/payload slices) entirely.
+		// Fast path: the datagram fits in one frame.
 		return n.sendDatagram(ifc, link, h, payload)
 	}
-	hs, ps, err := ipv4.Fragment(h, payload, mtu)
+	frags, err := ipv4.NewFragmenter(h, payload, mtu)
 	if err != nil {
 		n.stats.FragFails++
 		return err
 	}
-	n.stats.FragCreated += uint64(len(hs))
-	for i := range hs {
-		if err := n.sendDatagram(ifc, link, hs[i], ps[i]); err != nil {
+	n.stats.FragCreated += uint64(frags.Count())
+	for fh, p, ok := frags.Next(); ok; fh, p, ok = frags.Next() {
+		if err := n.sendDatagram(ifc, link, fh, p); err != nil {
 			return err
 		}
 	}
@@ -470,24 +469,24 @@ func (n *Node) forward(in *Interface, f phys.Frame, h ipv4.Header, payload []byt
 		return
 	}
 	// Narrower outgoing link: fragment (or refuse if DF).
-	hs, ps, err := ipv4.Fragment(h, payload, out.NIC.MTU())
+	frags, err := ipv4.NewFragmenter(h, payload, out.NIC.MTU())
 	if err != nil {
 		n.stats.FragFails++
 		n.sendICMPError(h, payload, icmp_TypeDestUnreachable, icmp_CodeFragNeeded)
 		f.Release()
 		return
 	}
-	n.stats.FragCreated += uint64(len(hs))
+	n.stats.FragCreated += uint64(frags.Count())
 	if !out.NIC.Up() {
 		n.stats.IfaceDown++
 		f.Release()
 		return
 	}
 	link := out.linkAddr(nexthop)
-	for i := range hs {
+	for fh, p, ok := frags.Next(); ok; fh, p, ok = frags.Next() {
 		b := &n.txBuf
-		b.Reset(n.pool, ipv4.HeaderLen, ps[i])
-		if err := hs[i].Marshal(b); err != nil {
+		b.Reset(n.pool, ipv4.HeaderLen, p)
+		if err := fh.Marshal(b); err != nil {
 			b.Release()
 			break
 		}

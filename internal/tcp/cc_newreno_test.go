@@ -90,7 +90,7 @@ func TestNewRenoPartialAck(t *testing.T) {
 			_, c := newRenoConn(t)
 			// Arrange: a flight of tc.flight bytes outstanding, with the
 			// recovery point tc.recoverAt past sndUna.
-			c.sndBuf = append(c.sndBuf[:0], make([]byte, tc.flight)...)
+			c.queueSend(make([]byte, tc.flight))
 			c.sndNxt = c.sndUna + uint32(tc.flight)
 			c.frRecover = c.sndUna + uint32(tc.recoverAt)
 			c.inFastRecovery = tc.inRecovery
@@ -100,7 +100,7 @@ func TestNewRenoPartialAck(t *testing.T) {
 			if tc.acked > 0 {
 				// processAck advances sndUna before invoking the hook.
 				c.sndUna += uint32(tc.acked)
-				c.sndBuf = c.sndBuf[tc.acked:]
+				c.sndDrop(tc.acked)
 				c.cc.OnAck(c, tc.acked)
 			} else {
 				c.dupAcks = 3

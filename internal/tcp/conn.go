@@ -1,6 +1,8 @@
 package tcp
 
 import (
+	"slices"
+
 	"darpanet/internal/ipv4"
 	"darpanet/internal/sim"
 )
@@ -30,8 +32,15 @@ type Conn struct {
 	sndWnd  int
 	sndWl1  uint32 // seq of last window update
 	sndWl2  uint32 // ack of last window update
-	sndBuf  []byte // unacked + unsent bytes, starting at sndUna
 	peerMSS int
+
+	// The unacked + unsent bytes, starting at sndUna, are the sndLen
+	// bytes of the ring sndStore from sndHead on: acks advance sndHead,
+	// Write fills in behind the last queued byte, nothing moves in
+	// between. The connection keeps the storage for life.
+	sndStore []byte
+	sndHead  int
+	sndLen   int
 
 	finQueued bool // application closed the send side
 	finSent   bool // FIN has occupied sequence space
@@ -44,9 +53,10 @@ type Conn struct {
 	irs      uint32
 	rcvNxt   uint32
 	rcvAdv   uint32 // highest right window edge advertised (SWS avoidance)
-	recvQ    []byte // received, in order, not yet consumed by the app
+	recvQ    []byte // received, in order, awaiting Read (manual read mode only)
 	autoRead bool
-	ooo      []oooSeg
+	ooo      []oooSeg // held out-of-order segments, sorted by seq
+	oooFree  [][]byte // drained ooo buffers awaiting reuse
 
 	// Retransmission.
 	rto         sim.Duration
@@ -154,6 +164,11 @@ func (c *Conn) OnEstablished(fn func()) { c.onEstablished = fn }
 // OnData registers fn to receive in-order stream data. With auto-read on
 // (the default) delivered bytes are consumed immediately and the window
 // stays open.
+//
+// The slice passed to fn is valid only until fn returns: it is a view of
+// the arriving segment in storage the stack recycles, not a copy. A
+// callback that keeps the bytes must copy them; passing them straight to
+// Write (an echo) is fine, since Write copies.
 func (c *Conn) OnData(fn func([]byte)) { c.onData = fn }
 
 // OnEOF registers fn to run when the peer closes its send side (FIN).
@@ -226,18 +241,61 @@ func (c *Conn) Write(data []byte) (int, error) {
 	if c.finQueued {
 		return 0, ErrClosed
 	}
-	space := c.opts.SendBufferSize - len(c.sndBuf)
+	space := c.opts.SendBufferSize - c.sndLen
 	if space <= 0 {
 		return 0, nil
 	}
 	if len(data) > space {
 		data = data[:space]
 	}
-	c.sndBuf = append(c.sndBuf, data...)
+	c.queueSend(data)
 	if c.state == StateEstablished || c.state == StateCloseWait {
 		c.output()
 	}
 	return len(data), nil
+}
+
+// queueSend puts data behind the last queued byte; Write has already
+// cut data to the free space. Storage grows with what the application
+// actually keeps queued, never beyond SendBufferSize: a full buffer
+// refilled one acknowledged segment at a time costs one copy per byte,
+// however full it is.
+func (c *Conn) queueSend(data []byte) {
+	if need := c.sndLen + len(data); need > len(c.sndStore) {
+		store := make([]byte, min(2*need, c.opts.SendBufferSize))
+		a, b := c.sndSpan(0, c.sndLen)
+		copy(store[copy(store, a):], b)
+		c.sndStore, c.sndHead = store, 0
+	}
+	at := c.sndHead + c.sndLen
+	if at >= len(c.sndStore) {
+		at -= len(c.sndStore)
+	}
+	n := copy(c.sndStore[at:], data)
+	copy(c.sndStore, data[n:])
+	c.sndLen += len(data)
+}
+
+// sndSpan returns the n queued bytes that start off bytes past sndUna,
+// in two pieces when they run across the end of the ring.
+func (c *Conn) sndSpan(off, n int) (a, b []byte) {
+	at := c.sndHead + off
+	if at >= len(c.sndStore) {
+		at -= len(c.sndStore)
+	}
+	if end := at + n; end > len(c.sndStore) {
+		return c.sndStore[at:], c.sndStore[:end-len(c.sndStore)]
+	}
+	return c.sndStore[at : at+n], nil
+}
+
+// sndDrop releases the first n queued bytes: they have been acknowledged.
+func (c *Conn) sndDrop(n int) {
+	c.sndLen -= n
+	c.sndHead += n
+	if c.sndHead >= len(c.sndStore) {
+		c.sndHead -= len(c.sndStore)
+	}
 }
 
 // WriteSpace returns the free send-buffer space in bytes.
@@ -245,7 +303,7 @@ func (c *Conn) WriteSpace() int {
 	if c.finQueued {
 		return 0
 	}
-	return c.opts.SendBufferSize - len(c.sndBuf)
+	return c.opts.SendBufferSize - c.sndLen
 }
 
 // Close closes the send side: remaining buffered data is delivered, then
@@ -624,11 +682,11 @@ func (c *Conn) ackAdvance(ack uint32) {
 	if c.finSent && ack == c.sndNxt {
 		dataAcked-- // the FIN
 	}
-	if dataAcked > len(c.sndBuf) {
-		dataAcked = len(c.sndBuf)
+	if dataAcked > c.sndLen {
+		dataAcked = c.sndLen
 	}
 	if dataAcked > 0 {
-		c.sndBuf = c.sndBuf[dataAcked:]
+		c.sndDrop(dataAcked)
 	}
 	c.sndUna = ack
 	// Prune fully acked original-boundary records.
@@ -638,7 +696,7 @@ func (c *Conn) ackAdvance(ack uint32) {
 			break
 		}
 	}
-	c.sentSegs = c.sentSegs[i:]
+	c.sentSegs = c.sentSegs[:copy(c.sentSegs, c.sentSegs[i:])]
 }
 
 // rttSample takes a Karn-compliant RTT measurement.
@@ -712,10 +770,15 @@ func (c *Conn) admitInOrder(data []byte) {
 	}
 	c.rcvNxt += uint32(len(data))
 	c.stats.BytesReceived += uint64(len(data))
-	c.recvQ = append(c.recvQ, data...)
 	if c.autoRead {
-		c.drainRecvQ()
+		// recvQ is empty whenever auto-read is on (SetAutoRead drains
+		// it), so the segment's own bytes go straight to the application.
+		if c.onData != nil {
+			c.onData(data)
+		}
+		return
 	}
+	c.recvQ = append(c.recvQ, data...)
 }
 
 func (c *Conn) drainRecvQ() {
@@ -737,34 +800,52 @@ func (c *Conn) insertOOO(seq uint32, data []byte) {
 	if seqGT(seq+uint32(len(data)), c.rcvNxt+uint32(c.opts.WindowSize)) {
 		return
 	}
-	// Insert sorted; tolerate overlap by keeping both and trimming at
-	// drain time.
+	// Insert sorted. Partial overlap is tolerated by keeping both and
+	// trimming at drain time, but a segment some held one already covers
+	// whole adds nothing and is not stored: a go-back-N peer resending
+	// its window over and over cannot grow the list.
+	end := seq + uint32(len(data))
 	at := len(c.ooo)
 	for i, s := range c.ooo {
 		if seqLT(seq, s.seq) {
 			at = i
 			break
 		}
+		if seqLEQ(end, s.seq+uint32(len(s.data))) {
+			return
+		}
 	}
-	cp := make([]byte, len(data))
+	var cp []byte
+	if n := len(c.oooFree); n > 0 {
+		cp, c.oooFree[n-1] = c.oooFree[n-1], nil
+		c.oooFree = c.oooFree[:n-1]
+	}
+	if cap(cp) < len(data) {
+		cp = make([]byte, max(len(data), c.opts.MSS))
+	}
+	cp = cp[:len(data)]
 	copy(cp, data)
-	c.ooo = append(c.ooo, oooSeg{})
-	copy(c.ooo[at+1:], c.ooo[at:])
-	c.ooo[at] = oooSeg{seq: seq, data: cp}
+	c.ooo = slices.Insert(c.ooo, at, oooSeg{seq: seq, data: cp})
 }
 
+// drainOOO admits every held segment the advancing rcvNxt has reached and
+// retires its buffer for reuse.
 func (c *Conn) drainOOO() {
-	for len(c.ooo) > 0 {
-		s := c.ooo[0]
+	n := 0
+	for ; n < len(c.ooo); n++ {
+		s := c.ooo[n]
 		if seqGT(s.seq, c.rcvNxt) {
-			return // hole remains
+			break // hole remains
 		}
-		c.ooo = c.ooo[1:]
-		if end := s.seq + uint32(len(s.data)); seqLEQ(end, c.rcvNxt) {
-			continue // entirely old
+		if end := s.seq + uint32(len(s.data)); seqGT(end, c.rcvNxt) {
+			c.admitInOrder(s.data[c.rcvNxt-s.seq:])
 		}
-		skip := int(c.rcvNxt - s.seq)
-		c.admitInOrder(s.data[skip:])
+		c.oooFree = append(c.oooFree, s.data)
+	}
+	if n > 0 {
+		rest := copy(c.ooo, c.ooo[n:])
+		clear(c.ooo[rest:])
+		c.ooo = c.ooo[:rest]
 	}
 }
 

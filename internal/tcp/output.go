@@ -60,13 +60,13 @@ func (c *Conn) windowToAdvertise() int {
 // transmitted.
 func (c *Conn) bytesUnsent() int {
 	off := c.unsentOffset()
-	if off > len(c.sndBuf) {
+	if off > c.sndLen {
 		return 0
 	}
-	return len(c.sndBuf) - off
+	return c.sndLen - off
 }
 
-// unsentOffset is the index into sndBuf of the first never-sent byte.
+// unsentOffset is how far past sndUna the first never-sent byte is queued.
 func (c *Conn) unsentOffset() int {
 	off := int(c.sndNxt - c.sndUna)
 	if c.finSent {
@@ -89,7 +89,7 @@ func (c *Conn) output() {
 	}
 	for !c.finSent {
 		off := c.unsentOffset()
-		avail := len(c.sndBuf) - off
+		avail := c.sndLen - off
 		if avail < 0 {
 			avail = 0
 		}
@@ -129,7 +129,7 @@ func (c *Conn) output() {
 			}
 			break
 		}
-		c.sendData(c.sndNxt, c.sndBuf[off:off+n], false)
+		c.sendData(off, n, false)
 		c.sndNxt += uint32(n)
 		c.stats.BytesSent += uint64(n)
 	}
@@ -148,9 +148,11 @@ func (c *Conn) output() {
 	}
 }
 
-// sendData transmits one data segment and does the shared bookkeeping.
-// retrans marks retransmissions (no RTT timing, no boundary recording).
-func (c *Conn) sendData(seq uint32, payload []byte, retrans bool) {
+// sendData transmits the n queued bytes off bytes past sndUna as one data
+// segment and does the shared bookkeeping. retrans marks retransmissions
+// (no RTT timing, no boundary recording).
+func (c *Conn) sendData(off, n int, retrans bool) {
+	seq := c.sndUna + uint32(off)
 	s := segment{
 		srcPort: c.local.Port, dstPort: c.remote.Port,
 		seq: seq, ack: c.rcvNxt,
@@ -159,11 +161,16 @@ func (c *Conn) sendData(seq uint32, payload []byte, retrans bool) {
 	}
 	// PSH on segments that empty the buffer: the EOL-becomes-PSH
 	// semantics the paper describes.
-	off := int(seq - c.sndUna)
-	if off+len(payload) >= len(c.sndBuf) {
+	if off+n >= c.sndLen {
 		s.flags |= flagPSH
 	}
-	s.payload = payload
+	// A run across the end of the send ring is joined in the transport's
+	// scratch; transmit copies the payload before anything else sends.
+	var rest []byte
+	if s.payload, rest = c.sndSpan(off, n); len(rest) > 0 {
+		c.t.joinScratch = append(append(c.t.joinScratch[:0], s.payload...), rest...)
+		s.payload = c.t.joinScratch
+	}
 	if c.ecnEcho {
 		s.flags |= flagECE
 	}
@@ -176,10 +183,10 @@ func (c *Conn) sendData(seq uint32, payload []byte, retrans bool) {
 	c.ackPending = 0
 	c.transmit(&s)
 	if !retrans {
-		c.sentSegs = append(c.sentSegs, sentSeg{seq: seq, ln: len(payload)})
+		c.sentSegs = append(c.sentSegs, sentSeg{seq: seq, ln: n})
 		if !c.rttPending {
 			c.rttPending = true
-			c.rttSeq = seq + uint32(len(payload))
+			c.rttSeq = seq + uint32(n)
 			c.rttStart = c.k.Now()
 			c.retransHit = false
 		}
@@ -297,15 +304,15 @@ func (c *Conn) retransmitOldest(fast bool) {
 	if c.finSent {
 		dataOutstanding--
 	}
-	if dataOutstanding > len(c.sndBuf) {
-		dataOutstanding = len(c.sndBuf)
+	if dataOutstanding > c.sndLen {
+		dataOutstanding = c.sndLen
 	}
 	if dataOutstanding > 0 {
 		if c.opts.GoBackN {
 			// Naive recovery: blast the whole outstanding window.
 			for off := 0; off < dataOutstanding; off += c.mss() {
 				n := min(c.mss(), dataOutstanding-off)
-				c.sendData(c.sndUna+uint32(off), c.sndBuf[off:off+n], true)
+				c.sendData(off, n, true)
 				c.stats.Retransmits++
 				c.stats.BytesRetrans += uint64(n)
 			}
@@ -315,7 +322,7 @@ func (c *Conn) retransmitOldest(fast bool) {
 		if c.opts.NoRepacketize && len(c.sentSegs) > 0 && c.sentSegs[0].seq == c.sndUna {
 			n = min(c.sentSegs[0].ln, dataOutstanding)
 		}
-		c.sendData(c.sndUna, c.sndBuf[:n], true)
+		c.sendData(0, n, true)
 		c.stats.Retransmits++
 		c.stats.BytesRetrans += uint64(n)
 		return
@@ -363,9 +370,9 @@ func (c *Conn) persistFire() {
 		// Small-window stall (sender SWS hold): the persist timeout
 		// overrides the hold and forces out whatever fits.
 		off := c.unsentOffset()
-		n := min(c.mss(), len(c.sndBuf)-off, c.sndWnd)
+		n := min(c.mss(), c.sndLen-off, c.sndWnd)
 		if n > 0 {
-			c.sendData(c.sndNxt, c.sndBuf[off:off+n], false)
+			c.sendData(off, n, false)
 			c.sndNxt += uint32(n)
 			c.stats.BytesSent += uint64(n)
 			return

@@ -38,6 +38,9 @@ type Transport struct {
 	// the wire image synchronously, so one scratch serves every
 	// connection without allocating per segment.
 	txScratch []byte
+	// joinScratch is where a data segment whose bytes run across the end
+	// of its connection's send ring is made contiguous.
+	joinScratch []byte
 }
 
 // New attaches a TCP transport to node n, registering IP protocol 6.

@@ -61,6 +61,10 @@ run_leg() {
         # frame leaked (or double-released) by gateway teardown dies
         # loudly here.
         go test -tags pooldebug -count=1 -run 'TestCrashRestartSoak|TestPartitionHealTransferIntegrity' ./internal/fault/
+        # So must the byte path: bulk TCP through a fragmenting, lossy
+        # gateway, and the OnData slice that is poisoned once its callback
+        # returns.
+        go test -tags pooldebug -count=1 -run 'TestBulkAcrossFragmentingLossyPathStrandsNothing|TestOnDataSliceValidOnlyDuringCallback' ./internal/tcp/
         ;;
     smoke-E11)
         # The fault-injection recovery experiment end to end through the
@@ -136,7 +140,8 @@ run_leg() {
         go test -run '^$' -bench . -benchtime 1x ./...
         ;;
     benchguard)
-        # The allocation-regression gate over the datagram hot path.
+        # The allocation-regression gate over the datagram hot path, the
+        # fragmenting path and the established TCP byte path.
         scripts/benchguard.sh
         ;;
     bench-api)

@@ -588,9 +588,9 @@ func computeStaticRoutes(nodes []*stack.Node, nets []oracleNet, aggregate bool, 
 	// default route.
 	var collapse, covered []bool
 	var uVia []ipv4.Addr
-	var uIf []int32
+	var uIf, cnt []int32 // cnt: routes each node is due, were none collapsed
 	if aggregate {
-		cnt := make([]int32, len(nodes))
+		cnt = make([]int32, len(nodes))
 		uniform := make([]bool, len(nodes))
 		uVia = make([]ipv4.Addr, len(nodes))
 		uIf = make([]int32, len(nodes))
@@ -631,11 +631,15 @@ func computeStaticRoutes(nodes []*stack.Node, nets []oracleNet, aggregate bool, 
 		}
 	}
 
-	// Install in one batch per node: routes are buffered per node in
-	// destination order (the order the Adds would happen in), then
-	// handed to AddBatch so each table sizes its slice and index once —
-	// a transit gateway on a 2000-gateway internet takes thousands.
-	pending := make([][]stack.Route, len(nodes))
+	// Install straight into each table, in destination order. Where the
+	// first sweep counted a node's routes the table is sized once up
+	// front — a transit gateway on a 2000-gateway internet takes
+	// thousands.
+	for i, n := range nodes {
+		if cnt != nil && !collapse[i] {
+			n.Table.Grow(int(cnt[i]))
+		}
+	}
 	for dn := range nets {
 		bfs(int32(dn))
 		p := nets[dn].prefix
@@ -646,18 +650,13 @@ func computeStaticRoutes(nodes []*stack.Node, nets []oracleNet, aggregate bool, 
 			if collapse != nil && collapse[i] {
 				continue // replaced by the node's single default route
 			}
-			pending[i] = append(pending[i], stack.Route{
+			nodes[i].Table.Add(stack.Route{
 				Prefix:  p,
 				Via:     arr[i].via,
 				IfIndex: int(arr[i].ifIndex),
 				Metric:  int(arr[i].dist),
 				Source:  stack.SourceStatic,
 			})
-		}
-	}
-	for i, n := range nodes {
-		if len(pending[i]) > 0 {
-			n.Table.AddBatch(pending[i])
 		}
 	}
 

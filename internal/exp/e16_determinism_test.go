@@ -2,6 +2,8 @@ package exp
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -90,5 +92,33 @@ func TestE16DeterminismAcrossWorkers(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// e16TablesSHA256 is the sha256 over every node's name and routing
+// table dump on the reference E16 internet at seed 1988 (regions in
+// order, nodes in build order). It was recorded on the commit before the
+// static oracle stopped batching routes through a per-node buffer, so it
+// shows the direct-install path builds the same tables.
+const e16TablesSHA256 = "630ea42d670e4d8bcd0ea0deb45a5c31c31edad394e19cbf114157b28d8ce507"
+
+// TestE16RouteTablesPinned builds the smoke-E16 internet and compares
+// all 3 750 routing tables (958 750 routes) against the recorded hash.
+func TestE16RouteTablesPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the 2000-gateway internet")
+	}
+	s := topo.GenerateSharded(E16Spec(), 1988, e16Regions, 1)
+	h := sha256.New()
+	routes := 0
+	for _, nw := range s.Regions {
+		for _, name := range nw.Nodes() {
+			tbl := &nw.Node(name).Table
+			routes += tbl.Len()
+			fmt.Fprintf(h, "%s\n%s", name, tbl.String())
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != e16TablesSHA256 {
+		t.Fatalf("route tables changed: sha256 %s over %d routes, recorded %s", got, routes, e16TablesSHA256)
 	}
 }

@@ -1,7 +1,9 @@
 package stack
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"darpanet/internal/ipv4"
@@ -53,112 +55,396 @@ func refAdd(routes []Route, r Route) []Route {
 	return append(routes, r)
 }
 
-// TestRouteIndexEquivalence drives a RouteTable far past the index
-// threshold with randomized adds, removes and usable filters, checking
-// every lookup against the reference linear scan. The route set is
-// built so same-length prefixes, duplicate (prefix, source) pairs,
-// overlapping lengths and a default route all occur.
-func TestRouteIndexEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	addr := func() ipv4.Addr {
-		// A small universe so prefixes overlap constantly.
-		return ipv4.Addr(0x0a000000 | uint32(rng.Intn(8))<<16 | uint32(rng.Intn(8))<<8 | uint32(rng.Intn(4)))
-	}
-	prefix := func() ipv4.Prefix {
-		bits := []int{0, 8, 16, 24, 32}[rng.Intn(5)]
-		a := addr()
-		return ipv4.Prefix{Addr: a.Mask(bits), Bits: bits}
-	}
-	sources := []RouteSource{SourceEGP, SourceRIP, SourceStatic, SourceDirect}
+var allSources = []RouteSource{SourceEGP, SourceRIP, SourceStatic, SourceDirect}
 
-	tbl := &RouteTable{}
-	var ref []Route
-	check := func(step int) {
-		t.Helper()
-		for i := 0; i < 40; i++ {
-			dst := addr()
-			got, gok := tbl.Lookup(dst)
-			want, wok := refLookup(ref, tbl.usable, dst)
-			if gok != wok || got != want {
-				t.Fatalf("step %d: Lookup(%s) = %v,%v want %v,%v (len=%d)",
-					step, dst, got, gok, want, wok, tbl.Len())
-			}
-		}
-		if tbl.Len() != len(ref) {
-			t.Fatalf("step %d: Len %d != ref %d", step, tbl.Len(), len(ref))
-		}
-	}
+// usableFilters are the predicates the tests flip between; index 0 is
+// "no filter".
+var usableFilters = []func(Route) bool{
+	nil,
+	func(r Route) bool { return r.IfIndex != 1 },
+	func(r Route) bool { return r.Metric < 3 },
+}
 
-	for step := 0; step < 600; step++ {
-		switch op := rng.Intn(10); {
-		case op < 7: // add (duplicates replace)
-			r := Route{
-				Prefix:  prefix(),
-				Via:     addr(),
-				IfIndex: rng.Intn(4),
-				Metric:  rng.Intn(5),
-				Source:  sources[rng.Intn(len(sources))],
-			}
-			tbl.Add(r)
-			ref = refAdd(ref, r)
-		case op < 8 && len(ref) > 0: // remove an existing entry
-			victim := ref[rng.Intn(len(ref))]
-			g := tbl.Remove(victim.Prefix, victim.Source)
-			w := false
-			for i := range ref {
-				if ref[i].Prefix == victim.Prefix && ref[i].Source == victim.Source {
-					ref = append(ref[:i], ref[i+1:]...)
-					w = true
-					break
-				}
-			}
-			if g != w {
-				t.Fatalf("step %d: Remove = %v want %v", step, g, w)
-			}
-		case op < 9: // bulk remove, as recomputeStaticRoutes does
-			src := sources[rng.Intn(len(sources))]
-			tbl.RemoveIf(func(r Route) bool { return r.Source == src && r.Metric == 1 })
-			kept := ref[:0]
-			for _, r := range ref {
-				if r.Source == src && r.Metric == 1 {
-					continue
-				}
-				kept = append(kept, r)
-			}
-			ref = kept
-		default: // flip the usable filter
-			switch rng.Intn(3) {
-			case 0:
-				tbl.SetUsableFilter(nil)
-			case 1:
-				tbl.SetUsableFilter(func(r Route) bool { return r.IfIndex != 1 })
-			case 2:
-				tbl.SetUsableFilter(func(r Route) bool { return r.Metric < 3 })
-			}
-		}
-		check(step)
+// refTable drives a RouteTable and the linear reference side by side.
+// Every mutation goes to both; check compares them.
+type refTable struct {
+	tbl RouteTable
+	ref []Route
+}
+
+func (p *refTable) add(r Route) {
+	p.tbl.Add(r)
+	p.ref = refAdd(p.ref, r)
+}
+
+// addBatch also scribbles over rs afterwards: AddBatch must not retain it.
+func (p *refTable) addBatch(rs []Route) {
+	for _, r := range rs {
+		p.ref = refAdd(p.ref, r)
 	}
-	if tbl.Len() < indexThreshold {
-		t.Fatalf("test never crossed the index threshold: %d routes", tbl.Len())
+	p.tbl.AddBatch(rs)
+	for i := range rs {
+		rs[i] = Route{Metric: -1}
 	}
 }
 
-// TestRouteIndexLookupAllocs pins the indexed lookup as allocation-free:
-// it sits on the forwarding hot path of every large gateway.
-func TestRouteIndexLookupAllocs(t *testing.T) {
-	tbl := &RouteTable{}
-	for i := 0; i < 4*indexThreshold; i++ {
+func (p *refTable) remove(t *testing.T, pfx ipv4.Prefix, src RouteSource) {
+	t.Helper()
+	want := false
+	for i := range p.ref {
+		if p.ref[i].Prefix == pfx && p.ref[i].Source == src {
+			p.ref = append(p.ref[:i], p.ref[i+1:]...)
+			want = true
+			break
+		}
+	}
+	if got := p.tbl.Remove(pfx, src); got != want {
+		t.Fatalf("Remove(%s, %s) = %v want %v", pfx, src, got, want)
+	}
+}
+
+func (p *refTable) removeIf(t *testing.T, match func(Route) bool) {
+	t.Helper()
+	kept, want := p.ref[:0], 0
+	for _, r := range p.ref {
+		if match(r) {
+			want++
+			continue
+		}
+		kept = append(kept, r)
+	}
+	p.ref = kept
+	if got := p.tbl.RemoveIf(match); got != want {
+		t.Fatalf("RemoveIf removed %d want %d", got, want)
+	}
+}
+
+// check compares the stored routes (order included: first-wins tie-breaks
+// depend on it), the index's own invariants, and a lookup of every dst.
+func (p *refTable) check(t *testing.T, dsts ...ipv4.Addr) {
+	t.Helper()
+	if !slices.Equal(p.tbl.routes, p.ref) {
+		t.Fatalf("stored routes diverged from the reference: %d vs %d entries", p.tbl.Len(), len(p.ref))
+	}
+	checkIndex(t, &p.tbl)
+	p.lookups(t, dsts...)
+}
+
+// lookups is the per-destination half of check.
+func (p *refTable) lookups(t *testing.T, dsts ...ipv4.Addr) {
+	t.Helper()
+	for _, dst := range dsts {
+		got, gok := p.tbl.Lookup(dst)
+		want, wok := refLookup(p.ref, p.tbl.usable, dst)
+		if gok != wok || got != want {
+			t.Fatalf("Lookup(%s) = %v,%v want %v,%v (len=%d)", dst, got, gok, want, wok, p.tbl.Len())
+		}
+	}
+}
+
+// checkIndex verifies the structure a present index promises: one chain
+// per distinct prefix, in insertion order, reaching every route exactly
+// once; slots at most half full; bits descending and complete.
+func checkIndex(t *testing.T, tbl *RouteTable) {
+	t.Helper()
+	x := tbl.idx
+	if x == nil {
+		return
+	}
+	if len(x.next) != len(tbl.routes) {
+		t.Fatalf("index: next has %d entries for %d routes", len(x.next), len(tbl.routes))
+	}
+	if n := len(x.slots); n&(n-1) != 0 || 2*x.used > n {
+		t.Fatalf("index: %d of %d slots used", x.used, n)
+	}
+	seen := make([]bool, len(tbl.routes))
+	heads, lengths := 0, map[int]bool{}
+	for _, h := range x.slots {
+		if h == 0 {
+			continue
+		}
+		heads++
+		p := tbl.routes[h-1].Prefix
+		lengths[p.Bits] = true
+		if s := x.probe(tbl.routes, p); x.slots[s] != h {
+			t.Fatalf("index: probe(%s) does not find its own slot", p)
+		}
+		prev := int32(-1)
+		for i := h - 1; i >= 0; i = x.next[i] {
+			if seen[i] || i <= prev || tbl.routes[i].Prefix != p {
+				t.Fatalf("index: chain of %s broken at route %d", p, i)
+			}
+			seen[i], prev = true, i
+		}
+	}
+	if heads != x.used {
+		t.Fatalf("index: used=%d but %d slots occupied", x.used, heads)
+	}
+	if i := slices.Index(seen, false); i >= 0 {
+		t.Fatalf("index: route %d (%v) on no chain", i, tbl.routes[i])
+	}
+	for i, b := range x.bits {
+		if !lengths[b] || (i > 0 && b >= x.bits[i-1]) || len(x.bits) != len(lengths) {
+			t.Fatalf("index: bits %v for lengths %v", x.bits, lengths)
+		}
+	}
+}
+
+// e16ShapedRoutes returns n static /24 routes with distinct prefixes —
+// the shape of a transit gateway's table on the 2000-gateway internet
+// (3 800 of them) — and a host address inside each.
+func e16ShapedRoutes(n int) ([]Route, []ipv4.Addr) {
+	routes := make([]Route, n)
+	dsts := make([]ipv4.Addr, n)
+	for i := range routes {
 		a := ipv4.Addr(0x0a000000 + uint32(i)<<8)
-		tbl.Add(Route{Prefix: ipv4.Prefix{Addr: a, Bits: 24}, Via: a + 1, Source: SourceStatic})
+		routes[i] = Route{
+			Prefix:  ipv4.Prefix{Addr: a, Bits: 24},
+			Via:     ipv4.Addr(0xac100000 + uint32(i%7)),
+			IfIndex: i % 7,
+			Metric:  1 + i%30,
+			Source:  SourceStatic,
+		}
+		dsts[i] = a + 2
 	}
-	dst := ipv4.Addr(0x0a000102)
-	if _, ok := tbl.Lookup(dst); !ok {
-		t.Fatal("lookup missed")
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		tbl.Lookup(dst)
+	return routes, dsts
+}
+
+// TestRouteIndexEquivalence checks the indexed table against the linear
+// reference: every stored route, every lookup, and the index's own
+// structure, under each way the table is mutated.
+func TestRouteIndexEquivalence(t *testing.T) {
+	// Randomized adds, batches, capacity hints, removes and usable
+	// filters far past the index threshold. The route set is built so
+	// same-length prefixes, duplicate (prefix, source) pairs, overlapping
+	// lengths and a default route all occur.
+	t.Run("random", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(42))
+		addr := func() ipv4.Addr {
+			// A small universe so prefixes overlap constantly.
+			return ipv4.Addr(0x0a000000 | uint32(rng.Intn(8))<<16 | uint32(rng.Intn(8))<<8 | uint32(rng.Intn(4)))
+		}
+		route := func() Route {
+			bits := []int{0, 8, 16, 24, 32}[rng.Intn(5)]
+			return Route{
+				Prefix:  ipv4.Prefix{Addr: addr().Mask(bits), Bits: bits},
+				Via:     addr(),
+				IfIndex: rng.Intn(4),
+				Metric:  rng.Intn(5),
+				Source:  allSources[rng.Intn(len(allSources))],
+			}
+		}
+		var p refTable
+		dsts := make([]ipv4.Addr, 40)
+		widest := 0
+		for step := 0; step < 1200; step++ {
+			switch op := rng.Intn(20); {
+			case op < 12: // add (duplicates replace)
+				p.add(route())
+			case op < 14: // batch, as the static oracle once installed
+				rs := make([]Route, rng.Intn(24))
+				for i := range rs {
+					rs[i] = route()
+				}
+				p.addBatch(rs)
+			case op < 15: // a capacity hint changes nothing observable
+				p.tbl.Grow(rng.Intn(200))
+			case op < 17 && len(p.ref) > 0: // remove an existing entry
+				victim := p.ref[rng.Intn(len(p.ref))]
+				p.remove(t, victim.Prefix, victim.Source)
+			case op < 18: // bulk remove, as recomputeStaticRoutes does
+				src, m := allSources[rng.Intn(len(allSources))], rng.Intn(5)
+				p.removeIf(t, func(r Route) bool { return r.Source == src && r.Metric == m })
+			default: // flip the usable filter
+				p.tbl.SetUsableFilter(usableFilters[rng.Intn(len(usableFilters))])
+			}
+			for i := range dsts {
+				dsts[i] = addr()
+			}
+			p.check(t, dsts...)
+			widest = max(widest, p.tbl.Len())
+		}
+		if widest < 4*indexThreshold {
+			t.Fatalf("test never got far past the index threshold: %d routes at most", widest)
+		}
 	})
-	if allocs > 0 {
+
+	// One table grown a route at a time from empty to 8 192, so the
+	// linear-to-indexed switch and every slot-array doubling happen in
+	// the middle of an append.
+	t.Run("grow", func(t *testing.T) {
+		routes, dsts := e16ShapedRoutes(8192)
+		rng := rand.New(rand.NewSource(7))
+		var p refTable
+		resizes, slots := 0, 0
+		for i, r := range routes {
+			p.add(r)
+			if x := p.tbl.idx; x != nil && len(x.slots) != slots {
+				resizes, slots = resizes+1, len(x.slots)
+				p.check(t, dsts[:i+1]...) // everything installed so far, right at the boundary
+			}
+			p.lookups(t, dsts[i], dsts[rng.Intn(i+1)], dsts[(i+1)%len(dsts)])
+		}
+		if resizes < 8 {
+			t.Fatalf("only %d slot-array sizes seen growing to %d routes", resizes, len(routes))
+		}
+		// Replacing through the index keeps position and chain.
+		for i := 0; i < len(routes); i += 97 {
+			r := routes[i]
+			r.Metric, r.Via = 99, 1
+			p.add(r)
+		}
+		p.check(t, dsts...)
+	})
+
+	// All four sources on one prefix, in every insertion order, with
+	// every subset of them unusable: the chain walk must pick what the
+	// scan picks.
+	t.Run("sources", func(t *testing.T) {
+		filler, _ := e16ShapedRoutes(2 * indexThreshold)
+		pfx := ipv4.MustParsePrefix("192.168.7.0/24")
+		dst := pfx.Host(9)
+		perm := []int{0, 1, 2, 3}
+		var visit func(k int)
+		visit = func(k int) {
+			if k < len(perm) {
+				for i := k; i < len(perm); i++ {
+					perm[k], perm[i] = perm[i], perm[k]
+					visit(k + 1)
+					perm[k], perm[i] = perm[i], perm[k]
+				}
+				return
+			}
+			for _, metric := range []func(j int) int{
+				func(int) int { return 2 },   // source alone decides
+				func(j int) int { return j }, // later insertions cost more
+			} {
+				var p refTable
+				p.addBatch(slices.Clone(filler))
+				for j, s := range perm {
+					p.add(Route{Prefix: pfx, Via: ipv4.Addr(j + 1), Metric: metric(j), Source: allSources[s]})
+				}
+				for down := 0; down < 1<<len(allSources); down++ {
+					p.tbl.SetUsableFilter(func(r Route) bool { return r.Prefix != pfx || down&(1<<r.Source) == 0 })
+					p.check(t, dst)
+				}
+			}
+		}
+		visit(0)
+	})
+
+	// Fall-through: a destination covered at /32, /30, /24, /16, /8 and
+	// /0, with the usable filter knocking out the longest lengths one
+	// more at a time until nothing is left.
+	t.Run("fallthrough", func(t *testing.T) {
+		filler, _ := e16ShapedRoutes(2 * indexThreshold)
+		var p refTable
+		p.addBatch(filler)
+		dst := ipv4.MustParseAddr("10.0.5.77")
+		lengths := []int{32, 30, 24, 16, 8, 0}
+		for i, n := range lengths {
+			p.add(Route{Prefix: ipv4.Prefix{Addr: dst.Mask(n), Bits: n}, Via: ipv4.Addr(n + 1), Source: allSources[i%len(allSources)]})
+		}
+		for _, floor := range append(lengths, -1) {
+			p.tbl.SetUsableFilter(func(r Route) bool { return r.Prefix.Bits <= floor })
+			p.check(t, dst)
+			got, ok := p.tbl.Lookup(dst)
+			if ok != (floor >= 0) || (ok && got.Prefix.Bits != floor) {
+				t.Fatalf("with lengths above /%d unusable: Lookup = %v,%v", floor, got, ok)
+			}
+		}
+	})
+}
+
+// routeOps interprets data as a sequence of table operations over a
+// small prefix universe, applying each to a RouteTable and the linear
+// reference and comparing them after every step. It is the body of
+// FuzzRouteTableOps; an exhausted input reads as zeros and ends the run.
+func routeOps(t *testing.T, data []byte) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	addr := func() ipv4.Addr {
+		b := next()
+		return ipv4.Addr(0x0a000000 | uint32(b&7)<<16 | uint32(b>>3&7)<<8 | uint32(b>>6))
+	}
+	prefix := func() ipv4.Prefix {
+		bits := []int{0, 8, 16, 24, 32}[next()%5]
+		return ipv4.Prefix{Addr: addr().Mask(bits), Bits: bits}
+	}
+	route := func() Route {
+		b := next()
+		return Route{Prefix: prefix(), Via: addr(), IfIndex: b & 3, Metric: b >> 2 & 3, Source: allSources[b>>4&3]}
+	}
+	var p refTable
+	for len(data) > 0 {
+		switch next() % 8 {
+		case 0, 1:
+			p.add(route())
+		case 2:
+			rs := make([]Route, next()%48)
+			for i := range rs {
+				rs[i] = route()
+			}
+			p.addBatch(rs)
+		case 3:
+			p.tbl.Grow(next())
+		case 4:
+			p.remove(t, prefix(), allSources[next()&3])
+		case 5:
+			b := next()
+			p.removeIf(t, func(r Route) bool { return r.Source == allSources[b&3] && r.Metric == b>>2&3 })
+		case 6:
+			p.tbl.SetUsableFilter(usableFilters[next()%len(usableFilters)])
+		case 7: // a lookup can be what builds the index
+		}
+		p.check(t, addr(), addr(), addr(), addr())
+	}
+}
+
+// FuzzRouteTableOps is stateful fuzzing of the one structure a gateway
+// keeps: any operation sequence must leave the table, indexed or not,
+// indistinguishable from the linear reference.
+func FuzzRouteTableOps(f *testing.F) {
+	rng := rand.New(rand.NewSource(1988))
+	for _, n := range []int{64, 512, 4096} {
+		seed := make([]byte, n)
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Add([]byte{2, 47, 0x10, 3, 9, 4, 3, 9, 0, 7, 5, 0x10}) // batch past the threshold, remove, look up
+	f.Fuzz(routeOps)
+}
+
+// TestRouteIndexLookupAllocs pins what the compact index is for:
+// building an E16-shaped table takes a handful of allocations — the
+// route slice and the index's three arrays, not one slice per distinct
+// prefix — and the lookup that sits on every large gateway's forwarding
+// path takes none.
+func TestRouteIndexLookupAllocs(t *testing.T) {
+	batch, dsts := e16ShapedRoutes(3800)
+	var tbl RouteTable
+	if allocs := testing.AllocsPerRun(5, func() {
+		tbl = RouteTable{}
+		tbl.AddBatch(batch)
+	}); allocs > 8 {
+		t.Fatalf("AddBatch of %d routes into an empty table: %.0f allocations", len(batch), allocs)
+	}
+	if tbl.idx == nil || tbl.Len() != len(batch) {
+		t.Fatalf("table not indexed: len %d", tbl.Len())
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if _, ok := tbl.Lookup(dsts[i%len(dsts)]); !ok {
+			panic(fmt.Sprint("lookup missed ", dsts[i%len(dsts)]))
+		}
+		i += 61
+	}); allocs > 0 {
 		t.Fatalf("indexed Lookup allocates: %.1f allocs/op", allocs)
 	}
 }

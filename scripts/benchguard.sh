@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # benchguard: allocation-regression gate for the datagram hot path, the
-# fragmenting path and the established TCP byte path.
+# fragmenting path, the established TCP byte path and the large-table
+# route lookup.
 #
 # Runs the hot-path benchmarks with -benchmem and compares allocs/op
 # against the committed baseline (BENCH_baseline.txt). Any benchmark
@@ -17,7 +18,7 @@ cd "$(dirname "$0")/.."
 
 BASELINE=BENCH_baseline.txt
 PKGS="./internal/sim/ ./internal/stack/ ./internal/tcp/ ./internal/fault/ ./internal/topo/ ./internal/workload/ ./internal/survive/ ./internal/names/"
-PATTERN='BenchmarkEventThroughput|BenchmarkTimerChurn|BenchmarkManyPendingTimers|BenchmarkForwardHotPath|BenchmarkSingleHopSend|BenchmarkForwardHotPathIdleInjector|BenchmarkScaleForward|BenchmarkForwardHotPathActiveWorkload|BenchmarkForwardHotPathSurviveCensus|BenchmarkShardedForward|BenchmarkForwardHotPathWithResolverCache|BenchmarkFragmentForwardReassemble|BenchmarkTCPBulkSteadyState'
+PATTERN='BenchmarkEventThroughput|BenchmarkTimerChurn|BenchmarkManyPendingTimers|BenchmarkForwardHotPath|BenchmarkSingleHopSend|BenchmarkForwardHotPathIdleInjector|BenchmarkScaleForward|BenchmarkForwardHotPathActiveWorkload|BenchmarkForwardHotPathSurviveCensus|BenchmarkShardedForward|BenchmarkForwardHotPathWithResolverCache|BenchmarkFragmentForwardReassemble|BenchmarkTCPBulkSteadyState|BenchmarkRouteLookupLarge'
 
 out=$(go test -run '^$' -bench "$PATTERN" -benchmem -benchtime 1000x $PKGS)
 printf '%s\n' "$out"

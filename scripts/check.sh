@@ -81,12 +81,20 @@ run_leg() {
         experiments -only E13 -runs 2 -workload 'naive=1,alpha=1.1,min=30000,max=2000000'
         ;;
     fuzz)
-        # Codec fuzzers, 10s each (go test takes one -fuzz target at a time).
+        # Fuzzers, 10s each (go test takes one -fuzz target at a time):
+        # five codec round-trips first.
         go test -run '^$' -fuzz FuzzIPv4HeaderRoundTrip -fuzztime 10s ./internal/ipv4/
         go test -run '^$' -fuzz FuzzTCPSegmentRoundTrip -fuzztime 10s ./internal/tcp/
         go test -run '^$' -fuzz FuzzUDPDatagramRoundTrip -fuzztime 10s ./internal/udp/
         go test -run '^$' -fuzz FuzzRIPMessageRoundTrip -fuzztime 10s ./internal/rip/
         go test -run '^$' -fuzz FuzzNamesMessageRoundTrip -fuzztime 10s ./internal/names/
+        # The differential fuzzers: the checksum against its 16-bit
+        # reference loop, and route-table operation sequences against the
+        # linear scan. Their inputs are long; left to minimize each
+        # interesting one (60s by default) the workers would spend the
+        # ten seconds shrinking the first.
+        go test -run '^$' -fuzz FuzzChecksumMatchesReference -fuzztime 10s -fuzzminimizetime 0 ./internal/packet/
+        go test -run '^$' -fuzz FuzzRouteTableOps -fuzztime 10s -fuzzminimizetime 0 ./internal/stack/
         ;;
     smoke-E5)
         # Metrics determinism: the campaign JSON (which embeds the full
@@ -141,7 +149,8 @@ run_leg() {
         ;;
     benchguard)
         # The allocation-regression gate over the datagram hot path, the
-        # fragmenting path and the established TCP byte path.
+        # fragmenting path, the established TCP byte path and the
+        # large-table route lookup.
         scripts/benchguard.sh
         ;;
     bench-api)

@@ -9,6 +9,8 @@
 //
 // The library lives under internal/; start with internal/core (the
 // topology builder), see DESIGN.md for the system inventory, and run
-// cmd/experiments for the paper's claims reproduced as tables. The
-// benchmarks in bench_test.go regenerate each experiment.
+// cmd/experiments for the paper's claims reproduced as tables.
+// bench_test.go pins every experiment's table and metrics by digest;
+// what each costs to simulate is measured by bench/'s campaign_mc
+// workload (bash bench/run.sh -workload campaign_mc).
 package darpanet

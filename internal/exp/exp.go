@@ -2,7 +2,7 @@
 // architectural claim of the 1988 paper, as indexed in DESIGN.md and
 // reported in EXPERIMENTS.md. Each experiment builds a topology with
 // internal/core, drives workloads, and renders a table; cmd/experiments
-// prints them all and bench_test.go wraps each as a benchmark.
+// prints them all and the root bench_test.go pins each by digest.
 package exp
 
 import (

@@ -1,0 +1,30 @@
+package core
+
+// CrashNode models abrupt node failure — the paper's gateway loss. The
+// routing process loses its RAM first (so the dying node does not poison
+// the survivors on its way down), then the IP layer tears down: every
+// interface goes dark, queued frames drop with their pooled buffers
+// released, partial reassemblies flush. The node holds no conversation
+// state (fate-sharing); the question survivability asks is whether
+// everyone else copes.
+func (nw *Network) CrashNode(name string) {
+	if r := nw.rips[name]; r != nil {
+		r.Crash()
+	}
+	nw.mustNode(name).Crash()
+}
+
+// RestoreNode reboots a crashed node: interfaces come back up and, if the
+// node ran RIP, the routing process restarts from scratch and
+// re-converges from its neighbors.
+func (nw *Network) RestoreNode(name string) {
+	nw.mustNode(name).Restart()
+	if r := nw.rips[name]; r != nil {
+		r.Start()
+	}
+}
+
+// SetNetDown cuts (or restores) an entire network medium.
+func (nw *Network) SetNetDown(net string, down bool) {
+	nw.mustNet(net).medium.SetDown(down)
+}

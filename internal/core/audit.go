@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"darpanet/internal/ipv4"
 	"darpanet/internal/stack"
@@ -59,12 +59,7 @@ func (nw *Network) ReachablePrefixes(name string) []ipv4.Prefix {
 	for p := range prefixes {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Addr != out[j].Addr {
-			return out[i].Addr < out[j].Addr
-		}
-		return out[i].Bits < out[j].Bits
-	})
+	slices.SortFunc(out, ipv4.Prefix.Compare)
 	return out
 }
 
@@ -97,7 +92,7 @@ func (v RouteVerdict) String() string {
 }
 
 // DefaultHopLimit is the forwarding-walk hop budget when the caller
-// does not supply one (CheckRoute with maxHops <= 0, and RouteWorks).
+// does not supply one (CheckRoute with maxHops <= 0).
 const DefaultHopLimit = 64
 
 // CheckRoute follows routing tables hop by hop from the named node
@@ -141,14 +136,6 @@ func (nw *Network) CheckRoute(name string, p ipv4.Prefix, maxHops int) RouteVerd
 		cur = next
 	}
 	return RouteLooped
-}
-
-// RouteWorks reports whether a datagram sent from the named node toward
-// network p would currently be delivered onto it. It is
-// CheckRoute(name, p, DefaultHopLimit) == RouteDelivered; callers who
-// need to tell a forwarding loop from a dead route use CheckRoute.
-func (nw *Network) RouteWorks(name string, p ipv4.Prefix) bool {
-	return nw.CheckRoute(name, p, 0) == RouteDelivered
 }
 
 // stationAt finds the node holding addr on the net, or nil when no such
@@ -281,12 +268,7 @@ func (nw *Network) PartitionCensus() *Census {
 		for p := range prefixSet {
 			ps = append(ps, p)
 		}
-		sort.Slice(ps, func(i, j int) bool {
-			if ps[i].Addr != ps[j].Addr {
-				return ps[i].Addr < ps[j].Addr
-			}
-			return ps[i].Bits < ps[j].Bits
-		})
+		slices.SortFunc(ps, ipv4.Prefix.Compare)
 		c.prefixes = append(c.prefixes, ps)
 	}
 	return c

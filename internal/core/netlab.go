@@ -11,7 +11,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"darpanet/internal/ipv4"
 	"darpanet/internal/metrics"
@@ -67,11 +67,10 @@ type Network struct {
 	// oracle instead of leaving the newcomers silently unrouted.
 	staticOracle bool
 
-	// aggregate turns on default-route collapse in the static oracle:
-	// a node whose computed routes all share one next hop gets a single
-	// 0.0.0.0/0 instead of a route per net. aggDefault remembers which
-	// nodes hold such a collapsed default so a recompute can retract it.
-	aggregate  bool
+	// aggDefault remembers which nodes hold a collapsed default route —
+	// the single 0.0.0.0/0 the cross-region oracle installs on a node
+	// whose computed routes all share one next hop, instead of a route
+	// per net — so a recompute can retract it.
 	aggDefault map[*stack.Node]bool
 }
 
@@ -93,6 +92,15 @@ func New(seed int64) *Network {
 // Kernel returns the simulation kernel.
 func (nw *Network) Kernel() *sim.Kernel { return nw.kernel }
 
+// Kernels returns every kernel the internet runs on: here, the one.
+func (nw *Network) Kernels() []*sim.Kernel { return []*sim.Kernel{nw.kernel} }
+
+// Net returns the network holding the named node — nw itself. With
+// Kernels it lets code written against a node-to-network handle (a
+// sharded build answers with the node's region) take a serial Network
+// unchanged.
+func (nw *Network) Net(node string) *Network { return nw }
+
 // RunFor advances the simulation d of simulated time.
 func (nw *Network) RunFor(d sim.Duration) { nw.kernel.RunFor(d) }
 
@@ -102,9 +110,6 @@ func (nw *Network) Now() sim.Time { return nw.kernel.Now() }
 // AddNet creates a network named name with the given address prefix,
 // medium kind and transmission characteristics.
 func (nw *Network) AddNet(name, prefix string, kind NetKind, cfg phys.Config) {
-	if _, dup := nw.nets[name]; dup {
-		panic(fmt.Sprintf("core: duplicate net %q", name))
-	}
 	var m phys.Medium
 	switch kind {
 	case LAN:
@@ -118,17 +123,19 @@ func (nw *Network) AddNet(name, prefix string, kind NetKind, cfg phys.Config) {
 	default:
 		panic("core: unknown net kind")
 	}
-	p := ipv4.MustParsePrefix(prefix)
+	nw.register(name, ipv4.MustParsePrefix(prefix), kind, m, 1)
+}
+
+// register records a net under its name and prefix, both of which must
+// be new to this network; its first station takes prefix.Host(firstHost).
+func (nw *Network) register(name string, p ipv4.Prefix, kind NetKind, m phys.Medium, firstHost int) {
+	if _, dup := nw.nets[name]; dup {
+		panic(fmt.Sprintf("core: duplicate net %q", name))
+	}
 	if _, dup := nw.byPrefix[p]; dup {
 		panic(fmt.Sprintf("core: duplicate prefix %s", p))
 	}
-	ni := &netInfo{
-		name:     name,
-		kind:     kind,
-		medium:   m,
-		prefix:   p,
-		nextHost: 1,
-	}
+	ni := &netInfo{name: name, kind: kind, medium: m, prefix: p, nextHost: firstHost}
 	nw.nets[name] = ni
 	nw.byPrefix[p] = ni
 	nw.netOrder = append(nw.netOrder, name)
@@ -225,20 +232,8 @@ func ConnectShards(na, nb *Network, nodeA, nodeB, name, prefix string, cfg phys.
 	}
 	p := ipv4.MustParsePrefix(prefix)
 	ba, bb := phys.NewBoundaryPair(na.kernel, nb.kernel, name, cfg)
-	reg := func(nw *Network, m phys.Medium, firstHost int) {
-		if _, dup := nw.nets[name]; dup {
-			panic(fmt.Sprintf("core: duplicate net %q", name))
-		}
-		if _, dup := nw.byPrefix[p]; dup {
-			panic(fmt.Sprintf("core: duplicate prefix %s", p))
-		}
-		ni := &netInfo{name: name, kind: Cross, medium: m, prefix: p, nextHost: firstHost}
-		nw.nets[name] = ni
-		nw.byPrefix[p] = ni
-		nw.netOrder = append(nw.netOrder, name)
-	}
-	reg(na, ba, 1) // half a's station is prefix.Host(1), link address 1
-	reg(nb, bb, 2) // half b's is Host(2), link address 2 — as on a P2P trunk
+	na.register(name, p, Cross, ba, 1) // half a's station is prefix.Host(1), link address 1
+	nb.register(name, p, Cross, bb, 2) // half b's is Host(2), link address 2 — as on a P2P trunk
 	ifa := na.attach(na.mustNode(nodeA), name)
 	ifb := nb.attach(nb.mustNode(nodeB), name)
 	// attach never saw the peer station (it lives in the other kernel):
@@ -359,12 +354,7 @@ func (nw *Network) AllPrefixes() []ipv4.Prefix {
 	for _, ni := range nw.nets {
 		out = append(out, ni.prefix)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Addr != out[j].Addr {
-			return out[i].Addr < out[j].Addr
-		}
-		return out[i].Bits < out[j].Bits
-	})
+	slices.SortFunc(out, ipv4.Prefix.Compare)
 	return out
 }
 

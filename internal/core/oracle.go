@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"darpanet/internal/ipv4"
 	"darpanet/internal/stack"
@@ -20,75 +20,24 @@ import (
 //
 // Later topology changes (AttachNodeToNet, AddHost/AddGateway)
 // recompute the oracle automatically, so nodes attached mid-run are
-// routed like everyone else.
+// routed like everyone else. Every node keeps its exact per-net table:
+// default-route collapse is visible (a collapsed node forwards
+// datagrams for *unknown* destinations toward its uplink instead of
+// reporting no-route locally), and the experiments that count NoRoute
+// drops or golden-trace the small topologies run on this entry.
 func (nw *Network) InstallStaticRoutes() {
 	nw.staticOracle = true
 	nw.recomputeStaticRoutes()
 }
 
-// SetRouteAggregation turns default-route collapse on or off for the
-// static oracle: when on, a node whose computed next hop is the same for
-// every reachable net — a host behind one gateway, a stub gateway behind
-// one trunk — gets a single 0.0.0.0/0 route instead of one route per
-// net. On a generated 2000-gateway internet this shrinks the installed
-// route count (and recompute memory) by orders of magnitude.
-//
-// It is opt-in because collapse is visible: a collapsed node forwards
-// datagrams for *unknown* destinations toward its uplink instead of
-// reporting no-route locally. Experiments that count NoRoute drops or
-// golden-trace the small topologies keep the exact per-net tables.
-func (nw *Network) SetRouteAggregation(on bool) {
-	if nw.aggregate == on {
-		return
-	}
-	nw.aggregate = on
-	if nw.staticOracle {
-		nw.recomputeStaticRoutes()
-	}
-}
-
-// recomputeStaticRoutes drops every previously installed topology-derived
-// static route and re-runs the all-pairs computation. Static routes whose
-// prefix is not one of the topology's networks (operator-set defaults via
-// SetDefaultRoute) are left alone; collapsed defaults a previous
-// aggregated recompute installed are retracted via aggDefault.
-//
-// The graph is flattened once per recompute into integer-indexed arrays
-// (a CSR adjacency over node indices, epoch-stamped visit marks), so the
-// per-net BFS touches no maps and allocates nothing: at 2000 gateways
-// the old pointer-keyed scratch map spent the whole recompute hashing.
-// Edge order mirrors the old nested iteration exactly — interfaces in
-// attach order, stations in attach order — so the computed routes, and
-// the order they install in, are unchanged.
-func (nw *Network) recomputeStaticRoutes() {
-	for _, name := range nw.order {
-		n := nw.nodes[name]
-		n.Table.RemoveIf(func(r stack.Route) bool {
-			if r.Source != stack.SourceStatic {
-				return false
-			}
-			return nw.byPrefix[r.Prefix] != nil || (r.Prefix.Bits == 0 && nw.aggDefault[n])
-		})
-		delete(nw.aggDefault, n)
-	}
-
-	nodes := make([]*stack.Node, len(nw.order))
-	for i, name := range nw.order {
-		nodes[i] = nw.nodes[name]
-	}
-	nets := make([]oracleNet, 0, len(nw.netOrder))
-	for _, name := range nw.netOrder {
-		ni := nw.nets[name]
-		nets = append(nets, oracleNet{prefix: ni.prefix, stations: ni.stations})
-	}
-	computeStaticRoutes(nodes, nets, nw.aggregate, func(n *stack.Node) { nw.aggDefault[n] = true })
-}
+// recomputeStaticRoutes re-runs the oracle over this network alone.
+func (nw *Network) recomputeStaticRoutes() { installStaticRoutes([]*Network{nw}, false) }
 
 // InstallStaticRoutesAcross runs the static oracle globally over a set
 // of region networks joined by ConnectShards boundary links: one
 // all-pairs computation over the union graph, crossing shard boundaries
-// exactly where a boundary net holds a station in each region. Route
-// aggregation is always on here — a 2000-gateway internet's stub tier
+// exactly where a boundary net holds a station in each region. Default-
+// route collapse is always on here — a 2000-gateway internet's stub tier
 // would otherwise install tens of millions of routes — so nodes with a
 // single uplink get one default route and only the transit tier carries
 // full tables.
@@ -97,26 +46,16 @@ func (nw *Network) recomputeStaticRoutes() {
 // oracle it does not re-run on later topology changes, and a region's
 // own InstallStaticRoutes afterwards would tear out the cross-region
 // state it cannot rebuild.
-func InstallStaticRoutesAcross(regions []*Network) {
-	all := make(map[ipv4.Prefix]bool)
-	for _, nw := range regions {
-		for _, ni := range nw.nets {
-			all[ni.prefix] = true
-		}
-	}
-	for _, nw := range regions {
-		for _, name := range nw.order {
-			n := nw.nodes[name]
-			n.Table.RemoveIf(func(r stack.Route) bool {
-				if r.Source != stack.SourceStatic {
-					return false
-				}
-				return all[r.Prefix] || (r.Prefix.Bits == 0 && nw.aggDefault[n])
-			})
-			delete(nw.aggDefault, n)
-		}
-	}
+func InstallStaticRoutesAcross(regions []*Network) { installStaticRoutes(regions, true) }
 
+// installStaticRoutes is the one body behind both oracle entries: drop
+// every topology-derived static route the regions' nodes hold, then
+// re-run the all-pairs computation over the regions' union. Static
+// routes whose prefix is not one of the topology's networks (operator-
+// set defaults via SetDefaultRoute) are left alone; a collapsed default
+// an earlier run installed is retracted via aggDefault, which remembers
+// per region which nodes hold one.
+func installStaticRoutes(regions []*Network, collapse bool) {
 	// Merge: nodes in region order, nets unified by prefix — a boundary
 	// net appears in two regions and contributes one station from each,
 	// which is precisely the edge the BFS crosses regions on.
@@ -141,7 +80,20 @@ func InstallStaticRoutesAcross(regions []*Network) {
 			nets[j].stations = append(nets[j].stations, ni.stations...)
 		}
 	}
-	computeStaticRoutes(nodes, nets, true, func(n *stack.Node) { owner[n].aggDefault[n] = true })
+
+	for _, n := range nodes {
+		agg := owner[n].aggDefault
+		n.Table.RemoveIf(func(r stack.Route) bool {
+			if r.Source != stack.SourceStatic {
+				return false
+			}
+			_, topological := merged[r.Prefix]
+			return topological || (r.Prefix.Bits == 0 && agg[n])
+		})
+		delete(agg, n)
+	}
+
+	computeStaticRoutes(nodes, nets, collapse, func(n *stack.Node) { owner[n].aggDefault[n] = true })
 }
 
 // oracleNet is one destination network as the static oracle sees it.
@@ -170,13 +122,7 @@ type oracleNet struct {
 // holding an operator default (SetDefaultRoute) to the same next hop is
 // left as-is; to a different next hop, it keeps its full table.
 func computeStaticRoutes(nodes []*stack.Node, nets []oracleNet, aggregate bool, noteAgg func(*stack.Node)) {
-	sort.Slice(nets, func(i, j int) bool {
-		pi, pj := nets[i].prefix, nets[j].prefix
-		if pi.Addr != pj.Addr {
-			return pi.Addr < pj.Addr
-		}
-		return pi.Bits < pj.Bits
-	})
+	slices.SortFunc(nets, func(a, b oracleNet) int { return a.prefix.Compare(b.prefix) })
 
 	idxOf := make(map[*stack.Node]int32, len(nodes))
 	for i, n := range nodes {

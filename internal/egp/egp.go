@@ -15,7 +15,7 @@ package egp
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"darpanet/internal/ipv4"
 	"darpanet/internal/metrics"
@@ -237,12 +237,7 @@ func (s *Speaker) exportable() []learnedRoute {
 	for p := range s.learned {
 		prefixes = append(prefixes, p)
 	}
-	sort.Slice(prefixes, func(i, j int) bool {
-		if prefixes[i].Addr != prefixes[j].Addr {
-			return prefixes[i].Addr < prefixes[j].Addr
-		}
-		return prefixes[i].Bits < prefixes[j].Bits
-	})
+	slices.SortFunc(prefixes, ipv4.Prefix.Compare)
 	for _, prefix := range prefixes {
 		best, ok := s.best(prefix)
 		if !ok {

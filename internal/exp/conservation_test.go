@@ -28,32 +28,13 @@ func groupByKernel(s metrics.Snapshot) map[string]metrics.Snapshot {
 	return groups
 }
 
-// checkConservation asserts the frame-conservation ledger on one
-// kernel's counters: every frame a NIC originated is, by the end of the
-// run, delivered, lost, dropped, or still sitting in a queue — nothing
-// vanishes and nothing is double-counted.
-//
-//	tx_frames + bcast_copies =
-//	    rx_frames + rx_lost + rx_down + rx_no_recv     (consumed at NICs)
-//	  + queue_drops + lost_down + no_match             (consumed by media)
-//	  + bcast_fanout                                   (broadcast originals)
-//	  + queued + in_flight                             (still travelling)
-//
-// bcast_copies inflates the origination side by the extra per-station
-// copies a shared medium fabricates, so each delivery or loss of a copy
-// has a matching origination; bcast_fanout retires the consumed
-// original.
+// checkConservation asserts the frame-conservation ledger (frameLedger)
+// on one kernel's counters.
 func checkConservation(t *testing.T, scope string, g metrics.Snapshot) {
 	t.Helper()
-	lhs := g.Sum("nic/tx_frames") + g.Sum("medium/bcast_copies")
-	rhs := g.Sum("nic/rx_frames") + g.Sum("nic/rx_lost") +
-		g.Sum("nic/rx_down") + g.Sum("nic/rx_no_recv") +
-		g.Sum("medium/queue_drops") + g.Sum("medium/lost_down") +
-		g.Sum("medium/no_match") + g.Sum("medium/bcast_fanout") +
-		g.Sum("medium/queued") + g.Sum("medium/in_flight")
-	if lhs != rhs {
+	if originated, delta := frameLedger(g); delta != 0 {
 		t.Errorf("%s: ledger unbalanced: originated %d != accounted %d (Δ %d)",
-			scope, lhs, rhs, int64(lhs)-int64(rhs))
+			scope, originated, int64(originated)-delta, delta)
 	}
 }
 

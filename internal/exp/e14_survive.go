@@ -194,14 +194,7 @@ func runE14(seed int64, spec topo.Spec, ws workload.Spec, fracs []float64, windo
 				cell.reconv.Add(d.Seconds())
 			}
 
-			snap := metrics.For(nw.Kernel()).Snapshot()
-			lhs := snap.Sum("nic/tx_frames") + snap.Sum("medium/bcast_copies")
-			rhs := snap.Sum("nic/rx_frames") + snap.Sum("nic/rx_lost") +
-				snap.Sum("nic/rx_down") + snap.Sum("nic/rx_no_recv") +
-				snap.Sum("medium/queue_drops") + snap.Sum("medium/lost_down") +
-				snap.Sum("medium/no_match") + snap.Sum("medium/bcast_fanout") +
-				snap.Sum("medium/queued") + snap.Sum("medium/in_flight")
-			cell.ledgerDelta = int64(lhs) - int64(rhs)
+			_, cell.ledgerDelta = frameLedger(metrics.For(nw.Kernel()).Snapshot())
 
 			cells = append(cells, cell)
 			lastKernel = nw.Kernel()

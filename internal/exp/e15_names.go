@@ -736,7 +736,7 @@ func e15Mode(res *Result, p *e15Plan, mode string, out *e15ModeOut) {
 	res.AddLabelled("n", labels, "restore_sync_s", "s", restoreSync)
 	res.AddLabelled("n", labels, "attach_s", "s", attachS)
 	res.AddLabelled("n", labels, "attach_ok", "", bool01(out.probeOK))
-	res.AddCounterSums(mode, out.s.Group.Kernels()...)
+	res.AddCounterSums(mode, out.s.Kernels()...)
 }
 
 // runE15 measures what a naming layer buys the architecture: clients

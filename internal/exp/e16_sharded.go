@@ -6,10 +6,7 @@ import (
 	"math/rand"
 	"time"
 
-	"darpanet/internal/metrics"
-	"darpanet/internal/sim"
 	"darpanet/internal/stats"
-	"darpanet/internal/tcp"
 	"darpanet/internal/topo"
 )
 
@@ -117,101 +114,20 @@ func runE16(seed int64, spec topo.Spec, regions, workers int) Result {
 	// and bulk TCP between hosts drawn over the whole internet, most
 	// pairs spanning regions, every frame crossing a boundary trunk at
 	// an epoch barrier.
-	pickPair := func() (string, string) {
-		a := rng.Intn(len(hosts))
-		b := rng.Intn(len(hosts) - 1)
-		if b >= a {
-			b++
-		}
-		return hosts[a], hosts[b]
-	}
-	nFlows := 16
-	if nFlows > len(hosts)/2 {
-		nFlows = len(hosts) / 2
-	}
+	tm := startTrafficMatrix(s, rng, hosts, 16)
 	trafficCross := 0
-	queries := make([]*queryDriver, 0, nFlows)
-	for f := 0; f < nFlows; f++ {
-		from, to := pickPair()
-		if s.Region(from) != s.Region(to) {
+	for _, p := range tm.pairs {
+		if s.Region(p[0]) != s.Region(p[1]) {
 			trafficCross++
 		}
-		queries = append(queries, runUDPQueriesPair(s.Net(from), s.Net(to), from, to,
-			uint16(7000+f), 20, 250*time.Millisecond, 256, 0))
 	}
-	nXfers := 4
-	if nXfers > nFlows {
-		nXfers = nFlows
-	}
-	const xferBytes = 100_000
-	xfers := make([]*Transfer, 0, nXfers)
-	for x := 0; x < nXfers; x++ {
-		from, to := pickPair()
-		if s.Region(from) != s.Region(to) {
-			trafficCross++
-		}
-		xfers = append(xfers, startBulkTCPPair(s.Net(from), s.Net(to), from, to,
-			uint16(9000+x), xferBytes, tcp.Options{SendBufferSize: 65535}))
-	}
+	table.AddRow("traffic", "flows (cross-region)",
+		fmt.Sprintf("%d (%d)", len(tm.pairs), trafficCross))
 	t1 := time.Now()
 	s.RunFor(12 * time.Second)
 	runWall := time.Since(t1)
 
-	sent, got := 0, 0
-	rtts := &stats.Sample{}
-	for _, q := range queries {
-		sent += q.sent
-		got += q.got
-		for _, r := range q.rtts {
-			rtts.Add(r.Seconds() * 1000)
-		}
-	}
-	xferDone, xferBytesRx := 0, 0
-	var slowest sim.Duration
-	for _, tr := range xfers {
-		xferBytesRx += tr.Received
-		if tr.Done {
-			xferDone++
-			if e := tr.ElapsedToDone(); e > slowest {
-				slowest = e
-			}
-		}
-	}
-	table.AddRow("traffic", "flows (cross-region)",
-		fmt.Sprintf("%d (%d)", nFlows+nXfers, trafficCross))
-	table.AddRow("traffic", "udp delivered", fmt.Sprintf("%d/%d", got, sent))
-	table.AddRow("traffic", "udp rtt p50 / p99",
-		fmt.Sprintf("%.1f / %.1f ms", rtts.Percentile(50), rtts.Percentile(99)))
-	table.AddRow("traffic", "tcp transfers done",
-		fmt.Sprintf("%d/%d (%s each)", xferDone, len(xfers), stats.HumanBytes(xferBytes)))
-
-	// Phase 3: cost and conservation, summed across every region
-	// kernel. The frame ledger must balance globally: a frame leaving a
-	// NIC in one region and arriving in another via a boundary trunk is
-	// still one frame, and anything parked in a boundary outbox at the
-	// end counts as in flight.
-	var forwarded, delivered, lhs, rhs uint64
-	for _, k := range s.Group.Kernels() {
-		snap := metrics.For(k).Snapshot()
-		forwarded += snap.Sum("ip/forwarded")
-		delivered += snap.Sum("ip/in_delivers")
-		lhs += snap.Sum("nic/tx_frames") + snap.Sum("medium/bcast_copies")
-		rhs += snap.Sum("nic/rx_frames") + snap.Sum("nic/rx_lost") +
-			snap.Sum("nic/rx_down") + snap.Sum("nic/rx_no_recv") +
-			snap.Sum("medium/queue_drops") + snap.Sum("medium/lost_down") +
-			snap.Sum("medium/no_match") + snap.Sum("medium/bcast_fanout") +
-			snap.Sum("medium/queued") + snap.Sum("medium/in_flight")
-	}
-	fwdPerDelivery := 0.0
-	if delivered > 0 {
-		fwdPerDelivery = float64(forwarded) / float64(delivered)
-	}
-	ledgerDelta := int64(lhs) - int64(rhs)
-	table.AddRow("cost", "frames originated", fmt.Sprint(lhs))
-	table.AddRow("cost", "forwards per delivery", fmt.Sprintf("%.2f", fwdPerDelivery))
-	table.AddRow("cost", "frame ledger Δ (all regions)", fmt.Sprint(ledgerDelta))
-
-	// Phase 4: scaling diagnostics — wall-clock only, notes only (the
+	// Phase 3: scaling diagnostics — wall-clock only, notes only (the
 	// table and metrics are compared byte for byte across runs and
 	// shard counts, and wall time varies with the machine). The busy
 	// times show the partition's load balance; TotalBusy over
@@ -251,15 +167,12 @@ func runE16(seed int64, spec topo.Spec, regions, workers int) Result {
 	res.AddMetric("audit_cross_region", "", ratio(crossRegion, audited))
 	res.AddMetric("audit_delivers", "", ratio(delivers, audited))
 	res.AddMetric("audit_optimal", "", ratio(optimal, audited))
-	res.AddMetric("udp_sent", "", float64(sent))
-	res.AddMetric("udp_delivered", "", ratio(got, sent))
-	res.AddMetric("udp_rtt_p50", "ms", rtts.Percentile(50))
-	res.AddMetric("udp_rtt_p99", "ms", rtts.Percentile(99))
-	res.AddMetric("tcp_done", "", ratio(xferDone, len(xfers)))
-	res.AddMetric("tcp_bytes", "B", float64(xferBytesRx))
-	res.AddMetric("tcp_slowest", "s", slowest.Seconds())
-	res.AddMetric("fwd_per_delivery", "", fwdPerDelivery)
-	res.AddMetric("frame_ledger_delta", "", float64(ledgerDelta))
-	res.AddCounterSums("sharded", s.Group.Kernels()...)
+	// Phase 4: cost and conservation, summed across every region
+	// kernel. The frame ledger must balance globally: a frame leaving a
+	// NIC in one region and arriving in another via a boundary trunk is
+	// still one frame, and anything parked in a boundary outbox at the
+	// end counts as in flight.
+	tm.report(s, &res, "frame ledger Δ (all regions)")
+	res.AddCounterSums("sharded", s.Kernels()...)
 	return res
 }

@@ -8,6 +8,24 @@ import (
 	"darpanet/internal/udp"
 )
 
+// Internet is the handle traffic is driven through, whichever way the
+// internet was assembled: a serial *core.Network answers Net with
+// itself and Kernels with its one kernel; a *topo.Sharded answers with
+// the node's region network and every region kernel. A caller names
+// *who* talks; the handle works out *where* they live.
+type Internet interface {
+	// Net returns the network holding the named node: the handle for
+	// its transports and its kernel's clock.
+	Net(node string) *core.Network
+	// Addr returns the node's primary address.
+	Addr(node string) ipv4.Addr
+	// Kernels returns every kernel the internet runs on — what a
+	// ledger or counter sum over the whole internet must cover.
+	Kernels() []*sim.Kernel
+	// RunFor advances the whole internet d of simulated time.
+	RunFor(d sim.Duration)
+}
+
 // Transfer tracks one bulk TCP transfer driven by StartBulkTCP.
 type Transfer struct {
 	Conn     *tcp.Conn
@@ -27,17 +45,12 @@ type Transfer struct {
 
 // StartBulkTCP opens a TCP connection from -> to on port and streams
 // nbytes of patterned data; the server side counts arrivals. The caller
-// drives the kernel and inspects the returned Transfer.
-func StartBulkTCP(nw *core.Network, from, to string, port uint16, nbytes int, opts tcp.Options) *Transfer {
-	return startBulkTCPPair(nw, nw, from, to, port, nbytes, opts)
-}
-
-// startBulkTCPPair is StartBulkTCP over two network handles: the
-// client on cnw, the server on snw. On a serial build both are the
-// same Network; on a sharded build they are the endpoints' region
-// networks (topo.Sharded.Net), whose kernels advance in lock-step, so
-// server-side timestamps stay on one timeline with the client's.
-func startBulkTCPPair(cnw, snw *core.Network, from, to string, port uint16, nbytes int, opts tcp.Options) *Transfer {
+// drives the internet and inspects the returned Transfer. The two ends
+// may live on different kernels of a sharded build: those advance in
+// lock-step, so server-side timestamps stay on one timeline with the
+// client's.
+func StartBulkTCP(in Internet, from, to string, port uint16, nbytes int, opts tcp.Options) *Transfer {
+	cnw, snw := in.Net(from), in.Net(to)
 	tr := &Transfer{Target: nbytes, started: cnw.Now(), LastByteAt: cnw.Now()}
 	k := snw.Kernel()
 	snw.TCP(to).Listen(port, opts, func(c *tcp.Conn) {
@@ -54,7 +67,7 @@ func startBulkTCPPair(cnw, snw *core.Network, from, to string, port uint16, nbyt
 			}
 		})
 	})
-	conn, err := cnw.TCP(from).Dial(tcp.Endpoint{Addr: snw.Addr(to), Port: port}, opts)
+	conn, err := cnw.TCP(from).Dial(tcp.Endpoint{Addr: in.Addr(to), Port: port}, opts)
 	if err != nil {
 		tr.Err = err
 		return tr
@@ -118,9 +131,9 @@ func patternChunk(off, n int) []byte {
 
 // startUDPEcho runs a UDP request/response responder on node name at
 // port.
-func startUDPEcho(nw *core.Network, name string, port uint16) {
+func startUDPEcho(in Internet, name string, port uint16) {
 	var sock *udp.Socket
-	sock, err := nw.UDP(name).Listen(port, func(from udp.Endpoint, data []byte, _ ipv4.Header) {
+	sock, err := in.Net(name).UDP(name).Listen(port, func(from udp.Endpoint, data []byte, _ ipv4.Header) {
 		sock.SendTo(from, data)
 	})
 	if err != nil {
@@ -128,25 +141,19 @@ func startUDPEcho(nw *core.Network, name string, port uint16) {
 	}
 }
 
-// queryStats drives count UDP request/response transactions from ->
-// responder and records round-trip times in ms into sample. Lost
-// transactions (no reply within timeout) are counted in lost.
+// queryDriver is what runUDPQueries has seen so far: transactions sent,
+// transactions answered, and each answer's round-trip time.
 type queryDriver struct {
 	sent, got int
 	rtts      []sim.Duration
 }
 
-// runUDPQueries issues count echo transactions at the given interval and
-// returns per-transaction RTTs (missing entries = lost).
-func runUDPQueries(nw *core.Network, from, to string, port uint16, count int, interval sim.Duration, payload int, tos uint8) *queryDriver {
-	return runUDPQueriesPair(nw, nw, from, to, port, count, interval, payload, tos)
-}
-
-// runUDPQueriesPair is runUDPQueries over two network handles: the
-// querier on cnw, the echo responder on snw (the same Network on a
-// serial build, the endpoints' region networks on a sharded one).
-func runUDPQueriesPair(cnw, snw *core.Network, from, to string, port uint16, count int, interval sim.Duration, payload int, tos uint8) *queryDriver {
-	startUDPEcho(snw, to, port)
+// runUDPQueries issues count echo transactions from -> to at the given
+// interval and returns per-transaction RTTs (missing entries = lost),
+// timed on the querier's kernel.
+func runUDPQueries(in Internet, from, to string, port uint16, count int, interval sim.Duration, payload int, tos uint8) *queryDriver {
+	startUDPEcho(in, to, port)
+	cnw := in.Net(from)
 	k := cnw.Kernel()
 	qd := &queryDriver{}
 	sends := make(map[uint16]sim.Time)
@@ -162,7 +169,7 @@ func runUDPQueriesPair(cnw, snw *core.Network, from, to string, port uint16, cou
 		}
 	})
 	sock.TOS = tos
-	dst := udp.Endpoint{Addr: snw.Addr(to), Port: port}
+	dst := udp.Endpoint{Addr: in.Addr(to), Port: port}
 	for i := 0; i < count; i++ {
 		i := i
 		k.After(sim.Duration(i)*interval, func() {

@@ -42,11 +42,11 @@ type Event struct {
 	LostInWindow uint64
 }
 
-// DefaultPollInterval is how often the injector re-checks routing
+// pollInterval is how often the injector re-checks routing
 // convergence while a recovery is being measured. Polling runs only
 // between an injected fault and the moment every router has
 // re-converged; an idle injector schedules nothing.
-const DefaultPollInterval = 50 * time.Millisecond
+const pollInterval = 50 * time.Millisecond
 
 // Injector drives a Schedule against a live network and measures
 // recovery. Create with New, then Arm before running the kernel.
@@ -54,7 +54,6 @@ type Injector struct {
 	nw    *core.Network
 	k     *sim.Kernel
 	sched Schedule
-	poll  sim.Duration
 
 	log []Event
 
@@ -92,7 +91,6 @@ func New(nw *core.Network, sched Schedule) *Injector {
 		nw:          nw,
 		k:           nw.Kernel(),
 		sched:       sched,
-		poll:        DefaultPollInterval,
 		openCut:     make(map[string]uint64),
 		openCrash:   make(map[string]uint64),
 		baseLoss:    make(map[string]float64),
@@ -102,13 +100,6 @@ func New(nw *core.Network, sched Schedule) *Injector {
 	}
 	in.pollFn = in.pollTick
 	return in
-}
-
-// SetPollInterval changes the convergence-check period.
-func (in *Injector) SetPollInterval(d sim.Duration) {
-	if d > 0 {
-		in.poll = d
-	}
 }
 
 // SetHopLimit bounds the forwarding-walk oracle at n hops. Callers who
@@ -243,7 +234,7 @@ func (in *Injector) startWatch(evIdx int) {
 	in.check()
 	if len(in.pending) > 0 && !in.pollArmed {
 		in.pollArmed = true
-		in.k.After(in.poll, in.pollFn)
+		in.k.After(pollInterval, in.pollFn)
 	}
 }
 
@@ -257,7 +248,7 @@ func (in *Injector) pollTick() {
 	in.check()
 	if len(in.pending) > 0 {
 		in.pollArmed = true
-		in.k.After(in.poll, in.pollFn)
+		in.k.After(pollInterval, in.pollFn)
 	}
 }
 

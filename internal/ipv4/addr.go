@@ -9,6 +9,7 @@
 package ipv4
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -101,6 +102,16 @@ func (a Addr) Mask(bits int) Addr {
 		return a
 	}
 	return a &^ (1<<(32-bits) - 1)
+}
+
+// Compare orders prefixes by address, then by length — the one order
+// every sorted prefix list uses. It returns -1, 0 or +1, as
+// slices.SortFunc wants.
+func (p Prefix) Compare(q Prefix) int {
+	if c := cmp.Compare(p.Addr, q.Addr); c != 0 {
+		return c
+	}
+	return cmp.Compare(p.Bits, q.Bits)
 }
 
 // Contains reports whether the prefix covers address a.

@@ -81,6 +81,32 @@ func TestPrefixHost(t *testing.T) {
 	}
 }
 
+// TestPrefixCompare pins the one prefix order: address first, as an
+// unsigned number (200.x sorts after 10.x, not before it), then length.
+func TestPrefixCompare(t *testing.T) {
+	sorted := []Prefix{
+		MustParsePrefix("0.0.0.0/0"),
+		MustParsePrefix("9.255.0.0/16"),
+		MustParsePrefix("10.0.0.0/8"),
+		MustParsePrefix("10.0.0.0/24"),
+		MustParsePrefix("10.0.1.0/24"),
+		MustParsePrefix("200.1.0.0/16"),
+	}
+	for i, p := range sorted {
+		for j, q := range sorted {
+			want := 0
+			if i < j {
+				want = -1
+			} else if i > j {
+				want = 1
+			}
+			if got := p.Compare(q); got != want {
+				t.Errorf("%s.Compare(%s) = %d, want %d", p, q, got, want)
+			}
+		}
+	}
+}
+
 func mkHeader() Header {
 	return Header{
 		TOS:   TOSLowDelay,

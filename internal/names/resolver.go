@@ -104,11 +104,6 @@ func (r *Resolver) SetReplicas(eps []udp.Endpoint) {
 	r.replicas = append([]udp.Endpoint(nil), eps...)
 }
 
-// Replicas returns the current replica list.
-func (r *Resolver) Replicas() []udp.Endpoint {
-	return append([]udp.Endpoint(nil), r.replicas...)
-}
-
 // Stats returns the resolver's counters.
 func (r *Resolver) Stats() ResolverStats { return r.stats }
 
@@ -119,14 +114,6 @@ func (r *Resolver) Latencies() []sim.Duration {
 
 // CacheLen returns the number of live cache entries.
 func (r *Resolver) CacheLen() int { return len(r.cache) }
-
-// FlushCache drops every cached answer (and its expiry timer).
-func (r *Resolver) FlushCache() {
-	for name, e := range r.cache {
-		e.timer.Stop()
-		delete(r.cache, name)
-	}
-}
 
 // Resolve answers name→address from cache when fresh, otherwise by
 // querying the replicas; cb runs exactly once, asynchronously even on

@@ -102,9 +102,6 @@ func (s *Server) Stats() ServerStats { return s.stats }
 // Len returns the number of names in the zone.
 func (s *Server) Len() int { return len(s.zone) }
 
-// ZoneSerial returns the zone's change serial.
-func (s *Server) ZoneSerial() uint32 { return s.serial }
-
 // Lookup returns the zone's binding for name.
 func (s *Server) Lookup(name string) (addr ipv4.Addr, serial uint32, ok bool) {
 	e, ok := s.zone[name]

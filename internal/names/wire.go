@@ -40,17 +40,6 @@ const (
 	opMax = OpOffer
 )
 
-// opNames renders ops for traces and errors.
-var opNames = [...]string{"", "query", "answer", "register", "ack", "update", "discover", "offer"}
-
-// OpName returns the op's wire name ("?" when out of range).
-func OpName(op byte) string {
-	if op < 1 || op > opMax {
-		return "?"
-	}
-	return opNames[op]
-}
-
 // FlagNegative marks an Answer as authoritative non-existence; the
 // record carries the name and the negative-cache TTL, address zero.
 const FlagNegative byte = 0x01

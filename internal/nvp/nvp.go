@@ -132,15 +132,6 @@ func (st Stats) MeanDelay() sim.Duration {
 	return st.TotalDelay / sim.Duration(st.Received)
 }
 
-// DeadlineMissRate returns the fraction of sent-and-received frames that
-// missed playout.
-func (st Stats) DeadlineMissRate() float64 {
-	if st.Received == 0 {
-		return 0
-	}
-	return float64(st.Late) / float64(st.Received)
-}
-
 // Receiver consumes a voice stream with a fixed playout delay: a frame
 // sent at t plays at t+PlayoutDelay; arriving after that is a miss.
 type Receiver struct {

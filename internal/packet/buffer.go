@@ -55,12 +55,8 @@ func (b *Buffer) Release() {
 
 // Bytes returns the current packet image. The slice aliases the buffer's
 // storage: it is invalidated by the next Prepend, Append, Reset or
-// Release. Callers that keep the data past any of those must Copy it.
+// Release. Callers that keep the data past any of those must Clone it.
 func (b *Buffer) Bytes() []byte { return b.data[b.start:] }
-
-// Copy returns an independent copy of the current packet image, safe to
-// retain after the buffer is released or reused.
-func (b *Buffer) Copy() []byte { return Clone(b.Bytes()) }
 
 // Len returns the number of valid bytes in the buffer.
 func (b *Buffer) Len() int { return len(b.data) - b.start }
@@ -89,11 +85,6 @@ func (b *Buffer) Prepend(n int) []byte {
 func (b *Buffer) Append(n int) []byte {
 	b.data = append(b.data, make([]byte, n)...)
 	return b.data[len(b.data)-n:]
-}
-
-// AppendBytes copies p after the current contents.
-func (b *Buffer) AppendBytes(p []byte) {
-	b.data = append(b.data, p...)
 }
 
 // Clone returns an independent copy of the current packet image. Link

@@ -131,9 +131,6 @@ func (p *Pool) Stats() PoolStats {
 // means a buffer was read after release.
 func (p *Pool) SetDisabled(disabled bool) { p.disabled = disabled }
 
-// Disabled reports whether the pool is in pass-through mode.
-func (p *Pool) Disabled() bool { return p == nil || p.disabled }
-
 // Free returns the number of buffers currently held on free lists.
 func (p *Pool) Free() int {
 	if p == nil {

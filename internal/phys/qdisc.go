@@ -90,9 +90,6 @@ func NewPriority(bands, perBand int, classify func(payload []byte) int) *PrioQdi
 	}
 }
 
-// Bands returns the number of priority bands.
-func (q *PrioQdisc) Bands() int { return len(q.bands) }
-
 // BandStats returns a copy of one band's counters.
 func (q *PrioQdisc) BandStats(band int) BandStats { return q.stats[band] }
 

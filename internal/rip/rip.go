@@ -15,7 +15,7 @@ package rip
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"darpanet/internal/ipv4"
 	"darpanet/internal/metrics"
@@ -358,12 +358,7 @@ func (r *Router) sendUpdates(triggered bool) {
 	for _, rt := range r.routes {
 		ordered = append(ordered, rt)
 	}
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].prefix.Addr != ordered[j].prefix.Addr {
-			return ordered[i].prefix.Addr < ordered[j].prefix.Addr
-		}
-		return ordered[i].prefix.Bits < ordered[j].prefix.Bits
-	})
+	slices.SortFunc(ordered, func(a, b *route) int { return a.prefix.Compare(b.prefix) })
 	for _, ifc := range r.node.Interfaces() {
 		if !ifc.NIC.Up() || !r.ifaceAllowed(ifc) {
 			continue

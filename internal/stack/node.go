@@ -88,8 +88,7 @@ type Node struct {
 	pings   map[uint16]func(seq uint16, rtt sim.Duration)
 	pingID  uint16
 
-	tracer func(string)
-	tap    PacketTap
+	tap PacketTap
 
 	linkWatchers []func(ifc *Interface, up bool)
 }
@@ -131,17 +130,8 @@ func (n *Node) Stats() Stats { return n.stats }
 // Reassembler exposes the node's fragment reassembler, for tests.
 func (n *Node) Reassembler() *ipv4.Reassembler { return n.reasm }
 
-// SetTracer installs a line tracer for debugging; nil disables tracing.
-func (n *Node) SetTracer(fn func(string)) { n.tracer = fn }
-
 // SetPacketTap installs a datagram observer; nil disables it.
 func (n *Node) SetPacketTap(t PacketTap) { n.tap = t }
-
-func (n *Node) tracef(format string, args ...any) {
-	if n.tracer != nil {
-		n.tracer(fmt.Sprintf("%s %s: %s", n.kernel.Now(), n.name, fmt.Sprintf(format, args...)))
-	}
-}
 
 // AttachInterface joins the node to medium m with the given address and
 // prefix, installing the direct route. The interface name is derived from
@@ -383,7 +373,6 @@ func (n *Node) inputFrame(ifc *Interface, f phys.Frame) {
 	h, payload, err := ipv4.Parse(f.Payload)
 	if err != nil {
 		n.stats.InHdrErrors++
-		n.tracef("drop malformed: %v", err)
 		f.Release()
 		return
 	}
@@ -435,7 +424,6 @@ func (n *Node) forward(in *Interface, f phys.Frame, h ipv4.Header, payload []byt
 	rt, ok := n.Table.Lookup(h.Dst)
 	if !ok {
 		n.stats.NoRoute++
-		n.tracef("no route to %s", h.Dst)
 		n.sendICMPError(h, payload, icmp_TypeDestUnreachable, icmp_CodeNetUnreachable)
 		f.Release()
 		return
@@ -443,7 +431,6 @@ func (n *Node) forward(in *Interface, f phys.Frame, h ipv4.Header, payload []byt
 	out := n.ifaces[rt.IfIndex]
 	if !ipv4.DecrementTTL(raw) {
 		n.stats.TTLDrops++
-		n.tracef("ttl exceeded for %s", h.Dst)
 		n.sendICMPError(h, payload, icmp_TypeTimeExceeded, icmp_CodeTTLExceeded)
 		f.Release()
 		return

@@ -62,12 +62,3 @@ func (a *Adjacency) TrunkCount() int {
 	}
 	return c
 }
-
-// TotalHosts sums the service endpoints across all nets.
-func (a *Adjacency) TotalHosts() int {
-	c := 0
-	for _, h := range a.HostsOn {
-		c += h
-	}
-	return c
-}

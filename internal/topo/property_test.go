@@ -12,8 +12,8 @@ import (
 // Property: on randomly generated internets, once the distance-vector
 // protocol converges,
 //
-//  1. forwarding actually works — core.RouteWorks (a hop-by-hop walk
-//     of the live tables) holds for every (router, reachable net)
+//  1. forwarding actually works — core.CheckRoute (a hop-by-hop walk
+//     of the live tables) delivers for every (router, reachable net)
 //     pair, catching next-hop staleness; and
 //  2. no routing metric beats the graph-theoretic optimum — a RIP
 //     metric below BFS-hops+1 would mean count-to-infinity arithmetic
@@ -49,7 +49,7 @@ func TestRIPConvergesToBFSShortestPaths(t *testing.T) {
 							continue
 						}
 						p := nw.Prefix(nd.Name)
-						if !nw.RouteWorks(gw, p) {
+						if nw.CheckRoute(gw, p, 0) != core.RouteDelivered {
 							t.Errorf("%s -> %s: route does not deliver", gw, nd.Name)
 							continue
 						}

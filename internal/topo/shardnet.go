@@ -32,12 +32,25 @@ type Sharded struct {
 // GenerateSharded builds the internet spec describes as `regions`
 // region networks (clamped to the backbone size) under conservative
 // synchronization, with `workers` goroutines executing the regions each
-// epoch. The graph, names, prefixes and media are generated exactly as
-// Generate would — the manifest is generated first, partitioned
-// (recorded in Manifest.Partition), then replayed into the region
-// networks with core.ConnectShards standing in for cross-region
-// trunks. Global static routes (aggregated: stub tiers collapse to
-// default routes) are installed before it returns.
+// epoch. The manifest is generated first, partitioned (recorded in
+// Manifest.Partition), then replayed into the region networks with
+// core.ConnectShards standing in for cross-region trunks. Global static
+// routes (aggregated: stub tiers collapse to default routes) are
+// installed before it returns.
+//
+// What the replay shares with Generate is the graph, every node and net
+// name, every prefix and every medium's parameters
+// (TestBuildersShareGraphNamesPrefixesMedia). What it does not share is
+// wiring order, so it is not the same internet address for address: the
+// replay attaches a net's stations in NodeDefs order where the
+// generator attaches them in creation order (the two ends of a
+// ring-closing trunk swap .1 and .2 — 6 of topo.DefaultSpec()'s 760
+// interfaces, even at one region), and every cross trunk is attached
+// after all of a gateway's intra-region nets (at four regions 127 of
+// those interfaces sit at a different index, which moves some boundary
+// gateways' primary addresses). A serial run and a sharded run of one
+// (spec, seed) therefore agree on hop counts and reachability, not on
+// per-node traces; every recorded E15/E16 byte is the sharded wiring's.
 //
 // Everything about the build and the subsequent simulation depends only
 // on (spec, seed, regions) — never on workers, which buys wall-clock
@@ -164,6 +177,9 @@ func (s *Sharded) Net(node string) *core.Network { return s.Regions[s.Region(nod
 
 // Addr returns the node's primary address, resolvable from any region.
 func (s *Sharded) Addr(node string) ipv4.Addr { return s.Net(node).Addr(node) }
+
+// Kernels returns every region's kernel, in region order.
+func (s *Sharded) Kernels() []*sim.Kernel { return s.Group.Kernels() }
 
 // RunFor advances every region by d of simulated time.
 func (s *Sharded) RunFor(d sim.Duration) { s.Group.RunFor(d) }

@@ -3,9 +3,12 @@ package topo
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"darpanet/internal/core"
 	"darpanet/internal/ipv4"
 )
 
@@ -158,6 +161,83 @@ func TestShardedRoutesMatchOracle(t *testing.T) {
 						}
 						if got != want {
 							t.Errorf("%s -> %s: %d gateway hops, BFS optimum %d", from, to, got, want)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestBuildersShareGraphNamesPrefixesMedia pins what Generate and
+// GenerateSharded have in common, for every shape at 1 and 4 regions:
+// the same nodes by name, each attached to the same set of prefixes,
+// over nets with the same medium parameters. (What they do not share —
+// station order on a net, interface order on a boundary gateway, and so
+// some addresses — is GenerateSharded's doc comment's other half.)
+func TestBuildersShareGraphNamesPrefixesMedia(t *testing.T) {
+	// The sharded build replays media from the manifest: that is only
+	// the serial build's media if a NetDef round-trips every field.
+	for _, pr := range trunkProfiles {
+		b := &builder{m: &Manifest{}}
+		b.record("t", "10.1.0.0/24", core.P2P, pr.cfg)
+		if got := b.m.NetDefs[0].config(); got != pr.cfg {
+			t.Errorf("trunk profile %+v replays as %+v", pr.cfg, got)
+		}
+	}
+	for _, pr := range stubProfiles {
+		b := &builder{m: &Manifest{}}
+		b.record("s", "10.1.0.0/24", pr.kind, pr.cfg)
+		if got := b.m.NetDefs[0]; got.config() != pr.cfg || got.kindOf() != pr.kind {
+			t.Errorf("stub profile %v %+v replays as %v %+v", pr.kind, pr.cfg, got.kindOf(), got.config())
+		}
+	}
+
+	prefixesOf := func(nw *core.Network, node string) []ipv4.Prefix {
+		var out []ipv4.Prefix
+		for _, ifc := range nw.Node(node).Interfaces() {
+			out = append(out, ifc.Prefix)
+		}
+		slices.SortFunc(out, ipv4.Prefix.Compare)
+		return out
+	}
+	for _, spec := range []string{
+		"line:gw=8", "ring:gw=8", "tree:gw=13,degree=3",
+		"transitstub:gw=8,stubs=2", "waxman:gw=14",
+	} {
+		sp, err := ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, regions := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/r%d", spec, regions), func(t *testing.T) {
+				nw, m := Generate(sp, 5)
+				s := GenerateSharded(sp, 5, regions, 1)
+				if !reflect.DeepEqual(s.Manifest.NetDefs, m.NetDefs) || !reflect.DeepEqual(s.Manifest.NodeDefs, m.NodeDefs) {
+					t.Fatal("the two builders' manifests describe different graphs")
+				}
+				var live []string
+				for _, r := range s.Regions {
+					live = append(live, r.Nodes()...)
+				}
+				want := nw.Nodes()
+				slices.Sort(live)
+				slices.Sort(want)
+				if !slices.Equal(live, want) {
+					t.Fatalf("sharded nodes %v, serial %v", live, want)
+				}
+				for _, nd := range m.NodeDefs {
+					rn := s.Net(nd.Name)
+					if got, want := prefixesOf(rn, nd.Name), prefixesOf(nw, nd.Name); !slices.Equal(got, want) {
+						t.Errorf("%s attaches to %v sharded, %v serial", nd.Name, got, want)
+					}
+					// Every net, seen from each node on it (a cross trunk
+					// has a half in each end's region).
+					for _, n := range nd.Nets {
+						a, b := nw.Medium(n), rn.Medium(n)
+						if rn.Prefix(n) != nw.Prefix(n) || a.MTU() != b.MTU() || a.Loss() != b.Loss() {
+							t.Errorf("net %s at %s: %v mtu %d loss %g sharded, %v mtu %d loss %g serial", n, nd.Name,
+								rn.Prefix(n), b.MTU(), b.Loss(), nw.Prefix(n), a.MTU(), a.Loss())
 						}
 					}
 				}

@@ -115,11 +115,6 @@ func (t *Transport) pickEphemeral() uint16 {
 // Port returns the socket's bound port.
 func (s *Socket) Port() uint16 { return s.port }
 
-// LocalAddr returns the node's primary address (sources may vary per
-// route; this is the address peers should reply to for single-homed
-// hosts).
-func (s *Socket) LocalAddr() ipv4.Addr { return s.t.node.Addr() }
-
 // Close releases the port.
 func (s *Socket) Close() {
 	if s.t.socks[s.port] == s {
@@ -127,19 +122,10 @@ func (s *Socket) Close() {
 	}
 }
 
-// SendTo transmits data to dst.
+// SendTo transmits data to dst, from whichever of the node's addresses
+// the route to dst leaves by.
 func (s *Socket) SendTo(dst Endpoint, data []byte) error {
-	return s.sendTo(dst, data, ipv4.Addr(0))
-}
-
-// SendToFrom transmits data to dst with an explicit source address,
-// needed when answering a broadcast from a multi-homed node.
-func (s *Socket) SendToFrom(dst Endpoint, data []byte, src ipv4.Addr) error {
-	return s.sendTo(dst, data, src)
-}
-
-func (s *Socket) sendTo(dst Endpoint, data []byte, src ipv4.Addr) error {
-	h, payload, err := s.buildDatagram(dst, data, src)
+	h, payload, err := s.buildDatagram(dst, data, ipv4.Addr(0))
 	if err != nil {
 		return err
 	}

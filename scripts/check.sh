@@ -9,7 +9,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-LEGS="static staticcheck race race-sim pooldebug smoke-E11 smoke-E12 smoke-E13 fuzz smoke-E5 smoke-E13-T smoke-E14 smoke-E16 smoke-E15 benchsmoke benchguard bench-api"
+LEGS="static unused-api staticcheck race race-sim pooldebug smoke-E11 smoke-E12 smoke-E13 fuzz smoke-E5 smoke-E13-T smoke-E14 smoke-E16 smoke-E15 benchsmoke benchguard bench-api"
 
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
@@ -24,6 +24,37 @@ run_leg() {
         go build ./...
         go vet ./...
         test -z "$(gofmt -l .)"
+        ;;
+    unused-api)
+        # Keep the dead-API list empty: every exported func or method
+        # declared in a non-test file under internal/ must be named on
+        # some other non-comment line of some .go file in the repository
+        # (tests, cmd/, examples/ and bench/ count as callers). A name
+        # declared twice vouches for itself, and a mention inside a
+        # string counts — the leg is a tripwire, not a linker.
+        find . -name '*.go' -not -path './.bench_build/*' -print0 | xargs -0 awk '
+            /^[ \t]*\/\// { next }
+            {
+                if (FILENAME ~ /^\.\/internal\// && FILENAME !~ /_test\.go$/ &&
+                    match($0, /^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*/)) {
+                    name = substr($0, RSTART, RLENGTH)
+                    sub(/.*[ .]/, "", name)
+                    decl[name] = FILENAME ":" FNR
+                }
+                line = $0
+                delete seen
+                while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
+                    word = substr(line, RSTART, RLENGTH)
+                    line = substr(line, RSTART + RLENGTH)
+                    if (!(word in seen)) { seen[word] = 1; lines[word]++ }
+                }
+            }
+            END { for (name in decl) if (lines[name] < 2) print decl[name] ": " name }' | sort > "$tmpdir/unused"
+        if [ -s "$tmpdir/unused" ]; then
+            echo "check.sh: exported under internal/ but called by nothing:" >&2
+            cat "$tmpdir/unused" >&2
+            exit 1
+        fi
         ;;
     staticcheck)
         # Pinned: a floating version would let a new check break the gate
@@ -157,6 +188,12 @@ run_leg() {
         # bench/ is its own module, so `go build ./...` at the root cannot
         # see an API move that breaks the benchmark.
         (cd bench && go vet ./... && go test ./...)
+        # An API move can still vet and yet break the benchmark's own
+        # build script, which is what the pipeline runs: build once from
+        # a clean slate and take one untraced run of the cheapest
+        # workload.
+        rm -rf .bench_build
+        bash bench/run.sh -workload fwd_chain_64b -trace 0 -seed 1988 > /dev/null
         ;;
     *)
         echo "check.sh: unknown leg '$1' (legs: $LEGS)" >&2

@@ -32,7 +32,7 @@ const (
 	LAN   NetKind = iota // shared bus, Ethernet-like
 	P2P                  // point-to-point trunk, ARPANET-like
 	Radio                // lossy broadcast net, packet-radio-like
-	Cross                // cross-shard boundary trunk; built by ConnectShards, not AddNet
+	Cross                // cross-shard boundary trunk; built by AddCrossTrunk, not AddNet
 )
 
 // netInfo tracks one network and the stations on it.
@@ -41,8 +41,11 @@ type netInfo struct {
 	kind     NetKind
 	medium   phys.Medium
 	prefix   ipv4.Prefix
-	nextHost int
 	stations []station
+	// peer is the other region's record of a cross trunk, nil on every
+	// other net: the two halves hand out one sequence of host numbers
+	// and wire neighbor entries across to each other's station.
+	peer *netInfo
 }
 
 type station struct {
@@ -119,26 +122,49 @@ func (nw *Network) AddNet(name, prefix string, kind NetKind, cfg phys.Config) {
 	case Radio:
 		m = phys.NewRadio(nw.kernel, name, cfg)
 	case Cross:
-		panic("core: cross-shard nets are built with ConnectShards, not AddNet")
+		panic("core: cross-shard nets are built with AddCrossTrunk, not AddNet")
 	default:
 		panic("core: unknown net kind")
 	}
-	nw.register(name, ipv4.MustParsePrefix(prefix), kind, m, 1)
+	nw.register(name, ipv4.MustParsePrefix(prefix), kind, m)
+}
+
+// AddCrossTrunk creates the point-to-point trunk name (prefix prefix)
+// between region networks na and nb as a cross-shard boundary: the only
+// coupling two region kernels of a sharded simulation share. The trunk
+// is a net of that name in *both* networks — each holds its own half
+// (phys.Boundary) — and a node of either region joins it like any other
+// net, through AddGateway or AttachNodeToNet on its own network: the
+// first end to attach takes link address 1 and prefix.Host(1), the
+// second 2, exactly as on a P2P net. Frames cross at the shard group's
+// epoch barrier. cfg.Delay is mandatory: it is the lookahead the link
+// contributes to the group. The halves are returned so the builder can
+// wire the barrier exchange (Drain in fixed order).
+func AddCrossTrunk(na, nb *Network, name, prefix string, cfg phys.Config) (*phys.Boundary, *phys.Boundary) {
+	if na == nb {
+		panic("core: AddCrossTrunk needs two distinct region networks (use AddNet for an intra-region trunk)")
+	}
+	p := ipv4.MustParsePrefix(prefix)
+	ba, bb := phys.NewBoundaryPair(na.kernel, nb.kernel, name, cfg)
+	ia, ib := na.register(name, p, Cross, ba), nb.register(name, p, Cross, bb)
+	ia.peer, ib.peer = ib, ia
+	return ba, bb
 }
 
 // register records a net under its name and prefix, both of which must
-// be new to this network; its first station takes prefix.Host(firstHost).
-func (nw *Network) register(name string, p ipv4.Prefix, kind NetKind, m phys.Medium, firstHost int) {
+// be new to this network.
+func (nw *Network) register(name string, p ipv4.Prefix, kind NetKind, m phys.Medium) *netInfo {
 	if _, dup := nw.nets[name]; dup {
 		panic(fmt.Sprintf("core: duplicate net %q", name))
 	}
 	if _, dup := nw.byPrefix[p]; dup {
 		panic(fmt.Sprintf("core: duplicate prefix %s", p))
 	}
-	ni := &netInfo{name: name, kind: kind, medium: m, prefix: p, nextHost: firstHost}
+	ni := &netInfo{name: name, kind: kind, medium: m, prefix: p}
 	nw.nets[name] = ni
 	nw.byPrefix[p] = ni
 	nw.netOrder = append(nw.netOrder, name)
+	return ni
 }
 
 // Medium returns the medium implementing the named net, for direct fault
@@ -192,13 +218,23 @@ func (nw *Network) addNode(name string, forwarding bool, nets []string) *stack.N
 }
 
 // attach joins the node to a net at the next free host address and wires
-// neighbor tables both ways with every existing station.
+// neighbor tables both ways with every existing station. On a cross
+// trunk each region's half takes one station, so the only station that
+// can already be there is the other region's.
 func (nw *Network) attach(n *stack.Node, netName string) *stack.Interface {
 	ni := nw.mustNet(netName)
-	addr := ni.prefix.Host(ni.nextHost)
-	ni.nextHost++
-	ifc := n.AttachInterface(ni.medium, addr, ni.prefix)
-	for _, st := range ni.stations {
+	others := ni.stations
+	if ni.peer != nil {
+		others = ni.peer.stations
+	}
+	host := len(others) + 1
+	// The prefix's last address is its directed broadcast: a station's
+	// host number must come before it.
+	if !ni.prefix.Contains(ni.prefix.Host(host + 1)) {
+		panic(fmt.Sprintf("core: net %q (%s) has no host address left for %s", netName, ni.prefix, n.Name()))
+	}
+	ifc := n.AttachInterface(ni.medium, ni.prefix.Host(host), ni.prefix)
+	for _, st := range others {
 		st.ifc.AddNeighbor(ifc.Addr, ifc.NIC.Addr())
 		ifc.AddNeighbor(st.ifc.Addr, st.ifc.NIC.Addr())
 	}
@@ -216,37 +252,6 @@ func (nw *Network) AttachNodeToNet(node, net string) *stack.Interface {
 		nw.recomputeStaticRoutes()
 	}
 	return ifc
-}
-
-// ConnectShards joins a node of region network na to a node of region
-// network nb with a cross-shard boundary trunk: the only coupling two
-// region kernels of a sharded simulation share. The link appears as a
-// net named name (prefix prefix) in *both* networks — each side sees
-// its own half with its own station; frames cross at the shard group's
-// epoch barrier (phys.Boundary). cfg.Delay is mandatory: it is the
-// lookahead the link contributes to the group. The halves are returned
-// so the builder can wire the barrier exchange (Drain in fixed order).
-func ConnectShards(na, nb *Network, nodeA, nodeB, name, prefix string, cfg phys.Config) (*phys.Boundary, *phys.Boundary) {
-	if na == nb {
-		panic("core: ConnectShards needs two distinct region networks (use AddNet for an intra-region trunk)")
-	}
-	p := ipv4.MustParsePrefix(prefix)
-	ba, bb := phys.NewBoundaryPair(na.kernel, nb.kernel, name, cfg)
-	na.register(name, p, Cross, ba, 1) // half a's station is prefix.Host(1), link address 1
-	nb.register(name, p, Cross, bb, 2) // half b's is Host(2), link address 2 — as on a P2P trunk
-	ifa := na.attach(na.mustNode(nodeA), name)
-	ifb := nb.attach(nb.mustNode(nodeB), name)
-	// attach never saw the peer station (it lives in the other kernel):
-	// cross-wire the neighbor entries by hand.
-	ifa.AddNeighbor(ifb.Addr, bb.NIC().Addr())
-	ifb.AddNeighbor(ifa.Addr, ba.NIC().Addr())
-	if na.staticOracle {
-		na.recomputeStaticRoutes()
-	}
-	if nb.staticOracle {
-		nb.recomputeStaticRoutes()
-	}
-	return ba, bb
 }
 
 // Node returns the named node.

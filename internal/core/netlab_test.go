@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"darpanet/internal/ipv4"
 	"darpanet/internal/phys"
 	"darpanet/internal/sim"
+	"darpanet/internal/stack"
 )
 
 // chainNet builds h1 - gw1 - gw2 - h2 over three P2P trunks... actually:
@@ -112,6 +115,63 @@ func TestAddrAssignmentSequential(t *testing.T) {
 		nw.Addr("b") != ipv4.MustParseAddr("10.5.0.2") ||
 		nw.Addr("c") != ipv4.MustParseAddr("10.5.0.3") {
 		t.Fatalf("addresses: %v %v %v", nw.Addr("a"), nw.Addr("b"), nw.Addr("c"))
+	}
+}
+
+// TestAttachRefusesStationPastThePrefix: a net hands out host numbers 1
+// up to the one below its directed-broadcast address, and the station
+// after that is refused by net name and prefix rather than given an
+// address in someone else's network.
+func TestAttachRefusesStationPastThePrefix(t *testing.T) {
+	for _, tc := range []struct {
+		prefix string
+		fits   int
+	}{{"10.5.0.0/24", 254}, {"10.5.0.16/28", 14}, {"10.5.0.4/30", 2}} {
+		nw := New(1)
+		nw.AddNet("lan", tc.prefix, LAN, phys.Config{})
+		p := nw.Prefix("lan")
+		for i := 1; i <= tc.fits; i++ {
+			h := nw.AddHost(fmt.Sprintf("h%d", i), "lan")
+			if a := h.Addr(); a != p.Host(i) || !p.Contains(a) {
+				t.Fatalf("%s: station %d got %v", tc.prefix, i, a)
+			}
+		}
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, `"lan"`) || !strings.Contains(msg, tc.prefix) {
+					t.Errorf("%s: station %d: %s, want a refusal naming the net and its prefix", tc.prefix, tc.fits+1, msg)
+				}
+			}()
+			nw.AddHost("late", "lan")
+		}()
+	}
+}
+
+// TestCrossTrunkEndsAttachLikeP2P: a trunk registered across two region
+// networks numbers its ends as the same trunk inside one network does —
+// the first end to attach takes host 1 and link address 1, whichever
+// region it is in.
+func TestCrossTrunkEndsAttachLikeP2P(t *testing.T) {
+	cfg := phys.Config{BitsPerSec: 1_544_000, Delay: 3 * time.Millisecond, MTU: 1500}
+	serial := New(1)
+	serial.AddNet("t0", "10.9.0.0/24", P2P, cfg)
+	first, second := serial.AddGateway("first", "t0").Interface(0), serial.AddGateway("second", "t0").Interface(0)
+
+	for _, firstInA := range []bool{true, false} {
+		ra, rb := New(1), New(2)
+		AddCrossTrunk(ra, rb, "t0", "10.9.0.0/24", cfg)
+		rFirst, rSecond := ra, rb
+		if !firstInA {
+			rFirst, rSecond = rb, ra
+		}
+		f, s := rFirst.AddGateway("first", "t0").Interface(0), rSecond.AddGateway("second", "t0").Interface(0)
+		for _, pair := range [][2]*stack.Interface{{f, first}, {s, second}} {
+			got, want := pair[0], pair[1]
+			if got.Addr != want.Addr || got.Prefix != want.Prefix || got.NIC.Addr() != want.NIC.Addr() || got.NIC.Name() != want.NIC.Name() {
+				t.Errorf("first end in region a=%v: %s is %v link %v, on the serial trunk %v link %v",
+					firstInA, got.NIC.Name(), got.Addr, got.NIC.Addr(), want.Addr, want.NIC.Addr())
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"darpanet/internal/ipv4"
@@ -34,7 +35,7 @@ func (nw *Network) InstallStaticRoutes() {
 func (nw *Network) recomputeStaticRoutes() { installStaticRoutes([]*Network{nw}, false) }
 
 // InstallStaticRoutesAcross runs the static oracle globally over a set
-// of region networks joined by ConnectShards boundary links: one
+// of region networks joined by AddCrossTrunk boundary links: one
 // all-pairs computation over the union graph, crossing shard boundaries
 // exactly where a boundary net holds a station in each region. Default-
 // route collapse is always on here — a 2000-gateway internet's stub tier
@@ -58,7 +59,10 @@ func InstallStaticRoutesAcross(regions []*Network) { installStaticRoutes(regions
 func installStaticRoutes(regions []*Network, collapse bool) {
 	// Merge: nodes in region order, nets unified by prefix — a boundary
 	// net appears in two regions and contributes one station from each,
-	// which is precisely the edge the BFS crosses regions on.
+	// which is precisely the edge the BFS crosses regions on. Its two
+	// stations go back into attach order, which on every net is address
+	// order: the BFS breaks equal-cost ties by station order, and which
+	// region holds which end must not decide a route.
 	var nodes []*stack.Node
 	owner := make(map[*stack.Node]*Network)
 	merged := make(map[ipv4.Prefix]int)
@@ -78,6 +82,9 @@ func installStaticRoutes(regions []*Network, collapse bool) {
 				nets = append(nets, oracleNet{prefix: ni.prefix})
 			}
 			nets[j].stations = append(nets[j].stations, ni.stations...)
+			if ok {
+				slices.SortFunc(nets[j].stations, func(a, b station) int { return cmp.Compare(a.ifc.Addr, b.ifc.Addr) })
+			}
 		}
 	}
 

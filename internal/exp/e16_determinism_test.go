@@ -97,10 +97,12 @@ func TestE16DeterminismAcrossWorkers(t *testing.T) {
 
 // e16TablesSHA256 is the sha256 over every node's name and routing
 // table dump on the reference E16 internet at seed 1988 (regions in
-// order, nodes in build order). It was recorded on the commit before the
-// static oracle stopped batching routes through a per-node buffer, so it
-// shows the direct-install path builds the same tables.
-const e16TablesSHA256 = "630ea42d670e4d8bcd0ea0deb45a5c31c31edad394e19cbf114157b28d8ce507"
+// order, nodes in build order). It pins the tables the static oracle
+// installs over the generator's own wiring order — the interfaces,
+// addresses and equal-cost choices a serial build of the same (spec,
+// seed) has — cut into eight regions: a change to the attachment order,
+// the address plan, the partition or the oracle's tie-breaks moves it.
+const e16TablesSHA256 = "e40b6215f537bf718343b8433619892cea789a1935a28c50c72d212c5ea14c50"
 
 // TestE16RouteTablesPinned builds the smoke-E16 internet and compares
 // all 3 750 routing tables (958 750 routes) against the recorded hash.

@@ -22,15 +22,14 @@ import (
 // the barrier — Drain panics if it ever would, making a lookahead
 // misconfiguration loud instead of silently non-causal.
 type Boundary struct {
-	k      *sim.Kernel
-	name   string
-	cfg    Config
-	txCfg  Config // Delay/Jitter zeroed: the transmitter only serializes
-	myAddr Addr
-	nic    *NIC
-	peer   *Boundary
-	tx     *transmitter
-	down   bool
+	k     *sim.Kernel
+	name  string
+	cfg   Config
+	txCfg Config // Delay/Jitter zeroed: the transmitter only serializes
+	nic   *NIC
+	peer  *Boundary
+	tx    *transmitter
+	down  bool
 
 	// outbox holds frames that finished serializing this epoch and wait
 	// for the barrier; the slice is reset (capacity kept) every Drain.
@@ -72,9 +71,9 @@ func (c *crossing) run() {
 }
 
 // NewBoundaryPair creates the two halves of a cross-shard link between
-// kernels ka and kb. The halves share one Config; the first half's
-// station gets link address 1, the second's address 2 (mirroring a P2P
-// link's two ends).
+// kernels ka and kb. The halves share one Config; whichever half's
+// station attaches first gets link address 1, the other's address 2 —
+// a P2P link's two ends.
 func NewBoundaryPair(ka, kb *sim.Kernel, name string, cfg Config) (*Boundary, *Boundary) {
 	if cfg.MTU <= 0 {
 		cfg.MTU = 1500
@@ -82,14 +81,14 @@ func NewBoundaryPair(ka, kb *sim.Kernel, name string, cfg Config) (*Boundary, *B
 	if cfg.Delay <= 0 {
 		panic(fmt.Sprintf("phys: boundary link %s needs a positive propagation delay (it is the shard lookahead)", name))
 	}
-	mk := func(k *sim.Kernel, addr Addr) *Boundary {
-		b := &Boundary{k: k, name: name, cfg: cfg, myAddr: addr}
+	mk := func(k *sim.Kernel) *Boundary {
+		b := &Boundary{k: k, name: name, cfg: cfg}
 		b.txCfg = cfg
 		b.txCfg.Delay, b.txCfg.Jitter = 0, 0
 		b.tx = newTransmitter(k, &b.txCfg, b.export, &b.Drops)
 		return b
 	}
-	a, b := mk(ka, 1), mk(kb, 2)
+	a, b := mk(ka), mk(kb)
 	a.peer, b.peer = b, a
 	registerBoundary(ka, a)
 	registerBoundary(kb, b)
@@ -133,14 +132,14 @@ func (b *Boundary) Attach(name string) *NIC {
 	if b.nic != nil {
 		panic(fmt.Sprintf("phys: boundary half %s already has its end", b.name))
 	}
-	n := &NIC{name: name, addr: b.myAddr, medium: b, up: true}
+	n := &NIC{name: name, addr: 1, medium: b, up: true}
+	if b.peer.nic != nil {
+		n.addr = 2
+	}
 	b.nic = n
 	registerNIC(b.k, n)
 	return n
 }
-
-// NIC returns the half's attached station, or nil.
-func (b *Boundary) NIC() *NIC { return b.nic }
 
 func (b *Boundary) send(from *NIC, f Frame) { b.tx.enqueue(from, f) }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"darpanet/internal/core"
+	"darpanet/internal/ipv4"
 	"darpanet/internal/rip"
 )
 
@@ -83,4 +84,47 @@ func runUntilConverged(nw *core.Network, deadline time.Duration) bool {
 		nw.RunFor(250 * time.Millisecond)
 	}
 	return nw.Converged()
+}
+
+// FuzzTopoSpec: any string either fails ParseSpec or parses to a spec
+// whose String parses back to the same String; and a spec small enough
+// to build — under about 2 000 nodes — generates without a panic into an
+// internet where every interface holds a distinct host address inside
+// its own prefix.
+func FuzzTopoSpec(f *testing.F) {
+	for _, s := range []string{
+		"line", "ring:gw=3,hosts=2", "tree:gw=7,degree=2,mix=0", "transitstub:gw=3,stubs=2,hosts=2,dirs=2",
+		"waxman:gw=8,alpha=0.4,beta=0.3", "line:gw=2,hosts=300", "line:gw=32000,hosts=0",
+	} {
+		f.Add(s, int64(1))
+	}
+	f.Fuzz(func(t *testing.T, in string, seed int64) {
+		spec, err := ParseSpec(in)
+		if err != nil {
+			return
+		}
+		if back, err := ParseSpec(spec.String()); err != nil || back.String() != spec.String() {
+			t.Fatalf("%q parses to %q, which parses to %q (err %v)", in, spec, back, err)
+		}
+		gateways := spec.Gateways
+		if spec.Shape == TransitStub {
+			gateways *= 1 + spec.StubsPer
+		}
+		if gateways*(1+spec.Hosts) > 2000 || spec.Shape == Waxman && spec.Gateways > 100 {
+			return // too big to build ten thousand times; Waxman edges grow as gw²
+		}
+		nw, _ := Generate(spec, seed)
+		held := make(map[ipv4.Addr]string)
+		for _, name := range nw.Nodes() {
+			for _, ifc := range nw.Node(name).Interfaces() {
+				if !ifc.Prefix.Contains(ifc.Addr) || !ifc.Prefix.Contains(ifc.Addr+1) || ifc.Addr == ifc.Prefix.Addr {
+					t.Fatalf("%s: %s holds %v, not a host address of %v", spec, ifc.NIC.Name(), ifc.Addr, ifc.Prefix)
+				}
+				if other, dup := held[ifc.Addr]; dup {
+					t.Fatalf("%s: %s and %s both hold %v", spec, other, ifc.NIC.Name(), ifc.Addr)
+				}
+				held[ifc.Addr] = ifc.NIC.Name()
+			}
+		}
+	})
 }

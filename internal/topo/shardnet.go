@@ -32,25 +32,24 @@ type Sharded struct {
 // GenerateSharded builds the internet spec describes as `regions`
 // region networks (clamped to the backbone size) under conservative
 // synchronization, with `workers` goroutines executing the regions each
-// epoch. The manifest is generated first, partitioned (recorded in
-// Manifest.Partition), then replayed into the region networks with
-// core.ConnectShards standing in for cross-region trunks. Global static
-// routes (aggregated: stub tiers collapse to default routes) are
+// epoch. The generator runs twice: once for the manifest alone, because
+// the partition (recorded in Manifest.Partition) needs the whole graph
+// before the first node can be placed, and once more into the region
+// networks, each node and intra-region net going to its region and each
+// cross-region trunk becoming a core.AddCrossTrunk boundary pair. Global
+// static routes (aggregated: stub tiers collapse to default routes) are
 // installed before it returns.
 //
-// What the replay shares with Generate is the graph, every node and net
-// name, every prefix and every medium's parameters
-// (TestBuildersShareGraphNamesPrefixesMedia). What it does not share is
-// wiring order, so it is not the same internet address for address: the
-// replay attaches a net's stations in NodeDefs order where the
-// generator attaches them in creation order (the two ends of a
-// ring-closing trunk swap .1 and .2 — 6 of topo.DefaultSpec()'s 760
-// interfaces, even at one region), and every cross trunk is attached
-// after all of a gateway's intra-region nets (at four regions 127 of
-// those interfaces sit at a different index, which moves some boundary
-// gateways' primary addresses). A serial run and a sharded run of one
-// (spec, seed) therefore agree on hop counts and reachability, not on
-// per-node traces; every recorded E15/E16 byte is the sharded wiring's.
+// Both passes are the code Generate runs, so the wiring is the same at
+// any region count: every node holds the same interfaces in the same
+// order, with the same addresses, link addresses and NIC names, as in
+// the serial build of (spec, seed). Region r's kernel is seeded
+// seed + r·1 000 003, which makes region 0 the serial kernel and a
+// 1-region build the serial internet, event for event; further regions
+// draw jitter, loss and TCP initial sequence numbers from their own
+// streams, so an N-region run has the serial run's routes — and, on
+// loss-free media, its counters — but not its packet bytes
+// (exp.TestSerialAndShardedRunsAgree).
 //
 // Everything about the build and the subsequent simulation depends only
 // on (spec, seed, regions) — never on workers, which buys wall-clock
@@ -69,66 +68,24 @@ func GenerateSharded(spec Spec, seed int64, regions, workers int) *Sharded {
 		byAddr:     make(map[ipv4.Addr]string),
 	}
 	for r := range s.Regions {
-		// Distinct deterministic seeds per region kernel: each region
-		// draws jitter/loss from its own stream.
-		s.Regions[r] = core.New(seed + int64(r+1)*1_000_003)
+		s.Regions[r] = core.New(seed + int64(r)*1_000_003)
 	}
 
-	// Intra-region nets first, in manifest order.
-	netRegion := make(map[string]int, len(m.NetDefs))
+	// Where the second pass sends each net: its region, or — a cross
+	// trunk, marked -1 — the regions of its two ends.
+	lab := &regionLab{Sharded: s, netRegion: make(map[string]int, len(m.NetDefs)), ends: make(map[string][]int, part.CrossLinks)}
 	for i, nf := range m.NetDefs {
-		netRegion[nf.Name] = part.NetRegions[i]
-		if r := part.NetRegions[i]; r >= 0 {
-			s.Regions[r].AddNet(nf.Name, nf.Prefix, nf.kindOf(), nf.config())
-		}
+		lab.netRegion[nf.Name] = part.NetRegions[i]
 	}
-
-	// Nodes in manifest order, attached to their intra-region nets;
-	// hosts get their default route to the stub gateway, as in a serial
-	// build. Cross nets are skipped here — ConnectShards attaches them.
-	netGw := make(map[string]string, len(m.NetDefs))
-	var intra []string
 	for i, nd := range m.NodeDefs {
-		r := part.NodeRegions[i]
-		intra = intra[:0]
+		s.nodeRegion[nd.Name] = part.NodeRegions[i]
 		for _, n := range nd.Nets {
-			if netRegion[n] >= 0 {
-				intra = append(intra, n)
-			}
-		}
-		s.nodeRegion[nd.Name] = r
-		if nd.Forwarding {
-			s.Regions[r].AddGateway(nd.Name, intra...)
-			for _, n := range nd.Nets {
-				if _, ok := netGw[n]; !ok {
-					netGw[n] = nd.Name
-				}
-			}
-		} else {
-			s.Regions[r].AddHost(nd.Name, intra...)
-			s.Regions[r].SetDefaultRoute(nd.Name, netGw[nd.Nets[0]])
-		}
-	}
-
-	// Cross-region trunks, in manifest order — also the barrier drain
-	// order, which fixes the exchange's RNG draw sequence.
-	ends := make(map[string][]string, part.CrossLinks)
-	for _, nd := range m.NodeDefs {
-		for _, n := range nd.Nets {
-			if netRegion[n] < 0 {
-				ends[n] = append(ends[n], nd.Name)
+			if lab.netRegion[n] < 0 {
+				lab.ends[n] = append(lab.ends[n], part.NodeRegions[i])
 			}
 		}
 	}
-	for i, nf := range m.NetDefs {
-		if part.NetRegions[i] >= 0 {
-			continue
-		}
-		e := ends[nf.Name]
-		ra, rb := s.nodeRegion[e[0]], s.nodeRegion[e[1]]
-		ba, bb := core.ConnectShards(s.Regions[ra], s.Regions[rb], e[0], e[1], nf.Name, nf.Prefix, nf.config())
-		s.boundaries = append(s.boundaries, ba, bb)
-	}
+	generate(spec, seed, lab)
 
 	// The shard group. With no cross links (regions clamped to 1) any
 	// positive lookahead works: epochs are then pure time slicing.
@@ -142,6 +99,8 @@ func GenerateSharded(spec Spec, seed int64, regions, workers int) *Sharded {
 		kernels[r] = nw.Kernel()
 	}
 	s.Group = sim.NewShardGroup(kernels, look, workers)
+	// Halves drain in trunk creation order, which fixes the exchange's
+	// RNG draw sequence.
 	bs := s.boundaries
 	s.Group.SetExchange(func() {
 		for _, b := range bs {
@@ -160,6 +119,25 @@ func GenerateSharded(spec Spec, seed int64, regions, workers int) *Sharded {
 		}
 	}
 	return s
+}
+
+// regionLab is the lab a sharded build generates into: a node goes to
+// its region (Sharded.Net), a net to the region of its stations, and a
+// cross trunk becomes a boundary pair between the regions of its ends.
+type regionLab struct {
+	*Sharded
+	netRegion map[string]int   // by net name; -1 marks a cross trunk
+	ends      map[string][]int // cross trunk -> the regions of its two ends
+}
+
+func (l *regionLab) AddNet(name, prefix string, kind core.NetKind, cfg phys.Config) {
+	if r := l.netRegion[name]; r >= 0 {
+		l.Regions[r].AddNet(name, prefix, kind, cfg)
+		return
+	}
+	e := l.ends[name]
+	ba, bb := core.AddCrossTrunk(l.Regions[e[0]], l.Regions[e[1]], name, prefix, cfg)
+	l.boundaries = append(l.boundaries, ba, bb)
 }
 
 // Region returns the region index the named node lives in.

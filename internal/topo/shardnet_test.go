@@ -1,10 +1,11 @@
 package topo
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -169,41 +170,25 @@ func TestShardedRoutesMatchOracle(t *testing.T) {
 	}
 }
 
-// TestBuildersShareGraphNamesPrefixesMedia pins what Generate and
-// GenerateSharded have in common, for every shape at 1 and 4 regions:
-// the same nodes by name, each attached to the same set of prefixes,
-// over nets with the same medium parameters. (What they do not share —
-// station order on a net, interface order on a boundary gateway, and so
-// some addresses — is GenerateSharded's doc comment's other half.)
+// TestBuildersShareGraphNamesPrefixesMedia holds Generate and
+// GenerateSharded to one wiring, for every shape and the E12 reference
+// internet at 1 and 4 regions: the marshalled manifests are equal (less
+// the partition a sharded build records), the same nodes are live, and
+// every node has the same interfaces in the same order — address,
+// prefix, link address and NIC name — over media with the same
+// parameters as in the serial build.
 func TestBuildersShareGraphNamesPrefixesMedia(t *testing.T) {
-	// The sharded build replays media from the manifest: that is only
-	// the serial build's media if a NetDef round-trips every field.
-	for _, pr := range trunkProfiles {
-		b := &builder{m: &Manifest{}}
-		b.record("t", "10.1.0.0/24", core.P2P, pr.cfg)
-		if got := b.m.NetDefs[0].config(); got != pr.cfg {
-			t.Errorf("trunk profile %+v replays as %+v", pr.cfg, got)
-		}
-	}
-	for _, pr := range stubProfiles {
-		b := &builder{m: &Manifest{}}
-		b.record("s", "10.1.0.0/24", pr.kind, pr.cfg)
-		if got := b.m.NetDefs[0]; got.config() != pr.cfg || got.kindOf() != pr.kind {
-			t.Errorf("stub profile %v %+v replays as %v %+v", pr.kind, pr.cfg, got.kindOf(), got.config())
-		}
-	}
-
-	prefixesOf := func(nw *core.Network, node string) []ipv4.Prefix {
-		var out []ipv4.Prefix
+	wiring := func(nw *core.Network, node string) []string {
+		var out []string
 		for _, ifc := range nw.Node(node).Interfaces() {
-			out = append(out, ifc.Prefix)
+			out = append(out, fmt.Sprintf("if%d %s in %s, link address %v, nic %s",
+				ifc.Index, ifc.Addr, ifc.Prefix, ifc.NIC.Addr(), ifc.NIC.Name()))
 		}
-		slices.SortFunc(out, ipv4.Prefix.Compare)
 		return out
 	}
 	for _, spec := range []string{
 		"line:gw=8", "ring:gw=8", "tree:gw=13,degree=3",
-		"transitstub:gw=8,stubs=2", "waxman:gw=14",
+		"transitstub:gw=8,stubs=2", "waxman:gw=14", DefaultSpec().String(),
 	} {
 		sp, err := ParseSpec(spec)
 		if err != nil {
@@ -213,23 +198,30 @@ func TestBuildersShareGraphNamesPrefixesMedia(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/r%d", spec, regions), func(t *testing.T) {
 				nw, m := Generate(sp, 5)
 				s := GenerateSharded(sp, 5, regions, 1)
-				if !reflect.DeepEqual(s.Manifest.NetDefs, m.NetDefs) || !reflect.DeepEqual(s.Manifest.NodeDefs, m.NodeDefs) {
-					t.Fatal("the two builders' manifests describe different graphs")
+				if s.Manifest.Partition.Regions != regions {
+					t.Fatalf("built %d regions, want %d", s.Manifest.Partition.Regions, regions)
+				}
+				unpartitioned := *s.Manifest
+				unpartitioned.Partition = nil
+				want, _ := json.Marshal(m)
+				if got, _ := json.Marshal(&unpartitioned); !bytes.Equal(got, want) {
+					t.Fatal("the two builders' manifests differ")
 				}
 				var live []string
 				for _, r := range s.Regions {
 					live = append(live, r.Nodes()...)
 				}
-				want := nw.Nodes()
+				serial := nw.Nodes()
 				slices.Sort(live)
-				slices.Sort(want)
-				if !slices.Equal(live, want) {
-					t.Fatalf("sharded nodes %v, serial %v", live, want)
+				slices.Sort(serial)
+				if !slices.Equal(live, serial) {
+					t.Fatalf("sharded nodes %v, serial %v", live, serial)
 				}
 				for _, nd := range m.NodeDefs {
 					rn := s.Net(nd.Name)
-					if got, want := prefixesOf(rn, nd.Name), prefixesOf(nw, nd.Name); !slices.Equal(got, want) {
-						t.Errorf("%s attaches to %v sharded, %v serial", nd.Name, got, want)
+					if got, want := wiring(rn, nd.Name), wiring(nw, nd.Name); !slices.Equal(got, want) {
+						t.Errorf("%s is wired\n\t%s\nsharded,\n\t%s\nserial", nd.Name,
+							strings.Join(got, "\n\t"), strings.Join(want, "\n\t"))
 					}
 					// Every net, seen from each node on it (a cross trunk
 					// has a half in each end's region).

@@ -24,7 +24,6 @@ import (
 
 	"darpanet/internal/core"
 	"darpanet/internal/phys"
-	"darpanet/internal/stack"
 )
 
 // Shape selects the gateway graph the generator wires.
@@ -166,12 +165,20 @@ func ParseSpec(s string) (Spec, error) {
 	return spec, nil
 }
 
+// The address plan's limits: builder.prefix cuts 10/8 into maxNets /24s
+// (10.1.0.0 to 10.255.249.0), and a /24 stub LAN holds its gateway plus
+// maxHosts hosts below the directed-broadcast address.
+const (
+	maxNets  = 255 * 250
+	maxHosts = 253
+)
+
 func (s Spec) validate() error {
 	switch {
 	case s.Gateways < 1:
 		return fmt.Errorf("topo: gw=%d, want >= 1", s.Gateways)
-	case s.Hosts < 0:
-		return fmt.Errorf("topo: hosts=%d, want >= 0", s.Hosts)
+	case s.Hosts < 0 || s.Hosts > maxHosts:
+		return fmt.Errorf("topo: hosts=%d, want 0..%d (a /24 stub LAN)", s.Hosts, maxHosts)
 	case s.Shape == Tree && s.Degree < 1:
 		return fmt.Errorf("topo: degree=%d, want >= 1", s.Degree)
 	case s.Shape == TransitStub && s.StubsPer < 1:
@@ -180,13 +187,38 @@ func (s Spec) validate() error {
 		return fmt.Errorf("topo: waxman needs alpha,beta > 0")
 	case s.Directories < 0:
 		return fmt.Errorf("topo: dirs=%d, want >= 0", s.Directories)
+	case s.minNets() > maxNets:
+		return errTooManyNets(s.String())
 	}
 	return nil
 }
 
-// NetDef records one generated network in the manifest. The fields
-// cover the full phys.Config the generator chose, so a sharded build
-// can replay the exact same media from the manifest alone.
+func errTooManyNets(spec string) error {
+	return fmt.Errorf("topo: %s needs more than the %d /24 networks the address plan holds", spec, maxNets)
+}
+
+// minNets is how many networks the spec generates. It is exact except
+// for Waxman, whose edge count is only known while generating — there it
+// counts the spanning tree every connected graph has — and past the
+// plan's size, where the inputs are clamped so the products cannot
+// overflow.
+func (s Spec) minNets() int64 {
+	g, stubs := min(int64(s.Gateways), maxNets+1), min(int64(s.StubsPer), maxNets+1)
+	switch {
+	case s.Shape == Ring && g > 2:
+		return 2 * g // a stub and a trunk per gateway
+	case s.Shape == TransitStub:
+		chords := int64(0)
+		if g >= 6 {
+			chords = g / 5
+		}
+		return g + chords + 2*g*stubs // ring, chords, an access trunk and a stub per stub gateway
+	}
+	return 2*g - 1 // a stub per gateway, and a tree of trunks
+}
+
+// NetDef records one generated network in the manifest: its prefix,
+// medium kind and the full phys.Config the generator chose.
 type NetDef struct {
 	Name       string  `json:"name"`
 	Prefix     string  `json:"prefix"`
@@ -197,28 +229,6 @@ type NetDef struct {
 	Loss       float64 `json:"loss,omitempty"`
 	QueueLimit int     `json:"queue_limit,omitempty"`
 	JitterUS   int64   `json:"jitter_us,omitempty"`
-}
-
-// config reconstructs the phys.Config the net was generated with.
-func (nd NetDef) config() phys.Config {
-	return phys.Config{
-		BitsPerSec: nd.BitsPerSec,
-		Delay:      time.Duration(nd.DelayUS) * time.Microsecond,
-		MTU:        nd.MTU,
-		Loss:       nd.Loss,
-		QueueLimit: nd.QueueLimit,
-		Jitter:     time.Duration(nd.JitterUS) * time.Microsecond,
-	}
-}
-
-// kindOf maps the manifest kind name back to the core medium kind.
-func (nd NetDef) kindOf() core.NetKind {
-	for k, n := range kindNames {
-		if n == nd.Kind {
-			return k
-		}
-	}
-	panic("topo: unknown net kind " + nd.Kind)
 }
 
 // NodeDef records one generated node and its attachments, in wiring
@@ -349,27 +359,16 @@ var stubProfiles = []struct {
 
 var kindNames = map[core.NetKind]string{core.LAN: "lan", core.P2P: "p2p", core.Radio: "radio"}
 
-// lab is the sink the builder wires nodes and nets into: a live
-// *core.Network, or nullLab when only the manifest is wanted (the
-// sharded builder partitions the manifest first and replays it into
-// per-region networks, so building a throwaway serial network here
-// would double the construction cost).
+// lab is where the builder wires what it draws. A *core.Network is one
+// as it stands (Generate); a sharded build's regionLab sends each net
+// and node to its region; nil keeps only the manifest (the sharded
+// builder partitions the manifest before it can place a node, and a
+// throwaway serial network there would double the construction cost).
 type lab interface {
 	AddNet(name, prefix string, kind core.NetKind, cfg phys.Config)
-	AddGateway(name string, nets ...string) *stack.Node
-	AddHost(name string, nets ...string) *stack.Node
-	AttachNodeToNet(node, net string) *stack.Interface
-	SetDefaultRoute(host, gw string)
+	// Net returns the network the named node is, or is to be, wired into.
+	Net(node string) *core.Network
 }
-
-// nullLab discards the wiring and keeps only the manifest.
-type nullLab struct{}
-
-func (nullLab) AddNet(string, string, core.NetKind, phys.Config) {}
-func (nullLab) AddGateway(string, ...string) *stack.Node         { return nil }
-func (nullLab) AddHost(string, ...string) *stack.Node            { return nil }
-func (nullLab) AttachNodeToNet(string, string) *stack.Interface  { return nil }
-func (nullLab) SetDefaultRoute(string, string)                   {}
 
 // builder accumulates the Network and Manifest in lockstep.
 type builder struct {
@@ -389,11 +388,18 @@ type builder struct {
 // prefix allocates the next /24 from 10/8.
 func (b *builder) prefix() string {
 	i := b.netIdx
+	if i >= maxNets {
+		panic(errTooManyNets(b.m.Spec))
+	}
 	b.netIdx++
 	return fmt.Sprintf("10.%d.%d.0/24", 1+i/250, i%250)
 }
 
-func (b *builder) record(name, prefix string, kind core.NetKind, cfg phys.Config) {
+// addNet creates a net and records it in the manifest.
+func (b *builder) addNet(name, prefix string, kind core.NetKind, cfg phys.Config) {
+	if b.nw != nil {
+		b.nw.AddNet(name, prefix, kind, cfg)
+	}
 	b.m.NetDefs = append(b.m.NetDefs, NetDef{
 		Name: name, Prefix: prefix, Kind: kindNames[kind],
 		MTU: cfg.MTU, BitsPerSec: cfg.BitsPerSec,
@@ -411,9 +417,7 @@ func (b *builder) addTrunk() string {
 	cfg := trunkProfiles[p].cfg
 	name := fmt.Sprintf("t%d", b.trunkID)
 	b.trunkID++
-	pref := b.prefix()
-	b.nw.AddNet(name, pref, core.P2P, cfg)
-	b.record(name, pref, core.P2P, cfg)
+	b.addNet(name, b.prefix(), core.P2P, cfg)
 	b.m.Trunks++
 	return name
 }
@@ -427,16 +431,16 @@ func (b *builder) addStub() string {
 	pr := stubProfiles[p]
 	name := fmt.Sprintf("s%d", b.stubID)
 	b.stubID++
-	pref := b.prefix()
-	b.nw.AddNet(name, pref, pr.kind, pr.cfg)
-	b.record(name, pref, pr.kind, pr.cfg)
+	b.addNet(name, b.prefix(), pr.kind, pr.cfg)
 	b.m.Stubs++
 	return name
 }
 
 // addGateway creates a forwarding node attached to the given nets.
 func (b *builder) addGateway(name string, nets ...string) {
-	b.nw.AddGateway(name, nets...)
+	if b.nw != nil {
+		b.nw.Net(name).AddGateway(name, nets...)
+	}
 	b.nodeAt[name] = len(b.m.NodeDefs)
 	b.m.NodeDefs = append(b.m.NodeDefs, NodeDef{Name: name, Forwarding: true, Nets: nets})
 	b.m.Gateways++
@@ -445,7 +449,9 @@ func (b *builder) addGateway(name string, nets ...string) {
 // link attaches an existing gateway to an existing net, updating the
 // manifest entry in place.
 func (b *builder) link(gw, net string) {
-	b.nw.AttachNodeToNet(gw, net)
+	if b.nw != nil {
+		b.nw.Net(gw).AttachNodeToNet(gw, net)
+	}
 	i, ok := b.nodeAt[gw]
 	if !ok {
 		panic("topo: link to unknown gateway " + gw)
@@ -458,8 +464,11 @@ func (b *builder) link(gw, net string) {
 func (b *builder) populate(stub, gw string, n int) {
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("h%d", b.m.Hosts)
-		b.nw.AddHost(name, stub)
-		b.nw.SetDefaultRoute(name, gw)
+		if b.nw != nil {
+			nw := b.nw.Net(name)
+			nw.AddHost(name, stub)
+			nw.SetDefaultRoute(name, gw)
+		}
 		b.nodeAt[name] = len(b.m.NodeDefs)
 		b.m.NodeDefs = append(b.m.NodeDefs, NodeDef{Name: name, Nets: []string{stub}})
 		b.m.Hosts++
@@ -480,7 +489,7 @@ func Generate(spec Spec, seed int64) (*core.Network, *Manifest) {
 // ManifestOnly generates just the manifest — same graph, same names,
 // same media draws as Generate, no live network.
 func ManifestOnly(spec Spec, seed int64) *Manifest {
-	return generate(spec, seed, nullLab{})
+	return generate(spec, seed, nil)
 }
 
 func generate(spec Spec, seed int64, into lab) *Manifest {

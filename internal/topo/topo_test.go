@@ -2,6 +2,8 @@ package topo
 
 import (
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -40,6 +42,65 @@ func TestParseSpecRejectsJunk(t *testing.T) {
 			t.Errorf("ParseSpec(%q) accepted", s)
 		}
 	}
+}
+
+// TestAddressPlanLimits holds the generator to the address plan: a spec
+// that cannot be addressed — more hosts than a /24 stub LAN holds, more
+// nets than 10/8 has /24s — is rejected by ParseSpec, the largest specs
+// that can be are accepted, and where the net count only shows while
+// generating (Waxman) the allocator stops with the limit in its message
+// instead of minting 10.256.0.0/24.
+func TestAddressPlanLimits(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		ok   bool
+	}{
+		{"line:gw=2,hosts=253", true},
+		{"line:gw=2,hosts=254", false},
+		{"line:gw=2,hosts=300", false},
+		{"line:gw=31875,hosts=0", true}, // 63 749 nets
+		{"line:gw=31876,hosts=0", false},
+		{"line:gw=32000,hosts=0", false},
+		{"tree:gw=31876,degree=2,hosts=0", false},
+		{"ring:gw=31875,hosts=0", true}, // 63 750 nets: the last /24
+		{"ring:gw=31876,hosts=0", false},
+		{"transitstub:gw=250,stubs=126,hosts=0", true}, // 250 + 50 + 63 000
+		{"transitstub:gw=250,stubs=127,hosts=0", false},
+		{"transitstub:gw=5,stubs=9223372036854775807", false},
+		{"waxman:gw=31876,hosts=0", false}, // the spanning tree alone is too many
+		{"waxman:gw=9223372036854775807", false},
+	} {
+		if _, err := ParseSpec(tc.spec); (err == nil) != tc.ok {
+			t.Errorf("ParseSpec(%q): err %v, want accepted=%v", tc.spec, err, tc.ok)
+		} else if err != nil && !tc.ok && !strings.Contains(err.Error(), "253") && !strings.Contains(err.Error(), "63750") {
+			t.Errorf("ParseSpec(%q): %v does not name the limit", tc.spec, err)
+		}
+	}
+	// minNets is the count the generator reaches, shape by shape.
+	for _, s := range []string{
+		"line:gw=1", "line:gw=9", "ring:gw=1", "ring:gw=2", "ring:gw=3", "ring:gw=9", "tree:gw=10,degree=3",
+		"transitstub:gw=1,stubs=1", "transitstub:gw=5,stubs=2", "transitstub:gw=6,stubs=1", "transitstub:gw=11,stubs=3",
+	} {
+		spec, err := ParseSpec(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ManifestOnly(spec, 3).Nets; int64(got) != spec.minNets() {
+			t.Errorf("%s generates %d nets, minNets says %d", s, got, spec.minNets())
+		}
+	}
+
+	b := &builder{m: &Manifest{Spec: "waxman:gw=400"}, netIdx: maxNets - 1}
+	if got := b.prefix(); got != "10.255.249.0/24" {
+		t.Fatalf("last prefix of the plan = %s", got)
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "63750") || !strings.Contains(msg, "waxman:gw=400") {
+			t.Errorf("allocator past the plan: %s, want a message naming the spec and the limit", msg)
+		}
+	}()
+	b.prefix()
+	t.Error("allocator minted a prefix past 10.255.249.0/24")
 }
 
 func TestSpecStringRoundTrips(t *testing.T) {

@@ -74,11 +74,13 @@ run_leg() {
         ;;
     race)
         # The campaign harness and the sharded kernel are the two places
-        # real concurrency exists — keep them honest. The second command
-        # names the sharded determinism and delivery tests explicitly so a
-        # schedule change cannot silently drop them from coverage.
-        go test -race ./...
-        go test -race -count=1 -run 'TestE16DeterminismAcrossWorkers|TestSharded' ./internal/exp/ ./internal/topo/
+        # real concurrency exists — keep them honest, in shuffled order so
+        # no test leans on state an earlier one left behind. The second
+        # command names the sharded determinism and delivery tests and the
+        # serial-vs-sharded differential tests explicitly, so a schedule
+        # or -run pattern change cannot silently drop them from coverage.
+        go test -race -shuffle=on ./...
+        go test -race -count=1 -run 'TestE16DeterminismAcrossWorkers|TestSharded|TestSerialAndShardedRunsAgree|TestBuildersShareGraphNamesPrefixesMedia' ./internal/exp/ ./internal/topo/
         ;;
     race-sim)
         # The kernel at 1, 2 and 4 CPUs: a 1-core pass proves nothing
@@ -113,12 +115,16 @@ run_leg() {
         ;;
     fuzz)
         # Fuzzers, 10s each (go test takes one -fuzz target at a time):
-        # five codec round-trips first.
+        # five codec round-trips and the topology spec grammar first.
         go test -run '^$' -fuzz FuzzIPv4HeaderRoundTrip -fuzztime 10s ./internal/ipv4/
         go test -run '^$' -fuzz FuzzTCPSegmentRoundTrip -fuzztime 10s ./internal/tcp/
         go test -run '^$' -fuzz FuzzUDPDatagramRoundTrip -fuzztime 10s ./internal/udp/
         go test -run '^$' -fuzz FuzzRIPMessageRoundTrip -fuzztime 10s ./internal/rip/
         go test -run '^$' -fuzz FuzzNamesMessageRoundTrip -fuzztime 10s ./internal/names/
+        # A spec string parses to a fixed point of String or is refused,
+        # and what parses small enough to build is addressed inside its
+        # own prefixes.
+        go test -run '^$' -fuzz FuzzTopoSpec -fuzztime 10s ./internal/topo/
         # The differential fuzzers: the checksum against its 16-bit
         # reference loop, and route-table operation sequences against the
         # linear scan. Their inputs are long; left to minimize each

@@ -32,7 +32,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -41,6 +40,7 @@ import (
 	"darpanet/internal/harness"
 	"darpanet/internal/metrics"
 	"darpanet/internal/phys"
+	"darpanet/internal/spec"
 	"darpanet/internal/topo"
 	"darpanet/internal/workload"
 )
@@ -129,18 +129,13 @@ func resolveFaults(arg string) (*fault.Schedule, error) {
 	return &s, err
 }
 
-// parseArgs turns a command line into options: flags parsed, -only
-// resolved against the registry, and the parameter flags bound to every
-// selected experiment that takes them. Like the flag package's own
-// command line it exits on a value a flag's parser rejects (and on -h);
-// what it returns as an error is what only the registry can judge.
-func parseArgs(args []string) (options, error) {
-	var o options
-	var p exp.Params
-	var only string
+// flagSet declares the thirteen flags over the values they fill. The
+// spec flags' help takes its key lists from the grammars' own tables.
+func flagSet(o *options, p *exp.Params, only *string) *flag.FlagSet {
+	keys := func(fs spec.Fields) string { return "keys: " + strings.Join(fs.Keys(), ", ") }
 	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
 	fs.Int64Var(&o.seed, "seed", 1988, "base simulation seed (replica i runs on seed+i)")
-	fs.StringVar(&only, "only", "", "comma-separated experiment IDs to run (default: all)")
+	fs.StringVar(only, "only", "", "comma-separated experiment IDs to run (default: all)")
 	fs.IntVar(&o.runs, "runs", 1, "replicas per experiment (a Monte Carlo campaign when > 1)")
 	fs.IntVar(&o.parallel, "parallel", runtime.NumCPU(), "campaign worker-pool size (affects wall time only, never results)")
 	fs.BoolVar(&o.metrics, "metrics", false, "after each single-run table, dump the per-layer counter registry as a tree")
@@ -152,13 +147,13 @@ func parseArgs(args []string) (options, error) {
 		o.exports = append(o.exports, [2]string{kind, file})
 		return nil
 	})
-	fs.Func("topo", "generated-internet `spec` for E12, E13-T, E14, E15, E16: 'shape:key=val,...' (shapes: line, ring, tree, transitstub, waxman)",
+	fs.Func("topo", "generated-internet `spec` for E12, E13-T, E14, E15, E16: 'shape:key=val,...' (shapes: line, ring, tree, transitstub, waxman; "+keys(new(topo.Spec).Fields())+")",
 		func(s string) error {
-			spec, err := topo.ParseSpec(s)
-			p.Topo = &spec
+			ts, err := topo.ParseSpec(s)
+			p.Topo = &ts
 			return err
 		})
-	fs.Func("workload", "traffic-mix `spec` for E13, E14: 'key=val,...' (keys: bulk, inter, rr, voice, rate, alpha, min, max, think_ms, vj, naive, ecn, onoff, on_ms, off_ms, cc)",
+	fs.Func("workload", "traffic-mix `spec` for E13, E14: 'key=val,...' ("+keys(new(workload.Spec).Fields())+")",
 		func(s string) error {
 			ws, err := workload.ParseSpec(s)
 			p.Workload = &ws
@@ -168,17 +163,29 @@ func parseArgs(args []string) (options, error) {
 		p.Faults, err = resolveFaults(s)
 		return err
 	})
-	fs.Func("qdisc", "'+'-separated gateway queue policy `specs` (droptail|red|ecn[:k=v,...]): E13 runs the first, E13-T restricts its grid",
+	fs.Func("qdisc", "'+'-separated gateway queue policy `specs` (droptail|red|ecn[:key=val,...]; "+keys(new(phys.PolicySpec).Fields())+"): E13 runs the first, E13-T restricts its grid",
 		listFlag(&p.Policies, "+", phys.ParsePolicySpec))
 	fs.Func("cc", "'+'-separated host congestion response `names` (naive|tahoe|reno|newreno): E13 runs the first, E13-T restricts its grid",
 		listFlag(&p.CCs, "+", func(s string) (string, error) { return s, nil }))
 	fs.Func("fracs", "E14 loss sweep as comma-separated `percentages` of infrastructure lost, e.g. '2,5,10,20'",
 		listFlag(&p.Fracs, ",", func(s string) (float64, error) {
-			pct, err := strconv.ParseFloat(s, 64)
+			pct, err := spec.ParseFloat(s)
 			return pct / 100, err
 		}))
 	fs.IntVar(&p.Shards, "shards", 0, "E15/E16 worker count, default 1 (results are byte-identical at any value; only wall time changes)")
-	fs.Parse(args)
+	return fs
+}
+
+// parseArgs turns a command line into options: flags parsed, -only
+// resolved against the registry, and the parameter flags bound to every
+// selected experiment that takes them. Like the flag package's own
+// command line it exits on a value a flag's parser rejects (and on -h);
+// what it returns as an error is what only the registry can judge.
+func parseArgs(args []string) (options, error) {
+	var o options
+	var p exp.Params
+	var only string
+	flagSet(&o, &p, &only).Parse(args)
 
 	want := map[string]bool{}
 	for _, id := range strings.FieldsFunc(strings.ToUpper(only), func(r rune) bool { return r == ',' || r == ' ' }) {

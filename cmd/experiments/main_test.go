@@ -2,13 +2,18 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
 	"darpanet/internal/exp"
+	"darpanet/internal/phys"
+	"darpanet/internal/topo"
+	"darpanet/internal/workload"
 )
 
 // TestParseArgsSelectsAndBinds: -only is case-insensitive and keeps
@@ -93,4 +98,32 @@ func TestRunReportsReplicaFailures(t *testing.T) {
 	if err := run(o, io.Discard, io.Discard); err != nil {
 		t.Fatalf("clean run returned %v", err)
 	}
+}
+
+// TestHelpSync (check.sh help-sync) keeps the two hand-readable lists
+// from going stale again: -h names every key the three spec grammars
+// accept, under the flag that takes it, and README's flag section names
+// every flag -h prints.
+func TestHelpSync(t *testing.T) {
+	fs := flagSet(new(options), new(exp.Params), new(string))
+	for name, keys := range map[string][]string{
+		"topo": new(topo.Spec).Fields().Keys(), "workload": new(workload.Spec).Fields().Keys(), "qdisc": new(phys.PolicySpec).Fields().Keys(),
+	} {
+		for _, key := range keys {
+			if !regexp.MustCompile(`[ ,]` + key + `[,)]`).MatchString(fs.Lookup(name).Usage) {
+				t.Errorf("-%s help does not list key %q: %s", name, key, fs.Lookup(name).Usage)
+			}
+		}
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(readme), "Thirteen flags:")
+	section, _, _ = strings.Cut(section, "A taste of the API")
+	fs.VisitAll(func(f *flag.Flag) {
+		if !regexp.MustCompile("[`( ]-" + f.Name + "[` )]").MatchString(section) {
+			t.Errorf("README's flag section does not mention -%s", f.Name)
+		}
+	})
 }

@@ -41,6 +41,7 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -51,6 +52,7 @@ import (
 	"darpanet/internal/phys"
 	"darpanet/internal/rip"
 	"darpanet/internal/sim"
+	"darpanet/internal/spec"
 	"darpanet/internal/stack"
 	"darpanet/internal/stats"
 	"darpanet/internal/tcp"
@@ -59,9 +61,9 @@ import (
 
 type lab struct {
 	nw        *core.Network
-	transfers map[string]*transferState
+	out       io.Writer
+	transfers []*transferState // in start order
 	taps      map[string]*trace.Buffer
-	lineNo    int
 }
 
 type transferState struct {
@@ -77,7 +79,7 @@ func main() {
 	if len(args) >= 2 && args[0] == "-seed" {
 		v, err := strconv.ParseInt(args[1], 10, 64)
 		if err != nil {
-			fatal("bad seed %q", args[1])
+			fatal(fmt.Errorf("bad seed %q", args[1]))
 		}
 		seed = v
 		args = args[2:]
@@ -86,40 +88,49 @@ func main() {
 	if len(args) >= 1 {
 		f, err := os.Open(args[0])
 		if err != nil {
-			fatal("%v", err)
+			fatal(err)
 		}
 		defer f.Close()
 		in = f
 	}
+	if err := run(seed, in, os.Stdout); err != nil {
+		fatal(err)
+	}
+}
 
-	l := &lab{nw: core.New(seed), transfers: make(map[string]*transferState), taps: make(map[string]*trace.Buffer)}
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "netlab: %v\n", err)
+	os.Exit(1)
+}
+
+// run executes the script read from in on a fresh network, printing to
+// out, and stops at the first line that fails.
+func run(seed int64, in io.Reader, out io.Writer) error {
+	l := &lab{nw: core.New(seed), out: out, taps: make(map[string]*trace.Buffer)}
 	sc := bufio.NewScanner(in)
-	for sc.Scan() {
-		l.lineNo++
+	for lineNo := 1; sc.Scan(); lineNo++ {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		l.exec(line)
+		if err := l.exec(line); err != nil {
+			return fmt.Errorf("line %d: %v", lineNo, err)
+		}
 	}
 	if err := sc.Err(); err != nil {
-		fatal("read: %v", err)
+		return fmt.Errorf("read: %v", err)
 	}
+	return nil
 }
 
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "netlab: "+format+"\n", args...)
-	os.Exit(1)
-}
+// fail abandons the current line; exec turns it, like a panic out of
+// core for a name the script never declared, into the line's error.
+func (l *lab) fail(format string, args ...any) { panic(fmt.Sprintf(format, args...)) }
 
-func (l *lab) fail(format string, args ...any) {
-	fatal("line %d: "+format, append([]any{l.lineNo}, args...)...)
-}
-
-func (l *lab) exec(line string) {
+func (l *lab) exec(line string) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			l.fail("%v", r)
+			err = fmt.Errorf("%v", r)
 		}
 	}()
 	fields := strings.Fields(line)
@@ -155,28 +166,27 @@ func (l *lab) exec(line string) {
 			l.fail("bad duration %q", args[0])
 		}
 		l.nw.RunFor(d)
-		fmt.Printf("t=%s\n", l.nw.Now())
+		fmt.Fprintf(l.out, "t=%s\n", l.nw.Now())
 	case "ping":
 		l.need(args, 3, "ping <from> <to> <count>")
-		count, _ := strconv.Atoi(args[2])
+		count := l.number("count", args[2], 1, 1<<16-1)
 		from := args[0]
 		l.nw.Node(from).Ping(l.nw.Addr(args[1]), count, 200*time.Millisecond,
 			func(seq uint16, rtt sim.Duration) {
-				fmt.Printf("%s: reply from %s seq=%d rtt=%.2fms\n", from, args[1], seq, float64(rtt)/1e6)
+				fmt.Fprintf(l.out, "%s: reply from %s seq=%d rtt=%.2fms\n", from, args[1], seq, float64(rtt)/1e6)
 			})
 	case "transfer":
 		l.need(args, 4, "transfer <from> <to> <bytes> <port>")
-		nbytes, _ := strconv.Atoi(args[2])
-		port, _ := strconv.Atoi(args[3])
+		nbytes, port := l.number("bytes", args[2], 0, 1<<30), l.number("port", args[3], 1, 1<<16-1)
 		l.startTransfer(args[0], args[1], nbytes, uint16(port))
 	case "crash":
 		l.need(args, 1, "crash <node>")
 		l.nw.CrashNode(args[0])
-		fmt.Printf("%s crashed\n", args[0])
+		fmt.Fprintf(l.out, "%s crashed\n", args[0])
 	case "restore":
 		l.need(args, 1, "restore <node>")
 		l.nw.RestoreNode(args[0])
-		fmt.Printf("%s restored\n", args[0])
+		fmt.Fprintf(l.out, "%s restored\n", args[0])
 	case "cut":
 		l.need(args, 1, "cut <net>")
 		l.nw.SetNetDown(args[0], true)
@@ -199,7 +209,7 @@ func (l *lab) exec(line string) {
 	case "dump":
 		l.need(args, 1, "dump <node>")
 		if buf, ok := l.taps[args[0]]; ok {
-			fmt.Print(buf.String())
+			fmt.Fprintf(l.out, "%s", buf.String())
 			buf.Events = nil
 		} else {
 			l.fail("no tap on %q (use: tap %s)", args[0], args[0])
@@ -208,32 +218,32 @@ func (l *lab) exec(line string) {
 		l.need(args, 2, "trace <from> <to>")
 		from := args[0]
 		l.nw.Node(from).Traceroute(l.nw.Addr(args[1]), 30, time.Second, func(hops []stack.Hop) {
-			fmt.Printf("trace %s -> %s:\n", from, args[1])
+			fmt.Fprintf(l.out, "trace %s -> %s:\n", from, args[1])
 			for i, h := range hops {
 				if h.Addr.IsZero() {
-					fmt.Printf("  %2d  *\n", i+1)
+					fmt.Fprintf(l.out, "  %2d  *\n", i+1)
 					continue
 				}
 				mark := ""
 				if h.Reached {
 					mark = "  (destination)"
 				}
-				fmt.Printf("  %2d  %-15s %.2fms%s\n", i+1, h.Addr, float64(h.RTT)/1e6, mark)
+				fmt.Fprintf(l.out, "  %2d  %-15s %.2fms%s\n", i+1, h.Addr, float64(h.RTT)/1e6, mark)
 			}
 		})
 	case "routes":
 		l.need(args, 1, "routes <node>")
-		fmt.Printf("routes at %s:\n%s", args[0], l.nw.Node(args[0]).Table.String())
+		fmt.Fprintf(l.out, "routes at %s:\n%s", args[0], l.nw.Node(args[0]).Table.String())
 	case "stats":
 		l.need(args, 1, "stats <node>")
 		s := l.nw.Node(args[0]).Stats()
-		fmt.Printf("%s: in=%d delivered=%d forwarded=%d out=%d noroute=%d ttl=%d frag=%d\n",
+		fmt.Fprintf(l.out, "%s: in=%d delivered=%d forwarded=%d out=%d noroute=%d ttl=%d frag=%d\n",
 			args[0], s.InReceives, s.InDelivers, s.Forwarded, s.OutRequests,
 			s.NoRoute, s.TTLDrops, s.FragCreated)
 	case "transfers":
 		for _, tr := range l.transfers {
 			pct := 100 * float64(*tr.received) / float64(tr.target)
-			fmt.Printf("%s: %s / %s (%.1f%%)\n", tr.name,
+			fmt.Fprintf(l.out, "%s: %s / %s (%.1f%%)\n", tr.name,
 				stats.HumanBytes(uint64(*tr.received)), stats.HumanBytes(uint64(tr.target)), pct)
 		}
 	case "experiment":
@@ -242,10 +252,20 @@ func (l *lab) exec(line string) {
 		if !ok {
 			l.fail("unknown experiment %q", args[0])
 		}
-		fmt.Println(e.Run(1988).String())
+		fmt.Fprintf(l.out, "%s\n", e.Run(1988).String())
 	default:
 		l.fail("unknown command %q", cmd)
 	}
+	return nil
+}
+
+// number reads a command's integer argument in lo..hi.
+func (l *lab) number(what, arg string, lo, hi int) int {
+	n, err := spec.ParseInt(arg, lo, hi)
+	if err != nil {
+		l.fail("bad %s %q: %v", what, arg, err)
+	}
+	return n
 }
 
 func (l *lab) need(args []string, n int, usage string) {
@@ -258,41 +278,21 @@ func (l *lab) cmdNet(args []string) {
 	if len(args) < 3 {
 		l.fail("usage: net <name> <prefix> <kind> [opts]")
 	}
-	var kind core.NetKind
-	switch args[2] {
-	case "lan":
-		kind = core.LAN
-	case "p2p":
-		kind = core.P2P
-	case "radio":
-		kind = core.Radio
-	default:
+	kind, ok := map[string]core.NetKind{"lan": core.LAN, "p2p": core.P2P, "radio": core.Radio}[args[2]]
+	if !ok {
 		l.fail("unknown net kind %q", args[2])
 	}
 	cfg := phys.Config{BitsPerSec: 10_000_000, Delay: time.Millisecond, MTU: 1500}
-	for _, opt := range args[3:] {
-		k, v, ok := strings.Cut(opt, "=")
-		if !ok {
-			l.fail("bad option %q", opt)
-		}
-		switch k {
-		case "rate":
-			cfg.BitsPerSec, _ = strconv.ParseInt(v, 10, 64)
-		case "delay":
-			d, err := time.ParseDuration(v)
-			if err != nil {
-				l.fail("bad delay %q", v)
-			}
-			cfg.Delay = d
-		case "mtu":
-			cfg.MTU, _ = strconv.Atoi(v)
-		case "loss":
-			cfg.Loss, _ = strconv.ParseFloat(v, 64)
-		case "queue":
-			cfg.QueueLimit, _ = strconv.Atoi(v)
-		default:
-			l.fail("unknown option %q", k)
-		}
+	opts := spec.Fields{
+		spec.Int("rate", &cfg.BitsPerSec),
+		spec.Duration("delay", &cfg.Delay),
+		spec.Int("mtu", &cfg.MTU),
+		spec.Float("loss", &cfg.Loss),
+		spec.Int("queue", &cfg.QueueLimit),
+	}
+	// The binder's terms are comma-separated; a script's are fields.
+	if err := opts.Parse(strings.Join(args[3:], ",")); err != nil {
+		l.fail("net option %v", err)
 	}
 	l.nw.AddNet(args[0], args[1], kind, cfg)
 }
@@ -320,6 +320,6 @@ func (l *lab) startTransfer(from, to string, nbytes int, port uint16) {
 	conn.OnEstablished(push)
 	conn.OnWriteSpace(push)
 	name := fmt.Sprintf("%s->%s:%d", from, to, port)
-	l.transfers[name] = &transferState{name: name, target: nbytes, received: received, conn: conn}
-	fmt.Printf("transfer %s started (%s)\n", name, stats.HumanBytes(uint64(nbytes)))
+	l.transfers = append(l.transfers, &transferState{name: name, target: nbytes, received: received, conn: conn})
+	fmt.Fprintf(l.out, "transfer %s started (%s)\n", name, stats.HumanBytes(uint64(nbytes)))
 }

@@ -35,11 +35,11 @@ func RunE6(seed int64) Result {
 
 	good := tcp.Options{SendBufferSize: 65535}
 	naive := tcp.Options{
-		SendBufferSize:      65535,
-		FixedRTO:            150 * time.Millisecond, // shorter than the loaded RTT
-		NoBackoff:           true,
-		NoCongestionControl: true,
-		GoBackN:             true, // timeout => re-blast the whole window
+		SendBufferSize: 65535,
+		FixedRTO:       150 * time.Millisecond, // shorter than the loaded RTT
+		NoBackoff:      true,
+		Congestion:     tcp.CCNaive,
+		GoBackN:        true, // timeout => re-blast the whole window
 	}
 
 	// Big enough that no transfer finishes inside the window: both

@@ -219,7 +219,7 @@ func RunE9(seed int64) Result {
 // and the same offered load, with congestion control (Van Jacobson, added
 // the year the paper appeared) on and off.
 func RunE10(seed int64) Result {
-	run := func(cc bool, senders int) (aggregate float64, retrRatio string, drops uint64, k *sim.Kernel) {
+	run := func(cc string, senders int) (aggregate float64, retrRatio string, drops uint64, k *sim.Kernel) {
 		nw := core.New(seed)
 		lan := phys.Config{BitsPerSec: 10_000_000, Delay: time.Millisecond, MTU: 1500, QueueLimit: 128}
 		trunk := phys.Config{BitsPerSec: 512_000, Delay: 20 * time.Millisecond, MTU: 1500, QueueLimit: 16}
@@ -234,7 +234,7 @@ func RunE10(seed int64) Result {
 		nw.AddGateway("g2", "trunk", "lanB")
 		nw.InstallStaticRoutes()
 
-		opts := tcp.Options{NoCongestionControl: !cc, SendBufferSize: 65535}
+		opts := tcp.Options{Congestion: cc, SendBufferSize: 65535}
 		// More than the bottleneck can carry in the window: every
 		// sender stays backlogged throughout, so aggregate goodput
 		// reads as link utilization.
@@ -269,10 +269,10 @@ func RunE10(seed int64) Result {
 		},
 	}
 	for _, senders := range []int{1, 4, 8} {
-		for _, cc := range []bool{true, false} {
+		for _, cc := range []string{tcp.CCReno, tcp.CCNaive} {
 			label := "VJ (slow start + AIMD)"
 			key := "vj"
-			if !cc {
+			if cc == tcp.CCNaive {
 				label = "none (pre-1988)"
 				key = "nocc"
 			}

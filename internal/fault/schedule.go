@@ -16,13 +16,14 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"darpanet/internal/sim"
+	"darpanet/internal/spec"
 )
 
 // Op is one fault-injection operation.
@@ -135,8 +136,8 @@ func Parse(name, text string) (Schedule, error) {
 			if len(f) < 4 {
 				return s, fmt.Errorf("fault: line %d: want `%s <node> <ifindex>`", lineno+1, f[1])
 			}
-			idx, err := strconv.Atoi(f[3])
-			if err != nil || idx < 0 {
+			idx, err := spec.ParseInt(f[3], 0, math.MaxInt)
+			if err != nil {
 				return s, fmt.Errorf("fault: line %d: bad interface index %q", lineno+1, f[3])
 			}
 			op := OpIfDown
@@ -148,7 +149,7 @@ func Parse(name, text string) (Schedule, error) {
 			if len(f) < 4 {
 				return s, fmt.Errorf("fault: line %d: want `storm <net> <loss> [duration]`", lineno+1)
 			}
-			level, err := strconv.ParseFloat(f[3], 64)
+			level, err := spec.ParseFloat(f[3])
 			if err != nil || level < 0 || level >= 1 {
 				return s, fmt.Errorf("fault: line %d: bad loss %q (want [0,1))", lineno+1, f[3])
 			}
@@ -166,8 +167,8 @@ func Parse(name, text string) (Schedule, error) {
 			if len(f) < 5 {
 				return s, fmt.Errorf("fault: line %d: want `flap <net> <count> <period>`", lineno+1)
 			}
-			count, err := strconv.Atoi(f[3])
-			if err != nil || count < 1 {
+			count, err := spec.ParseInt(f[3], 1, math.MaxInt)
+			if err != nil {
 				return s, fmt.Errorf("fault: line %d: bad flap count %q", lineno+1, f[3])
 			}
 			period, err := time.ParseDuration(f[4])

@@ -21,15 +21,17 @@ import (
 // the arrival instant can never precede the receiving kernel's clock at
 // the barrier — Drain panics if it ever would, making a lookahead
 // misconfiguration loud instead of silently non-causal.
+//
+// The wire underneath is this half's own: SetDown cuts this half — frames
+// from either direction are lost at the barrier while either half is down
+// — and SetLoss and LostWhileDown likewise speak for the local half. Call
+// them only from this half's kernel (or at the barrier).
 type Boundary struct {
-	k     *sim.Kernel
-	name  string
-	cfg   Config
+	wire
 	txCfg Config // Delay/Jitter zeroed: the transmitter only serializes
 	nic   *NIC
 	peer  *Boundary
 	tx    *transmitter
-	down  bool
 
 	// outbox holds frames that finished serializing this epoch and wait
 	// for the barrier; the slice is reset (capacity kept) every Drain.
@@ -41,10 +43,6 @@ type Boundary struct {
 	// free recycles crossing records (with their prebound callbacks) so
 	// the barrier handoff allocates nothing in steady state.
 	free []*crossing
-
-	lostDown uint64
-	noMatch  uint64
-	Drops    uint64 // frames dropped at the full output queue
 }
 
 // outFrame is a frame awaiting export: serialization finished at "at"
@@ -82,7 +80,7 @@ func NewBoundaryPair(ka, kb *sim.Kernel, name string, cfg Config) (*Boundary, *B
 		panic(fmt.Sprintf("phys: boundary link %s needs a positive propagation delay (it is the shard lookahead)", name))
 	}
 	mk := func(k *sim.Kernel) *Boundary {
-		b := &Boundary{k: k, name: name, cfg: cfg}
+		b := &Boundary{wire: wire{k: k, name: name, cfg: cfg}}
 		b.txCfg = cfg
 		b.txCfg.Delay, b.txCfg.Jitter = 0, 0
 		b.tx = newTransmitter(k, &b.txCfg, b.export, &b.Drops)
@@ -95,33 +93,9 @@ func NewBoundaryPair(ka, kb *sim.Kernel, name string, cfg Config) (*Boundary, *B
 	return a, b
 }
 
-// Name returns the link's name (both halves share it).
-func (b *Boundary) Name() string { return b.name }
-
-// MTU returns the link's maximum frame payload size.
-func (b *Boundary) MTU() int { return b.cfg.MTU }
-
 // Delay returns the link's one-way propagation delay — the lookahead
 // this link contributes to the shard group.
 func (b *Boundary) Delay() sim.Duration { return b.cfg.Delay }
-
-// SetDown cuts this half of the link. Frames from either direction are
-// lost at the barrier while either half is down. Call only from this
-// half's kernel (or at the barrier).
-func (b *Boundary) SetDown(down bool) { b.down = down }
-
-// Down reports whether this half is administratively cut.
-func (b *Boundary) Down() bool { return b.down }
-
-// Loss returns the link's independent per-frame loss probability.
-func (b *Boundary) Loss() float64 { return b.cfg.Loss }
-
-// SetLoss changes the link's per-frame loss probability (local half).
-func (b *Boundary) SetLoss(l float64) { b.cfg.Loss = l }
-
-// LostWhileDown returns how many frames this half swallowed because the
-// link was down.
-func (b *Boundary) LostWhileDown() uint64 { return b.lostDown }
 
 // Peer returns the other half of the link.
 func (b *Boundary) Peer() *Boundary { return b.peer }

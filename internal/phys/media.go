@@ -19,19 +19,59 @@ func clonePayload(pool *packet.Pool, p []byte) []byte {
 	return c
 }
 
+// wire is what every medium is underneath: a named, configured stretch
+// of one kernel's network that can be cut and made lossy, with the
+// counters the conservation ledger reads. P2P, Bus and Boundary embed
+// it, so the fault switches of Medium are written once.
+type wire struct {
+	k        *sim.Kernel
+	name     string
+	cfg      Config
+	down     bool
+	lostDown uint64
+	noMatch  uint64 // frames released with no station to deliver to
+	Drops    uint64 // frames dropped at a full output queue or flushed by a crashing node
+}
+
+// Name returns the medium's name.
+func (w *wire) Name() string { return w.name }
+
+// MTU returns the medium's maximum frame payload size.
+func (w *wire) MTU() int { return w.cfg.MTU }
+
+// SetDown makes the medium lose all frames (true) or carry them again
+// (false). Frames already in flight still arrive; frames transmitted while
+// down vanish, as on a cut wire.
+func (w *wire) SetDown(down bool) { w.down = down }
+
+// Down reports whether the medium is currently cut.
+func (w *wire) Down() bool { return w.down }
+
+// Loss returns the medium's independent per-frame loss probability.
+func (w *wire) Loss() float64 { return w.cfg.Loss }
+
+// SetLoss changes the medium's per-frame loss probability.
+func (w *wire) SetLoss(l float64) { w.cfg.Loss = l }
+
+// LostWhileDown returns how many frames vanished because the medium was cut.
+func (w *wire) LostWhileDown() uint64 { return w.lostDown }
+
+// lostToCut consumes f if the medium is cut, before anything is drawn for it.
+func (w *wire) lostToCut(f Frame) bool {
+	if w.down {
+		w.lostDown++
+		f.Release()
+	}
+	return w.down
+}
+
 // P2P is a full-duplex point-to-point link — the simulated analogue of the
 // 56 kb/s serial trunks the ARPANET was built from. Exactly two stations
 // may attach; each direction has its own transmitter and queue.
 type P2P struct {
-	k        *sim.Kernel
-	name     string
-	cfg      Config
-	ends     [2]*NIC
-	tx       [2]*transmitter
-	down     bool
-	lostDown uint64
-	noMatch  uint64 // frames released with no station to deliver to
-	Drops    uint64 // frames dropped at full output queues or flushed by a crashing node
+	wire
+	ends [2]*NIC
+	tx   [2]*transmitter
 }
 
 // NewP2P creates a point-to-point link with the given characteristics.
@@ -39,36 +79,13 @@ func NewP2P(k *sim.Kernel, name string, cfg Config) *P2P {
 	if cfg.MTU <= 0 {
 		cfg.MTU = 1500
 	}
-	p := &P2P{k: k, name: name, cfg: cfg}
+	p := &P2P{wire: wire{k: k, name: name, cfg: cfg}}
 	for i := range p.tx {
 		p.tx[i] = newTransmitter(k, &p.cfg, p.propagate, &p.Drops)
 	}
 	registerMedium(k, name, &p.lostDown, &p.Drops, &p.noMatch, nil, nil, p.tx[0], p.tx[1])
 	return p
 }
-
-// Name returns the link's name.
-func (p *P2P) Name() string { return p.name }
-
-// MTU returns the link's maximum frame payload size.
-func (p *P2P) MTU() int { return p.cfg.MTU }
-
-// SetDown makes the link lose all frames (true) or carry them again
-// (false). Frames already in flight still arrive; frames transmitted while
-// down vanish, as on a cut wire.
-func (p *P2P) SetDown(down bool) { p.down = down }
-
-// Down reports whether the link is currently cut.
-func (p *P2P) Down() bool { return p.down }
-
-// Loss returns the link's independent per-frame loss probability.
-func (p *P2P) Loss() float64 { return p.cfg.Loss }
-
-// SetLoss changes the link's per-frame loss probability.
-func (p *P2P) SetLoss(l float64) { p.cfg.Loss = l }
-
-// LostWhileDown returns how many frames vanished because the link was cut.
-func (p *P2P) LostWhileDown() uint64 { return p.lostDown }
 
 // Attach connects a new interface to the link. It panics on a third
 // attachment: a point-to-point link has exactly two ends.
@@ -104,9 +121,7 @@ func (p *P2P) send(from *NIC, f Frame) {
 }
 
 func (p *P2P) propagate(from *NIC, f Frame) {
-	if p.down {
-		p.lostDown++
-		f.Release()
+	if p.lostToCut(f) {
 		return
 	}
 	if p.cfg.Loss > 0 && p.k.Rand().Float64() < p.cfg.Loss {
@@ -136,15 +151,10 @@ func (p *P2P) propagate(from *NIC, f Frame) {
 // hears every frame, the single transmitter is shared (one frame serializes
 // at a time), and broadcast reaches all stations.
 type Bus struct {
-	k        *sim.Kernel
-	name     string
-	cfg      Config
+	wire     // its noMatch also counts a unicast frame whose only copy was lost
 	stations []*NIC
 	tx       *transmitter
 	next     Addr
-	down     bool
-	lostDown uint64
-	noMatch  uint64 // unicast frames no station matched (or a lost copy reached no one)
 	// Broadcast fan-out accounting: one transmitted broadcast frame
 	// becomes one copy per matching station (bcastCopies counts both
 	// delivered clones and copies the medium lost) plus the consumed
@@ -152,7 +162,6 @@ type Bus struct {
 	// could not balance a LAN.
 	bcastCopies uint64
 	bcastFanout uint64
-	Drops       uint64 // frames dropped at the full shared queue or flushed by a crashing node
 }
 
 // NewBus creates a shared-bus LAN.
@@ -160,32 +169,11 @@ func NewBus(k *sim.Kernel, name string, cfg Config) *Bus {
 	if cfg.MTU <= 0 {
 		cfg.MTU = 1500
 	}
-	b := &Bus{k: k, name: name, cfg: cfg, next: 1}
+	b := &Bus{wire: wire{k: k, name: name, cfg: cfg}, next: 1}
 	b.tx = newTransmitter(k, &b.cfg, b.propagate, &b.Drops)
 	registerMedium(k, name, &b.lostDown, &b.Drops, &b.noMatch, &b.bcastCopies, &b.bcastFanout, b.tx)
 	return b
 }
-
-// Name returns the LAN's name.
-func (b *Bus) Name() string { return b.name }
-
-// MTU returns the LAN's maximum frame payload size.
-func (b *Bus) MTU() int { return b.cfg.MTU }
-
-// SetDown makes the LAN lose all frames (true) or carry them again (false).
-func (b *Bus) SetDown(down bool) { b.down = down }
-
-// Down reports whether the LAN is currently cut.
-func (b *Bus) Down() bool { return b.down }
-
-// Loss returns the LAN's independent per-frame loss probability.
-func (b *Bus) Loss() float64 { return b.cfg.Loss }
-
-// SetLoss changes the LAN's per-frame loss probability.
-func (b *Bus) SetLoss(l float64) { b.cfg.Loss = l }
-
-// LostWhileDown returns how many frames vanished because the LAN was cut.
-func (b *Bus) LostWhileDown() uint64 { return b.lostDown }
 
 // Attach connects a new station to the LAN.
 func (b *Bus) Attach(name string) *NIC {
@@ -199,11 +187,14 @@ func (b *Bus) Attach(name string) *NIC {
 func (b *Bus) send(from *NIC, f Frame) { b.tx.enqueue(from, f) }
 
 func (b *Bus) propagate(from *NIC, f Frame) {
-	if b.down {
-		b.lostDown++
-		f.Release()
-		return
+	if !b.lostToCut(f) {
+		b.fanOut(from, f, b.cfg.Loss)
 	}
+}
+
+// fanOut delivers f to the stations it addresses, each copy lost
+// independently with probability loss.
+func (b *Bus) fanOut(from *NIC, f Frame, loss float64) {
 	delivered, accounted := false, false
 	for _, st := range b.stations {
 		if st == from {
@@ -212,7 +203,7 @@ func (b *Bus) propagate(from *NIC, f Frame) {
 		if f.Dst != Broadcast && f.Dst != st.addr {
 			continue
 		}
-		if b.cfg.Loss > 0 && b.k.Rand().Float64() < b.cfg.Loss {
+		if loss > 0 && b.k.Rand().Float64() < loss {
 			st.stats.RxLost++
 			if f.Dst == Broadcast {
 				// A lost broadcast copy is never cloned; count the
@@ -294,45 +285,11 @@ func (r *Radio) lossNow() float64 {
 	return r.badLoss
 }
 
+// propagate is the Bus's, at the loss the channel is in for this frame:
+// the Gilbert–Elliott transition is drawn once per frame, before the
+// per-station draws and never for a frame a cut swallows.
 func (r *Radio) propagate(from *NIC, f Frame) {
-	if r.down {
-		r.lostDown++
-		f.Release()
-		return
-	}
-	loss := r.lossNow()
-	delivered, accounted := false, false
-	for _, st := range r.stations {
-		if st == from {
-			continue
-		}
-		if f.Dst != Broadcast && f.Dst != st.addr {
-			continue
-		}
-		if loss > 0 && r.k.Rand().Float64() < loss {
-			st.stats.RxLost++
-			if f.Dst == Broadcast {
-				r.bcastCopies++
-			} else {
-				accounted = true
-			}
-			continue
-		}
-		g := f
-		if f.Dst == Broadcast {
-			g.Payload = clonePayload(f.pool, f.Payload)
-			r.bcastCopies++
-		} else {
-			delivered, accounted = true, true
-		}
-		st.deliver(g)
-	}
-	if !delivered {
-		if f.Dst == Broadcast {
-			r.bcastFanout++
-		} else if !accounted {
-			r.noMatch++
-		}
-		f.Release()
+	if !r.lostToCut(f) {
+		r.fanOut(from, f, r.lossNow())
 	}
 }

@@ -3,11 +3,12 @@ package phys
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"darpanet/internal/metrics"
+	"darpanet/internal/spec"
 )
 
 // Gateway queue policy. The paper leaves gateway resource management as
@@ -89,60 +90,39 @@ func (s PolicySpec) DropProb(avg float64, count int) float64 {
 	return pb / den
 }
 
-// ParsePolicySpec parses "kind" or "kind:k=v,k=v" — e.g. "droptail",
-// "red", "ecn:min=64,max=256,maxp=0.1,wq=0.002". Keys: min, max
-// (integer thresholds in frames), maxp, wq. Empty input means
-// drop-tail.
+// Fields is the RED parameters' key=val grammar: thresholds in frames,
+// then the two (0,1] floats. Zero means "resolve at install time", so a
+// parameter is rendered only when set and cannot be given as zero.
+func (s *PolicySpec) Fields() spec.Fields {
+	positive := func(p *int) func() bool { return func() bool { return *p > 0 } }
+	unit := func(p *float64) func() bool { return func() bool { return *p > 0 && *p <= 1 } }
+	return spec.Fields{
+		spec.Int("min", &s.MinTh).Where("a positive integer", positive(&s.MinTh)).When(s.MinTh > 0),
+		spec.Int("max", &s.MaxTh).Where("a positive integer", positive(&s.MaxTh)).When(s.MaxTh > 0),
+		spec.Float("maxp", &s.MaxP).Where("a float in (0,1]", unit(&s.MaxP)).When(s.MaxP > 0),
+		spec.Float("wq", &s.Wq).Where("a float in (0,1]", unit(&s.Wq)).When(s.Wq > 0),
+	}
+}
+
+// ParsePolicySpec parses "kind" or "kind:k=v,k=v" with the keys of
+// PolicySpec.Fields — e.g. "droptail", "red",
+// "ecn:min=64,max=256,maxp=0.1,wq=0.002". Empty input means drop-tail.
 func ParsePolicySpec(s string) (PolicySpec, error) {
-	spec := PolicySpec{Kind: PolicyDropTail}
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return spec, nil
+	if s = strings.TrimSpace(s); s == "" {
+		s = PolicyDropTail
 	}
 	kind, rest, _ := strings.Cut(s, ":")
-	switch kind {
-	case PolicyDropTail, PolicyRED, PolicyECN:
-		spec.Kind = kind
-	default:
-		return spec, fmt.Errorf("policy: unknown kind %q (want droptail, red, or ecn)", kind)
+	sp := PolicySpec{Kind: kind}
+	if !slices.Contains(PolicyKinds(), kind) {
+		return sp, fmt.Errorf("policy: unknown kind %q (want one of %s)", kind, strings.Join(PolicyKinds(), ", "))
 	}
-	if rest == "" {
-		return spec, nil
+	if err := sp.Fields().Parse(rest); err != nil {
+		return sp, fmt.Errorf("policy: %w", err)
 	}
-	for _, kv := range strings.Split(rest, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return spec, fmt.Errorf("policy: bad parameter %q (want k=v)", kv)
-		}
-		switch k {
-		case "min", "max":
-			n, err := strconv.Atoi(v)
-			if err != nil || n <= 0 {
-				return spec, fmt.Errorf("policy: bad %s=%q (want positive integer)", k, v)
-			}
-			if k == "min" {
-				spec.MinTh = n
-			} else {
-				spec.MaxTh = n
-			}
-		case "maxp", "wq":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f <= 0 || f > 1 {
-				return spec, fmt.Errorf("policy: bad %s=%q (want float in (0,1])", k, v)
-			}
-			if k == "maxp" {
-				spec.MaxP = f
-			} else {
-				spec.Wq = f
-			}
-		default:
-			return spec, fmt.Errorf("policy: unknown parameter %q", k)
-		}
+	if sp.MinTh > 0 && sp.MaxTh > 0 && sp.MaxTh <= sp.MinTh {
+		return sp, fmt.Errorf("policy: max threshold %d must exceed min %d", sp.MaxTh, sp.MinTh)
 	}
-	if spec.MinTh > 0 && spec.MaxTh > 0 && spec.MaxTh <= spec.MinTh {
-		return spec, fmt.Errorf("policy: max threshold %d must exceed min %d", spec.MaxTh, spec.MinTh)
-	}
-	return spec, nil
+	return sp, nil
 }
 
 // String renders the spec in ParsePolicySpec's format, emitting only
@@ -153,23 +133,7 @@ func (s PolicySpec) String() string {
 	if kind == "" {
 		kind = PolicyDropTail
 	}
-	var parts []string
-	if s.MinTh > 0 {
-		parts = append(parts, "min="+strconv.Itoa(s.MinTh))
-	}
-	if s.MaxTh > 0 {
-		parts = append(parts, "max="+strconv.Itoa(s.MaxTh))
-	}
-	if s.MaxP > 0 {
-		parts = append(parts, "maxp="+strconv.FormatFloat(s.MaxP, 'g', -1, 64))
-	}
-	if s.Wq > 0 {
-		parts = append(parts, "wq="+strconv.FormatFloat(s.Wq, 'g', -1, 64))
-	}
-	if len(parts) == 0 {
-		return kind
-	}
-	return kind + ":" + strings.Join(parts, ",")
+	return strings.TrimSuffix(kind+":"+s.Fields().String(), ":")
 }
 
 // PolicyKinds lists the recognised policy kinds, sorted.

@@ -276,3 +276,22 @@ func TestPolicyKindsMatchParser(t *testing.T) {
 		t.Fatalf("PolicyKinds() = %v", got)
 	}
 }
+
+// FuzzPolicySpec: any string either fails ParsePolicySpec or parses to a
+// spec that String renders back to exactly itself — zero means "not
+// given" for every parameter, so nothing is hidden that a value holds.
+func FuzzPolicySpec(f *testing.F) {
+	for _, s := range []string{"", "droptail", "red:min=10,max=20", "ecn:min=64,max=256,maxp=0.1,wq=0.002", "red:maxp=NaN", "red:min=1,min=2", "red: wq=1e-3 "} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		spec, err := ParsePolicySpec(in)
+		if err != nil {
+			return
+		}
+		back, err := ParsePolicySpec(spec.String())
+		if err != nil || back != spec || back.String() != spec.String() {
+			t.Fatalf("%q parses to %q (%+v), which parses to %q (%+v, err %v)", in, spec, spec, back, back, err)
+		}
+	})
+}

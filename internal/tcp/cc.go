@@ -71,15 +71,11 @@ func CCNames() []string {
 	return ns
 }
 
-// ccForOptions resolves a connection's response: an explicit
-// Options.Congestion name wins; otherwise NoCongestionControl selects
-// the pre-1988 host and the default is Reno.
+// ccForOptions resolves a connection's response: the one
+// Options.Congestion names, Reno by default.
 func ccForOptions(o Options) CCResponse {
 	if cc := CCByName(o.Congestion); cc != nil {
 		return cc
-	}
-	if o.NoCongestionControl {
-		return naiveCC
 	}
 	return renoCC
 }

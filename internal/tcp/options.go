@@ -16,15 +16,10 @@ type Options struct {
 	// SendBufferSize bounds unsent+unacknowledged data held for the
 	// application. Default 32768.
 	SendBufferSize int
-	// NoCongestionControl disables slow start, congestion avoidance,
-	// fast retransmit and fast recovery — the pre-1988 Internet of the
-	// paper's era (experiment E10). The zero value keeps them on.
-	// Shorthand for Congestion: "naive"; an explicit Congestion name
-	// wins.
-	NoCongestionControl bool
-	// Congestion names the congestion-response policy (cc.go): "naive",
-	// "tahoe", or "reno". Empty selects reno, or naive when
-	// NoCongestionControl is set.
+	// Congestion names the congestion-response policy (cc.go): CCNaive
+	// — no slow start, congestion avoidance, fast retransmit or fast
+	// recovery, the pre-1988 Internet of the paper's era (experiment
+	// E10) — CCTahoe, CCReno or CCNewReno. Empty selects reno.
 	Congestion string
 	// ECN offers RFC 3168 explicit congestion notification on the SYN
 	// exchange. When both ends agree, data segments carry ECT in the IP

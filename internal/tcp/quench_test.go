@@ -25,7 +25,7 @@ func TestSourceQuenchThrottlesFlood(t *testing.T) {
 	n.gw.EnableSourceQuench()
 	opts := Options{
 		ReactToSourceQuench: true,
-		NoCongestionControl: true,
+		Congestion:          CCNaive,
 		SendBufferSize:      131072,
 		WindowSize:          65535,
 	}
@@ -50,7 +50,7 @@ func TestSourceQuenchThrottlesFlood(t *testing.T) {
 func TestSourceQuenchIgnoredByDefault(t *testing.T) {
 	n := quenchNet(9)
 	n.gw.EnableSourceQuench()
-	opts := Options{NoCongestionControl: true, SendBufferSize: 131072, WindowSize: 65535}
+	opts := Options{Congestion: CCNaive, SendBufferSize: 131072, WindowSize: 65535}
 	var srv sink
 	n.t2.Listen(80, opts, func(c *Conn) { srv.attach(c) })
 	c, _ := n.t1.Dial(Endpoint{Addr: n.h2.Addr(), Port: 80}, opts)

@@ -18,12 +18,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
 	"strings"
 	"time"
 
 	"darpanet/internal/core"
 	"darpanet/internal/phys"
+	"darpanet/internal/spec"
 )
 
 // Shape selects the gateway graph the generator wires.
@@ -77,92 +77,48 @@ func DefaultSpec() Spec {
 	return Spec{Shape: TransitStub, Gateways: 25, StubsPer: 7, Hosts: 1, Mix: true}
 }
 
+// Fields is the spec's key=val grammar, in rendering order; a key is
+// rendered only for the shapes it means something to.
+func (s *Spec) Fields() spec.Fields {
+	return spec.Fields{
+		spec.Int("gw", &s.Gateways),
+		spec.Int("degree", &s.Degree).When(s.Shape == Tree),
+		spec.Int("stubs", &s.StubsPer).When(s.Shape == TransitStub),
+		spec.Float("alpha", &s.Alpha).When(s.Shape == Waxman),
+		spec.Float("beta", &s.Beta).When(s.Shape == Waxman),
+		spec.Int("hosts", &s.Hosts),
+		spec.Bool("mix", &s.Mix),
+		spec.Int("dirs", &s.Directories).When(s.Directories > 0),
+	}
+}
+
 // String renders the spec in the form ParseSpec accepts.
-func (s Spec) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s:gw=%d", s.Shape, s.Gateways)
-	if s.Shape == Tree {
-		fmt.Fprintf(&b, ",degree=%d", s.Degree)
-	}
-	if s.Shape == TransitStub {
-		fmt.Fprintf(&b, ",stubs=%d", s.StubsPer)
-	}
-	if s.Shape == Waxman {
-		fmt.Fprintf(&b, ",alpha=%g,beta=%g", s.Alpha, s.Beta)
-	}
-	fmt.Fprintf(&b, ",hosts=%d,mix=%d", s.Hosts, b01(s.Mix))
-	if s.Directories > 0 {
-		fmt.Fprintf(&b, ",dirs=%d", s.Directories)
-	}
-	return b.String()
-}
+func (s Spec) String() string { return string(s.Shape) + ":" + s.Fields().String() }
 
-func b01(v bool) int {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-// ParseSpec parses "shape:key=val,key=val,…". Keys: gw, degree, stubs,
-// hosts, alpha, beta, mix (0/1). Omitted keys take the shape's
-// defaults; "shape" alone is valid.
+// ParseSpec parses "shape:key=val,key=val,…" with the keys of
+// Spec.Fields. Omitted keys take the shape's defaults; "shape" alone is
+// valid.
 func ParseSpec(s string) (Spec, error) {
 	name, rest, _ := strings.Cut(s, ":")
-	var spec Spec
+	var sp Spec
 	switch Shape(name) {
 	case Line:
-		spec = Spec{Shape: Line, Gateways: 16, Hosts: 1, Mix: true}
+		sp = Spec{Shape: Line, Gateways: 16, Hosts: 1, Mix: true}
 	case Ring:
-		spec = Spec{Shape: Ring, Gateways: 16, Hosts: 1, Mix: true}
+		sp = Spec{Shape: Ring, Gateways: 16, Hosts: 1, Mix: true}
 	case Tree:
-		spec = Spec{Shape: Tree, Gateways: 31, Degree: 2, Hosts: 1, Mix: true}
+		sp = Spec{Shape: Tree, Gateways: 31, Degree: 2, Hosts: 1, Mix: true}
 	case TransitStub:
-		spec = DefaultSpec()
+		sp = DefaultSpec()
 	case Waxman:
-		spec = Spec{Shape: Waxman, Gateways: 32, Alpha: 0.25, Beta: 0.4, Hosts: 1, Mix: true}
+		sp = Spec{Shape: Waxman, Gateways: 32, Alpha: 0.25, Beta: 0.4, Hosts: 1, Mix: true}
 	default:
 		return Spec{}, fmt.Errorf("topo: unknown shape %q", name)
 	}
-	if rest == "" {
-		return spec, nil
+	if err := sp.Fields().Parse(rest); err != nil {
+		return Spec{}, fmt.Errorf("topo: %w", err)
 	}
-	for _, kv := range strings.Split(rest, ",") {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return Spec{}, fmt.Errorf("topo: bad parameter %q", kv)
-		}
-		var err error
-		switch k {
-		case "gw":
-			spec.Gateways, err = strconv.Atoi(v)
-		case "degree":
-			spec.Degree, err = strconv.Atoi(v)
-		case "stubs":
-			spec.StubsPer, err = strconv.Atoi(v)
-		case "hosts":
-			spec.Hosts, err = strconv.Atoi(v)
-		case "alpha":
-			spec.Alpha, err = strconv.ParseFloat(v, 64)
-		case "beta":
-			spec.Beta, err = strconv.ParseFloat(v, 64)
-		case "mix":
-			var n int
-			n, err = strconv.Atoi(v)
-			spec.Mix = n != 0
-		case "dirs":
-			spec.Directories, err = strconv.Atoi(v)
-		default:
-			return Spec{}, fmt.Errorf("topo: unknown parameter %q", k)
-		}
-		if err != nil {
-			return Spec{}, fmt.Errorf("topo: parameter %q: %v", kv, err)
-		}
-	}
-	if err := spec.validate(); err != nil {
-		return Spec{}, err
-	}
-	return spec, nil
+	return sp, sp.validate()
 }
 
 // The address plan's limits: builder.prefix cuts 10/8 into maxNets /24s

@@ -326,15 +326,15 @@ func (e *Engine) port(dst string) uint16 {
 
 // tcpOpts maps the spec's era knobs to TCP options.
 func (e *Engine) tcpOpts() tcp.Options {
-	opts := tcp.Options{SendBufferSize: 32768}
-	if !e.spec.VJ {
-		opts.NoCongestionControl = true
-		opts.GoBackN = true
-	}
 	// An explicit congestion-response name overrides the era's default
 	// (VJ→reno, pre-VJ→naive); recovery style still follows the era.
-	opts.Congestion = e.spec.CC
-	opts.ECN = e.spec.ECN
+	opts := tcp.Options{SendBufferSize: 32768, Congestion: e.spec.CC, ECN: e.spec.ECN}
+	if !e.spec.VJ {
+		opts.GoBackN = true
+		if opts.Congestion == "" {
+			opts.Congestion = tcp.CCNaive
+		}
+	}
 	if e.spec.NaiveRTO {
 		// 300ms sits below the RTT of a loaded multi-hop T1 path (a full
 		// 64-frame queue adds ~180ms per hop), which is the collapse

@@ -103,3 +103,30 @@ func TestBoundedParetoDegenerate(t *testing.T) {
 		t.Errorf("degenerate Min==Max mean %v", m)
 	}
 }
+
+// FuzzWorkloadSpec: any string either fails ParseSpec or parses to a spec
+// whose String parses back to the same String. String leaves on_ms and
+// off_ms out of a mix that is not on/off, so the first trip may reset
+// those two to their defaults; from there on the value itself is a fixed
+// point.
+func FuzzWorkloadSpec(f *testing.F) {
+	for _, s := range []string{
+		"", "naive=1,alpha=1.1,min=30000,max=2000000", "bulk=.7,inter=.1,rr=.15,voice=.05,rate=10,alpha=1.3,min=4000,max=1e6",
+		"cc=tahoe,ecn=1", "onoff=1,on_ms=500,off_ms=250", "onoff=0,on_ms=5", "think_ms=-3", "rate=NaN", "bulk=1,bulk=2",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		spec, err := workload.ParseSpec(in)
+		if err != nil {
+			return
+		}
+		back, err := workload.ParseSpec(spec.String())
+		if err != nil || back.String() != spec.String() || spec.OnOff && back != spec {
+			t.Fatalf("%q parses to %q, which parses to %q (err %v)", in, spec, back, err)
+		}
+		if again, err := workload.ParseSpec(back.String()); err != nil || again != back {
+			t.Fatalf("%q: %+v is not a fixed point of Parse∘String: %+v (err %v)", in, back, again, err)
+		}
+	})
+}

@@ -2,11 +2,10 @@ package workload
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"darpanet/internal/sim"
+	"darpanet/internal/spec"
 	"darpanet/internal/tcp"
 )
 
@@ -92,93 +91,40 @@ func (s Spec) WithRate(rate float64) Spec {
 	return s
 }
 
+// Fields is the spec's key=val grammar, in rendering order: profile
+// weights, arrival rate (flows/s), the bulk size distribution, then the
+// host knobs. The keys whose zero value says nothing are rendered only
+// when set, on_ms and off_ms only for an on/off mix.
+func (s *Spec) Fields() spec.Fields {
+	return spec.Fields{
+		spec.Float("bulk", &s.Bulk),
+		spec.Float("inter", &s.Interactive),
+		spec.Float("rr", &s.RR),
+		spec.Float("voice", &s.Voice),
+		spec.Float("rate", &s.Rate),
+		spec.Float("alpha", &s.Alpha),
+		spec.Int("min", &s.MinBytes),
+		spec.Int("max", &s.MaxBytes),
+		spec.Millis("think_ms", &s.Think),
+		spec.Bool("vj", &s.VJ),
+		spec.Bool("naive", &s.NaiveRTO),
+		spec.Bool("onoff", &s.OnOff),
+		spec.Name("cc", &s.CC, tcp.CCNames()).When(s.CC != ""),
+		spec.Bool("ecn", &s.ECN).When(s.ECN),
+		spec.Millis("on_ms", &s.OnMean).When(s.OnOff),
+		spec.Millis("off_ms", &s.OffMean).When(s.OnOff),
+	}
+}
+
 // String renders the spec in the form ParseSpec accepts.
-func (s Spec) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "bulk=%g,inter=%g,rr=%g,voice=%g,rate=%g", s.Bulk, s.Interactive, s.RR, s.Voice, s.Rate)
-	fmt.Fprintf(&b, ",alpha=%g,min=%d,max=%d", s.Alpha, s.MinBytes, s.MaxBytes)
-	fmt.Fprintf(&b, ",think_ms=%d", int64(s.Think/time.Millisecond))
-	fmt.Fprintf(&b, ",vj=%d,naive=%d,onoff=%d", b01(s.VJ), b01(s.NaiveRTO), b01(s.OnOff))
-	if s.CC != "" {
-		fmt.Fprintf(&b, ",cc=%s", s.CC)
-	}
-	if s.ECN {
-		fmt.Fprintf(&b, ",ecn=1")
-	}
-	if s.OnOff {
-		fmt.Fprintf(&b, ",on_ms=%d,off_ms=%d",
-			int64(s.OnMean/time.Millisecond), int64(s.OffMean/time.Millisecond))
-	}
-	return b.String()
-}
+func (s Spec) String() string { return s.Fields().String() }
 
-func b01(v bool) int {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-// ParseSpec parses "key=val,key=val,…" into a Spec, starting from
-// DefaultSpec. Keys: bulk, inter, rr, voice (profile weights), rate
-// (flows/s), alpha, min, max (bulk size distribution), think_ms, vj,
-// naive, ecn, onoff (0/1), on_ms, off_ms, cc (naive|tahoe|reno).
+// ParseSpec parses "key=val,key=val,…" with the keys of Spec.Fields
+// into a Spec, starting from DefaultSpec.
 func ParseSpec(text string) (Spec, error) {
 	s := DefaultSpec()
-	if strings.TrimSpace(text) == "" {
-		return s, nil
-	}
-	for _, kv := range strings.Split(text, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return Spec{}, fmt.Errorf("workload: bad spec term %q (want key=val)", kv)
-		}
-		if key == "cc" { // string-valued: handled before the float parse
-			if tcp.CCByName(val) == nil {
-				return Spec{}, fmt.Errorf("workload: unknown cc %q (want one of %s)",
-					val, strings.Join(tcp.CCNames(), ", "))
-			}
-			s.CC = val
-			continue
-		}
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return Spec{}, fmt.Errorf("workload: bad value for %s: %q", key, val)
-		}
-		switch key {
-		case "bulk":
-			s.Bulk = f
-		case "inter":
-			s.Interactive = f
-		case "rr":
-			s.RR = f
-		case "voice":
-			s.Voice = f
-		case "rate":
-			s.Rate = f
-		case "alpha":
-			s.Alpha = f
-		case "min":
-			s.MinBytes = int(f)
-		case "max":
-			s.MaxBytes = int(f)
-		case "think_ms":
-			s.Think = sim.Duration(f) * time.Millisecond
-		case "vj":
-			s.VJ = f != 0
-		case "naive":
-			s.NaiveRTO = f != 0
-		case "ecn":
-			s.ECN = f != 0
-		case "onoff":
-			s.OnOff = f != 0
-		case "on_ms":
-			s.OnMean = sim.Duration(f) * time.Millisecond
-		case "off_ms":
-			s.OffMean = sim.Duration(f) * time.Millisecond
-		default:
-			return Spec{}, fmt.Errorf("workload: unknown spec key %q", key)
-		}
+	if err := s.Fields().Parse(text); err != nil {
+		return Spec{}, fmt.Errorf("workload: %w", err)
 	}
 	return s, s.validate()
 }

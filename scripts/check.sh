@@ -9,7 +9,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-LEGS="static unused-api staticcheck race race-sim pooldebug smoke-E11 smoke-E12 smoke-E13 fuzz smoke-E5 smoke-E13-T smoke-E14 smoke-E16 smoke-E15 benchsmoke benchguard bench-api"
+LEGS="static unused-api staticcheck race race-sim pooldebug smoke-E11 smoke-E12 smoke-E13 fuzz smoke-E5 smoke-E13-T smoke-E14 smoke-E16 smoke-E15 benchsmoke benchguard bench-api help-sync"
 
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
@@ -115,16 +115,18 @@ run_leg() {
         ;;
     fuzz)
         # Fuzzers, 10s each (go test takes one -fuzz target at a time):
-        # five codec round-trips and the topology spec grammar first.
+        # five codec round-trips and the three spec grammars first.
         go test -run '^$' -fuzz FuzzIPv4HeaderRoundTrip -fuzztime 10s ./internal/ipv4/
         go test -run '^$' -fuzz FuzzTCPSegmentRoundTrip -fuzztime 10s ./internal/tcp/
         go test -run '^$' -fuzz FuzzUDPDatagramRoundTrip -fuzztime 10s ./internal/udp/
         go test -run '^$' -fuzz FuzzRIPMessageRoundTrip -fuzztime 10s ./internal/rip/
         go test -run '^$' -fuzz FuzzNamesMessageRoundTrip -fuzztime 10s ./internal/names/
-        # A spec string parses to a fixed point of String or is refused,
-        # and what parses small enough to build is addressed inside its
-        # own prefixes.
+        # A spec string parses to a fixed point of String or is refused —
+        # the three grammars on internal/spec — and a topology that parses
+        # small enough to build is addressed inside its own prefixes.
         go test -run '^$' -fuzz FuzzTopoSpec -fuzztime 10s ./internal/topo/
+        go test -run '^$' -fuzz FuzzWorkloadSpec -fuzztime 10s ./internal/workload/
+        go test -run '^$' -fuzz FuzzPolicySpec -fuzztime 10s ./internal/phys/
         # The differential fuzzers: the checksum against its 16-bit
         # reference loop, and route-table operation sequences against the
         # linear scan. Their inputs are long; left to minimize each
@@ -200,6 +202,12 @@ run_leg() {
         # workload.
         rm -rf .bench_build
         bash bench/run.sh -workload fwd_chain_64b -trace 0 -seed 1988 > /dev/null
+        ;;
+    help-sync)
+        # The lists a reader sees: `cmd/experiments -h` names every key
+        # the topo, workload and policy grammars accept, and README's flag
+        # section names every flag -h prints.
+        go test -count=1 -run 'TestHelpSync' ./cmd/experiments/
         ;;
     *)
         echo "check.sh: unknown leg '$1' (legs: $LEGS)" >&2

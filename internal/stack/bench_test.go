@@ -381,7 +381,8 @@ func BenchmarkRouteLookupCrossover(b *testing.B) {
 	for _, n := range []int{3, 4, 8, 12, 16, 24, 32, 48, 64} {
 		routes, dsts := e16ShapedRoutes(n)
 		routes = append(routes, Route{Via: 1, Source: SourceStatic}) // 0.0.0.0/0
-		tbl := RouteTable{routes: routes}
+		var tbl RouteTable
+		tbl.AddBatch(routes)
 		tbl.buildIndex()
 		b.Run(fmt.Sprintf("n=%d/linear", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

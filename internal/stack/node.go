@@ -135,9 +135,14 @@ func (n *Node) SetPacketTap(t PacketTap) { n.tap = t }
 
 // AttachInterface joins the node to medium m with the given address and
 // prefix, installing the direct route. The interface name is derived from
-// the node name and index.
+// the node name and index. It panics on the interface whose index no
+// route could name (more than maxIfIndex+1 on one node is a caller bug),
+// before anything is attached to m.
 func (n *Node) AttachInterface(m phys.Medium, addr ipv4.Addr, prefix ipv4.Prefix) *Interface {
 	idx := len(n.ifaces)
+	if idx > maxIfIndex {
+		panic(fmt.Sprintf("stack: %s already has %d interfaces, the most a route's interface index can tell apart", n.name, idx))
+	}
 	nic := m.Attach(fmt.Sprintf("%s.if%d", n.name, idx))
 	ifc := &Interface{
 		Index:     idx,

@@ -2,11 +2,18 @@ package stack
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"darpanet/internal/ipv4"
+	"darpanet/internal/phys"
+	"darpanet/internal/sim"
 )
 
 // refLookup is the pre-index linear algorithm, kept verbatim as the
@@ -119,11 +126,21 @@ func (p *refTable) removeIf(t *testing.T, match func(Route) bool) {
 	}
 }
 
-// check compares the stored routes (order included: first-wins tie-breaks
-// depend on it), the index's own invariants, and a lookup of every dst.
+// stored unpacks the table's records in stored order.
+func stored(tbl *RouteTable) []Route {
+	out := make([]Route, len(tbl.recs))
+	for i := range tbl.recs {
+		out[i] = tbl.recs[i].route()
+	}
+	return out
+}
+
+// check compares the stored routes, unpacked (order included: first-wins
+// tie-breaks depend on it), the index's own invariants, and a lookup of
+// every dst.
 func (p *refTable) check(t *testing.T, dsts ...ipv4.Addr) {
 	t.Helper()
-	if !slices.Equal(p.tbl.routes, p.ref) {
+	if !slices.Equal(stored(&p.tbl), p.ref) {
 		t.Fatalf("stored routes diverged from the reference: %d vs %d entries", p.tbl.Len(), len(p.ref))
 	}
 	checkIndex(t, &p.tbl)
@@ -151,27 +168,28 @@ func checkIndex(t *testing.T, tbl *RouteTable) {
 	if x == nil {
 		return
 	}
-	if len(x.next) != len(tbl.routes) {
-		t.Fatalf("index: next has %d entries for %d routes", len(x.next), len(tbl.routes))
+	if len(x.next) != len(tbl.recs) {
+		t.Fatalf("index: next has %d entries for %d routes", len(x.next), len(tbl.recs))
 	}
 	if n := len(x.slots); n&(n-1) != 0 || 2*x.used > n {
 		t.Fatalf("index: %d of %d slots used", x.used, n)
 	}
-	seen := make([]bool, len(tbl.routes))
-	heads, lengths := 0, map[int]bool{}
+	seen := make([]bool, len(tbl.recs))
+	heads, lengths := 0, map[uint8]bool{}
 	for _, h := range x.slots {
 		if h == 0 {
 			continue
 		}
 		heads++
-		p := tbl.routes[h-1].Prefix
-		lengths[p.Bits] = true
-		if s := x.probe(tbl.routes, p); x.slots[s] != h {
+		head := &tbl.recs[h-1]
+		p := head.route().Prefix
+		lengths[head.bits] = true
+		if s := x.probe(tbl.recs, head.addr, head.bits); x.slots[s] != h {
 			t.Fatalf("index: probe(%s) does not find its own slot", p)
 		}
 		prev := int32(-1)
 		for i := h - 1; i >= 0; i = x.next[i] {
-			if seen[i] || i <= prev || tbl.routes[i].Prefix != p {
+			if seen[i] || i <= prev || tbl.recs[i].route().Prefix != p {
 				t.Fatalf("index: chain of %s broken at route %d", p, i)
 			}
 			seen[i], prev = true, i
@@ -181,7 +199,7 @@ func checkIndex(t *testing.T, tbl *RouteTable) {
 		t.Fatalf("index: used=%d but %d slots occupied", x.used, heads)
 	}
 	if i := slices.Index(seen, false); i >= 0 {
-		t.Fatalf("index: route %d (%v) on no chain", i, tbl.routes[i])
+		t.Fatalf("index: route %d (%v) on no chain", i, tbl.recs[i].route())
 	}
 	for i, b := range x.bits {
 		if !lengths[b] || (i > 0 && b >= x.bits[i-1]) || len(x.bits) != len(lengths) {
@@ -446,5 +464,136 @@ func TestRouteIndexLookupAllocs(t *testing.T) {
 		i += 61
 	}); allocs > 0 {
 		t.Fatalf("indexed Lookup allocates: %.1f allocs/op", allocs)
+	}
+}
+
+// mustPanic runs fn and returns the message it panicked with.
+func mustPanic(t *testing.T, fn func()) (msg string) {
+	t.Helper()
+	defer func() {
+		v := recover()
+		if v == nil {
+			t.Fatal("no panic")
+		}
+		msg = fmt.Sprint(v)
+	}()
+	fn()
+	return ""
+}
+
+// TestRouteRecordRoundTrip packs and unpacks the extremes of every field
+// the 16-byte record narrows, and every RouteSource: what Add accepts it
+// gives back unchanged.
+func TestRouteRecordRoundTrip(t *testing.T) {
+	ext := Route{
+		Prefix:  ipv4.Prefix{Addr: ipv4.Broadcast, Bits: 32},
+		Via:     ipv4.Broadcast,
+		IfIndex: maxIfIndex,
+		Metric:  math.MaxInt32,
+		Source:  math.MaxUint8,
+	}
+	routes := []Route{
+		{}, ext,
+		{Prefix: ipv4.Prefix{Addr: ipv4.Broadcast}}, {Prefix: ipv4.Prefix{Bits: 32}}, {Via: ipv4.Broadcast},
+		{IfIndex: maxIfIndex}, {Metric: math.MaxInt32}, {Metric: math.MinInt32}, {Metric: -1}, {Source: math.MaxUint8},
+	}
+	for _, src := range allSources {
+		r := ext
+		r.Source = src
+		routes = append(routes, r, Route{Source: src})
+	}
+	for _, r := range routes {
+		c := pack(r)
+		if got := c.route(); got != r {
+			t.Errorf("pack/route: %+v came back %+v", r, got)
+		}
+		var tbl RouteTable
+		tbl.Add(r)
+		if got := tbl.Routes(); len(got) != 1 || got[0] != r {
+			t.Errorf("Add/Routes: %+v came back %+v", r, got)
+		}
+	}
+}
+
+// TestAddRefusesUnstorableRoute drives Add with each field one step
+// outside the record, on a small table and an indexed one: a panic that
+// names the route, never a truncated entry.
+func TestAddRefusesUnstorableRoute(t *testing.T) {
+	ok := Route{Prefix: ipv4.MustParsePrefix("10.9.0.0/16"), Via: 7, IfIndex: 2, Metric: 3, Source: SourceRIP}
+	filler, _ := e16ShapedRoutes(2 * indexThreshold)
+	for name, edit := range map[string]func(*Route){
+		"ifindex above uint16": func(r *Route) { r.IfIndex = maxIfIndex + 1 },
+		"ifindex negative":     func(r *Route) { r.IfIndex = -1 },
+		"metric above int32":   func(r *Route) { r.Metric = math.MaxInt32; r.Metric++ },
+		"metric below int32":   func(r *Route) { r.Metric = math.MinInt32; r.Metric-- },
+		"prefix length 33":     func(r *Route) { r.Prefix.Bits = 33 },
+		"prefix length -1":     func(r *Route) { r.Prefix.Bits = -1 },
+		"source above uint8":   func(r *Route) { r.Source = math.MaxUint8 + 1 },
+		"source negative":      func(r *Route) { r.Source = -1 },
+	} {
+		bad := ok
+		edit(&bad)
+		if strings.HasPrefix(name, "metric") && strconv.IntSize == 32 {
+			continue // int is int32 there: no metric is out of range
+		}
+		var small, large RouteTable
+		large.AddBatch(filler)
+		for _, tbl := range []*RouteTable{&small, &large} {
+			before := tbl.Len()
+			msg := mustPanic(t, func() { tbl.Add(bad) })
+			if !strings.Contains(msg, bad.String()) {
+				t.Errorf("%s: panic %q does not name the route %q", name, msg, bad)
+			}
+			if tbl.Len() != before {
+				t.Errorf("%s: table grew from %d to %d routes", name, before, tbl.Len())
+			}
+		}
+	}
+}
+
+// TestAttachInterfaceRefusesUnnameableIndex: the limit on a route's
+// interface index is met where the index is minted. The last index a
+// route can carry attaches and forwards; the next one panics before the
+// medium is touched.
+func TestAttachInterfaceRefusesUnnameableIndex(t *testing.T) {
+	k := sim.NewKernel(1)
+	lan := phys.NewBus(k, "lan", phys.Config{BitsPerSec: 10_000_000, MTU: 1500})
+	n := NewNode(k, "wide")
+	n.ifaces = make([]*Interface, maxIfIndex) // stand-ins for 65 535 attached interfaces
+	pfx := ipv4.MustParsePrefix("10.0.1.0/24")
+	ifc := n.AttachInterface(lan, pfx.Host(1), pfx)
+	if rt, ok := n.Table.Lookup(pfx.Host(2)); !ok || rt.IfIndex != maxIfIndex || ifc.Index != maxIfIndex {
+		t.Fatalf("interface %d: Lookup = %v,%v", ifc.Index, rt, ok)
+	}
+	msg := mustPanic(t, func() { n.AttachInterface(lan, pfx.Host(3), pfx) })
+	if !strings.Contains(msg, "wide") || len(n.ifaces) != maxIfIndex+1 {
+		t.Fatalf("panic %q with %d interfaces", msg, len(n.ifaces))
+	}
+}
+
+// TestRouteTableFootprint pins what the packed record is for: 16 bytes a
+// route, and a transit gateway's table of the 2000-gateway internet —
+// 3 800 /24s, sized by Grow as the static oracle does — at no more than
+// 32 B of heap per route, index included, in five allocations or fewer
+// (the parent's 48 B Route made it 62.55).
+func TestRouteTableFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(routeRec{}); size != 16 {
+		t.Fatalf("routeRec is %d bytes, want 16", size)
+	}
+	routes, dsts := e16ShapedRoutes(3800)
+	var tbl RouteTable
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tbl.Grow(len(routes))
+	for _, r := range routes {
+		tbl.Add(r)
+	}
+	runtime.ReadMemStats(&after)
+	if _, ok := tbl.Lookup(dsts[len(dsts)/2]); !ok || tbl.idx == nil || tbl.Len() != len(routes) {
+		t.Fatalf("table not built: len %d, indexed %v", tbl.Len(), tbl.idx != nil)
+	}
+	perRoute := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(routes))
+	if allocs := after.Mallocs - before.Mallocs; perRoute > 32 || allocs > 5 {
+		t.Fatalf("%d routes cost %.2f B/route in %d allocations, want <= 32 B in <= 5", len(routes), perRoute, allocs)
 	}
 }

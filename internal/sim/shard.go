@@ -35,6 +35,7 @@ type ShardGroup struct {
 	// never part of simulation results.
 	busy     []time.Duration
 	epochMax time.Duration
+	elapsed  []time.Duration // one epoch's per-kernel times, written by the workers
 }
 
 // NewShardGroup groups kernels for lock-step execution. All kernels
@@ -65,6 +66,7 @@ func NewShardGroup(kernels []*Kernel, lookahead Duration, workers int) *ShardGro
 		exchange:  func() {},
 		now:       kernels[0].Now(),
 		busy:      make([]time.Duration, len(kernels)),
+		elapsed:   make([]time.Duration, len(kernels)),
 	}
 }
 
@@ -126,7 +128,7 @@ func (g *ShardGroup) runEpoch(end Time) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	elapsed := make([]time.Duration, len(g.kernels))
+	elapsed := g.elapsed // every entry is rewritten each epoch
 	wg.Add(g.workers)
 	for w := 0; w < g.workers; w++ {
 		go func() {

@@ -152,3 +152,30 @@ func TestShardGroupValidation(t *testing.T) {
 		t.Fatalf("workers not clamped: %d", g.workers)
 	}
 }
+
+// TestShardGroupEpochAllocs checks runEpoch's promises about the heap:
+// with one worker the epoch loop stays on the calling goroutine and
+// allocates nothing, and a multi-worker epoch allocates only for the
+// goroutines it spawns, not a fresh per-kernel times slice as well.
+func TestShardGroupEpochAllocs(t *testing.T) {
+	const look = Duration(time.Millisecond)
+	epochs := func(workers int) float64 {
+		kernels := make([]*Kernel, 8)
+		for i := range kernels {
+			kernels[i] = NewKernel(int64(i))
+		}
+		g := NewShardGroup(kernels, look, workers)
+		g.RunFor(look) // first epoch: any lazy set-up
+		return testing.AllocsPerRun(100, func() { g.RunFor(look) })
+	}
+	if allocs := epochs(1); allocs != 0 {
+		t.Fatalf("one-worker epoch: %.1f allocs, want 0", allocs)
+	}
+	// Per multi-worker epoch: the WaitGroup, the atomic counter the
+	// workers share and one closure per worker — nothing per kernel.
+	for _, workers := range []int{2, 4} {
+		if allocs := epochs(workers); allocs > float64(2+workers) {
+			t.Fatalf("%d-worker epoch: %.1f allocs, want at most %d", workers, allocs, 2+workers)
+		}
+	}
+}

@@ -14,14 +14,21 @@
 package vc
 
 import (
+	"encoding/binary"
+
 	"darpanet/internal/phys"
 	"darpanet/internal/sim"
 )
 
-// Link-layer ARQ framing: ctl(1) seq(1) ack(1) + payload.
+// Link-layer ARQ framing: ctl(1) seq(1) ack(1) + payload. The payload of
+// an information frame is one circuit-layer message: type(1) vcid(2) +
+// body.
 const (
 	ctlInfo = 1 // numbered information frame
 	ctlRR   = 2 // receive-ready (pure ack)
+
+	arqHeader = 3
+	msgHeader = 3
 )
 
 const (
@@ -52,7 +59,7 @@ type linkEnd struct {
 	sndSeq  uint8    // next sequence number to assign
 	sndUna  uint8    // oldest unacknowledged
 	pending [][]byte // unacked frames, pending[0] has seq sndUna
-	queue   [][]byte // not yet transmitted (window full)
+	queue   [][]byte // built frames not yet transmitted (window full)
 	timer   sim.Timer
 	retries int
 	dead    bool
@@ -70,26 +77,37 @@ func newLinkEnd(k *sim.Kernel, nic *phys.NIC, owner linkOwner, index int) *linkE
 	return l
 }
 
-// send queues one payload for reliable in-order delivery to the far end.
-func (l *linkEnd) send(payload []byte) {
+// send queues one circuit-layer message for reliable in-order delivery
+// to the far end. The link frame is built here, once: ARQ header, circuit
+// header and a copy of body in one buffer, so a relayed message costs a
+// switch one allocation and body may be a slice of the frame it arrived
+// in. seq and ack are left for transmit to stamp, since a frame may wait
+// in queue for the window to open.
+func (l *linkEnd) send(typ uint8, vcid uint16, body []byte) {
 	if l.dead {
 		return
 	}
-	if len(l.pending) >= arqWindow {
-		if len(l.queue) < arqQueueLimit {
-			l.queue = append(l.queue, payload)
-		}
+	windowFull := len(l.pending) >= arqWindow
+	if windowFull && len(l.queue) >= arqQueueLimit {
 		return
 	}
-	l.transmitNew(payload)
+	frame := make([]byte, arqHeader+msgHeader+len(body))
+	frame[0] = ctlInfo
+	frame[arqHeader] = typ
+	binary.BigEndian.PutUint16(frame[arqHeader+1:], vcid)
+	copy(frame[arqHeader+msgHeader:], body)
+	if windowFull {
+		l.queue = append(l.queue, frame)
+		return
+	}
+	l.transmit(frame)
 }
 
-func (l *linkEnd) transmitNew(payload []byte) {
-	frame := make([]byte, 3+len(payload))
-	frame[0] = ctlInfo
+// transmit numbers a built frame, piggybacks the current ack and puts it
+// on the wire for the first time.
+func (l *linkEnd) transmit(frame []byte) {
 	frame[1] = l.sndSeq
-	frame[2] = l.rcvSeq // piggybacked ack
-	copy(frame[3:], payload)
+	frame[2] = l.rcvSeq
 	l.sndSeq++
 	l.pending = append(l.pending, frame)
 	l.framesSent++
@@ -134,7 +152,7 @@ func (l *linkEnd) revive() {
 }
 
 func (l *linkEnd) input(f phys.Frame) {
-	if l.dead || len(f.Payload) < 3 {
+	if l.dead || len(f.Payload) < arqHeader {
 		return
 	}
 	ctl, seq, ack := f.Payload[0], f.Payload[1], f.Payload[2]
@@ -146,7 +164,7 @@ func (l *linkEnd) input(f phys.Frame) {
 		l.rcvSeq++
 		l.framesDelivered++
 		l.sendRR()
-		l.owner.linkDeliver(l, f.Payload[3:])
+		l.owner.linkDeliver(l, f.Payload[arqHeader:])
 	} else {
 		// Out of order under go-back-N: discard and re-ack.
 		l.sendRR()
@@ -169,7 +187,7 @@ func (l *linkEnd) processAck(ack uint8) {
 	for len(l.queue) > 0 && len(l.pending) < arqWindow {
 		next := l.queue[0]
 		l.queue = l.queue[1:]
-		l.transmitNew(next)
+		l.transmit(next)
 	}
 }
 

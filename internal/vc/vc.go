@@ -21,15 +21,6 @@ const (
 	msgReset    = 6 // abnormal close (state lost somewhere)
 )
 
-// circuit-layer header: type(1) vcid(2).
-func marshalMsg(typ uint8, vcid uint16, payload []byte) []byte {
-	b := make([]byte, 3+len(payload))
-	b[0] = typ
-	binary.BigEndian.PutUint16(b[1:], vcid)
-	copy(b[3:], payload)
-	return b
-}
-
 // vcKey identifies a circuit's appearance on one link of a switch.
 type vcKey struct {
 	link int
@@ -236,12 +227,12 @@ func (n *Network) RestoreSwitch(id NodeID) {
 // --- switch behaviour ---------------------------------------------------
 
 func (s *Switch) linkDeliver(l *linkEnd, payload []byte) {
-	if len(payload) < 3 {
+	if len(payload) < msgHeader {
 		return
 	}
 	typ := payload[0]
 	vcid := binary.BigEndian.Uint16(payload[1:])
-	body := payload[3:]
+	body := payload[msgHeader:]
 	switch typ {
 	case msgSetup:
 		s.handleSetup(l, vcid, body)
@@ -258,7 +249,7 @@ func (s *Switch) handleSetup(l *linkEnd, vcid uint16, body []byte) {
 	dst := NodeID(binary.BigEndian.Uint16(body[0:]))
 	outIdx, ok := s.routes[dst]
 	if !ok || outIdx < 0 || outIdx >= len(s.links) {
-		l.send(marshalMsg(msgSetupErr, vcid, nil))
+		l.send(msgSetupErr, vcid, nil)
 		return
 	}
 	out := s.links[outIdx]
@@ -266,7 +257,7 @@ func (s *Switch) handleSetup(l *linkEnd, vcid uint16, body []byte) {
 	s.nextVC[outIdx]++
 	s.circuits[vcKey{l.index, vcid}] = vcEntry{outLink: outIdx, outVC: outVC}
 	s.circuits[vcKey{outIdx, outVC}] = vcEntry{outLink: l.index, outVC: vcid}
-	out.send(marshalMsg(msgSetup, outVC, body))
+	out.send(msgSetup, outVC, body)
 }
 
 // relay forwards circuit traffic along the installed path, or resets the
@@ -276,7 +267,7 @@ func (s *Switch) relay(l *linkEnd, typ uint8, vcid uint16, body []byte) {
 	if !ok {
 		// Amnesia (or misdelivery): the X.25 answer is a reset.
 		s.ResetsSent++
-		l.send(marshalMsg(msgReset, vcid, nil))
+		l.send(msgReset, vcid, nil)
 		return
 	}
 	if typ == msgData {
@@ -286,7 +277,7 @@ func (s *Switch) relay(l *linkEnd, typ uint8, vcid uint16, body []byte) {
 		delete(s.circuits, vcKey{l.index, vcid})
 		delete(s.circuits, vcKey{ent.outLink, ent.outVC})
 	}
-	s.links[ent.outLink].send(marshalMsg(typ, ent.outVC, body))
+	s.links[ent.outLink].send(typ, ent.outVC, body)
 }
 
 // linkDead tears down every circuit using the failed link, resetting the
@@ -300,7 +291,7 @@ func (s *Switch) linkDead(dead *linkEnd) {
 		delete(s.circuits, vcKey{ent.outLink, ent.outVC})
 		if ent.outLink >= 0 && ent.outLink < len(s.links) {
 			s.ResetsSent++
-			s.links[ent.outLink].send(marshalMsg(msgReset, ent.outVC, nil))
+			s.links[ent.outLink].send(msgReset, ent.outVC, nil)
 		}
 	}
 }
@@ -320,27 +311,27 @@ func (h *Host) Dial(dst NodeID, done func(ok bool)) *Circuit {
 	body := make([]byte, 4)
 	binary.BigEndian.PutUint16(body[0:], uint16(dst))
 	binary.BigEndian.PutUint16(body[2:], uint16(h.id))
-	h.link.send(marshalMsg(msgSetup, vcid, body))
+	h.link.send(msgSetup, vcid, body)
 	return c
 }
 
 func (h *Host) linkDeliver(l *linkEnd, payload []byte) {
-	if len(payload) < 3 {
+	if len(payload) < msgHeader {
 		return
 	}
 	typ := payload[0]
 	vcid := binary.BigEndian.Uint16(payload[1:])
-	body := payload[3:]
+	body := payload[msgHeader:]
 	switch typ {
 	case msgSetup:
 		// Inbound circuit.
 		if h.accept == nil {
-			h.link.send(marshalMsg(msgSetupErr, vcid, nil))
+			h.link.send(msgSetupErr, vcid, nil)
 			return
 		}
 		c := &Circuit{host: h, vcid: vcid, open: true}
 		h.circuits[vcid] = c
-		h.link.send(marshalMsg(msgSetupOK, vcid, nil))
+		h.link.send(msgSetupOK, vcid, nil)
 		h.accept(c)
 	case msgSetupOK:
 		if c, ok := h.circuits[vcid]; ok && !c.open {
@@ -404,7 +395,7 @@ func (c *Circuit) Send(data []byte) {
 		return
 	}
 	c.BytesSent += uint64(len(data))
-	c.host.link.send(marshalMsg(msgData, c.vcid, data))
+	c.host.link.send(msgData, c.vcid, data)
 }
 
 // Close tears the circuit down in an orderly way.
@@ -414,5 +405,5 @@ func (c *Circuit) Close() {
 	}
 	c.open = false
 	delete(c.host.circuits, c.vcid)
-	c.host.link.send(marshalMsg(msgTeardown, c.vcid, nil))
+	c.host.link.send(msgTeardown, c.vcid, nil)
 }

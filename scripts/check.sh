@@ -24,6 +24,8 @@ run_leg() {
         go build ./...
         go vet ./...
         test -z "$(gofmt -l .)"
+        # The scripts nothing else in the gate runs must at least parse.
+        for f in scripts/*.sh; do sh -n "$f"; done
         ;;
     unused-api)
         # Keep the dead-API list empty: every exported func or method

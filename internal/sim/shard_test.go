@@ -156,7 +156,7 @@ func TestShardGroupValidation(t *testing.T) {
 // TestShardGroupEpochAllocs checks runEpoch's promises about the heap:
 // with one worker the epoch loop stays on the calling goroutine and
 // allocates nothing, and a multi-worker epoch allocates only for the
-// goroutines it spawns, not a fresh per-kernel times slice as well.
+// goroutines it spawns, nothing per kernel.
 func TestShardGroupEpochAllocs(t *testing.T) {
 	const look = Duration(time.Millisecond)
 	epochs := func(workers int) float64 {

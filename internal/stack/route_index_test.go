@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -126,21 +125,12 @@ func (p *refTable) removeIf(t *testing.T, match func(Route) bool) {
 	}
 }
 
-// stored unpacks the table's records in stored order.
-func stored(tbl *RouteTable) []Route {
-	out := make([]Route, len(tbl.recs))
-	for i := range tbl.recs {
-		out[i] = tbl.recs[i].route()
-	}
-	return out
-}
-
 // check compares the stored routes, unpacked (order included: first-wins
 // tie-breaks depend on it), the index's own invariants, and a lookup of
 // every dst.
 func (p *refTable) check(t *testing.T, dsts ...ipv4.Addr) {
 	t.Helper()
-	if !slices.Equal(stored(&p.tbl), p.ref) {
+	if !slices.Equal(p.tbl.stored(), p.ref) {
 		t.Fatalf("stored routes diverged from the reference: %d vs %d entries", p.tbl.Len(), len(p.ref))
 	}
 	checkIndex(t, &p.tbl)
@@ -519,7 +509,7 @@ func TestRouteRecordRoundTrip(t *testing.T) {
 // outside the record, on a small table and an indexed one: a panic that
 // names the route, never a truncated entry.
 func TestAddRefusesUnstorableRoute(t *testing.T) {
-	ok := Route{Prefix: ipv4.MustParsePrefix("10.9.0.0/16"), Via: 7, IfIndex: 2, Metric: 3, Source: SourceRIP}
+	good := Route{Prefix: ipv4.MustParsePrefix("10.9.0.0/16"), Via: 7, IfIndex: 2, Metric: 3, Source: SourceRIP}
 	filler, _ := e16ShapedRoutes(2 * indexThreshold)
 	for name, edit := range map[string]func(*Route){
 		"ifindex above uint16": func(r *Route) { r.IfIndex = maxIfIndex + 1 },
@@ -531,11 +521,11 @@ func TestAddRefusesUnstorableRoute(t *testing.T) {
 		"source above uint8":   func(r *Route) { r.Source = math.MaxUint8 + 1 },
 		"source negative":      func(r *Route) { r.Source = -1 },
 	} {
-		bad := ok
-		edit(&bad)
 		if strings.HasPrefix(name, "metric") && strconv.IntSize == 32 {
 			continue // int is int32 there: no metric is out of range
 		}
+		bad := good
+		edit(&bad)
 		var small, large RouteTable
 		large.AddBatch(filler)
 		for _, tbl := range []*RouteTable{&small, &large} {
@@ -573,36 +563,34 @@ func TestAttachInterfaceRefusesUnnameableIndex(t *testing.T) {
 
 // TestRouteTableFootprint pins what the packed record is for: 16 bytes a
 // route, and a transit gateway's table of the 2000-gateway internet —
-// 3 800 /24s, sized by Grow as the static oracle does — at no more than
-// 28 B of heap per route, index included, in four allocations (records,
-// index, slots, lengths; the parent's 48 B Route and its up-front next
-// array made it 62.55 B in five). No prefix there has a second route, so
-// no next array is made; giving one prefix a second route makes it.
+// 3 800 /24s, sized by Grow as the static oracle does — holding no more
+// than 28 B of heap per route, index included, built in five allocations
+// or fewer (four: records, index, slots, lengths). The bytes are
+// counted from the capacities the table holds, which is what stays
+// resident and does not vary with the allocator or the race detector. No
+// prefix there has a second route, so no next array is made; giving one
+// prefix a second route makes it.
 func TestRouteTableFootprint(t *testing.T) {
-	if size := unsafe.Sizeof(routeRec{}); size != 16 {
-		t.Fatalf("routeRec is %d bytes, want 16", size)
+	const recSize = unsafe.Sizeof(routeRec{})
+	if recSize != 16 {
+		t.Fatalf("routeRec is %d bytes, want 16", recSize)
 	}
 	routes, dsts := e16ShapedRoutes(3800)
 	var tbl RouteTable
-	// MemStats count the whole process; the least of a few builds is the
-	// build's own cost.
-	bytes, allocs := uint64(math.MaxUint64), uint64(math.MaxUint64)
-	for try := 0; try < 5; try++ {
-		var before, after runtime.MemStats
+	allocs := testing.AllocsPerRun(5, func() {
 		tbl = RouteTable{}
-		runtime.ReadMemStats(&before)
 		tbl.Grow(len(routes))
 		for _, r := range routes {
 			tbl.Add(r)
 		}
-		runtime.ReadMemStats(&after)
-		bytes, allocs = min(bytes, after.TotalAlloc-before.TotalAlloc), min(allocs, after.Mallocs-before.Mallocs)
-	}
+	})
 	if _, ok := tbl.Lookup(dsts[len(dsts)/2]); !ok || tbl.idx == nil || tbl.Len() != len(routes) {
 		t.Fatalf("table not built: len %d, indexed %v", tbl.Len(), tbl.idx != nil)
 	}
-	if perRoute := float64(bytes) / float64(len(routes)); perRoute > 28 || allocs > 4 {
-		t.Fatalf("%d routes cost %.2f B/route in %d allocations, want <= 28 B in <= 4", len(routes), perRoute, allocs)
+	x := tbl.idx
+	held := cap(tbl.recs)*int(recSize) + 4*cap(x.slots) + 4*cap(x.next) + cap(x.bits) + int(unsafe.Sizeof(*x))
+	if perRoute := float64(held) / float64(len(routes)); perRoute > 28 || allocs > 5 {
+		t.Fatalf("%d routes hold %.2f B/route, built in %.0f allocations; want <= 28 B in <= 5", len(routes), perRoute, allocs)
 	}
 	if tbl.idx.next != nil {
 		t.Fatal("next array made for a table of one-route chains")

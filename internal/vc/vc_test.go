@@ -226,11 +226,10 @@ func TestSeq8Wraparound(t *testing.T) {
 
 // TestRelayedMessageAllocs holds one data message across a three-switch
 // path (h1 - s1 - s2 - s3 - h2, four reliable links) to its allocation
-// count: four objects a link. The sending end builds one frame — ARQ
-// header, circuit header and body in a single buffer, where marshalling
-// the circuit message and then copying it behind the ARQ header made two
-// — regrows the pending window it slid empty and binds the retransmit
-// timer's callback; the receiving end answers with one three-byte RR.
+// count: four objects a link. The sending end builds one frame (ARQ
+// header, circuit header and body in a single buffer), regrows the
+// pending window it slid empty and binds the retransmit timer's
+// callback; the receiving end answers with one three-byte RR.
 func TestRelayedMessageAllocs(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := NewNetwork(k, phys.Config{BitsPerSec: 1_544_000, Delay: 3 * time.Millisecond, MTU: 1500})

@@ -62,15 +62,13 @@ import (
 type lab struct {
 	nw        *core.Network
 	out       io.Writer
-	transfers []*transferState // in start order
+	transfers []namedTransfer // in start order
 	taps      map[string]*trace.Buffer
 }
 
-type transferState struct {
-	name     string
-	target   int
-	received *int
-	conn     *tcp.Conn
+type namedTransfer struct {
+	name string
+	*exp.Transfer
 }
 
 func main() {
@@ -242,9 +240,9 @@ func (l *lab) exec(line string) (err error) {
 			s.NoRoute, s.TTLDrops, s.FragCreated)
 	case "transfers":
 		for _, tr := range l.transfers {
-			pct := 100 * float64(*tr.received) / float64(tr.target)
+			pct := 100 * float64(tr.Received) / float64(tr.Target)
 			fmt.Fprintf(l.out, "%s: %s / %s (%.1f%%)\n", tr.name,
-				stats.HumanBytes(uint64(*tr.received)), stats.HumanBytes(uint64(tr.target)), pct)
+				stats.HumanBytes(uint64(tr.Received)), stats.HumanBytes(uint64(tr.Target)), pct)
 		}
 	case "experiment":
 		l.need(args, 1, "experiment <id>")
@@ -298,28 +296,11 @@ func (l *lab) cmdNet(args []string) {
 }
 
 func (l *lab) startTransfer(from, to string, nbytes int, port uint16) {
-	received := new(int)
-	l.nw.TCP(to).Listen(port, tcp.Options{}, func(c *tcp.Conn) {
-		c.OnData(func(b []byte) { *received += len(b) })
-	})
-	conn, err := l.nw.TCP(from).Dial(tcp.Endpoint{Addr: l.nw.Addr(to), Port: port}, tcp.Options{SendBufferSize: 65535})
-	if err != nil {
-		l.fail("dial: %v", err)
+	tr := exp.StartBulkTCP(l.nw, from, to, port, nbytes, tcp.Options{SendBufferSize: 65535})
+	if tr.Err != nil {
+		l.fail("dial: %v", tr.Err)
 	}
-	rest := make([]byte, nbytes)
-	push := func() {
-		for len(rest) > 0 {
-			n, err := conn.Write(rest)
-			if n == 0 || err != nil {
-				return
-			}
-			rest = rest[n:]
-		}
-		conn.Close()
-	}
-	conn.OnEstablished(push)
-	conn.OnWriteSpace(push)
 	name := fmt.Sprintf("%s->%s:%d", from, to, port)
-	l.transfers = append(l.transfers, &transferState{name: name, target: nbytes, received: received, conn: conn})
+	l.transfers = append(l.transfers, namedTransfer{name, tr})
 	fmt.Fprintf(l.out, "transfer %s started (%s)\n", name, stats.HumanBytes(uint64(nbytes)))
 }

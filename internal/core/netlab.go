@@ -14,7 +14,6 @@ import (
 	"slices"
 
 	"darpanet/internal/ipv4"
-	"darpanet/internal/metrics"
 	"darpanet/internal/phys"
 	"darpanet/internal/rip"
 	"darpanet/internal/sim"
@@ -332,25 +331,9 @@ func (nw *Network) EnableRIP(cfg rip.Config, names ...string) {
 func (nw *Network) RIP(name string) *rip.Router { return nw.rips[name] }
 
 // EnablePriorityQueueing installs a ToS-precedence strict-priority qdisc
-// on every interface of the named node. Higher IP precedence is served
-// first; within a band the discipline is FIFO with perBand capacity.
+// on every interface of the named node (stack.Node.InstallPriorityQueueing).
 func (nw *Network) EnablePriorityQueueing(name string, perBand int) {
-	n := nw.mustNode(name)
-	n.PriorityQueueing = true
-	for _, ifc := range n.Interfaces() {
-		q := phys.NewPriority(8, perBand, classifyPrecedence)
-		q.RegisterMetrics(metrics.For(nw.kernel), ifc.NIC.Name())
-		ifc.NIC.SetQdisc(q)
-	}
-}
-
-// classifyPrecedence maps a frame payload (an IP datagram) to its
-// precedence band.
-func classifyPrecedence(payload []byte) int {
-	if len(payload) < 2 || payload[0]>>4 != 4 {
-		return 0
-	}
-	return ipv4.Precedence(payload[1])
+	nw.mustNode(name).InstallPriorityQueueing(perBand)
 }
 
 // AllPrefixes returns every network prefix in the topology, sorted.

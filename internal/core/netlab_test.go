@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"darpanet/internal/ipv4"
+	"darpanet/internal/metrics"
 	"darpanet/internal/phys"
 	"darpanet/internal/sim"
 	"darpanet/internal/stack"
@@ -175,6 +176,51 @@ func TestCrossTrunkEndsAttachLikeP2P(t *testing.T) {
 	}
 }
 
+// TestQueueInstallReachesCrossTrunk: a gateway's boundary interface takes
+// the queue its node is given, like any other — a RED queue on one end
+// and priority bands on the other both see the frames that wait for the
+// trunk. (SetQdisc used to have no case for a boundary half, and left it
+// on the default queue without a word.)
+func TestQueueInstallReachesCrossTrunk(t *testing.T) {
+	cfg := phys.Config{BitsPerSec: 1_544_000, Delay: 3 * time.Millisecond, MTU: 1500}
+	ra, rb := New(1), New(2)
+	ba, bb := AddCrossTrunk(ra, rb, "t0", "10.9.0.0/24", cfg)
+	ga, gb := ra.AddGateway("ga", "t0"), rb.AddGateway("gb", "t0")
+	ga.InstallQueuePolicy(16, phys.PolicySpec{Kind: phys.PolicyRED})
+	rb.EnablePriorityQueueing("gb", 16)
+	g := sim.NewShardGroup([]*sim.Kernel{ra.Kernel(), rb.Kernel()}, cfg.Delay, 1)
+	g.SetExchange(func() { ba.Drain(); bb.Drain() })
+
+	delivered := 0
+	count := func(ipv4.Header, []byte) { delivered++ }
+	ga.RegisterProtocol(200, count)
+	gb.RegisterProtocol(200, count)
+	// Four frames each way at once: one takes the transmitter, three queue.
+	for i := 0; i < 4; i++ {
+		if err := ga.Send(ipv4.Header{Dst: gb.Addr(), Proto: 200}, make([]byte, 100)); err != nil {
+			t.Fatal(err)
+		}
+		if err := gb.Send(ipv4.Header{Dst: ga.Addr(), Proto: 200}, make([]byte, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.RunFor(50 * time.Millisecond)
+	if delivered != 8 {
+		t.Fatalf("delivered %d of 8 across the trunk", delivered)
+	}
+	for _, c := range []struct {
+		k    *sim.Kernel
+		path string
+	}{
+		{ra.Kernel(), "ga/aqm/enqueues"},
+		{rb.Kernel(), gb.Interface(0).NIC.Name() + "/qdisc/band0_enqueues"},
+	} {
+		if v, ok := metrics.For(c.k).Snapshot().Get(c.path); !ok || v != 3 {
+			t.Errorf("%s = %d (present=%v), want 3", c.path, v, ok)
+		}
+	}
+}
+
 func TestDuplicateNamesPanic(t *testing.T) {
 	nw := New(1)
 	nw.AddNet("lan", "10.5.0.0/24", LAN, phys.Config{})
@@ -193,19 +239,6 @@ func TestDuplicateNamesPanic(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestClassifyPrecedence(t *testing.T) {
-	dg := []byte{0x45, ipv4.PrecNetControl}
-	if classifyPrecedence(dg) != 7 {
-		t.Fatal("net control should classify to band 7")
-	}
-	if classifyPrecedence([]byte{0x60, 0x00}) != 0 {
-		t.Fatal("non-IPv4 should classify to band 0")
-	}
-	if classifyPrecedence(nil) != 0 {
-		t.Fatal("empty should classify to band 0")
 	}
 }
 

@@ -3,7 +3,6 @@ package phys
 import (
 	"fmt"
 
-	"darpanet/internal/metrics"
 	"darpanet/internal/sim"
 )
 
@@ -31,15 +30,14 @@ type Boundary struct {
 	txCfg Config // Delay/Jitter zeroed: the transmitter only serializes
 	nic   *NIC
 	peer  *Boundary
-	tx    *transmitter
+	xmit  *transmitter
 
 	// outbox holds frames that finished serializing this epoch and wait
 	// for the barrier; the slice is reset (capacity kept) every Drain.
+	// They stay on xmit.inFlight, as do the arrivals Drain has scheduled
+	// into this half's kernel until they are delivered, so the global
+	// conservation ledger (summed across all region registries) balances.
 	outbox []outFrame
-	// pending counts arrivals Drain has scheduled into this half's
-	// kernel that have not yet been delivered, for the conservation
-	// ledger's in-flight gauge.
-	pending uint64
 	// free recycles crossing records (with their prebound callbacks) so
 	// the barrier handoff allocates nothing in steady state.
 	free []*crossing
@@ -64,7 +62,7 @@ func (c *crossing) run() {
 	b, f := c.b, c.f
 	c.f = Frame{}
 	b.free = append(b.free, c)
-	b.pending--
+	b.xmit.inFlight--
 	b.nic.deliver(f)
 }
 
@@ -83,13 +81,12 @@ func NewBoundaryPair(ka, kb *sim.Kernel, name string, cfg Config) (*Boundary, *B
 		b := &Boundary{wire: wire{k: k, name: name, cfg: cfg}}
 		b.txCfg = cfg
 		b.txCfg.Delay, b.txCfg.Jitter = 0, 0
-		b.tx = newTransmitter(k, &b.txCfg, b.export, &b.Drops)
+		b.xmit = newTransmitter(k, &b.txCfg, b.export, &b.Drops)
+		registerMedium(&b.wire, nil, nil, b.xmit)
 		return b
 	}
 	a, b := mk(ka), mk(kb)
 	a.peer, b.peer = b, a
-	registerBoundary(ka, a)
-	registerBoundary(kb, b)
 	return a, b
 }
 
@@ -115,11 +112,12 @@ func (b *Boundary) Attach(name string) *NIC {
 	return n
 }
 
-func (b *Boundary) send(from *NIC, f Frame) { b.tx.enqueue(from, f) }
+func (b *Boundary) tx(*NIC) *transmitter { return b.xmit }
 
 // export runs in the sending kernel when a frame finishes serializing:
 // the frame parks in the outbox until the epoch barrier.
 func (b *Boundary) export(_ *NIC, f Frame) {
+	b.xmit.inFlight++
 	b.outbox = append(b.outbox, outFrame{f: f, at: b.k.Now()})
 }
 
@@ -169,9 +167,10 @@ func (b *Boundary) Drain() {
 		f.Release()
 		c := p.getCrossing()
 		c.f = g
-		p.pending++
+		p.xmit.inFlight++
 		p.k.At(arrival, c.fire)
 	}
+	b.xmit.inFlight -= uint64(len(b.outbox))
 	b.outbox = b.outbox[:0]
 }
 
@@ -187,28 +186,4 @@ func (b *Boundary) getCrossing() *crossing {
 	c := &crossing{b: b}
 	c.fire = c.run
 	return c
-}
-
-// registerBoundary binds one half's counters under <name>/medium/...
-// in its own kernel's registry. Frames parked in the outbox or
-// scheduled in the receiving kernel count as in-flight so the global
-// conservation ledger (summed across all region registries) balances.
-func registerBoundary(k *sim.Kernel, b *Boundary) {
-	reg := metrics.For(k)
-	reg.Counter(b.name, "medium", "lost_down", &b.lostDown)
-	reg.Counter(b.name, "medium", "queue_drops", &b.Drops)
-	reg.Counter(b.name, "medium", "no_match", &b.noMatch)
-	reg.Gauge(b.name, "medium", "queued", func() uint64 {
-		var n uint64
-		if b.tx.qdisc != nil {
-			n += uint64(b.tx.qdisc.Len())
-		}
-		if b.tx.busy {
-			n++
-		}
-		return n
-	})
-	reg.Gauge(b.name, "medium", "in_flight", func() uint64 {
-		return b.tx.inFlight + uint64(len(b.outbox)) + b.pending
-	})
 }

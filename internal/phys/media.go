@@ -71,7 +71,7 @@ func (w *wire) lostToCut(f Frame) bool {
 type P2P struct {
 	wire
 	ends [2]*NIC
-	tx   [2]*transmitter
+	txs  [2]*transmitter
 }
 
 // NewP2P creates a point-to-point link with the given characteristics.
@@ -80,10 +80,10 @@ func NewP2P(k *sim.Kernel, name string, cfg Config) *P2P {
 		cfg.MTU = 1500
 	}
 	p := &P2P{wire: wire{k: k, name: name, cfg: cfg}}
-	for i := range p.tx {
-		p.tx[i] = newTransmitter(k, &p.cfg, p.propagate, &p.Drops)
+	for i := range p.txs {
+		p.txs[i] = newTransmitter(k, &p.cfg, p.propagate, &p.Drops)
 	}
-	registerMedium(k, name, &p.lostDown, &p.Drops, &p.noMatch, nil, nil, p.tx[0], p.tx[1])
+	registerMedium(&p.wire, nil, nil, p.txs[:]...)
 	return p
 }
 
@@ -112,12 +112,11 @@ func (p *P2P) Peer(n *NIC) *NIC {
 	return nil
 }
 
-func (p *P2P) send(from *NIC, f Frame) {
-	i := 0
-	if from == p.ends[1] {
-		i = 1
+func (p *P2P) tx(n *NIC) *transmitter {
+	if n == p.ends[1] {
+		return p.txs[1]
 	}
-	p.tx[i].enqueue(from, f)
+	return p.txs[0]
 }
 
 func (p *P2P) propagate(from *NIC, f Frame) {
@@ -153,7 +152,7 @@ func (p *P2P) propagate(from *NIC, f Frame) {
 type Bus struct {
 	wire     // its noMatch also counts a unicast frame whose only copy was lost
 	stations []*NIC
-	tx       *transmitter
+	xmit     *transmitter
 	next     Addr
 	// Broadcast fan-out accounting: one transmitted broadcast frame
 	// becomes one copy per matching station (bcastCopies counts both
@@ -170,8 +169,8 @@ func NewBus(k *sim.Kernel, name string, cfg Config) *Bus {
 		cfg.MTU = 1500
 	}
 	b := &Bus{wire: wire{k: k, name: name, cfg: cfg}, next: 1}
-	b.tx = newTransmitter(k, &b.cfg, b.propagate, &b.Drops)
-	registerMedium(k, name, &b.lostDown, &b.Drops, &b.noMatch, &b.bcastCopies, &b.bcastFanout, b.tx)
+	b.xmit = newTransmitter(k, &b.cfg, b.propagate, &b.Drops)
+	registerMedium(&b.wire, &b.bcastCopies, &b.bcastFanout, b.xmit)
 	return b
 }
 
@@ -184,7 +183,7 @@ func (b *Bus) Attach(name string) *NIC {
 	return n
 }
 
-func (b *Bus) send(from *NIC, f Frame) { b.tx.enqueue(from, f) }
+func (b *Bus) tx(*NIC) *transmitter { return b.xmit }
 
 func (b *Bus) propagate(from *NIC, f Frame) {
 	if !b.lostToCut(f) {
@@ -256,7 +255,7 @@ func NewRadio(k *sim.Kernel, name string, cfg Config) *Radio {
 		cfg.MTU = 576
 	}
 	r := &Radio{Bus: NewBus(k, name, cfg), stateGood: true}
-	r.Bus.tx.deliver = r.propagate
+	r.xmit.deliver = r.propagate
 	return r
 }
 

@@ -28,19 +28,17 @@ func registerNIC(k *sim.Kernel, n *NIC) {
 
 // registerMedium binds a medium's loss/drop counters and occupancy
 // gauges under <medium-name>/medium/... The bcast pair is nil for media
-// without fan-out (P2P).
-func registerMedium(k *sim.Kernel, name string, lostDown, drops, noMatch, bcastCopies, bcastFanout *uint64, txs ...*transmitter) {
-	reg := metrics.For(k)
-	reg.Counter(name, "medium", "lost_down", lostDown)
-	reg.Counter(name, "medium", "queue_drops", drops)
-	reg.Counter(name, "medium", "no_match", noMatch)
+// without fan-out (P2P, Boundary).
+func registerMedium(w *wire, bcastCopies, bcastFanout *uint64, txs ...*transmitter) {
+	reg := metrics.For(w.k)
+	reg.Counter(w.name, "medium", "lost_down", &w.lostDown)
+	reg.Counter(w.name, "medium", "queue_drops", &w.Drops)
+	reg.Counter(w.name, "medium", "no_match", &w.noMatch)
 	if bcastCopies != nil {
-		reg.Counter(name, "medium", "bcast_copies", bcastCopies)
+		reg.Counter(w.name, "medium", "bcast_copies", bcastCopies)
+		reg.Counter(w.name, "medium", "bcast_fanout", bcastFanout)
 	}
-	if bcastFanout != nil {
-		reg.Counter(name, "medium", "bcast_fanout", bcastFanout)
-	}
-	reg.Gauge(name, "medium", "queued", func() uint64 {
+	reg.Gauge(w.name, "medium", "queued", func() uint64 {
 		var n uint64
 		for _, t := range txs {
 			if t.qdisc != nil {
@@ -52,7 +50,7 @@ func registerMedium(k *sim.Kernel, name string, lostDown, drops, noMatch, bcastC
 		}
 		return n
 	})
-	reg.Gauge(name, "medium", "in_flight", func() uint64 {
+	reg.Gauge(w.name, "medium", "in_flight", func() uint64 {
 		var n uint64
 		for _, t := range txs {
 			n += t.inFlight

@@ -144,35 +144,23 @@ func (n *NIC) OnStateChange(fn func(up bool)) {
 // committed to the wire and is left to propagate. Returns the number of
 // frames dropped.
 func (n *NIC) FlushQueue() int {
-	t := n.transmitter()
-	if t == nil || t.qdisc == nil {
+	t := n.medium.tx(n)
+	if t.qdisc == nil {
 		return 0
 	}
-	kept := make([]queuedFrame, 0, t.qdisc.Len())
-	dropped := 0
-	for {
-		qf, ok := t.qdisc.Dequeue()
-		if !ok {
-			break
+	// Filtered in place: on a shared transmitter the other stations'
+	// frames keep their places, and no policy admits them a second time.
+	return t.qdisc.filter(func(qf queuedFrame) bool {
+		if qf.from != n {
+			return true
 		}
-		if qf.from == n {
-			n.stats.TxDrops++
-			if t.drops != nil {
-				// The medium-level drop counter keeps the conservation
-				// ledger balanced: these frames were counted TxFrames
-				// when queued and now die without being delivered.
-				*t.drops++
-			}
-			qf.f.Release()
-			dropped++
-			continue
-		}
-		kept = append(kept, qf)
-	}
-	for _, qf := range kept {
-		t.qdisc.Enqueue(qf)
-	}
-	return dropped
+		// The medium-level drop counter keeps the conservation ledger
+		// balanced: these frames were counted TxFrames when queued and
+		// now die without being delivered.
+		t.countDrop(n)
+		qf.f.Release()
+		return false
+	})
 }
 
 // SetReceiver registers the function invoked, on the simulation goroutine,
@@ -200,7 +188,7 @@ func (n *NIC) Send(dst Addr, payload []byte) {
 	}
 	n.stats.TxFrames++
 	n.stats.TxBytes += uint64(len(payload))
-	n.medium.send(n, f)
+	n.medium.tx(n).enqueue(n, f)
 }
 
 // deliver hands a frame up to the stack if the interface is up.
@@ -244,7 +232,10 @@ type Medium interface {
 	// because it was down, for blackout-loss accounting.
 	LostWhileDown() uint64
 
-	send(from *NIC, f Frame)
+	// tx returns the transmitter that serves n's outgoing frames: one
+	// per end of a point-to-point or cross-shard link, one shared by
+	// every station of a bus or radio.
+	tx(n *NIC) *transmitter
 }
 
 // Config holds the transmission characteristics shared by all media.
@@ -272,13 +263,6 @@ type Config struct {
 // DefaultQueueLimit is the output queue bound used when Config.QueueLimit
 // is zero.
 const DefaultQueueLimit = 32
-
-func (c *Config) queueLimit() int {
-	if c.QueueLimit <= 0 {
-		return DefaultQueueLimit
-	}
-	return c.QueueLimit
-}
 
 // serializeTime returns how long a frame of n payload bytes occupies the
 // transmitter.
@@ -357,13 +341,10 @@ type queuedFrame struct {
 func (t *transmitter) enqueue(from *NIC, f Frame) {
 	if t.busy {
 		if t.qdisc == nil {
-			t.qdisc = NewFIFO(t.cfg.queueLimit())
+			t.qdisc = NewPolicyQdisc(t.cfg.QueueLimit, PolicySpec{}, nil, nil)
 		}
 		if !t.qdisc.Enqueue(queuedFrame{from, f}) {
-			if t.drops != nil {
-				*t.drops++
-			}
-			from.stats.TxDrops++
+			t.countDrop(from)
 			if from.onTxDrop != nil {
 				from.onTxDrop(f.Payload)
 			}
@@ -372,6 +353,12 @@ func (t *transmitter) enqueue(from *NIC, f Frame) {
 		return
 	}
 	t.start(from, f)
+}
+
+// countDrop books one of from's frames dying at this transmitter's queue.
+func (t *transmitter) countDrop(from *NIC) {
+	*t.drops++
+	from.stats.TxDrops++
 }
 
 func (t *transmitter) start(from *NIC, f Frame) {
@@ -400,31 +387,11 @@ func (t *transmitter) onSerialized() {
 	}
 }
 
-// transmitter returns the transmitter that serves this interface's
-// outgoing frames.
-func (n *NIC) transmitter() *transmitter {
-	switch m := n.medium.(type) {
-	case *P2P:
-		if m.ends[0] == n {
-			return m.tx[0]
-		}
-		return m.tx[1]
-	case *Bus:
-		return m.tx
-	case *Radio:
-		return m.Bus.tx
-	case *Boundary:
-		return m.tx
-	}
-	return nil
-}
-
 // QueueLen returns the number of frames waiting at the transmitter serving
 // this interface, for tests and congestion diagnostics.
 func (n *NIC) QueueLen() int {
-	t := n.transmitter()
-	if t == nil || t.qdisc == nil {
-		return 0
+	if q := n.medium.tx(n).qdisc; q != nil {
+		return q.Len()
 	}
-	return t.qdisc.Len()
+	return 0
 }

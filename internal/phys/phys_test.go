@@ -299,25 +299,6 @@ func TestPriorityQdisc(t *testing.T) {
 	}
 }
 
-func TestFIFOQdiscOrder(t *testing.T) {
-	q := NewFIFO(3)
-	for i := 0; i < 5; i++ {
-		q.Enqueue(queuedFrame{f: Frame{Payload: []byte{byte(i)}}})
-	}
-	if q.Len() != 3 {
-		t.Fatalf("Len = %d, want 3 (bounded)", q.Len())
-	}
-	for i := 0; i < 3; i++ {
-		f, ok := q.Dequeue()
-		if !ok || f.f.Payload[0] != byte(i) {
-			t.Fatal("FIFO order violated")
-		}
-	}
-	if _, ok := q.Dequeue(); ok {
-		t.Fatal("empty dequeue succeeded")
-	}
-}
-
 func TestQueueLenAccessor(t *testing.T) {
 	k := sim.NewKernel(1)
 	link := NewP2P(k, "l0", Config{BitsPerSec: 1000, MTU: 1500})

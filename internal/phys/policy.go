@@ -153,19 +153,19 @@ type PolicyStats struct {
 }
 
 // PolicyQdisc is a bounded FIFO whose accept decision runs a gateway
-// policy over the instantaneous and EWMA queue depth. With the
-// drop-tail kind it behaves bit-for-bit like the plain FIFO and
-// consumes no randomness, so installing it everywhere leaves existing
-// experiments byte-identical.
+// policy over the instantaneous and EWMA queue depth. Its drop-tail kind
+// is the queue every transmitter starts with: the limit is its only
+// rule, it keeps no average and consumes no randomness, so installing
+// it anywhere leaves existing experiments byte-identical.
 type PolicyQdisc struct {
-	frames []queuedFrame
-	limit  int
-	spec   PolicySpec
-	avg    float64 // EWMA queue depth, updated per arrival
-	count  int     // frames accepted since the last drop/mark
-	rng    *rand.Rand
-	mark   func(payload []byte) bool // CE-mark in place; false if not ECT
-	stats  PolicyStats
+	ring
+	spec  PolicySpec
+	early bool    // red or ecn: the EWMA and the early decision run
+	avg   float64 // EWMA queue depth, updated per arrival
+	count int     // frames accepted since the last drop/mark
+	rng   *rand.Rand
+	mark  func(payload []byte) bool // CE-mark in place; false if not ECT
+	stats PolicyStats
 }
 
 // NewPolicyQdisc builds a policy queue. rng supplies the RED coin flips
@@ -174,67 +174,64 @@ type PolicyQdisc struct {
 // is not ECN-capable (the ecn kind then falls back to dropping); nil
 // disables marking, degrading ecn to red.
 func NewPolicyQdisc(limit int, spec PolicySpec, rng *rand.Rand, mark func(payload []byte) bool) *PolicyQdisc {
-	if limit <= 0 {
-		limit = DefaultQueueLimit
-	}
-	return &PolicyQdisc{limit: limit, spec: spec.withDefaults(limit), rng: rng, mark: mark}
+	q := &PolicyQdisc{ring: newRing(limit), rng: rng, mark: mark}
+	q.spec = spec.withDefaults(q.limit)
+	q.early = q.spec.Kind != PolicyDropTail
+	return q
 }
 
 // Spec returns the resolved policy parameters.
 func (q *PolicyQdisc) Spec() PolicySpec { return q.spec }
 
-// Avg returns the current EWMA queue depth.
+// Avg returns the current EWMA queue depth (drop-tail keeps none).
 func (q *PolicyQdisc) Avg() float64 { return q.avg }
 
 // Stats returns a copy of the policy counters.
 func (q *PolicyQdisc) Stats() PolicyStats { return q.stats }
 
 func (q *PolicyQdisc) Enqueue(f queuedFrame) bool {
-	qlen := len(q.frames)
-	// EWMA over instantaneous depth at each arrival. (Classic RED also
-	// decays avg across idle time; arrival-sampled EWMA keeps the hot
-	// path branch-free and is standard in simulators.)
-	q.avg += q.spec.Wq * (float64(qlen) - q.avg)
-	if qlen >= q.limit {
+	if q.early {
+		// EWMA over instantaneous depth at each arrival. (Classic RED also
+		// decays avg across idle time; the arrival-sampled EWMA is
+		// standard in simulators.)
+		q.avg += q.spec.Wq * (float64(q.n) - q.avg)
+	}
+	if q.n >= q.limit {
 		q.stats.TailDrops++
 		return false
 	}
-	if q.spec.Kind != PolicyDropTail && q.avg >= float64(q.spec.MinTh) {
-		p := q.spec.DropProb(q.avg, q.count)
-		if p >= 1 || (q.rng != nil && q.rng.Float64() < p) {
-			q.count = 0
-			if q.spec.Kind == PolicyECN && q.mark != nil {
-				if q.mark(f.f.Payload) {
-					q.stats.Marks++
-					q.stats.Enqueues++
-					q.frames = append(q.frames, f)
-					return true
-				}
-				q.stats.MarkFails++
-			}
-			q.stats.EarlyDrops++
-			return false
-		}
-		q.count++
-	} else {
-		q.count = 0
+	if q.early && !q.admitEarly(f) {
+		return false
 	}
 	q.stats.Enqueues++
-	q.frames = append(q.frames, f)
-	return true
+	return q.push(f)
 }
 
-func (q *PolicyQdisc) Dequeue() (queuedFrame, bool) {
-	if len(q.frames) == 0 {
-		return queuedFrame{}, false
+// admitEarly is RED's decision on a frame the limit would let in: drop
+// (or, for ecn, mark) with the probability the average depth calls for.
+func (q *PolicyQdisc) admitEarly(f queuedFrame) bool {
+	if q.avg < float64(q.spec.MinTh) {
+		q.count = 0
+		return true
 	}
-	f := q.frames[0]
-	copy(q.frames, q.frames[1:])
-	q.frames = q.frames[:len(q.frames)-1]
-	return f, true
+	p := q.spec.DropProb(q.avg, q.count)
+	if p < 1 && (q.rng == nil || q.rng.Float64() >= p) {
+		q.count++
+		return true
+	}
+	q.count = 0
+	if q.spec.Kind == PolicyECN && q.mark != nil {
+		if q.mark(f.f.Payload) {
+			q.stats.Marks++
+			return true
+		}
+		q.stats.MarkFails++
+	}
+	q.stats.EarlyDrops++
+	return false
 }
 
-func (q *PolicyQdisc) Len() int { return len(q.frames) }
+func (q *PolicyQdisc) Dequeue() (queuedFrame, bool) { return q.pop() }
 
 // RegisterMetrics binds the policy counters into reg under
 // <node>/aqm/<name>. Registering several interfaces of one node is

@@ -3,6 +3,7 @@ package phys
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -135,13 +136,45 @@ func TestParsePolicySpecRoundTrip(t *testing.T) {
 	}
 }
 
+// sliceFIFO is the reference the queues are held to: the bounded
+// drop-tail FIFO written the obvious way, on a slice.
+type sliceFIFO struct {
+	frames []queuedFrame
+	limit  int
+}
+
+func (q *sliceFIFO) Enqueue(f queuedFrame) bool {
+	if len(q.frames) >= q.limit {
+		return false
+	}
+	q.frames = append(q.frames, f)
+	return true
+}
+
+func (q *sliceFIFO) Dequeue() (queuedFrame, bool) {
+	if len(q.frames) == 0 {
+		return queuedFrame{}, false
+	}
+	f := q.frames[0]
+	q.frames = q.frames[1:]
+	return f, true
+}
+
+func (q *sliceFIFO) Len() int { return len(q.frames) }
+
+func (q *sliceFIFO) filter(keep func(queuedFrame) bool) int {
+	before := len(q.frames)
+	q.frames = slices.DeleteFunc(q.frames, func(f queuedFrame) bool { return !keep(f) })
+	return before - len(q.frames)
+}
+
 // TestPolicyDropTailMatchesFIFO drives an identical enqueue/dequeue
-// trace through the plain FIFO and the drop-tail policy queue. The
+// trace through the reference FIFO and the drop-tail policy queue. The
 // decisions must match frame for frame, with no randomness drawn and no
-// mark attempted — that equivalence is what lets every gateway install
-// PolicyQdisc unconditionally without perturbing recorded experiments.
+// mark attempted — that equivalence is what lets every transmitter start
+// on PolicyQdisc without perturbing recorded experiments.
 func TestPolicyDropTailMatchesFIFO(t *testing.T) {
-	fifo := NewFIFO(4)
+	fifo := &sliceFIFO{limit: 4}
 	// nil rng and a panicking marker: drop-tail must touch neither.
 	pol := NewPolicyQdisc(4, PolicySpec{Kind: PolicyDropTail}, nil,
 		func([]byte) bool { panic("drop-tail must not mark") })

@@ -7,10 +7,10 @@ import (
 )
 
 // Qdisc is a queueing discipline for frames waiting at a transmitter. The
-// default is a bounded FIFO; gateways that honour the IP type-of-service
-// field install a priority queue whose classifier peeks at the datagram's
-// precedence bits (the classifier is injected so this package stays
-// ignorant of IP).
+// default is the drop-tail PolicyQdisc; gateways that honour the IP
+// type-of-service field install a priority queue whose classifier peeks
+// at the datagram's precedence bits (the classifier is injected so this
+// package stays ignorant of IP).
 type Qdisc interface {
 	// Enqueue accepts a frame, reporting false if it was dropped.
 	Enqueue(q queuedFrame) bool
@@ -18,41 +18,88 @@ type Qdisc interface {
 	Dequeue() (queuedFrame, bool)
 	// Len returns the number of queued frames.
 	Len() int
+	// filter removes in place the queued frames keep refuses, order and
+	// counters otherwise untouched, and returns how many it removed.
+	filter(keep func(queuedFrame) bool) int
 }
 
-// fifoQdisc is a bounded drop-tail FIFO.
-type fifoQdisc struct {
-	frames []queuedFrame
-	limit  int
+// ring is the one bounded FIFO under every discipline: a circular
+// buffer grown by doubling up to limit, so push and pop are O(1) however
+// deep the queue. A discipline is the admission rule in front of it.
+type ring struct {
+	buf   []queuedFrame
+	head  int // index of the oldest frame
+	n     int
+	limit int
 }
 
-// NewFIFO returns a bounded drop-tail FIFO discipline.
-func NewFIFO(limit int) Qdisc {
+// newRing returns an empty ring holding at most limit frames; a limit
+// of zero or less means DefaultQueueLimit.
+func newRing(limit int) ring {
 	if limit <= 0 {
 		limit = DefaultQueueLimit
 	}
-	return &fifoQdisc{limit: limit}
+	return ring{limit: limit}
 }
 
-func (q *fifoQdisc) Enqueue(f queuedFrame) bool {
-	if len(q.frames) >= q.limit {
+// Len returns the number of queued frames.
+func (r *ring) Len() int { return r.n }
+
+// slot returns the buffer index of the i'th oldest frame.
+func (r *ring) slot(i int) int {
+	if i += r.head; i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return i
+}
+
+// push appends f, reporting false if the ring is at its limit.
+func (r *ring) push(f queuedFrame) bool {
+	if r.n >= r.limit {
 		return false
 	}
-	q.frames = append(q.frames, f)
+	if r.n == len(r.buf) {
+		grown := make([]queuedFrame, min(max(2*len(r.buf), 8), r.limit))
+		for i := range r.n {
+			grown[i] = r.buf[r.slot(i)]
+		}
+		r.buf, r.head = grown, 0
+	}
+	r.buf[r.slot(r.n)] = f
+	r.n++
 	return true
 }
 
-func (q *fifoQdisc) Dequeue() (queuedFrame, bool) {
-	if len(q.frames) == 0 {
+// pop removes and returns the oldest frame. The slot is zeroed: a
+// popped payload must not stay reachable from the queue.
+func (r *ring) pop() (queuedFrame, bool) {
+	if r.n == 0 {
 		return queuedFrame{}, false
 	}
-	f := q.frames[0]
-	copy(q.frames, q.frames[1:])
-	q.frames = q.frames[:len(q.frames)-1]
+	f := r.buf[r.head]
+	r.buf[r.head] = queuedFrame{}
+	r.head = r.slot(1)
+	r.n--
 	return f, true
 }
 
-func (q *fifoQdisc) Len() int { return len(q.frames) }
+// filter removes in place every frame keep refuses, preserving the
+// order of the rest, and returns how many it removed.
+func (r *ring) filter(keep func(queuedFrame) bool) int {
+	kept := 0
+	for i := range r.n {
+		if f := r.buf[r.slot(i)]; keep(f) {
+			r.buf[r.slot(kept)] = f
+			kept++
+		}
+	}
+	for i := kept; i < r.n; i++ {
+		r.buf[r.slot(i)] = queuedFrame{}
+	}
+	removed := r.n - kept
+	r.n = kept
+	return removed
+}
 
 // BandStats counts one priority band's traffic.
 type BandStats struct {
@@ -66,8 +113,7 @@ type BandStats struct {
 // tail-drop invisibly, which hides exactly the type-of-service behavior
 // E2 measures.
 type PrioQdisc struct {
-	bands    [][]queuedFrame
-	perBand  int
+	bands    []ring
 	classify func(payload []byte) int
 	stats    []BandStats
 }
@@ -79,43 +125,33 @@ func NewPriority(bands, perBand int, classify func(payload []byte) int) *PrioQdi
 	if bands <= 0 {
 		bands = 8
 	}
-	if perBand <= 0 {
-		perBand = DefaultQueueLimit
-	}
-	return &PrioQdisc{
-		bands:    make([][]queuedFrame, bands),
-		perBand:  perBand,
+	q := &PrioQdisc{
+		bands:    make([]ring, bands),
 		classify: classify,
 		stats:    make([]BandStats, bands),
 	}
+	for i := range q.bands {
+		q.bands[i] = newRing(perBand)
+	}
+	return q
 }
 
 // BandStats returns a copy of one band's counters.
 func (q *PrioQdisc) BandStats(band int) BandStats { return q.stats[band] }
 
 func (q *PrioQdisc) Enqueue(f queuedFrame) bool {
-	b := q.classify(f.f.Payload)
-	if b < 0 {
-		b = 0
-	}
-	if b >= len(q.bands) {
-		b = len(q.bands) - 1
-	}
-	if len(q.bands[b]) >= q.perBand {
+	b := min(max(q.classify(f.f.Payload), 0), len(q.bands)-1)
+	if !q.bands[b].push(f) {
 		q.stats[b].Drops++
 		return false
 	}
 	q.stats[b].Enqueues++
-	q.bands[b] = append(q.bands[b], f)
 	return true
 }
 
 func (q *PrioQdisc) Dequeue() (queuedFrame, bool) {
 	for b := len(q.bands) - 1; b >= 0; b-- {
-		if len(q.bands[b]) > 0 {
-			f := q.bands[b][0]
-			copy(q.bands[b], q.bands[b][1:])
-			q.bands[b] = q.bands[b][:len(q.bands[b])-1]
+		if f, ok := q.bands[b].pop(); ok {
 			return f, true
 		}
 	}
@@ -124,8 +160,16 @@ func (q *PrioQdisc) Dequeue() (queuedFrame, bool) {
 
 func (q *PrioQdisc) Len() int {
 	n := 0
-	for _, b := range q.bands {
-		n += len(b)
+	for i := range q.bands {
+		n += q.bands[i].Len()
+	}
+	return n
+}
+
+func (q *PrioQdisc) filter(keep func(queuedFrame) bool) int {
+	n := 0
+	for i := range q.bands {
+		n += q.bands[i].filter(keep)
 	}
 	return n
 }
@@ -140,20 +184,7 @@ func (q *PrioQdisc) RegisterMetrics(reg *metrics.Registry, node string) {
 }
 
 // SetQdisc replaces the queueing discipline of the transmitter that serves
-// this interface. On a point-to-point link each end has its own
-// transmitter; on a bus or radio the single shared transmitter is
+// this interface. On a point-to-point or cross-shard link each end has its
+// own transmitter; on a bus or radio the single shared transmitter is
 // replaced (all stations share the discipline, as they share the medium).
-func (n *NIC) SetQdisc(q Qdisc) {
-	switch m := n.medium.(type) {
-	case *P2P:
-		if m.ends[0] == n {
-			m.tx[0].qdisc = q
-		} else if m.ends[1] == n {
-			m.tx[1].qdisc = q
-		}
-	case *Bus:
-		m.tx.qdisc = q
-	case *Radio:
-		m.Bus.tx.qdisc = q
-	}
-}
+func (n *NIC) SetQdisc(q Qdisc) { n.medium.tx(n).qdisc = q }

@@ -69,10 +69,6 @@ type Node struct {
 
 	// Forwarding makes the node relay transit datagrams (a gateway).
 	Forwarding bool
-	// PriorityQueueing classifies output by ToS precedence when the
-	// topology builder installs a priority qdisc; recorded here for
-	// introspection.
-	PriorityQueueing bool
 
 	ifaces   []*Interface
 	Table    RouteTable

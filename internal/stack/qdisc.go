@@ -1,11 +1,11 @@
 package stack
 
-// Gateway queue-policy installation. phys.PolicyQdisc is IP-ignorant —
-// its congestion-marking hook is an injected callback — so this is
-// where the layers meet: the stack supplies ipv4.SetCE (in-place CE
-// mark with incremental checksum patch) and the kernel's RNG, and
-// registers the policy counters under <node>/aqm/ in the kernel's
-// metrics registry.
+// Gateway queue installation. The phys disciplines are IP-ignorant —
+// the policy queue's congestion mark and the priority queue's classifier
+// are injected callbacks — so this is where the layers meet: the stack
+// supplies ipv4.SetCE (in-place CE mark with incremental checksum
+// patch), the precedence classifier and the kernel's RNG, and registers
+// the queues' counters in the kernel's metrics registry.
 
 import (
 	"darpanet/internal/ipv4"
@@ -20,16 +20,43 @@ import (
 // whose transport negotiated ECN are marked; the rest fall back to
 // early drop.
 func (n *Node) InstallQueuePolicy(limit int, spec phys.PolicySpec) []*phys.PolicyQdisc {
-	reg := metrics.For(n.kernel)
 	qs := make([]*phys.PolicyQdisc, 0, len(n.ifaces))
-	for _, ifc := range n.ifaces {
-		q := phys.NewPolicyQdisc(limit, spec, n.kernel.Rand(), markCE)
+	n.installQdiscs(func(nic *phys.NIC, reg *metrics.Registry) phys.Qdisc {
+		q := phys.NewPolicyQdisc(limit, spec, n.kernel.Rand(), ipv4.SetCE)
 		q.RegisterMetrics(reg, n.name)
-		ifc.NIC.SetQdisc(q)
 		qs = append(qs, q)
-	}
+		return q
+	})
 	return qs
 }
 
-// markCE adapts ipv4.SetCE to the phys marker signature.
-func markCE(payload []byte) bool { return ipv4.SetCE(payload) }
+// InstallPriorityQueueing replaces the queueing discipline on every one
+// of the node's interfaces with a ToS-precedence strict-priority queue:
+// higher IP precedence is served first; within a band the discipline is
+// FIFO with perBand capacity. Each interface's band counters register
+// under <interface>/qdisc/.
+func (n *Node) InstallPriorityQueueing(perBand int) {
+	n.installQdiscs(func(nic *phys.NIC, reg *metrics.Registry) phys.Qdisc {
+		q := phys.NewPriority(8, perBand, classifyPrecedence)
+		q.RegisterMetrics(reg, nic.Name())
+		return q
+	})
+}
+
+// installQdiscs gives each interface's transmitter the discipline mk
+// makes for it.
+func (n *Node) installQdiscs(mk func(nic *phys.NIC, reg *metrics.Registry) phys.Qdisc) {
+	reg := metrics.For(n.kernel)
+	for _, ifc := range n.ifaces {
+		ifc.NIC.SetQdisc(mk(ifc.NIC, reg))
+	}
+}
+
+// classifyPrecedence maps a frame payload (an IP datagram) to its
+// precedence band.
+func classifyPrecedence(payload []byte) int {
+	if len(payload) < 2 || payload[0]>>4 != 4 {
+		return 0
+	}
+	return ipv4.Precedence(payload[1])
+}

@@ -363,3 +363,16 @@ func TestRouteStringAndTableString(t *testing.T) {
 		t.Fatal("Routes() wrong length")
 	}
 }
+
+func TestClassifyPrecedence(t *testing.T) {
+	dg := []byte{0x45, ipv4.PrecNetControl}
+	if classifyPrecedence(dg) != 7 {
+		t.Fatal("net control should classify to band 7")
+	}
+	if classifyPrecedence([]byte{0x60, 0x00}) != 0 {
+		t.Fatal("non-IPv4 should classify to band 0")
+	}
+	if classifyPrecedence(nil) != 0 {
+		t.Fatal("empty should classify to band 0")
+	}
+}

@@ -100,6 +100,9 @@ run_leg() {
         # gateway, and the OnData slice that is poisoned once its callback
         # returns.
         go test -tags pooldebug -count=1 -run 'TestBulkAcrossFragmentingLossyPathStrandsNothing|TestOnDataSliceValidOnlyDuringCallback' ./internal/tcp/
+        # And a crash on a shared LAN: the flush takes the dead station's
+        # frames and leaves the others' queued, none stranded on the way.
+        go test -tags pooldebug -count=1 -run 'TestCrashFlushLeavesSharedQueueToTheSurvivors' ./internal/exp/
         ;;
     smoke-E11)
         # The fault-injection recovery experiment end to end through the
@@ -190,8 +193,8 @@ run_leg() {
         ;;
     benchguard)
         # The allocation-regression gate over the datagram hot path, the
-        # fragmenting path, the established TCP byte path and the
-        # large-table route lookup.
+        # deep output queue, the fragmenting path, the established TCP
+        # byte path and the large-table route lookup.
         scripts/benchguard.sh
         ;;
     bench-api)

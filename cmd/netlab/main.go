@@ -298,7 +298,7 @@ func (l *lab) cmdNet(args []string) {
 func (l *lab) startTransfer(from, to string, nbytes int, port uint16) {
 	tr := exp.StartBulkTCP(l.nw, from, to, port, nbytes, tcp.Options{SendBufferSize: 65535})
 	if tr.Err != nil {
-		l.fail("dial: %v", tr.Err)
+		l.fail("transfer: %v", tr.Err)
 	}
 	name := fmt.Sprintf("%s->%s:%d", from, to, port)
 	l.transfers = append(l.transfers, namedTransfer{name, tr})

@@ -53,6 +53,7 @@ func TestRunStopsAtTheBadLine(t *testing.T) {
 		"net a 10.1.0.0/24 lan\nhost h a\nping h h x":   `line 3: bad count "x": not an integer`,
 		readme + "transfer a b lots 81":                 `line 13: bad bytes "lots": not an integer`,
 		readme + "transfer a b 1000 99999":              `line 13: bad port "99999": not in 1..65535`,
+		readme + "transfer a b 1000 80":                 `line 13: transfer: listen on b port 80: tcp: port in use`,
 		"host h nowhere":                                `line 1: core: unknown net "nowhere"`,
 		"net a 10.1.0.0/24 lan delay=1ms\nfrobnicate a": `line 2: unknown command "frobnicate"`,
 	} {

@@ -38,11 +38,8 @@ func (nw *Network) ReachablePrefixes(name string) []ipv4.Prefix {
 			continue
 		}
 		for _, ifc := range cur.Interfaces() {
-			if !ifc.NIC.Up() {
-				continue
-			}
 			ni := nw.netFor(ifc.Prefix)
-			if ni == nil || ni.medium.Down() {
+			if ni == nil || !carries(ifc) {
 				continue
 			}
 			prefixes[ifc.Prefix] = true
@@ -96,56 +93,76 @@ func (v RouteVerdict) String() string {
 const DefaultHopLimit = 64
 
 // CheckRoute follows routing tables hop by hop from the named node
+// toward network p and says how the walk ended: RouteHops' verdict.
+func (nw *Network) CheckRoute(name string, p ipv4.Prefix, maxHops int) RouteVerdict {
+	_, v := nw.RouteHops(name, p, maxHops)
+	return v
+}
+
+// RouteHops follows routing tables hop by hop from the named node
 // toward network p — exactly as the forwarding plane would, requiring an
 // up egress interface, a carrying medium, and a live next hop at every
-// step — and says how the walk ended. maxHops bounds the walk (<= 0
-// means DefaultHopLimit); callers who know the topology diameter should
-// pass a bound just above it, so RouteLooped really means a loop rather
-// than a legitimate long path.
-func (nw *Network) CheckRoute(name string, p ipv4.Prefix, maxHops int) RouteVerdict {
+// step — and returns the number of hops taken (from a host, the gateways
+// that relayed the datagram) and how the walk ended: at delivery, at the
+// hole, or the whole budget. The origin may be a host; any other
+// non-forwarding node ends the walk. A next hop across a cross trunk is
+// followed into the peer region's network, so the walk audits a sharded
+// internet from any of its regions. maxHops bounds the walk (<= 0 means
+// DefaultHopLimit); callers who know the topology diameter should pass a
+// bound just above it, so RouteLooped really means a loop rather than a
+// legitimate long path.
+func (nw *Network) RouteHops(name string, p ipv4.Prefix, maxHops int) (int, RouteVerdict) {
 	if maxHops <= 0 {
 		maxHops = DefaultHopLimit
 	}
-	cur := nw.mustNode(name)
+	origin := nw.mustNode(name)
+	cur, at := origin, nw // the node the datagram is at, and its network
 	dst := p.Host(1)
 	for hops := 0; hops < maxHops; hops++ {
-		if ifc, ok := directPrefix(cur, p); ok && ifc.NIC.Up() {
-			if ni := nw.netFor(p); ni != nil && !ni.medium.Down() {
-				return RouteDelivered
-			}
+		if ifc, ok := directPrefix(cur, p); ok && carries(ifc) {
+			return hops, RouteDelivered
 		}
-		if cur.Name() != name && !cur.Forwarding {
-			return RouteDead
+		if cur != origin && !cur.Forwarding {
+			return hops, RouteDead
 		}
 		rt, ok := cur.Table.Lookup(dst)
 		if !ok || rt.Via.IsZero() {
-			return RouteDead
+			return hops, RouteDead
 		}
 		out := cur.Interface(rt.IfIndex)
-		if out == nil || !out.NIC.Up() {
-			return RouteDead
+		if out == nil || !carries(out) {
+			return hops, RouteDead
 		}
-		ni := nw.netFor(out.Prefix)
-		if ni == nil || ni.medium.Down() {
-			return RouteDead
+		ni := at.netFor(out.Prefix)
+		if ni == nil {
+			return hops, RouteDead
 		}
-		next := nw.stationAt(ni, rt.Via)
+		next := ni.stationAt(rt.Via)
+		if next == nil && ni.peer != nil {
+			ni = ni.peer
+			next = ni.stationAt(rt.Via)
+		}
 		if next == nil || next == cur {
-			return RouteDead
+			return hops, RouteDead
 		}
-		cur = next
+		cur, at = next, ni.nw
 	}
-	return RouteLooped
+	return maxHops, RouteLooped
+}
+
+// carries reports whether the interface is up on a medium that is not
+// cut. On a cross trunk the medium is this region's half, and a frame is
+// lost while either half is down: RouteHops asks the egress interface
+// and, through stationAt, the next hop's.
+func carries(ifc *stack.Interface) bool {
+	return ifc.NIC.Up() && !ifc.NIC.Medium().Down()
 }
 
 // stationAt finds the node holding addr on the net, or nil when no such
-// station exists or its interface there is down.
-func (nw *Network) stationAt(ni *netInfo, addr ipv4.Addr) *stack.Node {
+// station exists or its interface there does not carry.
+func (ni *netInfo) stationAt(addr ipv4.Addr) *stack.Node {
 	for _, st := range ni.stations {
-		if st.ifc.Addr == addr {
-			if !st.ifc.NIC.Up() {
-				return nil
-			}
+		if st.ifc.Addr == addr && carries(st.ifc) {
 			return st.node
 		}
 	}
@@ -241,11 +258,8 @@ func (nw *Network) PartitionCensus() *Census {
 				continue
 			}
 			for _, ifc := range cur.Interfaces() {
-				if !ifc.NIC.Up() {
-					continue
-				}
 				ni := nw.netFor(ifc.Prefix)
-				if ni == nil || ni.medium.Down() {
+				if ni == nil || !carries(ifc) {
 					continue
 				}
 				prefixSet[ifc.Prefix] = true
@@ -279,10 +293,7 @@ func (nw *Network) PartitionCensus() *Census {
 // NIC down) and a node with every attached medium cut both fail it.
 func (nw *Network) operating(n *stack.Node) bool {
 	for _, ifc := range n.Interfaces() {
-		if !ifc.NIC.Up() {
-			continue
-		}
-		if ni := nw.netFor(ifc.Prefix); ni != nil && !ni.medium.Down() {
+		if nw.netFor(ifc.Prefix) != nil && carries(ifc) {
 			return true
 		}
 	}

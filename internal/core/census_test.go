@@ -124,8 +124,8 @@ func TestCheckRouteVerdicts(t *testing.T) {
 	nw.InstallStaticRoutes()
 	far := nw.Prefix("n4")
 
-	if v := nw.CheckRoute("g0", far, 0); v != core.RouteDelivered {
-		t.Fatalf("g0 -> n4 full budget: %v, want delivered", v)
+	if hops, v := nw.RouteHops("g0", far, 0); v != core.RouteDelivered || hops != 3 {
+		t.Fatalf("g0 -> n4 full budget: %v after %d hops, want delivered after 3", v, hops)
 	}
 	// The walk needs 4 iterations (3 relays + the delivering gateway);
 	// a 2-hop budget exhausts mid-path — reported as a loop, which is

@@ -31,13 +31,12 @@ const (
 	LAN   NetKind = iota // shared bus, Ethernet-like
 	P2P                  // point-to-point trunk, ARPANET-like
 	Radio                // lossy broadcast net, packet-radio-like
-	Cross                // cross-shard boundary trunk; built by AddCrossTrunk, not AddNet
 )
 
 // netInfo tracks one network and the stations on it.
 type netInfo struct {
+	nw       *Network // the network (a region, on a sharded build) this record belongs to
 	name     string
-	kind     NetKind
 	medium   phys.Medium
 	prefix   ipv4.Prefix
 	stations []station
@@ -120,12 +119,10 @@ func (nw *Network) AddNet(name, prefix string, kind NetKind, cfg phys.Config) {
 		m = phys.NewP2P(nw.kernel, name, cfg)
 	case Radio:
 		m = phys.NewRadio(nw.kernel, name, cfg)
-	case Cross:
-		panic("core: cross-shard nets are built with AddCrossTrunk, not AddNet")
 	default:
 		panic("core: unknown net kind")
 	}
-	nw.register(name, ipv4.MustParsePrefix(prefix), kind, m)
+	nw.register(name, ipv4.MustParsePrefix(prefix), m)
 }
 
 // AddCrossTrunk creates the point-to-point trunk name (prefix prefix)
@@ -145,21 +142,21 @@ func AddCrossTrunk(na, nb *Network, name, prefix string, cfg phys.Config) (*phys
 	}
 	p := ipv4.MustParsePrefix(prefix)
 	ba, bb := phys.NewBoundaryPair(na.kernel, nb.kernel, name, cfg)
-	ia, ib := na.register(name, p, Cross, ba), nb.register(name, p, Cross, bb)
+	ia, ib := na.register(name, p, ba), nb.register(name, p, bb)
 	ia.peer, ib.peer = ib, ia
 	return ba, bb
 }
 
 // register records a net under its name and prefix, both of which must
 // be new to this network.
-func (nw *Network) register(name string, p ipv4.Prefix, kind NetKind, m phys.Medium) *netInfo {
+func (nw *Network) register(name string, p ipv4.Prefix, m phys.Medium) *netInfo {
 	if _, dup := nw.nets[name]; dup {
 		panic(fmt.Sprintf("core: duplicate net %q", name))
 	}
 	if _, dup := nw.byPrefix[p]; dup {
 		panic(fmt.Sprintf("core: duplicate prefix %s", p))
 	}
-	ni := &netInfo{name: name, kind: kind, medium: m, prefix: p}
+	ni := &netInfo{nw: nw, name: name, medium: m, prefix: p}
 	nw.nets[name] = ni
 	nw.byPrefix[p] = ni
 	nw.netOrder = append(nw.netOrder, name)

@@ -98,7 +98,7 @@ func RunE2(seed int64) Result {
 			udpLossPct: 100 * float64(qd.sent-qd.got) / float64(max(qd.sent, 1)),
 			xnetOps:    xnetOK,
 			xnetResent: xc.Resent,
-			voiceMiss:  100 * float64(vs.Late+vs.Lost) / float64(max64(snd.Sent, 1)),
+			voiceMiss:  100 * float64(vs.Late+vs.Lost) / float64(max(snd.Sent, 1)),
 			voiceDelay: float64(vs.MeanDelay()) / 1e6,
 		}
 	}
@@ -154,11 +154,4 @@ func (tr *Transfer) ElapsedToDoneOr(fallback time.Duration) time.Duration {
 		return tr.ElapsedToDone()
 	}
 	return fallback
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

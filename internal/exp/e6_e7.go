@@ -157,7 +157,7 @@ func RunE7(seed int64) Result {
 			label = fmt.Sprintf("per-flow, table capped at %d", limit)
 		}
 		table.AddRow(label, fmt.Sprint(flows), fmt.Sprint(total), stats.Pct(total-unattr, total))
-		res.AddMetric(fmt.Sprintf("attributed_limit%d", limit), "%", 100*float64(total-unattr)/float64(max64(total, 1)))
+		res.AddMetric(fmt.Sprintf("attributed_limit%d", limit), "%", 100*float64(total-unattr)/float64(max(total, 1)))
 		res.AddMetric(fmt.Sprintf("flows_limit%d", limit), "", float64(flows))
 		res.AddCounters(fmt.Sprintf("limit%d", limit), nw.Kernel())
 	}

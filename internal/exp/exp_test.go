@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -51,6 +52,26 @@ func TestStartBulkTCPCompletes(t *testing.T) {
 	}
 	if tr.Err != nil {
 		t.Fatalf("err = %v", tr.Err)
+	}
+}
+
+// TestStartBulkTCPRefusesATakenPort: a second transfer to a port already
+// listening used to dial anyway and land in the first transfer's count
+// (200% of its target) while its own stayed at zero.
+func TestStartBulkTCPRefusesATakenPort(t *testing.T) {
+	nw := core.New(3)
+	nw.AddNet("n", "10.0.0.0/24", core.LAN, phys.Config{BitsPerSec: 10_000_000, Delay: time.Millisecond, MTU: 1500})
+	nw.AddHost("a", "n")
+	nw.AddHost("b", "n")
+	first := StartBulkTCP(nw, "a", "b", 80, 100_000, tcp.Options{})
+	second := StartBulkTCP(nw, "a", "b", 80, 100_000, tcp.Options{})
+	if !errors.Is(second.Err, tcp.ErrPortInUse) || second.Conn != nil {
+		t.Fatalf("second transfer: err = %v, dialed = %v; want tcp.ErrPortInUse and no dial", second.Err, second.Conn != nil)
+	}
+	nw.RunFor(30 * time.Second)
+	if first.Err != nil || first.Received != 100_000 || second.Received != 0 {
+		t.Fatalf("first: err=%v received=%d, second received=%d; want the first transfer's own 100000 bytes only",
+			first.Err, first.Received, second.Received)
 	}
 }
 

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+
 	"darpanet/internal/core"
 	"darpanet/internal/ipv4"
 	"darpanet/internal/sim"
@@ -45,7 +47,8 @@ type Transfer struct {
 
 // StartBulkTCP opens a TCP connection from -> to on port and streams
 // nbytes of patterned data; the server side counts arrivals. The caller
-// drives the internet and inspects the returned Transfer. The two ends
+// drives the internet and inspects the returned Transfer; a refused
+// listen or dial is its Err, and nothing is sent. The two ends
 // may live on different kernels of a sharded build: those advance in
 // lock-step, so server-side timestamps stay on one timeline with the
 // client's.
@@ -53,7 +56,7 @@ func StartBulkTCP(in Internet, from, to string, port uint16, nbytes int, opts tc
 	cnw, snw := in.Net(from), in.Net(to)
 	tr := &Transfer{Target: nbytes, started: cnw.Now(), LastByteAt: cnw.Now()}
 	k := snw.Kernel()
-	snw.TCP(to).Listen(port, opts, func(c *tcp.Conn) {
+	_, err := snw.TCP(to).Listen(port, opts, func(c *tcp.Conn) {
 		tr.Server = c
 		c.OnData(func(b []byte) {
 			if gap := k.Now().Sub(tr.LastByteAt); gap > tr.MaxStall {
@@ -67,6 +70,12 @@ func StartBulkTCP(in Internet, from, to string, port uint16, nbytes int, opts tc
 			}
 		})
 	})
+	if err != nil {
+		// A port already listening would accept this dial into the other
+		// transfer's count.
+		tr.Err = fmt.Errorf("listen on %s port %d: %w", to, port, err)
+		return tr
+	}
 	conn, err := cnw.TCP(from).Dial(tcp.Endpoint{Addr: in.Addr(to), Port: port}, opts)
 	if err != nil {
 		tr.Err = err
@@ -157,7 +166,7 @@ func runUDPQueries(in Internet, from, to string, port uint16, count int, interva
 	k := cnw.Kernel()
 	qd := &queryDriver{}
 	sends := make(map[uint16]sim.Time)
-	sock, _ := cnw.UDP(from).Listen(0, func(_ udp.Endpoint, data []byte, _ ipv4.Header) {
+	sock, err := cnw.UDP(from).Listen(0, func(_ udp.Endpoint, data []byte, _ ipv4.Header) {
 		if len(data) < 2 {
 			return
 		}
@@ -168,6 +177,9 @@ func runUDPQueries(in Internet, from, to string, port uint16, count int, interva
 			qd.rtts = append(qd.rtts, k.Now().Sub(at))
 		}
 	})
+	if err != nil {
+		panic(err)
+	}
 	sock.TOS = tos
 	dst := udp.Endpoint{Addr: in.Addr(to), Port: port}
 	for i := 0; i < count; i++ {

@@ -80,31 +80,3 @@ func Parse(data []byte) (Message, error) {
 		Body: data[HeaderLen:],
 	}, nil
 }
-
-// ErrorBody builds the body of an ICMP error message from the raw
-// offending datagram: its IP header plus up to eight payload bytes.
-func ErrorBody(rawDatagram []byte, ipHeaderLen int) []byte {
-	n := ipHeaderLen + 8
-	if n > len(rawDatagram) {
-		n = len(rawDatagram)
-	}
-	return packet.Clone(rawDatagram[:n])
-}
-
-// TypeString names a message type for traces.
-func TypeString(t uint8) string {
-	switch t {
-	case TypeEchoReply:
-		return "echo-reply"
-	case TypeDestUnreachable:
-		return "dest-unreachable"
-	case TypeEchoRequest:
-		return "echo-request"
-	case TypeTimeExceeded:
-		return "time-exceeded"
-	case TypeSourceQuench:
-		return "source-quench"
-	default:
-		return "icmp-unknown"
-	}
-}

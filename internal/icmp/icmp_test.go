@@ -28,42 +28,6 @@ func TestParseRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestErrorBodyTruncates(t *testing.T) {
-	datagram := make([]byte, 100)
-	for i := range datagram {
-		datagram[i] = byte(i)
-	}
-	body := ErrorBody(datagram, 20)
-	if len(body) != 28 {
-		t.Fatalf("body = %d bytes, want 28 (header+8)", len(body))
-	}
-	short := ErrorBody(datagram[:10], 20)
-	if len(short) != 10 {
-		t.Fatalf("short body = %d", len(short))
-	}
-	// Must be a copy.
-	body[0] = 0xff
-	if datagram[0] == 0xff {
-		t.Fatal("ErrorBody aliases input")
-	}
-}
-
-func TestTypeString(t *testing.T) {
-	cases := map[uint8]string{
-		TypeEchoReply:       "echo-reply",
-		TypeDestUnreachable: "dest-unreachable",
-		TypeEchoRequest:     "echo-request",
-		TypeTimeExceeded:    "time-exceeded",
-		TypeSourceQuench:    "source-quench",
-		200:                 "icmp-unknown",
-	}
-	for typ, want := range cases {
-		if got := TypeString(typ); got != want {
-			t.Errorf("TypeString(%d) = %q, want %q", typ, got, want)
-		}
-	}
-}
-
 func TestPropertyRoundTrip(t *testing.T) {
 	f := func(typ, code uint8, id, seq uint16, body []byte) bool {
 		m := Message{Type: typ, Code: code, ID: id, Seq: seq, Body: body}

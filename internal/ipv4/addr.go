@@ -61,6 +61,15 @@ func (a Addr) IsZero() bool { return a == 0 }
 // Broadcast is the limited broadcast address 255.255.255.255.
 const Broadcast Addr = 0xffffffff
 
+// Endpoint is a transport address, TCP's and UDP's alike: host and port.
+type Endpoint struct {
+	Addr Addr
+	Port uint16
+}
+
+// String formats the endpoint as "addr:port".
+func (e Endpoint) String() string { return fmt.Sprintf("%s:%d", e.Addr, e.Port) }
+
 // Prefix is an address block: an address and a leading-bits count.
 type Prefix struct {
 	Addr Addr

@@ -1,6 +1,7 @@
 package ipv4
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -8,7 +9,8 @@ import (
 // re-marshal/re-parse cycle with every header field intact. Parse
 // tolerates IHL > 5 (options are skipped) while the marshaller always
 // emits a bare 20-byte header, so the round trip also proves the
-// parsed struct carries everything the stack relies on.
+// parsed struct carries everything the stack relies on. ParseQuoted
+// shares Parse's decoder and is held to it on the way.
 func FuzzIPv4HeaderRoundTrip(f *testing.F) {
 	// Valid headers as seeds: a plain datagram, a DF probe, a middle
 	// fragment, and a quoted ICMP-style header.
@@ -33,6 +35,14 @@ func FuzzIPv4HeaderRoundTrip(f *testing.F) {
 		if h.FragOff%8 != 0 {
 			t.Fatalf("Parse produced unaligned FragOff %d", h.FragOff)
 		}
+		// An ICMP error quotes the header and eight payload bytes: the
+		// one decoder reads the same header out of the quote, though the
+		// total length now overruns it.
+		ihl := h.TotalLen - len(payload)
+		quote := data[:min(ihl+8, len(data))]
+		if hq, rest, err := ParseQuoted(quote); err != nil || hq != h || !bytes.Equal(rest, quote[ihl:]) {
+			t.Fatalf("ParseQuoted over header + 8 bytes: %+v, %d bytes left, err %v; Parse read %+v", hq, len(rest), err, h)
+		}
 		wire := h.MarshalStandalone()
 		h2, rest, err := ParseQuoted(wire)
 		if err != nil {
@@ -44,6 +54,5 @@ func FuzzIPv4HeaderRoundTrip(f *testing.F) {
 		if h2 != h {
 			t.Fatalf("header changed across round trip:\n  parsed    %+v\n  reparsed  %+v", h, h2)
 		}
-		_ = payload
 	})
 }

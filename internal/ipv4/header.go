@@ -79,10 +79,25 @@ func (h *Header) Marshal(b *packet.Buffer) error {
 		return ErrTooBig
 	}
 	h.TotalLen = total
-	hdr := b.Prepend(HeaderLen)
+	h.encode(b.Prepend(HeaderLen))
+	return nil
+}
+
+// MarshalStandalone serializes just the header, with TotalLen exactly as
+// given, computing the checksum. It is used to quote a datagram's header
+// inside an ICMP error body.
+func (h *Header) MarshalStandalone() []byte {
+	hdr := make([]byte, HeaderLen)
+	h.encode(hdr)
+	return hdr
+}
+
+// encode writes the header's twenty bytes into hdr, TotalLen as it
+// stands, and fills in the checksum.
+func (h *Header) encode(hdr []byte) {
 	hdr[0] = 0x45 // version 4, IHL 5
 	hdr[1] = h.TOS
-	binary.BigEndian.PutUint16(hdr[2:], uint16(total))
+	binary.BigEndian.PutUint16(hdr[2:], uint16(h.TotalLen))
 	binary.BigEndian.PutUint16(hdr[4:], h.ID)
 	ff := uint16(h.FragOff / 8)
 	if h.DF {
@@ -98,101 +113,78 @@ func (h *Header) Marshal(b *packet.Buffer) error {
 	binary.BigEndian.PutUint32(hdr[12:], uint32(h.Src))
 	binary.BigEndian.PutUint32(hdr[16:], uint32(h.Dst))
 	binary.BigEndian.PutUint16(hdr[10:], packet.Checksum(hdr))
-	return nil
-}
-
-// MarshalStandalone serializes just the header, with TotalLen exactly as
-// given, computing the checksum. It is used to quote a datagram's header
-// inside an ICMP error body.
-func (h *Header) MarshalStandalone() []byte {
-	hdr := make([]byte, HeaderLen)
-	hdr[0] = 0x45
-	hdr[1] = h.TOS
-	binary.BigEndian.PutUint16(hdr[2:], uint16(h.TotalLen))
-	binary.BigEndian.PutUint16(hdr[4:], h.ID)
-	ff := uint16(h.FragOff / 8)
-	if h.DF {
-		ff |= 0x4000
-	}
-	if h.MF {
-		ff |= 0x2000
-	}
-	binary.BigEndian.PutUint16(hdr[6:], ff)
-	hdr[8] = h.TTL
-	hdr[9] = h.Proto
-	binary.BigEndian.PutUint32(hdr[12:], uint32(h.Src))
-	binary.BigEndian.PutUint32(hdr[16:], uint32(h.Dst))
-	binary.BigEndian.PutUint16(hdr[10:], packet.Checksum(hdr))
-	return hdr
 }
 
 // ParseQuoted parses a header quoted inside an ICMP error body. The
 // checksum is verified but the total length is not compared against the
 // quote, which deliberately truncates the original datagram.
-func ParseQuoted(data []byte) (Header, []byte, error) {
-	if len(data) < HeaderLen {
-		return Header{}, nil, ErrTruncated
-	}
-	if data[0]>>4 != 4 {
-		return Header{}, nil, ErrBadVersion
-	}
-	ihl := int(data[0]&0x0f) * 4
-	if ihl < HeaderLen || len(data) < ihl {
-		return Header{}, nil, ErrTruncated
-	}
-	if !packet.VerifyChecksum(data[:ihl]) {
-		return Header{}, nil, ErrBadChecksum
-	}
-	ff := binary.BigEndian.Uint16(data[6:])
-	h := Header{
-		TOS:      data[1],
-		TotalLen: int(binary.BigEndian.Uint16(data[2:])),
-		ID:       binary.BigEndian.Uint16(data[4:]),
-		DF:       ff&0x4000 != 0,
-		MF:       ff&0x2000 != 0,
-		FragOff:  int(ff&0x1fff) * 8,
-		TTL:      data[8],
-		Proto:    data[9],
-		Src:      Addr(binary.BigEndian.Uint32(data[12:])),
-		Dst:      Addr(binary.BigEndian.Uint32(data[16:])),
+func ParseQuoted(data []byte) (h Header, rest []byte, err error) {
+	ihl, err := h.decode(data)
+	if err != nil {
+		return Header{}, nil, err
 	}
 	return h, data[ihl:], nil
 }
 
 // Parse decodes the header at the front of data and returns it along with
 // the payload. It verifies version, length and header checksum.
-func Parse(data []byte) (Header, []byte, error) {
-	if len(data) < HeaderLen {
-		return Header{}, nil, ErrTruncated
+func Parse(data []byte) (h Header, payload []byte, err error) {
+	ihl, err := h.decode(data)
+	if err != nil {
+		return Header{}, nil, err
 	}
-	if data[0]>>4 != 4 {
-		return Header{}, nil, ErrBadVersion
-	}
-	ihl := int(data[0]&0x0f) * 4
-	if ihl < HeaderLen || len(data) < ihl {
-		return Header{}, nil, ErrTruncated
-	}
-	if !packet.VerifyChecksum(data[:ihl]) {
-		return Header{}, nil, ErrBadChecksum
-	}
-	total := int(binary.BigEndian.Uint16(data[2:]))
-	if total < ihl || total > len(data) {
+	if h.TotalLen < ihl || h.TotalLen > len(data) {
 		return Header{}, nil, ErrBadLength
 	}
-	ff := binary.BigEndian.Uint16(data[6:])
-	h := Header{
-		TOS:      data[1],
-		TotalLen: total,
-		ID:       binary.BigEndian.Uint16(data[4:]),
-		DF:       ff&0x4000 != 0,
-		MF:       ff&0x2000 != 0,
-		FragOff:  int(ff&0x1fff) * 8,
-		TTL:      data[8],
-		Proto:    data[9],
-		Src:      Addr(binary.BigEndian.Uint32(data[12:])),
-		Dst:      Addr(binary.BigEndian.Uint32(data[16:])),
+	return h, data[ihl:h.TotalLen], nil
+}
+
+// decode verifies the version, header length and checksum of the header
+// at the front of data and stores its fields into h, returning the
+// header's length in bytes. It is a method on the caller's named result
+// rather than a function returning a Header: the forwarding path parses
+// every frame at every hop, and a Header returned through a helper is
+// copied once more on the way out (the stall stack/route.go records for
+// Lookup).
+func (h *Header) decode(data []byte) (ihl int, err error) {
+	if len(data) < HeaderLen {
+		return 0, ErrTruncated
 	}
-	return h, data[ihl:total], nil
+	if data[0]>>4 != 4 {
+		return 0, ErrBadVersion
+	}
+	ihl = int(data[0]&0x0f) * 4
+	if ihl < HeaderLen || len(data) < ihl {
+		return 0, ErrTruncated
+	}
+	if !packet.VerifyChecksum(data[:ihl]) {
+		return 0, ErrBadChecksum
+	}
+	ff := binary.BigEndian.Uint16(data[6:])
+	h.TOS = data[1]
+	h.TotalLen = int(binary.BigEndian.Uint16(data[2:]))
+	h.ID = binary.BigEndian.Uint16(data[4:])
+	h.DF = ff&0x4000 != 0
+	h.MF = ff&0x2000 != 0
+	h.FragOff = int(ff&0x1fff) * 8
+	h.TTL = data[8]
+	h.Proto = data[9]
+	h.Src = Addr(binary.BigEndian.Uint32(data[12:]))
+	h.Dst = Addr(binary.BigEndian.Uint32(data[16:]))
+	return ihl, nil
+}
+
+// PseudoSum starts a transport checksum with the pseudo-header TCP and
+// UDP both prepend to what they sum: the datagram's addresses, its
+// protocol number and the transport length (header plus data). The
+// result feeds packet.PartialChecksum over the segment itself.
+func PseudoSum(src, dst Addr, proto uint8, length uint16) uint32 {
+	var ph [12]byte
+	binary.BigEndian.PutUint32(ph[0:], uint32(src))
+	binary.BigEndian.PutUint32(ph[4:], uint32(dst))
+	ph[9] = proto
+	binary.BigEndian.PutUint16(ph[10:], length)
+	return packet.PartialChecksum(0, ph[:])
 }
 
 // DecrementTTL rewrites the TTL and checksum of the raw header in place,

@@ -1,6 +1,8 @@
 package ipv4
 
 import (
+	"fmt"
+	"os"
 	"testing"
 	"testing/quick"
 
@@ -223,6 +225,36 @@ func TestMarshalStandaloneQuotedRoundTrip(t *testing.T) {
 	// Regular Parse must reject it (length exceeds quote).
 	if _, _, err := Parse(raw); err == nil {
 		t.Fatal("Parse accepted quoted header with bogus length")
+	}
+}
+
+// TestPseudoSumVector: testdata/pseudo_header.txt is the one
+// pseudo-header vector, which the tcp and udp tests read too — source,
+// destination, transport length, and the folded sum under protocol 6
+// and under 17 — summed by hand: 0a00 + 0001 + 0a00 + 0002 + 0018 is
+// 141b, plus 0006 or 0011.
+func TestPseudoSumVector(t *testing.T) {
+	raw, err := os.ReadFile("testdata/pseudo_header.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var src, dst string
+	var length, tcpSum, udpSum uint16
+	if _, err := fmt.Sscanf(string(raw), "%s %s %d %x %x", &src, &dst, &length, &tcpSum, &udpSum); err != nil {
+		t.Fatal(err)
+	}
+	for proto, want := range map[uint8]uint16{ProtoTCP: tcpSum, ProtoUDP: udpSum} {
+		sum := PseudoSum(MustParseAddr(src), MustParseAddr(dst), proto, length)
+		if got := ^packet.FinishChecksum(sum); got != want {
+			t.Errorf("protocol %d: pseudo-header sums to %#04x, want %#04x", proto, got, want)
+		}
+	}
+}
+
+func TestEndpointString(t *testing.T) {
+	e := Endpoint{Addr: MustParseAddr("10.0.0.9"), Port: 53}
+	if e.String() != "10.0.0.9:53" {
+		t.Fatalf("String = %q", e.String())
 	}
 }
 

@@ -6,9 +6,9 @@
 // network can carry a packet of some reasonable minimum size, with some
 // addressing, and nothing more. This package supplies that variety in
 // simulated form — point-to-point serial lines, shared-bus LANs, and lossy
-// packet-radio nets — each with its own bandwidth, propagation delay, MTU,
-// framing overhead and loss behaviour, so the IP layer above is exercised
-// against the same diversity the ARPANET-era internet faced.
+// packet-radio nets — each with its own bandwidth, propagation delay, MTU
+// and loss behaviour, so the IP layer above is exercised against the same
+// diversity the ARPANET-era internet faced.
 //
 // Frame payloads may be pool-backed (see packet.Pool): a NIC with a pool
 // attached stamps outgoing frames with it, ownership travels with the
@@ -246,9 +246,6 @@ type Config struct {
 	Delay sim.Duration
 	// MTU is the maximum frame payload size in bytes.
 	MTU int
-	// Overhead is the per-frame framing overhead in bytes; it consumes
-	// serialization time but is not delivered.
-	Overhead int
 	// Loss is the independent per-frame loss probability in [0,1).
 	Loss float64
 	// QueueLimit bounds the frames waiting for the transmitter; beyond
@@ -270,7 +267,7 @@ func (c *Config) serializeTime(n int) sim.Duration {
 	if c.BitsPerSec <= 0 {
 		return 0
 	}
-	bits := int64(n+c.Overhead) * 8
+	bits := int64(n) * 8
 	return sim.Duration(bits * int64(1e9) / c.BitsPerSec)
 }
 

@@ -1,19 +1,11 @@
 package stack
 
 import (
+	"encoding/binary"
+
 	"darpanet/internal/icmp"
 	"darpanet/internal/ipv4"
 	"darpanet/internal/sim"
-)
-
-// Aliases keep node.go readable without importing icmp there.
-const (
-	icmp_TypeDestUnreachable  = icmp.TypeDestUnreachable
-	icmp_TypeTimeExceeded     = icmp.TypeTimeExceeded
-	icmp_CodeNetUnreachable   = icmp.CodeNetUnreachable
-	icmp_CodeProtoUnreachable = icmp.CodeProtoUnreachable
-	icmp_CodeFragNeeded       = icmp.CodeFragNeeded
-	icmp_CodeTTLExceeded      = icmp.CodeTTLExceeded
 )
 
 // IcmpError is a network-reported failure delivered to transports: the
@@ -52,7 +44,7 @@ func (n *Node) icmpInput(h ipv4.Header, payload []byte) {
 		n.Send(ipv4.Header{Dst: h.Src, Proto: ipv4.ProtoICMP, TOS: h.TOS}, reply.Marshal())
 	case icmp.TypeEchoReply:
 		if cb, ok := n.pings[m.ID]; ok && cb != nil && len(m.Body) >= 8 {
-			sent := sim.Time(beUint64(m.Body))
+			sent := sim.Time(binary.BigEndian.Uint64(m.Body))
 			cb(m.Seq, n.kernel.Now().Sub(sent))
 		}
 	case icmp.TypeDestUnreachable, icmp.TypeTimeExceeded, icmp.TypeSourceQuench:
@@ -64,21 +56,6 @@ func (n *Node) icmpInput(h ipv4.Header, payload []byte) {
 		for _, fn := range n.icmpErr {
 			fn(ev)
 		}
-	}
-}
-
-func beUint64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
-}
-
-func putBeUint64(b []byte, v uint64) {
-	for i := 7; i >= 0; i-- {
-		b[i] = byte(v)
-		v >>= 8
 	}
 }
 
@@ -114,16 +91,10 @@ func (n *Node) sendICMPError(orig ipv4.Header, origPayload []byte, typ, code uin
 	n.Send(ipv4.Header{Dst: orig.Src, Proto: ipv4.ProtoICMP}, m.Marshal())
 }
 
-// sendICMPUnreachable reports a local delivery failure (bad protocol or,
-// via transports, bad port).
-func (n *Node) sendICMPUnreachable(orig ipv4.Header, origPayload []byte, code uint8) {
-	n.sendICMPError(orig, origPayload, icmp.TypeDestUnreachable, code)
-}
-
 // SendPortUnreachable lets a transport report that no one listens on the
 // destination port of the given datagram.
 func (n *Node) SendPortUnreachable(orig ipv4.Header, origPayload []byte) {
-	n.sendICMPUnreachable(orig, origPayload, icmp.CodePortUnreachable)
+	n.sendICMPError(orig, origPayload, icmp.TypeDestUnreachable, icmp.CodePortUnreachable)
 }
 
 // EnableSourceQuench makes the node emit an ICMP source quench to the
@@ -155,7 +126,7 @@ func (n *Node) Ping(dst ipv4.Addr, count int, interval sim.Duration, reply func(
 		seq := uint16(i)
 		t := n.kernel.After(sim.Duration(i)*interval, func() {
 			body := make([]byte, 8)
-			putBeUint64(body, uint64(n.kernel.Now()))
+			binary.BigEndian.PutUint64(body, uint64(n.kernel.Now()))
 			m := icmp.Message{Type: icmp.TypeEchoRequest, ID: id, Seq: seq, Body: body}
 			n.Send(ipv4.Header{Dst: dst, Proto: ipv4.ProtoICMP}, m.Marshal())
 		})

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"darpanet/internal/icmp"
 	"darpanet/internal/ipv4"
 	"darpanet/internal/packet"
 	"darpanet/internal/phys"
@@ -80,7 +81,7 @@ type Node struct {
 	pool     *packet.Pool
 	txBuf    packet.Buffer // reusable serialization buffer (output is never reentrant)
 
-	icmpErr []func(icmp IcmpError)
+	icmpErr []func(IcmpError)
 	pings   map[uint16]func(seq uint16, rtt sim.Duration)
 	pingID  uint16
 
@@ -404,7 +405,7 @@ func (n *Node) deliver(h ipv4.Header, payload []byte) {
 	fn, ok := n.handlers[full.Proto]
 	if !ok {
 		n.stats.NoProto++
-		n.sendICMPUnreachable(full, data, icmp_CodeProtoUnreachable)
+		n.sendICMPError(full, data, icmp.TypeDestUnreachable, icmp.CodeProtoUnreachable)
 	} else {
 		n.stats.InDelivers++
 		n.acct.record(full, full.TotalLen)
@@ -425,14 +426,14 @@ func (n *Node) forward(in *Interface, f phys.Frame, h ipv4.Header, payload []byt
 	rt, ok := n.Table.Lookup(h.Dst)
 	if !ok {
 		n.stats.NoRoute++
-		n.sendICMPError(h, payload, icmp_TypeDestUnreachable, icmp_CodeNetUnreachable)
+		n.sendICMPError(h, payload, icmp.TypeDestUnreachable, icmp.CodeNetUnreachable)
 		f.Release()
 		return
 	}
 	out := n.ifaces[rt.IfIndex]
 	if !ipv4.DecrementTTL(raw) {
 		n.stats.TTLDrops++
-		n.sendICMPError(h, payload, icmp_TypeTimeExceeded, icmp_CodeTTLExceeded)
+		n.sendICMPError(h, payload, icmp.TypeTimeExceeded, icmp.CodeTTLExceeded)
 		f.Release()
 		return
 	}
@@ -460,7 +461,7 @@ func (n *Node) forward(in *Interface, f phys.Frame, h ipv4.Header, payload []byt
 	frags, err := ipv4.NewFragmenter(h, payload, out.NIC.MTU())
 	if err != nil {
 		n.stats.FragFails++
-		n.sendICMPError(h, payload, icmp_TypeDestUnreachable, icmp_CodeFragNeeded)
+		n.sendICMPError(h, payload, icmp.TypeDestUnreachable, icmp.CodeFragNeeded)
 		f.Release()
 		return
 	}

@@ -1,6 +1,8 @@
 package stack
 
 import (
+	"encoding/binary"
+
 	"darpanet/internal/icmp"
 	"darpanet/internal/ipv4"
 	"darpanet/internal/sim"
@@ -54,7 +56,7 @@ func (tr *trWalk) probe(ttl int) {
 	tr.probeIP = tr.n.NextID()
 	tr.sentAt = tr.n.kernel.Now()
 	body := make([]byte, 8)
-	putBeUint64(body, uint64(tr.sentAt))
+	binary.BigEndian.PutUint64(body, uint64(tr.sentAt))
 	m := icmp.Message{Type: icmp.TypeEchoRequest, ID: tr.echoID, Seq: uint16(ttl), Body: body}
 	tr.n.Send(ipv4.Header{Dst: tr.dst, Proto: ipv4.ProtoICMP, TTL: uint8(ttl), ID: tr.probeIP}, m.Marshal())
 	tr.timer = tr.n.kernel.After(tr.timeout, tr.probeTimedOut)

@@ -40,16 +40,6 @@ func (s *Sample) Values() []float64 {
 	return out
 }
 
-// Merge adds every observation of other into s. The other sample is not
-// modified.
-func (s *Sample) Merge(other *Sample) {
-	if other == nil || len(other.xs) == 0 {
-		return
-	}
-	s.xs = append(s.xs, other.xs...)
-	s.sorted = false
-}
-
 // Mean returns the arithmetic mean (0 when empty).
 func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {
@@ -196,16 +186,6 @@ func JainFairness(xs []float64) float64 {
 	return sum * sum / (float64(len(xs)) * sumSq)
 }
 
-// GoodputPercentiles reduces a set of per-flow rates to the summary
-// quartet experiment tables report: p10, p50 (median), p90, and mean.
-func GoodputPercentiles(rates []float64) (p10, p50, p90, mean float64) {
-	var s Sample
-	for _, r := range rates {
-		s.Add(r)
-	}
-	return s.Percentile(10), s.Percentile(50), s.Percentile(90), s.Mean()
-}
-
 // Throughput expresses bytes over a simulated interval as bits/second.
 func Throughput(bytes uint64, d sim.Duration) float64 {
 	if d <= 0 {
@@ -260,16 +240,6 @@ type Table struct {
 // AddRow appends one row of cells.
 func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
-}
-
-// AddRowf appends one row built from Sprintf arguments alternating as
-// individual cells.
-func (t *Table) AddRowf(cells ...any) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		row[i] = fmt.Sprint(c)
-	}
-	t.Rows = append(t.Rows, row)
 }
 
 // String renders the table with column alignment.

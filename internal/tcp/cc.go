@@ -149,7 +149,7 @@ func (t ccTahoe) OnDupAck(c *Conn) {
 	if c.dupAcks == 3 {
 		flight := int(c.sndNxt - c.sndUna)
 		c.ssthresh = max(flight/2, 2*c.opts.MSS)
-		c.retransmitOldest(true)
+		c.retransmitOldest()
 		c.cwnd = c.mss()
 		c.stats.FastRetransmits++
 	}
@@ -178,7 +178,7 @@ func (ccReno) OnDupAck(c *Conn) {
 	case c.dupAcks == 3:
 		flight := int(c.sndNxt - c.sndUna)
 		c.ssthresh = max(flight/2, 2*c.opts.MSS)
-		c.retransmitOldest(true)
+		c.retransmitOldest()
 		c.cwnd = c.ssthresh + 3*c.opts.MSS
 		c.inFastRecovery = true
 		c.stats.FastRetransmits++
@@ -219,7 +219,7 @@ func (nr ccNewReno) OnAck(c *Conn, acked int) {
 		// deflate by the data this ACK covered, re-inflate by one MSS
 		// (the hole's worth that left the network), and stay in
 		// recovery until the whole flight is acked.
-		c.retransmitOldest(true)
+		c.retransmitOldest()
 		c.cwnd -= acked
 		if acked >= c.opts.MSS {
 			c.cwnd += c.opts.MSS
@@ -248,7 +248,7 @@ func (ccNewReno) OnDupAck(c *Conn) {
 		flight := int(c.sndNxt - c.sndUna)
 		c.ssthresh = max(flight/2, 2*c.opts.MSS)
 		c.frRecover = c.sndNxt
-		c.retransmitOldest(true)
+		c.retransmitOldest()
 		c.cwnd = c.ssthresh + 3*c.opts.MSS
 		c.inFastRecovery = true
 		c.stats.FastRetransmits++

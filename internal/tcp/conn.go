@@ -3,8 +3,9 @@ package tcp
 import (
 	"slices"
 
-	"darpanet/internal/ipv4"
+	"darpanet/internal/icmp"
 	"darpanet/internal/sim"
+	"darpanet/internal/stack"
 )
 
 // Conn is one TCP connection endpoint (a TCB in RFC 793 terms). All the
@@ -45,8 +46,8 @@ type Conn struct {
 	finQueued bool // application closed the send side
 	finSent   bool // FIN has occupied sequence space
 
-	// Original transmission boundaries, for the no-repacketization
-	// ablation.
+	// Original transmission boundaries, recorded only under
+	// Options.NoRepacketize (the ablation that repeats them).
 	sentSegs []sentSeg
 
 	// Receive sequence space.
@@ -635,7 +636,7 @@ func (c *Conn) processAck(seg *segment) {
 			c.backoff = 0
 			c.rtoRecover = ack // keep in step; never a stale wrapped value
 		} else {
-			c.retransmitOldest(false)
+			c.retransmitOldest()
 		}
 		c.dupAcks = 0
 		c.cc.OnAck(c, acked)
@@ -944,18 +945,10 @@ func (c *Conn) setState(s State) { c.state = s }
 
 // icmpError lets the network's error channel influence the connection:
 // hard unreachables abort a connection attempt early, and (optionally) a
-// source quench triggers the pre-VJ congestion response.
-func (c *Conn) icmpError(e stackIcmpError) {
-	if e.Original.Proto != ipv4.ProtoTCP || e.Original.Dst != c.remote.Addr {
-		return
-	}
-	if len(e.OrigPayload) >= 4 {
-		srcPort := uint16(e.OrigPayload[0])<<8 | uint16(e.OrigPayload[1])
-		if srcPort != c.local.Port {
-			return
-		}
-	}
-	if e.Type == icmpTypeSourceQuench {
+// source quench triggers the pre-VJ congestion response. The transport
+// has matched the quoted datagram's addresses and ports to c.
+func (c *Conn) icmpError(e stack.IcmpError) {
+	if e.Type == icmp.TypeSourceQuench {
 		if c.opts.ReactToSourceQuench && c.state == StateEstablished {
 			c.cc.OnQuench(c)
 			c.stats.SourceQuenches++

@@ -3,15 +3,7 @@ package tcp
 import (
 	"darpanet/internal/ipv4"
 	"darpanet/internal/sim"
-	"darpanet/internal/stack"
 )
-
-// stackIcmpError aliases the stack's error event for conn.go.
-type stackIcmpError = stack.IcmpError
-
-// icmpTypeSourceQuench mirrors icmp.TypeSourceQuench without importing
-// the icmp package here.
-const icmpTypeSourceQuench = 4
 
 // maxSynRetries and maxRetries bound how long an endpoint keeps trying
 // before declaring the conversation dead. Generous, as the paper's
@@ -183,7 +175,9 @@ func (c *Conn) sendData(off, n int, retrans bool) {
 	c.ackPending = 0
 	c.transmit(&s)
 	if !retrans {
-		c.sentSegs = append(c.sentSegs, sentSeg{seq: seq, ln: n})
+		if c.opts.NoRepacketize {
+			c.sentSegs = append(c.sentSegs, sentSeg{seq: seq, ln: n})
+		}
 		if !c.rttPending {
 			c.rttPending = true
 			c.rttSeq = seq + uint32(n)
@@ -279,7 +273,7 @@ func (c *Conn) rexmitTimeout() {
 	c.backoff++
 	c.rtoRecover = c.sndNxt
 	c.cc.OnTimeout(c)
-	c.retransmitOldest(false)
+	c.retransmitOldest()
 	c.armRexmit()
 }
 
@@ -288,7 +282,7 @@ func (c *Conn) rexmitTimeout() {
 // flexibility byte sequence numbers buy (the paper's §9 argument). With
 // it off, the original transmission boundary is repeated, as a
 // packet-sequenced protocol would be forced to.
-func (c *Conn) retransmitOldest(fast bool) {
+func (c *Conn) retransmitOldest() {
 	c.retransHit = true
 	switch c.state {
 	case StateSynSent:
@@ -337,7 +331,6 @@ func (c *Conn) retransmitOldest(fast bool) {
 		c.transmit(&fin)
 		c.stats.Retransmits++
 	}
-	_ = fast
 }
 
 // --- zero-window persistence --------------------------------------------------

@@ -181,7 +181,7 @@ func TestOnDataSliceValidOnlyDuringCallback(t *testing.T) {
 // brings new bytes may.
 func TestOutOfOrderListIgnoresCoveredResends(t *testing.T) {
 	n := newTestNet(t, 1, 0)
-	c := newConn(n.t2, Endpoint{n.h2.Addr(), 80}, Endpoint{n.h1.Addr(), 4000}, Options{}.withDefaults())
+	c := newConn(n.t2, Endpoint{Addr: n.h2.Addr(), Port: 80}, Endpoint{Addr: n.h1.Addr(), Port: 4000}, Options{}.withDefaults())
 	c.state, c.rcvNxt = StateEstablished, 1000
 	var got []byte
 	c.OnData(func(b []byte) { got = append(got, b...) })

@@ -2,10 +2,14 @@ package tcp
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"os"
 	"testing"
 	"time"
 
 	"darpanet/internal/ipv4"
+	"darpanet/internal/packet"
 	"darpanet/internal/phys"
 	"darpanet/internal/sim"
 	"darpanet/internal/stack"
@@ -539,6 +543,29 @@ func TestSegmentWireRoundTrip(t *testing.T) {
 	raw[7] ^= 0xff
 	if _, err := parseSegment(src, dst, raw); err == nil {
 		t.Fatal("corrupt segment accepted")
+	}
+}
+
+// TestChecksumCoversTheSharedPseudoHeader: a segment's checksum is the
+// sum of its own bytes started from ipv4's pseudo-header vector
+// (../ipv4/testdata/pseudo_header.txt, which the udp tests read too).
+func TestChecksumCoversTheSharedPseudoHeader(t *testing.T) {
+	raw, err := os.ReadFile("../ipv4/testdata/pseudo_header.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var src, dst string
+	var length int
+	var tcpSum, udpSum uint32
+	if _, err := fmt.Sscanf(string(raw), "%s %s %d %x %x", &src, &dst, &length, &tcpSum, &udpSum); err != nil {
+		t.Fatal(err)
+	}
+	s := segment{srcPort: 1234, dstPort: 80, seq: 1, ack: 2, flags: flagACK, wnd: 4096, payload: make([]byte, length-HeaderLen)}
+	wire := s.marshal(ipv4.MustParseAddr(src), ipv4.MustParseAddr(dst))
+	got := binary.BigEndian.Uint16(wire[16:])
+	wire[16], wire[17] = 0, 0
+	if want := packet.FinishChecksum(packet.PartialChecksum(tcpSum, wire)); got != want {
+		t.Fatalf("checksum %#04x, want %#04x from the pseudo-header vector", got, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -69,48 +70,45 @@ func (t *Transport) registerMetrics() {
 	reg.Counter(node, "tcp", "segs_in", &t.segsIn)
 	reg.Counter(node, "tcp", "segs_bad", &t.segsBad)
 	reg.Counter(node, "tcp", "rsts_sent", &t.rstsSent)
-	agg := func(sel func(*Stats) uint64) func() uint64 {
-		return func() uint64 {
-			v := sel(&t.closed)
+	for _, sc := range statCounters {
+		reg.Gauge(node, "tcp", sc.name, func() uint64 {
+			v := *sc.field(&t.closed)
 			for _, c := range t.conns {
-				v += sel(&c.stats)
+				v += *sc.field(&c.stats)
 			}
 			return v
-		}
+		})
 	}
-	reg.Gauge(node, "tcp", "bytes_sent", agg(func(s *Stats) uint64 { return s.BytesSent }))
-	reg.Gauge(node, "tcp", "bytes_retrans", agg(func(s *Stats) uint64 { return s.BytesRetrans }))
-	reg.Gauge(node, "tcp", "bytes_received", agg(func(s *Stats) uint64 { return s.BytesReceived }))
-	reg.Gauge(node, "tcp", "segs_sent", agg(func(s *Stats) uint64 { return s.SegsSent }))
-	reg.Gauge(node, "tcp", "segs_received", agg(func(s *Stats) uint64 { return s.SegsReceived }))
-	reg.Gauge(node, "tcp", "retransmits", agg(func(s *Stats) uint64 { return s.Retransmits }))
-	reg.Gauge(node, "tcp", "fast_retransmits", agg(func(s *Stats) uint64 { return s.FastRetransmits }))
-	reg.Gauge(node, "tcp", "timeouts", agg(func(s *Stats) uint64 { return s.Timeouts }))
-	reg.Gauge(node, "tcp", "dup_acks", agg(func(s *Stats) uint64 { return s.DupAcksReceived }))
-	reg.Gauge(node, "tcp", "zero_window_probes", agg(func(s *Stats) uint64 { return s.ZeroWindowProbes }))
-	reg.Gauge(node, "tcp", "source_quenches", agg(func(s *Stats) uint64 { return s.SourceQuenches }))
-	reg.Gauge(node, "tcp", "ce_marks_seen", agg(func(s *Stats) uint64 { return s.CEMarksSeen }))
-	reg.Gauge(node, "tcp", "eces_received", agg(func(s *Stats) uint64 { return s.ECEsReceived }))
-	reg.Gauge(node, "tcp", "cwrs_sent", agg(func(s *Stats) uint64 { return s.CWRsSent }))
 	reg.Gauge(node, "tcp", "conns", func() uint64 { return uint64(len(t.conns)) })
+}
+
+// statCounters names each Stats counter once: the gauge registerMetrics
+// exposes it under and the field fold sums.
+var statCounters = [...]struct {
+	name  string
+	field func(*Stats) *uint64
+}{
+	{"bytes_sent", func(s *Stats) *uint64 { return &s.BytesSent }},
+	{"bytes_retrans", func(s *Stats) *uint64 { return &s.BytesRetrans }},
+	{"bytes_received", func(s *Stats) *uint64 { return &s.BytesReceived }},
+	{"segs_sent", func(s *Stats) *uint64 { return &s.SegsSent }},
+	{"segs_received", func(s *Stats) *uint64 { return &s.SegsReceived }},
+	{"retransmits", func(s *Stats) *uint64 { return &s.Retransmits }},
+	{"fast_retransmits", func(s *Stats) *uint64 { return &s.FastRetransmits }},
+	{"timeouts", func(s *Stats) *uint64 { return &s.Timeouts }},
+	{"dup_acks", func(s *Stats) *uint64 { return &s.DupAcksReceived }},
+	{"zero_window_probes", func(s *Stats) *uint64 { return &s.ZeroWindowProbes }},
+	{"source_quenches", func(s *Stats) *uint64 { return &s.SourceQuenches }},
+	{"ce_marks_seen", func(s *Stats) *uint64 { return &s.CEMarksSeen }},
+	{"eces_received", func(s *Stats) *uint64 { return &s.ECEsReceived }},
+	{"cwrs_sent", func(s *Stats) *uint64 { return &s.CWRsSent }},
 }
 
 // fold adds a defunct connection's counters into the closed aggregate.
 func (s *Stats) fold(c Stats) {
-	s.BytesSent += c.BytesSent
-	s.BytesRetrans += c.BytesRetrans
-	s.BytesReceived += c.BytesReceived
-	s.SegsSent += c.SegsSent
-	s.SegsReceived += c.SegsReceived
-	s.Retransmits += c.Retransmits
-	s.FastRetransmits += c.FastRetransmits
-	s.Timeouts += c.Timeouts
-	s.DupAcksReceived += c.DupAcksReceived
-	s.ZeroWindowProbes += c.ZeroWindowProbes
-	s.SourceQuenches += c.SourceQuenches
-	s.CEMarksSeen += c.CEMarksSeen
-	s.ECEsReceived += c.ECEsReceived
-	s.CWRsSent += c.CWRsSent
+	for _, sc := range statCounters {
+		*sc.field(s) += *sc.field(&c)
+	}
 }
 
 // icmpError routes a network-reported error to the connection whose
@@ -120,14 +118,8 @@ func (t *Transport) icmpError(e stack.IcmpError) {
 	if e.Original.Proto != ipv4.ProtoTCP || len(e.OrigPayload) < 4 {
 		return
 	}
-	local := Endpoint{
-		Addr: e.Original.Src,
-		Port: uint16(e.OrigPayload[0])<<8 | uint16(e.OrigPayload[1]),
-	}
-	remote := Endpoint{
-		Addr: e.Original.Dst,
-		Port: uint16(e.OrigPayload[2])<<8 | uint16(e.OrigPayload[3]),
-	}
+	local := Endpoint{Addr: e.Original.Src, Port: binary.BigEndian.Uint16(e.OrigPayload)}
+	remote := Endpoint{Addr: e.Original.Dst, Port: binary.BigEndian.Uint16(e.OrigPayload[2:])}
 	if c, ok := t.conns[fourTuple{local: local, remote: remote}]; ok {
 		c.icmpError(e)
 	}

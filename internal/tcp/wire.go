@@ -46,13 +46,7 @@ const (
 )
 
 // Endpoint is a TCP address: host and port.
-type Endpoint struct {
-	Addr ipv4.Addr
-	Port uint16
-}
-
-// String formats the endpoint as "addr:port".
-func (e Endpoint) String() string { return fmt.Sprintf("%s:%d", e.Addr, e.Port) }
+type Endpoint = ipv4.Endpoint
 
 // segment is a parsed TCP segment.
 type segment struct {
@@ -146,7 +140,7 @@ func (s *segment) marshalInto(scratch *[]byte, src, dst ipv4.Addr) []byte {
 		binary.BigEndian.PutUint16(hdr[22:], s.mss)
 	}
 	copy(b[HeaderLen+optLen:], s.payload)
-	sum := pseudoSum(src, dst, uint16(total))
+	sum := ipv4.PseudoSum(src, dst, ipv4.ProtoTCP, uint16(total))
 	sum = packet.PartialChecksum(sum, b)
 	binary.BigEndian.PutUint16(hdr[16:], packet.FinishChecksum(sum))
 	return b
@@ -164,7 +158,7 @@ func parseSegment(src, dst ipv4.Addr, data []byte) (segment, error) {
 	if off < HeaderLen || off > len(data) {
 		return segment{}, errBadSegment
 	}
-	sum := pseudoSum(src, dst, uint16(len(data)))
+	sum := ipv4.PseudoSum(src, dst, ipv4.ProtoTCP, uint16(len(data)))
 	sum = packet.PartialChecksum(sum, data)
 	if packet.FinishChecksum(sum) != 0 {
 		return segment{}, errBadSegment
@@ -197,15 +191,6 @@ func parseSegment(src, dst ipv4.Addr, data []byte) (segment, error) {
 		}
 	}
 	return s, nil
-}
-
-func pseudoSum(src, dst ipv4.Addr, tcplen uint16) uint32 {
-	var ph [12]byte
-	binary.BigEndian.PutUint32(ph[0:], uint32(src))
-	binary.BigEndian.PutUint32(ph[4:], uint32(dst))
-	ph[9] = ipv4.ProtoTCP
-	binary.BigEndian.PutUint16(ph[10:], tcplen)
-	return packet.PartialChecksum(0, ph[:])
 }
 
 // Sequence-space arithmetic: all comparisons are modulo 2^32.

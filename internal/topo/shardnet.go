@@ -25,7 +25,6 @@ type Sharded struct {
 	Lookahead sim.Duration
 
 	nodeRegion map[string]int
-	byAddr     map[ipv4.Addr]string
 	boundaries []*phys.Boundary
 }
 
@@ -65,7 +64,6 @@ func GenerateSharded(spec Spec, seed int64, regions, workers int) *Sharded {
 		Manifest:   m,
 		Regions:    make([]*core.Network, part.Regions),
 		nodeRegion: make(map[string]int, len(m.NodeDefs)),
-		byAddr:     make(map[ipv4.Addr]string),
 	}
 	for r := range s.Regions {
 		s.Regions[r] = core.New(seed + int64(r)*1_000_003)
@@ -109,15 +107,6 @@ func GenerateSharded(spec Spec, seed int64, regions, workers int) *Sharded {
 	})
 
 	core.InstallStaticRoutesAcross(s.Regions)
-
-	// Global address directory for the cross-region route walk.
-	for _, nw := range s.Regions {
-		for _, name := range nw.Nodes() {
-			for _, ifc := range nw.Node(name).Interfaces() {
-				s.byAddr[ifc.Addr] = name
-			}
-		}
-	}
 	return s
 }
 
@@ -163,41 +152,14 @@ func (s *Sharded) Kernels() []*sim.Kernel { return s.Group.Kernels() }
 func (s *Sharded) RunFor(d sim.Duration) { s.Group.RunFor(d) }
 
 // PathHops walks the installed routing state from node `from` toward
-// node `to` across region boundaries, returning the number of gateways
-// a datagram would cross and whether it arrives. It is the sharded
-// counterpart of core.Network.CheckRoute: a static audit (no frames
-// move) that the determinism and audit tests compare against the
-// manifest's BFS oracle.
+// the network of node `to`'s primary interface (a host's stub net),
+// returning the number of gateways a datagram would cross and whether
+// it arrives. The walk is core's RouteHops, which crosses region
+// boundaries: a static audit (no frames move) that the determinism and
+// audit tests compare against the manifest's BFS oracle. On a walk that
+// does not arrive the count is how far it got.
 func (s *Sharded) PathHops(from, to string) (int, bool) {
-	if from == to {
-		return 0, true
-	}
-	dst := s.Addr(to)
-	cur := from
-	for hops := 0; hops <= len(s.nodeRegion); hops++ {
-		if cur == to {
-			return hops - 1, true // arrived; `to` itself is not a relay
-		}
-		n := s.Net(cur).Node(cur)
-		if cur != from && !n.Forwarding {
-			return 0, false // routed into a dead end at a host
-		}
-		rt, ok := n.Table.Lookup(dst)
-		if !ok {
-			return 0, false
-		}
-		via := rt.Via
-		if via.IsZero() {
-			via = dst // direct route: the destination is on-link
-		}
-		next, ok := s.byAddr[via]
-		if !ok {
-			return 0, false
-		}
-		if next == cur {
-			return 0, false // self-loop: broken state
-		}
-		cur = next
-	}
-	return 0, false // count exceeded: routing loop
+	stub := s.Net(to).Node(to).Interface(0).Prefix
+	hops, verdict := s.Net(from).RouteHops(from, stub, len(s.nodeRegion))
+	return hops, verdict == core.RouteDelivered
 }

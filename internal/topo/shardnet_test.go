@@ -170,6 +170,132 @@ func TestShardedRoutesMatchOracle(t *testing.T) {
 	}
 }
 
+// oldPathHops is the walk PathHops made before core.RouteHops crossed
+// regions, kept as the reference the one walk is held to: it resolves
+// each next hop through its own directory of every interface address
+// and looks at the tables alone — neither interface state nor a cut
+// medium.
+func oldPathHops(s *Sharded, byAddr map[ipv4.Addr]string, from, to string) (int, bool) {
+	if from == to {
+		return 0, true
+	}
+	dst := s.Addr(to)
+	cur := from
+	for hops := 0; hops <= len(s.nodeRegion); hops++ {
+		if cur == to {
+			return hops - 1, true // arrived; `to` itself is not a relay
+		}
+		n := s.Net(cur).Node(cur)
+		if cur != from && !n.Forwarding {
+			return 0, false // routed into a dead end at a host
+		}
+		rt, ok := n.Table.Lookup(dst)
+		if !ok {
+			return 0, false
+		}
+		via := rt.Via
+		if via.IsZero() {
+			via = dst // direct route: the destination is on-link
+		}
+		next, ok := byAddr[via]
+		if !ok {
+			return 0, false
+		}
+		if next == cur {
+			return 0, false // self-loop: broken state
+		}
+		cur = next
+	}
+	return 0, false // count exceeded: routing loop
+}
+
+// TestPathHopsMatchesTheOldWalk holds PathHops — core's RouteHops since
+// it learned to follow a cross trunk — to the walk it replaced, over
+// every host pair of the internets TestShardedRoutesMatchOracle audits,
+// at 1 and 4 regions. Then what the old walk could not see: with a cross
+// trunk cut at either half the tables still point the way and the old
+// walk still delivers; the forwarding plane would not, and the one walk
+// says so — as it does for an origin whose interface is down, its own
+// net included.
+func TestPathHopsMatchesTheOldWalk(t *testing.T) {
+	for _, sp := range []string{"transitstub:gw=8,stubs=2,hosts=1", "waxman:gw=10,hosts=1"} {
+		spec, err := ParseSpec(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, regions := range []int{1, 4} {
+			for seed := int64(1); seed <= 3; seed++ {
+				t.Run(fmt.Sprintf("%s/regions%d/seed%d", spec.Shape, regions, seed), func(t *testing.T) {
+					s := GenerateSharded(spec, seed, regions, 1)
+					byAddr := make(map[ipv4.Addr]string)
+					for _, nw := range s.Regions {
+						for _, name := range nw.Nodes() {
+							for _, ifc := range nw.Node(name).Interfaces() {
+								byAddr[ifc.Addr] = name
+							}
+						}
+					}
+					hosts := s.Manifest.HostNames()
+					crossing := 0
+					for _, from := range hosts {
+						for _, to := range hosts {
+							want, wantOK := oldPathHops(s, byAddr, from, to)
+							if got, ok := s.PathHops(from, to); got != want || ok != wantOK || !ok {
+								t.Errorf("%s -> %s: (%d, %v), the old walk (%d, %v); both should deliver", from, to, got, ok, want, wantOK)
+							}
+							if s.Region(from) != s.Region(to) {
+								crossing++
+							}
+						}
+					}
+					if (crossing > 0) != (regions > 1) {
+						t.Fatalf("%d host pairs span regions at %d regions", crossing, regions)
+					}
+
+					// A cross trunk is a pair of halves, and a frame is lost
+					// while either is down: cut one side of every trunk, then
+					// the other.
+					for half := 0; half < 2; half++ {
+						for i, b := range s.boundaries {
+							b.SetDown(i%2 == half)
+						}
+						for _, from := range hosts {
+							for _, to := range hosts {
+								_, ok := s.PathHops(from, to)
+								if _, old := oldPathHops(s, byAddr, from, to); !old {
+									t.Errorf("%s -> %s: the old walk saw the cut", from, to)
+								}
+								if spans := s.Region(from) != s.Region(to); spans && ok {
+									t.Errorf("%s -> %s: delivered across a cut trunk (halves %d down)", from, to, half)
+								}
+							}
+						}
+					}
+					for _, b := range s.boundaries {
+						b.SetDown(false)
+					}
+
+					// An origin whose interface is down sends nothing, not
+					// even to its own net.
+					from, to := hosts[0], hosts[len(hosts)-1]
+					nic := s.Net(from).Node(from).Interface(0).NIC
+					nic.SetUp(false)
+					for _, dst := range []string{from, to} {
+						stub := s.Net(dst).Node(dst).Interface(0).Prefix
+						if _, v := s.Net(from).RouteHops(from, stub, 0); v != core.RouteDead {
+							t.Errorf("%s -> %s with %s's interface down: %v, want dead", from, dst, from, v)
+						}
+					}
+					nic.SetUp(true)
+					if _, ok := s.PathHops(from, to); !ok {
+						t.Errorf("%s -> %s: not delivered once the interface is back up", from, to)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestBuildersShareGraphNamesPrefixesMedia holds Generate and
 // GenerateSharded to one wiring, for every shape and the E12 reference
 // internet at 1 and 4 regions: the marshalled manifests are equal (less

@@ -7,7 +7,6 @@ package udp
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"darpanet/internal/ipv4"
 	"darpanet/internal/packet"
@@ -18,13 +17,7 @@ import (
 const HeaderLen = 8
 
 // Endpoint is a UDP address: host and port.
-type Endpoint struct {
-	Addr ipv4.Addr
-	Port uint16
-}
-
-// String formats the endpoint as "addr:port".
-func (e Endpoint) String() string { return fmt.Sprintf("%s:%d", e.Addr, e.Port) }
+type Endpoint = ipv4.Endpoint
 
 // Handler receives one datagram's payload along with its source endpoint
 // and the IP header it arrived in. data is a view into a pooled receive
@@ -177,7 +170,7 @@ func (s *Socket) buildDatagram(dst Endpoint, data []byte, src ipv4.Addr) (ipv4.H
 		}
 		h.Src = srcAddr
 	}
-	sum := pseudoSum(srcAddr, dst.Addr, uint16(total))
+	sum := ipv4.PseudoSum(srcAddr, dst.Addr, ipv4.ProtoUDP, uint16(total))
 	sum = packet.PartialChecksum(sum, b)
 	ck := packet.FinishChecksum(sum)
 	if ck == 0 {
@@ -191,15 +184,6 @@ func (s *Socket) buildDatagram(dst Endpoint, data []byte, src ipv4.Addr) (ipv4.H
 // node's first network.
 func (s *Socket) SendBroadcast(port uint16, data []byte) error {
 	return s.SendTo(Endpoint{Addr: ipv4.Broadcast, Port: port}, data)
-}
-
-func pseudoSum(src, dst ipv4.Addr, udplen uint16) uint32 {
-	var ph [12]byte
-	binary.BigEndian.PutUint32(ph[0:], uint32(src))
-	binary.BigEndian.PutUint32(ph[4:], uint32(dst))
-	ph[9] = ipv4.ProtoUDP
-	binary.BigEndian.PutUint16(ph[10:], udplen)
-	return packet.PartialChecksum(0, ph[:])
 }
 
 // input is the IP protocol handler.
@@ -216,7 +200,7 @@ func (t *Transport) input(h ipv4.Header, payload []byte) {
 		return
 	}
 	if ck := binary.BigEndian.Uint16(payload[6:]); ck != 0 {
-		sum := pseudoSum(h.Src, h.Dst, uint16(ulen))
+		sum := ipv4.PseudoSum(h.Src, h.Dst, ipv4.ProtoUDP, uint16(ulen))
 		sum = packet.PartialChecksum(sum, payload[:ulen])
 		if packet.FinishChecksum(sum) != 0 {
 			t.stats.InErrors++

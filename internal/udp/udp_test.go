@@ -1,10 +1,14 @@
 package udp
 
 import (
+	"encoding/binary"
+	"fmt"
+	"os"
 	"testing"
 	"time"
 
 	"darpanet/internal/ipv4"
+	"darpanet/internal/packet"
 	"darpanet/internal/phys"
 	"darpanet/internal/sim"
 	"darpanet/internal/stack"
@@ -196,9 +200,30 @@ func TestBroadcast(t *testing.T) {
 	}
 }
 
-func TestEndpointString(t *testing.T) {
-	e := Endpoint{Addr: ipv4.MustParseAddr("10.0.0.9"), Port: 53}
-	if e.String() != "10.0.0.9:53" {
-		t.Fatalf("String = %q", e.String())
+// TestChecksumCoversTheSharedPseudoHeader: a datagram's checksum is the
+// sum of its own bytes started from ipv4's pseudo-header vector
+// (../ipv4/testdata/pseudo_header.txt, which the tcp tests read too).
+func TestChecksumCoversTheSharedPseudoHeader(t *testing.T) {
+	raw, err := os.ReadFile("../ipv4/testdata/pseudo_header.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var src, dst string
+	var length int
+	var tcpSum, udpSum uint32
+	if _, err := fmt.Sscanf(string(raw), "%s %s %d %x %x", &src, &dst, &length, &tcpSum, &udpSum); err != nil {
+		t.Fatal(err)
+	}
+	_, ta, _ := pair(t)
+	sa, _ := ta.Listen(0, nil)
+	to := Endpoint{Addr: ipv4.MustParseAddr(dst), Port: 9000}
+	_, wire, err := sa.buildDatagram(to, make([]byte, length-HeaderLen), ipv4.MustParseAddr(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := binary.BigEndian.Uint16(wire[6:])
+	wire[6], wire[7] = 0, 0
+	if want := packet.FinishChecksum(packet.PartialChecksum(udpSum, wire)); got != want {
+		t.Fatalf("checksum %#04x, want %#04x from the pseudo-header vector", got, want)
 	}
 }

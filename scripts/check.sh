@@ -193,8 +193,9 @@ run_leg() {
         ;;
     benchguard)
         # The allocation-regression gate over the datagram hot path, the
-        # deep output queue, the fragmenting path, the established TCP
-        # byte path and the large-table route lookup.
+        # header decode under it, the deep output queue, the fragmenting
+        # path, the established TCP byte path and the large-table route
+        # lookup.
         scripts/benchguard.sh
         ;;
     bench-api)

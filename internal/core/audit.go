@@ -21,45 +21,6 @@ func directPrefix(n *stack.Node, p ipv4.Prefix) (*stack.Interface, bool) {
 // netFor finds the netInfo with the given prefix (nil when unknown).
 func (nw *Network) netFor(p ipv4.Prefix) *netInfo { return nw.byPrefix[p] }
 
-// ReachablePrefixes returns the network prefixes the named node can
-// currently reach, honoring interface state and cut media — the central
-// oracle fault-injection campaigns measure routing reconvergence
-// against. A prefix counts as reachable when some path of up interfaces
-// across forwarding nodes and carrying media leads to it.
-func (nw *Network) ReachablePrefixes(name string) []ipv4.Prefix {
-	src := nw.mustNode(name)
-	seen := map[*stack.Node]bool{src: true}
-	queue := []*stack.Node{src}
-	prefixes := make(map[ipv4.Prefix]bool)
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur != src && !cur.Forwarding {
-			continue
-		}
-		for _, ifc := range cur.Interfaces() {
-			ni := nw.netFor(ifc.Prefix)
-			if ni == nil || !carries(ifc) {
-				continue
-			}
-			prefixes[ifc.Prefix] = true
-			for _, st := range ni.stations {
-				if seen[st.node] || !st.ifc.NIC.Up() {
-					continue
-				}
-				seen[st.node] = true
-				queue = append(queue, st.node)
-			}
-		}
-	}
-	out := make([]ipv4.Prefix, 0, len(prefixes))
-	for p := range prefixes {
-		out = append(out, p)
-	}
-	slices.SortFunc(out, ipv4.Prefix.Compare)
-	return out
-}
-
 // RouteVerdict classifies the outcome of a hop-by-hop forwarding walk:
 // the datagram reached its network, died at a hole in the tables, or
 // never terminated within the hop budget.
@@ -106,7 +67,7 @@ func (nw *Network) CheckRoute(name string, p ipv4.Prefix, maxHops int) RouteVerd
 // that relayed the datagram) and how the walk ended: at delivery, at the
 // hole, or the whole budget. The origin may be a host; any other
 // non-forwarding node ends the walk. A next hop across a cross trunk is
-// followed into the peer region's network, so the walk audits a sharded
+// followed into its station's region, so the walk audits a sharded
 // internet from any of its regions. maxHops bounds the walk (<= 0 means
 // DefaultHopLimit); callers who know the topology diameter should pass a
 // bound just above it, so RouteLooped really means a loop rather than a
@@ -119,7 +80,7 @@ func (nw *Network) RouteHops(name string, p ipv4.Prefix, maxHops int) (int, Rout
 	cur, at := origin, nw // the node the datagram is at, and its network
 	dst := p.Host(1)
 	for hops := 0; hops < maxHops; hops++ {
-		if ifc, ok := directPrefix(cur, p); ok && carries(ifc) {
+		if ifc, ok := directPrefix(cur, p); ok && at.netFor(p).carries(ifc) {
 			return hops, RouteDelivered
 		}
 		if cur != origin && !cur.Forwarding {
@@ -130,51 +91,36 @@ func (nw *Network) RouteHops(name string, p ipv4.Prefix, maxHops int) (int, Rout
 			return hops, RouteDead
 		}
 		out := cur.Interface(rt.IfIndex)
-		if out == nil || !carries(out) {
+		if out == nil {
 			return hops, RouteDead
 		}
 		ni := at.netFor(out.Prefix)
-		if ni == nil {
-			return hops, RouteDead
-		}
 		next := ni.stationAt(rt.Via)
-		if next == nil && ni.peer != nil {
-			ni = ni.peer
-			next = ni.stationAt(rt.Via)
-		}
-		if next == nil || next == cur {
+		if !ni.carries(out) || next == nil || next.node == cur {
 			return hops, RouteDead
 		}
-		cur, at = next, ni.nw
+		cur, at = next.node, next.nw
 	}
 	return maxHops, RouteLooped
 }
 
-// carries reports whether the interface is up on a medium that is not
-// cut. On a cross trunk the medium is this region's half, and a frame is
-// lost while either half is down: RouteHops asks the egress interface
-// and, through stationAt, the next hop's.
-func carries(ifc *stack.Interface) bool {
-	return ifc.NIC.Up() && !ifc.NIC.Medium().Down()
-}
-
-// stationAt finds the node holding addr on the net, or nil when no such
-// station exists or its interface there does not carry.
-func (ni *netInfo) stationAt(addr ipv4.Addr) *stack.Node {
-	for _, st := range ni.stations {
-		if st.ifc.Addr == addr && carries(st.ifc) {
-			return st.node
+// stationAt finds the station holding addr on the net, or nil when no
+// such station exists or its interface there does not carry.
+func (ni *netInfo) stationAt(addr ipv4.Addr) *station {
+	for i := range ni.stations {
+		if st := &ni.stations[i]; st.ifc.Addr == addr && ni.carries(st.ifc) {
+			return st
 		}
 	}
 	return nil
 }
 
-// Census is a point-in-time reachability census of the whole topology:
+// Census is a point-in-time reachability census of the whole internet:
 // which nodes can still talk to which, after whatever faults are in
-// effect. It is one BFS sweep over the live adjacency (the same
-// traversal ReachablePrefixes makes per node, done once for everyone),
-// so fault campaigns can take it at each failure event instead of
-// recomputing per-router reachability at every convergence poll.
+// effect. It is one BFS sweep over the live adjacency, done once for
+// everyone, so fault campaigns can take it at each failure event
+// instead of recomputing per-router reachability at every convergence
+// poll.
 type Census struct {
 	// Components counts the mutually-reachable groups among operating
 	// nodes; anything above 1 is a partition.
@@ -221,93 +167,84 @@ func (c *Census) LargestFrac() float64 {
 	return float64(c.Largest) / float64(c.Total)
 }
 
-// PartitionCensus sweeps the topology as it stands — honoring interface
-// state, cut media and crashed nodes — and returns the component
-// structure. Traversal matches ReachablePrefixes: a path must cross up
-// interfaces on carrying media, relaying only through forwarding nodes,
-// so for single-homed endpoints Prefixes(name) equals
-// ReachablePrefixes(name). Components are numbered in node insertion
-// order, making the census deterministic.
+// PartitionCensus sweeps the internet as it stands — every region joined
+// to nw by cross trunks, honoring interface state, cut media and crashed
+// nodes — and returns the component structure. A path must cross up
+// interfaces on nets that carry, relaying only through forwarding
+// nodes; a node with no interface that carries is down. Components are
+// numbered in node insertion order, region by region from nw, making
+// the census deterministic. Like RouteHops, it reads other regions'
+// state: while their kernels run an epoch in parallel, it is only
+// sound if nothing there brings an interface or medium up or down, or
+// attaches a node.
 func (nw *Network) PartitionCensus() *Census {
-	c := &Census{
-		comp:  make(map[string]int, len(nw.order)),
-		Total: len(nw.order),
+	regions := nw.regions()
+	c := &Census{}
+	for _, r := range regions {
+		c.Total += len(r.order)
 	}
-	queue := make([]*stack.Node, 0, len(nw.order))
-	for _, seedName := range nw.order {
-		if _, done := c.comp[seedName]; done {
-			continue
-		}
-		src := nw.nodes[seedName]
-		if !nw.operating(src) {
-			c.Down++
-			c.comp[seedName] = -1
-			continue
-		}
-		id := c.Components
-		c.Components++
-		c.comp[seedName] = id
-		size := 0
-		prefixSet := make(map[ipv4.Prefix]bool)
-		queue = append(queue[:0], src)
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			size++
-			if cur != src && !cur.Forwarding {
+	c.comp = make(map[string]int, c.Total)
+	queue := make([]station, 0, c.Total)
+	for _, r := range regions {
+		for _, seedName := range r.order {
+			if _, done := c.comp[seedName]; done {
 				continue
 			}
-			for _, ifc := range cur.Interfaces() {
-				ni := nw.netFor(ifc.Prefix)
-				if ni == nil || !carries(ifc) {
+			src := r.nodes[seedName]
+			id := c.Components
+			c.comp[seedName] = id
+			prefixSet := make(map[ipv4.Prefix]bool)
+			queue = append(queue[:0], station{nw: r, node: src})
+			for i := 0; i < len(queue); i++ {
+				cur := queue[i]
+				if cur.node != src && !cur.node.Forwarding {
 					continue
 				}
-				prefixSet[ifc.Prefix] = true
-				for _, st := range ni.stations {
-					if !st.ifc.NIC.Up() {
+				for _, ifc := range cur.node.Interfaces() {
+					ni := cur.nw.netFor(ifc.Prefix)
+					if !ni.carries(ifc) {
 						continue
 					}
-					if _, seen := c.comp[st.node.Name()]; seen {
-						continue
+					prefixSet[ifc.Prefix] = true
+					for _, st := range ni.stations {
+						if _, seen := c.comp[st.node.Name()]; seen || !st.ifc.NIC.Up() {
+							continue
+						}
+						c.comp[st.node.Name()] = id
+						queue = append(queue, st)
 					}
-					c.comp[st.node.Name()] = id
-					queue = append(queue, st.node)
 				}
 			}
+			if len(prefixSet) == 0 {
+				c.Down++
+				c.comp[seedName] = -1
+				continue
+			}
+			c.Components++
+			c.Largest = max(c.Largest, len(queue))
+			ps := make([]ipv4.Prefix, 0, len(prefixSet))
+			for p := range prefixSet {
+				ps = append(ps, p)
+			}
+			slices.SortFunc(ps, ipv4.Prefix.Compare)
+			c.prefixes = append(c.prefixes, ps)
 		}
-		if size > c.Largest {
-			c.Largest = size
-		}
-		ps := make([]ipv4.Prefix, 0, len(prefixSet))
-		for p := range prefixSet {
-			ps = append(ps, p)
-		}
-		slices.SortFunc(ps, ipv4.Prefix.Compare)
-		c.prefixes = append(c.prefixes, ps)
 	}
 	return c
 }
 
-// operating reports whether the node has at least one up interface on a
-// carrying medium — the census's liveness test: a crashed node (every
-// NIC down) and a node with every attached medium cut both fail it.
-func (nw *Network) operating(n *stack.Node) bool {
-	for _, ifc := range n.Interfaces() {
-		if nw.netFor(ifc.Prefix) != nil && carries(ifc) {
-			return true
-		}
-	}
-	return false
-}
-
-// Converged reports whether every RIP-enabled node knows a live route to
-// every network in the topology.
+// Converged reports whether every RIP-enabled node of the internet knows
+// a live route to every network in it.
 func (nw *Network) Converged() bool {
 	want := nw.AllPrefixes()
-	for _, r := range nw.rips {
-		if !r.Converged(want) {
-			return false
+	running := false
+	for _, r := range nw.regions() {
+		for _, rt := range r.rips {
+			if !rt.Converged(want) {
+				return false
+			}
+			running = true
 		}
 	}
-	return len(nw.rips) > 0
+	return running
 }

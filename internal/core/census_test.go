@@ -3,6 +3,8 @@ package core_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,21 +36,30 @@ func spurNet(seed int64) *core.Network {
 }
 
 // TestPartitionCensus carves the spur internet up fault by fault and
-// checks the census against hand-counted components — and, for every
-// node, against the per-node ReachablePrefixes oracle it replaces.
+// checks the census against hand-counted components and, for every
+// node, the hand-listed nets its component reaches.
 func TestPartitionCensus(t *testing.T) {
 	nw := spurNet(1)
-	names := nw.Nodes()
+	everything := []string{"lanA", "lanB", "lanC", "n1", "n2"}
 
-	checkAgainstReachable := func(c *core.Census) {
+	// reaches lists, per group of nodes, the nets the census must say
+	// each of them reaches; a node left out is down.
+	checkReach := func(c *core.Census, reaches map[string][]string) {
 		t.Helper()
-		for _, name := range names {
-			if c.ComponentOf(name) < 0 {
-				continue // down: ReachablePrefixes semantics differ
+		want := make(map[string][]ipv4.Prefix)
+		for group, nets := range reaches {
+			var ps []ipv4.Prefix
+			for _, n := range nets {
+				ps = append(ps, nw.Prefix(n))
 			}
-			want := nw.ReachablePrefixes(name)
-			if got := c.Prefixes(name); !reflect.DeepEqual(got, want) {
-				t.Errorf("census Prefixes(%s) = %v, ReachablePrefixes = %v", name, got, want)
+			slices.SortFunc(ps, ipv4.Prefix.Compare)
+			for _, name := range strings.Fields(group) {
+				want[name] = ps
+			}
+		}
+		for _, name := range nw.Nodes() {
+			if got := c.Prefixes(name); !reflect.DeepEqual(got, want[name]) {
+				t.Errorf("census Prefixes(%s) = %v, want %v", name, got, want[name])
 			}
 		}
 	}
@@ -60,7 +71,7 @@ func TestPartitionCensus(t *testing.T) {
 	if c.LargestFrac() != 1.0 {
 		t.Fatalf("intact LargestFrac = %v, want 1", c.LargestFrac())
 	}
-	checkAgainstReachable(c)
+	checkReach(c, map[string][]string{"h1 h2 h3 gwA gwB gwC": everything})
 
 	nw.SetNetDown("n1", true)
 	c = nw.PartitionCensus()
@@ -73,7 +84,7 @@ func TestPartitionCensus(t *testing.T) {
 	if c.ComponentOf("h1") != c.ComponentOf("gwA") || c.ComponentOf("h1") == c.ComponentOf("h2") {
 		t.Fatalf("cut n1: wrong membership: %+v", c)
 	}
-	checkAgainstReachable(c)
+	checkReach(c, map[string][]string{"h1 gwA": {"lanA"}, "h2 h3 gwB gwC": {"lanB", "lanC", "n2"}})
 
 	nw.CrashNode("gwC")
 	c = nw.PartitionCensus()
@@ -91,7 +102,8 @@ func TestPartitionCensus(t *testing.T) {
 	if frac := c.LargestFrac(); frac != 2.0/6.0 {
 		t.Fatalf("LargestFrac = %v, want 1/3", frac)
 	}
-	checkAgainstReachable(c)
+	// gwB still reaches n2: its own end of the trunk carries.
+	checkReach(c, map[string][]string{"h1 gwA": {"lanA"}, "h2 gwB": {"lanB", "n2"}, "h3": {"lanC"}})
 
 	nw.SetNetDown("n1", false)
 	nw.RestoreNode("gwC")
@@ -99,7 +111,7 @@ func TestPartitionCensus(t *testing.T) {
 	if c.Components != 1 || c.Down != 0 || c.Largest != 6 {
 		t.Fatalf("healed: %+v, want everything back in one component", c)
 	}
-	checkAgainstReachable(c)
+	checkReach(c, map[string][]string{"h1 h2 h3 gwA gwB gwC": everything})
 }
 
 // lineNet is a chain of n+1 nets joined by n gateways — the topology

@@ -35,20 +35,58 @@ const (
 
 // netInfo tracks one network and the stations on it.
 type netInfo struct {
-	nw       *Network // the network (a region, on a sharded build) this record belongs to
-	name     string
-	medium   phys.Medium
-	prefix   ipv4.Prefix
-	stations []station
-	// peer is the other region's record of a cross trunk, nil on every
-	// other net: the two halves hand out one sequence of host numbers
-	// and wire neighbor entries across to each other's station.
-	peer *netInfo
+	name   string
+	medium phys.Medium // on a cross trunk, this region's half
+	prefix ipv4.Prefix
+	*wire
 }
 
+// wire is the one record of a net that every region it spans reads: the
+// two halves of a cross trunk share one, so they hand out one sequence
+// of host numbers and a reader of either half sees both ends.
+type wire struct {
+	stations []station     // in attach order, which is address order
+	media    []phys.Medium // the net's medium, or a cross trunk's two halves
+}
+
+// station is a node's attachment to a net, with the network (a region,
+// on a sharded build) the node lives in.
 type station struct {
+	nw   *Network
 	node *stack.Node
 	ifc  *stack.Interface
+}
+
+// carries reports whether a frame can leave or reach ifc, a station's
+// interface on the net: the interface is up and no medium of the net is
+// cut — on a cross trunk neither half, since a frame is lost at either.
+func (ni *netInfo) carries(ifc *stack.Interface) bool {
+	if !ifc.NIC.Up() {
+		return false
+	}
+	for _, m := range ni.media {
+		if m.Down() {
+			return false
+		}
+	}
+	return true
+}
+
+// regions returns the networks joined to nw by cross trunks, nw among
+// them: nw first, then each in the order a sweep of the ones before it
+// over their nets' stations meets it. A serial network is its one region.
+func (nw *Network) regions() []*Network {
+	out := []*Network{nw}
+	for i := 0; i < len(out); i++ {
+		for _, name := range out[i].netOrder {
+			for _, st := range out[i].nets[name].stations {
+				if !slices.Contains(out, st.nw) {
+					out = append(out, st.nw)
+				}
+			}
+		}
+	}
+	return out
 }
 
 // Network is a simulated internetwork under construction or in operation.
@@ -122,7 +160,7 @@ func (nw *Network) AddNet(name, prefix string, kind NetKind, cfg phys.Config) {
 	default:
 		panic("core: unknown net kind")
 	}
-	nw.register(name, ipv4.MustParsePrefix(prefix), m)
+	nw.register(name, ipv4.MustParsePrefix(prefix), m, &wire{media: []phys.Medium{m}})
 }
 
 // AddCrossTrunk creates the point-to-point trunk name (prefix prefix)
@@ -142,25 +180,25 @@ func AddCrossTrunk(na, nb *Network, name, prefix string, cfg phys.Config) (*phys
 	}
 	p := ipv4.MustParsePrefix(prefix)
 	ba, bb := phys.NewBoundaryPair(na.kernel, nb.kernel, name, cfg)
-	ia, ib := na.register(name, p, ba), nb.register(name, p, bb)
-	ia.peer, ib.peer = ib, ia
+	w := &wire{media: []phys.Medium{ba, bb}}
+	na.register(name, p, ba, w)
+	nb.register(name, p, bb, w)
 	return ba, bb
 }
 
 // register records a net under its name and prefix, both of which must
 // be new to this network.
-func (nw *Network) register(name string, p ipv4.Prefix, m phys.Medium) *netInfo {
+func (nw *Network) register(name string, p ipv4.Prefix, m phys.Medium, w *wire) {
 	if _, dup := nw.nets[name]; dup {
 		panic(fmt.Sprintf("core: duplicate net %q", name))
 	}
 	if _, dup := nw.byPrefix[p]; dup {
 		panic(fmt.Sprintf("core: duplicate prefix %s", p))
 	}
-	ni := &netInfo{nw: nw, name: name, medium: m, prefix: p}
+	ni := &netInfo{name: name, medium: m, prefix: p, wire: w}
 	nw.nets[name] = ni
 	nw.byPrefix[p] = ni
 	nw.netOrder = append(nw.netOrder, name)
-	return ni
 }
 
 // Medium returns the medium implementing the named net, for direct fault
@@ -214,15 +252,10 @@ func (nw *Network) addNode(name string, forwarding bool, nets []string) *stack.N
 }
 
 // attach joins the node to a net at the next free host address and wires
-// neighbor tables both ways with every existing station. On a cross
-// trunk each region's half takes one station, so the only station that
-// can already be there is the other region's.
+// neighbor tables both ways with every existing station.
 func (nw *Network) attach(n *stack.Node, netName string) *stack.Interface {
 	ni := nw.mustNet(netName)
 	others := ni.stations
-	if ni.peer != nil {
-		others = ni.peer.stations
-	}
 	host := len(others) + 1
 	// The prefix's last address is its directed broadcast: a station's
 	// host number must come before it.
@@ -234,7 +267,7 @@ func (nw *Network) attach(n *stack.Node, netName string) *stack.Interface {
 		st.ifc.AddNeighbor(ifc.Addr, ifc.NIC.Addr())
 		ifc.AddNeighbor(st.ifc.Addr, st.ifc.NIC.Addr())
 	}
-	ni.stations = append(ni.stations, station{node: n, ifc: ifc})
+	ni.stations = append(ni.stations, station{nw: nw, node: n, ifc: ifc})
 	return ifc
 }
 
@@ -333,14 +366,17 @@ func (nw *Network) EnablePriorityQueueing(name string, perBand int) {
 	nw.mustNode(name).InstallPriorityQueueing(perBand)
 }
 
-// AllPrefixes returns every network prefix in the topology, sorted.
+// AllPrefixes returns every network prefix in the internet — every
+// region joined to nw by cross trunks — sorted.
 func (nw *Network) AllPrefixes() []ipv4.Prefix {
 	out := make([]ipv4.Prefix, 0, len(nw.nets))
-	for _, ni := range nw.nets {
-		out = append(out, ni.prefix)
+	for _, r := range nw.regions() {
+		for _, ni := range r.nets {
+			out = append(out, ni.prefix)
+		}
 	}
 	slices.SortFunc(out, ipv4.Prefix.Compare)
-	return out
+	return slices.Compact(out) // a cross trunk is a net in both its regions
 }
 
 // RIPNodes returns the names of RIP-enabled nodes in insertion order.

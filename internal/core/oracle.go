@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 
 	"darpanet/internal/ipv4"
@@ -31,8 +30,9 @@ func (nw *Network) InstallStaticRoutes() {
 	nw.recomputeStaticRoutes()
 }
 
-// recomputeStaticRoutes re-runs the oracle over this network alone.
-func (nw *Network) recomputeStaticRoutes() { installStaticRoutes([]*Network{nw}, false) }
+// recomputeStaticRoutes re-runs the oracle, uncollapsed, over the
+// internet nw belongs to: on a serial network, nw alone.
+func (nw *Network) recomputeStaticRoutes() { installStaticRoutes(nw.regions(), false) }
 
 // InstallStaticRoutesAcross runs the static oracle globally over a set
 // of region networks joined by AddCrossTrunk boundary links: one
@@ -45,8 +45,8 @@ func (nw *Network) recomputeStaticRoutes() { installStaticRoutes([]*Network{nw},
 //
 // Call it after the sharded topology is final: unlike the per-network
 // oracle it does not re-run on later topology changes, and a region's
-// own InstallStaticRoutes afterwards would tear out the cross-region
-// state it cannot rebuild.
+// own InstallStaticRoutes afterwards would recompute every region's
+// tables without the collapse.
 func InstallStaticRoutesAcross(regions []*Network) { installStaticRoutes(regions, true) }
 
 // installStaticRoutes is the one body behind both oracle entries: drop
@@ -57,16 +57,14 @@ func InstallStaticRoutesAcross(regions []*Network) { installStaticRoutes(regions
 // an earlier run installed is retracted via aggDefault, which remembers
 // per region which nodes hold one.
 func installStaticRoutes(regions []*Network, collapse bool) {
-	// Merge: nodes in region order, nets unified by prefix — a boundary
-	// net appears in two regions and contributes one station from each,
-	// which is precisely the edge the BFS crosses regions on. Its two
-	// stations go back into attach order, which on every net is address
-	// order: the BFS breaks equal-cost ties by station order, and which
-	// region holds which end must not decide a route.
+	// Merge: nodes in region order, nets by prefix. A boundary net is a
+	// net in both its regions; its stations, one in each, are the edge
+	// the BFS crosses regions on, and come in attach order as on any net,
+	// so the BFS breaks equal-cost ties as it does on the serial build.
 	var nodes []*stack.Node
 	owner := make(map[*stack.Node]*Network)
-	merged := make(map[ipv4.Prefix]int)
-	var nets []oracleNet
+	merged := make(map[ipv4.Prefix]bool)
+	var nets []*netInfo
 	for _, nw := range regions {
 		for _, name := range nw.order {
 			n := nw.nodes[name]
@@ -75,15 +73,9 @@ func installStaticRoutes(regions []*Network, collapse bool) {
 		}
 		for _, name := range nw.netOrder {
 			ni := nw.nets[name]
-			j, ok := merged[ni.prefix]
-			if !ok {
-				j = len(nets)
-				merged[ni.prefix] = j
-				nets = append(nets, oracleNet{prefix: ni.prefix})
-			}
-			nets[j].stations = append(nets[j].stations, ni.stations...)
-			if ok {
-				slices.SortFunc(nets[j].stations, func(a, b station) int { return cmp.Compare(a.ifc.Addr, b.ifc.Addr) })
+			if !merged[ni.prefix] {
+				merged[ni.prefix] = true
+				nets = append(nets, ni)
 			}
 		}
 	}
@@ -94,19 +86,12 @@ func installStaticRoutes(regions []*Network, collapse bool) {
 			if r.Source != stack.SourceStatic {
 				return false
 			}
-			_, topological := merged[r.Prefix]
-			return topological || (r.Prefix.Bits == 0 && agg[n])
+			return merged[r.Prefix] || (r.Prefix.Bits == 0 && agg[n])
 		})
 		delete(agg, n)
 	}
 
 	computeStaticRoutes(nodes, nets, collapse, func(n *stack.Node) { owner[n].aggDefault[n] = true })
-}
-
-// oracleNet is one destination network as the static oracle sees it.
-type oracleNet struct {
-	prefix   ipv4.Prefix
-	stations []station
 }
 
 // computeStaticRoutes is the static oracle's core: a multi-source
@@ -128,8 +113,8 @@ type oracleNet struct {
 // each node that received one so a recompute can retract it. A node
 // holding an operator default (SetDefaultRoute) to the same next hop is
 // left as-is; to a different next hop, it keeps its full table.
-func computeStaticRoutes(nodes []*stack.Node, nets []oracleNet, aggregate bool, noteAgg func(*stack.Node)) {
-	slices.SortFunc(nets, func(a, b oracleNet) int { return a.prefix.Compare(b.prefix) })
+func computeStaticRoutes(nodes []*stack.Node, nets []*netInfo, aggregate bool, noteAgg func(*stack.Node)) {
+	slices.SortFunc(nets, func(a, b *netInfo) int { return a.prefix.Compare(b.prefix) })
 
 	idxOf := make(map[*stack.Node]int32, len(nodes))
 	for i, n := range nodes {

@@ -85,7 +85,7 @@ func RunE13(seed int64) Result { return e13With(Params{})(seed) }
 // e13With binds E13 to Params: Workload replaces the mix (vj=1 reruns
 // the sweep with Van Jacobson's machinery and the cliff flattens), and
 // the first of Policies and of CCs turn the collapse experiment into a
-// single tournament cell.
+// single tournament cell — the hosts E13-T's cell of that name runs.
 func e13With(p Params) func(seed int64) Result {
 	ws := or(p.Workload, E13Workload())
 	var policy phys.PolicySpec
@@ -93,8 +93,7 @@ func e13With(p Params) func(seed int64) Result {
 		policy = p.Policies[0]
 	}
 	if len(p.CCs) > 0 {
-		ws.CC = p.CCs[0]
-		ws.ECN = policy.Kind == phys.PolicyECN
+		ws = e13tCell{Policy: policy, CC: p.CCs[0]}.workload(ws)
 	}
 	loads := orSlice(p.Loads, e13Loads)
 	window, drain := cmp.Or(p.Window, e13Window), cmp.Or(p.Drain, e13Drain)

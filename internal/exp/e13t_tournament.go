@@ -44,13 +44,13 @@ func (c e13tCell) kind() string {
 // name renders the cell as "<policy-kind>/<cc>".
 func (c e13tCell) name() string { return c.kind() + "/" + c.CC }
 
-// workload maps the cell to host behavior: the naive response is the
-// full pre-1988 host (go-back-N recovery, fixed no-backoff timer),
-// while tahoe and reno ride the adaptive-RTO machinery. Hosts offer
-// ECN whenever the gateways can mark — only reno answers the echo, so
-// an ecn/naive cell measures marking wasted on deaf hosts.
-func (c e13tCell) workload() workload.Spec {
-	ws := E13Workload()
+// workload maps the cell onto the mix ws as host behavior: the naive
+// response is the full pre-1988 host (go-back-N recovery, fixed
+// no-backoff timer), while tahoe and reno ride the adaptive-RTO
+// machinery. Hosts offer ECN whenever the gateways can mark — only reno
+// answers the echo, so an ecn/naive cell measures marking wasted on
+// deaf hosts.
+func (c e13tCell) workload(ws workload.Spec) workload.Spec {
 	if c.CC == tcp.CCNaive {
 		ws.VJ, ws.NaiveRTO = false, true
 	} else {
@@ -124,7 +124,7 @@ func runE13T(seed int64, topoID string, tspec topo.Spec, cells []e13tCell, loads
 	for _, cell := range cells {
 		// Every cell sees the same seed: identical topology, identical
 		// arrival process — only the policies differ.
-		out := e13Sweep(seed, tspec, cell.workload(), cell.Policy, loads, window, drain)
+		out := e13Sweep(seed, tspec, cell.workload(E13Workload()), cell.Policy, loads, window, drain)
 		ran = append(ran, scored{cell, out})
 
 		top := out.points[len(out.points)-1].sum

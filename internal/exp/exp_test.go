@@ -301,6 +301,27 @@ func TestWithBindsOnlyWhatAnExperimentTakes(t *testing.T) {
 	}
 }
 
+// TestE13CCRunsTheTournamentCell: E13 with a congestion response runs
+// E13-T's drop-tail cell of that name — the same hosts over the same
+// traffic, so the same curve — and not E13's naive-timer hosts with the
+// response's window rules bolted on.
+func TestE13CCRunsTheTournamentCell(t *testing.T) {
+	p := Params{CCs: []string{tcp.CCReno}, Loads: []float64{16}, Window: 4 * time.Second, Drain: 2 * time.Second}
+	e13 := e13With(p)(1)
+	p.Policies = []phys.PolicySpec{{Kind: phys.PolicyDropTail}}
+	e13t := e13tWith(p)(1)
+	for _, m := range []struct{ e13, e13t string }{
+		{"peak_goodput", "t/transitstub/droptail/reno/peak_goodput"},
+		{"l0_done", "t/transitstub/droptail/reno/done"},
+	} {
+		got, ok := e13.Metric(m.e13)
+		want, wantOK := e13t.Metric(m.e13t)
+		if !ok || !wantOK || got != want {
+			t.Errorf("E13 -cc reno %s = %g (present %v), E13-T %s = %g (present %v)", m.e13, got, ok, m.e13t, want, wantOK)
+		}
+	}
+}
+
 // TestTakesNamesRealParams guards the registry against a typo or a
 // forgotten field: Fields reports every Params field, every field an
 // experiment claims to take is one of them, and every experiment that

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -94,6 +95,8 @@ func TestParseAndRender(t *testing.T) {
 	}
 }
 
+// TestParseErrors: each schedule's last line is bad, and the error names
+// it.
 func TestParseErrors(t *testing.T) {
 	for _, bad := range []string{
 		"5s explode n1",
@@ -104,9 +107,18 @@ func TestParseErrors(t *testing.T) {
 		"5s storm n1",
 		"5s flap n1 0 2s",
 		"5s ifdown gwB x",
+		// An offset before Arm, which the kernel would run at once.
+		"5s cut n1\n-5s heal n1",
+		"-1ns crash gwB",
+		// A flap is two steps a cycle: its count is bounded.
+		"0s flap n1 101 1s",
+		// A step past the largest Duration would wrap to the past.
+		"2562047h storm n1 0.5 2562047h",
+		"1s cut n1\n0s flap n1 2 2562047h",
 	} {
-		if _, err := fault.Parse("bad", bad); err == nil {
-			t.Errorf("Parse(%q) succeeded, want error", bad)
+		line := fmt.Sprintf("line %d:", strings.Count(bad, "\n")+1)
+		if _, err := fault.Parse("bad", bad); err == nil || !strings.Contains(err.Error(), line) {
+			t.Errorf("Parse(%q) = %v, want an error at %s", bad, err, line)
 		}
 	}
 }

@@ -103,7 +103,9 @@ func (s Schedule) String() string {
 //	75s calm  lanB          end a storm explicitly
 //	55s flap  n2 3 500ms    3 cut/heal cycles, 500ms per half-cycle
 //
-// Steps are sorted by offset; ties keep file order.
+// Steps are sorted by offset; ties keep file order. An offset is never
+// negative, no step may fall past the largest Duration, and a flap runs
+// at most maxFlaps cycles.
 func Parse(name, text string) (Schedule, error) {
 	s := Schedule{Name: name}
 	for lineno, raw := range strings.Split(text, "\n") {
@@ -119,8 +121,8 @@ func Parse(name, text string) (Schedule, error) {
 			return s, fmt.Errorf("fault: line %d: want `<offset> <op> <target> [args]`, got %q", lineno+1, line)
 		}
 		at, err := time.ParseDuration(f[0])
-		if err != nil {
-			return s, fmt.Errorf("fault: line %d: bad offset %q: %v", lineno+1, f[0], err)
+		if err != nil || at < 0 {
+			return s, fmt.Errorf("fault: line %d: bad offset %q (want a duration >= 0)", lineno+1, f[0])
 		}
 		target := f[2]
 		switch f[1] {
@@ -156,7 +158,7 @@ func Parse(name, text string) (Schedule, error) {
 			s.Steps = append(s.Steps, Step{At: at, Op: OpStormStart, Target: target, Level: level})
 			if len(f) >= 5 {
 				dur, err := time.ParseDuration(f[4])
-				if err != nil || dur <= 0 {
+				if err != nil || dur <= 0 || dur > math.MaxInt64-at {
 					return s, fmt.Errorf("fault: line %d: bad storm duration %q", lineno+1, f[4])
 				}
 				s.Steps = append(s.Steps, Step{At: at + dur, Op: OpStormEnd, Target: target})
@@ -167,12 +169,13 @@ func Parse(name, text string) (Schedule, error) {
 			if len(f) < 5 {
 				return s, fmt.Errorf("fault: line %d: want `flap <net> <count> <period>`", lineno+1)
 			}
-			count, err := spec.ParseInt(f[3], 1, math.MaxInt)
+			count, err := spec.ParseInt(f[3], 1, maxFlaps)
 			if err != nil {
-				return s, fmt.Errorf("fault: line %d: bad flap count %q", lineno+1, f[3])
+				return s, fmt.Errorf("fault: line %d: bad flap count %q (want 1..%d)", lineno+1, f[3], maxFlaps)
 			}
+			// The last heal, at + (2·count−1)·period, must be a Duration.
 			period, err := time.ParseDuration(f[4])
-			if err != nil || period <= 0 {
+			if err != nil || period <= 0 || period > (math.MaxInt64-at)/time.Duration(2*count-1) {
 				return s, fmt.Errorf("fault: line %d: bad flap period %q", lineno+1, f[4])
 			}
 			for i := 0; i < count; i++ {
@@ -187,6 +190,10 @@ func Parse(name, text string) (Schedule, error) {
 	sort.SliceStable(s.Steps, func(i, j int) bool { return s.Steps[i].At < s.Steps[j].At })
 	return s, nil
 }
+
+// maxFlaps bounds a flap line's cycle count, each cycle two steps: the
+// presets flap 2 and 4 times.
+const maxFlaps = 100
 
 // MustParse is Parse for known-good schedule literals; it panics on error.
 func MustParse(name, text string) Schedule {

@@ -19,7 +19,6 @@ const (
 	TypeEchoRequest      = 8
 	TypeTimeExceeded     = 11
 	TypeSourceQuench     = 4 // the era's (ineffective) congestion signal
-	TypeParameterProblem = 12
 	TypeTimestampRequest = 13
 	TypeTimestampReply   = 14
 )

@@ -77,7 +77,7 @@ func (t *ticker) fire() {
 		}
 		live = append(live, r)
 		r.expireRoutes()
-		r.sendUpdates(false)
+		r.sendUpdates()
 	}
 	for i := len(live); i < len(t.routers); i++ {
 		t.routers[i] = nil

@@ -232,7 +232,7 @@ func (r *Router) periodic() {
 		return
 	}
 	r.expireRoutes()
-	r.sendUpdates(false)
+	r.sendUpdates()
 	r.tick = r.k.After(r.cfg.UpdateInterval, r.periodicFn)
 }
 
@@ -306,7 +306,7 @@ func (r *Router) fireTriggered() {
 		return
 	}
 	r.stats.TriggeredUpdates++
-	r.sendUpdates(true)
+	r.sendUpdates()
 }
 
 // wire format: 1 byte version, 1 byte count, then count entries of
@@ -351,7 +351,7 @@ func decodeMessage(data []byte, fn func(p ipv4.Prefix, metric int)) bool {
 // sendUpdates broadcasts the distance vector out every up interface,
 // applying split horizon with poisoned reverse per interface. Tables
 // larger than MaxEntriesPerUpdate go out as several messages.
-func (r *Router) sendUpdates(triggered bool) {
+func (r *Router) sendUpdates() {
 	// Compose entries in prefix order so runs are bit-for-bit
 	// reproducible regardless of map iteration.
 	ordered := make([]*route, 0, len(r.routes))
@@ -392,7 +392,6 @@ func (r *Router) sendUpdates(triggered bool) {
 		}
 		flush()
 	}
-	_ = triggered
 }
 
 // input processes a neighbor's distance vector.

@@ -889,7 +889,7 @@ func (c *Conn) enterTimeWait() {
 	c.cancelDelack()
 	c.timeWaitTimer.Stop()
 	c.fireClose(nil)
-	c.timeWaitTimer = c.k.After(c.opts.TimeWaitDuration, c.timeWaitFn)
+	c.timeWaitTimer = c.k.After(defaultTimeWait, c.timeWaitFn)
 }
 
 func (c *Conn) timeWaitExpired() {

@@ -50,8 +50,6 @@ type Options struct {
 	// many early, naive TCP implementations used, and the third
 	// ingredient of experiment E6's network-hostile host.
 	GoBackN bool
-	// TimeWaitDuration overrides the 2*MSL TIME-WAIT hold (tests).
-	TimeWaitDuration sim.Duration
 	// TOS is the IP type-of-service octet stamped on every segment.
 	TOS uint8
 	// ReactToSourceQuench makes the connection treat an ICMP source
@@ -84,9 +82,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SendBufferSize <= 0 {
 		o.SendBufferSize = d.SendBufferSize
-	}
-	if o.TimeWaitDuration <= 0 {
-		o.TimeWaitDuration = defaultTimeWait
 	}
 	return o
 }

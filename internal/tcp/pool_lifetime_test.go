@@ -47,16 +47,15 @@ func TestConcurrentStreamsShareScratchUnderLoss(t *testing.T) {
 // kernel's pool — must transfer intact.
 func TestTimeWaitExpiryAndReconnectAfterPooling(t *testing.T) {
 	n := newTestNet(t, 7, 0)
-	opts := Options{TimeWaitDuration: 10 * time.Second}
 	var srv *sink
-	n.t2.Listen(80, opts, func(c *Conn) {
+	n.t2.Listen(80, Options{}, func(c *Conn) {
 		srv = &sink{}
 		srv.attach(c)
 		c.OnEOF(func() { c.Close() })
 	})
 
 	transfer := func(data []byte) *Conn {
-		c, err := n.t1.Dial(Endpoint{Addr: n.h2.Addr(), Port: 80}, opts)
+		c, err := n.t1.Dial(Endpoint{Addr: n.h2.Addr(), Port: 80}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +71,7 @@ func TestTimeWaitExpiryAndReconnectAfterPooling(t *testing.T) {
 	if first.State() != StateTimeWait {
 		t.Fatalf("active closer state = %v, want TIME-WAIT", first.State())
 	}
-	n.k.RunFor(11 * time.Second)
+	n.k.RunFor(time.Minute)
 	if first.State() != StateClosed {
 		t.Fatalf("state after 2MSL = %v, want CLOSED", first.State())
 	}
@@ -82,7 +81,7 @@ func TestTimeWaitExpiryAndReconnectAfterPooling(t *testing.T) {
 
 	// Second lifecycle over the same port pair and the same pool.
 	second := transfer(pattern(40_000))
-	n.k.RunFor(11 * time.Second)
+	n.k.RunFor(time.Minute)
 	if second.State() != StateClosed {
 		t.Fatalf("second connection state = %v, want CLOSED", second.State())
 	}

@@ -130,13 +130,12 @@ func TestTimeWaitReAcksRetransmittedFIN(t *testing.T) {
 	// retransmits its FIN; the TIME-WAIT endpoint must re-ACK, which is
 	// the reason TIME-WAIT exists.
 	n := newTestNet(t, 1, 0)
-	opts := Options{TimeWaitDuration: 5 * time.Second}
 	var server *Conn
-	n.t2.Listen(80, opts, func(c *Conn) {
+	n.t2.Listen(80, Options{}, func(c *Conn) {
 		server = c
 		c.OnEOF(func() { c.Close() })
 	})
-	c, _ := n.t1.Dial(Endpoint{Addr: n.h2.Addr(), Port: 80}, opts)
+	c, _ := n.t1.Dial(Endpoint{Addr: n.h2.Addr(), Port: 80}, Options{})
 	c.OnEstablished(func() { c.Close() })
 	n.k.RunFor(time.Second)
 	if c.State() != StateTimeWait {

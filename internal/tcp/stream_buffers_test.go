@@ -225,7 +225,7 @@ func TestBulkAcrossFragmentingLossyPathStrandsNothing(t *testing.T) {
 	near := phys.NewP2P(k, "near", phys.Config{BitsPerSec: 10_000_000, Delay: 2 * time.Millisecond, MTU: 1500, QueueLimit: 64})
 	far := phys.NewP2P(k, "far", phys.Config{BitsPerSec: 10_000_000, Delay: 2 * time.Millisecond, MTU: 256, Loss: 0.01, QueueLimit: 256})
 	n := assembleTestNet(k, near, far)
-	opts := Options{MSS: 1400, TimeWaitDuration: time.Second}
+	opts := Options{MSS: 1400}
 	const transfers = 4
 	data := pattern(300_000)
 	sinks := make([]*sink, transfers)

@@ -207,7 +207,7 @@ func TestBidirectionalTransfer(t *testing.T) {
 
 func TestCleanCloseStates(t *testing.T) {
 	n := newTestNet(t, 1, 0)
-	opts := Options{TimeWaitDuration: 2 * time.Second}
+	opts := Options{}
 	var server *Conn
 	n.t2.Listen(80, opts, func(c *Conn) {
 		server = c
@@ -236,7 +236,7 @@ func TestCleanCloseStates(t *testing.T) {
 	if !closed {
 		t.Fatal("OnClose not fired at TIME-WAIT")
 	}
-	n.k.RunFor(3 * time.Second)
+	n.k.RunFor(time.Minute) // 2·MSL after TIME-WAIT began, within the first second
 	if c.State() != StateClosed {
 		t.Fatalf("client state after 2MSL = %v", c.State())
 	}
@@ -247,10 +247,9 @@ func TestCleanCloseStates(t *testing.T) {
 
 func TestSimultaneousClose(t *testing.T) {
 	n := newTestNet(t, 1, 0)
-	opts := Options{TimeWaitDuration: time.Second}
 	var server *Conn
-	n.t2.Listen(80, opts, func(c *Conn) { server = c })
-	c, _ := n.t1.Dial(Endpoint{Addr: n.h2.Addr(), Port: 80}, opts)
+	n.t2.Listen(80, Options{}, func(c *Conn) { server = c })
+	c, _ := n.t1.Dial(Endpoint{Addr: n.h2.Addr(), Port: 80}, Options{})
 	c.OnEstablished(func() {
 		// Let the server's accept land, then close both sides in the
 		// same event: the FINs cross in flight.
@@ -259,7 +258,7 @@ func TestSimultaneousClose(t *testing.T) {
 			server.Close()
 		})
 	})
-	n.k.RunFor(10 * time.Second)
+	n.k.RunFor(70 * time.Second) // both ends hold TIME-WAIT for 2·MSL
 	if c.State() != StateClosed || server.State() != StateClosed {
 		t.Fatalf("states after simultaneous close: %v / %v", c.State(), server.State())
 	}

@@ -296,6 +296,117 @@ func TestPathHopsMatchesTheOldWalk(t *testing.T) {
 	}
 }
 
+// censusView renders what a census says of each node: the members of
+// its component (or that it is down) and the prefixes it reaches.
+func censusView(c *core.Census, names []string) map[string]string {
+	members := make(map[int][]string)
+	for _, n := range names {
+		members[c.ComponentOf(n)] = append(members[c.ComponentOf(n)], n)
+	}
+	view := make(map[string]string, len(names))
+	for _, n := range names {
+		comp := "down"
+		if id := c.ComponentOf(n); id >= 0 {
+			comp = "with " + strings.Join(members[id], " ")
+		}
+		view[n] = fmt.Sprintf("%s, reaching %v", comp, c.Prefixes(n))
+	}
+	return view
+}
+
+// TestCensusAtAnyRegionCount holds the reachability census taken on any
+// region of the 1- and 4-region builds to the serial build's census:
+// the same components as sets of node names, the same Down, Largest and
+// Total, the same prefixes reached per node, and the same AllPrefixes —
+// intact, with a gateway that owns a cross trunk crashed, and with one
+// cross trunk, then every one, cut at each half in turn.
+func TestCensusAtAnyRegionCount(t *testing.T) {
+	for _, sp := range []string{"transitstub:gw=8,stubs=2,hosts=1", "waxman:gw=10,hosts=1"} {
+		spec, err := ParseSpec(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", spec.Shape, seed), func(t *testing.T) {
+				serial, _ := Generate(spec, seed)
+				s1, s4 := GenerateSharded(spec, seed, 1, 1), GenerateSharded(spec, seed, 4, 1)
+				// A fault goes to each build through the handle of the node
+				// it hits, so a cut trunk is cut in that node's region only.
+				builds := []interface{ Net(string) *core.Network }{serial, s1, s4}
+				names := serial.Nodes()
+
+				var cross []string
+				ends := make(map[string][]string)
+				for i, nf := range s4.Manifest.NetDefs {
+					if s4.Manifest.Partition.NetRegions[i] < 0 {
+						cross = append(cross, nf.Name)
+					}
+				}
+				for _, nd := range s4.Manifest.NodeDefs {
+					for _, n := range nd.Nets {
+						ends[n] = append(ends[n], nd.Name)
+					}
+				}
+				if len(cross) == 0 {
+					t.Fatal("no cross trunk at 4 regions")
+				}
+
+				check := func(state string) {
+					t.Helper()
+					want := serial.PartitionCensus()
+					wantView, wantPrefixes := censusView(want, names), serial.AllPrefixes()
+					for _, s := range []*Sharded{s1, s4} {
+						for r, nw := range s.Regions {
+							got := nw.PartitionCensus()
+							if got.Components != want.Components || got.Down != want.Down || got.Largest != want.Largest || got.Total != want.Total {
+								t.Errorf("%s, %d regions, census on region %d: %d components, %d down, largest %d of %d; serial %d, %d, %d of %d",
+									state, len(s.Regions), r, got.Components, got.Down, got.Largest, got.Total,
+									want.Components, want.Down, want.Largest, want.Total)
+							}
+							gotView := censusView(got, names)
+							for _, n := range names {
+								if gotView[n] != wantView[n] {
+									t.Errorf("%s, %d regions, census on region %d: %s is %s; serial: %s", state, len(s.Regions), r, n, gotView[n], wantView[n])
+									break
+								}
+							}
+							if ps := nw.AllPrefixes(); !slices.Equal(ps, wantPrefixes) {
+								t.Errorf("%s, %d regions, region %d: AllPrefixes %v, serial %v", state, len(s.Regions), r, ps, wantPrefixes)
+							}
+						}
+					}
+				}
+
+				check("intact")
+				gw := ends[cross[0]][0]
+				for _, b := range builds {
+					b.Net(gw).CrashNode(gw)
+				}
+				check(gw + " crashed")
+				for _, b := range builds {
+					b.Net(gw).RestoreNode(gw)
+				}
+				for half := 0; half < 2; half++ {
+					for _, trunks := range [][]string{cross[:1], cross} {
+						cut := func(down bool) {
+							for _, tr := range trunks {
+								end := ends[tr][half]
+								for _, b := range builds {
+									b.Net(end).SetNetDown(tr, down)
+								}
+							}
+						}
+						cut(true)
+						check(fmt.Sprintf("%d of %d cross trunks cut at %s's end", len(trunks), len(cross), ends[trunks[0]][half]))
+						cut(false)
+					}
+				}
+				check("healed")
+			})
+		}
+	}
+}
+
 // TestBuildersShareGraphNamesPrefixesMedia holds Generate and
 // GenerateSharded to one wiring, for every shape and the E12 reference
 // internet at 1 and 4 regions: the marshalled manifests are equal (less

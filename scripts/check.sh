@@ -79,10 +79,11 @@ run_leg() {
         # real concurrency exists — keep them honest, in shuffled order so
         # no test leans on state an earlier one left behind. The second
         # command names the sharded determinism and delivery tests and the
-        # serial-vs-sharded differential tests explicitly, so a schedule
-        # or -run pattern change cannot silently drop them from coverage.
+        # serial-vs-sharded differential tests (tables, wiring, census)
+        # explicitly, so a schedule or -run pattern change cannot silently
+        # drop them from coverage.
         go test -race -shuffle=on ./...
-        go test -race -count=1 -run 'TestE16DeterminismAcrossWorkers|TestSharded|TestSerialAndShardedRunsAgree|TestBuildersShareGraphNamesPrefixesMedia' ./internal/exp/ ./internal/topo/
+        go test -race -count=1 -run 'TestE16DeterminismAcrossWorkers|TestSharded|TestSerialAndShardedRunsAgree|TestBuildersShareGraphNamesPrefixesMedia|TestCensusAtAnyRegionCount' ./internal/exp/ ./internal/topo/
         ;;
     race-sim)
         # The kernel at 1, 2 and 4 CPUs: a 1-core pass proves nothing
@@ -120,7 +121,7 @@ run_leg() {
         ;;
     fuzz)
         # Fuzzers, 10s each (go test takes one -fuzz target at a time):
-        # five codec round-trips and the three spec grammars first.
+        # five codec round-trips and the four text grammars first.
         go test -run '^$' -fuzz FuzzIPv4HeaderRoundTrip -fuzztime 10s ./internal/ipv4/
         go test -run '^$' -fuzz FuzzTCPSegmentRoundTrip -fuzztime 10s ./internal/tcp/
         go test -run '^$' -fuzz FuzzUDPDatagramRoundTrip -fuzztime 10s ./internal/udp/
@@ -132,6 +133,9 @@ run_leg() {
         go test -run '^$' -fuzz FuzzTopoSpec -fuzztime 10s ./internal/topo/
         go test -run '^$' -fuzz FuzzWorkloadSpec -fuzztime 10s ./internal/workload/
         go test -run '^$' -fuzz FuzzPolicySpec -fuzztime 10s ./internal/phys/
+        # A fault schedule is refused or renders to text that parses back
+        # to the same steps.
+        go test -run '^$' -fuzz FuzzScheduleParse -fuzztime 10s ./internal/fault/
         # The differential fuzzers: the checksum against its 16-bit
         # reference loop, and route-table operation sequences against the
         # linear scan. Their inputs are long; left to minimize each

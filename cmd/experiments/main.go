@@ -41,6 +41,7 @@ import (
 	"darpanet/internal/metrics"
 	"darpanet/internal/phys"
 	"darpanet/internal/spec"
+	"darpanet/internal/tcp"
 	"darpanet/internal/topo"
 	"darpanet/internal/workload"
 )
@@ -147,7 +148,7 @@ func flagSet(o *options, p *exp.Params, only *string) *flag.FlagSet {
 		o.exports = append(o.exports, [2]string{kind, file})
 		return nil
 	})
-	fs.Func("topo", "generated-internet `spec` for E12, E13-T, E14, E15, E16: 'shape:key=val,...' (shapes: line, ring, tree, transitstub, waxman; "+keys(new(topo.Spec).Fields())+")",
+	fs.Func("topo", "generated-internet `spec` for E12, E13-T, E14, E15, E16: 'shape:key=val,...' (shapes: "+strings.Join(topo.ShapeNames(), ", ")+"; "+keys(new(topo.Spec).Fields())+")",
 		func(s string) error {
 			ts, err := topo.ParseSpec(s)
 			p.Topo = &ts
@@ -163,9 +164,9 @@ func flagSet(o *options, p *exp.Params, only *string) *flag.FlagSet {
 		p.Faults, err = resolveFaults(s)
 		return err
 	})
-	fs.Func("qdisc", "'+'-separated gateway queue policy `specs` (droptail|red|ecn[:key=val,...]; "+keys(new(phys.PolicySpec).Fields())+"): E13 runs the first, E13-T restricts its grid",
+	fs.Func("qdisc", "'+'-separated gateway queue policy `specs` ("+strings.Join(phys.PolicyKinds(), "|")+"[:key=val,...]; "+keys(new(phys.PolicySpec).Fields())+"): E13 runs the first, E13-T restricts its grid",
 		listFlag(&p.Policies, "+", phys.ParsePolicySpec))
-	fs.Func("cc", "'+'-separated host congestion response `names` (naive|tahoe|reno|newreno): E13 runs the first, E13-T restricts its grid",
+	fs.Func("cc", "'+'-separated host congestion response `names` ("+strings.Join(tcp.CCNames(), "|")+"): E13 runs the first, E13-T restricts its grid",
 		listFlag(&p.CCs, "+", func(s string) (string, error) { return s, nil }))
 	fs.Func("fracs", "E14 loss sweep as comma-separated `percentages` of infrastructure lost, e.g. '2,5,10,20'",
 		listFlag(&p.Fracs, ",", func(s string) (float64, error) {

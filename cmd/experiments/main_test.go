@@ -12,6 +12,7 @@ import (
 
 	"darpanet/internal/exp"
 	"darpanet/internal/phys"
+	"darpanet/internal/tcp"
 	"darpanet/internal/topo"
 	"darpanet/internal/workload"
 )
@@ -100,10 +101,34 @@ func TestRunReportsReplicaFailures(t *testing.T) {
 	}
 }
 
-// TestHelpSync (check.sh help-sync) keeps the two hand-readable lists
-// from going stale again: -h names every key the three spec grammars
-// accept, under the flag that takes it, and README's flag section names
-// every flag -h prints.
+// TestFaultsNamingAMissingNodeFail: a -faults schedule whose step names
+// a gateway E11's internet does not have fails its replica with the step
+// in the message — and the run, so the CLI exits 1 — before any step
+// fires.
+func TestFaultsNamingAMissingNodeFail(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "gwz.faults")
+	if err := os.WriteFile(file, []byte("5s cut n1\n10s crash gwZ\n"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	o, err := parseArgs([]string{"-only", "E11", "-faults", file})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout bytes.Buffer
+	err = run(o, &stdout, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "1 replica(s) failed") {
+		t.Fatalf("run error = %v, want the failed replica counted", err)
+	}
+	if want := `fault: step "10s crash gwZ": no node gwZ in the internet`; !strings.Contains(stdout.String(), want) {
+		t.Fatalf("stdout does not carry %q:\n%s", want, stdout.String())
+	}
+}
+
+// TestHelpSync (check.sh help-sync) keeps the hand-readable lists from
+// going stale again: -h names every key the three spec grammars accept,
+// under the flag that takes it, and every topology shape, congestion
+// response and queue policy kind, as the unknown-shape error names every
+// shape; and README's flag section names every flag -h prints.
 func TestHelpSync(t *testing.T) {
 	fs := flagSet(new(options), new(exp.Params), new(string))
 	for name, keys := range map[string][]string{
@@ -112,6 +137,17 @@ func TestHelpSync(t *testing.T) {
 		for _, key := range keys {
 			if !regexp.MustCompile(`[ ,]` + key + `[,)]`).MatchString(fs.Lookup(name).Usage) {
 				t.Errorf("-%s help does not list key %q: %s", name, key, fs.Lookup(name).Usage)
+			}
+		}
+	}
+	_, unknown := topo.ParseSpec("blob")
+	for name, kinds := range map[string][]string{"topo": topo.ShapeNames(), "cc": tcp.CCNames(), "qdisc": phys.PolicyKinds()} {
+		for _, kind := range kinds {
+			if !regexp.MustCompile(`[ (|]` + kind + `[,;|)[]`).MatchString(fs.Lookup(name).Usage) {
+				t.Errorf("-%s help does not list %q: %s", name, kind, fs.Lookup(name).Usage)
+			}
+			if name == "topo" && !strings.Contains(unknown.Error(), kind) {
+				t.Errorf("the unknown-shape error does not list %q: %v", kind, unknown)
 			}
 		}
 	}

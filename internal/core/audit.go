@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -60,24 +61,26 @@ func (nw *Network) CheckRoute(name string, p ipv4.Prefix, maxHops int) RouteVerd
 	return v
 }
 
-// RouteHops follows routing tables hop by hop from the named node
-// toward network p — exactly as the forwarding plane would, requiring an
-// up egress interface, a carrying medium, and a live next hop at every
-// step — and returns the number of hops taken (from a host, the gateways
-// that relayed the datagram) and how the walk ended: at delivery, at the
-// hole, or the whole budget. The origin may be a host; any other
-// non-forwarding node ends the walk. A next hop across a cross trunk is
-// followed into its station's region, so the walk audits a sharded
-// internet from any of its regions. maxHops bounds the walk (<= 0 means
-// DefaultHopLimit); callers who know the topology diameter should pass a
-// bound just above it, so RouteLooped really means a loop rather than a
-// legitimate long path.
+// RouteHops follows routing tables hop by hop from the named node, in
+// whichever region it lives, toward network p — exactly as the
+// forwarding plane would, requiring an up egress interface, a carrying
+// medium, and a live next hop at every step — and returns the number of
+// hops taken (from a host, the gateways that relayed the datagram) and
+// how the walk ended: at delivery, at the hole, or the whole budget. The
+// origin may be a host; any other non-forwarding node ends the walk. A
+// next hop across a cross trunk is followed into its station's region,
+// so the walk audits a sharded internet from any of its regions: call
+// it between runs or from a barrier observer (sim.ShardGroup.At).
+// maxHops bounds the walk (<= 0 means DefaultHopLimit); callers who know
+// the topology diameter should pass a bound just above it, so
+// RouteLooped really means a loop rather than a legitimate long path.
 func (nw *Network) RouteHops(name string, p ipv4.Prefix, maxHops int) (int, RouteVerdict) {
 	if maxHops <= 0 {
 		maxHops = DefaultHopLimit
 	}
-	origin := nw.mustNode(name)
-	cur, at := origin, nw // the node the datagram is at, and its network
+	at := cmp.Or(nw.Net(name), nw)
+	origin := at.mustNode(name)
+	cur := origin // the node the datagram is at; at is its network
 	dst := p.Host(1)
 	for hops := 0; hops < maxHops; hops++ {
 		if ifc, ok := directPrefix(cur, p); ok && at.netFor(p).carries(ifc) {
@@ -167,25 +170,22 @@ func (c *Census) LargestFrac() float64 {
 	return float64(c.Largest) / float64(c.Total)
 }
 
-// PartitionCensus sweeps the internet as it stands — every region joined
-// to nw by cross trunks, honoring interface state, cut media and crashed
-// nodes — and returns the component structure. A path must cross up
-// interfaces on nets that carry, relaying only through forwarding
-// nodes; a node with no interface that carries is down. Components are
-// numbered in node insertion order, region by region from nw, making
-// the census deterministic. Like RouteHops, it reads other regions'
-// state: while their kernels run an epoch in parallel, it is only
-// sound if nothing there brings an interface or medium up or down, or
-// attaches a node.
+// PartitionCensus sweeps the internet as it stands — every region of
+// it, honoring interface state, cut media and crashed nodes — and
+// returns the component structure. A path must cross up interfaces on
+// nets that carry, relaying only through forwarding nodes; a node with
+// no interface that carries is down. Components are numbered in node
+// insertion order, region by region, making the census deterministic.
+// Like RouteHops, it reads every region's state: call it between runs
+// or from a barrier observer (sim.ShardGroup.At).
 func (nw *Network) PartitionCensus() *Census {
-	regions := nw.regions()
 	c := &Census{}
-	for _, r := range regions {
+	for _, r := range nw.in.regions {
 		c.Total += len(r.order)
 	}
 	c.comp = make(map[string]int, c.Total)
 	queue := make([]station, 0, c.Total)
-	for _, r := range regions {
+	for _, r := range nw.in.regions {
 		for _, seedName := range r.order {
 			if _, done := c.comp[seedName]; done {
 				continue
@@ -236,15 +236,11 @@ func (nw *Network) PartitionCensus() *Census {
 // Converged reports whether every RIP-enabled node of the internet knows
 // a live route to every network in it.
 func (nw *Network) Converged() bool {
-	want := nw.AllPrefixes()
-	running := false
-	for _, r := range nw.regions() {
-		for _, rt := range r.rips {
-			if !rt.Converged(want) {
-				return false
-			}
-			running = true
+	want, routers := nw.AllPrefixes(), nw.RIPNodes()
+	for _, name := range routers {
+		if !nw.RIP(name).Converged(want) {
+			return false
 		}
 	}
-	return running
+	return len(routers) > 0
 }

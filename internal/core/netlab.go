@@ -10,7 +10,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"darpanet/internal/ipv4"
@@ -72,26 +74,49 @@ func (ni *netInfo) carries(ifc *stack.Interface) bool {
 	return true
 }
 
-// regions returns the networks joined to nw by cross trunks, nw among
-// them: nw first, then each in the order a sweep of the ones before it
-// over their nets' stations meets it. A serial network is its one region.
-func (nw *Network) regions() []*Network {
-	out := []*Network{nw}
-	for i := 0; i < len(out); i++ {
-		for _, name := range out[i].netOrder {
-			for _, st := range out[i].nets[name].stations {
-				if !slices.Contains(out, st.nw) {
-					out = append(out, st.nw)
-				}
-			}
-		}
-	}
-	return out
+// internet is what the regions of one simulated internet share: the
+// shard group that advances their kernels and the cross-trunk halves its
+// exchange drains, in creation order. A serial network is one region.
+type internet struct {
+	regions    []*Network
+	group      *sim.ShardGroup
+	workers    int
+	boundaries []*phys.Boundary
+
+	// aggDefault remembers which nodes hold a collapsed default route —
+	// the single 0.0.0.0/0 the cross-region oracle installs on a node
+	// whose computed routes all share one next hop, instead of a route
+	// per net — so a recompute can retract it.
+	aggDefault map[*stack.Node]bool
 }
 
-// Network is a simulated internetwork under construction or in operation.
+// regroup builds the shard group over every region's kernel. Its
+// lookahead is the shortest cross-trunk delay; with no cross trunk there
+// is no bound, and a run is one epoch cut only by observers.
+func (in *internet) regroup() {
+	look := sim.Duration(math.MaxInt64)
+	kernels := make([]*sim.Kernel, len(in.regions))
+	for i, r := range in.regions {
+		kernels[i] = r.kernel
+	}
+	for _, b := range in.boundaries {
+		look = min(look, b.Delay())
+	}
+	in.group = sim.NewShardGroup(kernels, look, in.workers)
+	// Halves drain in trunk creation order, which fixes the exchange's
+	// RNG draw sequence.
+	in.group.SetExchange(func() {
+		for _, b := range in.boundaries {
+			b.Drain()
+		}
+	})
+}
+
+// Network is a simulated internetwork under construction or in
+// operation: on a sharded build, one region of it.
 type Network struct {
 	kernel   *sim.Kernel
+	in       *internet
 	nodes    map[string]*stack.Node
 	udps     map[string]*udp.Transport
 	tcps     map[string]*tcp.Transport
@@ -105,43 +130,56 @@ type Network struct {
 	// topology changes (AttachNodeToNet, new nodes) recompute the
 	// oracle instead of leaving the newcomers silently unrouted.
 	staticOracle bool
-
-	// aggDefault remembers which nodes hold a collapsed default route —
-	// the single 0.0.0.0/0 the cross-region oracle installs on a node
-	// whose computed routes all share one next hop, instead of a route
-	// per net — so a recompute can retract it.
-	aggDefault map[*stack.Node]bool
 }
 
 // New creates an empty network driven by a fresh kernel seeded with seed.
-func New(seed int64) *Network {
-	return &Network{
-		kernel:   sim.NewKernel(seed),
-		nodes:    make(map[string]*stack.Node),
-		udps:     make(map[string]*udp.Transport),
-		tcps:     make(map[string]*tcp.Transport),
-		rips:     make(map[string]*rip.Router),
-		nets:     make(map[string]*netInfo),
-		byPrefix: make(map[ipv4.Prefix]*netInfo),
+func New(seed int64) *Network { return NewRegions(seed, 1, 1)[0] }
 
-		aggDefault: make(map[*stack.Node]bool),
+// NewRegions creates the n empty region networks of one internet, region
+// r's kernel seeded seed + r·1 000 003, so region 0's is New(seed)'s.
+// AddCrossTrunk joins them; their kernels advance in lock-step epochs on
+// up to workers goroutines, which buy wall-clock time and never change a
+// result.
+func NewRegions(seed int64, n, workers int) []*Network {
+	in := &internet{workers: workers, aggDefault: make(map[*stack.Node]bool)}
+	for r := range n {
+		in.regions = append(in.regions, &Network{
+			kernel:   sim.NewKernel(seed + int64(r)*1_000_003),
+			in:       in,
+			nodes:    make(map[string]*stack.Node),
+			udps:     make(map[string]*udp.Transport),
+			tcps:     make(map[string]*tcp.Transport),
+			rips:     make(map[string]*rip.Router),
+			nets:     make(map[string]*netInfo),
+			byPrefix: make(map[ipv4.Prefix]*netInfo),
+		})
 	}
+	in.regroup()
+	return in.regions
 }
 
 // Kernel returns the simulation kernel.
 func (nw *Network) Kernel() *sim.Kernel { return nw.kernel }
 
-// Kernels returns every kernel the internet runs on: here, the one.
-func (nw *Network) Kernels() []*sim.Kernel { return []*sim.Kernel{nw.kernel} }
+// Group returns the shard group every region of the internet runs on.
+func (nw *Network) Group() *sim.ShardGroup { return nw.in.group }
 
-// Net returns the network holding the named node — nw itself. With
-// Kernels it lets code written against a node-to-network handle (a
-// sharded build answers with the node's region) take a serial Network
-// unchanged.
-func (nw *Network) Net(node string) *Network { return nw }
+// Kernels returns every region's kernel, in region order.
+func (nw *Network) Kernels() []*sim.Kernel { return nw.in.group.Kernels() }
 
-// RunFor advances the simulation d of simulated time.
-func (nw *Network) RunFor(d sim.Duration) { nw.kernel.RunFor(d) }
+// Net returns the region network holding the named node, or nil when
+// no region of the internet holds it.
+func (nw *Network) Net(node string) *Network {
+	for _, r := range nw.in.regions {
+		if _, ok := r.nodes[node]; ok {
+			return r
+		}
+	}
+	return nil
+}
+
+// RunFor advances the whole internet d of simulated time.
+func (nw *Network) RunFor(d sim.Duration) { nw.in.group.RunFor(d) }
 
 // Now returns the current simulated time.
 func (nw *Network) Now() sim.Time { return nw.kernel.Now() }
@@ -172,18 +210,19 @@ func (nw *Network) AddNet(name, prefix string, kind NetKind, cfg phys.Config) {
 // first end to attach takes link address 1 and prefix.Host(1), the
 // second 2, exactly as on a P2P net. Frames cross at the shard group's
 // epoch barrier. cfg.Delay is mandatory: it is the lookahead the link
-// contributes to the group. The halves are returned so the builder can
-// wire the barrier exchange (Drain in fixed order).
-func AddCrossTrunk(na, nb *Network, name, prefix string, cfg phys.Config) (*phys.Boundary, *phys.Boundary) {
-	if na == nb {
-		panic("core: AddCrossTrunk needs two distinct region networks (use AddNet for an intra-region trunk)")
+// contributes to the group, which is rebuilt here — so join the regions
+// before arming anything on it.
+func AddCrossTrunk(na, nb *Network, name, prefix string, cfg phys.Config) {
+	if na == nb || na.in != nb.in {
+		panic("core: AddCrossTrunk needs two distinct regions of one internet (use AddNet for an intra-region trunk)")
 	}
 	p := ipv4.MustParsePrefix(prefix)
 	ba, bb := phys.NewBoundaryPair(na.kernel, nb.kernel, name, cfg)
 	w := &wire{media: []phys.Medium{ba, bb}}
 	na.register(name, p, ba, w)
 	nb.register(name, p, bb, w)
-	return ba, bb
+	na.in.boundaries = append(na.in.boundaries, ba, bb)
+	na.in.regroup()
 }
 
 // register records a net under its name and prefix, both of which must
@@ -202,8 +241,19 @@ func (nw *Network) register(name string, p ipv4.Prefix, m phys.Medium, w *wire) 
 }
 
 // Medium returns the medium implementing the named net, for direct fault
-// injection or qdisc installation.
+// injection or qdisc installation: on a cross trunk, this region's half.
 func (nw *Network) Medium(net string) phys.Medium { return nw.mustNet(net).medium }
+
+// Media returns every medium of the named net — its one medium, or both
+// halves of a cross trunk — or nil when no region of the internet has it.
+func (nw *Network) Media(net string) []phys.Medium {
+	for _, r := range nw.in.regions {
+		if ni, ok := r.nets[net]; ok {
+			return ni.media
+		}
+	}
+	return nil
+}
 
 // Prefix returns the address prefix of the named net.
 func (nw *Network) Prefix(net string) ipv4.Prefix { return nw.mustNet(net).prefix }
@@ -287,11 +337,7 @@ func (nw *Network) AttachNodeToNet(node, net string) *stack.Interface {
 func (nw *Network) Node(name string) *stack.Node { return nw.mustNode(name) }
 
 // Nodes returns all node names in insertion order.
-func (nw *Network) Nodes() []string {
-	out := make([]string, len(nw.order))
-	copy(out, nw.order)
-	return out
-}
+func (nw *Network) Nodes() []string { return slices.Clone(nw.order) }
 
 // Addr returns the primary address of the named node.
 func (nw *Network) Addr(name string) ipv4.Addr { return nw.mustNode(name).Addr() }
@@ -356,9 +402,9 @@ func (nw *Network) EnableRIP(cfg rip.Config, names ...string) {
 	}
 }
 
-// RIP returns the node's routing process, or nil if RIP is not enabled
-// there.
-func (nw *Network) RIP(name string) *rip.Router { return nw.rips[name] }
+// RIP returns the node's routing process, in whichever region it lives,
+// or nil if RIP is not enabled there.
+func (nw *Network) RIP(name string) *rip.Router { return cmp.Or(nw.Net(name), nw).rips[name] }
 
 // EnablePriorityQueueing installs a ToS-precedence strict-priority qdisc
 // on every interface of the named node (stack.Node.InstallPriorityQueueing).
@@ -366,11 +412,10 @@ func (nw *Network) EnablePriorityQueueing(name string, perBand int) {
 	nw.mustNode(name).InstallPriorityQueueing(perBand)
 }
 
-// AllPrefixes returns every network prefix in the internet — every
-// region joined to nw by cross trunks — sorted.
+// AllPrefixes returns every network prefix in the internet, sorted.
 func (nw *Network) AllPrefixes() []ipv4.Prefix {
 	out := make([]ipv4.Prefix, 0, len(nw.nets))
-	for _, r := range nw.regions() {
+	for _, r := range nw.in.regions {
 		for _, ni := range r.nets {
 			out = append(out, ni.prefix)
 		}
@@ -379,12 +424,15 @@ func (nw *Network) AllPrefixes() []ipv4.Prefix {
 	return slices.Compact(out) // a cross trunk is a net in both its regions
 }
 
-// RIPNodes returns the names of RIP-enabled nodes in insertion order.
+// RIPNodes returns the names of the internet's RIP-enabled nodes, region
+// by region in insertion order.
 func (nw *Network) RIPNodes() []string {
-	out := make([]string, 0, len(nw.rips))
-	for _, name := range nw.order {
-		if nw.rips[name] != nil {
-			out = append(out, name)
+	var out []string
+	for _, r := range nw.in.regions {
+		for _, name := range r.order {
+			if r.rips[name] != nil {
+				out = append(out, name)
+			}
 		}
 	}
 	return out

@@ -159,7 +159,8 @@ func TestCrossTrunkEndsAttachLikeP2P(t *testing.T) {
 	first, second := serial.AddGateway("first", "t0").Interface(0), serial.AddGateway("second", "t0").Interface(0)
 
 	for _, firstInA := range []bool{true, false} {
-		ra, rb := New(1), New(2)
+		rs := NewRegions(1, 2, 1)
+		ra, rb := rs[0], rs[1]
 		AddCrossTrunk(ra, rb, "t0", "10.9.0.0/24", cfg)
 		rFirst, rSecond := ra, rb
 		if !firstInA {
@@ -183,13 +184,12 @@ func TestCrossTrunkEndsAttachLikeP2P(t *testing.T) {
 // on the default queue without a word.)
 func TestQueueInstallReachesCrossTrunk(t *testing.T) {
 	cfg := phys.Config{BitsPerSec: 1_544_000, Delay: 3 * time.Millisecond, MTU: 1500}
-	ra, rb := New(1), New(2)
-	ba, bb := AddCrossTrunk(ra, rb, "t0", "10.9.0.0/24", cfg)
+	rs := NewRegions(1, 2, 1)
+	ra, rb := rs[0], rs[1]
+	AddCrossTrunk(ra, rb, "t0", "10.9.0.0/24", cfg)
 	ga, gb := ra.AddGateway("ga", "t0"), rb.AddGateway("gb", "t0")
 	ga.InstallQueuePolicy(16, phys.PolicySpec{Kind: phys.PolicyRED})
 	rb.EnablePriorityQueueing("gb", 16)
-	g := sim.NewShardGroup([]*sim.Kernel{ra.Kernel(), rb.Kernel()}, cfg.Delay, 1)
-	g.SetExchange(func() { ba.Drain(); bb.Drain() })
 
 	delivered := 0
 	count := func(ipv4.Header, []byte) { delivered++ }
@@ -204,7 +204,7 @@ func TestQueueInstallReachesCrossTrunk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g.RunFor(50 * time.Millisecond)
+	ra.RunFor(50 * time.Millisecond)
 	if delivered != 8 {
 		t.Fatalf("delivered %d of 8 across the trunk", delivered)
 	}

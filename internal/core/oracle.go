@@ -32,7 +32,7 @@ func (nw *Network) InstallStaticRoutes() {
 
 // recomputeStaticRoutes re-runs the oracle, uncollapsed, over the
 // internet nw belongs to: on a serial network, nw alone.
-func (nw *Network) recomputeStaticRoutes() { installStaticRoutes(nw.regions(), false) }
+func (nw *Network) recomputeStaticRoutes() { installStaticRoutes(nw.in.regions, false) }
 
 // InstallStaticRoutesAcross runs the static oracle globally over a set
 // of region networks joined by AddCrossTrunk boundary links: one
@@ -55,21 +55,19 @@ func InstallStaticRoutesAcross(regions []*Network) { installStaticRoutes(regions
 // routes whose prefix is not one of the topology's networks (operator-
 // set defaults via SetDefaultRoute) are left alone; a collapsed default
 // an earlier run installed is retracted via aggDefault, which remembers
-// per region which nodes hold one.
+// which nodes of the internet hold one.
 func installStaticRoutes(regions []*Network, collapse bool) {
+	agg := regions[0].in.aggDefault
 	// Merge: nodes in region order, nets by prefix. A boundary net is a
 	// net in both its regions; its stations, one in each, are the edge
 	// the BFS crosses regions on, and come in attach order as on any net,
 	// so the BFS breaks equal-cost ties as it does on the serial build.
 	var nodes []*stack.Node
-	owner := make(map[*stack.Node]*Network)
 	merged := make(map[ipv4.Prefix]bool)
 	var nets []*netInfo
 	for _, nw := range regions {
 		for _, name := range nw.order {
-			n := nw.nodes[name]
-			nodes = append(nodes, n)
-			owner[n] = nw
+			nodes = append(nodes, nw.nodes[name])
 		}
 		for _, name := range nw.netOrder {
 			ni := nw.nets[name]
@@ -81,7 +79,6 @@ func installStaticRoutes(regions []*Network, collapse bool) {
 	}
 
 	for _, n := range nodes {
-		agg := owner[n].aggDefault
 		n.Table.RemoveIf(func(r stack.Route) bool {
 			if r.Source != stack.SourceStatic {
 				return false
@@ -91,7 +88,7 @@ func installStaticRoutes(regions []*Network, collapse bool) {
 		delete(agg, n)
 	}
 
-	computeStaticRoutes(nodes, nets, collapse, func(n *stack.Node) { owner[n].aggDefault[n] = true })
+	computeStaticRoutes(nodes, nets, collapse, func(n *stack.Node) { agg[n] = true })
 }
 
 // computeStaticRoutes is the static oracle's core: a multi-source

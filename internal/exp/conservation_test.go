@@ -93,7 +93,8 @@ func TestCrashFlushLeavesSharedQueueToTheSurvivors(t *testing.T) {
 	nw := core.New(1)
 	nw.AddNet("lan", "10.1.0.0/24", core.LAN, phys.Config{BitsPerSec: 1_000_000, MTU: 1500})
 	a, b, c := nw.AddHost("a", "lan"), nw.AddHost("b", "lan"), nw.AddHost("c", "lan")
-	red := a.InstallQueuePolicy(64, phys.PolicySpec{Kind: phys.PolicyRED, MinTh: 4, MaxTh: 40, MaxP: 0.5, Wq: 0.5})[0]
+	spec := phys.PolicySpec{Kind: phys.PolicyRED, MinTh: 4, MaxTh: 40, MaxP: 0.5, Wq: 0.5}
+	red := a.InstallQueuePolicy(64, spec)[0]
 
 	var fromA []byte
 	c.RegisterProtocol(200, func(h ipv4.Header, p []byte) {
@@ -110,7 +111,7 @@ func TestCrashFlushLeavesSharedQueueToTheSurvivors(t *testing.T) {
 		}
 	}
 	nicA, nicB := a.Interface(0).NIC, b.Interface(0).NIC
-	if red.Avg() <= float64(red.Spec().MinTh) || nicB.Stats().TxDrops == 0 {
+	if red.Avg() <= float64(spec.MinTh) || nicB.Stats().TxDrops == 0 {
 		t.Fatalf("queue not driven into RED's ramp: avg %.1f, b refused %d", red.Avg(), nicB.Stats().TxDrops)
 	}
 	before, avg, queued, refusedB := red.Stats(), red.Avg(), nicA.QueueLen(), nicB.Stats().TxDrops

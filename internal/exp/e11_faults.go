@@ -72,7 +72,9 @@ func runE11(seed int64, sched fault.Schedule) Result {
 	armAt := nw.Now()
 
 	in := fault.New(nw, sched)
-	in.Arm()
+	if err := in.Arm(); err != nil {
+		panic(err)
+	}
 	tr := StartBulkTCP(nw, "h1", "h2", 5011, nbytes, tcp.Options{SendBufferSize: 65535})
 	nw.RunFor(4 * time.Minute)
 

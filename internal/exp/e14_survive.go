@@ -93,12 +93,7 @@ type e14Cell struct {
 	downNodes   int
 
 	reconv           *stats.Sample
-	events           float64
-	reconverged      float64
-	unreconverged    float64
-	partitionedEvs   float64
-	loopExits        float64
-	lostFrames       float64
+	injected         map[string]float64 // the injector's Metrics, by name
 	ledgerDelta      int64
 	convergedPrefail bool
 }
@@ -155,7 +150,9 @@ func runE14(seed int64, spec topo.Spec, ws workload.Spec, fracs []float64, windo
 			// Hop budget just above any real path length: exhaustion
 			// means a loop, not a long route.
 			in.SetHopLimit(len(adj.Gateways) + 4)
-			in.Arm()
+			if err := in.Arm(); err != nil {
+				panic(err)
+			}
 			nw.RunFor(e14Lead + reconv)
 
 			census := nw.PartitionCensus()
@@ -179,16 +176,10 @@ func runE14(seed int64, spec topo.Spec, ws workload.Spec, fracs []float64, windo
 					cell.crashes++
 				}
 			}
-			im := map[string]float64{}
+			cell.injected = map[string]float64{}
 			for _, mt := range in.Metrics() {
-				im[mt.Name] = mt.Value
+				cell.injected[mt.Name] = mt.Value
 			}
-			cell.events = im["events_injected"]
-			cell.reconverged = im["events_reconverged"]
-			cell.unreconverged = im["events_unreconverged"]
-			cell.partitionedEvs = im["events_partitioned"]
-			cell.loopExits = im["route_loop_exits"]
-			cell.lostFrames = im["blackout_lost_frames"]
 			cell.reconv = &stats.Sample{}
 			for _, d := range in.ReconvergeDurations() {
 				cell.reconv.Add(d.Seconds())
@@ -251,12 +242,12 @@ func runE14(seed int64, spec topo.Spec, ws workload.Spec, fracs []float64, windo
 		res.AddLabelled("s", labels, "reconv_p50_s", "s", c.reconv.Percentile(50))
 		res.AddLabelled("s", labels, "reconv_p90_s", "s", c.reconv.Percentile(90))
 		res.AddLabelled("s", labels, "reconv_max_s", "s", c.reconv.Max())
-		res.AddLabelled("s", labels, "events", "", c.events)
-		res.AddLabelled("s", labels, "reconverged", "", c.reconverged)
-		res.AddLabelled("s", labels, "unreconverged", "", c.unreconverged)
-		res.AddLabelled("s", labels, "partitioned", "", c.partitionedEvs)
-		res.AddLabelled("s", labels, "loop_exits", "", c.loopExits)
-		res.AddLabelled("s", labels, "lost_frames", "", c.lostFrames)
+		res.AddLabelled("s", labels, "events", "", c.injected["events_injected"])
+		res.AddLabelled("s", labels, "reconverged", "", c.injected["events_reconverged"])
+		res.AddLabelled("s", labels, "unreconverged", "", c.injected["events_unreconverged"])
+		res.AddLabelled("s", labels, "partitioned", "", c.injected["events_partitioned"])
+		res.AddLabelled("s", labels, "loop_exits", "", c.injected["route_loop_exits"])
+		res.AddLabelled("s", labels, "lost_frames", "", c.injected["blackout_lost_frames"])
 		res.AddLabelled("s", labels, "ledger_delta", "", float64(c.ledgerDelta))
 		res.AddLabelled("s", labels, "prefail_converged", "", bool01(c.convergedPrefail))
 	}

@@ -118,6 +118,7 @@ type e15Plan struct {
 	services, clients []string
 	renumbers         []e15Renumber
 	attachNet         string
+	attachRegion      int
 	attempts          []e15Attempt
 }
 
@@ -226,6 +227,7 @@ func planE15(spec topo.Spec, seed int64, regions, workers int) *e15Plan {
 		}
 	}
 	p.attachNet = eligible[len(eligible)-1]
+	p.attachRegion = netRegion[p.attachNet] // a stub LAN: in one region
 
 	// Attempt schedule: per client, exponential inter-attempt gaps
 	// around the mean, each client cycling through a small per-client
@@ -518,17 +520,7 @@ func runE15Mode(p *e15Plan, pinned bool) *e15ModeOut {
 	// its own name — no default route, no table edits, no place in the
 	// static-route replay. Autoconfiguration alone must make it
 	// reachable and resolvable.
-	attachRegion := -1
-	for i, nf := range p.m.NetDefs {
-		if nf.Name == p.attachNet {
-			attachRegion = p.m.Partition.NetRegions[i]
-			break
-		}
-	}
-	if attachRegion < 0 {
-		panic(fmt.Sprintf("exp: E15 attach net %q not intra-region", p.attachNet))
-	}
-	hnw := s.Regions[attachRegion]
+	hnw := s.Regions[p.attachRegion]
 	hk := hnw.Kernel()
 	hk.After(e15AttachAt, func() {
 		hnw.AddHost(e15AttachName)
@@ -581,14 +573,16 @@ func runE15Mode(p *e15Plan, pinned bool) *e15ModeOut {
 
 	// Fault schedule: crash one directory gateway mid-run, restore it
 	// later; anti-entropy repairs its zone after restore.
-	inj := fault.New(s.Net(p.crash), fault.Schedule{
+	inj := fault.New(s.Regions[0], fault.Schedule{
 		Name: "e15-dir-crash",
 		Steps: []fault.Step{
 			{At: e15CrashAt, Op: fault.OpCrash, Target: p.crash},
 			{At: e15RestoreAt, Op: fault.OpRestore, Target: p.crash},
 		},
 	})
-	inj.Arm()
+	if err := inj.Arm(); err != nil {
+		panic(err)
+	}
 
 	// Renumber events: interface down, attach elsewhere, re-register
 	// with a higher serial. Clients' cached answers go stale for at most
@@ -736,7 +730,7 @@ func e15Mode(res *Result, p *e15Plan, mode string, out *e15ModeOut) {
 	res.AddLabelled("n", labels, "restore_sync_s", "s", restoreSync)
 	res.AddLabelled("n", labels, "attach_s", "s", attachS)
 	res.AddLabelled("n", labels, "attach_ok", "", bool01(out.probeOK))
-	res.AddCounterSums(mode, out.s.Kernels()...)
+	res.AddCounterSums(mode, out.s.Group.Kernels()...)
 }
 
 // runE15 measures what a naming layer buys the architecture: clients

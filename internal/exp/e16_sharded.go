@@ -94,7 +94,7 @@ func runE16(seed int64, spec topo.Spec, regions, workers int) Result {
 			continue
 		}
 		audited++
-		if s.Region(from) != s.Region(to) {
+		if s.Net(from) != s.Net(to) {
 			crossRegion++
 		}
 		got, ok := s.PathHops(from, to)
@@ -114,10 +114,10 @@ func runE16(seed int64, spec topo.Spec, regions, workers int) Result {
 	// and bulk TCP between hosts drawn over the whole internet, most
 	// pairs spanning regions, every frame crossing a boundary trunk at
 	// an epoch barrier.
-	tm := startTrafficMatrix(s, rng, hosts, 16)
+	tm := startTrafficMatrix(s.Regions[0], rng, hosts, 16)
 	trafficCross := 0
 	for _, p := range tm.pairs {
-		if s.Region(p[0]) != s.Region(p[1]) {
+		if s.Net(p[0]) != s.Net(p[1]) {
 			trafficCross++
 		}
 	}
@@ -172,7 +172,7 @@ func runE16(seed int64, spec topo.Spec, regions, workers int) Result {
 	// NIC in one region and arriving in another via a boundary trunk is
 	// still one frame, and anything parked in a boundary outbox at the
 	// end counts as in flight.
-	tm.report(s, &res, "frame ledger Δ (all regions)")
-	res.AddCounterSums("sharded", s.Kernels()...)
+	tm.report(s.Regions[0], &res, "frame ledger Δ (all regions)")
+	res.AddCounterSums("sharded", s.Group.Kernels()...)
 	return res
 }

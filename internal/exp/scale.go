@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"darpanet/internal/core"
 	"darpanet/internal/metrics"
 	"darpanet/internal/sim"
 	"darpanet/internal/stats"
@@ -14,7 +15,7 @@ import (
 // The phases the scale experiments share. E12 (one kernel, routed by
 // gossip) and E16 (region kernels, routed by the static oracle) differ
 // in how the internet is built, converged and audited; once routes
-// stand, both carry the same traffic matrix through an Internet handle,
+// stand, both carry the same traffic matrix through any of its regions,
 // tally it the same way and close the same ledger.
 
 // matrixXferBytes is the size of each bulk transfer in the matrix.
@@ -35,7 +36,7 @@ type trafficMatrix struct {
 // 100 000 B transfers (ports 9000+x), never more flows than half the
 // hosts. Every pair costs rng two draws, UDP flows first — the recorded
 // tables depend on that order.
-func startTrafficMatrix(in Internet, rng *rand.Rand, hosts []string, nFlows int) *trafficMatrix {
+func startTrafficMatrix(nw *core.Network, rng *rand.Rand, hosts []string, nFlows int) *trafficMatrix {
 	tm := &trafficMatrix{}
 	pickPair := func() (string, string) {
 		a := rng.Intn(len(hosts))
@@ -49,11 +50,11 @@ func startTrafficMatrix(in Internet, rng *rand.Rand, hosts []string, nFlows int)
 	nFlows = min(nFlows, len(hosts)/2)
 	for f := 0; f < nFlows; f++ {
 		from, to := pickPair()
-		tm.queries = append(tm.queries, runUDPQueries(in, from, to, uint16(7000+f), 20, 250*time.Millisecond, 256, 0))
+		tm.queries = append(tm.queries, runUDPQueries(nw, from, to, uint16(7000+f), 20, 250*time.Millisecond, 256, 0))
 	}
 	for x := 0; x < min(4, nFlows); x++ {
 		from, to := pickPair()
-		tm.xfers = append(tm.xfers, StartBulkTCP(in, from, to, uint16(9000+x), matrixXferBytes, tcp.Options{SendBufferSize: 65535}))
+		tm.xfers = append(tm.xfers, StartBulkTCP(nw, from, to, uint16(9000+x), matrixXferBytes, tcp.Options{SendBufferSize: 65535}))
 	}
 	return tm
 }
@@ -65,7 +66,7 @@ func startTrafficMatrix(in Internet, rng *rand.Rand, hosts []string, nFlows int)
 // frame_ledger_delta. Per-delivery forwarding cost is the datagram
 // architecture's scaling bill (gateway relays per end-to-end delivery);
 // the ledger proves the simulation lost not a single frame unaccounted.
-func (tm *trafficMatrix) report(in Internet, res *Result, ledgerLabel string) {
+func (tm *trafficMatrix) report(nw *core.Network, res *Result, ledgerLabel string) {
 	sent, got := 0, 0
 	rtts := &stats.Sample{} // ms
 	for _, q := range tm.queries {
@@ -91,7 +92,7 @@ func (tm *trafficMatrix) report(in Internet, res *Result, ledgerLabel string) {
 	// order, and a frame that left a NIC in one region and arrived in
 	// another is still one frame.
 	var snap metrics.Snapshot
-	for _, k := range in.Kernels() {
+	for _, k := range nw.Kernels() {
 		snap = append(snap, metrics.For(k).Snapshot()...)
 	}
 	fwdPerDelivery := 0.0

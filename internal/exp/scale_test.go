@@ -18,14 +18,14 @@ import (
 // stub tiers collapse to default routes alike and the builds can be
 // held against each other, not merely each to completeness.
 func everyBuild(spec topo.Spec) []internetBuild {
-	sharded := func(regions int) func(int64) (Internet, *topo.Manifest) {
-		return func(seed int64) (Internet, *topo.Manifest) {
+	sharded := func(regions int) func(int64) (*core.Network, *topo.Manifest) {
+		return func(seed int64) (*core.Network, *topo.Manifest) {
 			s := topo.GenerateSharded(spec, seed, regions, 1)
-			return s, s.Manifest
+			return s.Regions[0], s.Manifest
 		}
 	}
 	return []internetBuild{
-		{"serial", func(seed int64) (Internet, *topo.Manifest) {
+		{"serial", func(seed int64) (*core.Network, *topo.Manifest) {
 			nw, m := topo.Generate(spec, seed)
 			core.InstallStaticRoutesAcross([]*core.Network{nw})
 			return nw, m
@@ -37,7 +37,7 @@ func everyBuild(spec topo.Spec) []internetBuild {
 
 type internetBuild struct {
 	name  string
-	build func(seed int64) (Internet, *topo.Manifest)
+	build func(seed int64) (*core.Network, *topo.Manifest)
 }
 
 func mustSpec(t *testing.T, s string) topo.Spec {
@@ -49,21 +49,21 @@ func mustSpec(t *testing.T, s string) topo.Spec {
 }
 
 // TestTrafficMatrixOnEveryBuild drives the scale experiments' shared
-// traffic phase through the Internet handle over every way an internet
+// traffic phase through one network of the internet over every way it
 // is assembled — one serial network, one region, four regions — on a
 // loss-free graph, and demands end-to-end completeness on each: every
 // query answered, every transfer whole, the frame ledger closed over
-// all of the handle's kernels.
+// all of its kernels.
 func TestTrafficMatrixOnEveryBuild(t *testing.T) {
 	builds := everyBuild(mustSpec(t, "transitstub:gw=8,stubs=2,hosts=1,mix=0"))
 	for _, b := range builds {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", b.name, seed), func(t *testing.T) {
-				in, m := b.build(seed)
-				tm := startTrafficMatrix(in, rand.New(rand.NewSource(seed)), m.HostNames(), 16)
-				in.RunFor(15 * time.Second)
+				nw, m := b.build(seed)
+				tm := startTrafficMatrix(nw, rand.New(rand.NewSource(seed)), m.HostNames(), 16)
+				nw.RunFor(15 * time.Second)
 				var res Result
-				tm.report(in, &res, "frame ledger Δ")
+				tm.report(nw, &res, "frame ledger Δ")
 
 				if len(tm.queries) != 8 || len(tm.xfers) != 4 {
 					t.Fatalf("matrix = %d queries + %d transfers, want 8 + 4 on 16 hosts", len(tm.queries), len(tm.xfers))
@@ -74,10 +74,10 @@ func TestTrafficMatrixOnEveryBuild(t *testing.T) {
 				}{
 					{"udp_sent", 8 * 20}, {"udp_delivered", 1},
 					{"tcp_done", 1}, {"tcp_bytes", 4 * matrixXferBytes},
-					{"frame_ledger_delta", 0}, // over all of the handle's kernels
+					{"frame_ledger_delta", 0}, // over all of the internet's kernels
 				} {
 					if got, ok := res.Metric(want.metric); !ok || got != want.value {
-						t.Errorf("%s = %v over %d kernel(s), want %v", want.metric, got, len(in.Kernels()), want.value)
+						t.Errorf("%s = %v over %d kernel(s), want %v", want.metric, got, len(nw.Kernels()), want.value)
 					}
 				}
 				for i, tr := range tm.xfers {
@@ -85,10 +85,10 @@ func TestTrafficMatrixOnEveryBuild(t *testing.T) {
 						t.Errorf("transfer %d (%v): received %d of %d, err %v", i, tm.pairs[len(tm.queries)+i], tr.Received, tr.Target, tr.Err)
 					}
 				}
-				if s, ok := in.(*topo.Sharded); ok && len(s.Regions) > 1 {
+				if len(nw.Kernels()) > 1 {
 					cross := 0
 					for _, p := range tm.pairs {
-						if s.Region(p[0]) != s.Region(p[1]) {
+						if nw.Net(p[0]) != nw.Net(p[1]) {
 							cross++
 						}
 					}
@@ -112,24 +112,24 @@ type buildRun struct {
 
 // runTapped builds an internet, taps every node, starts traffic and runs
 // 15 s of it.
-func runTapped(b internetBuild, seed int64, traffic func(in Internet, rng *rand.Rand, hosts []string)) buildRun {
-	in, m := b.build(seed)
+func runTapped(b internetBuild, seed int64, traffic func(nw *core.Network, rng *rand.Rand, hosts []string)) buildRun {
+	nw, m := b.build(seed)
 	r := buildRun{tables: map[string]string{}, streams: map[string][]string{}, counters: map[string]uint64{}}
 	for _, nd := range m.NodeDefs {
-		name, k := nd.Name, in.Net(nd.Name).Kernel()
+		name, k := nd.Name, nw.Net(nd.Name).Kernel()
 		r.nodes = append(r.nodes, name)
-		in.Net(name).Node(name).SetPacketTap(func(send bool, iface string, raw []byte) {
+		nw.Net(name).Node(name).SetPacketTap(func(send bool, iface string, raw []byte) {
 			r.streams[name] = append(r.streams[name], fmt.Sprintf("%d send=%v %s %x", k.Now(), send, iface, raw))
 		})
 	}
-	traffic(in, rand.New(rand.NewSource(seed)), m.HostNames())
-	in.RunFor(15 * time.Second)
+	traffic(nw, rand.New(rand.NewSource(seed)), m.HostNames())
+	nw.RunFor(15 * time.Second)
 	for _, name := range r.nodes {
-		r.tables[name] = in.Net(name).Node(name).Table.String()
+		r.tables[name] = nw.Net(name).Node(name).Table.String()
 	}
 	// A cross trunk registers its medium descriptors once in each end's
 	// region; summed by path they are the serial trunk's.
-	for _, k := range in.Kernels() {
+	for _, k := range nw.Kernels() {
 		for _, e := range metrics.For(k).Snapshot() {
 			r.counters[e.Path] += e.Value
 		}
@@ -167,20 +167,20 @@ func runTapped(b internetBuild, seed int64, traffic func(in Internet, rng *rand.
 // before so that no two frames tie, give every node the serial packet
 // stream at four regions too.
 func TestSerialAndShardedRunsAgree(t *testing.T) {
-	matrix := func(in Internet, rng *rand.Rand, hosts []string) { startTrafficMatrix(in, rng, hosts, 16) }
-	staggeredQueries := func(in Internet, rng *rand.Rand, hosts []string) {
+	matrix := func(nw *core.Network, rng *rand.Rand, hosts []string) { startTrafficMatrix(nw, rng, hosts, 16) }
+	staggeredQueries := func(nw *core.Network, rng *rand.Rand, hosts []string) {
 		for f := 0; f < 16; f++ {
 			from := rng.Intn(len(hosts))
 			to := (from + 1 + rng.Intn(len(hosts)-1)) % len(hosts)
-			runUDPQueries(in, hosts[from], hosts[to], uint16(7000+f), 20, 250*time.Millisecond, 256, 0)
-			in.RunFor(8237 * time.Microsecond)
+			runUDPQueries(nw, hosts[from], hosts[to], uint16(7000+f), 20, 250*time.Millisecond, 256, 0)
+			nw.RunFor(8237 * time.Microsecond)
 		}
 	}
 	const oneRegion, fourRegions = 1, 2 // indices into everyBuild
 	cases := []struct {
 		name, spec string
 		build      int
-		traffic    func(Internet, *rand.Rand, []string)
+		traffic    func(*core.Network, *rand.Rand, []string)
 		streams    bool // every node's packet stream must be equal too
 	}{
 		{"matrix", "transitstub:gw=8,stubs=2,hosts=1", oneRegion, matrix, true},

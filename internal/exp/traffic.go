@@ -10,24 +10,6 @@ import (
 	"darpanet/internal/udp"
 )
 
-// Internet is the handle traffic is driven through, whichever way the
-// internet was assembled: a serial *core.Network answers Net with
-// itself and Kernels with its one kernel; a *topo.Sharded answers with
-// the node's region network and every region kernel. A caller names
-// *who* talks; the handle works out *where* they live.
-type Internet interface {
-	// Net returns the network holding the named node: the handle for
-	// its transports and its kernel's clock.
-	Net(node string) *core.Network
-	// Addr returns the node's primary address.
-	Addr(node string) ipv4.Addr
-	// Kernels returns every kernel the internet runs on — what a
-	// ledger or counter sum over the whole internet must cover.
-	Kernels() []*sim.Kernel
-	// RunFor advances the whole internet d of simulated time.
-	RunFor(d sim.Duration)
-}
-
 // Transfer tracks one bulk TCP transfer driven by StartBulkTCP.
 type Transfer struct {
 	Conn     *tcp.Conn
@@ -47,13 +29,13 @@ type Transfer struct {
 
 // StartBulkTCP opens a TCP connection from -> to on port and streams
 // nbytes of patterned data; the server side counts arrivals. The caller
-// drives the internet and inspects the returned Transfer; a refused
-// listen or dial is its Err, and nothing is sent. The two ends
-// may live on different kernels of a sharded build: those advance in
-// lock-step, so server-side timestamps stay on one timeline with the
+// drives the internet nw belongs to and inspects the returned Transfer;
+// a refused listen or dial is its Err, and nothing is sent. The two
+// ends may live in different regions of a sharded build: those advance
+// in lock-step, so server-side timestamps stay on one timeline with the
 // client's.
-func StartBulkTCP(in Internet, from, to string, port uint16, nbytes int, opts tcp.Options) *Transfer {
-	cnw, snw := in.Net(from), in.Net(to)
+func StartBulkTCP(nw *core.Network, from, to string, port uint16, nbytes int, opts tcp.Options) *Transfer {
+	cnw, snw := nw.Net(from), nw.Net(to)
 	tr := &Transfer{Target: nbytes, started: cnw.Now(), LastByteAt: cnw.Now()}
 	k := snw.Kernel()
 	_, err := snw.TCP(to).Listen(port, opts, func(c *tcp.Conn) {
@@ -76,7 +58,7 @@ func StartBulkTCP(in Internet, from, to string, port uint16, nbytes int, opts tc
 		tr.Err = fmt.Errorf("listen on %s port %d: %w", to, port, err)
 		return tr
 	}
-	conn, err := cnw.TCP(from).Dial(tcp.Endpoint{Addr: in.Addr(to), Port: port}, opts)
+	conn, err := cnw.TCP(from).Dial(tcp.Endpoint{Addr: snw.Addr(to), Port: port}, opts)
 	if err != nil {
 		tr.Err = err
 		return tr
@@ -140,9 +122,9 @@ func patternChunk(off, n int) []byte {
 
 // startUDPEcho runs a UDP request/response responder on node name at
 // port.
-func startUDPEcho(in Internet, name string, port uint16) {
+func startUDPEcho(nw *core.Network, name string, port uint16) {
 	var sock *udp.Socket
-	sock, err := in.Net(name).UDP(name).Listen(port, func(from udp.Endpoint, data []byte, _ ipv4.Header) {
+	sock, err := nw.Net(name).UDP(name).Listen(port, func(from udp.Endpoint, data []byte, _ ipv4.Header) {
 		sock.SendTo(from, data)
 	})
 	if err != nil {
@@ -160,9 +142,9 @@ type queryDriver struct {
 // runUDPQueries issues count echo transactions from -> to at the given
 // interval and returns per-transaction RTTs (missing entries = lost),
 // timed on the querier's kernel.
-func runUDPQueries(in Internet, from, to string, port uint16, count int, interval sim.Duration, payload int, tos uint8) *queryDriver {
-	startUDPEcho(in, to, port)
-	cnw := in.Net(from)
+func runUDPQueries(nw *core.Network, from, to string, port uint16, count int, interval sim.Duration, payload int, tos uint8) *queryDriver {
+	startUDPEcho(nw, to, port)
+	cnw := nw.Net(from)
 	k := cnw.Kernel()
 	qd := &queryDriver{}
 	sends := make(map[uint16]sim.Time)
@@ -181,7 +163,7 @@ func runUDPQueries(in Internet, from, to string, port uint16, count int, interva
 		panic(err)
 	}
 	sock.TOS = tos
-	dst := udp.Endpoint{Addr: in.Addr(to), Port: port}
+	dst := udp.Endpoint{Addr: nw.Net(to).Addr(to), Port: port}
 	for i := 0; i < count; i++ {
 		i := i
 		k.After(sim.Duration(i)*interval, func() {

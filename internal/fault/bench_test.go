@@ -27,23 +27,24 @@ func benchTopo() (*core.Network, *uint64) {
 	nw.Node("h2").RegisterProtocol(200, func(h ipv4.Header, p []byte) { delivered++ })
 
 	in := fault.New(nw, fault.MustParse("late", "1h cut n1"))
-	in.Arm()
+	if err := in.Arm(); err != nil {
+		panic(err)
+	}
 	return nw, &delivered
 }
 
 // step advances simulated time far enough to drain the in-flight
-// datagram without reaching the armed fault step. k.Run() would drain
-// the whole queue — including the scheduled fault — so the benchmark
-// steps the clock instead.
+// datagram without reaching the armed fault step an hour out, through
+// the shard group that would run it.
 const step = time.Microsecond
 
 // BenchmarkForwardHotPathIdleInjector pins the tentpole non-regression:
 // an armed-but-idle fault injector adds zero allocations to the
 // forwarding hot path. All of the injector's closures are bound at Arm;
-// between faults it schedules nothing.
+// between faults it schedules nothing, and a run that passes no observer
+// due time is one epoch.
 func BenchmarkForwardHotPathIdleInjector(b *testing.B) {
 	nw, delivered := benchTopo()
-	k := nw.Kernel()
 	payload := make([]byte, 512)
 	hdr := ipv4.Header{Dst: nw.Addr("h2"), Proto: 200}
 	h1 := nw.Node("h1")
@@ -52,13 +53,13 @@ func BenchmarkForwardHotPathIdleInjector(b *testing.B) {
 		if err := h1.Send(hdr, payload); err != nil {
 			b.Fatal(err)
 		}
-		k.RunFor(step)
+		nw.RunFor(step)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h1.Send(hdr, payload)
-		k.RunFor(step)
+		nw.RunFor(step)
 	}
 	b.StopTimer()
 	if *delivered != uint64(64+b.N) {
@@ -70,7 +71,6 @@ func BenchmarkForwardHotPathIdleInjector(b *testing.B) {
 // test so `go test` alone catches a regression, not only the bench gate.
 func TestIdleInjectorZeroAlloc(t *testing.T) {
 	nw, delivered := benchTopo()
-	k := nw.Kernel()
 	payload := make([]byte, 512)
 	hdr := ipv4.Header{Dst: nw.Addr("h2"), Proto: 200}
 	h1 := nw.Node("h1")
@@ -78,11 +78,11 @@ func TestIdleInjectorZeroAlloc(t *testing.T) {
 		if err := h1.Send(hdr, payload); err != nil {
 			t.Fatal(err)
 		}
-		k.RunFor(step)
+		nw.RunFor(step)
 	}
 	avg := testing.AllocsPerRun(200, func() {
 		h1.Send(hdr, payload)
-		k.RunFor(step)
+		nw.RunFor(step)
 	})
 	if avg != 0 {
 		t.Fatalf("hot path with idle injector allocates %.1f objects per datagram, want 0", avg)

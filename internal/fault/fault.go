@@ -2,12 +2,15 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"darpanet/internal/core"
+	"darpanet/internal/phys"
 	"darpanet/internal/rip"
 	"darpanet/internal/sim"
+	"darpanet/internal/stack"
 )
 
 // Event is one injected fault, as recorded in the injector's log, with
@@ -48,17 +51,18 @@ type Event struct {
 // re-converged; an idle injector schedules nothing.
 const pollInterval = 50 * time.Millisecond
 
-// Injector drives a Schedule against a live network and measures
-// recovery. Create with New, then Arm before running the kernel.
+// Injector drives a Schedule against a live internet and measures
+// recovery. Create with New, then Arm before running it. Its steps and
+// polls are observers on the internet's shard group (sim.ShardGroup.At),
+// so they reach every node, net and RIP router of every region.
 type Injector struct {
 	nw    *core.Network
-	k     *sim.Kernel
 	sched Schedule
 
 	log []Event
 
 	// Loss-accounting windows open between a fault and its recovery.
-	openCut   map[string]uint64 // net -> LostWhileDown at cut
+	openCut   map[string]uint64 // net -> LostWhileDown of all its media at cut
 	openCrash map[string]uint64 // node -> down-drop counters at crash
 	baseLoss  map[string]float64
 	totalLost uint64
@@ -84,12 +88,11 @@ type Injector struct {
 	routerTimes map[string][]sim.Duration
 }
 
-// New creates an injector for network nw running schedule sched. The
-// schedule's offsets are relative to the moment Arm is called.
+// New creates an injector for the internet nw is a region of, running
+// schedule sched with offsets counted from the moment Arm is called.
 func New(nw *core.Network, sched Schedule) *Injector {
 	in := &Injector{
 		nw:          nw,
-		k:           nw.Kernel(),
 		sched:       sched,
 		openCut:     make(map[string]uint64),
 		openCrash:   make(map[string]uint64),
@@ -109,11 +112,10 @@ func New(nw *core.Network, sched Schedule) *Injector {
 // restores core.DefaultHopLimit.
 func (in *Injector) SetHopLimit(n int) { in.hopLimit = n }
 
-// Schedule returns the schedule the injector runs.
-func (in *Injector) Schedule() Schedule { return in.sched }
-
-// Arm schedules every step of the schedule on the kernel, offsets
-// counted from now. Steps sharing an offset are grouped into one
+// Arm registers every step of the schedule as an observer, offsets
+// counted from now, after checking that the internet has every node,
+// net and interface the steps name: a step it lacks is refused here,
+// before anything fires. Steps sharing an offset are grouped into one
 // compound event: all of them fire back to back at that instant and the
 // group is watched to reconvergence once, on its first event —
 // otherwise a simultaneous multi-cut would supersede its own watch and
@@ -121,19 +123,46 @@ func (in *Injector) Schedule() Schedule { return in.sched }
 // here, up front: between faults the armed injector allocates nothing
 // and schedules nothing, preserving the zero-allocation datagram hot
 // path.
-func (in *Injector) Arm() {
+func (in *Injector) Arm() error {
+	for _, st := range in.sched.Steps {
+		if _, _, err := in.resolve(st); err != nil {
+			return fmt.Errorf("fault: step %q: %w", st, err)
+		}
+	}
 	steps := make([]Step, len(in.sched.Steps))
 	copy(steps, in.sched.Steps)
 	sort.SliceStable(steps, func(i, j int) bool { return steps[i].At < steps[j].At })
+	g, now := in.nw.Group(), in.nw.Now()
 	for i := 0; i < len(steps); {
 		j := i + 1
 		for j < len(steps) && steps[j].At == steps[i].At {
 			j++
 		}
 		group := steps[i:j]
-		in.k.After(group[0].At, func() { in.applyGroup(group) })
+		g.At(now.Add(group[0].At), func() { in.applyGroup(group) })
 		i = j
 	}
+	return nil
+}
+
+// resolve finds what st acts on — every medium of the net it names (both
+// halves of a cross trunk), or the region holding the node it names.
+func (in *Injector) resolve(st Step) ([]phys.Medium, *core.Network, error) {
+	switch st.Op {
+	case OpCut, OpHeal, OpStormStart, OpStormEnd:
+		if media := in.nw.Media(st.Target); media != nil {
+			return media, nil, nil
+		}
+		return nil, nil, fmt.Errorf("no net %s in the internet", st.Target)
+	}
+	r := in.nw.Net(st.Target)
+	switch {
+	case r == nil:
+		return nil, nil, fmt.Errorf("no node %s in the internet", st.Target)
+	case (st.Op == OpIfDown || st.Op == OpIfUp) && r.Node(st.Target).Interface(st.Index) == nil:
+		return nil, nil, fmt.Errorf("%s has no interface %d", st.Target, st.Index)
+	}
+	return nil, r, nil
 }
 
 // applyGroup fires one simultaneity group: every step injects and logs,
@@ -149,61 +178,72 @@ func (in *Injector) applyGroup(group []Step) {
 
 // apply fires one step: inject the fault and log the event.
 func (in *Injector) apply(st Step) {
-	ev := Event{At: in.k.Now(), Op: st.Op, Target: st.Target, Index: st.Index}
+	ev := Event{At: in.nw.Now(), Op: st.Op, Target: st.Target, Index: st.Index}
+	media, r, _ := in.resolve(st) // Arm refused a step it cannot resolve
 	switch st.Op {
 	case OpCut:
-		m := in.nw.Medium(st.Target)
-		if !m.Down() {
-			in.openCut[st.Target] = m.LostWhileDown()
-			m.SetDown(true)
+		if !slices.ContainsFunc(media, phys.Medium.Down) {
+			in.openCut[st.Target] = lostWhileDown(media)
+			for _, m := range media {
+				m.SetDown(true)
+			}
 		}
 	case OpHeal:
-		m := in.nw.Medium(st.Target)
-		m.SetDown(false)
+		for _, m := range media {
+			m.SetDown(false)
+		}
 		if snap, ok := in.openCut[st.Target]; ok {
-			ev.LostInWindow = m.LostWhileDown() - snap
+			ev.LostInWindow = lostWhileDown(media) - snap
 			in.totalLost += ev.LostInWindow
 			delete(in.openCut, st.Target)
 		}
 	case OpCrash:
 		if _, open := in.openCrash[st.Target]; !open {
-			in.openCrash[st.Target] = in.downDrops(st.Target)
-			in.nw.CrashNode(st.Target)
+			in.openCrash[st.Target] = downDrops(r.Node(st.Target))
+			r.CrashNode(st.Target)
 		}
 	case OpRestore:
-		in.nw.RestoreNode(st.Target)
+		r.RestoreNode(st.Target)
 		if snap, ok := in.openCrash[st.Target]; ok {
-			ev.LostInWindow = in.downDrops(st.Target) - snap
+			ev.LostInWindow = downDrops(r.Node(st.Target)) - snap
 			in.totalLost += ev.LostInWindow
 			delete(in.openCrash, st.Target)
 		}
 	case OpIfDown, OpIfUp:
-		ifc := in.nw.Node(st.Target).Interface(st.Index)
-		if ifc == nil {
-			panic(fmt.Sprintf("fault: %s has no interface %d", st.Target, st.Index))
-		}
-		ifc.NIC.SetUp(st.Op == OpIfUp)
+		r.Node(st.Target).Interface(st.Index).NIC.SetUp(st.Op == OpIfUp)
 	case OpStormStart:
-		m := in.nw.Medium(st.Target)
 		if _, open := in.baseLoss[st.Target]; !open {
-			in.baseLoss[st.Target] = m.Loss()
+			in.baseLoss[st.Target] = media[0].Loss()
 		}
-		m.SetLoss(st.Level)
+		for _, m := range media {
+			m.SetLoss(st.Level)
+		}
 	case OpStormEnd:
 		if base, ok := in.baseLoss[st.Target]; ok {
-			in.nw.Medium(st.Target).SetLoss(base)
+			for _, m := range media {
+				m.SetLoss(base)
+			}
 			delete(in.baseLoss, st.Target)
 		}
 	}
 	in.log = append(in.log, ev)
 }
 
+// lostWhileDown totals the frames a net's media have swallowed cut.
+func lostWhileDown(media []phys.Medium) uint64 {
+	var total uint64
+	for _, m := range media {
+		total += m.LostWhileDown()
+	}
+	return total
+}
+
 // downDrops totals the frames that have died at the node's interfaces:
 // queued frames flushed or sent while down, plus arrivals at a down
 // interface.
-func (in *Injector) downDrops(node string) uint64 {
+func downDrops(n *stack.Node) uint64 {
 	var total uint64
-	for _, ifc := range in.nw.Node(node).Interfaces() {
+	for _, ifc := range n.Interfaces() {
 		st := ifc.NIC.Stats()
 		total += st.TxDrops + st.RxDown
 	}
@@ -220,12 +260,10 @@ func (in *Injector) downDrops(node string) uint64 {
 // than pending forever.
 func (in *Injector) startWatch(evIdx int) {
 	in.watchEvent = evIdx
-	in.watchFrom = in.k.Now()
+	in.watchFrom = in.nw.Now()
 	in.census = in.nw.PartitionCensus()
 	in.log[evIdx].Partitioned = in.census.Components > 1
-	for name := range in.pending {
-		delete(in.pending, name)
-	}
+	clear(in.pending)
 	for _, name := range in.nw.RIPNodes() {
 		if in.nw.RIP(name).Running() {
 			in.pending[name] = true
@@ -234,7 +272,7 @@ func (in *Injector) startWatch(evIdx int) {
 	in.check()
 	if len(in.pending) > 0 && !in.pollArmed {
 		in.pollArmed = true
-		in.k.After(pollInterval, in.pollFn)
+		in.nw.Group().At(in.nw.Now().Add(pollInterval), in.pollFn)
 	}
 }
 
@@ -248,14 +286,14 @@ func (in *Injector) pollTick() {
 	in.check()
 	if len(in.pending) > 0 {
 		in.pollArmed = true
-		in.k.After(pollInterval, in.pollFn)
+		in.nw.Group().At(in.nw.Now().Add(pollInterval), in.pollFn)
 	}
 }
 
 // check tests every pending router against the reachability oracle and
 // records reconvergence times.
 func (in *Injector) check() {
-	now := in.k.Now()
+	now := in.nw.Now()
 	for _, name := range in.nw.RIPNodes() {
 		if !in.pending[name] {
 			continue
@@ -292,12 +330,10 @@ func (in *Injector) converged(name string, r *rip.Router) bool {
 		return false
 	}
 	for _, p := range want {
-		switch in.nw.CheckRoute(name, p, in.hopLimit) {
-		case core.RouteDelivered:
-		case core.RouteLooped:
-			in.loopExits++
-			return false
-		default:
+		if v := in.nw.CheckRoute(name, p, in.hopLimit); v != core.RouteDelivered {
+			if v == core.RouteLooped {
+				in.loopExits++
+			}
 			return false
 		}
 	}
@@ -305,11 +341,7 @@ func (in *Injector) converged(name string, r *rip.Router) bool {
 }
 
 // Events returns the log of fired events with their measurements.
-func (in *Injector) Events() []Event {
-	out := make([]Event, len(in.log))
-	copy(out, in.log)
-	return out
-}
+func (in *Injector) Events() []Event { return slices.Clone(in.log) }
 
 // ReconvergeDurations returns every per-router reconvergence time
 // measured so far, router-major in RIPNodes order — the raw sample for
@@ -349,7 +381,7 @@ type Metric struct {
 //	reconverge_<node>_mean_s   per-router mean reconvergence time
 func (in *Injector) Metrics() []Metric {
 	var ms []Metric
-	watched, reconverged, unreconverged, partitioned := 0, 0, 0, 0
+	watched, reconverged, partitioned := 0, 0, 0
 	var sum, maxd sim.Duration
 	for i := range in.log {
 		if !in.log[i].Watched {
@@ -362,18 +394,14 @@ func (in *Injector) Metrics() []Metric {
 		if in.log[i].Reconverged {
 			reconverged++
 			sum += in.log[i].ReconvergeAfter
-			if in.log[i].ReconvergeAfter > maxd {
-				maxd = in.log[i].ReconvergeAfter
-			}
-		} else {
-			unreconverged++
+			maxd = max(maxd, in.log[i].ReconvergeAfter)
 		}
 	}
 	ms = append(ms,
 		Metric{"events_injected", "", float64(len(in.log))},
 		Metric{"events_watched", "", float64(watched)},
 		Metric{"events_reconverged", "", float64(reconverged)},
-		Metric{"events_unreconverged", "", float64(unreconverged)},
+		Metric{"events_unreconverged", "", float64(watched - reconverged)},
 		Metric{"events_partitioned", "", float64(partitioned)},
 	)
 	mean := 0.0

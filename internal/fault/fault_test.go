@@ -163,6 +163,32 @@ func TestRandomDeterministic(t *testing.T) {
 	}
 }
 
+// TestArmRefusesWhatTheInternetLacks: a step naming a node, net or
+// interface the internet does not have is refused by Arm, with the step
+// in the error, before any step fires — not a panic in the middle of
+// the run.
+func TestArmRefusesWhatTheInternetLacks(t *testing.T) {
+	for _, tc := range []struct{ text, want string }{
+		{"5s cut n1\n10s crash gwZ\n", `step "10s crash gwZ": no node gwZ in the internet`},
+		{"5s crash gwB\n10s cut nZ\n", `step "10s cut nZ": no net nZ in the internet`},
+		{"5s cut n1\n10s ifdown gwB 9\n", `step "10s ifdown gwB 9": gwB has no interface 9`},
+		{"5s cut n1\n10s storm lanZ 0.5\n", `step "10s storm lanZ 0.5": no net lanZ in the internet`},
+	} {
+		nw := recoveryNet(1)
+		in := fault.New(nw, fault.MustParse("bad", tc.text))
+		if err := in.Arm(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: Arm() = %v, want an error containing %q", tc.text, err, tc.want)
+		}
+		nw.RunFor(20 * time.Second)
+		if evs := in.Events(); len(evs) != 0 {
+			t.Errorf("%q: %d steps fired after Arm refused the schedule", tc.text, len(evs))
+		}
+		if nw.Medium("n1").Down() || !nw.RIP("gwB").Running() {
+			t.Errorf("%q: the internet changed after Arm refused the schedule", tc.text)
+		}
+	}
+}
+
 // TestCrashRecoveryMeasured drives the canonical crash/restore scenario
 // and checks the injector's recovery record: events logged in order,
 // reconvergence observed and bounded by the RIP timeout machinery, and
@@ -174,7 +200,7 @@ func TestCrashRecoveryMeasured(t *testing.T) {
 
 	sched := fault.MustParse("crash", "10s crash gwB\n40s restore gwB\n")
 	in := fault.New(nw, sched)
-	in.Arm()
+	arm(t, in)
 	nw.RunFor(70 * time.Second)
 
 	evs := in.Events()
@@ -229,7 +255,7 @@ func TestCutHealMeasuresMediumLoss(t *testing.T) {
 	floodUDP(t, nw, 50*time.Millisecond, 800)
 
 	in := fault.New(nw, fault.MustParse("cut", "5s cut lanB\n20s heal lanB\n"))
-	in.Arm()
+	arm(t, in)
 	nw.RunFor(45 * time.Second)
 
 	evs := in.Events()
@@ -254,7 +280,7 @@ func TestIfDownReconvergesByPropagation(t *testing.T) {
 
 	// gwB interface 1 is its n1 trunk (ifaces: lanB=0, n1=1, n2=2).
 	in := fault.New(nw, fault.MustParse("ifdown", "5s ifdown gwB 1\n"))
-	in.Arm()
+	arm(t, in)
 	nw.RunFor(30 * time.Second)
 
 	evs := in.Events()
@@ -283,7 +309,7 @@ func TestInjectorDeterminism(t *testing.T) {
 			t.Fatal("no mixed preset")
 		}
 		in := fault.New(nw, sched)
-		in.Arm()
+		arm(t, in)
 		nw.RunFor(150 * time.Second)
 		return in.Events(), in.Metrics()
 	}
@@ -308,7 +334,7 @@ func TestCompoundFailureWatchedOnce(t *testing.T) {
 
 	// Both trunks out of lanA at the same instant: a true partition.
 	in := fault.New(nw, fault.MustParse("doublecut", "10s cut n1\n10s cut n4\n"))
-	in.Arm()
+	arm(t, in)
 	nw.RunFor(40 * time.Second)
 
 	evs := in.Events()
@@ -357,7 +383,7 @@ func TestPartitionOutcomeDistinguished(t *testing.T) {
 		t.Fatal("partition preset missing")
 	}
 	in := fault.New(nw, sched)
-	in.Arm()
+	arm(t, in)
 	nw.RunFor(70 * time.Second)
 
 	evs := in.Events()
@@ -425,7 +451,7 @@ func TestHopLimitLoopAccounting(t *testing.T) {
 
 	nw := build()
 	in := fault.New(nw, sched)
-	in.Arm()
+	arm(t, in)
 	nw.RunFor(10 * time.Second)
 	if evs := in.Events(); !evs[0].Reconverged {
 		t.Fatal("default hop budget: converged line did not reconverge")
@@ -437,7 +463,7 @@ func TestHopLimitLoopAccounting(t *testing.T) {
 	nw = build()
 	in = fault.New(nw, sched)
 	in.SetHopLimit(2)
-	in.Arm()
+	arm(t, in)
 	nw.RunFor(10 * time.Second)
 	if evs := in.Events(); evs[0].Reconverged {
 		t.Fatal("2-hop budget: oracle claimed reconvergence over a 4-hop path")
@@ -448,6 +474,14 @@ func TestHopLimitLoopAccounting(t *testing.T) {
 	}
 	if byName["events_unreconverged"] != 1 {
 		t.Errorf("events_unreconverged = %v, want 1", byName["events_unreconverged"])
+	}
+}
+
+// arm arms the injector, failing the test on a schedule it refuses.
+func arm(t *testing.T, in *fault.Injector) {
+	t.Helper()
+	if err := in.Arm(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -508,7 +542,7 @@ func TestCrashRestartSoak(t *testing.T) {
 		text += (base + 4*time.Second).String() + " restore " + gw + "\n"
 	}
 	in := fault.New(nw, fault.MustParse("soak", text))
-	in.Arm()
+	arm(t, in)
 	nw.RunFor(130 * time.Second)
 
 	if got := len(in.Events()); got != 20 {
@@ -540,7 +574,7 @@ func TestPartitionHealTransferIntegrity(t *testing.T) {
 		t.Fatal("partition preset missing")
 	}
 	in := fault.New(nw, sched)
-	in.Arm()
+	arm(t, in)
 
 	pattern := func(i int) byte { return byte(i*13 + i>>8) }
 	received, corrupt := 0, -1

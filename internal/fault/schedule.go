@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -70,20 +71,22 @@ type Schedule struct {
 	Steps []Step
 }
 
+// String renders the step as a line of schedule text.
+func (st Step) String() string {
+	switch st.Op {
+	case OpIfDown, OpIfUp:
+		return fmt.Sprintf("%s %s %s %d", st.At, st.Op, st.Target, st.Index)
+	case OpStormStart:
+		return fmt.Sprintf("%s %s %s %g", st.At, st.Op, st.Target, st.Level)
+	}
+	return fmt.Sprintf("%s %s %s", st.At, st.Op, st.Target)
+}
+
 // String renders the schedule back to its text form.
 func (s Schedule) String() string {
 	var b strings.Builder
 	for _, st := range s.Steps {
-		switch st.Op {
-		case OpIfDown, OpIfUp:
-			fmt.Fprintf(&b, "%s %s %s %d\n", st.At, st.Op, st.Target, st.Index)
-		case OpStormStart:
-			fmt.Fprintf(&b, "%s storm %s %g\n", st.At, st.Target, st.Level)
-		case OpStormEnd:
-			fmt.Fprintf(&b, "%s calm %s\n", st.At, st.Target)
-		default:
-			fmt.Fprintf(&b, "%s %s %s\n", st.At, st.Op, st.Target)
-		}
+		b.WriteString(st.String() + "\n")
 	}
 	return b.String()
 }
@@ -124,16 +127,10 @@ func Parse(name, text string) (Schedule, error) {
 		if err != nil || at < 0 {
 			return s, fmt.Errorf("fault: line %d: bad offset %q (want a duration >= 0)", lineno+1, f[0])
 		}
-		target := f[2]
+		target, op := f[2], Op(slices.Index(opNames[:], f[1]))
 		switch f[1] {
-		case "cut":
-			s.Steps = append(s.Steps, Step{At: at, Op: OpCut, Target: target})
-		case "heal":
-			s.Steps = append(s.Steps, Step{At: at, Op: OpHeal, Target: target})
-		case "crash":
-			s.Steps = append(s.Steps, Step{At: at, Op: OpCrash, Target: target})
-		case "restore":
-			s.Steps = append(s.Steps, Step{At: at, Op: OpRestore, Target: target})
+		case "cut", "heal", "crash", "restore", "calm":
+			s.Steps = append(s.Steps, Step{At: at, Op: op, Target: target})
 		case "ifdown", "ifup":
 			if len(f) < 4 {
 				return s, fmt.Errorf("fault: line %d: want `%s <node> <ifindex>`", lineno+1, f[1])
@@ -141,10 +138,6 @@ func Parse(name, text string) (Schedule, error) {
 			idx, err := spec.ParseInt(f[3], 0, math.MaxInt)
 			if err != nil {
 				return s, fmt.Errorf("fault: line %d: bad interface index %q", lineno+1, f[3])
-			}
-			op := OpIfDown
-			if f[1] == "ifup" {
-				op = OpIfUp
 			}
 			s.Steps = append(s.Steps, Step{At: at, Op: op, Target: target, Index: idx})
 		case "storm":
@@ -163,8 +156,6 @@ func Parse(name, text string) (Schedule, error) {
 				}
 				s.Steps = append(s.Steps, Step{At: at + dur, Op: OpStormEnd, Target: target})
 			}
-		case "calm":
-			s.Steps = append(s.Steps, Step{At: at, Op: OpStormEnd, Target: target})
 		case "flap":
 			if len(f) < 5 {
 				return s, fmt.Errorf("fault: line %d: want `flap <net> <count> <period>`", lineno+1)
@@ -301,8 +292,6 @@ func Random(rng *rand.Rand, o RandomOptions) Schedule {
 		kind := rng.Intn(kinds)
 		if len(o.Nets) == 0 {
 			kind = 2
-		} else if len(o.Nodes) == 0 && kind == 2 {
-			kind = rng.Intn(2)
 		}
 		switch kind {
 		case 0:

@@ -180,9 +180,6 @@ func NewPolicyQdisc(limit int, spec PolicySpec, rng *rand.Rand, mark func(payloa
 	return q
 }
 
-// Spec returns the resolved policy parameters.
-func (q *PolicyQdisc) Spec() PolicySpec { return q.spec }
-
 // Avg returns the current EWMA queue depth (drop-tail keeps none).
 func (q *PolicyQdisc) Avg() float64 { return q.avg }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -127,6 +128,108 @@ func TestShardGroupEpochBoundaries(t *testing.T) {
 	wantFired := []Time{0, Time(time.Millisecond), Time(2500 * time.Microsecond)}
 	if !reflect.DeepEqual(fired, wantFired) {
 		t.Fatalf("fired %v, want %v", fired, wantFired)
+	}
+}
+
+// observed is one entry of observerTrace's log.
+type observed struct {
+	at   Time
+	what string
+}
+
+// observerTrace runs n kernels, each ticking every 300µs, in a group of
+// the given lookahead for 8ms, with observers due off the lookahead
+// grid: "a" then "b" at 2.5ms, and "every" from 0.7ms re-registering
+// itself 1.3ms on until 6ms has passed. Kernel 0 also has an event at
+// 2.5ms queued before the observers were registered and one queued
+// after. It returns the observers' and kernel 0's 2.5ms events in the
+// order they ran, every kernel's ticks, and the instants the exchange
+// ran at.
+func observerTrace(t *testing.T, n int, look Duration, workers int) (log []observed, ticks [][]Time, barriers []Time) {
+	t.Helper()
+	kernels := make([]*Kernel, n)
+	ticks = make([][]Time, n)
+	for i := range kernels {
+		k := NewKernel(int64(i))
+		kernels[i] = k
+		var tick func()
+		tick = func() {
+			ticks[i] = append(ticks[i], k.Now())
+			k.After(300*time.Microsecond, tick)
+		}
+		k.After(300*time.Microsecond, tick)
+	}
+	g := NewShardGroup(kernels, look, workers)
+	g.SetExchange(func() { barriers = append(barriers, g.Now()) })
+	observe := func(what string) {
+		for i, k := range kernels {
+			if k.Now() != g.Now() {
+				t.Errorf("%s at %d: kernel %d is at %d", what, g.Now(), i, k.Now())
+			}
+		}
+		log = append(log, observed{g.Now(), what})
+	}
+
+	k0, at := kernels[0], Time(2500*time.Microsecond)
+	k0.At(at, func() { log = append(log, observed{k0.Now(), "kernel 0, queued before"}) })
+	g.At(at, func() { observe("a") })
+	g.At(at, func() { observe("b") })
+	var every func()
+	every = func() {
+		observe("every")
+		if g.Now() < Time(6*time.Millisecond) {
+			g.At(g.Now().Add(1300*time.Microsecond), every)
+		}
+	}
+	g.At(Time(700*time.Microsecond), every)
+	k0.At(at, func() { log = append(log, observed{k0.Now(), "kernel 0, queued after"}) })
+
+	if end := g.RunFor(8 * time.Millisecond); end != Time(8*time.Millisecond) {
+		t.Fatalf("RunFor ended at %d", end)
+	}
+	return log, ticks, barriers
+}
+
+// TestShardGroupObservers: an observer due off the lookahead grid runs
+// at exactly its instant, with every kernel stopped there — on a 1-kernel
+// group with no lookahead bound and on a 3-kernel group — after the
+// kernel events queued before it and before those queued after; same-
+// instant observers run in registration order; an observer re-registers
+// itself; the exchange still runs on the lookahead grid alone; and the
+// whole trace is the same at 1, 2 and 4 workers.
+func TestShardGroupObservers(t *testing.T) {
+	us := func(n int64) Time { return Time(n * int64(time.Microsecond)) }
+	wantLog := []observed{
+		{us(700), "every"}, {us(2000), "every"},
+		{us(2500), "kernel 0, queued before"}, {us(2500), "a"}, {us(2500), "b"}, {us(2500), "kernel 0, queued after"},
+		{us(3300), "every"}, {us(4600), "every"}, {us(5900), "every"}, {us(7200), "every"},
+	}
+	var wantTicks []Time
+	for at := us(300); at <= us(8000); at += us(300) {
+		wantTicks = append(wantTicks, at)
+	}
+	for _, tc := range []struct {
+		kernels      int
+		look         Duration
+		wantBarriers []Time
+	}{
+		{1, math.MaxInt64, []Time{us(8000)}},
+		{3, time.Millisecond, []Time{us(1000), us(2000), us(3000), us(4000), us(5000), us(6000), us(7000), us(8000)}},
+	} {
+		for _, workers := range []int{1, 2, 4} {
+			log, ticks, barriers := observerTrace(t, tc.kernels, tc.look, workers)
+			if !reflect.DeepEqual(log, wantLog) {
+				t.Errorf("%d kernels, %d workers: ran\n\t%v\nwant\n\t%v", tc.kernels, workers, log, wantLog)
+			}
+			for i, got := range ticks {
+				if !reflect.DeepEqual(got, wantTicks) {
+					t.Errorf("%d kernels, %d workers: kernel %d ticked at %v, want every 300µs", tc.kernels, workers, i, got)
+				}
+			}
+			if !reflect.DeepEqual(barriers, tc.wantBarriers) {
+				t.Errorf("%d kernels, %d workers: exchanged at %v, want %v", tc.kernels, workers, barriers, tc.wantBarriers)
+			}
+		}
 	}
 }
 

@@ -31,7 +31,9 @@ func censusTopo(b testing.TB) (*core.Network, *topo.Manifest, *uint64) {
 		b.Fatal("targeted schedule is empty")
 	}
 	in := fault.New(nw, sched)
-	in.Arm()
+	if err := in.Arm(); err != nil {
+		b.Fatal(err)
+	}
 
 	if c := nw.PartitionCensus(); c.Components != 1 {
 		b.Fatalf("intact internet has %d components", c.Components)
@@ -45,7 +47,7 @@ func censusTopo(b testing.TB) (*core.Network, *topo.Manifest, *uint64) {
 
 // censusStep bounds one end-to-end delivery on the generated internet
 // (ms-scale link delays plus T1 serialization) without reaching the
-// armed attack an hour out — k.Run() would fire it.
+// armed attack an hour out.
 const censusStep = 100 * time.Millisecond
 
 // BenchmarkForwardHotPathSurviveCensus pins E14's non-regression: the
@@ -53,7 +55,6 @@ const censusStep = 100 * time.Millisecond
 // compound attack add zero allocations to the forwarding hot path.
 func BenchmarkForwardHotPathSurviveCensus(b *testing.B) {
 	nw, m, delivered := censusTopo(b)
-	k := nw.Kernel()
 	hosts := m.HostNames()
 	src, dst := hosts[0], hosts[len(hosts)-1]
 	payload := make([]byte, 512)
@@ -63,13 +64,13 @@ func BenchmarkForwardHotPathSurviveCensus(b *testing.B) {
 		if err := nw.Node(src).Send(hdr, payload); err != nil {
 			b.Fatal(err)
 		}
-		k.RunFor(censusStep)
+		nw.RunFor(censusStep)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		nw.Node(src).Send(hdr, payload)
-		k.RunFor(censusStep)
+		nw.RunFor(censusStep)
 	}
 	b.StopTimer()
 	if *delivered != uint64(64+b.N) {
@@ -81,7 +82,6 @@ func BenchmarkForwardHotPathSurviveCensus(b *testing.B) {
 // test so `go test` alone catches a regression, not only the bench gate.
 func TestSurviveCensusZeroAlloc(t *testing.T) {
 	nw, m, delivered := censusTopo(t)
-	k := nw.Kernel()
 	hosts := m.HostNames()
 	src, dst := hosts[0], hosts[len(hosts)-1]
 	payload := make([]byte, 512)
@@ -90,11 +90,11 @@ func TestSurviveCensusZeroAlloc(t *testing.T) {
 		if err := nw.Node(src).Send(hdr, payload); err != nil {
 			t.Fatal(err)
 		}
-		k.RunFor(censusStep)
+		nw.RunFor(censusStep)
 	}
 	avg := testing.AllocsPerRun(200, func() {
 		nw.Node(src).Send(hdr, payload)
-		k.RunFor(censusStep)
+		nw.RunFor(censusStep)
 	})
 	if avg != 0 {
 		t.Fatalf("hot path with held census and armed attack allocates %.1f objects per datagram, want 0", avg)

@@ -83,6 +83,14 @@ func pattern(n int) []byte {
 	return p
 }
 
+// marshal serializes the segment into fresh storage, computing the
+// checksum over the pseudo-header for src->dst — the tests' wire image
+// of a segment; the transport itself serializes through marshalInto.
+func (s *segment) marshal(src, dst ipv4.Addr) []byte {
+	var scratch []byte
+	return s.marshalInto(&scratch, src, dst)
+}
+
 // pump keeps conn's send buffer full from data until all is written, then
 // closes if close is set.
 func pump(c *Conn, data []byte, closeAfter bool) {

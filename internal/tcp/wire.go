@@ -99,13 +99,6 @@ func (s *segment) String() string {
 		s.srcPort, s.dstPort, s.flagString(), s.seq, s.ack, s.wnd, len(s.payload))
 }
 
-// marshal serializes the segment into fresh storage, computing the
-// checksum over the pseudo-header for src->dst.
-func (s *segment) marshal(src, dst ipv4.Addr) []byte {
-	var scratch []byte
-	return s.marshalInto(&scratch, src, dst)
-}
-
 // marshalInto serializes the segment into scratch, growing it as needed
 // and reusing its capacity across calls. The returned slice aliases
 // scratch and is only valid until the next call — safe here because the

@@ -11,6 +11,7 @@ import (
 
 	"darpanet/internal/core"
 	"darpanet/internal/ipv4"
+	"darpanet/internal/phys"
 )
 
 // TestPartitionQuality bounds the partitioner's load balance: no region
@@ -181,7 +182,7 @@ func oldPathHops(s *Sharded, byAddr map[ipv4.Addr]string, from, to string) (int,
 	}
 	dst := s.Addr(to)
 	cur := from
-	for hops := 0; hops <= len(s.nodeRegion); hops++ {
+	for hops := 0; hops <= len(s.Manifest.NodeDefs); hops++ {
 		if cur == to {
 			return hops - 1, true // arrived; `to` itself is not a relay
 		}
@@ -243,7 +244,7 @@ func TestPathHopsMatchesTheOldWalk(t *testing.T) {
 							if got, ok := s.PathHops(from, to); got != want || ok != wantOK || !ok {
 								t.Errorf("%s -> %s: (%d, %v), the old walk (%d, %v); both should deliver", from, to, got, ok, want, wantOK)
 							}
-							if s.Region(from) != s.Region(to) {
+							if s.Net(from) != s.Net(to) {
 								crossing++
 							}
 						}
@@ -255,8 +256,14 @@ func TestPathHopsMatchesTheOldWalk(t *testing.T) {
 					// A cross trunk is a pair of halves, and a frame is lost
 					// while either is down: cut one side of every trunk, then
 					// the other.
+					var halves []phys.Medium
+					for i, nf := range s.Manifest.NetDefs {
+						if s.Manifest.Partition.NetRegions[i] < 0 {
+							halves = append(halves, s.Regions[0].Media(nf.Name)...)
+						}
+					}
 					for half := 0; half < 2; half++ {
-						for i, b := range s.boundaries {
+						for i, b := range halves {
 							b.SetDown(i%2 == half)
 						}
 						for _, from := range hosts {
@@ -265,13 +272,13 @@ func TestPathHopsMatchesTheOldWalk(t *testing.T) {
 								if _, old := oldPathHops(s, byAddr, from, to); !old {
 									t.Errorf("%s -> %s: the old walk saw the cut", from, to)
 								}
-								if spans := s.Region(from) != s.Region(to); spans && ok {
+								if spans := s.Net(from) != s.Net(to); spans && ok {
 									t.Errorf("%s -> %s: delivered across a cut trunk (halves %d down)", from, to, half)
 								}
 							}
 						}
 					}
-					for _, b := range s.boundaries {
+					for _, b := range halves {
 						b.SetDown(false)
 					}
 
@@ -526,9 +533,9 @@ func TestShardedDelivery(t *testing.T) {
 	src := hosts[0]
 
 	var targets []string
-	seen := map[int]bool{s.Region(src): true}
+	seen := map[*core.Network]bool{s.Net(src): true}
 	for _, h := range hosts {
-		if r := s.Region(h); !seen[r] {
+		if r := s.Net(h); !seen[r] {
 			seen[r] = true
 			targets = append(targets, h)
 		}
@@ -553,7 +560,7 @@ func TestShardedDelivery(t *testing.T) {
 	}
 	for _, dst := range targets {
 		if got[dst] != 3 {
-			t.Errorf("%s (region %d): delivered %d of 3", dst, s.Region(dst), got[dst])
+			t.Errorf("%s: delivered %d of 3 from another region", dst, got[dst])
 		}
 	}
 }
@@ -574,7 +581,7 @@ func BenchmarkShardedForward(b *testing.B) {
 	src := hosts[0]
 	dst := ""
 	for _, h := range hosts {
-		if s.Region(h) != s.Region(src) {
+		if s.Net(h) != s.Net(src) {
 			dst = h
 			break
 		}

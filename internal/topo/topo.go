@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -95,26 +96,34 @@ func (s *Spec) Fields() spec.Fields {
 // String renders the spec in the form ParseSpec accepts.
 func (s Spec) String() string { return string(s.Shape) + ":" + s.Fields().String() }
 
+// shapes is every shape, as the spec its omitted keys default to.
+var shapes = []Spec{
+	{Shape: Line, Gateways: 16, Hosts: 1, Mix: true},
+	{Shape: Ring, Gateways: 16, Hosts: 1, Mix: true},
+	{Shape: Tree, Gateways: 31, Degree: 2, Hosts: 1, Mix: true},
+	DefaultSpec(),
+	{Shape: Waxman, Gateways: 32, Alpha: 0.25, Beta: 0.4, Hosts: 1, Mix: true},
+}
+
+// ShapeNames lists the shapes ParseSpec accepts.
+func ShapeNames() []string {
+	names := make([]string, len(shapes))
+	for i, sp := range shapes {
+		names[i] = string(sp.Shape)
+	}
+	return names
+}
+
 // ParseSpec parses "shape:key=val,key=val,…" with the keys of
 // Spec.Fields. Omitted keys take the shape's defaults; "shape" alone is
 // valid.
 func ParseSpec(s string) (Spec, error) {
 	name, rest, _ := strings.Cut(s, ":")
-	var sp Spec
-	switch Shape(name) {
-	case Line:
-		sp = Spec{Shape: Line, Gateways: 16, Hosts: 1, Mix: true}
-	case Ring:
-		sp = Spec{Shape: Ring, Gateways: 16, Hosts: 1, Mix: true}
-	case Tree:
-		sp = Spec{Shape: Tree, Gateways: 31, Degree: 2, Hosts: 1, Mix: true}
-	case TransitStub:
-		sp = DefaultSpec()
-	case Waxman:
-		sp = Spec{Shape: Waxman, Gateways: 32, Alpha: 0.25, Beta: 0.4, Hosts: 1, Mix: true}
-	default:
-		return Spec{}, fmt.Errorf("topo: unknown shape %q", name)
+	i := slices.IndexFunc(shapes, func(sp Spec) bool { return string(sp.Shape) == name })
+	if i < 0 {
+		return Spec{}, fmt.Errorf("topo: unknown shape %q (want one of %s)", name, strings.Join(ShapeNames(), ", "))
 	}
+	sp := shapes[i]
 	if err := sp.Fields().Parse(rest); err != nil {
 		return Spec{}, fmt.Errorf("topo: %w", err)
 	}
@@ -315,20 +324,33 @@ var stubProfiles = []struct {
 
 var kindNames = map[core.NetKind]string{core.LAN: "lan", core.P2P: "p2p", core.Radio: "radio"}
 
-// lab is where the builder wires what it draws. A *core.Network is one
-// as it stands (Generate); a sharded build's regionLab sends each net
-// and node to its region; nil keeps only the manifest (the sharded
-// builder partitions the manifest before it can place a node, and a
-// throwaway serial network there would double the construction cost).
-type lab interface {
-	AddNet(name, prefix string, kind core.NetKind, cfg phys.Config)
-	// Net returns the network the named node is, or is to be, wired into.
-	Net(node string) *core.Network
+// lab is where the builder wires what it draws: a node goes to its
+// region, a net to the region of its stations, and a cross trunk becomes
+// a boundary pair between the regions of its ends — with no partition,
+// all to the one region (Generate). A nil lab keeps only the manifest
+// (a throwaway serial network would double a sharded build's cost).
+type lab struct {
+	regions    []*core.Network
+	nodeRegion map[string]int
+	netRegion  map[string]int   // by net name; -1 marks a cross trunk
+	ends       map[string][]int // cross trunk -> the regions of its two ends
+}
+
+// Net returns the network the named node is, or is to be, wired into.
+func (l *lab) Net(node string) *core.Network { return l.regions[l.nodeRegion[node]] }
+
+func (l *lab) AddNet(name, prefix string, kind core.NetKind, cfg phys.Config) {
+	if r := l.netRegion[name]; r >= 0 {
+		l.regions[r].AddNet(name, prefix, kind, cfg)
+		return
+	}
+	e := l.ends[name]
+	core.AddCrossTrunk(l.regions[e[0]], l.regions[e[1]], name, prefix, cfg)
 }
 
 // builder accumulates the Network and Manifest in lockstep.
 type builder struct {
-	nw      lab
+	nw      *lab
 	m       *Manifest
 	rng     *rand.Rand
 	mix     bool
@@ -439,7 +461,7 @@ func (b *builder) populate(stub, gw string, n int) {
 // choice.
 func Generate(spec Spec, seed int64) (*core.Network, *Manifest) {
 	nw := core.New(seed)
-	return nw, generate(spec, seed, nw)
+	return nw, generate(spec, seed, &lab{regions: []*core.Network{nw}})
 }
 
 // ManifestOnly generates just the manifest — same graph, same names,
@@ -448,7 +470,7 @@ func ManifestOnly(spec Spec, seed int64) *Manifest {
 	return generate(spec, seed, nil)
 }
 
-func generate(spec Spec, seed int64, into lab) *Manifest {
+func generate(spec Spec, seed int64, into *lab) *Manifest {
 	if err := spec.validate(); err != nil {
 		panic(err)
 	}

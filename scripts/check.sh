@@ -3,8 +3,9 @@
 # .github/workflows/ci.yml runs `scripts/check.sh <leg>` rather than
 # spelling a command out a second time.
 #
-#   scripts/check.sh              every leg, in the order listed below
+#   scripts/check.sh              every leg in LEGS, in that order
 #   scripts/check.sh race fuzz    just those legs
+#   scripts/check.sh race-cpu     the slow leg LEGS leaves out
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -79,17 +80,25 @@ run_leg() {
         # real concurrency exists — keep them honest, in shuffled order so
         # no test leans on state an earlier one left behind. The second
         # command names the sharded determinism and delivery tests and the
-        # serial-vs-sharded differential tests (tables, wiring, census)
-        # explicitly, so a schedule or -run pattern change cannot silently
-        # drop them from coverage.
+        # serial-vs-sharded differential tests (tables, wiring, census,
+        # fault injection) explicitly, so a schedule or -run pattern
+        # change cannot silently drop them from coverage.
         go test -race -shuffle=on ./...
-        go test -race -count=1 -run 'TestE16DeterminismAcrossWorkers|TestSharded|TestSerialAndShardedRunsAgree|TestBuildersShareGraphNamesPrefixesMedia|TestCensusAtAnyRegionCount' ./internal/exp/ ./internal/topo/
+        go test -race -count=1 -run 'TestE16DeterminismAcrossWorkers|TestSharded|TestSerialAndShardedRunsAgree|TestBuildersShareGraphNamesPrefixesMedia|TestCensusAtAnyRegionCount|TestInjectorAtAnyRegionCount' ./internal/exp/ ./internal/topo/ ./internal/fault/
         ;;
     race-sim)
         # The kernel at 1, 2 and 4 CPUs: a 1-core pass proves nothing
         # about ShardGroup, and a multi-core-only runner would hide a
         # serial-path regression.
         go test -race -cpu 1,2,4 -count=3 ./internal/sim/
+        ;;
+    race-cpu)
+        # The whole suite under the race detector at GOMAXPROCS 1, 2 and
+        # 4 — three race passes, too slow for LEGS; CI runs it on a
+        # schedule and on demand. One race pass of the root package or
+        # internal/exp takes nearly four minutes on two vCPUs, so three
+        # would overrun go test's default ten-minute binary timeout.
+        go test -race -cpu 1,2,4 -timeout 30m ./...
         ;;
     pooldebug)
         go test -tags pooldebug ./...
@@ -220,7 +229,7 @@ run_leg() {
         go test -count=1 -run 'TestHelpSync' ./cmd/experiments/
         ;;
     *)
-        echo "check.sh: unknown leg '$1' (legs: $LEGS)" >&2
+        echo "check.sh: unknown leg '$1' (legs: $LEGS race-cpu)" >&2
         exit 2
         ;;
     esac

@@ -83,11 +83,11 @@ type internet struct {
 	workers    int
 	boundaries []*phys.Boundary
 
-	// aggDefault remembers which nodes hold a collapsed default route —
-	// the single 0.0.0.0/0 the cross-region oracle installs on a node
-	// whose computed routes all share one next hop, instead of a route
-	// per net — so a recompute can retract it.
-	aggDefault map[*stack.Node]bool
+	// aggRoutes remembers the prefixes of the aggregates the
+	// cross-region oracle installed on each node instead of a route per
+	// net — a collapsed default, or the blocks covering its runs of
+	// same-next-hop nets — so a recompute can retract them.
+	aggRoutes map[*stack.Node][]ipv4.Prefix
 }
 
 // regroup builds the shard group over every region's kernel. Its
@@ -141,7 +141,7 @@ func New(seed int64) *Network { return NewRegions(seed, 1, 1)[0] }
 // up to workers goroutines, which buy wall-clock time and never change a
 // result.
 func NewRegions(seed int64, n, workers int) []*Network {
-	in := &internet{workers: workers, aggDefault: make(map[*stack.Node]bool)}
+	in := &internet{workers: workers, aggRoutes: make(map[*stack.Node][]ipv4.Prefix)}
 	for r := range n {
 		in.regions = append(in.regions, &Network{
 			kernel:   sim.NewKernel(seed + int64(r)*1_000_003),

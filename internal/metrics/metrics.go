@@ -19,9 +19,11 @@
 package metrics
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -39,13 +41,15 @@ type binding struct {
 // Registry holds the descriptors registered by every layer driven by one
 // kernel. Registration happens at topology-construction time; the only
 // operations during a run are the layers' own uint64 increments.
+//
+// It keeps one binding per descriptor and nothing else: two
+// registrations of one path are told apart at Snapshot time, not here.
 type Registry struct {
 	bindings []binding
-	seen     map[string]int // base path -> times registered, for uniquifying
 }
 
 // NewRegistry returns an empty registry. Most callers want For instead.
-func NewRegistry() *Registry { return &Registry{seen: make(map[string]int)} }
+func NewRegistry() *Registry { return &Registry{} }
 
 // regKey is the kernel-value key under which a kernel's registry lives.
 type regKey struct{}
@@ -80,19 +84,12 @@ func (r *Registry) Gauge(node, layer, name string, fn func() uint64) {
 	r.add(binding{path: Path(node, layer, name), gauge: fn})
 }
 
-// add appends a binding, uniquifying duplicate paths deterministically:
-// the second registration of path p becomes "p~2", the third "p~3", and
-// so on. Duplicates are legal (two media may attach stations with the
-// same name); registration order is topology-construction order, which
-// is deterministic, so the suffixes are too.
+// add appends a binding. Its path may repeat an earlier one's (two
+// media may attach stations with the same name); Snapshot tells them
+// apart.
 func (r *Registry) add(b binding) {
 	if r == nil {
 		return
-	}
-	n := r.seen[b.path] + 1
-	r.seen[b.path] = n
-	if n > 1 {
-		b.path = fmt.Sprintf("%s~%d", b.path, n)
 	}
 	r.bindings = append(r.bindings, b)
 }
@@ -117,23 +114,59 @@ type Snapshot []Entry
 // Snapshot reads every descriptor and returns the values sorted by
 // path, so two snapshots of the same topology are comparable
 // entry-by-entry and the JSON rendering is byte-stable.
+//
+// A path registered more than once is uniquified deterministically: the
+// second registration of path p reads as "p~2", the third "p~3", and so
+// on, in registration order — topology-construction order, which is
+// deterministic, so the suffixes are too.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return nil
 	}
+	// Sort binding indices first, parked in Value: ties on a path then
+	// break by registration order.
 	s := make(Snapshot, len(r.bindings))
 	for i, b := range r.bindings {
-		v := uint64(0)
+		s[i] = Entry{Path: b.path, Value: uint64(i)}
+	}
+	slices.SortFunc(s, func(a, b Entry) int {
+		if c := strings.Compare(a.Path, b.Path); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Value, b.Value)
+	})
+	repeats := false
+	for i := range s {
+		b := &r.bindings[s[i].Value]
 		switch {
 		case b.counter != nil:
-			v = *b.counter
+			s[i].Value = *b.counter
 		case b.gauge != nil:
-			v = b.gauge()
+			s[i].Value = b.gauge()
+		default:
+			s[i].Value = 0
 		}
-		s[i] = Entry{Path: b.path, Value: v}
+		repeats = repeats || i > 0 && s[i].Path == s[i-1].Path
 	}
-	sort.Slice(s, func(i, j int) bool { return s[i].Path < s[j].Path })
+	if repeats {
+		uniquify(s)
+	}
 	return s
+}
+
+// uniquify suffixes each repeat of a path in the sorted snapshot s —
+// "p~2", "p~3", … in the order the repeats stand — and sorts s again,
+// since a suffixed path can sort past others ("p/x" < "p~2").
+func uniquify(s Snapshot) {
+	for i := 1; i < len(s); {
+		j := i
+		for j < len(s) && s[j].Path == s[i-1].Path {
+			s[j].Path = fmt.Sprintf("%s~%d", s[j].Path, j-i+2)
+			j++
+		}
+		i = j + 1
+	}
+	slices.SortStableFunc(s, func(a, b Entry) int { return strings.Compare(a.Path, b.Path) })
 }
 
 // Get returns the value at path (0, false when absent).

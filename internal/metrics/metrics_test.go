@@ -2,8 +2,11 @@ package metrics
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"darpanet/internal/sim"
 )
@@ -65,6 +68,61 @@ func TestDuplicatePathsUniquified(t *testing.T) {
 	}
 	if got := s.Sum("nic/tx"); got != 6 {
 		t.Fatalf("Sum over uniquified = %d, want 6", got)
+	}
+}
+
+// TestDuplicateSuffixesFollowRegistrationOrder: the suffixes go by
+// registration order, not by value, and hold across snapshots — a repeat
+// registered after a Snapshot gets the next suffix — while a path that
+// sorts between p and p~2 ("p/x") stays where the suffixed paths sort.
+func TestDuplicateSuffixesFollowRegistrationOrder(t *testing.T) {
+	r := NewRegistry()
+	var first, nested, second, third uint64 = 30, 5, 20, 10
+	r.Counter("n", "l", "p", &first)
+	r.Counter("n", "l", "p/x", &nested)
+	r.Gauge("n", "l", "p", func() uint64 { return second })
+	want := Snapshot{{"n/l/p", 30}, {"n/l/p/x", 5}, {"n/l/p~2", 20}}
+	if got := r.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot %v, want %v", got, want)
+	}
+	r.Counter("n", "l", "p", &third)
+	want = append(want, Entry{"n/l/p~3", 10})
+	if got := r.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after a later repeat: snapshot %v, want %v", got, want)
+	}
+}
+
+// TestRegistryFootprint pins what a descriptor costs the registry that
+// keeps it: one 32-byte binding (the path's string header, a counter
+// pointer, a gauge closure) plus its path's bytes, with at most the
+// binding slice's growth slack on top — no map of the paths seen, which
+// cost about as much again (repeats are told apart at Snapshot). The
+// bytes are counted from the capacities the registry holds, as
+// TestRouteTableFootprint counts a route table's, and the struct may
+// hold nothing but the binding slice, so no per-descriptor state escapes
+// the count. A snapshot with no repeated path allocates only itself.
+func TestRegistryFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(binding{}); size != 32 {
+		t.Fatalf("binding is %d bytes, want 32", size)
+	}
+	if unsafe.Sizeof(Registry{}) != unsafe.Sizeof([]binding(nil)) {
+		t.Fatalf("Registry is %d bytes: it holds more than its bindings", unsafe.Sizeof(Registry{}))
+	}
+	const n = 10_000
+	r := NewRegistry()
+	counters := make([]uint64, n)
+	for i := range counters {
+		r.Counter(fmt.Sprintf("g%d", i), "nic", "tx_frames", &counters[i])
+	}
+	held := cap(r.bindings) * int(unsafe.Sizeof(binding{}))
+	for _, b := range r.bindings {
+		held += len(b.path) // 15 to 19 bytes here
+	}
+	if per := float64(held) / n; per > 64 {
+		t.Fatalf("%d descriptors hold %.1f B each, want <= 64", n, per)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.Snapshot() }); allocs != 1 {
+		t.Fatalf("a snapshot of %d distinct paths made %.0f allocations, want 1", n, allocs)
 	}
 }
 

@@ -1,7 +1,10 @@
 package topo
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"darpanet/internal/ipv4"
 )
@@ -45,5 +48,46 @@ func BenchmarkScaleForward(b *testing.B) {
 	b.StopTimer()
 	if delivered != uint64(64+b.N) {
 		b.Fatalf("delivered %d of %d", delivered, 64+b.N)
+	}
+}
+
+// BenchmarkTransitStubScale is the scale curve of the sharded build: the
+// transit-stub internet E16 runs (seven stub gateways per transit
+// gateway, one host each, eight regions) at 2 000, 4 000 and 10 000
+// gateways. Each op is one GenerateSharded; it reports the build's wall
+// seconds, the routes the static oracle installed and the live heap
+// with the built internet held. Under -short (check.sh benchsmoke) only
+// the 2 000-gateway build runs: the oracle is O(nets · edges), and the
+// 10 000-gateway one takes ~20 s.
+func BenchmarkTransitStubScale(b *testing.B) {
+	for _, gateways := range []int{2000, 4000, 10_000} {
+		b.Run(fmt.Sprintf("gw=%d", gateways), func(b *testing.B) {
+			if testing.Short() && gateways > 2000 {
+				b.Skip("a larger build than -short allows")
+			}
+			spec := Spec{Shape: TransitStub, Gateways: gateways / 8, StubsPer: 7, Hosts: 1}
+			var s *Sharded
+			var build time.Duration
+			for i := 0; i < b.N; i++ {
+				s = nil
+				runtime.GC()
+				start := time.Now()
+				s = GenerateSharded(spec, 1988, 8, 1)
+				build += time.Since(start)
+			}
+			routes := 0
+			for _, nw := range s.Regions {
+				for _, name := range nw.Nodes() {
+					routes += nw.Node(name).Table.Len()
+				}
+			}
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			runtime.KeepAlive(s)
+			b.ReportMetric(build.Seconds()/float64(b.N), "build_s")
+			b.ReportMetric(float64(routes), "routes")
+			b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "live_MiB")
+		})
 	}
 }

@@ -27,8 +27,11 @@ type Sharded struct {
 // before the first node can be placed, and once more into the region
 // networks, each node and intra-region net going to its region and each
 // cross-region trunk becoming a core.AddCrossTrunk boundary pair. Global
-// static routes (aggregated: stub tiers collapse to default routes) are
-// installed before it returns.
+// static routes are installed before it returns, aggregated
+// (core.InstallStaticRoutesAcross): the stub tier collapses to default
+// routes and each transit gateway covers its runs of same-next-hop /24s
+// with aligned blocks, forwarding every owned address as a route per net
+// would — 31 420 routes at 2000 gateways instead of 958 750.
 //
 // Both passes are the code Generate runs, so the wiring is the same at
 // any region count: every node holds the same interfaces in the same

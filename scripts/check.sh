@@ -146,12 +146,14 @@ run_leg() {
         # to the same steps.
         go test -run '^$' -fuzz FuzzScheduleParse -fuzztime 10s ./internal/fault/
         # The differential fuzzers: the checksum against its 16-bit
-        # reference loop, and route-table operation sequences against the
-        # linear scan. Their inputs are long; left to minimize each
+        # reference loop, route-table operation sequences against the
+        # linear scan, and the oracle's same-next-hop blocks against a
+        # route per prefix. Their inputs are long; left to minimize each
         # interesting one (60s by default) the workers would spend the
         # ten seconds shrinking the first.
         go test -run '^$' -fuzz FuzzChecksumMatchesReference -fuzztime 10s -fuzzminimizetime 0 ./internal/packet/
         go test -run '^$' -fuzz FuzzRouteTableOps -fuzztime 10s -fuzzminimizetime 0 ./internal/stack/
+        go test -run '^$' -fuzz FuzzRouteCover -fuzztime 10s -fuzzminimizetime 0 ./internal/core/
         ;;
     smoke-E5)
         # Metrics determinism: the campaign JSON (which embeds the full
@@ -201,8 +203,9 @@ run_leg() {
         cmp "$tmpdir/n-p1.json" "$tmpdir/n-s2.json"
         ;;
     benchsmoke)
-        # Every benchmark still runs (one iteration each).
-        go test -run '^$' -bench . -benchtime 1x ./...
+        # Every benchmark still runs (one iteration each); -short keeps
+        # the scale curve to its smallest build.
+        go test -run '^$' -bench . -benchtime 1x -short ./...
         ;;
     benchguard)
         # The allocation-regression gate over the datagram hot path, the

@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"darpanet/internal/core"
 	"darpanet/internal/topo"
 )
 
@@ -87,5 +90,42 @@ func TestE15DeterminismAcrossWorkers(t *testing.T) {
 				t.Fatalf("query trace diverged from %s:\n%s", path, firstDiff(string(want), goldenTrace))
 			}
 		})
+	}
+}
+
+// TestE15HoldsOneModeAtATime: runE15 reduces the name mode to its
+// numbers before it builds the pin mode's internet, so by the time the
+// pin mode's first region exists no name-mode region is reachable.
+//
+// A region reaches itself through its internet, and Go never finalizes
+// an object that reaches itself, so the finalizer goes on a sentinel
+// that only the region holds: captured by a packet tap on its first node.
+// When the pin mode's first region is hooked, the collector runs until
+// every name-mode sentinel is finalized or the tries run out.
+func TestE15HoldsOneModeAtATime(t *testing.T) {
+	var freed atomic.Int32
+	hooked, collected := 0, false
+	netHook = func(nw *core.Network) {
+		hooked++
+		switch {
+		case hooked <= e15TestRegions: // the name mode
+			sentinel := new([64]byte)
+			runtime.SetFinalizer(sentinel, func(*[64]byte) { freed.Add(1) })
+			nw.Node(nw.Nodes()[0]).SetPacketTap(func(bool, string, []byte) { _ = sentinel })
+		case hooked == e15TestRegions+1: // the pin mode's first region
+			for try := 0; try < 20 && freed.Load() < e15TestRegions; try++ {
+				runtime.GC()
+				runtime.Gosched()
+			}
+			collected = freed.Load() == e15TestRegions
+		}
+	}
+	defer func() { netHook = nil }()
+	runE15(1, e15TestSpec, e15TestRegions, 1)
+	if hooked != 2*e15TestRegions {
+		t.Fatalf("hooked %d regions, want %d a mode", hooked, e15TestRegions)
+	}
+	if !collected {
+		t.Fatalf("%d of %d name-mode regions collected when the pin mode was built: the name mode is still alive", freed.Load(), e15TestRegions)
 	}
 }

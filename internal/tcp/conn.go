@@ -38,7 +38,8 @@ type Conn struct {
 	// The unacked + unsent bytes, starting at sndUna, are the sndLen
 	// bytes of the ring sndStore from sndHead on: acks advance sndHead,
 	// Write fills in behind the last queued byte, nothing moves in
-	// between. The connection keeps the storage for life.
+	// between. The storage lives until the send side is finished: closed
+	// and every byte acked (sndRelease).
 	sndStore []byte
 	sndHead  int
 	sndLen   int
@@ -159,7 +160,7 @@ func newConn(t *Transport, local, remote Endpoint, opts Options) *Conn {
 
 // --- public API ---------------------------------------------------------
 
-// OnEstablished registers fn to run when the handshake completes.
+// OnEstablished registers fn to run once, when the handshake completes.
 func (c *Conn) OnEstablished(fn func()) { c.onEstablished = fn }
 
 // OnData registers fn to receive in-order stream data. With auto-read on
@@ -234,13 +235,13 @@ func (c *Conn) CongestionWindow() int { return c.cwnd }
 // Write appends data to the send buffer, returning how many bytes were
 // accepted (possibly fewer than offered when the buffer is full).
 func (c *Conn) Write(data []byte) (int, error) {
+	if c.finQueued {
+		return 0, ErrClosed
+	}
 	switch c.state {
 	case StateEstablished, StateCloseWait, StateSynSent, StateSynRcvd:
 	default:
 		return 0, ErrNotEstablished
-	}
-	if c.finQueued {
-		return 0, ErrClosed
 	}
 	space := c.opts.SendBufferSize - c.sndLen
 	if space <= 0 {
@@ -297,6 +298,16 @@ func (c *Conn) sndDrop(n int) {
 	if c.sndHead >= len(c.sndStore) {
 		c.sndHead -= len(c.sndStore)
 	}
+	c.sndRelease()
+}
+
+// sndRelease gives back the ring once the send side is finished: Close
+// has queued the FIN, so Write refuses more, and every byte is acked.
+// An open connection whose ring drains keeps it for its next Write.
+func (c *Conn) sndRelease() {
+	if c.finQueued && c.sndLen == 0 {
+		c.sndStore, c.sndHead = nil, 0
+	}
 }
 
 // WriteSpace returns the free send-buffer space in bytes.
@@ -327,6 +338,7 @@ func (c *Conn) Close() {
 		c.setState(StateLastAck)
 		c.output()
 	}
+	c.sndRelease()
 }
 
 // Abort resets the connection immediately (RST to the peer, error to the
@@ -936,8 +948,10 @@ func (c *Conn) fireEstablished() {
 		c.acceptFn = nil
 		fn(c)
 	}
-	if c.onEstablished != nil {
-		c.onEstablished()
+	// The callback runs once; clearing it first frees what it captured.
+	if fn := c.onEstablished; fn != nil {
+		c.onEstablished = nil
+		fn()
 	}
 }
 

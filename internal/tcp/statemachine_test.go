@@ -120,6 +120,7 @@ func countRetrans(tn *testNet, d time.Duration) (fins, data int) {
 }
 
 func TestSegmentStateMachine(t *testing.T) {
+	established := 0 // OnEstablished calls seen by the SYN-ACK row
 	cases := []struct {
 		name    string
 		setup   func(*testing.T, *testNet) *Conn
@@ -160,6 +161,28 @@ func TestSegmentStateMachine(t *testing.T) {
 			setup: synSentConn,
 			seg:   func(c *Conn) segment { return segment{flags: flagRST | flagACK, ack: c.iss} },
 			want:  StateSynSent,
+		},
+		{
+			// The SYN-ACK completes the open: one ACK goes back and
+			// OnEstablished runs once, then lets go of the callback and
+			// whatever it captured.
+			name: "syn-sent: SYN-ACK establishes and fires OnEstablished once",
+			setup: func(t *testing.T, tn *testNet) *Conn {
+				established = 0
+				c := synSentConn(t, tn)
+				c.OnEstablished(func() { established++ })
+				return c
+			},
+			seg: func(c *Conn) segment {
+				return segment{flags: flagSYN | flagACK, seq: 5000, ack: c.sndNxt, wnd: 65535}
+			},
+			want: StateEstablished,
+			sent: 1,
+			after: func(t *testing.T, tn *testNet, c *Conn) {
+				if established != 1 || c.onEstablished != nil {
+					t.Fatalf("OnEstablished ran %d times and is still registered = %v, want once and cleared", established, c.onEstablished != nil)
+				}
+			},
 		},
 		{
 			// A plain ACK for sequence space we never sent draws a RST

@@ -265,3 +265,120 @@ func TestBulkAcrossFragmentingLossyPathStrandsNothing(t *testing.T) {
 		t.Fatalf("pooled buffers stranded: gets=%d puts=%d", s.Gets, s.Puts)
 	}
 }
+
+// establishedPair opens one connection across the loss-free test net to
+// a server that closes when it reads EOF, and returns the client end.
+func establishedPair(t *testing.T) (*testNet, *Conn) {
+	t.Helper()
+	n := newTestNet(t, 3, 0)
+	if _, err := n.t2.Listen(80, Options{}, func(c *Conn) { c.OnEOF(c.Close) }); err != nil {
+		t.Fatal(err)
+	}
+	c, err := n.t1.Dial(Endpoint{Addr: n.h2.Addr(), Port: 80}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.k.RunFor(time.Second)
+	if c.State() != StateEstablished {
+		t.Fatalf("handshake did not complete: state = %v", c.State())
+	}
+	return n, c
+}
+
+// TestFinishedSendSideHoldsNoRing: once Close has queued the FIN and
+// every byte is acknowledged, no code can read the send ring again, so
+// the connection gives it back — at Close when the data is already acked,
+// at the last ack when it is not. The FIN still goes out again when it
+// is lost, and Write still refuses.
+func TestFinishedSendSideHoldsNoRing(t *testing.T) {
+	data := pattern(500) // one segment at the default MSS
+	cases := []struct {
+		name string
+		// close writes data, closes and runs until the send side is
+		// finished, checking the ring on the way.
+		close       func(*testing.T, *testNet, *Conn)
+		retransmits uint64
+	}{
+		{
+			name: "close after the last ack",
+			close: func(t *testing.T, n *testNet, c *Conn) {
+				c.Write(data)
+				n.k.RunFor(time.Second)
+				if c.sndLen != 0 || c.sndStore == nil {
+					t.Fatalf("open and drained: %d bytes queued in %d of storage, want 0 in a kept ring", c.sndLen, len(c.sndStore))
+				}
+				c.Close()
+				if c.sndStore != nil || c.sndHead != 0 {
+					t.Fatalf("closed with everything acked: ring of %d bytes, head %d, want none", len(c.sndStore), c.sndHead)
+				}
+			},
+		},
+		{
+			name: "last ack after close, FIN lost once",
+			close: func(t *testing.T, n *testNet, c *Conn) {
+				c.Write(data)
+				n.k.RunFor(3 * time.Millisecond) // the data has crossed the near link
+				n.nearLink.SetDown(true)
+				c.Close() // the FIN reaches the far end of the near link while it is cut
+				if !c.finSent || c.sndStore == nil {
+					t.Fatalf("closed with %d bytes unacked: finSent = %v, ring of %d bytes, want the FIN sent and the ring kept", c.sndLen, c.finSent, len(c.sndStore))
+				}
+				n.k.RunFor(3 * time.Millisecond)
+				n.nearLink.SetDown(false)
+				if n.nearLink.LostWhileDown() != 1 {
+					t.Fatalf("%d frames lost to the cut, want 1 (the FIN)", n.nearLink.LostWhileDown())
+				}
+				n.k.RunFor(300 * time.Millisecond) // the delayed ACK of the data
+				if c.State() != StateFinWait1 || c.sndLen != 0 {
+					t.Fatalf("state %v with %d bytes queued, want FIN-WAIT-1 with the data acked and the FIN not", c.State(), c.sndLen)
+				}
+				if c.sndStore != nil || c.sndHead != 0 {
+					t.Fatalf("last byte acked after Close: ring of %d bytes, head %d, want none", len(c.sndStore), c.sndHead)
+				}
+			},
+			retransmits: 1, // the FIN, alone
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n, c := establishedPair(t)
+			tc.close(t, n, c)
+			if m, err := c.Write([]byte("late")); m != 0 || err != ErrClosed {
+				t.Fatalf("Write after Close = %d, %v, want 0, ErrClosed", m, err)
+			}
+			n.k.RunFor(10 * time.Second)
+			if c.State() != StateTimeWait {
+				t.Fatalf("state = %v, want TIME-WAIT: the FIN was not acked", c.State())
+			}
+			if c.sndStore != nil {
+				t.Fatalf("ring of %d bytes came back after the send side finished", len(c.sndStore))
+			}
+			if got := c.stats.Retransmits; got != tc.retransmits {
+				t.Fatalf("%d retransmissions, want %d", got, tc.retransmits)
+			}
+		})
+	}
+}
+
+// TestDrainedRingIsKept: an open connection whose every byte is acked
+// keeps its ring, so a keystroke flow that drains it after each ack
+// writes again without allocating.
+func TestDrainedRingIsKept(t *testing.T) {
+	n, c := establishedPair(t)
+	key := pattern(64)
+	step := func() {
+		if m, err := c.Write(key); m != len(key) || err != nil {
+			t.Fatalf("Write = %d, %v", m, err)
+		}
+		n.k.Run()
+		if c.sndLen != 0 || c.sndStore == nil {
+			t.Fatalf("after the ack: %d bytes queued in %d of storage, want 0 in a kept ring", c.sndLen, len(c.sndStore))
+		}
+	}
+	for i := 0; i < 8; i++ { // warm the byte path's buffers and event slabs
+		step()
+	}
+	if avg := testing.AllocsPerRun(50, step); avg != 0 {
+		t.Fatalf("a write into a drained ring allocates %.1f objects, want 0", avg)
+	}
+}

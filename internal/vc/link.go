@@ -15,6 +15,7 @@ package vc
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"darpanet/internal/phys"
 	"darpanet/internal/sim"
@@ -64,6 +65,10 @@ type linkEnd struct {
 	retries int
 	dead    bool
 
+	// timeoutFn is timeout, bound once so arming the timer allocates
+	// nothing.
+	timeoutFn func()
+
 	// Receiver side.
 	rcvSeq uint8 // next expected
 
@@ -73,6 +78,7 @@ type linkEnd struct {
 
 func newLinkEnd(k *sim.Kernel, nic *phys.NIC, owner linkOwner, index int) *linkEnd {
 	l := &linkEnd{k: k, nic: nic, owner: owner, index: index}
+	l.timeoutFn = l.timeout
 	nic.SetReceiver(l.input)
 	return l
 }
@@ -119,7 +125,7 @@ func (l *linkEnd) armTimer() {
 	if l.timer.Pending() {
 		return
 	}
-	l.timer = l.k.After(sim.Duration(arqRexmitTime), l.timeout)
+	l.timer = l.k.After(sim.Duration(arqRexmitTime), l.timeoutFn)
 }
 
 func (l *linkEnd) timeout() {
@@ -138,7 +144,7 @@ func (l *linkEnd) timeout() {
 		l.framesResent++
 		l.nic.Send(phys.Broadcast, f)
 	}
-	l.timer = l.k.After(sim.Duration(arqRexmitTime), l.timeout)
+	l.timer = l.k.After(sim.Duration(arqRexmitTime), l.timeoutFn)
 }
 
 // revive clears the dead flag after a restore (state is otherwise reset
@@ -172,23 +178,27 @@ func (l *linkEnd) input(f phys.Frame) {
 }
 
 func (l *linkEnd) processAck(ack uint8) {
-	// Slide the window: ack names the next frame the peer expects.
-	for len(l.pending) > 0 && seq8LT(l.sndUna, ack) {
-		l.pending = l.pending[1:]
+	// Slide the window: ack names the next frame the peer expects. Both
+	// slices compact in place, so their storage outlives an empty window.
+	n := 0
+	for n < len(l.pending) && seq8LT(l.sndUna, ack) {
+		n++
 		l.sndUna++
 		l.retries = 0
 	}
+	l.pending = slices.Delete(l.pending, 0, n)
 	if len(l.pending) == 0 {
 		l.timer.Stop()
-	} else if len(l.pending) > 0 {
+	} else {
 		l.armTimer()
 	}
 	// Window slid open: transmit queued frames.
-	for len(l.queue) > 0 && len(l.pending) < arqWindow {
-		next := l.queue[0]
-		l.queue = l.queue[1:]
-		l.transmit(next)
+	n = 0
+	for n < len(l.queue) && len(l.pending) < arqWindow {
+		l.transmit(l.queue[n])
+		n++
 	}
+	l.queue = slices.Delete(l.queue, 0, n)
 }
 
 func (l *linkEnd) sendRR() {

@@ -107,9 +107,9 @@ run_leg() {
         # loudly here.
         go test -tags pooldebug -count=1 -run 'TestCrashRestartSoak|TestPartitionHealTransferIntegrity' ./internal/fault/
         # So must the byte path: bulk TCP through a fragmenting, lossy
-        # gateway, and the OnData slice that is poisoned once its callback
-        # returns.
-        go test -tags pooldebug -count=1 -run 'TestBulkAcrossFragmentingLossyPathStrandsNothing|TestOnDataSliceValidOnlyDuringCallback' ./internal/tcp/
+        # gateway, the OnData slice that is poisoned once its callback
+        # returns, and a send side that gives back its ring at teardown.
+        go test -tags pooldebug -count=1 -run 'TestBulkAcrossFragmentingLossyPathStrandsNothing|TestFinishedSendSideHoldsNoRing|TestOnDataSliceValidOnlyDuringCallback' ./internal/tcp/
         # And a crash on a shared LAN: the flush takes the dead station's
         # frames and leaves the others' queued, none stranded on the way.
         go test -tags pooldebug -count=1 -run 'TestCrashFlushLeavesSharedQueueToTheSurvivors' ./internal/exp/

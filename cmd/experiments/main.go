@@ -10,10 +10,11 @@
 // workers — and every metric is reported as mean ± 95% CI. Parallelism
 // never changes results, only wall time.
 //
-// Seven flags (-topo -workload -faults -qdisc -cc -fracs -shards; -h
-// gives their grammars) fill one exp.Params, applied to every selected
-// experiment that takes the field. Naming one that no selected
-// experiment takes is an error, as is an unknown -only id.
+// -scenario 'key=val;...' (exp.Params' text form; -h lists the keys)
+// reshapes every selected experiment that takes a key and titles it;
+// -shards N (E15, E16), like -parallel, changes wall time only. A key or
+// -shards no selected experiment takes is an error, as is an unknown
+// -only id or a -runs, -parallel or -shards count below 1.
 //
 // -export kind=file (repeatable) writes machine-readable JSON after the
 // run: campaign (every selected experiment, darpanet/campaign/v1),
@@ -24,26 +25,20 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
 	"time"
 
 	"darpanet/internal/exp"
-	"darpanet/internal/fault"
 	"darpanet/internal/harness"
 	"darpanet/internal/metrics"
-	"darpanet/internal/phys"
-	"darpanet/internal/spec"
-	"darpanet/internal/tcp"
-	"darpanet/internal/topo"
-	"darpanet/internal/workload"
 )
 
 // options is one parsed command line.
@@ -51,14 +46,8 @@ type options struct {
 	seed           int64
 	runs, parallel int
 	metrics        bool
-	selected       []exp.Experiment // in paper order, already reshaped by the parameter flags
+	selected       []exp.Experiment // in paper order, already reshaped by -scenario and -shards
 	exports        [][2]string      // (kind, file) in command-line order
-}
-
-// flagOf names the flag that fills each CLI-settable exp.Params field.
-var flagOf = map[string]string{
-	"Topo": "topo", "Workload": "workload", "Faults": "faults",
-	"Policies": "qdisc", "CCs": "cc", "Fracs": "fracs", "Shards": "shards",
 }
 
 // exportKinds maps an -export kind to the experiment whose campaign it
@@ -98,42 +87,9 @@ var exportKinds = map[string]struct {
 	}},
 }
 
-// listFlag is a flag.Func that appends each sep-separated, trimmed
-// element of the value to dst.
-func listFlag[T any](dst *[]T, sep string, parse func(string) (T, error)) func(string) error {
-	return func(arg string) error {
-		for _, s := range strings.Split(arg, sep) {
-			v, err := parse(strings.TrimSpace(s))
-			if err != nil {
-				return err
-			}
-			*dst = append(*dst, v)
-		}
-		return nil
-	}
-}
-
-// resolveFaults maps the -faults value to a schedule: a preset name,
-// the "random" keyword, or a schedule file path.
-func resolveFaults(arg string) (*fault.Schedule, error) {
-	if arg == "random" {
-		return exp.RandomFaults, nil
-	}
-	if s, ok := fault.Preset(arg); ok {
-		return &s, nil
-	}
-	text, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, fmt.Errorf("not a preset (%s), 'random', or readable file: %v", strings.Join(fault.PresetNames(), ", "), err)
-	}
-	s, err := fault.Parse(filepath.Base(arg), string(text))
-	return &s, err
-}
-
-// flagSet declares the thirteen flags over the values they fill. The
-// spec flags' help takes its key lists from the grammars' own tables.
+// flagSet declares the eight flags over the values they fill. The
+// -scenario help is the scenario table's own.
 func flagSet(o *options, p *exp.Params, only *string) *flag.FlagSet {
-	keys := func(fs spec.Fields) string { return "keys: " + strings.Join(fs.Keys(), ", ") }
 	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
 	fs.Int64Var(&o.seed, "seed", 1988, "base simulation seed (replica i runs on seed+i)")
 	fs.StringVar(only, "only", "", "comma-separated experiment IDs to run (default: all)")
@@ -148,45 +104,28 @@ func flagSet(o *options, p *exp.Params, only *string) *flag.FlagSet {
 		o.exports = append(o.exports, [2]string{kind, file})
 		return nil
 	})
-	fs.Func("topo", "generated-internet `spec` for E12, E13-T, E14, E15, E16: 'shape:key=val,...' (shapes: "+strings.Join(topo.ShapeNames(), ", ")+"; "+keys(new(topo.Spec).Fields())+")",
-		func(s string) error {
-			ts, err := topo.ParseSpec(s)
-			p.Topo = &ts
-			return err
-		})
-	fs.Func("workload", "traffic-mix `spec` for E13, E14: 'key=val,...' ("+keys(new(workload.Spec).Fields())+")",
-		func(s string) error {
-			ws, err := workload.ParseSpec(s)
-			p.Workload = &ws
-			return err
-		})
-	fs.Func("faults", "E11 fault `schedule`: a preset ("+strings.Join(fault.PresetNames(), ", ")+"), 'random', or a schedule file", func(s string) (err error) {
-		p.Faults, err = resolveFaults(s)
-		return err
-	})
-	fs.Func("qdisc", "'+'-separated gateway queue policy `specs` ("+strings.Join(phys.PolicyKinds(), "|")+"[:key=val,...]; "+keys(new(phys.PolicySpec).Fields())+"): E13 runs the first, E13-T restricts its grid",
-		listFlag(&p.Policies, "+", phys.ParsePolicySpec))
-	fs.Func("cc", "'+'-separated host congestion response `names` ("+strings.Join(tcp.CCNames(), "|")+"): E13 runs the first, E13-T restricts its grid",
-		listFlag(&p.CCs, "+", func(s string) (string, error) { return s, nil }))
-	fs.Func("fracs", "E14 loss sweep as comma-separated `percentages` of infrastructure lost, e.g. '2,5,10,20'",
-		listFlag(&p.Fracs, ",", func(s string) (float64, error) {
-			pct, err := spec.ParseFloat(s)
-			return pct / 100, err
-		}))
 	fs.IntVar(&p.Shards, "shards", 0, "E15/E16 worker count, default 1 (results are byte-identical at any value; only wall time changes)")
+	fs.Func("scenario", "`key=val;...`: reshape every selected experiment that takes a key; the keys:\n"+new(exp.Params).Fields().Usage(),
+		func(s string) error { return p.Fields().ParseSep(s, ";") })
 	return fs
 }
 
 // parseArgs turns a command line into options: flags parsed, -only
-// resolved against the registry, and the parameter flags bound to every
-// selected experiment that takes them. Like the flag package's own
+// resolved against the registry, and the scenario bound to every
+// selected experiment that takes its keys. Like the flag package's own
 // command line it exits on a value a flag's parser rejects (and on -h);
-// what it returns as an error is what only the registry can judge.
+// what it returns as an error is what only the registry can judge, and a
+// count below 1.
 func parseArgs(args []string) (options, error) {
 	var o options
 	var p exp.Params
 	var only string
 	flagSet(&o, &p, &only).Parse(args)
+	for name, n := range map[string]int{"-runs": o.runs, "-parallel": o.parallel, "-shards": cmp.Or(p.Shards, 1)} {
+		if n < 1 {
+			return o, fmt.Errorf("%s %d: want a count of at least 1", name, n)
+		}
+	}
 
 	want := map[string]bool{}
 	for _, id := range strings.FieldsFunc(strings.ToUpper(only), func(r rune) bool { return r == ',' || r == ' ' }) {
@@ -199,7 +138,10 @@ func parseArgs(args []string) (options, error) {
 		}
 		want[id] = true
 	}
-	unused := p.Fields()
+	unused := p.Fields().Shown()
+	if p.Shards != 0 {
+		unused = append(unused, "shards") // the one key set by a flag of its own
+	}
 	for _, e := range exp.All {
 		if len(want) > 0 && !want[e.ID] {
 			continue
@@ -212,7 +154,7 @@ func parseArgs(args []string) (options, error) {
 		o.selected = append(o.selected, e)
 	}
 	if len(unused) > 0 {
-		return o, fmt.Errorf("-%s: no selected experiment takes it", flagOf[unused[0]])
+		return o, fmt.Errorf("%s: no selected experiment takes it", unused[0])
 	}
 	return o, nil
 }

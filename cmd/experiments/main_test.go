@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"darpanet/internal/exp"
+	"darpanet/internal/fault"
 	"darpanet/internal/phys"
 	"darpanet/internal/tcp"
 	"darpanet/internal/topo"
@@ -18,10 +19,10 @@ import (
 )
 
 // TestParseArgsSelectsAndBinds: -only is case-insensitive and keeps
-// paper order, and one parameter flag reshapes every selected
-// experiment that takes it.
+// paper order, and one scenario key reshapes every selected experiment
+// that takes it.
 func TestParseArgsSelectsAndBinds(t *testing.T) {
-	o, err := parseArgs([]string{"-only", "e14, E12,E1", "-topo", "waxman:gw=16", "-runs", "3", "-export", "campaign=c.json"})
+	o, err := parseArgs([]string{"-only", "e14, E12,E1", "-scenario", "topo=waxman:gw=16", "-runs", "3", "-export", "campaign=c.json"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,11 +31,11 @@ func TestParseArgsSelectsAndBinds(t *testing.T) {
 	}
 	e1, _ := exp.ByID("E1")
 	if o.selected[0].Title != e1.Title {
-		t.Fatalf("E1 takes no -topo but its title became %q", o.selected[0].Title)
+		t.Fatalf("E1 takes no topo but its title became %q", o.selected[0].Title)
 	}
 	for _, e := range o.selected[1:] {
-		if !strings.Contains(e.Title, " [-topo waxman:gw=16,") {
-			t.Fatalf("%s title %q does not record -topo", e.ID, e.Title)
+		if !strings.HasSuffix(e.Title, " [topo=waxman:gw=16,alpha=0.25,beta=0.4,hosts=1,mix=1]") {
+			t.Fatalf("%s title %q does not record the topo key", e.ID, e.Title)
 		}
 	}
 	if o.runs != 3 || len(o.exports) != 1 || o.exports[0] != [2]string{"campaign", "c.json"} {
@@ -42,20 +43,23 @@ func TestParseArgsSelectsAndBinds(t *testing.T) {
 	}
 }
 
-// TestParseArgsFailsLoudly: an unknown experiment id, and a parameter
-// flag that no selected experiment takes, are errors that name the
-// culprit — neither may run a partial suite and exit 0.
+// TestParseArgsFailsLoudly: an unknown experiment id, a scenario key or
+// -shards that no selected experiment takes, and a count below 1 are
+// errors that name the culprit — none may run a partial suite, or one
+// replica for none, and exit 0. (A value its grammar refuses exits 2 in
+// the flag parser; exp.TestParseParamsRefuses holds those.)
 func TestParseArgsFailsLoudly(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want []string // substrings of the error
 	}{
 		{[]string{"-only", "E1,E99"}, []string{`"E99"`, "E13-T", "E16"}},
-		{[]string{"-only", "E12", "-fracs", "10"}, []string{"-fracs"}},
-		{[]string{"-only", "E13", "-topo", "ring:gw=4"}, []string{"-topo"}},
-		{[]string{"-only", "E1", "-shards", "2"}, []string{"-shards"}},
-		{[]string{"-only", "E13", "-cc", "vegas"}, []string{"vegas"}},
-		{[]string{"-only", "E14", "-fracs", "0"}, []string{"(0,1]"}},
+		{[]string{"-only", "E12", "-scenario", "fracs=10"}, []string{"fracs: no selected experiment takes it"}},
+		{[]string{"-only", "E13", "-scenario", "cc=reno;topo=ring:gw=4"}, []string{"topo: no selected"}},
+		{[]string{"-only", "E1", "-shards", "2"}, []string{"shards: no selected"}},
+		{[]string{"-only", "E1", "-runs", "0"}, []string{"-runs 0"}},
+		{[]string{"-only", "E1", "-parallel", "-1"}, []string{"-parallel -1"}},
+		{[]string{"-only", "E16", "-shards", "-2"}, []string{"-shards -2"}},
 	} {
 		_, err := parseArgs(tc.args)
 		if err == nil {
@@ -101,7 +105,7 @@ func TestRunReportsReplicaFailures(t *testing.T) {
 	}
 }
 
-// TestFaultsNamingAMissingNodeFail: a -faults schedule whose step names
+// TestFaultsNamingAMissingNodeFail: a faults= schedule file whose step names
 // a gateway E11's internet does not have fails its replica with the step
 // in the message — and the run, so the CLI exits 1 — before any step
 // fires.
@@ -110,7 +114,7 @@ func TestFaultsNamingAMissingNodeFail(t *testing.T) {
 	if err := os.WriteFile(file, []byte("5s cut n1\n10s crash gwZ\n"), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	o, err := parseArgs([]string{"-only", "E11", "-faults", file})
+	o, err := parseArgs([]string{"-only", "E11", "-scenario", "faults=" + file})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,28 +129,40 @@ func TestFaultsNamingAMissingNodeFail(t *testing.T) {
 }
 
 // TestHelpSync (check.sh help-sync) keeps the hand-readable lists from
-// going stale again: -h names every key the three spec grammars accept,
-// under the flag that takes it, and every topology shape, congestion
-// response and queue policy kind, as the unknown-shape error names every
-// shape; and README's flag section names every flag -h prints.
+// going stale again: -scenario's help has a line for every scenario key,
+// and that line names every key, shape, policy kind and congestion
+// response of the grammar its value is written in, as the unknown-shape
+// error names every shape; and README's flag section names every flag
+// -h prints.
 func TestHelpSync(t *testing.T) {
 	fs := flagSet(new(options), new(exp.Params), new(string))
-	for name, keys := range map[string][]string{
+	usage := fs.Lookup("scenario").Usage
+	line := map[string]string{}
+	for _, l := range strings.Split(usage, "\n") {
+		key, _, _ := strings.Cut(l, "=")
+		line[key] = l
+	}
+	for _, key := range new(exp.Params).Fields().Keys() {
+		if line[key] == "" {
+			t.Errorf("-scenario help has no line for key %q:\n%s", key, usage)
+		}
+	}
+	for key, words := range map[string][]string{
 		"topo": new(topo.Spec).Fields().Keys(), "workload": new(workload.Spec).Fields().Keys(), "qdisc": new(phys.PolicySpec).Fields().Keys(),
 	} {
-		for _, key := range keys {
-			if !regexp.MustCompile(`[ ,]` + key + `[,)]`).MatchString(fs.Lookup(name).Usage) {
-				t.Errorf("-%s help does not list key %q: %s", name, key, fs.Lookup(name).Usage)
+		for _, w := range words {
+			if !regexp.MustCompile(`[ ,]` + w + `[,)]`).MatchString(line[key]) {
+				t.Errorf("-scenario help for %s does not list its key %q: %s", key, w, line[key])
 			}
 		}
 	}
 	_, unknown := topo.ParseSpec("blob")
-	for name, kinds := range map[string][]string{"topo": topo.ShapeNames(), "cc": tcp.CCNames(), "qdisc": phys.PolicyKinds()} {
+	for key, kinds := range map[string][]string{"topo": topo.ShapeNames(), "cc": tcp.CCNames(), "qdisc": phys.PolicyKinds(), "faults": fault.PresetNames()} {
 		for _, kind := range kinds {
-			if !regexp.MustCompile(`[ (|]` + kind + `[,;|)[]`).MatchString(fs.Lookup(name).Usage) {
-				t.Errorf("-%s help does not list %q: %s", name, kind, fs.Lookup(name).Usage)
+			if !regexp.MustCompile(`[ (|]` + kind + `[,;|)[]`).MatchString(line[key]) {
+				t.Errorf("-scenario help for %s does not list %q: %s", key, kind, line[key])
 			}
-			if name == "topo" && !strings.Contains(unknown.Error(), kind) {
+			if key == "topo" && !strings.Contains(unknown.Error(), kind) {
 				t.Errorf("the unknown-shape error does not list %q: %v", kind, unknown)
 			}
 		}
@@ -155,7 +171,7 @@ func TestHelpSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, section, _ := strings.Cut(string(readme), "Thirteen flags:")
+	_, section, _ := strings.Cut(string(readme), "Eight flags:")
 	section, _, _ = strings.Cut(section, "A taste of the API")
 	fs.VisitAll(func(f *flag.Flag) {
 		if !regexp.MustCompile("[`( ]-" + f.Name + "[` )]").MatchString(section) {

@@ -178,3 +178,26 @@ func TestNestedNetsKeepARoutePerNet(t *testing.T) {
 		t.Fatalf("m across the regions:\n%sper network:\n%s", got, want)
 	}
 }
+
+// TestEveryRegionAnswersForEveryNode: on a 4-region build every region's
+// Node, Addr, UDP and TCP answer for every host with the host's own —
+// one transport per host, made in the host's region whichever region
+// asked first.
+func TestEveryRegionAnswersForEveryNode(t *testing.T) {
+	s := topo.GenerateSharded(aggregateSpecs[0], 1, 4, 1)
+	if len(s.Regions) != 4 {
+		t.Fatalf("built %d regions, want 4", len(s.Regions))
+	}
+	for i, h := range s.Manifest.HostNames() {
+		home, first := s.Net(h), s.Regions[i%4]
+		u, c := first.UDP(h), first.TCP(h)
+		for r, nw := range s.Regions {
+			if nw.UDP(h) != u || nw.TCP(h) != c {
+				t.Fatalf("region %d answers for %s with another transport than region %d made", r, h, i%4)
+			}
+			if nw.Node(h) != home.Node(h) || nw.Addr(h) != home.Addr(h) {
+				t.Fatalf("region %d answers for %s with another node", r, h)
+			}
+		}
+	}
+}

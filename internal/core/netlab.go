@@ -333,29 +333,41 @@ func (nw *Network) AttachNodeToNet(node, net string) *stack.Interface {
 	return ifc
 }
 
-// Node returns the named node.
-func (nw *Network) Node(name string) *stack.Node { return nw.mustNode(name) }
+// Node returns the named node, in whichever region it lives.
+func (nw *Network) Node(name string) *stack.Node {
+	if n, ok := nw.nodes[name]; ok {
+		return n
+	}
+	return cmp.Or(nw.Net(name), nw).mustNode(name)
+}
 
 // Nodes returns all node names in insertion order.
 func (nw *Network) Nodes() []string { return slices.Clone(nw.order) }
 
 // Addr returns the primary address of the named node.
-func (nw *Network) Addr(name string) ipv4.Addr { return nw.mustNode(name).Addr() }
+func (nw *Network) Addr(name string) ipv4.Addr { return nw.Node(name).Addr() }
 
-// UDP returns (creating on first use) the node's UDP transport.
+// UDP returns (creating on first use) the node's UDP transport, kept in
+// the node's own region, which alone may ask during a parallel epoch.
 func (nw *Network) UDP(name string) *udp.Transport {
 	if t, ok := nw.udps[name]; ok {
 		return t
+	}
+	if r := nw.Net(name); r != nil && r != nw {
+		return r.UDP(name)
 	}
 	t := udp.New(nw.mustNode(name))
 	nw.udps[name] = t
 	return t
 }
 
-// TCP returns (creating on first use) the node's TCP transport.
+// TCP returns the node's TCP transport the way UDP returns its UDP one.
 func (nw *Network) TCP(name string) *tcp.Transport {
 	if t, ok := nw.tcps[name]; ok {
 		return t
+	}
+	if r := nw.Net(name); r != nil && r != nw {
+		return r.TCP(name)
 	}
 	t := tcp.New(nw.mustNode(name))
 	nw.tcps[name] = t

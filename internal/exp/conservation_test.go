@@ -58,7 +58,7 @@ func TestCounterConservation(t *testing.T) {
 	}{
 		{"E1", RunE1},
 		{"E5", RunE5},
-		{"E11", RunE11},
+		{"E11", e11With(Params{})},
 	} {
 		run := run
 		t.Run(run.name, func(t *testing.T) {

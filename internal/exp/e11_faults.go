@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"time"
 
 	"darpanet/internal/core"
@@ -30,15 +31,12 @@ func e11DefaultSchedule() fault.Schedule {
 	return s
 }
 
-// RunE11 measures recovery under scripted failure: a fault injector
-// drives link cuts, a gateway crash/restart, an interface flap, a loss
-// storm and a flapping trunk against the dual-path backbone while a
-// bulk TCP transfer rides through, and reports per-event
-// time-to-reconverge and blackout loss.
-func RunE11(seed int64) Result { return e11With(Params{})(seed) }
-
 // e11With binds E11 to Params.Faults: one schedule on every replica
-// seed, or a per-seed draw for RandomFaults.
+// seed, or a per-seed draw for RandomFaults. E11 measures recovery under
+// scripted failure: a fault injector drives link cuts, a gateway
+// crash/restart, an interface flap, a loss storm and a flapping trunk
+// against the dual-path backbone while a bulk TCP transfer rides
+// through, and reports per-event time-to-reconverge and blackout loss.
 func e11With(p Params) func(seed int64) Result {
 	if p.Faults == RandomFaults {
 		return func(seed int64) Result { return runE11(seed, e11RandomSchedule(seed)) }
@@ -98,7 +96,7 @@ func runE11(seed int64, sched fault.Schedule) Result {
 
 	res := Result{
 		ID:    "E11",
-		Title: "Recovery under scripted failure (schedule: " + sched.Name + ")",
+		Title: "Recovery under scripted failure (schedule: " + filepath.Base(sched.Name) + ")",
 		Notes: []string{
 			"each row is one injected fault; 'after' is the time until every running RIP router again holds working routes to everything the topology oracle says it can reach — stale routes through a dead gateway do not count.",
 			"'lost frames' counts frames swallowed inside the blackout window the event closed (heal and restore rows).",

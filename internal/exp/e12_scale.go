@@ -10,10 +10,6 @@ import (
 	"darpanet/internal/topo"
 )
 
-// RunE12 runs the scale experiment on the reference internet: 200
-// gateways, 380 networks (topo.DefaultSpec).
-func RunE12(seed int64) Result { return e12With(Params{})(seed) }
-
 // e12With binds E12 to Params.Topo: the scale experiment reruns on any
 // graph the generator can build.
 func e12With(p Params) func(seed int64) Result {

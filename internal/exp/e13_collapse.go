@@ -78,20 +78,13 @@ func E13Workload() workload.Spec {
 	return ws
 }
 
-// RunE13 runs the congestion-collapse sweep with the default workload
-// mix and the era's drop-tail gateway queues.
-func RunE13(seed int64) Result { return e13With(Params{})(seed) }
-
 // e13With binds E13 to Params: Workload replaces the mix (vj=1 reruns
 // the sweep with Van Jacobson's machinery and the cliff flattens), and
 // the first of Policies and of CCs turn the collapse experiment into a
 // single tournament cell — the hosts E13-T's cell of that name runs.
 func e13With(p Params) func(seed int64) Result {
 	ws := or(p.Workload, E13Workload())
-	var policy phys.PolicySpec
-	if len(p.Policies) > 0 {
-		policy = p.Policies[0]
-	}
+	policy := orSlice(p.Policies, []phys.PolicySpec{{}})[0]
 	if len(p.CCs) > 0 {
 		ws = e13tCell{Policy: policy, CC: p.CCs[0]}.workload(ws)
 	}

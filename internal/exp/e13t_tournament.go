@@ -91,9 +91,6 @@ const (
 	e13tDrain  = e13Drain
 )
 
-// RunE13T runs the default 3×4 tournament on the transit-stub internet.
-func RunE13T(seed int64) Result { return e13tWith(Params{})(seed) }
-
 // e13tWith binds the tournament to Params: Policies × CCs restrict the
 // grid, Topo replaces the internet the cells collapse on — its shape is
 // the topology id carried in every metric path and leaderboard entry.

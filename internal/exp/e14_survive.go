@@ -66,10 +66,6 @@ func e14Workload() workload.Spec {
 	return ws
 }
 
-// RunE14 runs the survivability frontier with the default topology,
-// workload and loss sweep.
-func RunE14(seed int64) Result { return e14With(Params{})(seed) }
-
 // e14With binds E14 to Params: a different generated internet (Topo),
 // carried mix (Workload) or loss sweep (Fracs).
 func e14With(p Params) func(seed int64) Result {

@@ -70,10 +70,6 @@ const e15AttachName = "h-new"
 
 func e15TCPOpts() tcp.Options { return tcp.Options{SendBufferSize: 65535} }
 
-// RunE15 runs the naming experiment on the reference internet with a
-// single worker.
-func RunE15(seed int64) Result { return e15With(Params{})(seed) }
-
 // e15With binds E15 to Params: Shards picks the worker count (which
 // must never change a result), Topo and Regions the internet and its
 // partition — how the determinism tests pin byte-identical results
@@ -428,7 +424,7 @@ func runE15Mode(p *e15Plan, pinned bool) *e15ModeOut {
 		for rank, i := range idx {
 			recs[rank] = names.Record{Name: p.dirs[i], Addr: dirAddr[i], Serial: uint32(rank)}
 		}
-		if _, err := names.InstallAgent(s.Net(nd.Name).UDP(nd.Name), recs); err != nil {
+		if _, err := names.InstallAgent(s.Regions[0].UDP(nd.Name), recs); err != nil {
 			panic(err)
 		}
 	}
@@ -460,8 +456,7 @@ func runE15Mode(p *e15Plan, pinned bool) *e15ModeOut {
 		c.OnData(func(b []byte) { c.Write(b) })
 	}
 	for _, svc := range p.services {
-		nw := s.Net(svc)
-		if _, err := nw.TCP(svc).Listen(e15SvcPort, e15TCPOpts(), echoAccept); err != nil {
+		if _, err := s.Regions[0].TCP(svc).Listen(e15SvcPort, e15TCPOpts(), echoAccept); err != nil {
 			panic(err)
 		}
 	}

@@ -24,10 +24,6 @@ func E16Spec() topo.Spec {
 // which buys wall-clock and nothing else.
 const e16Regions = 8
 
-// RunE16 runs the sharded-kernel scale experiment on the reference
-// internet with a single worker.
-func RunE16(seed int64) Result { return e16With(Params{})(seed) }
-
 // e16With binds E16 to Params: Shards picks the worker count — the
 // region count stays at the reference value unless Regions moves it, so
 // every metric is byte-identical to the serial run — and Topo the

@@ -165,13 +165,12 @@ type Experiment struct {
 	Title string
 	Run   func(seed int64) Result
 
-	// takes names the Params fields the experiment consumes and with
-	// binds a driver to them (see With); both are zero for the fixed
-	// labs E1–E10. grid marks the one experiment that crosses Policies
-	// and CCs into a grid, which titles them differently.
+	// takes names the scenario keys the experiment consumes, plus
+	// "shards" for the two that run on Params.Shards workers, and with
+	// binds a driver to Params (see With), Run being with(Params{}); both
+	// are zero for the fixed labs E1–E10.
 	takes []string
 	with  func(Params) func(seed int64) Result
-	grid  bool
 }
 
 // All lists the experiments in paper order.
@@ -186,20 +185,20 @@ var All = []Experiment{
 	{ID: "E8", Title: "Datagrams need no setup: first-byte latency vs circuit establishment", Run: RunE8},
 	{ID: "E9", Title: "Byte-stream sequence space: repacketization on retransmit", Run: RunE9},
 	{ID: "E10", Title: "Flow/congestion control: 1988 TCP with and without Van Jacobson", Run: RunE10},
-	{ID: "E11", Title: "Recovery under scripted failure: fault injection, reconvergence, blackout loss", Run: RunE11,
-		takes: []string{"Faults"}, with: e11With},
-	{ID: "E12", Title: "Scale: convergence, forwarding cost and conservation on a generated internet", Run: RunE12,
-		takes: []string{"Topo"}, with: e12With},
-	{ID: "E13", Title: "Congestion collapse: goodput vs offered load through the cliff", Run: RunE13,
-		takes: []string{"Workload", "Policies", "CCs", "Loads", "Window", "Drain"}, with: e13With},
-	{ID: "E13-T", Title: "Policy tournament: gateway queue policy x host congestion response", Run: RunE13T,
-		takes: []string{"Topo", "Policies", "CCs", "Loads", "Window", "Drain"}, with: e13tWith, grid: true},
-	{ID: "E14", Title: "Survivability frontier: cut-set-targeted vs random failure at matched budgets", Run: RunE14,
-		takes: []string{"Topo", "Workload", "Fracs", "Window", "Drain"}, with: e14With},
-	{ID: "E15", Title: "Names layer: service continuity by name through directory crash and renumbering", Run: RunE15,
-		takes: []string{"Topo", "Shards", "Regions"}, with: e15With},
-	{ID: "E16", Title: "Sharded kernel: 2000 gateways under conservative link-delay synchronization", Run: RunE16,
-		takes: []string{"Topo", "Shards", "Regions"}, with: e16With},
+	{ID: "E11", Title: "Recovery under scripted failure: fault injection, reconvergence, blackout loss", Run: e11With(Params{}),
+		takes: []string{"faults"}, with: e11With},
+	{ID: "E12", Title: "Scale: convergence, forwarding cost and conservation on a generated internet", Run: e12With(Params{}),
+		takes: []string{"topo"}, with: e12With},
+	{ID: "E13", Title: "Congestion collapse: goodput vs offered load through the cliff", Run: e13With(Params{}),
+		takes: []string{"workload", "qdisc", "cc"}, with: e13With},
+	{ID: "E13-T", Title: "Policy tournament: gateway queue policy x host congestion response", Run: e13tWith(Params{}),
+		takes: []string{"topo", "qdisc", "cc"}, with: e13tWith},
+	{ID: "E14", Title: "Survivability frontier: cut-set-targeted vs random failure at matched budgets", Run: e14With(Params{}),
+		takes: []string{"topo", "workload", "fracs"}, with: e14With},
+	{ID: "E15", Title: "Names layer: service continuity by name through directory crash and renumbering", Run: e15With(Params{}),
+		takes: []string{"topo", "shards"}, with: e15With},
+	{ID: "E16", Title: "Sharded kernel: 2000 gateways under conservative link-delay synchronization", Run: e16With(Params{}),
+		takes: []string{"topo", "shards"}, with: e16With},
 }
 
 // ByID returns the experiment with the given ID.

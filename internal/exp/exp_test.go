@@ -5,11 +5,13 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"darpanet/internal/core"
+	"darpanet/internal/fault"
 	"darpanet/internal/phys"
 	"darpanet/internal/tcp"
 	"darpanet/internal/topo"
@@ -233,7 +235,7 @@ func TestYesNoAndHelpers(t *testing.T) {
 }
 
 func TestE11Shape(t *testing.T) {
-	r := RunE11(1988)
+	r := e11With(Params{})(1988)
 	get := func(name string) float64 {
 		v, ok := r.Metric(name)
 		if !ok {
@@ -263,10 +265,10 @@ func TestE11Shape(t *testing.T) {
 	}
 }
 
-// TestWithBindsOnlyWhatAnExperimentTakes pins Experiment.With: fields an
-// experiment does not take leave it untouched, fields it takes rebind
-// Run and suffix Title — except Shards, which must leave no trace in a
-// report — and values no driver can run are rejected.
+// TestWithBindsOnlyWhatAnExperimentTakes pins Experiment.With: keys an
+// experiment does not take leave it untouched, keys it takes suffix
+// Title in the scenario form — Shards leaves no trace in a report — and
+// values the text form refuses, or a negative count, are rejected.
 func TestWithBindsOnlyWhatAnExperimentTakes(t *testing.T) {
 	spec := topo.Spec{Shape: topo.Waxman, Gateways: 12, Alpha: 0.25, Beta: 0.4, Hosts: 1}
 	runPtr := func(e Experiment) uintptr { return reflect.ValueOf(e.Run).Pointer() }
@@ -279,25 +281,62 @@ func TestWithBindsOnlyWhatAnExperimentTakes(t *testing.T) {
 
 	e15, _ := ByID("E15")
 	got, err = e15.With(Params{Shards: 2})
-	if err != nil || got.Title != e15.Title || runPtr(got) == runPtr(e15) {
-		t.Fatalf("E15 with Shards: title %q (want unchanged), rebound %v, err %v", got.Title, runPtr(got) != runPtr(e15), err)
+	if err != nil || got.Title != e15.Title {
+		t.Fatalf("E15 with Shards: title %q (want unchanged), err %v", got.Title, err)
 	}
 
 	e13t, _ := ByID("E13-T")
 	got, err = e13t.With(Params{Topo: &spec, Policies: []phys.PolicySpec{{Kind: phys.PolicyECN}}})
-	if want := e13t.Title + " [4-cell grid] [-topo " + spec.String() + "]"; err != nil || got.Title != want {
+	if want := e13t.Title + " [topo=" + spec.String() + ";qdisc=ecn]"; err != nil || got.Title != want {
 		t.Fatalf("E13-T title = %q, want %q (err %v)", got.Title, want, err)
 	}
 	e14, _ := ByID("E14")
-	got, err = e14.With(Params{Topo: &spec, Fracs: []float64{0.1, 0.25}, Policies: []phys.PolicySpec{{Kind: phys.PolicyECN}}})
-	if want := e14.Title + " [-topo " + spec.String() + "] [-fracs 10,25]"; err != nil || got.Title != want {
+	got, err = e14.With(Params{Topo: &spec, Fracs: []float64{0.1, 0.25, 0.07}, Policies: []phys.PolicySpec{{Kind: phys.PolicyECN}}})
+	if want := e14.Title + " [topo=" + spec.String() + ";fracs=10,25,7.000000000000001]"; err != nil || got.Title != want {
 		t.Fatalf("E14 title = %q, want %q (err %v)", got.Title, want, err)
 	}
 
-	for _, bad := range []Params{{CCs: []string{"vegas"}}, {Fracs: []float64{1.5}}, {Shards: -1}} {
+	for _, bad := range []Params{{CCs: []string{"vegas"}}, {Fracs: []float64{1.5}}, {Topo: &topo.Spec{Shape: "blob"}}, {Shards: -1}} {
 		if _, err := e14.With(bad); err == nil {
 			t.Fatalf("With(%+v) accepted", bad)
 		}
+	}
+
+	// A schedule in hand is not read again: With neither opens a file
+	// named like one nor refuses a schedule built in Go.
+	e11, _ := ByID("E11")
+	for _, name := range []string{"testdata/no-such-file.faults", "built-in-go"} {
+		got, err = e11.With(Params{Faults: &fault.Schedule{Name: name}})
+		if want := e11.Title + " [faults=" + name + "]"; err != nil || got.Title != want {
+			t.Fatalf("E11 with a Go-built schedule %q: title %q, want %q (err %v)", name, got.Title, want, err)
+		}
+	}
+}
+
+// TestParseParamsRefuses: every refusal names the scenario and the term
+// whole — a key given twice, a key no table has, and a value its own
+// grammar refuses — and a blank scenario is the zero Params.
+func TestParseParamsRefuses(t *testing.T) {
+	for text, want := range map[string]string{
+		"cc=vegas":               "scenario: cc=vegas: want one of naive, newreno, reno, tahoe",
+		"cc=reno+":               "scenario: cc=reno+: want one of",
+		"fracs=0":                "scenario: fracs=0: want percentages in (0,100]",
+		"fracs=10,101":           "scenario: fracs=10,101: want percentages in (0,100]",
+		"fracs=NaN":              "scenario: fracs=NaN: not a finite number",
+		"qdisc=red+blue":         `scenario: qdisc=red+blue: policy: unknown kind "blue"`,
+		"topo=ring:gw=4,gw=5":    "scenario: topo=ring:gw=4,gw=5: topo: gw=5: key given twice",
+		"workload=think_ms=-1":   "scenario: workload=think_ms=-1: workload: think_ms=-1: want",
+		"faults=nowhere":         "scenario: faults=nowhere: not a preset (crash, flap, mixed, partition), random, or a readable file",
+		"faults=mixed;faults=x":  "scenario: faults=x: key given twice",
+		"shards=2":               "scenario: shards=2: unknown key (keys: topo, workload, faults, qdisc, cc, fracs)",
+		"topo=ring:gw=4,fracs=5": "scenario: topo=ring:gw=4,fracs=5: topo: fracs=5: unknown key",
+	} {
+		if _, err := ParseParams(text); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("ParseParams(%q): error %v, want %q…", text, err, want)
+		}
+	}
+	if p, err := ParseParams(" "); err != nil || !reflect.DeepEqual(p, Params{}) {
+		t.Fatalf("ParseParams(blank) = %+v, %v", p, err)
 	}
 }
 
@@ -323,24 +362,32 @@ func TestE13CCRunsTheTournamentCell(t *testing.T) {
 }
 
 // TestTakesNamesRealParams guards the registry against a typo or a
-// forgotten field: Fields reports every Params field, every field an
-// experiment claims to take is one of them, and every experiment that
-// takes one has a binder.
+// forgotten key: every key an experiment claims to take is a scenario
+// key (or "shards"), every scenario key is taken by some experiment,
+// every experiment that takes one has a binder, and a Params with every
+// scenario field set renders every key.
 func TestTakesNamesRealParams(t *testing.T) {
 	spec, ws := topo.DefaultSpec(), E13Workload()
-	every := Params{Topo: &spec, Workload: &ws, Faults: RandomFaults, Policies: []phys.PolicySpec{{}}, CCs: []string{tcp.CCReno},
-		Fracs: []float64{0.1}, Shards: 1, Loads: []float64{1}, Window: 1, Drain: 1, Regions: 1}
-	if got, want := len(every.Fields()), reflect.TypeOf(every).NumField(); got != want {
-		t.Fatalf("Fields() reports %d of %d Params fields: %v", got, want, every.Fields())
+	every := Params{Topo: &spec, Workload: &ws, Faults: RandomFaults, Policies: []phys.PolicySpec{{}}, CCs: []string{tcp.CCReno}, Fracs: []float64{0.1}}
+	keys := every.Fields().Keys()
+	if got := every.Fields().Shown(); !reflect.DeepEqual(got, keys) {
+		t.Fatalf("a Params with every scenario field set renders %v, want %v", got, keys)
 	}
+	taken := map[string]bool{}
 	for _, e := range All {
 		if (len(e.takes) > 0) != (e.with != nil) {
 			t.Fatalf("%s: takes %v but binder set = %v", e.ID, e.takes, e.with != nil)
 		}
-		for _, f := range e.takes {
-			if _, ok := reflect.TypeOf(Params{}).FieldByName(f); !ok {
-				t.Fatalf("%s takes %q, which is not a Params field", e.ID, f)
+		for _, k := range e.takes {
+			if k != "shards" && !slices.Contains(keys, k) {
+				t.Fatalf("%s takes %q, which is not a scenario key", e.ID, k)
 			}
+			taken[k] = true
+		}
+	}
+	for _, k := range keys {
+		if !taken[k] {
+			t.Errorf("no experiment takes scenario key %q", k)
 		}
 	}
 }

@@ -1,22 +1,27 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"slices"
 	"strings"
 
 	"darpanet/internal/fault"
 	"darpanet/internal/phys"
 	"darpanet/internal/sim"
+	"darpanet/internal/spec"
 	"darpanet/internal/tcp"
 	"darpanet/internal/topo"
 	"darpanet/internal/workload"
 )
 
 // Params is the one way to reshape an experiment. The zero value is the
-// recorded defaults, and every field left zero keeps its default; each
-// row of All declares which fields it takes, and Experiment.With binds
-// them. A field no experiment in hand takes is ignored by With — callers
+// recorded defaults, and every field left zero keeps its default. The
+// six scenario fields have one text form, Fields' "key=val;key=val;…"
+// (ParseParams reads it, String writes it); the rest are set in Go. Each
+// row of All declares which keys it takes, and Experiment.With binds
+// them. A key no experiment in hand takes is ignored by With — callers
 // that must not ignore it (cmd/experiments) check Takes first.
 type Params struct {
 	Topo     *topo.Spec        // generated internet: E12, E13-T, E14, E15, E16
@@ -25,7 +30,7 @@ type Params struct {
 	Policies []phys.PolicySpec // gateway queue policy: E13 runs the first, E13-T crosses all with CCs
 	CCs      []string          // host congestion response: likewise
 	Fracs    []float64         // E14 loss sweep, fractions of infrastructure in (0,1]
-	Shards   int               // E15/E16 worker count: buys wall-clock, never changes a result
+	Shards   int               // E15/E16 worker count: buys wall-clock, never changes a result or a title
 
 	// Scale-down knobs for the campaign-determinism tests; the CLI
 	// exposes none of them.
@@ -40,93 +45,91 @@ type Params struct {
 // reproducible fault sequences.
 var RandomFaults = &fault.Schedule{Name: "random"}
 
-// Fields names the fields of p that are set, in title order.
-func (p Params) Fields() []string {
-	var set []string
-	for _, f := range []struct {
-		name string
-		set  bool
-	}{
-		{"Faults", p.Faults != nil}, {"Workload", p.Workload != nil},
-		{"Policies", len(p.Policies) > 0}, {"CCs", len(p.CCs) > 0},
-		{"Topo", p.Topo != nil}, {"Fracs", len(p.Fracs) > 0}, {"Shards", p.Shards != 0},
-		{"Loads", len(p.Loads) > 0}, {"Window", p.Window != 0}, {"Drain", p.Drain != 0}, {"Regions", p.Regions != 0},
-	} {
-		if f.set {
-			set = append(set, f.name)
-		}
+// Fields is the scenario table, in rendering order: each key bound to
+// its field through that field's own grammar, rendered when set, and
+// documented for -h. Terms are joined by ";", since the values use ",".
+func (p *Params) Fields() spec.Fields {
+	keys := func(fs spec.Fields) string { return "keys: " + strings.Join(fs.Keys(), ", ") }
+	return spec.Fields{
+		spec.Func("topo", &p.Topo, ref(topo.ParseSpec), (*topo.Spec).String).When(p.Topo != nil).Doc("shape:key=val,... — the generated internet of E12, E13-T, E14, E15, E16 (shapes: " + strings.Join(topo.ShapeNames(), ", ") + "; " + keys(new(topo.Spec).Fields()) + ")"),
+		spec.Func("workload", &p.Workload, ref(workload.ParseSpec), (*workload.Spec).String).When(p.Workload != nil).Doc("key=val,... — the traffic mix of E13, E14 (" + keys(new(workload.Spec).Fields()) + ")"),
+		spec.Func("faults", &p.Faults, parseFaults, func(s *fault.Schedule) string { return s.Name }).When(p.Faults != nil).Doc("name — the failure schedule of E11: a preset (" + strings.Join(fault.PresetNames(), ", ") + "), random (each replica seed draws its own), or a schedule file"),
+		spec.List("qdisc", &p.Policies, "+", phys.ParsePolicySpec, phys.PolicySpec.String).When(len(p.Policies) > 0).Doc("kind[:key=val,...]+... — gateway queue policies of E13, E13-T (" + strings.Join(phys.PolicyKinds(), "|") + "; " + keys(new(phys.PolicySpec).Fields()) + "): E13 runs the first, E13-T crosses them with cc"),
+		spec.List("cc", &p.CCs, "+", spec.OneOf(tcp.CCNames()...), func(s string) string { return s }).When(len(p.CCs) > 0).Doc("name+... — host congestion responses of E13, E13-T (" + strings.Join(tcp.CCNames(), "|") + "): E13 runs the first, E13-T crosses them with qdisc"),
+		spec.List("fracs", &p.Fracs, ",", parseFrac, func(f float64) string { return fmt.Sprint(f * 100) }).When(len(p.Fracs) > 0).Doc("pct,... — the loss sweep of E14 in percent of infrastructure lost, e.g. 2,5,10,20"),
 	}
-	return set
 }
 
-// tag is the title suffix a set field leaves on an experiment that
-// consumes it. grid selects how the Policies/CCs pair is titled: as the
-// one cell E13 runs, or — once, on whichever axis comes first — as the
-// size of the grid E13-T crosses them into. The scale-down knobs leave
-// no tag, and neither does Shards, for which that is load-bearing:
-// reports are compared byte for byte across worker counts.
-func (p Params) tag(field string, grid bool) string {
-	switch field {
-	case "Faults":
-		return " [-faults " + p.Faults.Name + "]"
-	case "Workload":
-		return " [-workload " + p.Workload.String() + "]"
-	case "Policies", "CCs":
-		if grid && (field == "Policies" || len(p.Policies) == 0) {
-			return fmt.Sprintf(" [%d-cell grid]", len(e13tGrid(p.Policies, p.CCs)))
-		}
-		if !grid && field == "Policies" {
-			return " [-qdisc " + p.Policies[0].String() + "]"
-		}
-	case "Topo":
-		return " [-topo " + p.Topo.String() + "]"
-	case "Fracs":
-		pcts := make([]string, len(p.Fracs))
-		for i, f := range p.Fracs {
-			pcts[i] = fmt.Sprintf("%g", f*100)
-		}
-		return " [-fracs " + strings.Join(pcts, ",") + "]"
+// ParseParams reads the scenario form "key=val;key=val;…" with the keys
+// of Params.Fields into Params, starting from the zero value.
+func ParseParams(text string) (Params, error) {
+	var p Params
+	if err := p.Fields().ParseSep(text, ";"); err != nil {
+		return Params{}, fmt.Errorf("scenario: %w", err)
 	}
-	return ""
+	return p, nil
 }
 
-// validate rejects values no driver can run.
-func (p Params) validate() error {
-	for _, cc := range p.CCs {
-		if tcp.CCByName(cc) == nil {
-			return fmt.Errorf("congestion response %q: want one of %s", cc, strings.Join(tcp.CCNames(), ", "))
-		}
-	}
-	for _, f := range p.Fracs {
-		if f <= 0 || f > 1 {
-			return fmt.Errorf("loss fraction %g: want a fraction in (0,1]", f)
-		}
-	}
-	if p.Shards < 0 || p.Regions < 0 {
-		return fmt.Errorf("shards %d, regions %d: want non-negative counts", p.Shards, p.Regions)
-	}
-	return nil
+// String renders the scenario fields that are set, in the form
+// ParseParams accepts. A schedule renders as its Name, which is what
+// ParseParams gave it: the preset, "random", or the file path as typed.
+func (p Params) String() string { return p.Fields().Join(";") }
+
+// ref adapts a grammar's parser to a field that is nil when unset.
+func ref[T any](parse func(string) (T, error)) func(string) (*T, error) {
+	return func(s string) (*T, error) { v, err := parse(s); return &v, err }
 }
 
-// Takes reports whether the experiment consumes the named Params field.
-func (e Experiment) Takes(field string) bool { return slices.Contains(e.takes, field) }
+// parseFaults reads a faults value: a preset name, "random", or the path
+// of a schedule file, which becomes the schedule's name so that it
+// renders back to itself.
+func parseFaults(arg string) (*fault.Schedule, error) {
+	if arg == "random" {
+		return RandomFaults, nil
+	}
+	if s, ok := fault.Preset(arg); ok {
+		return &s, nil
+	}
+	text, err := os.ReadFile(arg)
+	if err != nil {
+		return nil, fmt.Errorf("not a preset (%s), random, or a readable file: %v", strings.Join(fault.PresetNames(), ", "), err)
+	}
+	s, err := fault.Parse(arg, string(text))
+	return &s, err
+}
 
-// With returns the experiment reshaped by p: Run rebound to the fields
-// it takes and Title suffixed with what was changed. Fields it does not
-// take are ignored, so With(Params{}) — and With on E1–E10 — returns the
-// experiment unchanged.
+// parseFrac reads a percentage as a loss fraction in (0,1].
+func parseFrac(s string) (float64, error) {
+	f, err := spec.ParseFloat(s)
+	if err == nil && (f <= 0 || f > 100) {
+		err = errors.New("want percentages in (0,100]")
+	}
+	return f / 100, err
+}
+
+// Takes reports whether the experiment consumes the named scenario key.
+func (e Experiment) Takes(key string) bool { return slices.Contains(e.takes, key) }
+
+// With returns the experiment reshaped by p: Run rebound to p, and Title
+// suffixed with the scenario keys it takes that p sets, as "[key=val;…]".
+// Keys it does not take are ignored, so With(Params{}) gives the same
+// results and title, and With on E1–E10 returns the experiment
+// unchanged. A value built in Go is held to what the text form accepts
+// by parsing its text back — all but Faults, since a schedule in hand
+// was parsed already and its name need not be a file that can be read.
 func (e Experiment) With(p Params) (Experiment, error) {
-	if err := p.validate(); err != nil {
+	q := p
+	q.Faults = nil
+	if _, err := ParseParams(q.String()); err != nil {
 		return e, err
 	}
-	rebind := false
-	for _, f := range p.Fields() {
-		if e.Takes(f) {
-			e.Title += p.tag(f, e.grid)
-			rebind = true
-		}
+	if p.Shards < 0 || p.Regions < 0 {
+		return e, fmt.Errorf("shards %d, regions %d: want non-negative counts", p.Shards, p.Regions)
 	}
-	if rebind {
+	if tag := p.Fields().Only(e.takes...).Join(";"); tag != "" {
+		e.Title += " [" + tag + "]"
+	}
+	if e.with != nil {
 		e.Run = e.with(p)
 	}
 	return e, nil

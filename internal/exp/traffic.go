@@ -35,10 +35,9 @@ type Transfer struct {
 // in lock-step, so server-side timestamps stay on one timeline with the
 // client's.
 func StartBulkTCP(nw *core.Network, from, to string, port uint16, nbytes int, opts tcp.Options) *Transfer {
-	cnw, snw := nw.Net(from), nw.Net(to)
-	tr := &Transfer{Target: nbytes, started: cnw.Now(), LastByteAt: cnw.Now()}
-	k := snw.Kernel()
-	_, err := snw.TCP(to).Listen(port, opts, func(c *tcp.Conn) {
+	tr := &Transfer{Target: nbytes, started: nw.Now(), LastByteAt: nw.Now()}
+	k := nw.Net(to).Kernel()
+	_, err := nw.TCP(to).Listen(port, opts, func(c *tcp.Conn) {
 		tr.Server = c
 		c.OnData(func(b []byte) {
 			if gap := k.Now().Sub(tr.LastByteAt); gap > tr.MaxStall {
@@ -58,7 +57,7 @@ func StartBulkTCP(nw *core.Network, from, to string, port uint16, nbytes int, op
 		tr.Err = fmt.Errorf("listen on %s port %d: %w", to, port, err)
 		return tr
 	}
-	conn, err := cnw.TCP(from).Dial(tcp.Endpoint{Addr: snw.Addr(to), Port: port}, opts)
+	conn, err := nw.TCP(from).Dial(tcp.Endpoint{Addr: nw.Addr(to), Port: port}, opts)
 	if err != nil {
 		tr.Err = err
 		return tr
@@ -124,7 +123,7 @@ func patternChunk(off, n int) []byte {
 // port.
 func startUDPEcho(nw *core.Network, name string, port uint16) {
 	var sock *udp.Socket
-	sock, err := nw.Net(name).UDP(name).Listen(port, func(from udp.Endpoint, data []byte, _ ipv4.Header) {
+	sock, err := nw.UDP(name).Listen(port, func(from udp.Endpoint, data []byte, _ ipv4.Header) {
 		sock.SendTo(from, data)
 	})
 	if err != nil {
@@ -144,11 +143,10 @@ type queryDriver struct {
 // timed on the querier's kernel.
 func runUDPQueries(nw *core.Network, from, to string, port uint16, count int, interval sim.Duration, payload int, tos uint8) *queryDriver {
 	startUDPEcho(nw, to, port)
-	cnw := nw.Net(from)
-	k := cnw.Kernel()
+	k := nw.Net(from).Kernel()
 	qd := &queryDriver{}
 	sends := make(map[uint16]sim.Time)
-	sock, err := cnw.UDP(from).Listen(0, func(_ udp.Endpoint, data []byte, _ ipv4.Header) {
+	sock, err := nw.UDP(from).Listen(0, func(_ udp.Endpoint, data []byte, _ ipv4.Header) {
 		if len(data) < 2 {
 			return
 		}
@@ -163,7 +161,7 @@ func runUDPQueries(nw *core.Network, from, to string, port uint16, count int, in
 		panic(err)
 	}
 	sock.TOS = tos
-	dst := udp.Endpoint{Addr: nw.Net(to).Addr(to), Port: port}
+	dst := udp.Endpoint{Addr: nw.Addr(to), Port: port}
 	for i := 0; i < count; i++ {
 		i := i
 		k.After(sim.Duration(i)*interval, func() {

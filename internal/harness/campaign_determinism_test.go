@@ -8,10 +8,7 @@ import (
 
 	"darpanet/internal/exp"
 	"darpanet/internal/harness"
-	"darpanet/internal/phys"
-	"darpanet/internal/tcp"
 	"darpanet/internal/topo"
-	"darpanet/internal/workload"
 )
 
 // derivedKinds builds each derived report and counts its rows.
@@ -40,13 +37,14 @@ func checkLabels(doc any) error {
 	return nil
 }
 
-func mustTopo(t *testing.T, s string) *topo.Spec {
+// scenario reads text into p's scenario fields and keeps its Go-only
+// scale-down knobs.
+func scenario(t *testing.T, text string, p exp.Params) exp.Params {
 	t.Helper()
-	spec, err := topo.ParseSpec(s)
-	if err != nil {
+	if err := p.Fields().ParseSep(text, ";"); err != nil {
 		t.Fatal(err)
 	}
-	return &spec
+	return p
 }
 
 // TestCampaignJSONByteIdentical is the acceptance check of every
@@ -58,15 +56,12 @@ func mustTopo(t *testing.T, s string) *topo.Spec {
 // schedule, attempt plan) comes from a per-replica seeded rng, so
 // neither knob may leak into the numbers; a derived report adds the
 // check that its grouping, scoring and ordering leak no map order.
-// Each row is a scaled-down reshaping through exp.Params that keeps the
+// Each row is a scenario with scaled-down Go-only knobs that keep the
 // test quick; the full-size campaigns are the recorded tables in
 // EXPERIMENTS.md.
 func TestCampaignJSONByteIdentical(t *testing.T) {
 	const runs, baseSeed = 3, 1988
-	naive := workload.DefaultSpec()
-	naive.NaiveRTO = true
-	survivable := workload.DefaultSpec()
-	survivable.VJ, survivable.MaxBytes = true, 60_000
+	scaled := exp.Params{Loads: []float64{1, 6}, Window: 4 * time.Second, Drain: 4 * time.Second}
 
 	rows := []struct {
 		name     string
@@ -80,31 +75,27 @@ func TestCampaignJSONByteIdentical(t *testing.T) {
 		// the injector and the recovery it measures depend on the seed
 		// and the schedule alone.
 		{name: "E11 mixed", id: "E11"},
-		{name: "E11 random", id: "E11", params: exp.Params{Faults: exp.RandomFaults}},
+		{name: "E11 random", id: "E11", params: scenario(t, "faults=random", exp.Params{})},
 		// Generation, batched RIP and the route audit under the campaign
 		// scheduler.
-		{name: "E12", id: "E12", params: exp.Params{Topo: mustTopo(t, "waxman:gw=16,hosts=1")}},
+		{name: "E12", id: "E12", params: scenario(t, "topo=waxman:gw=16,hosts=1", exp.Params{})},
 		// All four application profiles, the retransmission bin sampler
 		// and the summary reduction at two load points.
-		{name: "E13", id: "E13", params: exp.Params{
-			Workload: &naive, Loads: []float64{1, 6}, Window: 4 * time.Second, Drain: 4 * time.Second}},
+		{name: "E13", id: "E13", params: scenario(t, "workload=naive=1", scaled)},
 		// The 2×2 corner of the grid — the era's status quo and the full
 		// RFC 3168 answer — on the Waxman internet, whose shape must be
 		// the topology id of every leaderboard entry.
-		{name: "E13-T", id: "E13-T", derived: "leaderboard", wantRows: 4, params: exp.Params{
-			Topo:     mustTopo(t, "waxman:gw=12,alpha=0.25,beta=0.4,hosts=1,mix=0"),
-			Policies: []phys.PolicySpec{{Kind: phys.PolicyDropTail}, {Kind: phys.PolicyECN}},
-			CCs:      []string{tcp.CCNaive, tcp.CCReno},
-			Loads:    []float64{1, 6}, Window: 4 * time.Second, Drain: 4 * time.Second}},
+		{name: "E13-T", id: "E13-T", derived: "leaderboard", wantRows: 4, params: scenario(t,
+			"topo=waxman:gw=12,alpha=0.25,beta=0.4,hosts=1,mix=0;qdisc=droptail+ecn;cc=naive+reno", scaled)},
 		// Cut-structure analysis, targeted and random compound attacks at
 		// matched budgets, census and workload engine.
-		{name: "E14", id: "E14", derived: "survive", wantRows: 4, params: exp.Params{
-			Topo:     mustTopo(t, "transitstub:gw=3,stubs=2,hosts=1,mix=0"),
-			Workload: &survivable, Fracs: []float64{0.10, 0.20}, Window: 4 * time.Second, Drain: 8 * time.Second}},
+		{name: "E14", id: "E14", derived: "survive", wantRows: 4, params: scenario(t,
+			"topo=transitstub:gw=3,stubs=2,hosts=1,mix=0;workload=vj=1,max=60000;fracs=10,20",
+			exp.Params{Window: 4 * time.Second, Drain: 8 * time.Second})},
 		// Directory replicas span both regions, so the equality also
 		// covers replication traffic crossing the shard seam.
-		{name: "E15", id: "E15", derived: "names", wantRows: 2, shards: []int{1, 2}, params: exp.Params{
-			Topo: mustTopo(t, "transitstub:gw=4,stubs=2,hosts=2,dirs=2"), Regions: 2}},
+		{name: "E15", id: "E15", derived: "names", wantRows: 2, shards: []int{1, 2}, params: scenario(t,
+			"topo=transitstub:gw=4,stubs=2,hosts=2,dirs=2", exp.Params{Regions: 2})},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

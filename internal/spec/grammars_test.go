@@ -65,13 +65,15 @@ func TestTreeLiteralsParseAsRecorded(t *testing.T) {
 // TestGrammarsRefuseNonFiniteAndRepeatedKeys: each of these was accepted
 // before the binder — a NaN passes every range comparison, a repeated key
 // silently meant its last value, and min=1e300 wrapped to the smallest
-// int, which only validate happened to catch.
+// int, which only validate happened to catch — or after it: a negative
+// think time round-trips, so the fuzzer could not see it.
 func TestGrammarsRefuseNonFiniteAndRepeatedKeys(t *testing.T) {
 	for _, tc := range []struct{ grammar, text, want string }{
 		{"workload", "rate=NaN", "rate=NaN: not a finite number"},
 		{"workload", "bulk=NaN", "bulk=NaN: not a finite number"},
 		{"workload", "alpha=Inf", "alpha=Inf: not a finite number"},
 		{"workload", "think_ms=NaN", "think_ms=NaN: not an integer"},
+		{"workload", "think_ms=-250", "think_ms=-250: want a think time of 0 ms or more"},
 		{"workload", "vj=NaN", "vj=NaN: want one of 0, 1"},
 		{"workload", "min=1e300", "min=1e300: not an integer"},
 		{"workload", "bulk=1,bulk=2", "bulk=2: key given twice"},

@@ -1,11 +1,11 @@
 // Package spec is the one key=val field binder under the repo's text
-// grammars. topo.ParseSpec, workload.ParseSpec, phys.ParsePolicySpec
-// and cmd/netlab's net options each declare a table of typed Fields
-// bound to the members of the struct they fill; parsing, the canonical
-// rendering, the key listing and every error come from here, so a key
-// is spelled once and a number is validated one way (fault.Parse, a
-// positional grammar, borrows ParseInt and ParseFloat for that reason).
-// Every refusal reads "<term>: <why>" with the offending term whole.
+// grammars. topo, workload and phys specs, cmd/netlab's net options and
+// exp.ParseParams' scenario (whose values are those grammars, so its
+// terms are joined by ";") each declare a table of typed Fields bound to
+// the members of the struct they fill; parsing, the canonical rendering,
+// the key listing, the help and every error come from here, so a key is
+// spelled once and a number is validated one way (fault.Parse borrows
+// ParseInt and ParseFloat). Every refusal reads "<term>: <why>".
 package spec
 
 import (
@@ -24,14 +24,43 @@ type Field struct {
 	set    func(val string) error // parses val into the member
 	get    func() string          // renders the member
 	hidden bool                   // left out of String
+	doc    string                 // what Usage says of the key
+}
+
+// Func binds a member read by parse and written by render, which must
+// write what parse reads back: a member that is itself a grammar.
+func Func[T any](key string, p *T, parse func(string) (T, error), render func(T) string) Field {
+	return Field{key: key,
+		set: func(val string) (err error) { *p, err = parse(val); return err },
+		get: func() string { return render(*p) }}
 }
 
 // bind makes the field of a member that renders the way fmt prints it:
 // an integer in decimal, a float in its shortest form that reads back.
 func bind[T any](key string, p *T, parse func(string) (T, error)) Field {
-	return Field{key: key,
-		set: func(val string) (err error) { *p, err = parse(val); return err },
-		get: func() string { return fmt.Sprint(*p) }}
+	return Func(key, p, parse, func(v T) string { return fmt.Sprint(v) })
+}
+
+// List binds a slice member spelled as its elements joined by sep, each
+// read by parse and written by render.
+func List[T any](key string, p *[]T, sep string, parse func(string) (T, error), render func(T) string) Field {
+	return Func(key, p, func(val string) ([]T, error) {
+		var vs []T
+		for _, s := range strings.Split(val, sep) {
+			v, err := parse(strings.TrimSpace(s))
+			if err != nil {
+				return nil, err
+			}
+			vs = append(vs, v)
+		}
+		return vs, nil
+	}, func(vs []T) string {
+		ss := make([]string, len(vs))
+		for i, v := range vs {
+			ss[i] = render(v)
+		}
+		return strings.Join(ss, sep)
+	})
 }
 
 // Int binds an integer member.
@@ -49,36 +78,31 @@ func Duration(key string, p *time.Duration) Field { return bind(key, p, time.Par
 // milliseconds (the *_ms keys).
 func Millis(key string, p *time.Duration) Field {
 	const most = math.MaxInt64 / int(time.Millisecond)
-	f := bind(key, p, func(s string) (time.Duration, error) {
+	return Func(key, p, func(s string) (time.Duration, error) {
 		n, err := ParseInt(s, -most, most)
 		return time.Duration(n) * time.Millisecond, err
-	})
-	f.get = func() string { return fmt.Sprint(p.Milliseconds()) }
-	return f
+	}, func(d time.Duration) string { return fmt.Sprint(d.Milliseconds()) })
 }
 
 // Bool binds a flag member spelled 0 or 1.
 func Bool(key string, p *bool) Field {
-	f := bind(key, p, func(s string) (bool, error) { return s == "1", oneOf(s, "0", "1") })
-	f.get = func() string {
-		if *p {
-			return "1"
-		}
-		return "0"
-	}
-	return f
+	return Func(key, p, func(s string) (bool, error) {
+		_, err := OneOf("0", "1")(s)
+		return s == "1", err
+	}, func(b bool) string { return map[bool]string{false: "0", true: "1"}[b] })
 }
 
 // Name binds a string member that must be one of names.
-func Name(key string, p *string, names []string) Field {
-	return bind(key, p, func(s string) (string, error) { return s, oneOf(s, names...) })
-}
+func Name(key string, p *string, names []string) Field { return bind(key, p, OneOf(names...)) }
 
-func oneOf(s string, names ...string) error {
-	if slices.Contains(names, s) {
-		return nil
+// OneOf reads a name that must be one of names.
+func OneOf(names ...string) func(string) (string, error) {
+	return func(s string) (string, error) {
+		if !slices.Contains(names, s) {
+			return s, fmt.Errorf("want one of %s", strings.Join(names, ", "))
+		}
+		return s, nil
 	}
-	return fmt.Errorf("want one of %s", strings.Join(names, ", "))
 }
 
 // When makes String render the field only if cond holds: a key that
@@ -102,6 +126,12 @@ func (f Field) Where(want string, ok func() bool) Field {
 	return f
 }
 
+// Doc says what the key is for, in Usage.
+func (f Field) Doc(text string) Field {
+	f.doc = text
+	return f
+}
+
 // Fields is one grammar's table, in canonical (rendering) order.
 type Fields []Field
 
@@ -114,14 +144,35 @@ func (fs Fields) Keys() []string {
 	return keys
 }
 
+// Shown lists the keys String renders, in table order.
+func (fs Fields) Shown() []string { return fs.Only(fs.Keys()...).Keys() }
+
+// Only keeps the fields String renders whose key is one of keys.
+func (fs Fields) Only(keys ...string) Fields {
+	return slices.DeleteFunc(slices.Clone(fs), func(f Field) bool { return f.hidden || !slices.Contains(keys, f.key) })
+}
+
+// Usage lists the keys one to a line, each as "key=" and its Doc.
+func (fs Fields) Usage() string {
+	lines := make([]string, len(fs))
+	for i, f := range fs {
+		lines[i] = f.key + "=" + f.doc
+	}
+	return strings.Join(lines, "\n")
+}
+
 // Parse reads "key=val,key=val,…" into the bound members; blank text
 // sets nothing. Terms are trimmed, and each key may be given once.
-func (fs Fields) Parse(text string) error {
+func (fs Fields) Parse(text string) error { return fs.ParseSep(text, ",") }
+
+// ParseSep is Parse with the terms joined by sep: ";" for a table whose
+// values are themselves ","-joined grammars.
+func (fs Fields) ParseSep(text, sep string) error {
 	if strings.TrimSpace(text) == "" {
 		return nil
 	}
 	given := make([]bool, len(fs))
-	for _, term := range strings.Split(text, ",") {
+	for _, term := range strings.Split(text, sep) {
 		term = strings.TrimSpace(term)
 		key, val, ok := strings.Cut(term, "=")
 		i := slices.IndexFunc(fs, func(f Field) bool { return f.key == key })
@@ -143,14 +194,17 @@ func (fs Fields) Parse(text string) error {
 
 // String renders the fields When has not hidden as "key=val,key=val,…",
 // the form Parse reads back to the same values.
-func (fs Fields) String() string {
+func (fs Fields) String() string { return fs.Join(",") }
+
+// Join is String with the terms joined by sep, the form ParseSep reads.
+func (fs Fields) Join(sep string) string {
 	var terms []string
 	for _, f := range fs {
 		if !f.hidden {
 			terms = append(terms, f.key+"="+f.get())
 		}
 	}
-	return strings.Join(terms, ",")
+	return strings.Join(terms, sep)
 }
 
 // ParseInt reads an integer in lo..hi. Float notation is taken when it

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -113,6 +114,54 @@ func TestParseIntBounds(t *testing.T) {
 	} {
 		if got, err := ParseInt(tc.s, tc.lo, tc.hi); got != tc.want || (err == nil) != tc.ok {
 			t.Errorf("ParseInt(%q, %d, %d) = %d, %v", tc.s, tc.lo, tc.hi, got, err)
+		}
+	}
+}
+
+// TestJoinedTableOfListsAndGrammars: a table whose values are lists and
+// whole grammars reads and renders ";"-joined; Only and Shown see just
+// the rendered fields, and Usage has a line per key.
+func TestJoinedTableOfListsAndGrammars(t *testing.T) {
+	var v struct {
+		Inner target
+		Ns    []int
+		CCs   []string
+	}
+	fields := func() Fields {
+		return Fields{
+			Func("inner", &v.Inner, func(s string) (target, error) {
+				var in target
+				return in, in.fields().Parse(s)
+			}, func(in target) string { return in.fields().String() }).Doc("the target's own grammar"),
+			List("n", &v.Ns, "+", func(s string) (int, error) { return ParseInt(s, 0, 9) }, func(n int) string { return fmt.Sprint(n) }).When(len(v.Ns) > 0),
+			List("cc", &v.CCs, "+", OneOf("reno", "tahoe"), func(s string) string { return s }).When(len(v.CCs) > 0),
+		}
+	}
+	if err := fields().ParseSep(" inner=n=2,x=1.5 ; n=1 + 9", ";"); err != nil {
+		t.Fatal(err)
+	}
+	const canon = "inner=n=2,x=1.5,on=0,think_ms=0,delay=0s;n=1+9"
+	if got := fields().Join(";"); got != canon {
+		t.Fatalf("Join = %q, want %q", got, canon)
+	}
+	if got := fields().Shown(); !reflect.DeepEqual(got, []string{"inner", "n"}) {
+		t.Fatalf("Shown = %v", got)
+	}
+	if got := fields().Only("n", "cc").Join(";"); got != "n=1+9" {
+		t.Fatalf("Only(n, cc) = %q", got)
+	}
+	if got := fields().Usage(); got != "inner=the target's own grammar\nn=\ncc=" {
+		t.Fatalf("Usage = %q", got)
+	}
+	for text, want := range map[string]string{
+		"n=1+10":        "n=1+10: not in 0..9",
+		"cc=reno+vegas": "cc=reno+vegas: want one of reno, tahoe",
+		"inner=n=0":     "inner=n=0: n=0: want a positive integer",
+		"n=1;n=2":       "n=2: key given twice",
+		"n=1,cc=reno":   "n=1,cc=reno: not an integer",
+	} {
+		if err := fields().ParseSep(text, ";"); err == nil || err.Error() != want {
+			t.Errorf("ParseSep(%q): error %v, want %q", text, err, want)
 		}
 	}
 }

@@ -76,11 +76,11 @@ func GenerateSharded(spec Spec, seed int64, regions, workers int) *Sharded {
 }
 
 // Net returns the region network holding the named node — the handle
-// for its transports (UDP, TCP) and stack state — or nil if none does.
+// for its kernel — or nil if none does; any region answers for the rest.
 func (s *Sharded) Net(node string) *core.Network { return s.Regions[0].Net(node) }
 
-// Addr returns the node's primary address, resolvable from any region.
-func (s *Sharded) Addr(node string) ipv4.Addr { return s.Net(node).Addr(node) }
+// Addr returns the node's primary address.
+func (s *Sharded) Addr(node string) ipv4.Addr { return s.Regions[0].Addr(node) }
 
 // RunFor advances every region by d of simulated time.
 func (s *Sharded) RunFor(d sim.Duration) { s.Group.RunFor(d) }
@@ -93,7 +93,7 @@ func (s *Sharded) RunFor(d sim.Duration) { s.Group.RunFor(d) }
 // audit tests compare against the manifest's BFS oracle. On a walk that
 // does not arrive the count is how far it got.
 func (s *Sharded) PathHops(from, to string) (int, bool) {
-	stub := s.Net(to).Node(to).Interface(0).Prefix
+	stub := s.Regions[0].Node(to).Interface(0).Prefix
 	hops, verdict := s.Net(from).RouteHops(from, stub, len(s.Manifest.NodeDefs))
 	return hops, verdict == core.RouteDelivered
 }

@@ -105,7 +105,7 @@ func (s *Spec) Fields() spec.Fields {
 		spec.Float("alpha", &s.Alpha),
 		spec.Int("min", &s.MinBytes),
 		spec.Int("max", &s.MaxBytes),
-		spec.Millis("think_ms", &s.Think),
+		spec.Millis("think_ms", &s.Think).Where("a think time of 0 ms or more", func() bool { return s.Think >= 0 }),
 		spec.Bool("vj", &s.VJ),
 		spec.Bool("naive", &s.NaiveRTO),
 		spec.Bool("onoff", &s.OnOff),

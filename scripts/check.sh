@@ -117,16 +117,16 @@ run_leg() {
     smoke-E11)
         # The fault-injection recovery experiment end to end through the
         # CLI, as a 2-replica campaign.
-        experiments -only E11 -runs 2 -faults mixed
+        experiments -only E11 -runs 2 -scenario faults=mixed
         ;;
     smoke-E12)
         # A small generated internet through the CLI.
-        experiments -only E12 -topo 'waxman:gw=16'
+        experiments -only E12 -scenario 'topo=waxman:gw=16'
         ;;
     smoke-E13)
         # The congestion-collapse sweep as a 2-replica campaign, with the
-        # -workload flag exercised.
-        experiments -only E13 -runs 2 -workload 'naive=1,alpha=1.1,min=30000,max=2000000'
+        # workload key exercised.
+        experiments -only E13 -runs 2 -scenario 'workload=naive=1,alpha=1.1,min=30000,max=2000000'
         ;;
     fuzz)
         # Fuzzers, 10s each (go test takes one -fuzz target at a time):
@@ -143,8 +143,10 @@ run_leg() {
         go test -run '^$' -fuzz FuzzWorkloadSpec -fuzztime 10s ./internal/workload/
         go test -run '^$' -fuzz FuzzPolicySpec -fuzztime 10s ./internal/phys/
         # A fault schedule is refused or renders to text that parses back
-        # to the same steps.
+        # to the same steps; a cmd/experiments scenario is refused or its
+        # String is a fixed point of parse and render.
         go test -run '^$' -fuzz FuzzScheduleParse -fuzztime 10s ./internal/fault/
+        go test -run '^$' -fuzz FuzzScenario -fuzztime 10s ./internal/exp/
         # The differential fuzzers: the checksum against its 16-bit
         # reference loop, route-table operation sequences against the
         # linear scan, and the oracle's same-next-hop blocks against a
@@ -154,6 +156,10 @@ run_leg() {
         go test -run '^$' -fuzz FuzzChecksumMatchesReference -fuzztime 10s -fuzzminimizetime 0 ./internal/packet/
         go test -run '^$' -fuzz FuzzRouteTableOps -fuzztime 10s -fuzzminimizetime 0 ./internal/stack/
         go test -run '^$' -fuzz FuzzRouteCover -fuzztime 10s -fuzzminimizetime 0 ./internal/core/
+        # The stateful fuzzer: a schedule that parses and arms runs on
+        # E11's internet under a bulk transfer to the end, with no panic
+        # and a frame ledger that closes.
+        go test -run '^$' -fuzz FuzzScheduleRuns -fuzztime 10s -fuzzminimizetime 0 ./internal/exp/
         ;;
     smoke-E5)
         # Metrics determinism: the campaign JSON (which embeds the full
@@ -168,7 +174,7 @@ run_leg() {
         # explicitly), fixed seed, twice: the ranked leaderboard must be
         # byte-identical at any worker count.
         for p in 1 3; do
-            experiments -only E13-T -topo 'transitstub:gw=3,stubs=4,hosts=1,mix=0' -qdisc 'droptail+ecn' -cc 'naive+newreno' \
+            experiments -only E13-T -scenario 'topo=transitstub:gw=3,stubs=4,hosts=1,mix=0;qdisc=droptail+ecn;cc=naive+newreno' \
                 -runs 2 -seed 1988 -parallel "$p" -export leaderboard="$tmpdir/lb$p.json"
         done
         cmp "$tmpdir/lb1.json" "$tmpdir/lb3.json"
@@ -178,7 +184,7 @@ run_leg() {
         # seed, twice: the survivability frontier must be byte-identical
         # at any worker count.
         for p in 1 3; do
-            experiments -only E14 -topo 'transitstub:gw=3,stubs=2,hosts=1,mix=0' -fracs '10,20' \
+            experiments -only E14 -scenario 'topo=transitstub:gw=3,stubs=2,hosts=1,mix=0;fracs=10,20' \
                 -runs 2 -seed 1988 -parallel "$p" -export survive="$tmpdir/sf$p.json"
         done
         cmp "$tmpdir/sf1.json" "$tmpdir/sf3.json"
@@ -226,9 +232,10 @@ run_leg() {
         bash bench/run.sh -workload fwd_chain_64b -trace 0 -seed 1988 > /dev/null
         ;;
     help-sync)
-        # The lists a reader sees: `cmd/experiments -h` names every key
-        # the topo, workload and policy grammars accept, and README's flag
-        # section names every flag -h prints.
+        # The lists a reader sees: `cmd/experiments -h` has a line for
+        # every scenario key naming every key, shape, kind and name of the
+        # grammar its value is written in, and README's flag section names
+        # every flag -h prints.
         go test -count=1 -run 'TestHelpSync' ./cmd/experiments/
         ;;
     *)

@@ -104,7 +104,7 @@ func flagSet(o *options, p *exp.Params, only *string) *flag.FlagSet {
 		o.exports = append(o.exports, [2]string{kind, file})
 		return nil
 	})
-	fs.IntVar(&p.Shards, "shards", 0, "E15/E16 worker count, default 1 (results are byte-identical at any value; only wall time changes)")
+	fs.IntVar(&p.Shards, "shards", 0, "worker count of "+exp.TakenBy("shards")+", default 1 (results are byte-identical at any value; only wall time changes)")
 	fs.Func("scenario", "`key=val;...`: reshape every selected experiment that takes a key; the keys:\n"+new(exp.Params).Fields().Usage(),
 		func(s string) error { return p.Fields().ParseSep(s, ";") })
 	return fs
@@ -188,7 +188,7 @@ func run(o options, stdout, stderr io.Writer) error {
 			if rep.First != nil {
 				fmt.Fprintln(stdout, rep.First.String())
 				if o.metrics {
-					fmt.Fprintf(stdout, "counters (schema %s):\n%s\n", metrics.Schema, rep.First.Counters.Tree())
+					fmt.Fprintf(stdout, "counters (schema %s):\n%s\n", metrics.Schema, rep.First.Counters().Tree())
 				}
 			}
 		} else {

@@ -74,32 +74,35 @@ func TestParseArgsFailsLoudly(t *testing.T) {
 }
 
 // TestRunReportsReplicaFailures: a replica that panics is the run's
-// error — after the exports are written, so the surviving replicas'
-// numbers are not lost.
+// error — after the exports are written, so the numbers of the
+// experiments that ran clean are not lost.
 func TestRunReportsReplicaFailures(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "c.json")
-	o := options{seed: 1, runs: 2, parallel: 1, exports: [][2]string{{"campaign", file}},
-		selected: []exp.Experiment{{ID: "EX", Title: "fails on odd seeds", Run: func(seed int64) exp.Result {
-			if seed%2 == 1 {
-				panic("boom")
-			}
-			var r exp.Result
-			r.AddMetric("ok", "", 1)
-			return r
-		}}}}
-	var stdout bytes.Buffer
-	err := run(o, &stdout, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "1 replica(s) failed") {
-		t.Fatalf("run error = %v, want the failed replica counted", err)
+	sched, err := fault.Parse("gwz", "10s crash gwZ\n")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(stdout.String(), "FAILED replica seed 1: replica panicked: boom") {
+	e11, _ := exp.ByID("E11")
+	broken, err := e11.With(exp.Params{Faults: &sched})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, _ := exp.ByID("E8")
+	o := options{seed: 1, runs: 2, parallel: 1, exports: [][2]string{{"campaign", file}}, selected: []exp.Experiment{broken, clean}}
+	var stdout bytes.Buffer
+	err = run(o, &stdout, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "2 replica(s) failed") {
+		t.Fatalf("run error = %v, want both failed replicas counted", err)
+	}
+	if !strings.Contains(stdout.String(), "FAILED replica seed 1: replica panicked: fault: step") {
 		t.Fatalf("stdout does not report the failure:\n%s", stdout.String())
 	}
-	if doc, rerr := os.ReadFile(file); rerr != nil || !strings.Contains(string(doc), `"failures"`) {
-		t.Fatalf("campaign export not written with the failure recorded: %v", rerr)
+	doc, rerr := os.ReadFile(file)
+	if rerr != nil || !strings.Contains(string(doc), `"failures"`) || !strings.Contains(string(doc), `"id": "E8"`) {
+		t.Fatalf("campaign export not written with the failures and E8's numbers: %v", rerr)
 	}
 
-	o.selected[0].Run = func(int64) exp.Result { return exp.Result{} }
+	o.selected = o.selected[1:]
 	if err := run(o, io.Discard, io.Discard); err != nil {
 		t.Fatalf("clean run returned %v", err)
 	}

@@ -58,13 +58,13 @@ func TestCounterConservation(t *testing.T) {
 	}{
 		{"E1", RunE1},
 		{"E5", RunE5},
-		{"E11", e11With(Params{})},
+		{"E11", row("E11").Run},
 	} {
 		run := run
 		t.Run(run.name, func(t *testing.T) {
 			t.Parallel()
 			res := run.driver(1988)
-			groups := groupByKernel(res.Counters)
+			groups := groupByKernel(res.Counters())
 			if len(groups) == 0 {
 				t.Fatal("result exports no counters")
 			}

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"time"
 
 	"darpanet/internal/core"
@@ -21,28 +20,13 @@ func recoveryNet(seed int64) *core.Network {
 	return nw
 }
 
-// e11DefaultSchedule is what E11 runs when Params.Faults is unset: the
-// "mixed" preset, one fault of every class.
-func e11DefaultSchedule() fault.Schedule {
-	s, ok := fault.Preset("mixed")
+// preset is the named fault preset, which must exist.
+func preset(name string) *fault.Schedule {
+	s, ok := fault.Preset(name)
 	if !ok {
-		panic("exp: mixed preset missing")
+		panic("exp: no fault preset " + name)
 	}
-	return s
-}
-
-// e11With binds E11 to Params.Faults: one schedule on every replica
-// seed, or a per-seed draw for RandomFaults. E11 measures recovery under
-// scripted failure: a fault injector drives link cuts, a gateway
-// crash/restart, an interface flap, a loss storm and a flapping trunk
-// against the dual-path backbone while a bulk TCP transfer rides
-// through, and reports per-event time-to-reconverge and blackout loss.
-func e11With(p Params) func(seed int64) Result {
-	if p.Faults == RandomFaults {
-		return func(seed int64) Result { return runE11(seed, e11RandomSchedule(seed)) }
-	}
-	sched := or(p.Faults, e11DefaultSchedule())
-	return func(seed int64) Result { return runE11(seed, sched) }
+	return &s
 }
 
 // e11RandomSchedule draws the seed's own failure scenario.
@@ -62,7 +46,17 @@ func e11RandomSchedule(seed int64) fault.Schedule {
 	})
 }
 
-func runE11(seed int64, sched fault.Schedule) Result {
+// runE11 measures recovery under scripted failure: a fault injector
+// drives link cuts, a gateway crash/restart, an interface flap, a loss
+// storm and a flapping trunk against the dual-path backbone while a bulk
+// TCP transfer rides through, and reports per-event time-to-reconverge
+// and blackout loss. p.Faults is one schedule replayed on every replica
+// seed, or RandomFaults for a per-seed draw.
+func runE11(seed int64, p Params) Result {
+	sched := *p.Faults
+	if p.Faults == RandomFaults {
+		sched = e11RandomSchedule(seed)
+	}
 	const nbytes = 4_000_000
 	nw := recoveryNet(seed)
 	nw.EnableRIP(fastRIP())
@@ -95,8 +89,6 @@ func runE11(seed int64, sched fault.Schedule) Result {
 	}
 
 	res := Result{
-		ID:    "E11",
-		Title: "Recovery under scripted failure (schedule: " + filepath.Base(sched.Name) + ")",
 		Notes: []string{
 			"each row is one injected fault; 'after' is the time until every running RIP router again holds working routes to everything the topology oracle says it can reach — stale routes through a dead gateway do not count.",
 			"'lost frames' counts frames swallowed inside the blackout window the event closed (heal and restore rows).",

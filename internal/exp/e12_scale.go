@@ -10,20 +10,14 @@ import (
 	"darpanet/internal/topo"
 )
 
-// e12With binds E12 to Params.Topo: the scale experiment reruns on any
-// graph the generator can build.
-func e12With(p Params) func(seed int64) Result {
-	spec := or(p.Topo, topo.DefaultSpec())
-	return func(seed int64) Result { return runE12(seed, spec) }
-}
-
 // runE12 measures whether the architecture's claims survive scale: a
 // generated internet two orders beyond the hand-wired labs must reach
 // routing convergence by gossip alone, carry a background traffic
 // matrix, keep per-datagram forwarding cost flat, and balance the
-// frame-conservation ledger to the frame.
-func runE12(seed int64, spec topo.Spec) Result {
-	nw, m := topo.Generate(spec, seed)
+// frame-conservation ledger to the frame. It reruns on any graph the
+// generator can build (p.Topo).
+func runE12(seed int64, p Params) Result {
+	nw, m := topo.Generate(*p.Topo, seed)
 	cfg := fastRIP()
 	cfg.Batched = true
 	nw.EnableRIP(cfg, m.GatewayNames()...)
@@ -85,8 +79,6 @@ func runE12(seed int64, spec topo.Spec) Result {
 	nw.RunFor(15 * time.Second)
 
 	res := Result{
-		ID:    "E12",
-		Title: "Scale: a generated internet of hundreds of gateways (ROADMAP north star)",
 		Table: table,
 		Notes: []string{
 			"the same gossip, forwarding and conservation invariants that hold on the 9-gateway labs hold two orders of magnitude up — the generality bill (forwards per delivery) is the only number that grows.",

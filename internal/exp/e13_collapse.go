@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"cmp"
 	"fmt"
-	"time"
 
 	"darpanet/internal/phys"
 	"darpanet/internal/sim"
@@ -25,22 +23,9 @@ import (
 // correlation of per-flow retransmission bursts) and Jain fairness
 // across the competing flows.
 
-// e13Loads is the offered-load sweep in multiples of one T1 trunk
-// (1.544 Mb/s). The generated internet has 12 T1 stub trunks feeding a
-// 3-trunk transit ring, so the sweep must push well past one trunk's
-// rate to drown the aggregate; the top points sit far beyond the knee.
-var e13Loads = []float64{0.5, 1, 2, 4, 8, 16, 32}
-
 // e13RefBps is the T1 line rate every trunk of the Mix=false
 // transit-stub internet runs at.
 const e13RefBps = 1_544_000.0
-
-// e13Window is the flow-admission window at each load point; flows then
-// get e13Drain to finish before the books close.
-const (
-	e13Window = 15 * time.Second
-	e13Drain  = 10 * time.Second
-)
 
 // e13Topo is the generated internet: a 4-transit ring with 2 stub
 // gateways each — 12 gateways, 8 stub LANs, 24 hosts, every trunk a T1.
@@ -76,21 +61,6 @@ func E13Workload() workload.Spec {
 	// collapse.
 	ws.Alpha, ws.MinBytes, ws.MaxBytes = 1.1, 30_000, 2_000_000
 	return ws
-}
-
-// e13With binds E13 to Params: Workload replaces the mix (vj=1 reruns
-// the sweep with Van Jacobson's machinery and the cliff flattens), and
-// the first of Policies and of CCs turn the collapse experiment into a
-// single tournament cell — the hosts E13-T's cell of that name runs.
-func e13With(p Params) func(seed int64) Result {
-	ws := or(p.Workload, E13Workload())
-	policy := orSlice(p.Policies, []phys.PolicySpec{{}})[0]
-	if len(p.CCs) > 0 {
-		ws = e13tCell{Policy: policy, CC: p.CCs[0]}.workload(ws)
-	}
-	loads := orSlice(p.Loads, e13Loads)
-	window, drain := cmp.Or(p.Window, e13Window), cmp.Or(p.Drain, e13Drain)
-	return func(seed int64) Result { return runE13(seed, ws, policy, loads, window, drain) }
 }
 
 // e13Point is one load point's outcome.
@@ -156,8 +126,17 @@ func e13Sweep(seed int64, tspec topo.Spec, ws workload.Spec, policy phys.PolicyS
 	return out
 }
 
-func runE13(seed int64, ws workload.Spec, policy phys.PolicySpec, loads []float64, window, drain sim.Duration) Result {
-	out := e13Sweep(seed, e13Topo(), ws, policy, loads, window, drain)
+// runE13 charts the collapse curve of p's sweep. p.Workload is the mix
+// (vj=1 reruns the sweep with Van Jacobson's machinery and the cliff
+// flattens); the first of p.Policies and of p.CCs turn the collapse
+// experiment into a single tournament cell — the hosts E13-T's cell of
+// that name runs.
+func runE13(seed int64, p Params) Result {
+	ws, policy := *p.Workload, p.Policies[0]
+	if len(p.CCs) > 0 {
+		ws = e13tCell{Policy: policy, CC: p.CCs[0]}.workload(ws)
+	}
+	out := e13Sweep(seed, e13Topo(), ws, policy, p.Loads, p.Window, p.Drain)
 	points, lastKernel := out.points, out.lastKernel
 	peakGoodput, kneeLoad, collapseRatio := out.peakGoodput, out.kneeLoad, out.collapseRatio
 	last := points[len(points)-1]
@@ -185,8 +164,6 @@ func runE13(seed int64, ws workload.Spec, policy phys.PolicySpec, loads []float6
 		headline = fmt.Sprintf("no collapse: goodput still climbing at %.2fx T1 — with this workload the hosts' congestion response keeps the sweep on the capacity curve.", last.load)
 	}
 	res := Result{
-		ID:    "E13",
-		Title: "Congestion collapse: goodput vs offered load on a generated internet (pre-VJ era)",
 		Table: table,
 		Notes: []string{
 			headline,

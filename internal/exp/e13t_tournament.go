@@ -1,14 +1,11 @@
 package exp
 
 import (
-	"cmp"
 	"fmt"
 
 	"darpanet/internal/phys"
-	"darpanet/internal/sim"
 	"darpanet/internal/stats"
 	"darpanet/internal/tcp"
-	"darpanet/internal/topo"
 	"darpanet/internal/workload"
 )
 
@@ -61,12 +58,8 @@ func (c e13tCell) workload(ws workload.Spec) workload.Spec {
 	return ws
 }
 
-// e13tGrid crosses the queue policies with the congestion responses;
-// an empty axis means all of it, so the default is the full 3×4
-// tournament.
+// e13tGrid crosses the queue policies with the congestion responses.
 func e13tGrid(policies []phys.PolicySpec, ccs []string) []e13tCell {
-	policies = orSlice(policies, []phys.PolicySpec{{Kind: phys.PolicyDropTail}, {Kind: phys.PolicyRED}, {Kind: phys.PolicyECN}})
-	ccs = orSlice(ccs, []string{tcp.CCNaive, tcp.CCTahoe, tcp.CCReno, tcp.CCNewReno})
 	var cells []e13tCell
 	for _, p := range policies {
 		for _, cc := range ccs {
@@ -76,52 +69,27 @@ func e13tGrid(policies []phys.PolicySpec, ccs []string) []e13tCell {
 	return cells
 }
 
-// e13tLoads is the tournament's offered-load sweep: below the knee, at
-// the knee drop-tail/naive shows, and twice past it — E13's full curve
-// shows the cliff only bites beyond 16x, so the sweep must reach 32x
-// for collapse ratios to separate the cells. Four points per cell keep
-// the full 9-cell grid affordable.
-var e13tLoads = []float64{1, 4, 16, 32}
-
-// The tournament measures over E13's own window: the retransmission
-// storm that produces the cliff takes ~10 simulated seconds to build,
-// so a shorter window under-reports the collapse and flattens the grid.
-const (
-	e13tWindow = e13Window
-	e13tDrain  = e13Drain
-)
-
-// e13tWith binds the tournament to Params: Policies × CCs restrict the
-// grid, Topo replaces the internet the cells collapse on — its shape is
-// the topology id carried in every metric path and leaderboard entry.
-func e13tWith(p Params) func(seed int64) Result {
-	tspec := or(p.Topo, e13Topo())
-	cells := e13tGrid(p.Policies, p.CCs)
-	loads := orSlice(p.Loads, e13tLoads)
-	window, drain := cmp.Or(p.Window, e13tWindow), cmp.Or(p.Drain, e13tDrain)
-	return func(seed int64) Result {
-		return runE13T(seed, string(tspec.Shape), tspec, cells, loads, window, drain)
-	}
-}
-
-func runE13T(seed int64, topoID string, tspec topo.Spec, cells []e13tCell, loads []float64, window, drain sim.Duration) Result {
+// runE13T runs the tournament: p.Policies × p.CCs is the grid, p.Topo
+// the internet the cells collapse on — its shape is the topology id
+// carried in every metric path and leaderboard entry.
+func runE13T(seed int64, p Params) Result {
+	tspec, loads := *p.Topo, p.Loads
+	topoID := string(tspec.Shape)
 	table := stats.Table{Header: []string{
 		"policy", "cc", "collapse", "peak goodput", "knee", "jain", "fct p99", "done"}}
 
-	res := Result{
-		ID:    "E13-T",
-		Title: fmt.Sprintf("Policy tournament: gateway queue policy x host congestion response on the collapse curve (%s internet)", topoID),
-	}
+	var res Result
 
 	type scored struct {
 		cell e13tCell
 		out  e13Outcome
 	}
+	cells := e13tGrid(p.Policies, p.CCs)
 	ran := make([]scored, 0, len(cells))
 	for _, cell := range cells {
 		// Every cell sees the same seed: identical topology, identical
 		// arrival process — only the policies differ.
-		out := e13Sweep(seed, tspec, cell.workload(E13Workload()), cell.Policy, loads, window, drain)
+		out := e13Sweep(seed, tspec, cell.workload(E13Workload()), cell.Policy, loads, p.Window, p.Drain)
 		ran = append(ran, scored{cell, out})
 
 		top := out.points[len(out.points)-1].sum

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
 	"time"
@@ -28,31 +27,14 @@ import (
 // between the targeted and random curves is the survivability margin
 // redundancy actually buys.
 
-// e14Fracs is the fraction-of-infrastructure-lost sweep: each cell
-// spends frac of the trunks as cuts plus frac of the gateways as
-// crashes, all at one instant.
-var e14Fracs = []float64{0.02, 0.05, 0.10, 0.20}
-
-// e14Topo is the generated internet under attack: a 4-transit ring
-// with 4 stub gateways each — 20 gateways, 36 nets, 16 hosts, T1
-// trunks everywhere. The ring is 2-connected but every access trunk is
-// a bridge and every transit gateway an articulation point: exactly
-// the asymmetry between targeted and random failure the experiment
-// measures.
-func e14Topo() topo.Spec {
-	return topo.Spec{Shape: topo.TransitStub, Gateways: 4, StubsPer: 4, Hosts: 1, Mix: false}
-}
-
 // e14Load is the offered load in T1 multiples: moderate on purpose —
 // the question is what fraction of service survives the attack, so the
 // baseline must not be congestion-limited.
 const e14Load = 2.0
 
 const (
-	e14Window = 10 * time.Second // flow-admission window (baseline and post-failure)
-	e14Drain  = 5 * time.Second  // flows get this long to finish after the window
-	e14Lead   = time.Second      // quiet time before the compound failure lands
-	e14Reconv = 14 * time.Second // post-failure routing window before service is measured
+	e14Drain = 5 * time.Second // flows get this long to finish after the admission window
+	e14Lead  = time.Second     // quiet time before the compound failure lands
 )
 
 // e14Workload is the mix carried across the attack: bulk-dominated
@@ -64,15 +46,6 @@ func e14Workload() workload.Spec {
 	ws.VJ = true
 	ws.MaxBytes = 200_000
 	return ws
-}
-
-// e14With binds E14 to Params: a different generated internet (Topo),
-// carried mix (Workload) or loss sweep (Fracs).
-func e14With(p Params) func(seed int64) Result {
-	spec, ws := or(p.Topo, e14Topo()), or(p.Workload, e14Workload())
-	fracs := orSlice(p.Fracs, e14Fracs)
-	window, reconv := cmp.Or(p.Window, e14Window), cmp.Or(p.Drain, e14Reconv)
-	return func(seed int64) Result { return runE14(seed, spec, ws, fracs, window, reconv) }
 }
 
 // e14Cell is one (mode × frac) attack outcome.
@@ -102,7 +75,11 @@ func e14ModeName(mode string) string {
 	return "random"
 }
 
-func runE14(seed int64, spec topo.Spec, ws workload.Spec, fracs []float64, window, reconv sim.Duration) Result {
+// runE14 sweeps p.Fracs over p.Topo carrying p.Workload: flows are
+// admitted for p.Window, and service is measured after p.Drain of
+// post-failure reconvergence.
+func runE14(seed int64, p Params) Result {
+	spec, ws, fracs, window, reconv := *p.Topo, *p.Workload, p.Fracs, p.Window, p.Drain
 	cfg := fastRIP()
 	cfg.Batched = true
 	load := ws.WithRate(e14Load * e13RefBps / ws.WithRate(1).OfferedBps())
@@ -206,8 +183,6 @@ func runE14(seed int64, spec topo.Spec, ws workload.Spec, fracs []float64, windo
 	}
 
 	res := Result{
-		ID:    "E14",
-		Title: "Survivability frontier: cut-set-targeted vs random failure at matched budgets",
 		Table: table,
 	}
 	res.AddMetric("gateways", "", float64(len(adj.Gateways)))

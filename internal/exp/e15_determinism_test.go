@@ -50,7 +50,7 @@ func TestE15DeterminismAcrossWorkers(t *testing.T) {
 					// interleaving.
 					e15TraceHook = func(line string) { lines = append(lines, line) }
 				}
-				res := runE15(seed, e15TestSpec, e15TestRegions, workers)
+				res := runE15(seed, Params{Topo: &e15TestSpec, Regions: e15TestRegions, Shards: workers})
 				e15TraceHook = nil
 				j, err := json.Marshal(res.Metrics)
 				if err != nil {
@@ -121,7 +121,7 @@ func TestE15HoldsOneModeAtATime(t *testing.T) {
 		}
 	}
 	defer func() { netHook = nil }()
-	runE15(1, e15TestSpec, e15TestRegions, 1)
+	runE15(1, Params{Topo: &e15TestSpec, Regions: e15TestRegions, Shards: 1})
 	if hooked != 2*e15TestRegions {
 		t.Fatalf("hooked %d regions, want %d a mode", hooked, e15TestRegions)
 	}

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -18,19 +17,6 @@ import (
 	"darpanet/internal/udp"
 	"darpanet/internal/workload"
 )
-
-// e15Spec returns the E15 reference internet: a transit-stub graph with
-// three directory replicas placed on stub gateways spread across the
-// topology (dirs=3 in the manifest).
-func e15Spec() topo.Spec {
-	return topo.Spec{Shape: topo.TransitStub, Gateways: 6, StubsPer: 3, Hosts: 2, Directories: 3}
-}
-
-// e15Regions is the fixed region count of the reference run. As with
-// E16, every simulation result depends only on (spec, seed, regions);
-// the -shards flag picks the worker count and nothing else — directory
-// traffic crosses the shard seam either way.
-const e15Regions = 2
 
 // e15TraceHook, when set, receives every directory server's protocol
 // log lines — the golden query traces tap it (at one worker, where the
@@ -69,16 +55,6 @@ const (
 const e15AttachName = "h-new"
 
 func e15TCPOpts() tcp.Options { return tcp.Options{SendBufferSize: 65535} }
-
-// e15With binds E15 to Params: Shards picks the worker count (which
-// must never change a result), Topo and Regions the internet and its
-// partition — how the determinism tests pin byte-identical results
-// across worker counts on scaled-down internets.
-func e15With(p Params) func(seed int64) Result {
-	spec := or(p.Topo, e15Spec())
-	regions, workers := cmp.Or(p.Regions, e15Regions), cmp.Or(p.Shards, 1)
-	return func(seed int64) Result { return runE15(seed, spec, regions, workers) }
-}
 
 // e15Attempt is one scheduled resolve-then-connect: client index,
 // service index, start time. The schedule is drawn once per seed and
@@ -296,7 +272,7 @@ func e15Connect(nw *core.Network, from string, addr ipv4.Addr, cb func(ok bool))
 			cb(ok)
 		}
 	}
-	payload := patternBytes(e15ReqBytes)
+	payload := workload.PatternBytes(e15ReqBytes)
 	got := 0
 	conn.OnEstablished(func() { conn.Write(payload) })
 	conn.OnData(func(b []byte) {
@@ -734,13 +710,14 @@ func e15Mode(res *Result, p *e15Plan, mode string, out *e15ModeOut) {
 // — resolving every attempt through the TTL cache (name mode) versus
 // pinning the first resolved address forever (the address-literal
 // baseline) — so the continuity gap is attributable to re-resolution
-// alone. Every metric is byte-identical at any worker count.
-func runE15(seed int64, spec topo.Spec, regions, workers int) Result {
-	p := planE15(spec, seed, regions, workers)
+// alone. p.Topo and p.Regions are the internet and its partition; as
+// with E16, every simulation result depends only on (spec, seed,
+// regions), and p.Shards, the worker count, on nothing — directory
+// traffic crosses the shard seam either way.
+func runE15(seed int64, sc Params) Result {
+	p := planE15(*sc.Topo, seed, sc.Regions, sc.Shards)
 
 	res := Result{
-		ID:    "E15",
-		Title: "Names layer: service continuity by name through directory crash and renumbering",
 		Table: stats.Table{Header: []string{"mode", "quantity", "value"}},
 		Notes: []string{
 			"name mode re-resolves through the TTL cache; pin mode keeps the first resolved address forever — the continuity gap is what re-resolution buys when hosts renumber.",

@@ -49,7 +49,7 @@ func TestE16DeterminismAcrossWorkers(t *testing.T) {
 					// tapping it makes the trace sensitive to every frame
 					// that transits it, including boundary-trunk frames.
 					gotTrace := captureTrace(func(s int64) Result {
-						res = runE16(s, sc.spec, e16TestRegions, workers)
+						res = runE16(s, Params{Topo: &sc.spec, Regions: e16TestRegions, Shards: workers})
 						return res
 					}, "g0", seed)
 					if gotTrace == "" {
@@ -117,7 +117,8 @@ func TestE16RouteTablesPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the 2000-gateway internet")
 	}
-	s := topo.GenerateSharded(E16Spec(), 1988, e16Regions, 1)
+	rec := row("E16").scenario
+	s := topo.GenerateSharded(*rec.Topo, 1988, rec.Regions, 1)
 	h := sha256.New()
 	routes := 0
 	for _, nw := range s.Regions {

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
 	"time"
@@ -18,22 +17,6 @@ func E16Spec() topo.Spec {
 	return topo.Spec{Shape: topo.TransitStub, Gateways: 250, StubsPer: 7, Hosts: 1}
 }
 
-// e16Regions is the fixed region count of the reference run. The
-// partition — and with it every simulation result — depends only on
-// (spec, seed, regions); the -shards flag picks the worker count,
-// which buys wall-clock and nothing else.
-const e16Regions = 8
-
-// e16With binds E16 to Params: Shards picks the worker count — the
-// region count stays at the reference value unless Regions moves it, so
-// every metric is byte-identical to the serial run — and Topo the
-// internet.
-func e16With(p Params) func(seed int64) Result {
-	spec := or(p.Topo, E16Spec())
-	regions, workers := cmp.Or(p.Regions, e16Regions), cmp.Or(p.Shards, 1)
-	return func(seed int64) Result { return runE16(seed, spec, regions, workers) }
-}
-
 // runE16 measures whether the architecture's invariants — and the
 // simulator's own determinism — survive sharding: the internet is cut
 // into region kernels advanced in lock-step epochs bounded by the
@@ -42,10 +25,12 @@ func e16With(p Params) func(seed int64) Result {
 // Wall-clock figures (build time, run time, per-shard busy time, the
 // modeled parallel speedup) are reported in the notes only — never as
 // metrics or table rows, which are compared byte for byte across runs
-// and shard counts — precisely so that holds.
-func runE16(seed int64, spec topo.Spec, regions, workers int) Result {
+// and shard counts — precisely so that holds. The partition, and with it
+// every result, depends only on (p.Topo, seed, p.Regions); p.Shards, the
+// worker count, buys wall-clock and nothing else.
+func runE16(seed int64, p Params) Result {
 	t0 := time.Now()
-	s := topo.GenerateSharded(spec, seed, regions, workers)
+	s := topo.GenerateSharded(*p.Topo, seed, p.Regions, p.Shards)
 	buildWall := time.Since(t0)
 	for _, nw := range s.Regions {
 		hookNet(nw)
@@ -143,13 +128,11 @@ func runE16(seed int64, spec topo.Spec, regions, workers int) Result {
 	}
 
 	res := Result{
-		ID:    "E16",
-		Title: "Sharded kernel: 2000 gateways under conservative link-delay synchronization",
 		Table: table,
 		Notes: []string{
 			"every metric above is byte-identical at any -shards value: the epoch schedule, per-kernel event order and barrier exchange order are fixed by the lookahead, never by the worker count.",
 			fmt.Sprintf("timing (machine-dependent, diagnostics only): build %.2fs, run %.2fs at %d worker(s); per-shard busy %v; total busy %.2fs / critical path %.2fs; modeled speedup (cores ≥ shards) %.2fx = TotalBusy/CriticalPath, the ceiling with one core per shard.",
-				buildWall.Seconds(), runWall.Seconds(), workers, loads,
+				buildWall.Seconds(), runWall.Seconds(), p.Shards, loads,
 				totalBusy.Seconds(), crit.Seconds(), modeled),
 		},
 	}

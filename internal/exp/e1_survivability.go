@@ -110,8 +110,6 @@ func RunE1(seed int64) Result {
 		"architecture", "fault", "survived", "delivered", "max stall", "completed",
 	}}
 	res := Result{
-		ID:    "E1",
-		Title: "Survivability under gateway failure (paper §3–4: fate-sharing)",
 		Notes: []string{
 			"datagram rows: TCP connection state lives only in h1/h2; RIP reroutes around the dead gateway and the same connection finishes.",
 			"virtual-circuit rows: per-circuit state in the crashed switch is unrecoverable; the circuit resets and its delivery stops.",

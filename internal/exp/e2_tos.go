@@ -123,8 +123,6 @@ func RunE2(seed int64) Result {
 		fmt.Sprintf("%.1f ms", fifo.voiceDelay), fmt.Sprintf("%.1f ms", prio.voiceDelay))
 
 	res := Result{
-		ID:    "E2",
-		Title: "Four types of service sharing one congested 512 kb/s trunk (paper §5)",
 		Table: table,
 		Notes: []string{
 			"every service uses the same IP datagrams; only the transport above and the ToS octet differ — the reason TCP split from IP.",

@@ -34,8 +34,6 @@ func RunE3(seed int64) Result {
 	}
 
 	res := Result{
-		ID:    "E3",
-		Title: "One TCP connection across four unlike network technologies (paper §6)",
 		Notes: []string{
 			"the sender offers MSS 1400; gateways fragment down to MTU 296 and 256 en route, and only the destination reassembles.",
 			"IP asks each net only to carry a datagram: no reliability, no ordering, no common frame size.",

@@ -130,8 +130,6 @@ func RunE4(seed int64) Result {
 	table.AddRow("link cut", "static oracle", yesNo(repaired), "never", "0", "0 B")
 
 	res := Result{
-		ID:    "E4",
-		Title: "Distributed routing among nine gateways (paper §7, goal 4)",
 		Table: table,
 		Notes: []string{
 			"distance-vector gossip costs periodic messages forever, but heals every failure without any central authority — the trade the architecture chose.",

@@ -23,8 +23,6 @@ func RunE5(seed int64) Result {
 		"workload", "parameter", "app bytes", "wire bytes", "overhead",
 	}}
 	res := Result{
-		ID:    "E5",
-		Title: "The cost of generality: headers and retransmission (paper §7, goal 5)",
 		Notes: []string{
 			"a 1-byte payload costs 29 wire bytes under UDP (the paper cites 40 for TCP/IP) — the price of universal datagrams.",
 			"under loss, retransmitted bytes cross the net twice and pure ACKs add more; efficiency falls as the paper concedes.",

@@ -89,8 +89,6 @@ func RunE6(seed int64) Result {
 	table.AddRow(withNaive.partner, stats.HumanRate(withNaive.victimRate), withNaive.partnerRetr, fmt.Sprint(withNaive.drops))
 
 	res := Result{
-		ID:    "E6",
-		Title: "A naive host's TCP poisons the shared path (paper §7, goal 6)",
 		Table: table,
 		Notes: []string{
 			"host attachment is cheap because reliability lives in the host — so nothing stops a bad host implementation from retransmitting into congestion and taking the victim's bandwidth with it.",
@@ -140,8 +138,6 @@ func RunE7(seed int64) Result {
 		"gateway accounting", "state entries", "packets seen", "attributed to a flow",
 	}}
 	res := Result{
-		ID:    "E7",
-		Title: "Accounting at a gateway: the datagram is the wrong unit (paper §7, goal 7)",
 		Notes: []string{
 			"counting packets is trivial; attributing them to accountable conversations requires per-flow gateway state proportional to the traffic mix — state the architecture was designed not to keep.",
 		},

@@ -12,6 +12,7 @@ import (
 	"darpanet/internal/tcp"
 	"darpanet/internal/udp"
 	"darpanet/internal/vc"
+	"darpanet/internal/workload"
 )
 
 // RunE8 measures the datagram's "entry level" service (paper §8): a host
@@ -24,8 +25,6 @@ func RunE8(seed int64) Result {
 		"hops", "UDP first byte", "TCP first byte (3WH)", "VC setup + first byte",
 	}}
 	res := Result{
-		ID:    "E8",
-		Title: "First-byte latency: no-setup datagrams vs circuit establishment (paper §8)",
 		Notes: []string{
 			"the raw datagram needs one one-way trip; TCP chooses to pay 1.5 RTT for its own reasons; the circuit must install state in every switch before any data moves — and the gap grows with path length.",
 		},
@@ -174,7 +173,7 @@ func RunE9(seed int64) Result {
 		for i := 0; i < 40; i++ {
 			i := i
 			nw.Kernel().After(time.Duration(i)*10*time.Millisecond, func() {
-				conn.Write(patternBytes(30))
+				conn.Write(workload.PatternBytes(30))
 			})
 		}
 		nw.RunFor(3 * time.Second)
@@ -197,8 +196,6 @@ func RunE9(seed int64) Result {
 	table.AddRow("original boundaries (packet-style)", fmt.Sprint(woSegs), fmt.Sprint(woRetr), fmt.Sprintf("%.2fs", woDone.Seconds()))
 
 	res := Result{
-		ID:    "E9",
-		Title: "Repacketization on retransmit: what byte sequence numbers buy (paper §9)",
 		Table: table,
 		Notes: []string{
 			"with byte sequence numbers the 40 stranded keystroke segments are retransmitted as ~2 MSS-size segments; a packet-sequenced protocol must resend all 40 tiny packets one timeout at a time.",
@@ -262,8 +259,6 @@ func RunE10(seed int64) Result {
 		"senders", "congestion control", "aggregate goodput", "retrans ratio", "bottleneck drops",
 	}}
 	res := Result{
-		ID:    "E10",
-		Title: "Congestion control ablation at a 512 kb/s bottleneck (paper §9 era)",
 		Notes: []string{
 			"without VJ control the senders drive the bottleneck queue to overflow and pay for it in retransmissions — the congestion collapse the 1986-88 Internet actually suffered.",
 		},

@@ -9,10 +9,14 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"darpanet/internal/metrics"
+	"darpanet/internal/phys"
 	"darpanet/internal/sim"
 	"darpanet/internal/stats"
+	"darpanet/internal/tcp"
+	"darpanet/internal/topo"
 )
 
 // Metric is one named scalar outcome of an experiment run. Alongside the
@@ -48,10 +52,6 @@ type Result struct {
 	Table   stats.Table
 	Notes   []string
 	Metrics []Metric
-	// Counters is the full per-layer registry snapshot of every kernel
-	// the driver ran, entries prefixed with the driver's scope name
-	// (see AddCounters). cmd/experiments -metrics renders it as a tree.
-	Counters metrics.Snapshot
 }
 
 // AddMetric appends one named scalar to the result. Drivers emit metrics
@@ -63,7 +63,7 @@ func (r *Result) AddMetric(name, unit string, value float64) {
 // AddLabelled appends one scalar of a labelled metric family — a cell
 // of a grid the driver swept (tournament cell, attack cell, resolution
 // mode). Name renders as "<family>/<labels...>/<leaf>". The "ctr/..."
-// mirrors below stay plain AddMetric names: there are hundreds per
+// counters below stay plain AddMetric names: there are hundreds per
 // result and no derived report groups them.
 func (r *Result) AddLabelled(family string, labels []string, leaf, unit string, value float64) {
 	r.Metrics = append(r.Metrics, Metric{
@@ -75,11 +75,11 @@ func (r *Result) AddLabelled(family string, labels []string, leaf, unit string, 
 }
 
 // AddCounters snapshots kernel k's metrics registry into the result:
-// every descriptor is appended to Counters (path prefixed with scope,
-// when non-empty, so one driver can export several networks) and
-// mirrored as a "ctr/<path>" metric. The mirror rides the ordinary
-// campaign aggregation, so every E1–E11 run and every harness campaign
-// exports the full per-layer counter set with no extra plumbing, and
+// every descriptor becomes a "ctr/<path>" metric, its path prefixed
+// with scope when non-empty, so one driver can export several networks.
+// The counters ride the ordinary campaign aggregation, so every E1–E11
+// run and every harness campaign exports the full per-layer counter set
+// with no extra plumbing, and
 // determinism across worker counts comes for free — the snapshot is
 // sorted and the registry is per-kernel.
 func (r *Result) AddCounters(scope string, k *sim.Kernel) {
@@ -87,16 +87,15 @@ func (r *Result) AddCounters(scope string, k *sim.Kernel) {
 		if scope != "" {
 			e.Path = scope + "/" + e.Path
 		}
-		r.Counters = append(r.Counters, e)
 		r.AddMetric("ctr/"+e.Path, "", float64(e.Value))
 	}
 }
 
 // AddCounterSums records layer-level counter totals — every registry
 // descriptor summed across nodes, and across all the given kernels —
-// as "ctr/<scope>/<layer>/<name>" metrics and counter entries. On
-// generated internets (internal/topo, hundreds of nodes) the per-node
-// mirror AddCounters emits would swamp a campaign export with tens of
+// as "ctr/<scope>/<layer>/<name>" metrics. On generated internets
+// (internal/topo, hundreds of nodes) the per-node counters AddCounters
+// emits would swamp a campaign export with tens of
 // thousands of metrics; the sums keep it compact while preserving the
 // per-layer story. Sharded drivers pass every region kernel so the
 // totals cover the whole internet regardless of how it was cut.
@@ -124,9 +123,21 @@ func (r *Result) AddCounterSums(scope string, ks ...*sim.Kernel) {
 		if scope != "" {
 			path = scope + "/" + p
 		}
-		r.Counters = append(r.Counters, metrics.Entry{Path: path, Value: sums[p]})
 		r.AddMetric("ctr/"+path, "", float64(sums[p]))
 	}
+}
+
+// Counters is the result's per-layer counter snapshot: its "ctr/"
+// metrics, in the order AddCounters and AddCounterSums recorded them.
+// cmd/experiments -metrics renders it as a tree.
+func (r *Result) Counters() metrics.Snapshot {
+	var s metrics.Snapshot
+	for _, m := range r.Metrics {
+		if path, ok := strings.CutPrefix(m.Name, "ctr/"); ok {
+			s = append(s, metrics.Entry{Path: path, Value: uint64(m.Value)})
+		}
+	}
+	return s
 }
 
 // Metric returns the named metric's value (0, false when absent).
@@ -159,46 +170,99 @@ func (r Result) String() string {
 	return b.String()
 }
 
-// Experiment pairs an ID with its driver.
+// Experiment is one row of All: the experiment's ID and title, the
+// scenario keys it takes, the scenario it records and its driver.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(seed int64) Result
 
 	// takes names the scenario keys the experiment consumes, plus
-	// "shards" for the two that run on Params.Shards workers, and with
-	// binds a driver to Params (see With), Run being with(Params{}); both
-	// are zero for the fixed labs E1–E10.
-	takes []string
-	with  func(Params) func(seed int64) Result
+	// "shards" for the two that run on Params.Shards workers. scenario
+	// is the recorded value of every Params field drive reads, so a
+	// driver is a function of (seed, scenario) alone; With fills each
+	// field the caller leaves zero from it. Both are zero for the fixed
+	// labs E1–E10, whose drivers read no Params.
+	takes    []string
+	scenario Params
+	drive    func(seed int64, p Params) Result
 }
 
-// All lists the experiments in paper order.
+// Run drives the experiment at seed under its scenario and stamps the
+// result with the row's ID and title.
+func (e Experiment) Run(seed int64) Result {
+	r := e.drive(seed, e.scenario)
+	r.ID, r.Title = e.ID, e.Title
+	return r
+}
+
+// lab adapts a fixed lab's driver, which reads no Params.
+func lab(run func(seed int64) Result) func(int64, Params) Result {
+	return func(seed int64, _ Params) Result { return run(seed) }
+}
+
+// ptr returns a pointer to a copy of v, for a recorded scenario's
+// optional fields.
+func ptr[T any](v T) *T { return &v }
+
+// All lists the experiments in paper order, each with the scenario its
+// EXPERIMENTS.md tables record.
 var All = []Experiment{
-	{ID: "E1", Title: "Survivability: fate-sharing datagrams vs virtual circuits under gateway failure", Run: RunE1},
-	{ID: "E2", Title: "Types of service: four transports on one datagram layer", Run: RunE2},
-	{ID: "E3", Title: "Varieties of networks: one TCP connection across four unlike subnets", Run: RunE3},
-	{ID: "E4", Title: "Distributed management: routing convergence without central control", Run: RunE4},
-	{ID: "E5", Title: "Cost of generality: header and retransmission overhead", Run: RunE5},
-	{ID: "E6", Title: "Host attachment: the damage a naive host's TCP does", Run: RunE6},
-	{ID: "E7", Title: "Accountability: the datagram is the wrong accounting unit", Run: RunE7},
-	{ID: "E8", Title: "Datagrams need no setup: first-byte latency vs circuit establishment", Run: RunE8},
-	{ID: "E9", Title: "Byte-stream sequence space: repacketization on retransmit", Run: RunE9},
-	{ID: "E10", Title: "Flow/congestion control: 1988 TCP with and without Van Jacobson", Run: RunE10},
-	{ID: "E11", Title: "Recovery under scripted failure: fault injection, reconvergence, blackout loss", Run: e11With(Params{}),
-		takes: []string{"faults"}, with: e11With},
-	{ID: "E12", Title: "Scale: convergence, forwarding cost and conservation on a generated internet", Run: e12With(Params{}),
-		takes: []string{"topo"}, with: e12With},
-	{ID: "E13", Title: "Congestion collapse: goodput vs offered load through the cliff", Run: e13With(Params{}),
-		takes: []string{"workload", "qdisc", "cc"}, with: e13With},
-	{ID: "E13-T", Title: "Policy tournament: gateway queue policy x host congestion response", Run: e13tWith(Params{}),
-		takes: []string{"topo", "qdisc", "cc"}, with: e13tWith},
-	{ID: "E14", Title: "Survivability frontier: cut-set-targeted vs random failure at matched budgets", Run: e14With(Params{}),
-		takes: []string{"topo", "workload", "fracs"}, with: e14With},
-	{ID: "E15", Title: "Names layer: service continuity by name through directory crash and renumbering", Run: e15With(Params{}),
-		takes: []string{"topo", "shards"}, with: e15With},
-	{ID: "E16", Title: "Sharded kernel: 2000 gateways under conservative link-delay synchronization", Run: e16With(Params{}),
-		takes: []string{"topo", "shards"}, with: e16With},
+	{ID: "E1", Title: "Survivability: fate-sharing datagrams vs virtual circuits under gateway failure", drive: lab(RunE1)},
+	{ID: "E2", Title: "Types of service: four transports on one datagram layer", drive: lab(RunE2)},
+	{ID: "E3", Title: "Varieties of networks: one TCP connection across four unlike subnets", drive: lab(RunE3)},
+	{ID: "E4", Title: "Distributed management: routing convergence without central control", drive: lab(RunE4)},
+	{ID: "E5", Title: "Cost of generality: header and retransmission overhead", drive: lab(RunE5)},
+	{ID: "E6", Title: "Host attachment: the damage a naive host's TCP does", drive: lab(RunE6)},
+	{ID: "E7", Title: "Accountability: the datagram is the wrong accounting unit", drive: lab(RunE7)},
+	{ID: "E8", Title: "Datagrams need no setup: first-byte latency vs circuit establishment", drive: lab(RunE8)},
+	{ID: "E9", Title: "Byte-stream sequence space: repacketization on retransmit", drive: lab(RunE9)},
+	{ID: "E10", Title: "Flow/congestion control: 1988 TCP with and without Van Jacobson", drive: lab(RunE10)},
+	{ID: "E11", Title: "Recovery under scripted failure: fault injection, reconvergence, blackout loss",
+		takes: []string{"faults"}, drive: runE11,
+		scenario: Params{Faults: preset("mixed")}},
+	{ID: "E12", Title: "Scale: convergence, forwarding cost and conservation on a generated internet",
+		takes: []string{"topo"}, drive: runE12,
+		scenario: Params{Topo: ptr(topo.DefaultSpec())}},
+	{ID: "E13", Title: "Congestion collapse: goodput vs offered load through the cliff",
+		takes: []string{"workload", "qdisc", "cc"}, drive: runE13,
+		// Loads are T1 multiples: 12 T1 stub trunks feed a 3-trunk
+		// transit ring, so the sweep pushes well past one trunk and its
+		// top points sit far beyond the knee. Flows are admitted for
+		// Window, then get Drain to finish before the books close.
+		scenario: Params{Workload: ptr(E13Workload()), Policies: []phys.PolicySpec{{Kind: phys.PolicyDropTail}},
+			Loads: []float64{0.5, 1, 2, 4, 8, 16, 32}, Window: 15 * time.Second, Drain: 10 * time.Second}},
+	{ID: "E13-T", Title: "Policy tournament: gateway queue policy x host congestion response",
+		takes: []string{"topo", "qdisc", "cc"}, drive: runE13T,
+		// The full 3×4 grid on E13's internet and window: the storm that
+		// makes the cliff takes ~10 simulated seconds to build. Four
+		// loads — below the knee, at drop-tail/naive's knee, and twice
+		// past it, where the cliff bites — keep the grid affordable.
+		scenario: Params{Topo: ptr(e13Topo()),
+			Policies: []phys.PolicySpec{{Kind: phys.PolicyDropTail}, {Kind: phys.PolicyRED}, {Kind: phys.PolicyECN}},
+			CCs:      []string{tcp.CCNaive, tcp.CCTahoe, tcp.CCReno, tcp.CCNewReno},
+			Loads:    []float64{1, 4, 16, 32}, Window: 15 * time.Second, Drain: 10 * time.Second}},
+	{ID: "E14", Title: "Survivability frontier: cut-set-targeted vs random failure at matched budgets",
+		takes: []string{"topo", "workload", "fracs"}, drive: runE14,
+		// A 4-transit ring with 4 stub gateways each — 20 gateways, 36
+		// nets, 16 hosts, T1 trunks: the ring is 2-connected, but every
+		// access trunk is a bridge and every transit gateway an
+		// articulation point, the asymmetry between targeted and random
+		// failure the experiment measures. Each frac spends that share
+		// of the trunks as cuts and of the gateways as crashes. Flows are
+		// admitted for Window; Drain is the post-failure reconvergence
+		// window before service is measured.
+		scenario: Params{Topo: &topo.Spec{Shape: topo.TransitStub, Gateways: 4, StubsPer: 4, Hosts: 1},
+			Workload: ptr(e14Workload()), Fracs: []float64{0.02, 0.05, 0.10, 0.20},
+			Window: 10 * time.Second, Drain: 14 * time.Second}},
+	{ID: "E15", Title: "Names layer: service continuity by name through directory crash and renumbering",
+		takes: []string{"topo", "shards"}, drive: runE15,
+		// Three directory replicas on stub gateways spread across a
+		// transit-stub graph, cut into two regions.
+		scenario: Params{Topo: &topo.Spec{Shape: topo.TransitStub, Gateways: 6, StubsPer: 3, Hosts: 2, Directories: 3},
+			Regions: 2, Shards: 1}},
+	{ID: "E16", Title: "Sharded kernel: 2000 gateways under conservative link-delay synchronization",
+		takes: []string{"topo", "shards"}, drive: runE16,
+		scenario: Params{Topo: ptr(E16Spec()), Regions: 8, Shards: 1}},
 }
 
 // ByID returns the experiment with the given ID.

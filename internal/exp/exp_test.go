@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"reflect"
@@ -27,7 +26,7 @@ func TestRegistryComplete(t *testing.T) {
 			t.Fatalf("duplicate id %s", e.ID)
 		}
 		seen[e.ID] = true
-		if e.Run == nil || e.Title == "" {
+		if e.drive == nil || e.Title == "" {
 			t.Fatalf("%s incomplete", e.ID)
 		}
 	}
@@ -37,6 +36,15 @@ func TestRegistryComplete(t *testing.T) {
 	if _, ok := ByID("E99"); ok {
 		t.Fatal("ByID invented an experiment")
 	}
+}
+
+// row returns the registered experiment id.
+func row(id string) Experiment {
+	e, ok := ByID(id)
+	if !ok {
+		panic("no experiment " + id)
+	}
+	return e
 }
 
 func TestStartBulkTCPCompletes(t *testing.T) {
@@ -189,36 +197,6 @@ func TestAddMetricAndBool01(t *testing.T) {
 	}
 }
 
-// TestPatternChunksReproducePattern checks the streamed form of the bulk
-// pattern against the materialised one across several period wraps, with
-// offers of every awkward size a send buffer can ask for.
-func TestPatternChunksReproducePattern(t *testing.T) {
-	const n = 3*patternPeriod + 12345
-	want := patternBytes(n)
-	sizes := []int{1, 535, 32768, 65535, patternPeriod - 1, patternPeriod, n}
-	var got []byte
-	for i := 0; len(got) < n; i++ {
-		space := sizes[i%len(sizes)]
-		chunk := patternChunk(len(got), n-len(got))
-		if want := min(n-len(got), patternPeriod); len(chunk) != want {
-			t.Fatalf("at %d: offered %d bytes, want %d", len(got), len(chunk), want)
-		}
-		got = append(got, chunk[:min(space, len(chunk))]...)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("streamed pattern differs from patternBytes")
-	}
-}
-
-func TestPatternBytesDeterministic(t *testing.T) {
-	a, b := patternBytes(1000), patternBytes(1000)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("pattern not deterministic")
-		}
-	}
-}
-
 func TestYesNoAndHelpers(t *testing.T) {
 	if yesNo(true) != "yes" || yesNo(false) != "no" {
 		t.Fatal("yesNo")
@@ -235,7 +213,7 @@ func TestYesNoAndHelpers(t *testing.T) {
 }
 
 func TestE11Shape(t *testing.T) {
-	r := e11With(Params{})(1988)
+	r := row("E11").Run(1988)
 	get := func(name string) float64 {
 		v, ok := r.Metric(name)
 		if !ok {
@@ -266,37 +244,43 @@ func TestE11Shape(t *testing.T) {
 }
 
 // TestWithBindsOnlyWhatAnExperimentTakes pins Experiment.With: keys an
-// experiment does not take leave it untouched, keys it takes suffix
-// Title in the scenario form — Shards leaves no trace in a report — and
-// values the text form refuses, or a negative count, are rejected.
+// experiment does not take leave its title untouched, keys it takes
+// suffix Title in the scenario form — Shards leaves no trace in a
+// report — every field left zero keeps the recorded value, and values
+// the text form refuses, or a negative count, are rejected.
 func TestWithBindsOnlyWhatAnExperimentTakes(t *testing.T) {
 	spec := topo.Spec{Shape: topo.Waxman, Gateways: 12, Alpha: 0.25, Beta: 0.4, Hosts: 1}
-	runPtr := func(e Experiment) uintptr { return reflect.ValueOf(e.Run).Pointer() }
 
-	e1, _ := ByID("E1")
+	e1 := row("E1")
 	got, err := e1.With(Params{Topo: &spec, Shards: 2, Fracs: []float64{0.1}})
-	if err != nil || got.Title != e1.Title || runPtr(got) != runPtr(e1) {
-		t.Fatalf("E1 takes no parameter but With changed it: %q, %v", got.Title, err)
+	if err != nil || got.Title != e1.Title {
+		t.Fatalf("E1 takes no parameter but With changed its title: %q, %v", got.Title, err)
 	}
 
-	e15, _ := ByID("E15")
+	e15 := row("E15")
 	got, err = e15.With(Params{Shards: 2})
-	if err != nil || got.Title != e15.Title {
-		t.Fatalf("E15 with Shards: title %q (want unchanged), err %v", got.Title, err)
+	if err != nil || got.Title != e15.Title || got.scenario.Shards != 2 || got.scenario.Regions != e15.scenario.Regions {
+		t.Fatalf("E15 with Shards: title %q (want unchanged), scenario %+v, err %v", got.Title, got.scenario, err)
 	}
 
-	e13t, _ := ByID("E13-T")
+	e13t := row("E13-T")
 	got, err = e13t.With(Params{Topo: &spec, Policies: []phys.PolicySpec{{Kind: phys.PolicyECN}}})
 	if want := e13t.Title + " [topo=" + spec.String() + ";qdisc=ecn]"; err != nil || got.Title != want {
 		t.Fatalf("E13-T title = %q, want %q (err %v)", got.Title, want, err)
 	}
-	e14, _ := ByID("E14")
+	if !reflect.DeepEqual(got.scenario.CCs, e13t.scenario.CCs) || got.scenario.Window != e13t.scenario.Window {
+		t.Fatalf("E13-T with topo and qdisc lost its recorded cc axis or window: %+v", got.scenario)
+	}
+	e14 := row("E14")
 	got, err = e14.With(Params{Topo: &spec, Fracs: []float64{0.1, 0.25, 0.07}, Policies: []phys.PolicySpec{{Kind: phys.PolicyECN}}})
 	if want := e14.Title + " [topo=" + spec.String() + ";fracs=10,25,7.000000000000001]"; err != nil || got.Title != want {
 		t.Fatalf("E14 title = %q, want %q (err %v)", got.Title, want, err)
 	}
+	if *got.scenario.Topo != spec || got.scenario.Workload != e14.scenario.Workload || got.scenario.Drain != e14.scenario.Drain {
+		t.Fatalf("E14 scenario %+v: want the given topo over the recorded workload and drain", got.scenario)
+	}
 
-	for _, bad := range []Params{{CCs: []string{"vegas"}}, {Fracs: []float64{1.5}}, {Topo: &topo.Spec{Shape: "blob"}}, {Shards: -1}} {
+	for _, bad := range []Params{{CCs: []string{"vegas"}}, {Fracs: []float64{1.5}}, {Fracs: []float64{0.1, 0.1}}, {Topo: &topo.Spec{Shape: "blob"}}, {Shards: -1}} {
 		if _, err := e14.With(bad); err == nil {
 			t.Fatalf("With(%+v) accepted", bad)
 		}
@@ -304,12 +288,29 @@ func TestWithBindsOnlyWhatAnExperimentTakes(t *testing.T) {
 
 	// A schedule in hand is not read again: With neither opens a file
 	// named like one nor refuses a schedule built in Go.
-	e11, _ := ByID("E11")
+	e11 := row("E11")
 	for _, name := range []string{"testdata/no-such-file.faults", "built-in-go"} {
 		got, err = e11.With(Params{Faults: &fault.Schedule{Name: name}})
 		if want := e11.Title + " [faults=" + name + "]"; err != nil || got.Title != want {
 			t.Fatalf("E11 with a Go-built schedule %q: title %q, want %q (err %v)", name, got.Title, want, err)
 		}
+	}
+}
+
+// TestRunStampsTheRowTitle: a run's result carries the row's ID and
+// title, With's tag included, so a report's heading and its export's
+// title are one string.
+func TestRunStampsTheRowTitle(t *testing.T) {
+	e8 := row("E8")
+	if r := e8.Run(1988); r.ID != "E8" || r.Title != e8.Title {
+		t.Fatalf("E8 result is %q — %q, want the row's %q", r.ID, r.Title, e8.Title)
+	}
+	e11, err := row("E11").With(Params{Faults: preset("crash")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := e11.Run(1988); r.Title != e11.Title || !strings.HasSuffix(r.Title, " [faults=crash]") {
+		t.Fatalf("E11 with the crash preset: result title %q, want %q", r.Title, e11.Title)
 	}
 }
 
@@ -330,6 +331,16 @@ func TestParseParamsRefuses(t *testing.T) {
 		"faults=mixed;faults=x":  "scenario: faults=x: key given twice",
 		"shards=2":               "scenario: shards=2: unknown key (keys: topo, workload, faults, qdisc, cc, fracs)",
 		"topo=ring:gw=4,fracs=5": "scenario: topo=ring:gw=4,fracs=5: topo: fracs=5: unknown key",
+		// A metric path names a cell by its policy kind, its congestion
+		// response or its percentage: two cells alike in it would merge.
+		"qdisc=red:min=5,max=15+red:min=50,max=150": "scenario: qdisc=red:min=5,max=15+red:min=50,max=150: red given twice",
+		"qdisc=droptail+":    "scenario: qdisc=droptail+: droptail given twice",
+		"cc=reno+tahoe+reno": "scenario: cc=reno+tahoe+reno: reno given twice",
+		"fracs=10,10":        "scenario: fracs=10,10: 10 given twice",
+		"fracs=5,10,10.0":    "scenario: fracs=5,10,10.0: 10 given twice",
+		// Found by FuzzScenarioRuns: the traffic engine needs two hosts.
+		"topo=tree:gw=1":                        "scenario: topo=tree:gw=1: 1 host(s): want at least two",
+		"topo=transitstub:gw=3,stubs=2,hosts=0": "scenario: topo=transitstub:gw=3,stubs=2,hosts=0: 0 host(s): want at least two",
 	} {
 		if _, err := ParseParams(text); err == nil || !strings.HasPrefix(err.Error(), want) {
 			t.Errorf("ParseParams(%q): error %v, want %q…", text, err, want)
@@ -346,9 +357,9 @@ func TestParseParamsRefuses(t *testing.T) {
 // response's window rules bolted on.
 func TestE13CCRunsTheTournamentCell(t *testing.T) {
 	p := Params{CCs: []string{tcp.CCReno}, Loads: []float64{16}, Window: 4 * time.Second, Drain: 2 * time.Second}
-	e13 := e13With(p)(1)
+	e13 := withRun(t, "E13", p)
 	p.Policies = []phys.PolicySpec{{Kind: phys.PolicyDropTail}}
-	e13t := e13tWith(p)(1)
+	e13t := withRun(t, "E13-T", p)
 	for _, m := range []struct{ e13, e13t string }{
 		{"peak_goodput", "t/transitstub/droptail/reno/peak_goodput"},
 		{"l0_done", "t/transitstub/droptail/reno/done"},
@@ -361,10 +372,21 @@ func TestE13CCRunsTheTournamentCell(t *testing.T) {
 	}
 }
 
+// withRun runs experiment id reshaped by p at seed 1.
+func withRun(t *testing.T, id string, p Params) Result {
+	t.Helper()
+	e, err := row(id).With(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.Run(1)
+}
+
 // TestTakesNamesRealParams guards the registry against a typo or a
 // forgotten key: every key an experiment claims to take is a scenario
 // key (or "shards"), every scenario key is taken by some experiment,
-// every experiment that takes one has a binder, and a Params with every
+// a row records no scenario key it does not take — so a key it does not
+// take reaches no driver that reads it — and a Params with every
 // scenario field set renders every key.
 func TestTakesNamesRealParams(t *testing.T) {
 	spec, ws := topo.DefaultSpec(), E13Workload()
@@ -375,8 +397,10 @@ func TestTakesNamesRealParams(t *testing.T) {
 	}
 	taken := map[string]bool{}
 	for _, e := range All {
-		if (len(e.takes) > 0) != (e.with != nil) {
-			t.Fatalf("%s: takes %v but binder set = %v", e.ID, e.takes, e.with != nil)
+		for _, k := range e.scenario.Fields().Shown() {
+			if !e.Takes(k) {
+				t.Fatalf("%s records %q but does not take it", e.ID, k)
+			}
 		}
 		for _, k := range e.takes {
 			if k != "shards" && !slices.Contains(keys, k) {

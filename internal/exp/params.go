@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"slices"
 	"strings"
 
@@ -16,28 +17,29 @@ import (
 	"darpanet/internal/workload"
 )
 
-// Params is the one way to reshape an experiment. The zero value is the
-// recorded defaults, and every field left zero keeps its default. The
-// six scenario fields have one text form, Fields' "key=val;key=val;…"
-// (ParseParams reads it, String writes it); the rest are set in Go. Each
-// row of All declares which keys it takes, and Experiment.With binds
-// them. A key no experiment in hand takes is ignored by With — callers
-// that must not ignore it (cmd/experiments) check Takes first.
+// Params is the one way to reshape an experiment. Each row of All
+// records the value of every field its driver reads, and every field
+// left zero keeps the recorded value. The six scenario fields have one
+// text form, Fields' "key=val;key=val;…" (ParseParams reads it, String
+// writes it); the rest are set in Go. Each row declares which keys it
+// takes (-h lists them), and Experiment.With binds them. A key no
+// experiment in hand takes is ignored by With — callers that must not
+// ignore it (cmd/experiments) check Takes first.
 type Params struct {
-	Topo     *topo.Spec        // generated internet: E12, E13-T, E14, E15, E16
-	Workload *workload.Spec    // traffic mix: E13, E14
-	Faults   *fault.Schedule   // E11 scenario replayed on every seed, or RandomFaults
-	Policies []phys.PolicySpec // gateway queue policy: E13 runs the first, E13-T crosses all with CCs
-	CCs      []string          // host congestion response: likewise
-	Fracs    []float64         // E14 loss sweep, fractions of infrastructure in (0,1]
-	Shards   int               // E15/E16 worker count: buys wall-clock, never changes a result or a title
+	Topo     *topo.Spec        // the generated internet
+	Workload *workload.Spec    // the traffic mix
+	Faults   *fault.Schedule   // a failure scenario replayed on every seed, or RandomFaults
+	Policies []phys.PolicySpec // gateway queue policies: a sweep runs the first, a tournament crosses all with CCs
+	CCs      []string          // host congestion responses: likewise
+	Fracs    []float64         // the loss sweep, fractions of infrastructure in (0,1]
+	Shards   int               // worker count: buys wall-clock, never changes a result or a title
 
 	// Scale-down knobs for the campaign-determinism tests; the CLI
 	// exposes none of them.
-	Loads   []float64    // E13, E13-T offered-load sweep in T1 multiples
-	Window  sim.Duration // E13, E13-T, E14 flow-admission window
-	Drain   sim.Duration // E13, E13-T drain after the window; E14 post-failure reconvergence window
-	Regions int          // E15, E16 region count
+	Loads   []float64    // offered-load sweep in T1 multiples
+	Window  sim.Duration // flow-admission window
+	Drain   sim.Duration // time after the window for flows to finish, or for routing to reconverge after a failure
+	Regions int          // region count of a sharded internet
 }
 
 // RandomFaults, as Params.Faults, makes every replica seed draw its own
@@ -47,18 +49,64 @@ var RandomFaults = &fault.Schedule{Name: "random"}
 
 // Fields is the scenario table, in rendering order: each key bound to
 // its field through that field's own grammar, rendered when set, and
-// documented for -h. Terms are joined by ";", since the values use ",".
+// documented for -h with the experiments whose rows take it. Terms are
+// joined by ";", since the values use ",". A list may not repeat the
+// label its elements' cells are named by in metric paths — a policy's
+// kind, a congestion response, a percentage — or two cells would merge
+// into one.
 func (p *Params) Fields() spec.Fields {
 	keys := func(fs spec.Fields) string { return "keys: " + strings.Join(fs.Keys(), ", ") }
 	return spec.Fields{
-		spec.Func("topo", &p.Topo, ref(topo.ParseSpec), (*topo.Spec).String).When(p.Topo != nil).Doc("shape:key=val,... — the generated internet of E12, E13-T, E14, E15, E16 (shapes: " + strings.Join(topo.ShapeNames(), ", ") + "; " + keys(new(topo.Spec).Fields()) + ")"),
-		spec.Func("workload", &p.Workload, ref(workload.ParseSpec), (*workload.Spec).String).When(p.Workload != nil).Doc("key=val,... — the traffic mix of E13, E14 (" + keys(new(workload.Spec).Fields()) + ")"),
-		spec.Func("faults", &p.Faults, parseFaults, func(s *fault.Schedule) string { return s.Name }).When(p.Faults != nil).Doc("name — the failure schedule of E11: a preset (" + strings.Join(fault.PresetNames(), ", ") + "), random (each replica seed draws its own), or a schedule file"),
-		spec.List("qdisc", &p.Policies, "+", phys.ParsePolicySpec, phys.PolicySpec.String).When(len(p.Policies) > 0).Doc("kind[:key=val,...]+... — gateway queue policies of E13, E13-T (" + strings.Join(phys.PolicyKinds(), "|") + "; " + keys(new(phys.PolicySpec).Fields()) + "): E13 runs the first, E13-T crosses them with cc"),
-		spec.List("cc", &p.CCs, "+", spec.OneOf(tcp.CCNames()...), func(s string) string { return s }).When(len(p.CCs) > 0).Doc("name+... — host congestion responses of E13, E13-T (" + strings.Join(tcp.CCNames(), "|") + "): E13 runs the first, E13-T crosses them with qdisc"),
-		spec.List("fracs", &p.Fracs, ",", parseFrac, func(f float64) string { return fmt.Sprint(f * 100) }).When(len(p.Fracs) > 0).Doc("pct,... — the loss sweep of E14 in percent of infrastructure lost, e.g. 2,5,10,20"),
+		spec.Func("topo", &p.Topo, ref(topo.ParseSpec), (*topo.Spec).String).When(p.Topo != nil).
+			Check(func() error { return twoHosts(p.Topo) }).
+			Doc("shape:key=val,... — the generated internet of " + TakenBy("topo") + " (shapes: " + strings.Join(topo.ShapeNames(), ", ") + "; " + keys(new(topo.Spec).Fields()) + ")"),
+		spec.Func("workload", &p.Workload, ref(workload.ParseSpec), (*workload.Spec).String).When(p.Workload != nil).Doc("key=val,... — the traffic mix of " + TakenBy("workload") + " (" + keys(new(workload.Spec).Fields()) + ")"),
+		spec.Func("faults", &p.Faults, parseFaults, func(s *fault.Schedule) string { return s.Name }).When(p.Faults != nil).Doc("name — the failure schedule of " + TakenBy("faults") + ": a preset (" + strings.Join(fault.PresetNames(), ", ") + "), random (each replica seed draws its own), or a schedule file"),
+		spec.List("qdisc", &p.Policies, "+", phys.ParsePolicySpec, phys.PolicySpec.String).When(len(p.Policies) > 0).
+			Check(func() error { return once(p.Policies, func(s phys.PolicySpec) string { return s.Kind }) }).
+			Doc("kind[:key=val,...]+... — gateway queue policies of " + TakenBy("qdisc") + " (" + strings.Join(phys.PolicyKinds(), "|") + "; " + keys(new(phys.PolicySpec).Fields()) + "), each kind once: a sweep runs the first, a tournament crosses them with cc"),
+		spec.List("cc", &p.CCs, "+", spec.OneOf(tcp.CCNames()...), func(s string) string { return s }).When(len(p.CCs) > 0).
+			Check(func() error { return once(p.CCs, func(s string) string { return s }) }).
+			Doc("name+... — host congestion responses of " + TakenBy("cc") + " (" + strings.Join(tcp.CCNames(), "|") + "), each once: a sweep runs the first, a tournament crosses them with qdisc"),
+		spec.List("fracs", &p.Fracs, ",", parseFrac, pct).When(len(p.Fracs) > 0).
+			Check(func() error { return once(p.Fracs, pct) }).
+			Doc("pct,... — the loss sweep of " + TakenBy("fracs") + " in percent of infrastructure lost, each once, e.g. 2,5,10,20"),
 	}
 }
+
+// twoHosts refuses an internet of fewer than two hosts: every
+// experiment that takes one carries traffic between its hosts.
+func twoHosts(t *topo.Spec) error {
+	if n := t.HostCount(); n < 2 {
+		return fmt.Errorf("%d host(s): want at least two to carry traffic", n)
+	}
+	return nil
+}
+
+// TakenBy lists the experiments whose rows take key, in paper order.
+func TakenBy(key string) string {
+	var ids []string
+	for _, e := range All {
+		if e.Takes(key) {
+			ids = append(ids, e.ID)
+		}
+	}
+	return strings.Join(ids, ", ")
+}
+
+// once refuses a list in which two elements share a label.
+func once[T any](vs []T, label func(T) string) error {
+	for i, v := range vs {
+		if l := label(v); slices.ContainsFunc(vs[:i], func(w T) bool { return label(w) == l }) {
+			return fmt.Errorf("%s given twice", l)
+		}
+	}
+	return nil
+}
+
+// pct renders a loss fraction as the percentage E14's metric paths name
+// its cells by.
+func pct(f float64) string { return fmt.Sprint(f * 100) }
 
 // ParseParams reads the scenario form "key=val;key=val;…" with the keys
 // of Params.Fields into Params, starting from the zero value.
@@ -110,13 +158,14 @@ func parseFrac(s string) (float64, error) {
 // Takes reports whether the experiment consumes the named scenario key.
 func (e Experiment) Takes(key string) bool { return slices.Contains(e.takes, key) }
 
-// With returns the experiment reshaped by p: Run rebound to p, and Title
-// suffixed with the scenario keys it takes that p sets, as "[key=val;…]".
-// Keys it does not take are ignored, so With(Params{}) gives the same
-// results and title, and With on E1–E10 returns the experiment
-// unchanged. A value built in Go is held to what the text form accepts
-// by parsing its text back — all but Faults, since a schedule in hand
-// was parsed already and its name need not be a file that can be read.
+// With returns the experiment reshaped by p: every field p sets
+// replaces the recorded value, and Title is suffixed with the scenario
+// keys it takes that p sets, as "[key=val;…]". A key it does not take
+// reaches no driver that reads it, so With(Params{}) gives the same
+// results and title, and With on E1–E10 changes nothing a run shows. A
+// value built in Go is held to what the text form accepts by parsing
+// its text back — all but Faults, since a schedule in hand was parsed
+// already and its name need not be a file that can be read.
 func (e Experiment) With(p Params) (Experiment, error) {
 	q := p
 	q.Faults = nil
@@ -129,24 +178,18 @@ func (e Experiment) With(p Params) (Experiment, error) {
 	if tag := p.Fields().Only(e.takes...).Join(";"); tag != "" {
 		e.Title += " [" + tag + "]"
 	}
-	if e.with != nil {
-		e.Run = e.with(p)
-	}
+	e.scenario = fill(p, e.scenario)
 	return e, nil
 }
 
-// or returns *v, or def when v is nil.
-func or[T any](v *T, def T) T {
-	if v == nil {
-		return def
+// fill returns p with every field it leaves zero — a nil pointer, an
+// empty list, a zero count or duration — taken from rec.
+func fill(p, rec Params) Params {
+	v, r := reflect.ValueOf(&p).Elem(), reflect.ValueOf(rec)
+	for i := range v.NumField() {
+		if f := v.Field(i); f.IsZero() || f.Kind() == reflect.Slice && f.Len() == 0 {
+			f.Set(r.Field(i))
+		}
 	}
-	return *v
-}
-
-// orSlice returns v, or def when v is empty.
-func orSlice[T any](v, def []T) []T {
-	if len(v) == 0 {
-		return def
-	}
-	return v
+	return p
 }

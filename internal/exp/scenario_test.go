@@ -8,6 +8,7 @@ import (
 	"darpanet/internal/fault"
 	"darpanet/internal/metrics"
 	"darpanet/internal/tcp"
+	"darpanet/internal/topo"
 )
 
 // FuzzScenario: any string is either refused or parses to a Params
@@ -73,6 +74,62 @@ func FuzzScheduleRuns(f *testing.F) {
 		nw.RunFor(40 * time.Second)
 		if _, delta := frameLedger(metrics.For(nw.Kernel()).Snapshot()); delta != 0 {
 			t.Fatalf("schedule\n%s\nleaves frame ledger Δ = %d", sched, delta)
+		}
+	})
+}
+
+// FuzzScenarioRuns takes scenario text through ParseParams and With into
+// E14's driver, which reads the topo, workload and fracs chains, with a
+// 2 s admission window and reconvergence window. An input that would
+// build more than 64 nodes, or admit more than about 2 000 flows, is
+// skipped; every other input is refused or runs to the end with no panic
+// and a frame ledger that closes (ledger_delta 0) in every cell.
+func FuzzScenarioRuns(f *testing.F) {
+	for _, s := range []string{
+		// The README's scenario examples.
+		"topo=transitstub:gw=3,stubs=4,hosts=1,mix=0;qdisc=droptail+ecn;cc=naive+newreno",
+		"topo=waxman:gw=24,hosts=2;fracs=5,15,30;faults=random",
+		"topo=transitstub:gw=3,stubs=2,hosts=1,mix=0;fracs=10,20",
+		"topo=waxman:gw=12,alpha=0.25,beta=0.4,hosts=1,mix=0",
+		"topo=tree:gw=31,degree=2", "topo=line:gw=16", "topo=ring:gw=64",
+		"workload=bulk=.7,inter=.1,rr=.15,voice=.05,rate=10,alpha=1.3,min=4000,max=1e6",
+		"workload=naive=1,alpha=1.1,min=30000,max=2000000", "workload=vj=1,max=60000",
+		"qdisc=droptail+red+ecn;cc=naive+tahoe+reno+newreno", "fracs=5,15,30",
+		// Found by the fuzzer: a steep size tail overflowed the analytic
+		// mean, so E14 calibrated its arrival rate to zero and the
+		// engine refused it.
+		"workload=naive=1,alpha=90",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		// A faults value is a path the parser reads; keep the fuzzer off
+		// device and process files, which may block or never end.
+		if strings.Contains(text, "/dev") || strings.Contains(text, "/proc") || strings.Contains(text, "/sys") {
+			t.Skip()
+		}
+		p, err := ParseParams(text)
+		if err != nil {
+			return
+		}
+		p.Window, p.Drain = 2*time.Second, 2*time.Second
+		e, err := row("E14").With(p)
+		if err != nil {
+			return
+		}
+		sc := e.scenario
+		if sp := *sc.Topo; sp.Gateways > 64 || sp.StubsPer > 64 || sp.Hosts > 64 || len(topo.ManifestOnly(sp, 1).NodeDefs) > 64 {
+			t.Skip("more than 64 nodes")
+		}
+		perSec := e14Load * e13RefBps / sc.Workload.WithRate(1).OfferedBps()
+		// Written to skip a NaN estimate too.
+		if flows := perSec * sc.Window.Seconds() * float64(1+2*len(sc.Fracs)); !(flows <= 2000) {
+			t.Skip("more than 2000 flows")
+		}
+		for _, m := range e.Run(1).Metrics {
+			if m.Path.Leaf == "ledger_delta" && m.Value != 0 {
+				t.Fatalf("scenario %q: %s = %g", text, m.Name, m.Value)
+			}
 		}
 	})
 }

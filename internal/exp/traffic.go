@@ -8,6 +8,7 @@ import (
 	"darpanet/internal/sim"
 	"darpanet/internal/tcp"
 	"darpanet/internal/udp"
+	"darpanet/internal/workload"
 )
 
 // Transfer tracks one bulk TCP transfer driven by StartBulkTCP.
@@ -71,7 +72,7 @@ func StartBulkTCP(nw *core.Network, from, to string, port uint16, nbytes int, op
 	sent := 0
 	write := func() {
 		for sent < nbytes {
-			n, err := conn.Write(patternChunk(sent, nbytes-sent))
+			n, err := conn.Write(workload.PatternChunk(sent, nbytes-sent))
 			if err != nil || n == 0 {
 				return
 			}
@@ -91,32 +92,6 @@ func (tr *Transfer) ElapsedToDone() sim.Duration {
 		return 0
 	}
 	return tr.DoneAt.Sub(tr.started)
-}
-
-// patternBytes produces position-dependent test data.
-func patternBytes(n int) []byte {
-	p := make([]byte, n)
-	for i := range p {
-		p[i] = byte(i*7 + i>>9)
-	}
-	return p
-}
-
-// The pattern's byte at i depends only on i mod 2^17, so a bulk sender
-// streams from one read-only table shared by every transfer in the
-// process instead of materialising its whole transfer. The table holds
-// two periods so that a chunk of up to one period is contiguous wherever
-// it starts: a Write is then offered exactly what a fully materialised
-// pattern would have offered it, for any send buffer up to 128 KiB.
-const patternPeriod = 1 << 17
-
-var patternTable = patternBytes(2 * patternPeriod)
-
-// patternChunk returns the pattern from offset off on: up to n bytes, and
-// no more than one period.
-func patternChunk(off, n int) []byte {
-	at := off % patternPeriod
-	return patternTable[at : at+min(n, patternPeriod)]
 }
 
 // startUDPEcho runs a UDP request/response responder on node name at

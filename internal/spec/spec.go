@@ -115,11 +115,22 @@ func (f Field) When(cond bool) Field {
 // Where makes Parse refuse a value unless ok — asked once the value is
 // in the member — holds; want says what is accepted, for the error.
 func (f Field) Where(want string, ok func() bool) Field {
+	return f.Check(func() error {
+		if !ok() {
+			return errors.New("want " + want)
+		}
+		return nil
+	})
+}
+
+// Check makes Parse refuse a value with the error check returns, asked
+// once the value is in the member.
+func (f Field) Check(check func() error) Field {
 	set := f.set
 	f.set = func(val string) error {
 		err := set(val)
-		if err == nil && !ok() {
-			err = errors.New("want " + want)
+		if err == nil {
+			err = check()
 		}
 		return err
 	}

@@ -55,9 +55,6 @@ func (n *Node) EnableAccounting(limit int) *FlowAccounting {
 	return n.acct
 }
 
-// Accounting returns the node's accounting table, or nil.
-func (n *Node) Accounting() *FlowAccounting { return n.acct }
-
 // record charges one datagram. Safe on a nil receiver.
 func (a *FlowAccounting) record(h ipv4.Header, wireBytes int) {
 	if a == nil {

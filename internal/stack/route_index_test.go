@@ -589,7 +589,11 @@ func TestRouteTableFootprint(t *testing.T) {
 	}
 	x := tbl.idx
 	held := cap(tbl.recs)*int(recSize) + 4*cap(x.slots) + 4*cap(x.next) + cap(x.bits) + int(unsafe.Sizeof(*x))
-	if perRoute := float64(held) / float64(len(routes)); perRoute > 28 || allocs > 5 {
+	// AllocsPerRun counts every malloc in the process, not the table's
+	// own, and under -race -shuffle=on it reads mallocs no table made
+	// (6 against 5): the count is held in other builds only. The bytes
+	// per route hold in every build.
+	if perRoute := float64(held) / float64(len(routes)); perRoute > 28 || allocs > 5 && !raceBuild {
 		t.Fatalf("%d routes hold %.2f B/route, built in %.0f allocations; want <= 28 B in <= 5", len(routes), perRoute, allocs)
 	}
 	if tbl.idx.next != nil {

@@ -113,7 +113,10 @@ func FuzzTopoSpec(f *testing.F) {
 		if gateways*(1+spec.Hosts) > 2000 || spec.Shape == Waxman && spec.Gateways > 100 {
 			return // too big to build ten thousand times; Waxman edges grow as gw²
 		}
-		nw, _ := Generate(spec, seed)
+		nw, m := Generate(spec, seed)
+		if m.Hosts != spec.HostCount() {
+			t.Fatalf("%s: generated %d hosts, HostCount says %d", spec, m.Hosts, spec.HostCount())
+		}
 		held := make(map[ipv4.Addr]string)
 		for _, name := range nw.Nodes() {
 			for _, ifc := range nw.Node(name).Interfaces() {

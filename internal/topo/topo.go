@@ -96,6 +96,17 @@ func (s *Spec) Fields() spec.Fields {
 // String renders the spec in the form ParseSpec accepts.
 func (s Spec) String() string { return string(s.Shape) + ":" + s.Fields().String() }
 
+// HostCount is how many hosts the spec generates: Hosts on each stub
+// LAN, of which there is one per stub gateway (TransitStub) or per
+// gateway (every other shape).
+func (s Spec) HostCount() int {
+	stubs := s.Gateways
+	if s.Shape == TransitStub {
+		stubs *= s.StubsPer
+	}
+	return stubs * s.Hosts
+}
+
 // shapes is every shape, as the spec its omitted keys default to.
 var shapes = []Spec{
 	{Shape: Line, Gateways: 16, Hosts: 1, Mix: true},

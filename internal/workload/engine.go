@@ -151,7 +151,6 @@ type Engine struct {
 	responders map[string]*udp.Socket
 	nextPort   map[string]uint16
 
-	pattern []byte // shared bulk payload chunk
 	keyBuf  []byte // shared keystroke byte
 	reqBuf  []byte // shared rr request
 	respBuf []byte // shared rr response
@@ -186,14 +185,10 @@ func New(nw *core.Network, hosts []string, spec Spec, seed int64) *Engine {
 		muxes:      make(map[string]*nvp.Mux),
 		responders: make(map[string]*udp.Socket),
 		nextPort:   make(map[string]uint16),
-		pattern:    make([]byte, 16384),
 		keyBuf:     []byte{'.'},
 		reqBuf:     make([]byte, rrReqBytes),
 		respBuf:    make([]byte, rrRespBytes),
 		on:         true,
-	}
-	for i := range e.pattern {
-		e.pattern[i] = byte(i*7 + i>>9)
 	}
 	e.arriveFn = e.arrive
 	e.binFn = e.binTick
@@ -416,7 +411,7 @@ func (e *Engine) trackTCP(f *Flow, c *tcp.Conn) {
 }
 
 // startBulk opens a one-way transfer src → dst of a Pareto-sampled
-// size. The writer streams a shared pattern chunk; the receiving side
+// size. The writer streams the shared pattern table; the receiving side
 // counts delivery and completion.
 func (e *Engine) startBulk(f *Flow) {
 	f.Size = int(e.sizes.Sample(e.rng))
@@ -450,11 +445,7 @@ func (e *Engine) startBulk(f *Flow) {
 	remaining := f.Size
 	write := func() {
 		for remaining > 0 {
-			chunk := e.pattern
-			if remaining < len(chunk) {
-				chunk = chunk[:remaining]
-			}
-			n, err := conn.Write(chunk)
+			n, err := conn.Write(PatternChunk(f.Size-remaining, remaining))
 			if err != nil || n == 0 {
 				return
 			}

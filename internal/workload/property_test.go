@@ -31,7 +31,8 @@ func TestBoundedParetoMatchesAnalyticMean(t *testing.T) {
 	for _, p := range []workload.BoundedPareto{
 		{Alpha: 1.3, Min: 4_000, Max: 1_000_000},
 		{Alpha: 2.0, Min: 1_000, Max: 100_000},
-		{Alpha: 1.0, Min: 500, Max: 50_000}, // the log-form special case
+		{Alpha: 1.0, Min: 500, Max: 50_000},     // the log-form special case
+		{Alpha: 90, Min: 4_000, Max: 1_000_000}, // Min^Alpha overflows a float64
 	} {
 		want := p.Mean()
 		for _, seed := range []int64{11, 22, 33} {

@@ -47,8 +47,17 @@ func (p BoundedPareto) Mean() float64 {
 		return math.Log(h/l) * l * h / (h - l)
 	}
 	la := math.Pow(l, a)
-	return la / (1 - math.Pow(l/h, a)) * a / (a - 1) *
+	m := la / (1 - math.Pow(l/h, a)) * a / (a - 1) *
 		(math.Pow(l, 1-a) - math.Pow(h, 1-a))
+	if math.IsInf(la, 0) {
+		// l^a overflows for a steep tail (alpha=90 on 4 kB flows). The
+		// same mean with l^a divided through stays in range; the form
+		// above is kept where it is finite, since every recorded
+		// offered-load calibration was computed with it.
+		r := l / h
+		m = a / (a - 1) * l * (1 - math.Pow(r, a-1)) / (1 - math.Pow(r, a))
+	}
+	return m
 }
 
 // Exponential draws exponentially distributed durations with the given

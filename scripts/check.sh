@@ -146,7 +146,7 @@ run_leg() {
         # to the same steps; a cmd/experiments scenario is refused or its
         # String is a fixed point of parse and render.
         go test -run '^$' -fuzz FuzzScheduleParse -fuzztime 10s ./internal/fault/
-        go test -run '^$' -fuzz FuzzScenario -fuzztime 10s ./internal/exp/
+        go test -run '^$' -fuzz '^FuzzScenario$' -fuzztime 10s ./internal/exp/
         # The differential fuzzers: the checksum against its 16-bit
         # reference loop, route-table operation sequences against the
         # linear scan, and the oracle's same-next-hop blocks against a
@@ -156,10 +156,14 @@ run_leg() {
         go test -run '^$' -fuzz FuzzChecksumMatchesReference -fuzztime 10s -fuzzminimizetime 0 ./internal/packet/
         go test -run '^$' -fuzz FuzzRouteTableOps -fuzztime 10s -fuzzminimizetime 0 ./internal/stack/
         go test -run '^$' -fuzz FuzzRouteCover -fuzztime 10s -fuzzminimizetime 0 ./internal/core/
-        # The stateful fuzzer: a schedule that parses and arms runs on
+        # The stateful fuzzers: a schedule that parses and arms runs on
         # E11's internet under a bulk transfer to the end, with no panic
         # and a frame ledger that closes.
         go test -run '^$' -fuzz FuzzScheduleRuns -fuzztime 10s -fuzzminimizetime 0 ./internal/exp/
+        # And a scenario that parses runs E14 — its topo, workload and
+        # fracs chains — to the end on a small internet, every cell's
+        # ledger closed.
+        go test -run '^$' -fuzz FuzzScenarioRuns -fuzztime 10s -fuzzminimizetime 0 ./internal/exp/
         ;;
     smoke-E5)
         # Metrics determinism: the campaign JSON (which embeds the full

@@ -57,6 +57,7 @@ import (
 	"darpanet/internal/stats"
 	"darpanet/internal/tcp"
 	"darpanet/internal/trace"
+	"darpanet/internal/workload"
 )
 
 type lab struct {
@@ -68,7 +69,7 @@ type lab struct {
 
 type namedTransfer struct {
 	name string
-	*exp.Transfer
+	*workload.Flow
 }
 
 func main() {
@@ -240,9 +241,9 @@ func (l *lab) exec(line string) (err error) {
 			s.NoRoute, s.TTLDrops, s.FragCreated)
 	case "transfers":
 		for _, tr := range l.transfers {
-			pct := 100 * float64(tr.Received) / float64(tr.Target)
+			pct := 100 * float64(tr.BytesRx) / float64(tr.Size)
 			fmt.Fprintf(l.out, "%s: %s / %s (%.1f%%)\n", tr.name,
-				stats.HumanBytes(uint64(tr.Received)), stats.HumanBytes(uint64(tr.Target)), pct)
+				stats.HumanBytes(uint64(tr.BytesRx)), stats.HumanBytes(uint64(tr.Size)), pct)
 		}
 	case "experiment":
 		l.need(args, 1, "experiment <id>")
@@ -296,7 +297,7 @@ func (l *lab) cmdNet(args []string) {
 }
 
 func (l *lab) startTransfer(from, to string, nbytes int, port uint16) {
-	tr := exp.StartBulkTCP(l.nw, from, to, port, nbytes, tcp.Options{SendBufferSize: 65535})
+	tr := workload.StartBulk(l.nw, from, to, port, nbytes, tcp.Options{SendBufferSize: 65535})
 	if tr.Err != nil {
 		l.fail("transfer: %v", tr.Err)
 	}

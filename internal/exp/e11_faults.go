@@ -9,6 +9,7 @@ import (
 	"darpanet/internal/fault"
 	"darpanet/internal/stats"
 	"darpanet/internal/tcp"
+	"darpanet/internal/workload"
 )
 
 // recoveryNet is the E11 topology: the E1 dual-path backbone with gwC
@@ -67,7 +68,7 @@ func runE11(seed int64, p Params) Result {
 	if err := in.Arm(); err != nil {
 		panic(err)
 	}
-	tr := StartBulkTCP(nw, "h1", "h2", 5011, nbytes, tcp.Options{SendBufferSize: 65535})
+	tr := workload.StartBulk(nw, "h1", "h2", 5011, nbytes, tcp.Options{SendBufferSize: 65535})
 	nw.RunFor(4 * time.Minute)
 
 	table := stats.Table{Header: []string{"t", "fault", "target", "reconverged", "after", "lost frames"}}
@@ -99,9 +100,9 @@ func runE11(seed int64, p Params) Result {
 		res.AddMetric(m.Name, m.Unit, m.Value)
 	}
 	res.AddMetric("tcp_survived", "", bool01(tr.Err == nil && tr.Done))
-	res.AddMetric("tcp_delivered", "B", float64(tr.Received))
+	res.AddMetric("tcp_delivered", "B", float64(tr.BytesRx))
 	res.AddMetric("tcp_max_stall", "s", tr.MaxStall.Seconds())
-	res.AddMetric("tcp_done_at", "s", tr.ElapsedToDone().Seconds())
+	res.AddMetric("tcp_done_at", "s", tr.FCT().Seconds())
 	res.AddCounters("", nw.Kernel())
 	res.Table = table
 	return res

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -96,11 +97,12 @@ type e15Plan struct {
 
 func planE15(spec topo.Spec, seed int64, regions, workers int) *e15Plan {
 	m := topo.ManifestOnly(spec, seed)
+	hostLAN, dirLAN, eligible, err := e15Cast(m)
+	if err != nil {
+		panic(err) // With refuses such a topo
+	}
 	part := topo.PartitionManifest(spec, m, regions, seed)
 	m.Partition = part
-	if len(m.Directories) < 2 {
-		panic(fmt.Sprintf("exp: E15 needs >= 2 directory replicas, spec %q placed %d", spec, len(m.Directories)))
-	}
 	p := &e15Plan{
 		spec: spec, seed: seed, regions: regions, workers: workers,
 		m: m, dirs: m.Directories, crash: m.Directories[0],
@@ -120,41 +122,9 @@ func planE15(spec topo.Spec, seed int64, regions, workers int) *e15Plan {
 	}
 	p.dirRegions = len(span)
 
-	// Stub LANs owned by directory gateways: their hosts sit behind the
-	// crash target, so they stay out of the client/service cast — the
-	// experiment measures name-layer failover, not raw reachability loss.
-	hostLAN := make(map[string]string, m.Hosts)
-	lanSet := make(map[string]bool)
-	for _, nd := range m.NodeDefs {
-		if !nd.Forwarding {
-			hostLAN[nd.Name] = nd.Nets[0]
-			lanSet[nd.Nets[0]] = true
-		}
-	}
-	dirSet := make(map[string]bool, len(p.dirs))
-	for _, d := range p.dirs {
-		dirSet[d] = true
-	}
-	dirLAN := make(map[string]bool)
-	for _, nd := range m.NodeDefs {
-		if nd.Forwarding && dirSet[nd.Name] {
-			for _, n := range nd.Nets {
-				if lanSet[n] {
-					dirLAN[n] = true
-				}
-			}
-		}
-	}
-	var eligible []string // non-directory stub LANs, in manifest order
-	lanIdx := make(map[string]int)
-	for _, nf := range m.NetDefs {
-		if lanSet[nf.Name] && !dirLAN[nf.Name] {
-			lanIdx[nf.Name] = len(eligible)
-			eligible = append(eligible, nf.Name)
-		}
-	}
-	if len(eligible) == 0 {
-		panic(fmt.Sprintf("exp: E15 spec %q leaves no non-directory stub LAN", spec))
+	lanIdx := make(map[string]int, len(eligible))
+	for i, l := range eligible {
+		lanIdx[l] = i
 	}
 
 	// Cast: with >= 2 hosts per LAN, the first host on each eligible LAN
@@ -223,6 +193,54 @@ func planE15(spec topo.Spec, seed int64, regions, workers int) *e15Plan {
 		}
 	}
 	return p
+}
+
+// e15Cast sorts m's stub LANs: hostLAN maps each host to its LAN, and
+// dirLAN marks the LANs a directory gateway owns. Their hosts sit
+// behind the crash target, so they stay out of the client/service cast
+// — the experiment measures name-layer failover, not raw reachability
+// loss. eligible lists the other stub LANs, in manifest order. err
+// refuses an internet with no cast: fewer than two directory replicas,
+// one to crash and one to fail over to, or no eligible LAN.
+func e15Cast(m *topo.Manifest) (hostLAN map[string]string, dirLAN map[string]bool, eligible []string, err error) {
+	if len(m.Directories) < 2 {
+		return nil, nil, nil, fmt.Errorf("topo=%s places %d directory replica(s): want dirs >= 2, one to crash and one to fail over to", m.Spec, len(m.Directories))
+	}
+	hostLAN = make(map[string]string, m.Hosts)
+	lanSet := make(map[string]bool)
+	for _, nd := range m.NodeDefs {
+		if !nd.Forwarding {
+			hostLAN[nd.Name] = nd.Nets[0]
+			lanSet[nd.Nets[0]] = true
+		}
+	}
+	dirLAN = make(map[string]bool)
+	for _, nd := range m.NodeDefs {
+		if nd.Forwarding && slices.Contains(m.Directories, nd.Name) {
+			for _, n := range nd.Nets {
+				if lanSet[n] {
+					dirLAN[n] = true
+				}
+			}
+		}
+	}
+	for _, nf := range m.NetDefs {
+		if lanSet[nf.Name] && !dirLAN[nf.Name] {
+			eligible = append(eligible, nf.Name)
+		}
+	}
+	if len(eligible) == 0 {
+		err = fmt.Errorf("topo=%s: its %d dirs own every stub LAN, leaving no host to cast: want fewer dirs or more stub gateways", m.Spec, len(m.Directories))
+	}
+	return hostLAN, dirLAN, eligible, err
+}
+
+// e15Castable refuses, before any replica builds it, an internet E15
+// cannot cast. Which gateways host a replica, and which LANs they own,
+// does not depend on the seed.
+func e15Castable(p Params) error {
+	_, _, _, err := e15Cast(topo.ManifestOnly(*p.Topo, 0))
+	return err
 }
 
 // e15Att is one attempt's outcome, written only by its client's region

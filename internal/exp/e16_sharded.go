@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"darpanet/internal/stats"
@@ -96,14 +97,14 @@ func runE16(seed int64, p Params) Result {
 	// pairs spanning regions, every frame crossing a boundary trunk at
 	// an epoch barrier.
 	tm := startTrafficMatrix(s.Regions[0], rng, hosts, 16)
-	trafficCross := 0
-	for _, p := range tm.pairs {
-		if s.Net(p[0]) != s.Net(p[1]) {
+	flows, trafficCross := slices.Concat(tm.queries, tm.xfers), 0
+	for _, f := range flows {
+		if s.Net(f.Src) != s.Net(f.Dst) {
 			trafficCross++
 		}
 	}
 	table.AddRow("traffic", "flows (cross-region)",
-		fmt.Sprintf("%d (%d)", len(tm.pairs), trafficCross))
+		fmt.Sprintf("%d (%d)", len(flows), trafficCross))
 	t1 := time.Now()
 	s.RunFor(12 * time.Second)
 	runWall := time.Since(t1)

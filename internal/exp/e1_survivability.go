@@ -11,6 +11,7 @@ import (
 	"darpanet/internal/stats"
 	"darpanet/internal/tcp"
 	"darpanet/internal/vc"
+	"darpanet/internal/workload"
 )
 
 // netHook, when non-nil, observes every core.Network a lab-topology
@@ -126,20 +127,20 @@ func RunE1(seed int64) Result {
 		nw.AttachNodeToNet("gwC", "lanB")
 		nw.EnableRIP(fastRIP())
 		nw.RunFor(15 * time.Second) // converge
-		tr := StartBulkTCP(nw, "h1", "h2", 5001, nbytes, tcp.Options{SendBufferSize: 65535})
+		tr := workload.StartBulk(nw, "h1", "h2", 5001, nbytes, tcp.Options{SendBufferSize: 65535})
 		f.inject(nw, nw.Kernel())
 		nw.RunFor(3 * time.Minute)
 		table.AddRow(
 			"datagram+RIP", f.name,
 			yesNo(tr.Err == nil && tr.Done),
-			stats.HumanBytes(uint64(tr.Received)),
+			stats.HumanBytes(uint64(tr.BytesRx)),
 			fmt.Sprintf("%.1fs", tr.MaxStall.Seconds()),
 			doneString(tr),
 		)
 		res.AddMetric("dg_"+f.key+"_survived", "", bool01(tr.Err == nil && tr.Done))
-		res.AddMetric("dg_"+f.key+"_delivered", "B", float64(tr.Received))
+		res.AddMetric("dg_"+f.key+"_delivered", "B", float64(tr.BytesRx))
 		res.AddMetric("dg_"+f.key+"_max_stall", "s", tr.MaxStall.Seconds())
-		res.AddMetric("dg_"+f.key+"_done_at", "s", tr.ElapsedToDone().Seconds())
+		res.AddMetric("dg_"+f.key+"_done_at", "s", tr.FCT().Seconds())
 		res.AddCounters("dg_"+f.key, nw.Kernel())
 
 		// --- virtual-circuit architecture ------------------------------
@@ -209,9 +210,9 @@ func yesNo(b bool) string {
 	return "no"
 }
 
-func doneString(tr *Transfer) string {
+func doneString(tr *workload.Flow) string {
 	if !tr.Done {
 		return "no"
 	}
-	return fmt.Sprintf("yes @%.1fs", tr.ElapsedToDone().Seconds())
+	return fmt.Sprintf("yes @%.1fs", tr.FCT().Seconds())
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"darpanet/internal/sim"
 	"darpanet/internal/stats"
 	"darpanet/internal/tcp"
+	"darpanet/internal/workload"
 	"darpanet/internal/xnet"
 )
 
@@ -51,13 +53,13 @@ func RunE2(seed int64) Result {
 
 		// Service 1: TCP bulk at routine precedence, enough to
 		// saturate the 512 kb/s trunk for the whole run.
-		tr := StartBulkTCP(nw, "alice", "bob", 6001, 2_000_000,
+		tr := workload.StartBulk(nw, "alice", "bob", 6001, 2_000_000,
 			tcp.Options{TOS: ipv4.TOSHighThroughput, SendBufferSize: 65535})
 
 		// Service 2: UDP query/response at low-delay ToS... precedence
 		// is what the priority qdisc uses, so stamp a mid precedence.
 		// (The udp socket TOS knob.)
-		qd := runUDPQueries(nw, "alice", "bob", 6002, 200, 100*time.Millisecond, 64, 0x40|ipv4.TOSLowDelay)
+		qd := workload.StartQueries(nw, "alice", "bob", 6002, 200, 100*time.Millisecond, 64, 0x40|ipv4.TOSLowDelay)
 
 		// Service 3: XNET debugging of bob from alice.
 		xc := xnet.NewClient(nw.Node("alice"))
@@ -87,15 +89,15 @@ func RunE2(seed int64) Result {
 		nw.RunFor(60 * time.Second)
 
 		var udpRTT stats.Sample
-		for _, r := range qd.rtts {
+		for _, r := range qd.RTTs {
 			udpRTT.AddDuration(r)
 		}
 		vs := recv.Stats()
 		return e2Result{
 			k:          nw.Kernel(),
-			tcpGoodput: stats.Throughput(uint64(tr.Received), tr.ElapsedToDoneOr(60*time.Second)),
+			tcpGoodput: stats.Throughput(uint64(tr.BytesRx), cmp.Or(tr.FCT(), 60*time.Second)),
 			udpRTTms:   udpRTT.Percentile(50),
-			udpLossPct: 100 * float64(qd.sent-qd.got) / float64(max(qd.sent, 1)),
+			udpLossPct: 100 * float64(qd.Sent-len(qd.RTTs)) / float64(max(qd.Sent, 1)),
 			xnetOps:    xnetOK,
 			xnetResent: xc.Resent,
 			voiceMiss:  100 * float64(vs.Late+vs.Lost) / float64(max(snd.Sent, 1)),
@@ -143,13 +145,4 @@ func RunE2(seed int64) Result {
 		res.AddCounters(v.key, v.r.k)
 	}
 	return res
-}
-
-// ElapsedToDoneOr returns the completion time, or the fallback when the
-// transfer did not finish.
-func (tr *Transfer) ElapsedToDoneOr(fallback time.Duration) time.Duration {
-	if tr.Done {
-		return tr.ElapsedToDone()
-	}
-	return fallback
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"darpanet/internal/phys"
 	"darpanet/internal/stats"
 	"darpanet/internal/tcp"
+	"darpanet/internal/workload"
 )
 
 // RunE3 exercises the paper's third goal: the architecture "must
@@ -47,12 +49,12 @@ func RunE3(seed int64) Result {
 		nw.AddNet("net", "10.1.0.0/24", l.kind, l.cfg)
 		nw.AddHost("a", "net")
 		nw.AddHost("b", "net")
-		tr := StartBulkTCP(nw, "a", "b", 7001, single, tcp.Options{})
+		tr := workload.StartBulk(nw, "a", "b", 7001, single, tcp.Options{})
 		nw.RunFor(5 * time.Minute)
-		goodput := stats.Throughput(uint64(tr.Received), tr.ElapsedToDoneOr(5*time.Minute))
+		goodput := stats.Throughput(uint64(tr.BytesRx), cmp.Or(tr.FCT(), 5*time.Minute))
 		table.AddRow(
 			l.name, fmt.Sprint(l.cfg.MTU), fmt.Sprintf("%.0f%%", l.cfg.Loss*100),
-			stats.HumanBytes(uint64(tr.Received)), stats.HumanRate(goodput),
+			stats.HumanBytes(uint64(tr.BytesRx)), stats.HumanRate(goodput),
 			"0", yesNo(tr.Done),
 		)
 		res.AddMetric("single_"+l.key+"_goodput", "b/s", goodput)
@@ -74,13 +76,13 @@ func RunE3(seed int64) Result {
 	nw.InstallStaticRoutes()
 
 	const gauntlet = 50_000
-	tr := StartBulkTCP(nw, "src", "dst", 7002, gauntlet, tcp.Options{MSS: 1400})
+	tr := workload.StartBulk(nw, "src", "dst", 7002, gauntlet, tcp.Options{MSS: 1400})
 	nw.RunFor(10 * time.Minute)
 	frags := nw.Node("g1").Stats().FragCreated + nw.Node("g2").Stats().FragCreated + nw.Node("g3").Stats().FragCreated
-	goodput := stats.Throughput(uint64(tr.Received), tr.ElapsedToDoneOr(10*time.Minute))
+	goodput := stats.Throughput(uint64(tr.BytesRx), cmp.Or(tr.FCT(), 10*time.Minute))
 	table.AddRow(
 		"LAN>serial>radio>tiny (4 nets, 3 gw)", "256", "5% on radio",
-		stats.HumanBytes(uint64(tr.Received)), stats.HumanRate(goodput),
+		stats.HumanBytes(uint64(tr.BytesRx)), stats.HumanRate(goodput),
 		fmt.Sprint(frags), yesNo(tr.Done),
 	)
 	res.AddMetric("gauntlet_goodput", "b/s", goodput)

@@ -10,6 +10,7 @@ import (
 	"darpanet/internal/stats"
 	"darpanet/internal/tcp"
 	"darpanet/internal/udp"
+	"darpanet/internal/workload"
 )
 
 // RunE5 quantifies the paper's admitted weakness: the cost of the
@@ -80,10 +81,10 @@ func RunE5(seed int64) Result {
 		acct := nw.Node("gw").EnableAccounting(0)
 
 		const nbytes = 300_000
-		tr := StartBulkTCP(nw, "src", "dst", 5005, nbytes, tcp.Options{})
+		tr := workload.StartBulk(nw, "src", "dst", 5005, nbytes, tcp.Options{})
 		nw.RunFor(10 * time.Minute)
 		wire := acct.TotalBytes // both directions: data + acks
-		app := uint64(tr.Received)
+		app := uint64(tr.BytesRx)
 		table.AddRow(
 			"TCP bulk", fmt.Sprintf("%.0f%% loss", loss*100),
 			stats.HumanBytes(app), stats.HumanBytes(wire),

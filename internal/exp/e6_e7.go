@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"darpanet/internal/sim"
 	"darpanet/internal/stats"
 	"darpanet/internal/tcp"
+	"darpanet/internal/workload"
 )
 
 // RunE6 measures the paper's sixth goal from its dark side: attaching a
@@ -56,15 +58,15 @@ func RunE6(seed int64) Result {
 	}
 	run := func(partnerOpts tcp.Options, label string) row {
 		nw := build()
-		vic := StartBulkTCP(nw, "victim", "sink", 5001, nbytes, good)
-		par := StartBulkTCP(nw, "other", "sink", 5002, nbytes, partnerOpts)
+		vic := workload.StartBulk(nw, "victim", "sink", 5001, nbytes, good)
+		par := workload.StartBulk(nw, "other", "sink", 5002, nbytes, partnerOpts)
 		nw.RunFor(window)
 		link := nw.Medium("trunk").(*phys.P2P)
 		st := par.Conn.Stats()
 		retr := stats.Pct(st.BytesRetrans, st.BytesSent+st.BytesRetrans)
 		return row{
 			partner:     label,
-			victimRate:  stats.Throughput(uint64(vic.Received), vic.ElapsedToDoneOr(window)),
+			victimRate:  stats.Throughput(uint64(vic.BytesRx), cmp.Or(vic.FCT(), window)),
 			partnerRetr: retr,
 			drops:       link.Drops,
 			k:           nw.Kernel(),
@@ -73,9 +75,9 @@ func RunE6(seed int64) Result {
 
 	alone, aloneK := func() (float64, *sim.Kernel) {
 		nw := build()
-		vic := StartBulkTCP(nw, "victim", "sink", 5001, nbytes, good)
+		vic := workload.StartBulk(nw, "victim", "sink", 5001, nbytes, good)
 		nw.RunFor(window)
-		return stats.Throughput(uint64(vic.Received), vic.ElapsedToDoneOr(window)), nw.Kernel()
+		return stats.Throughput(uint64(vic.BytesRx), cmp.Or(vic.FCT(), window)), nw.Kernel()
 	}()
 
 	withGood := run(good, "well-behaved")
@@ -125,8 +127,8 @@ func RunE7(seed int64) Result {
 		// 12 sources × 3 protocols = 36 flows.
 		for i := 0; i < 12; i++ {
 			src := fmt.Sprintf("src%d", i)
-			StartBulkTCP(nw, src, "sink", uint16(6000+i), 20_000, tcp.Options{})
-			runUDPQueries(nw, src, "sink", uint16(7000+i), 20, 50*time.Millisecond, 64, 0)
+			workload.StartBulk(nw, src, "sink", uint16(6000+i), 20_000, tcp.Options{})
+			workload.StartQueries(nw, src, "sink", uint16(7000+i), 20, 50*time.Millisecond, 64, 0)
 			nw.Node(src).Ping(nw.Addr("sink"), 10, 100*time.Millisecond, func(uint16, time.Duration) {})
 		}
 		return nw, func() (uint64, uint64, int) {

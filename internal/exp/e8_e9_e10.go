@@ -237,14 +237,14 @@ func RunE10(seed int64) Result {
 		// reads as link utilization.
 		const each = 8_000_000
 		const window = 2 * time.Minute
-		var transfers []*Transfer
+		var transfers []*workload.Flow
 		for i := 0; i < senders; i++ {
-			transfers = append(transfers, StartBulkTCP(nw, fmt.Sprintf("s%d", i), "sink", uint16(5100+i), each, opts))
+			transfers = append(transfers, workload.StartBulk(nw, fmt.Sprintf("s%d", i), "sink", uint16(5100+i), each, opts))
 		}
 		nw.RunFor(window)
 		var recv, sent, retr uint64
 		for _, tr := range transfers {
-			recv += uint64(tr.Received)
+			recv += uint64(tr.BytesRx)
 			if tr.Conn != nil {
 				st := tr.Conn.Stats()
 				sent += st.BytesSent

@@ -185,6 +185,9 @@ type Experiment struct {
 	takes    []string
 	scenario Params
 	drive    func(seed int64, p Params) Result
+	// check, if set, refuses a scenario the driver cannot run, so With
+	// fails before any replica does.
+	check func(Params) error
 }
 
 // Run drives the experiment at seed under its scenario and stamps the
@@ -255,7 +258,7 @@ var All = []Experiment{
 			Workload: ptr(e14Workload()), Fracs: []float64{0.02, 0.05, 0.10, 0.20},
 			Window: 10 * time.Second, Drain: 14 * time.Second}},
 	{ID: "E15", Title: "Names layer: service continuity by name through directory crash and renumbering",
-		takes: []string{"topo", "shards"}, drive: runE15,
+		takes: []string{"topo", "shards"}, drive: runE15, check: e15Castable,
 		// Three directory replicas on stub gateways spread across a
 		// transit-stub graph, cut into two regions.
 		scenario: Params{Topo: &topo.Spec{Shape: topo.TransitStub, Gateways: 6, StubsPer: 3, Hosts: 2, Directories: 3},

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"errors"
 	"math"
 	"reflect"
 	"slices"
@@ -9,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"darpanet/internal/core"
 	"darpanet/internal/fault"
 	"darpanet/internal/phys"
 	"darpanet/internal/tcp"
@@ -45,61 +43,6 @@ func row(id string) Experiment {
 		panic("no experiment " + id)
 	}
 	return e
-}
-
-func TestStartBulkTCPCompletes(t *testing.T) {
-	nw := core.New(3)
-	nw.AddNet("n", "10.0.0.0/24", core.LAN, phys.Config{BitsPerSec: 10_000_000, Delay: time.Millisecond, MTU: 1500})
-	nw.AddHost("a", "n")
-	nw.AddHost("b", "n")
-	tr := StartBulkTCP(nw, "a", "b", 80, 100_000, tcp.Options{})
-	nw.RunFor(30 * time.Second)
-	if !tr.Done || tr.Received != 100_000 {
-		t.Fatalf("done=%v received=%d", tr.Done, tr.Received)
-	}
-	if tr.ElapsedToDone() <= 0 {
-		t.Fatal("no elapsed time")
-	}
-	if tr.Err != nil {
-		t.Fatalf("err = %v", tr.Err)
-	}
-}
-
-// TestStartBulkTCPRefusesATakenPort: a second transfer to a port already
-// listening used to dial anyway and land in the first transfer's count
-// (200% of its target) while its own stayed at zero.
-func TestStartBulkTCPRefusesATakenPort(t *testing.T) {
-	nw := core.New(3)
-	nw.AddNet("n", "10.0.0.0/24", core.LAN, phys.Config{BitsPerSec: 10_000_000, Delay: time.Millisecond, MTU: 1500})
-	nw.AddHost("a", "n")
-	nw.AddHost("b", "n")
-	first := StartBulkTCP(nw, "a", "b", 80, 100_000, tcp.Options{})
-	second := StartBulkTCP(nw, "a", "b", 80, 100_000, tcp.Options{})
-	if !errors.Is(second.Err, tcp.ErrPortInUse) || second.Conn != nil {
-		t.Fatalf("second transfer: err = %v, dialed = %v; want tcp.ErrPortInUse and no dial", second.Err, second.Conn != nil)
-	}
-	nw.RunFor(30 * time.Second)
-	if first.Err != nil || first.Received != 100_000 || second.Received != 0 {
-		t.Fatalf("first: err=%v received=%d, second received=%d; want the first transfer's own 100000 bytes only",
-			first.Err, first.Received, second.Received)
-	}
-}
-
-func TestRunUDPQueries(t *testing.T) {
-	nw := core.New(3)
-	nw.AddNet("n", "10.0.0.0/24", core.LAN, phys.Config{BitsPerSec: 10_000_000, Delay: time.Millisecond, MTU: 1500})
-	nw.AddHost("a", "n")
-	nw.AddHost("b", "n")
-	qd := runUDPQueries(nw, "a", "b", 9999, 20, 10*time.Millisecond, 64, 0)
-	nw.RunFor(5 * time.Second)
-	if qd.sent != 20 || qd.got != 20 {
-		t.Fatalf("sent=%d got=%d", qd.sent, qd.got)
-	}
-	for _, rtt := range qd.rtts {
-		if rtt <= 0 || rtt > 100*time.Millisecond {
-			t.Fatalf("implausible rtt %v", rtt)
-		}
-	}
 }
 
 // The experiment smoke tests assert the *shape* of each result — who
@@ -317,6 +260,37 @@ func TestRunStampsTheRowTitle(t *testing.T) {
 // TestParseParamsRefuses: every refusal names the scenario and the term
 // whole — a key given twice, a key no table has, and a value its own
 // grammar refuses — and a blank scenario is the zero Params.
+// TestE15RefusesATopoItCannotCast: a topo that places fewer than two
+// directory replicas, or whose replicas own every stub LAN, used to pass
+// With and fail every replica with a panic in E15's driver.
+func TestE15RefusesATopoItCannotCast(t *testing.T) {
+	e15 := row("E15")
+	for text, want := range map[string]string{
+		"topo=transitstub:gw=6,stubs=3,hosts=2,dirs=1": "E15: topo=transitstub:gw=6,stubs=3,hosts=2,mix=1,dirs=1 places 1 directory replica(s): want dirs >= 2",
+		"topo=transitstub:gw=6,stubs=3,hosts=2":        "E15: topo=transitstub:gw=6,stubs=3,hosts=2,mix=1 places 0 directory replica(s): want dirs >= 2",
+		"topo=waxman:gw=12,hosts=1,dirs=1":             "E15: topo=waxman:gw=12,alpha=0.25,beta=0.4,hosts=1,mix=1,dirs=1 places 1 directory replica(s): want dirs >= 2",
+		"topo=transitstub:gw=1,stubs=2,hosts=2,dirs=2": "E15: topo=transitstub:gw=1,stubs=2,hosts=2,mix=1,dirs=2: its 2 dirs own every stub LAN",
+		"topo=ring:gw=3,hosts=1,dirs=3":                "E15: topo=ring:gw=3,hosts=1,mix=1,dirs=3: its 3 dirs own every stub LAN",
+	} {
+		p, err := ParseParams(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e15.With(p); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("E15.With(%q): error %v, want %q…", text, err, want)
+		}
+	}
+	for _, text := range []string{"", "topo=ring:gw=3,hosts=1,dirs=2", "topo=transitstub:gw=3,stubs=2,hosts=2,mix=0,dirs=2"} {
+		p, err := ParseParams(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e15.With(p); err != nil {
+			t.Errorf("E15.With(%q): %v", text, err)
+		}
+	}
+}
+
 func TestParseParamsRefuses(t *testing.T) {
 	for text, want := range map[string]string{
 		"cc=vegas":               "scenario: cc=vegas: want one of naive, newreno, reno, tahoe",

@@ -175,10 +175,16 @@ func (e Experiment) With(p Params) (Experiment, error) {
 	if p.Shards < 0 || p.Regions < 0 {
 		return e, fmt.Errorf("shards %d, regions %d: want non-negative counts", p.Shards, p.Regions)
 	}
+	sc := fill(p, e.scenario)
+	if e.check != nil {
+		if err := e.check(sc); err != nil {
+			return e, fmt.Errorf("%s: %w", e.ID, err)
+		}
+	}
 	if tag := p.Fields().Only(e.takes...).Join(";"); tag != "" {
 		e.Title += " [" + tag + "]"
 	}
-	e.scenario = fill(p, e.scenario)
+	e.scenario = sc
 	return e, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"darpanet/internal/sim"
 	"darpanet/internal/stats"
 	"darpanet/internal/tcp"
+	"darpanet/internal/workload"
 )
 
 // The phases the scale experiments share. E12 (one kernel, routed by
@@ -24,11 +25,7 @@ const matrixXferBytes = 100_000
 // trafficMatrix is a background load of host-to-host flows drawn across
 // the whole internet: UDP request/response plus bulk TCP.
 type trafficMatrix struct {
-	// pairs lists every flow's (from, to) in draw order: the UDP flows,
-	// then the transfers.
-	pairs   [][2]string
-	queries []*queryDriver
-	xfers   []*Transfer
+	queries, xfers []*workload.Flow
 }
 
 // startTrafficMatrix draws and starts the matrix: up to nFlows UDP
@@ -38,23 +35,14 @@ type trafficMatrix struct {
 // tables depend on that order.
 func startTrafficMatrix(nw *core.Network, rng *rand.Rand, hosts []string, nFlows int) *trafficMatrix {
 	tm := &trafficMatrix{}
-	pickPair := func() (string, string) {
-		a := rng.Intn(len(hosts))
-		b := rng.Intn(len(hosts) - 1)
-		if b >= a {
-			b++
-		}
-		tm.pairs = append(tm.pairs, [2]string{hosts[a], hosts[b]})
-		return hosts[a], hosts[b]
-	}
 	nFlows = min(nFlows, len(hosts)/2)
 	for f := 0; f < nFlows; f++ {
-		from, to := pickPair()
-		tm.queries = append(tm.queries, runUDPQueries(nw, from, to, uint16(7000+f), 20, 250*time.Millisecond, 256, 0))
+		from, to := workload.PickPair(rng, hosts)
+		tm.queries = append(tm.queries, workload.StartQueries(nw, from, to, uint16(7000+f), 20, 250*time.Millisecond, 256, 0))
 	}
 	for x := 0; x < min(4, nFlows); x++ {
-		from, to := pickPair()
-		tm.xfers = append(tm.xfers, StartBulkTCP(nw, from, to, uint16(9000+x), matrixXferBytes, tcp.Options{SendBufferSize: 65535}))
+		from, to := workload.PickPair(rng, hosts)
+		tm.xfers = append(tm.xfers, workload.StartBulk(nw, from, to, uint16(9000+x), matrixXferBytes, tcp.Options{SendBufferSize: 65535}))
 	}
 	return tm
 }
@@ -70,19 +58,19 @@ func (tm *trafficMatrix) report(nw *core.Network, res *Result, ledgerLabel strin
 	sent, got := 0, 0
 	rtts := &stats.Sample{} // ms
 	for _, q := range tm.queries {
-		sent += q.sent
-		got += q.got
-		for _, r := range q.rtts {
+		sent += q.Sent
+		got += len(q.RTTs)
+		for _, r := range q.RTTs {
 			rtts.Add(r.Seconds() * 1000)
 		}
 	}
 	xferDone, xferBytesRx := 0, 0
 	var slowest sim.Duration
 	for _, tr := range tm.xfers {
-		xferBytesRx += tr.Received
+		xferBytesRx += tr.BytesRx
 		if tr.Done {
 			xferDone++
-			if e := tr.ElapsedToDone(); e > slowest {
+			if e := tr.FCT(); e > slowest {
 				slowest = e
 			}
 		}

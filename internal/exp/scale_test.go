@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"darpanet/internal/core"
 	"darpanet/internal/metrics"
 	"darpanet/internal/topo"
+	"darpanet/internal/workload"
 )
 
 // everyBuild is every way an internet is assembled from spec: one serial
@@ -81,14 +83,14 @@ func TestTrafficMatrixOnEveryBuild(t *testing.T) {
 					}
 				}
 				for i, tr := range tm.xfers {
-					if tr.Err != nil || tr.Received != tr.Target {
-						t.Errorf("transfer %d (%v): received %d of %d, err %v", i, tm.pairs[len(tm.queries)+i], tr.Received, tr.Target, tr.Err)
+					if tr.Err != nil || tr.BytesRx != tr.Size || tr.Mismatched != 0 {
+						t.Errorf("transfer %d (%s→%s): received %d of %d (%d mismatched), err %v", i, tr.Src, tr.Dst, tr.BytesRx, tr.Size, tr.Mismatched, tr.Err)
 					}
 				}
 				if len(nw.Kernels()) > 1 {
 					cross := 0
-					for _, p := range tm.pairs {
-						if nw.Net(p[0]) != nw.Net(p[1]) {
+					for _, f := range slices.Concat(tm.queries, tm.xfers) {
+						if nw.Net(f.Src) != nw.Net(f.Dst) {
 							cross++
 						}
 					}
@@ -172,7 +174,7 @@ func TestSerialAndShardedRunsAgree(t *testing.T) {
 		for f := 0; f < 16; f++ {
 			from := rng.Intn(len(hosts))
 			to := (from + 1 + rng.Intn(len(hosts)-1)) % len(hosts)
-			runUDPQueries(nw, hosts[from], hosts[to], uint16(7000+f), 20, 250*time.Millisecond, 256, 0)
+			workload.StartQueries(nw, hosts[from], hosts[to], uint16(7000+f), 20, 250*time.Millisecond, 256, 0)
 			nw.RunFor(8237 * time.Microsecond)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"darpanet/internal/metrics"
 	"darpanet/internal/tcp"
 	"darpanet/internal/topo"
+	"darpanet/internal/workload"
 )
 
 // FuzzScenario: any string is either refused or parses to a Params
@@ -70,7 +71,7 @@ func FuzzScheduleRuns(f *testing.F) {
 		if err := fault.New(nw, sched).Arm(); err != nil {
 			return
 		}
-		StartBulkTCP(nw, "h1", "h2", 5011, 300_000, tcp.Options{SendBufferSize: 65535})
+		workload.StartBulk(nw, "h1", "h2", 5011, 300_000, tcp.Options{SendBufferSize: 65535})
 		nw.RunFor(40 * time.Second)
 		if _, delta := frameLedger(metrics.For(nw.Kernel()).Snapshot()); delta != 0 {
 			t.Fatalf("schedule\n%s\nleaves frame ledger Δ = %d", sched, delta)
@@ -83,7 +84,9 @@ func FuzzScheduleRuns(f *testing.F) {
 // 2 s admission window and reconvergence window. An input that would
 // build more than 64 nodes, or admit more than about 2 000 flows, is
 // skipped; every other input is refused or runs to the end with no panic
-// and a frame ledger that closes (ledger_delta 0) in every cell.
+// and a frame ledger that closes (ledger_delta 0) in every cell. A topo
+// of at most 64 nodes also goes through With into E15's driver, which
+// refuses it or runs it to the end with no panic.
 func FuzzScenarioRuns(f *testing.F) {
 	for _, s := range []string{
 		// The README's scenario examples.
@@ -99,6 +102,9 @@ func FuzzScenarioRuns(f *testing.F) {
 		// mean, so E14 calibrated its arrival rate to zero and the
 		// engine refused it.
 		"workload=naive=1,alpha=90",
+		// One directory replica, which E15's driver used to panic on.
+		"topo=transitstub:gw=6,stubs=3,hosts=2,dirs=1",
+		"topo=transitstub:gw=3,stubs=2,hosts=2,mix=0,dirs=2",
 	} {
 		f.Add(s)
 	}
@@ -112,13 +118,21 @@ func FuzzScenarioRuns(f *testing.F) {
 		if err != nil {
 			return
 		}
+		small := func(sp topo.Spec) bool {
+			return sp.Gateways <= 64 && sp.StubsPer <= 64 && sp.Hosts <= 64 && len(topo.ManifestOnly(sp, 1).NodeDefs) <= 64
+		}
+		if p.Topo != nil && small(*p.Topo) {
+			if e, err := row("E15").With(p); err == nil {
+				e.Run(1)
+			}
+		}
 		p.Window, p.Drain = 2*time.Second, 2*time.Second
 		e, err := row("E14").With(p)
 		if err != nil {
 			return
 		}
 		sc := e.scenario
-		if sp := *sc.Topo; sp.Gateways > 64 || sp.StubsPer > 64 || sp.Hosts > 64 || len(topo.ManifestOnly(sp, 1).NodeDefs) > 64 {
+		if !small(*sc.Topo) {
 			t.Skip("more than 64 nodes")
 		}
 		perSec := e14Load * e13RefBps / sc.Workload.WithRate(1).OfferedBps()

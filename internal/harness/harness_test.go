@@ -12,6 +12,7 @@ import (
 	"darpanet/internal/exp"
 	"darpanet/internal/phys"
 	"darpanet/internal/tcp"
+	"darpanet/internal/workload"
 )
 
 // fakeExperiment derives metrics purely from the seed, like the real
@@ -37,12 +38,12 @@ func simExperiment(seed int64) exp.Result {
 	nw.AddGateway("gw", "a", "b")
 	nw.AddHost("dst", "b")
 	nw.InstallStaticRoutes()
-	tr := exp.StartBulkTCP(nw, "src", "dst", 80, 50_000, tcp.Options{})
+	tr := workload.StartBulk(nw, "src", "dst", 80, 50_000, tcp.Options{})
 	nw.RunFor(30 * time.Second)
 	r := exp.Result{ID: "SIM", Title: "tiny transfer"}
-	r.AddMetric("received", "B", float64(tr.Received))
+	r.AddMetric("received", "B", float64(tr.BytesRx))
 	r.AddMetric("done", "", float64(map[bool]int{true: 1}[tr.Done]))
-	r.AddMetric("done_at", "s", tr.ElapsedToDone().Seconds())
+	r.AddMetric("done_at", "s", tr.FCT().Seconds())
 	return r
 }
 

@@ -7,13 +7,11 @@ import (
 	"time"
 
 	"darpanet/internal/core"
-	"darpanet/internal/ipv4"
 	"darpanet/internal/metrics"
 	"darpanet/internal/nvp"
 	"darpanet/internal/sim"
 	"darpanet/internal/stats"
 	"darpanet/internal/tcp"
-	"darpanet/internal/udp"
 )
 
 // Profile is one of the engine's application behaviors.
@@ -32,61 +30,6 @@ var profileNames = [...]string{"bulk", "interactive", "rr", "voice"}
 
 // String names the profile.
 func (p Profile) String() string { return profileNames[p] }
-
-// Flow is one generated session and its measured outcome. Fields are
-// updated live as the flow progresses; read them after the kernel run.
-type Flow struct {
-	ID      int
-	Profile Profile
-	Src     string
-	Dst     string
-	// Size is the offered application byte count: the transfer size
-	// (bulk), keystrokes+echoes (interactive), expected response bytes
-	// (rr), or the voice stream's payload budget.
-	Size  int
-	Start sim.Time
-	// Established reports the transport-level session came up (TCP
-	// handshake completed; always true for UDP/NVP flows).
-	Established bool
-	// Done reports the flow completed its application exchange; End is
-	// when. A flow that never completes keeps Done false — under
-	// congestion collapse, many do.
-	Done bool
-	End  sim.Time
-	// BytesRx counts application bytes delivered to the receiving side
-	// (for voice: bytes that made their playout deadline).
-	BytesRx int
-	// Retrans counts TCP retransmitted segments attributed to this flow
-	// (timeout plus fast retransmits; zero for UDP and voice flows).
-	Retrans uint64
-	// OnTime/Late/Lost carry the voice receiver's verdict (Voice only).
-	OnTime, Late, Lost uint64
-
-	conn        *tcp.Conn
-	lastRetrans uint64
-	// bins holds per-bin retransmission counts sampled by the engine's
-	// bin ticker; binBase is the global bin index of bins[0].
-	bins    []uint32
-	binBase int
-	// interactive state
-	keysLeft int
-	keyTimer sim.Timer
-	keyFn    func()
-	// rr state
-	txnsLeft int
-	gotResps int
-	rrSock   *udp.Socket
-	rrTimer  sim.Timer
-	rrFn     func()
-}
-
-// FCT returns the flow completion time (0 if the flow never completed).
-func (f *Flow) FCT() sim.Duration {
-	if !f.Done {
-		return 0
-	}
-	return f.End.Sub(f.Start)
-}
 
 // Tunables the profiles share. They are constants, not Spec knobs: the
 // Spec's job is to shape load and era, not to re-parameterize telnet.
@@ -148,25 +91,15 @@ type Engine struct {
 	toggleFn func()
 
 	muxes      map[string]*nvp.Mux
-	responders map[string]*udp.Socket
+	responders map[string]bool
 	nextPort   map[string]uint16
 
-	keyBuf  []byte // shared keystroke byte
-	reqBuf  []byte // shared rr request
-	respBuf []byte // shared rr response
-
-	// Counters, registered with the kernel's metrics registry at New.
-	ctrStarted     uint64
-	ctrEstablished uint64
-	ctrCompleted   uint64
-	ctrFailed      uint64
-	ctrOffered     uint64
-	ctrDelivered   uint64
+	keyBuf []byte // shared keystroke byte
 }
 
 // New creates an engine over the named hosts (at least two) of nw.
-// Counters register immediately under workload/engine/ in the kernel's
-// metrics registry.
+// Its counters register immediately under workload/engine/ in the
+// kernel's metrics registry, as gauges summed over its flows.
 func New(nw *core.Network, hosts []string, spec Spec, seed int64) *Engine {
 	if err := spec.validate(); err != nil {
 		panic(err)
@@ -183,24 +116,43 @@ func New(nw *core.Network, hosts []string, spec Spec, seed int64) *Engine {
 		sizes:      BoundedPareto{Alpha: spec.Alpha, Min: float64(spec.MinBytes), Max: float64(spec.MaxBytes)},
 		arrival:    Exponential{Mean: sim.Duration(float64(time.Second) / spec.Rate)},
 		muxes:      make(map[string]*nvp.Mux),
-		responders: make(map[string]*udp.Socket),
+		responders: make(map[string]bool),
 		nextPort:   make(map[string]uint16),
 		keyBuf:     []byte{'.'},
-		reqBuf:     make([]byte, rrReqBytes),
-		respBuf:    make([]byte, rrRespBytes),
 		on:         true,
 	}
 	e.arriveFn = e.arrive
 	e.binFn = e.binTick
 	e.toggleFn = e.toggle
 	reg := metrics.For(e.k)
-	reg.Counter("workload", "engine", "flows_started", &e.ctrStarted)
-	reg.Counter("workload", "engine", "flows_established", &e.ctrEstablished)
-	reg.Counter("workload", "engine", "flows_completed", &e.ctrCompleted)
-	reg.Counter("workload", "engine", "flows_failed", &e.ctrFailed)
-	reg.Counter("workload", "engine", "bytes_offered", &e.ctrOffered)
-	reg.Counter("workload", "engine", "bytes_delivered", &e.ctrDelivered)
+	for _, g := range []struct {
+		name string
+		of   func(*Flow) int
+	}{
+		{"flows_started", func(*Flow) int { return 1 }},
+		{"flows_established", func(f *Flow) int { return b2i(f.Established) }},
+		{"flows_completed", func(f *Flow) int { return b2i(f.Done) }},
+		{"flows_failed", func(f *Flow) int { return b2i(f.failed) }},
+		{"bytes_offered", func(f *Flow) int { return f.Size }},
+		{"bytes_delivered", func(f *Flow) int { return f.BytesRx }},
+	} {
+		reg.Gauge("workload", "engine", g.name, func() uint64 {
+			n := 0
+			for _, f := range e.flows {
+				n += g.of(f)
+			}
+			return uint64(n)
+		})
+	}
 	return e
+}
+
+// b2i counts a true as one.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Spec returns the engine's traffic spec.
@@ -260,7 +212,7 @@ func (e *Engine) arrive() {
 func (e *Engine) binTick() {
 	e.ticksDone++
 	for _, f := range e.activeTCP {
-		st := f.conn.Stats()
+		st := f.Conn.Stats()
 		cum := st.Retransmits + st.FastRetransmits
 		d := cum - f.lastRetrans
 		f.lastRetrans = cum
@@ -281,16 +233,6 @@ func (e *Engine) remainingBins() int {
 		n = 1
 	}
 	return n
-}
-
-// pickPair draws distinct src and dst hosts.
-func (e *Engine) pickPair() (string, string) {
-	a := e.rng.Intn(len(e.hosts))
-	b := e.rng.Intn(len(e.hosts) - 1)
-	if b >= a {
-		b++
-	}
-	return e.hosts[a], e.hosts[b]
 }
 
 // pickProfile draws a profile by spec weight.
@@ -344,7 +286,7 @@ func (e *Engine) tcpOpts() tcp.Options {
 // startFlow admits one flow: draw profile, endpoints and size, open the
 // real connection, and bind its completion accounting.
 func (e *Engine) startFlow() {
-	src, dst := e.pickPair()
+	src, dst := PickPair(e.rng, e.hosts)
 	f := &Flow{
 		ID:      len(e.flows),
 		Profile: e.pickProfile(),
@@ -353,7 +295,6 @@ func (e *Engine) startFlow() {
 		Start:   e.k.Now(),
 	}
 	e.flows = append(e.flows, f)
-	e.ctrStarted++
 	switch f.Profile {
 	case Bulk:
 		e.startBulk(f)
@@ -364,7 +305,6 @@ func (e *Engine) startFlow() {
 	case Voice:
 		e.startVoice(f)
 	}
-	e.ctrOffered += uint64(f.Size)
 }
 
 // finishTCP closes out a TCP-backed flow: final retransmission count,
@@ -375,15 +315,14 @@ func (e *Engine) finishTCP(f *Flow) {
 	}
 	f.Done = true
 	f.End = e.k.Now()
-	e.ctrCompleted++
 	e.stopSampling(f)
 }
 
 // stopSampling takes the flow's final retransmission reading and
 // removes it from the bin ticker's active set.
 func (e *Engine) stopSampling(f *Flow) {
-	if f.conn != nil {
-		st := f.conn.Stats()
+	if f.Conn != nil {
+		st := f.Conn.Stats()
 		f.Retrans = st.Retransmits + st.FastRetransmits
 		cum := f.Retrans
 		if d := cum - f.lastRetrans; d > 0 && len(f.bins) < cap(f.bins) {
@@ -402,69 +341,30 @@ func (e *Engine) stopSampling(f *Flow) {
 	}
 }
 
-// trackTCP registers a dialled connection with the bin ticker.
-func (e *Engine) trackTCP(f *Flow, c *tcp.Conn) {
-	f.conn = c
+// trackTCP registers the flow's dialled connection with the bin ticker.
+func (e *Engine) trackTCP(f *Flow) {
 	f.bins = make([]uint32, 0, e.remainingBins())
 	f.binBase = e.ticksDone
 	e.activeTCP = append(e.activeTCP, f)
 }
 
 // startBulk opens a one-way transfer src → dst of a Pareto-sampled
-// size. The writer streams the shared pattern table; the receiving side
-// counts delivery and completion.
+// size, and closes the receiving side and its listener once every byte
+// has arrived.
 func (e *Engine) startBulk(f *Flow) {
 	f.Size = int(e.sizes.Sample(e.rng))
-	port := e.port(f.Dst)
-	opts := e.tcpOpts()
-	var lst *tcp.Listener
-	var srv *tcp.Conn
-	lst, err := e.nw.TCP(f.Dst).Listen(port, opts, func(c *tcp.Conn) {
-		srv = c
-		c.OnData(func(b []byte) {
-			f.BytesRx += len(b)
-			e.ctrDelivered += uint64(len(b))
-			if f.BytesRx >= f.Size {
-				e.finishTCP(f)
-				lst.Close()
-				c.Close()
-			}
-		})
-	})
-	if err != nil {
-		e.fail(f)
-		return
-	}
-	conn, err := e.nw.TCP(f.Src).Dial(tcp.Endpoint{Addr: e.nw.Addr(f.Dst), Port: port}, opts)
-	if err != nil {
+	bulk(e.nw, f, e.port(f.Dst), e.tcpOpts(), func(lst *tcp.Listener, srv *tcp.Conn) {
+		if srv == nil {
+			e.fail(f, f.Err)
+			return
+		}
+		e.stopSampling(f)
 		lst.Close()
-		e.fail(f)
-		return
-	}
-	e.trackTCP(f, conn)
-	remaining := f.Size
-	write := func() {
-		for remaining > 0 {
-			n, err := conn.Write(PatternChunk(f.Size-remaining, remaining))
-			if err != nil || n == 0 {
-				return
-			}
-			remaining -= n
-		}
-		conn.Close()
-	}
-	conn.OnWriteSpace(write)
-	conn.OnEstablished(func() {
-		f.Established = true
-		e.ctrEstablished++
-		write()
+		srv.Close()
 	})
-	conn.OnClose(func(err error) {
-		if err != nil && !f.Done {
-			e.fail(f)
-		}
-		_ = srv
-	})
+	if f.Conn != nil {
+		e.trackTCP(f)
+	}
 }
 
 // startInteractive opens a telnet-like session: keystrokes every Think
@@ -489,22 +389,22 @@ func (e *Engine) startInteractive(f *Flow) {
 	lst, err := e.nw.TCP(f.Dst).Listen(port, opts, func(c *tcp.Conn) {
 		c.OnData(func(b []byte) {
 			f.BytesRx += len(b)
-			e.ctrDelivered += uint64(len(b))
 			c.Write(b) // echo
 		})
 		c.OnEOF(func() { c.Close() })
 	})
 	if err != nil {
-		e.fail(f)
+		e.fail(f, err)
 		return
 	}
 	conn, err := e.nw.TCP(f.Src).Dial(tcp.Endpoint{Addr: e.nw.Addr(f.Dst), Port: port}, opts)
 	if err != nil {
 		lst.Close()
-		e.fail(f)
+		e.fail(f, err)
 		return
 	}
-	e.trackTCP(f, conn)
+	f.Conn = conn
+	e.trackTCP(f)
 	echoes := 0
 	f.keyFn = func() {
 		if f.Done {
@@ -521,7 +421,6 @@ func (e *Engine) startInteractive(f *Flow) {
 	}
 	conn.OnData(func(b []byte) {
 		f.BytesRx += len(b)
-		e.ctrDelivered += uint64(len(b))
 		echoes += len(b)
 		if echoes >= keys*keystrokeSize && f.keysLeft == 0 {
 			e.finishTCP(f)
@@ -531,77 +430,33 @@ func (e *Engine) startInteractive(f *Flow) {
 	})
 	conn.OnEstablished(func() {
 		f.Established = true
-		e.ctrEstablished++
 		f.keyTimer = e.k.After(e.spec.Think, f.keyFn)
 	})
 	conn.OnClose(func(err error) {
 		f.keyTimer.Stop()
-		if err != nil && !f.Done {
-			e.fail(f)
+		if err != nil {
+			e.fail(f, err)
 		}
 	})
 }
 
-// responder lazily starts the shared UDP request/response server on a
-// node: every request is answered with an rrRespBytes payload echoing
-// the request's transaction tag.
-func (e *Engine) responder(node string) {
-	if _, ok := e.responders[node]; ok {
-		return
-	}
-	var sock *udp.Socket
-	sock, err := e.nw.UDP(node).Listen(rrPort, func(from udp.Endpoint, data []byte, _ ipv4.Header) {
-		if len(data) >= 2 {
-			e.respBuf[0], e.respBuf[1] = data[0], data[1]
-		}
-		sock.SendTo(from, e.respBuf)
-	})
-	if err != nil {
-		panic(fmt.Sprintf("workload: rr responder on %s: %v", node, err))
-	}
-	e.responders[node] = sock
-}
-
-// startRR drives rrTxns UDP request/response transactions. UDP offers
-// no retransmission, so a lost request or response simply leaves the
-// flow incomplete — the datagram honesty the profile exists to measure.
+// startRR drives rrTxns UDP request/response transactions against the
+// node's one responder, started with the node's first rr flow. UDP
+// offers no retransmission, so a lost request or response simply leaves
+// the flow incomplete — the datagram honesty the profile exists to
+// measure.
 func (e *Engine) startRR(f *Flow) {
-	e.responder(f.Dst)
+	if !e.responders[f.Dst] {
+		if err := respond(e.nw, f.Dst, rrPort, rrRespBytes); err != nil {
+			panic(fmt.Sprintf("workload: rr responder on %s: %v", f.Dst, err))
+		}
+		e.responders[f.Dst] = true
+	}
 	f.Size = rrTxns * rrRespBytes
-	f.txnsLeft = rrTxns
-	f.Established = true
-	e.ctrEstablished++
-	sock, err := e.nw.UDP(f.Src).Listen(0, func(_ udp.Endpoint, data []byte, _ ipv4.Header) {
-		f.BytesRx += len(data)
-		e.ctrDelivered += uint64(len(data))
-		f.gotResps++
-		if f.gotResps >= rrTxns && !f.Done {
-			f.Done = true
-			f.End = e.k.Now()
-			e.ctrCompleted++
-			f.rrSock.Close()
-		}
-	})
-	if err != nil {
-		e.fail(f)
-		return
+	queries(e.nw, f, rrPort, rrTxns, rrInterval, rrReqBytes, 0)
+	if f.Err != nil {
+		e.fail(f, f.Err)
 	}
-	f.rrSock = sock
-	dst := udp.Endpoint{Addr: e.nw.Addr(f.Dst), Port: rrPort}
-	seq := 0
-	f.rrFn = func() {
-		if f.Done || f.txnsLeft == 0 {
-			return
-		}
-		f.txnsLeft--
-		e.reqBuf[0], e.reqBuf[1] = byte(f.ID), byte(seq)
-		seq++
-		sock.SendTo(dst, e.reqBuf)
-		if f.txnsLeft > 0 {
-			f.rrTimer = e.k.After(rrInterval, f.rrFn)
-		}
-	}
-	f.rrFn()
 }
 
 // startVoice runs an NVP call of an exponentially sampled duration
@@ -623,28 +478,26 @@ func (e *Engine) startVoice(f *Flow) {
 	frames := int(dur / snd.FrameInterval)
 	f.Size = frames * snd.FrameBytes
 	f.Established = true
-	e.ctrEstablished++
 	snd.Start(dur)
 	e.k.After(dur+recv.PlayoutDelay+time.Second, func() {
 		st := recv.Stats()
 		f.OnTime, f.Late, f.Lost = st.OnTime, st.Late, st.Lost
 		f.BytesRx = int(st.OnTime) * snd.FrameBytes
-		e.ctrDelivered += uint64(f.BytesRx)
 		f.Done = true
 		f.End = e.k.Now()
-		e.ctrCompleted++
 		mux.Close(id)
 	})
 }
 
-// fail records a flow that ended in error before completing.
-func (e *Engine) fail(f *Flow) {
-	if f.Done {
+// fail records a flow that ended in err before completing.
+func (e *Engine) fail(f *Flow, err error) {
+	if f.Err == nil {
+		f.Err = err
+	}
+	if f.Done || f.failed {
 		return
 	}
-	f.Done = false
-	f.End = e.k.Now()
-	e.ctrFailed++
+	f.failed = true
 	e.stopSampling(f)
 }
 
@@ -685,21 +538,15 @@ const maxCorrFlows = 64
 // per-flow goodputs use each flow's own lifetime within it.
 func (e *Engine) Summarize(window sim.Duration) Summary {
 	now := e.k.Now()
-	s := Summary{
-		Started:        int(e.ctrStarted),
-		Established:    int(e.ctrEstablished),
-		Completed:      int(e.ctrCompleted),
-		OfferedBytes:   e.ctrOffered,
-		DeliveredBytes: e.ctrDelivered,
-	}
-	if window > 0 {
-		s.OfferedBps = float64(e.ctrOffered) * 8 / window.Seconds()
-		s.GoodputBps = float64(e.ctrDelivered) * 8 / window.Seconds()
-	}
+	s := Summary{Started: len(e.flows)}
 	var voiceRx, voiceOnTime uint64
 	for _, f := range e.flows {
+		s.Established += b2i(f.Established)
+		s.OfferedBytes += uint64(f.Size)
+		s.DeliveredBytes += uint64(f.BytesRx)
 		end := now
 		if f.Done {
+			s.Completed++
 			end = f.End
 			s.FCT.Add(f.FCT().Seconds())
 		}
@@ -714,6 +561,10 @@ func (e *Engine) Summarize(window sim.Duration) Summary {
 			voiceOnTime += f.OnTime
 			voiceRx += f.OnTime + f.Late
 		}
+	}
+	if window > 0 {
+		s.OfferedBps = float64(s.OfferedBytes) * 8 / window.Seconds()
+		s.GoodputBps = float64(s.DeliveredBytes) * 8 / window.Seconds()
 	}
 	s.Jain = stats.JainFairness(s.Goodputs)
 	if voiceRx > 0 {

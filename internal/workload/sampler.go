@@ -1,7 +1,10 @@
-// Package workload is the flow-level traffic engine: it drives the
-// stack with generated sessions instead of hand-wired flows, so
-// experiments can offer the load of "millions of users" (ROADMAP north
-// star) from a handful of seeded parameters.
+// Package workload is where every experiment's traffic comes from. A
+// Flow records one conversation; StartBulk and StartQueries are the two
+// fixed ones a driver hand-wires (a pattern-checked bulk TCP transfer
+// and a UDP query train). The Engine drives the stack with generated
+// sessions on the same code, so experiments can offer the load of
+// "millions of users" (ROADMAP north star) from a handful of seeded
+// parameters.
 //
 // The engine runs on the simulation kernel and follows the fault
 // injector's discipline: every recurring closure is bound at Arm, the

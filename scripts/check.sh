@@ -110,6 +110,10 @@ run_leg() {
         # gateway, the OnData slice that is poisoned once its callback
         # returns, and a send side that gives back its ring at teardown.
         go test -tags pooldebug -count=1 -run 'TestBulkAcrossFragmentingLossyPathStrandsNothing|TestFinishedSendSideHoldsNoRing|TestOnDataSliceValidOnlyDuringCallback' ./internal/tcp/
+        # The one bulk receiver checks every delivered byte against the
+        # pattern: a poisoned buffer that reaches OnData counts as
+        # mismatched bytes across the same kind of path.
+        go test -tags pooldebug -count=1 -run 'TestBulkAcrossFragmentingLossyPathMatchesPattern' ./internal/workload/
         # And a crash on a shared LAN: the flush takes the dead station's
         # frames and leaves the others' queued, none stranded on the way.
         go test -tags pooldebug -count=1 -run 'TestCrashFlushLeavesSharedQueueToTheSurvivors' ./internal/exp/
@@ -162,7 +166,7 @@ run_leg() {
         go test -run '^$' -fuzz FuzzScheduleRuns -fuzztime 10s -fuzzminimizetime 0 ./internal/exp/
         # And a scenario that parses runs E14 — its topo, workload and
         # fracs chains — to the end on a small internet, every cell's
-        # ledger closed.
+        # ledger closed; a small topo also runs E15, or is refused.
         go test -run '^$' -fuzz FuzzScenarioRuns -fuzztime 10s -fuzzminimizetime 0 ./internal/exp/
         ;;
     smoke-E5)

@@ -11,10 +11,9 @@
 // never changes results, only wall time.
 //
 // -scenario 'key=val;...' (exp.Params' text form; -h lists the keys)
-// reshapes every selected experiment that takes a key and titles it;
-// -shards N (E15, E16), like -parallel, changes wall time only. A key or
-// -shards no selected experiment takes is an error, as is an unknown
-// -only id or a -runs, -parallel or -shards count below 1.
+// reshapes every selected experiment that takes a key and titles it. A
+// key no selected experiment takes is an error, as is an unknown -only
+// id or a -runs or -parallel count below 1.
 //
 // -export kind=file (repeatable) writes machine-readable JSON after the
 // run: campaign (every selected experiment, darpanet/campaign/v1),
@@ -25,7 +24,6 @@ package main
 
 import (
 	"bytes"
-	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -46,7 +44,7 @@ type options struct {
 	seed           int64
 	runs, parallel int
 	metrics        bool
-	selected       []exp.Experiment // in paper order, already reshaped by -scenario and -shards
+	selected       []exp.Experiment // in paper order, already reshaped by -scenario
 	exports        [][2]string      // (kind, file) in command-line order
 }
 
@@ -87,7 +85,7 @@ var exportKinds = map[string]struct {
 	}},
 }
 
-// flagSet declares the eight flags over the values they fill. The
+// flagSet declares the seven flags over the values they fill. The
 // -scenario help is the scenario table's own.
 func flagSet(o *options, p *exp.Params, only *string) *flag.FlagSet {
 	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
@@ -104,8 +102,7 @@ func flagSet(o *options, p *exp.Params, only *string) *flag.FlagSet {
 		o.exports = append(o.exports, [2]string{kind, file})
 		return nil
 	})
-	fs.IntVar(&p.Shards, "shards", 0, "worker count of "+exp.TakenBy("shards")+", default 1 (results are byte-identical at any value; only wall time changes)")
-	fs.Func("scenario", "`key=val;...`: reshape every selected experiment that takes a key; the keys:\n"+new(exp.Params).Fields().Usage(),
+	fs.Func("scenario", "`key=val;...`: reshape every selected experiment that takes a key; the keys:\n"+exp.Usage(),
 		func(s string) error { return p.Fields().ParseSep(s, ";") })
 	return fs
 }
@@ -121,7 +118,7 @@ func parseArgs(args []string) (options, error) {
 	var p exp.Params
 	var only string
 	flagSet(&o, &p, &only).Parse(args)
-	for name, n := range map[string]int{"-runs": o.runs, "-parallel": o.parallel, "-shards": cmp.Or(p.Shards, 1)} {
+	for name, n := range map[string]int{"-runs": o.runs, "-parallel": o.parallel} {
 		if n < 1 {
 			return o, fmt.Errorf("%s %d: want a count of at least 1", name, n)
 		}
@@ -139,9 +136,6 @@ func parseArgs(args []string) (options, error) {
 		want[id] = true
 	}
 	unused := p.Fields().Shown()
-	if p.Shards != 0 {
-		unused = append(unused, "shards") // the one key set by a flag of its own
-	}
 	for _, e := range exp.All {
 		if len(want) > 0 && !want[e.ID] {
 			continue

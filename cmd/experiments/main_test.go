@@ -43,11 +43,11 @@ func TestParseArgsSelectsAndBinds(t *testing.T) {
 	}
 }
 
-// TestParseArgsFailsLoudly: an unknown experiment id, a scenario key or
-// -shards that no selected experiment takes, and a count below 1 are
-// errors that name the culprit — none may run a partial suite, or one
-// replica for none, and exit 0. (A value its grammar refuses exits 2 in
-// the flag parser; exp.TestParseParamsRefuses holds those.)
+// TestParseArgsFailsLoudly: an unknown experiment id, a scenario key
+// that no selected experiment takes, and a count below 1 are errors that
+// name the culprit — none may run a partial suite, or one replica for
+// none, and exit 0. (A value its grammar refuses exits 2 in the flag
+// parser; exp.TestParseParamsRefuses holds those.)
 func TestParseArgsFailsLoudly(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -56,10 +56,8 @@ func TestParseArgsFailsLoudly(t *testing.T) {
 		{[]string{"-only", "E1,E99"}, []string{`"E99"`, "E13-T", "E16"}},
 		{[]string{"-only", "E12", "-scenario", "fracs=10"}, []string{"fracs: no selected experiment takes it"}},
 		{[]string{"-only", "E13", "-scenario", "cc=reno;topo=ring:gw=4"}, []string{"topo: no selected"}},
-		{[]string{"-only", "E1", "-shards", "2"}, []string{"shards: no selected"}},
 		{[]string{"-only", "E1", "-runs", "0"}, []string{"-runs 0"}},
 		{[]string{"-only", "E1", "-parallel", "-1"}, []string{"-parallel -1"}},
-		{[]string{"-only", "E16", "-shards", "-2"}, []string{"-shards -2"}},
 	} {
 		_, err := parseArgs(tc.args)
 		if err == nil {
@@ -174,11 +172,61 @@ func TestHelpSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, section, _ := strings.Cut(string(readme), "Eight flags:")
+	_, section, _ := strings.Cut(string(readme), "Seven flags:")
 	section, _, _ = strings.Cut(section, "A taste of the API")
 	fs.VisitAll(func(f *flag.Flag) {
 		if !regexp.MustCompile("[`( ]-" + f.Name + "[` )]").MatchString(section) {
 			t.Errorf("README's flag section does not mention -%s", f.Name)
 		}
 	})
+}
+
+// TestE16CampaignAtAnyWorkerCount (check.sh smoke-E16) is the
+// conservative-sync acceptance check at full scale: the campaign export
+// of E16's recorded 2000-gateway scenario is byte-identical at 1 and 4
+// workers.
+func TestE16CampaignAtAnyWorkerCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the 2000-gateway internet twice")
+	}
+	sameExportAtWorkers(t, []string{"-only", "E16"}, "campaign", 1, 4)
+}
+
+// TestE15NamesAtAnyWorkerCount (check.sh smoke-E15): the names export
+// of a two-replica E15 campaign is byte-identical at 1 and 2 workers,
+// though directory traffic crosses the region seams.
+func TestE15NamesAtAnyWorkerCount(t *testing.T) {
+	sameExportAtWorkers(t, []string{"-only", "E15", "-runs", "2"}, "names", 1, 2)
+}
+
+// sameExportAtWorkers runs the command line args at seed 1988 with the
+// selected experiments' Params.Shards set to each worker count, and
+// fails unless every run writes the same kind export.
+func sameExportAtWorkers(t *testing.T, args []string, kind string, workers ...int) {
+	t.Helper()
+	var want []byte
+	for _, w := range workers {
+		file := filepath.Join(t.TempDir(), kind+".json")
+		o, err := parseArgs(append([]string{"-seed", "1988", "-export", kind + "=" + file}, args...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range o.selected {
+			if o.selected[i], err = e.With(exp.Params{Shards: w}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := run(o, io.Discard, io.Discard); err != nil {
+			t.Fatalf("%d workers: %v", w, err)
+		}
+		got, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("the %s export at %d workers differs from the one at %d", kind, w, workers[0])
+		}
+	}
 }

@@ -6,25 +6,32 @@ package core
 // interface goes dark, queued frames drop with their pooled buffers
 // released, partial reassemblies flush. The node holds no conversation
 // state (fate-sharing); the question survivability asks is whether
-// everyone else copes.
+// everyone else copes. It acts on the whole internet; during a sharded
+// run, call it (and SetNetDown) from a ShardGroup.At observer.
 func (nw *Network) CrashNode(name string) {
-	if r := nw.rips[name]; r != nil {
+	if r := nw.RIP(name); r != nil {
 		r.Crash()
 	}
-	nw.mustNode(name).Crash()
+	nw.Node(name).Crash()
 }
 
 // RestoreNode reboots a crashed node: interfaces come back up and, if the
 // node ran RIP, the routing process restarts from scratch and
 // re-converges from its neighbors.
 func (nw *Network) RestoreNode(name string) {
-	nw.mustNode(name).Restart()
-	if r := nw.rips[name]; r != nil {
+	nw.Node(name).Restart()
+	if r := nw.RIP(name); r != nil {
 		r.Start()
 	}
 }
 
-// SetNetDown cuts (or restores) an entire network medium.
+// SetNetDown cuts (or restores) every medium of a net, both trunk halves.
 func (nw *Network) SetNetDown(net string, down bool) {
-	nw.mustNet(net).medium.SetDown(down)
+	media := nw.Media(net)
+	if media == nil {
+		nw.mustNet(net) // no region has the net: panics
+	}
+	for _, m := range media {
+		m.SetDown(down)
+	}
 }

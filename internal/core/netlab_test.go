@@ -221,6 +221,34 @@ func TestQueueInstallReachesCrossTrunk(t *testing.T) {
 	}
 }
 
+// TestFaultSwitchesActOnTheWholeInternet: on a two-region internet,
+// CrashNode and RestoreNode reach a node from either region's handle,
+// and SetNetDown on a cross trunk cuts and restores both its halves.
+func TestFaultSwitchesActOnTheWholeInternet(t *testing.T) {
+	cfg := phys.Config{BitsPerSec: 1_544_000, Delay: 3 * time.Millisecond, MTU: 1500}
+	rs := NewRegions(1, 2, 1)
+	ra, rb := rs[0], rs[1]
+	AddCrossTrunk(ra, rb, "t0", "10.9.0.0/24", cfg)
+	ra.AddGateway("ga", "t0")
+	nic := rb.AddGateway("gb", "t0").Interface(0).NIC
+	ra.CrashNode("gb")
+	if nic.Up() {
+		t.Fatal("gb's interface is up after CrashNode from the other region")
+	}
+	ra.RestoreNode("gb")
+	if !nic.Up() {
+		t.Fatal("gb's interface is down after RestoreNode from the other region")
+	}
+	for _, down := range []bool{true, false} {
+		rb.SetNetDown("t0", down)
+		for i, m := range ra.Media("t0") {
+			if m.Down() != down {
+				t.Errorf("SetNetDown(t0, %v): half %d of the trunk is down=%v", down, i, m.Down())
+			}
+		}
+	}
+}
+
 func TestDuplicateNamesPanic(t *testing.T) {
 	nw := New(1)
 	nw.AddNet("lan", "10.5.0.0/24", LAN, phys.Config{})

@@ -126,17 +126,30 @@ func e13Sweep(seed int64, tspec topo.Spec, ws workload.Spec, policy phys.PolicyS
 	return out
 }
 
-// runE13 charts the collapse curve of p's sweep. p.Workload is the mix
-// (vj=1 reruns the sweep with Van Jacobson's machinery and the cliff
-// flattens); the first of p.Policies and of p.CCs turn the collapse
-// experiment into a single tournament cell — the hosts E13-T's cell of
-// that name runs.
-func runE13(seed int64, p Params) Result {
-	ws, policy := *p.Workload, p.Policies[0]
-	if len(p.CCs) > 0 {
-		ws = e13tCell{Policy: policy, CC: p.CCs[0]}.workload(ws)
+// e13Hosts refuses a workload whose vj, naive, cc or ecn runE13 would
+// overwrite with its cell's, rather than drop the value unseen; a knob
+// the workload leaves unset is the cell's.
+func e13Hosts(set, sc Params) error {
+	if set.Workload == nil {
+		return nil
 	}
-	out := e13Sweep(seed, e13Topo(), ws, policy, p.Loads, p.Window, p.Drain)
+	ws, cell := set.Workload, e13tCell{Policy: sc.Policies[0], CC: sc.CCs[0]}
+	if host := cell.workload(workload.Spec{}); ws.VJ && !host.VJ || ws.NaiveRTO && !host.NaiveRTO ||
+		ws.CC != "" && ws.CC != host.CC || ws.ECN && !host.ECN {
+		return fmt.Errorf("workload %s: E13's hosts are those of cc=%s at qdisc=%s; choose them with cc and qdisc",
+			ws.Fields().Only("vj", "naive", "cc", "ecn"), cell.CC, cell.Policy.Kind)
+	}
+	return nil
+}
+
+// runE13 charts the collapse curve of p's sweep over p.Workload's mix.
+// The first of p.Policies and of p.CCs make it one tournament cell, its
+// hosts those E13-T's cell of that name runs: the recorded naive is the
+// pre-1988 host, and any other response flattens the cliff. At an ecn
+// qdisc the hosts offer ECN, as that cell's do.
+func runE13(seed int64, p Params) Result {
+	cell := e13tCell{Policy: p.Policies[0], CC: p.CCs[0]}
+	out := e13Sweep(seed, e13Topo(), cell.workload(*p.Workload), cell.Policy, p.Loads, p.Window, p.Drain)
 	points, lastKernel := out.points, out.lastKernel
 	peakGoodput, kneeLoad, collapseRatio := out.peakGoodput, out.kneeLoad, out.collapseRatio
 	last := points[len(points)-1]

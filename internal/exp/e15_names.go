@@ -238,8 +238,8 @@ func e15Cast(m *topo.Manifest) (hostLAN map[string]string, dirLAN map[string]boo
 // e15Castable refuses, before any replica builds it, an internet E15
 // cannot cast. Which gateways host a replica, and which LANs they own,
 // does not depend on the seed.
-func e15Castable(p Params) error {
-	_, _, _, err := e15Cast(topo.ManifestOnly(*p.Topo, 0))
+func e15Castable(_, sc Params) error {
+	_, _, _, err := e15Cast(topo.ManifestOnly(*sc.Topo, 0))
 	return err
 }
 
@@ -340,8 +340,7 @@ func runE15Mode(p *e15Plan, pinned bool) *e15ModeOut {
 	hostNames := p.m.HostNames()
 	for i, d := range p.dirs {
 		nw := s.Net(d)
-		k := nw.Kernel()
-		srv, err := names.NewServer(k, nw.UDP(d), d, names.ServerConfig{TTL: e15TTL, NegTTL: e15NegTTL, Sync: e15Sync})
+		srv, err := names.NewServer(nw.UDP(d), d, names.ServerConfig{TTL: e15TTL, NegTTL: e15NegTTL, Sync: e15Sync})
 		if err != nil {
 			panic(err)
 		}
@@ -368,7 +367,7 @@ func runE15Mode(p *e15Plan, pinned bool) *e15ModeOut {
 				}
 				if all {
 					out.regOK[i] = true
-					out.regAt[i] = k.Now()
+					out.regAt[i] = nw.Now()
 				}
 			}
 			if !out.reregOK[i] && len(p.renumbers) > 0 {
@@ -381,7 +380,7 @@ func runE15Mode(p *e15Plan, pinned bool) *e15ModeOut {
 				}
 				if all {
 					out.reregOK[i] = true
-					out.reregAt[i] = k.Now()
+					out.reregAt[i] = nw.Now()
 				}
 			}
 		})
@@ -428,16 +427,15 @@ func runE15Mode(p *e15Plan, pinned bool) *e15ModeOut {
 	out.autoOK = make([]bool, len(hostNames))
 	for i, h := range hostNames {
 		nw := s.Net(h)
-		k := nw.Kernel()
-		r, err := names.NewResolver(k, nw.UDP(h), names.ResolverConfig{})
+		r, err := names.NewResolver(nw.UDP(h), names.ResolverConfig{})
 		if err != nil {
 			panic(err)
 		}
 		out.resolvers[h] = r
 		ifc := nw.Node(h).Interfaces()[0]
 		i, h := i, h
-		k.After(sim.Duration(i)*e15AutoconfSpacing, func() {
-			names.Autoconfigure(k, nw.UDP(h), ifc, r, names.HostConfig{Name: h, Serial: 1}, func(ok bool) {
+		nw.Kernel().After(sim.Duration(i)*e15AutoconfSpacing, func() {
+			names.Autoconfigure(nw.UDP(h), ifc, r, names.HostConfig{Name: h, Serial: 1}, func(ok bool) {
 				if ok {
 					out.autoOK[i] = true
 				}
@@ -514,7 +512,7 @@ func runE15Mode(p *e15Plan, pinned bool) *e15ModeOut {
 	hk.After(e15AttachAt, func() {
 		hnw.AddHost(e15AttachName)
 		ifc := hnw.AttachNodeToNet(e15AttachName, p.attachNet)
-		r, err := names.NewResolver(hk, hnw.UDP(e15AttachName), names.ResolverConfig{})
+		r, err := names.NewResolver(hnw.UDP(e15AttachName), names.ResolverConfig{})
 		if err != nil {
 			return
 		}
@@ -522,7 +520,7 @@ func runE15Mode(p *e15Plan, pinned bool) *e15ModeOut {
 		if _, err := hnw.TCP(e15AttachName).Listen(e15SvcPort, e15TCPOpts(), echoAccept); err != nil {
 			return
 		}
-		names.Autoconfigure(hk, hnw.UDP(e15AttachName), ifc, r, names.HostConfig{Name: e15AttachName, Serial: 1}, func(ok bool) {
+		names.Autoconfigure(hnw.UDP(e15AttachName), ifc, r, names.HostConfig{Name: e15AttachName, Serial: 1}, func(ok bool) {
 			if ok {
 				out.hxRegistered = true
 			}
@@ -579,12 +577,11 @@ func runE15Mode(p *e15Plan, pinned bool) *e15ModeOut {
 	for _, rn := range p.renumbers {
 		rn := rn
 		nw := s.Net(rn.host)
-		k := nw.Kernel()
-		k.After(rn.at, func() {
+		nw.Kernel().After(rn.at, func() {
 			node := nw.Node(rn.host)
 			node.Interfaces()[0].NIC.SetUp(false)
 			ifc := nw.AttachNodeToNet(rn.host, rn.toNet)
-			names.Autoconfigure(k, nw.UDP(rn.host), ifc, out.resolvers[rn.host], names.HostConfig{Name: rn.host, Serial: 2}, func(bool) {})
+			names.Autoconfigure(nw.UDP(rn.host), ifc, out.resolvers[rn.host], names.HostConfig{Name: rn.host, Serial: 2}, func(bool) {})
 		})
 	}
 
@@ -730,8 +727,8 @@ func e15Mode(res *Result, p *e15Plan, mode string, out *e15ModeOut) {
 // baseline) — so the continuity gap is attributable to re-resolution
 // alone. p.Topo and p.Regions are the internet and its partition; as
 // with E16, every simulation result depends only on (spec, seed,
-// regions), and p.Shards, the worker count, on nothing — directory
-// traffic crosses the shard seam either way.
+// regions), and p.Shards, the worker count a test sets, on nothing —
+// directory traffic crosses the region seam either way.
 func runE15(seed int64, sc Params) Result {
 	p := planE15(*sc.Topo, seed, sc.Regions, sc.Shards)
 
@@ -741,7 +738,7 @@ func runE15(seed int64, sc Params) Result {
 			"name mode re-resolves through the TTL cache; pin mode keeps the first resolved address forever — the continuity gap is what re-resolution buys when hosts renumber.",
 			fmt.Sprintf("directory %s crashes at %s and is restored at %s; %d service host(s) renumber from %s; host %q attaches at %s with no manual route or table edits.",
 				p.crash, e15CrashAt, e15RestoreAt, len(p.renumbers), e15RenumberAt, e15AttachName, e15AttachAt),
-			"every metric is byte-identical at any -shards value: the attempt schedule, autoconfiguration order and replica placement depend only on (spec, seed, regions).",
+			"every metric is byte-identical at any worker count: the attempt schedule, autoconfiguration order and replica placement depend only on (spec, seed, regions).",
 		},
 	}
 	res.Table.AddRow("topology", "spec", p.m.Spec)

@@ -23,12 +23,12 @@ func E16Spec() topo.Spec {
 // into region kernels advanced in lock-step epochs bounded by the
 // minimum cross-region trunk delay (conservative synchronization), and
 // every metric below must come out byte-identical at any worker count.
-// Wall-clock figures (build time, run time, per-shard busy time, the
-// modeled parallel speedup) are reported in the notes only — never as
+// Wall-clock figures (build time, run time, per-region busy time, the
+// busy / critical-path ratio) are reported in the notes only — never as
 // metrics or table rows, which are compared byte for byte across runs
-// and shard counts — precisely so that holds. The partition, and with it
-// every result, depends only on (p.Topo, seed, p.Regions); p.Shards, the
-// worker count, buys wall-clock and nothing else.
+// and worker counts — precisely so that holds. The partition, and with
+// it every result, depends only on (p.Topo, seed, p.Regions); p.Shards,
+// the worker count a test sets to prove that, changes nothing else.
 func runE16(seed int64, p Params) Result {
 	t0 := time.Now()
 	s := topo.GenerateSharded(*p.Topo, seed, p.Regions, p.Shards)
@@ -111,17 +111,16 @@ func runE16(seed int64, p Params) Result {
 
 	// Phase 3: scaling diagnostics — wall-clock only, notes only (the
 	// table and metrics are compared byte for byte across runs and
-	// shard counts, and wall time varies with the machine). The busy
+	// worker counts, and wall time varies with the machine). The busy
 	// times show the partition's load balance; TotalBusy over
-	// CriticalPath is the speedup an idealized run (one core per shard,
-	// free barriers) would reach, the honest figure to quote alongside
-	// measured wall-clock on machines with few cores.
+	// CriticalPath is the ceiling with one core per region and free
+	// barriers, not a measured speedup.
 	busy := s.Group.BusyTimes()
 	totalBusy := s.Group.TotalBusy()
 	crit := s.Group.CriticalPath()
-	modeled := 0.0
+	ceiling := 0.0
 	if crit > 0 {
-		modeled = float64(totalBusy) / float64(crit)
+		ceiling = float64(totalBusy) / float64(crit)
 	}
 	loads := make([]string, len(busy))
 	for i, d := range busy {
@@ -131,10 +130,10 @@ func runE16(seed int64, p Params) Result {
 	res := Result{
 		Table: table,
 		Notes: []string{
-			"every metric above is byte-identical at any -shards value: the epoch schedule, per-kernel event order and barrier exchange order are fixed by the lookahead, never by the worker count.",
-			fmt.Sprintf("timing (machine-dependent, diagnostics only): build %.2fs, run %.2fs at %d worker(s); per-shard busy %v; total busy %.2fs / critical path %.2fs; modeled speedup (cores ≥ shards) %.2fx = TotalBusy/CriticalPath, the ceiling with one core per shard.",
+			"every metric above is byte-identical at any worker count: the epoch schedule, per-kernel event order and barrier exchange order are fixed by the lookahead, never by the worker count.",
+			fmt.Sprintf("timing (machine-dependent, diagnostics only): build %.2fs, run %.2fs at %d worker(s); per-region busy %v; total busy %.2fs / critical path %.2fs; busy / critical-path ratio %.2f, the ceiling with one core per region.",
 				buildWall.Seconds(), runWall.Seconds(), p.Shards, loads,
-				totalBusy.Seconds(), crit.Seconds(), modeled),
+				totalBusy.Seconds(), crit.Seconds(), ceiling),
 		},
 	}
 	res.AddMetric("gateways", "", float64(m.Gateways))

@@ -171,23 +171,22 @@ func (r Result) String() string {
 }
 
 // Experiment is one row of All: the experiment's ID and title, the
-// scenario keys it takes, the scenario it records and its driver.
+// scenario it records and its driver.
 type Experiment struct {
 	ID    string
 	Title string
 
-	// takes names the scenario keys the experiment consumes, plus
-	// "shards" for the two that run on Params.Shards workers. scenario
-	// is the recorded value of every Params field drive reads, so a
-	// driver is a function of (seed, scenario) alone; With fills each
-	// field the caller leaves zero from it. Both are zero for the fixed
-	// labs E1–E10, whose drivers read no Params.
-	takes    []string
+	// scenario is the recorded value of every Params field drive reads,
+	// so a driver is a function of (seed, scenario) alone; With fills
+	// each field the caller leaves zero from it, and the scenario keys
+	// it sets are the ones the experiment takes. It is zero for the
+	// fixed labs E1–E10, whose drivers read no Params.
 	scenario Params
 	drive    func(seed int64, p Params) Result
-	// check, if set, refuses a scenario the driver cannot run, so With
-	// fails before any replica does.
-	check func(Params) error
+	// check, if set, refuses a scenario the driver cannot run, or would
+	// run otherwise than set asks, so With fails before any replica
+	// does: set is the caller's Params, sc that filled from scenario.
+	check func(set, sc Params) error
 }
 
 // Run drives the experiment at seed under its scenario and stamps the
@@ -221,21 +220,20 @@ var All = []Experiment{
 	{ID: "E9", Title: "Byte-stream sequence space: repacketization on retransmit", drive: lab(RunE9)},
 	{ID: "E10", Title: "Flow/congestion control: 1988 TCP with and without Van Jacobson", drive: lab(RunE10)},
 	{ID: "E11", Title: "Recovery under scripted failure: fault injection, reconvergence, blackout loss",
-		takes: []string{"faults"}, drive: runE11,
-		scenario: Params{Faults: preset("mixed")}},
+		drive: runE11, scenario: Params{Faults: preset("mixed")}},
 	{ID: "E12", Title: "Scale: convergence, forwarding cost and conservation on a generated internet",
-		takes: []string{"topo"}, drive: runE12,
-		scenario: Params{Topo: ptr(topo.DefaultSpec())}},
+		drive: runE12, scenario: Params{Topo: ptr(topo.DefaultSpec())}},
 	{ID: "E13", Title: "Congestion collapse: goodput vs offered load through the cliff",
-		takes: []string{"workload", "qdisc", "cc"}, drive: runE13,
+		drive: runE13, check: e13Hosts,
 		// Loads are T1 multiples: 12 T1 stub trunks feed a 3-trunk
 		// transit ring, so the sweep pushes well past one trunk and its
 		// top points sit far beyond the knee. Flows are admitted for
-		// Window, then get Drain to finish before the books close.
+		// Window, then get Drain to finish before the books close, by
+		// the pre-1988 hosts the workload describes: the naive cell's.
 		scenario: Params{Workload: ptr(E13Workload()), Policies: []phys.PolicySpec{{Kind: phys.PolicyDropTail}},
-			Loads: []float64{0.5, 1, 2, 4, 8, 16, 32}, Window: 15 * time.Second, Drain: 10 * time.Second}},
+			CCs: []string{tcp.CCNaive}, Loads: []float64{0.5, 1, 2, 4, 8, 16, 32}, Window: 15 * time.Second, Drain: 10 * time.Second}},
 	{ID: "E13-T", Title: "Policy tournament: gateway queue policy x host congestion response",
-		takes: []string{"topo", "qdisc", "cc"}, drive: runE13T,
+		drive: runE13T,
 		// The full 3×4 grid on E13's internet and window: the storm that
 		// makes the cliff takes ~10 simulated seconds to build. Four
 		// loads — below the knee, at drop-tail/naive's knee, and twice
@@ -245,7 +243,7 @@ var All = []Experiment{
 			CCs:      []string{tcp.CCNaive, tcp.CCTahoe, tcp.CCReno, tcp.CCNewReno},
 			Loads:    []float64{1, 4, 16, 32}, Window: 15 * time.Second, Drain: 10 * time.Second}},
 	{ID: "E14", Title: "Survivability frontier: cut-set-targeted vs random failure at matched budgets",
-		takes: []string{"topo", "workload", "fracs"}, drive: runE14,
+		drive: runE14,
 		// A 4-transit ring with 4 stub gateways each — 20 gateways, 36
 		// nets, 16 hosts, T1 trunks: the ring is 2-connected, but every
 		// access trunk is a bridge and every transit gateway an
@@ -258,14 +256,13 @@ var All = []Experiment{
 			Workload: ptr(e14Workload()), Fracs: []float64{0.02, 0.05, 0.10, 0.20},
 			Window: 10 * time.Second, Drain: 14 * time.Second}},
 	{ID: "E15", Title: "Names layer: service continuity by name through directory crash and renumbering",
-		takes: []string{"topo", "shards"}, drive: runE15, check: e15Castable,
+		drive: runE15, check: e15Castable,
 		// Three directory replicas on stub gateways spread across a
 		// transit-stub graph, cut into two regions.
 		scenario: Params{Topo: &topo.Spec{Shape: topo.TransitStub, Gateways: 6, StubsPer: 3, Hosts: 2, Directories: 3},
 			Regions: 2, Shards: 1}},
 	{ID: "E16", Title: "Sharded kernel: 2000 gateways under conservative link-delay synchronization",
-		takes: []string{"topo", "shards"}, drive: runE16,
-		scenario: Params{Topo: ptr(E16Spec()), Regions: 8, Shards: 1}},
+		drive: runE16, scenario: Params{Topo: ptr(E16Spec()), Regions: 8, Shards: 1}},
 }
 
 // ByID returns the experiment with the given ID.

@@ -3,7 +3,6 @@ package exp
 import (
 	"math"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +11,7 @@ import (
 	"darpanet/internal/phys"
 	"darpanet/internal/tcp"
 	"darpanet/internal/topo"
+	"darpanet/internal/workload"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -206,6 +206,12 @@ func TestWithBindsOnlyWhatAnExperimentTakes(t *testing.T) {
 		t.Fatalf("E15 with Shards: title %q (want unchanged), scenario %+v, err %v", got.Title, got.scenario, err)
 	}
 
+	e13 := row("E13")
+	got, err = e13.With(Params{CCs: []string{tcp.CCReno}})
+	if want := e13.Title + " [cc=reno]"; err != nil || got.Title != want || got.scenario.Policies[0] != e13.scenario.Policies[0] {
+		t.Fatalf("E13 with cc: title %q, want %q; scenario %+v (err %v)", got.Title, want, got.scenario, err)
+	}
+
 	e13t := row("E13-T")
 	got, err = e13t.With(Params{Topo: &spec, Policies: []phys.PolicySpec{{Kind: phys.PolicyECN}}})
 	if want := e13t.Title + " [topo=" + spec.String() + ";qdisc=ecn]"; err != nil || got.Title != want {
@@ -356,11 +362,44 @@ func withRun(t *testing.T, id string, p Params) Result {
 	return e.Run(1)
 }
 
-// TestTakesNamesRealParams guards the registry against a typo or a
-// forgotten key: every key an experiment claims to take is a scenario
-// key (or "shards"), every scenario key is taken by some experiment,
-// a row records no scenario key it does not take — so a key it does not
-// take reaches no driver that reads it — and a Params with every
+// TestE13RefusesAWorkloadThatNamesItsHosts: E13's hosts are the cell
+// its cc and qdisc name, so a workload whose vj, naive, cc or ecn that
+// cell would overwrite is an error naming cc, not a run whose title
+// lists hosts it did not run. Knobs that agree with the cell, or that
+// the workload leaves unset, are taken.
+func TestE13RefusesAWorkloadThatNamesItsHosts(t *testing.T) {
+	e13 := row("E13")
+	with := func(text string, p Params) error {
+		ws, err := workload.ParseSpec(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Workload = &ws
+		_, err = e13.With(p)
+		return err
+	}
+	reno, ecn := []string{tcp.CCReno}, []phys.PolicySpec{{Kind: phys.PolicyECN}}
+	for _, c := range []struct {
+		text string
+		p    Params
+	}{{"vj=1", Params{}}, {"cc=reno", Params{}}, {"ecn=1", Params{}}, {"naive=1", Params{CCs: reno}}, {"cc=tahoe", Params{CCs: reno}}} {
+		if err := with(c.text, c.p); err == nil || !strings.Contains(err.Error(), "cc") {
+			t.Errorf("E13 with workload %q and %v: err %v, want a refusal naming cc", c.text, c.p, err)
+		}
+	}
+	for _, c := range []struct {
+		text string
+		p    Params
+	}{{"bulk=1,rate=40", Params{}}, {"naive=1", Params{}}, {"vj=1", Params{CCs: reno}}, {"cc=reno,ecn=1", Params{CCs: reno, Policies: ecn}}} {
+		if err := with(c.text, c.p); err != nil {
+			t.Errorf("E13 with workload %q and %v: %v", c.text, c.p, err)
+		}
+	}
+}
+
+// TestTakesNamesRealParams pins what each row takes, which is what its
+// recorded scenario sets and what -h lists per key: every scenario key
+// is taken by the experiments named here, and a Params with every
 // scenario field set renders every key.
 func TestTakesNamesRealParams(t *testing.T) {
 	spec, ws := topo.DefaultSpec(), E13Workload()
@@ -369,23 +408,13 @@ func TestTakesNamesRealParams(t *testing.T) {
 	if got := every.Fields().Shown(); !reflect.DeepEqual(got, keys) {
 		t.Fatalf("a Params with every scenario field set renders %v, want %v", got, keys)
 	}
-	taken := map[string]bool{}
-	for _, e := range All {
-		for _, k := range e.scenario.Fields().Shown() {
-			if !e.Takes(k) {
-				t.Fatalf("%s records %q but does not take it", e.ID, k)
-			}
-		}
-		for _, k := range e.takes {
-			if k != "shards" && !slices.Contains(keys, k) {
-				t.Fatalf("%s takes %q, which is not a scenario key", e.ID, k)
-			}
-			taken[k] = true
-		}
+	want := map[string]string{
+		"topo": "E12, E13-T, E14, E15, E16", "workload": "E13, E14", "faults": "E11",
+		"qdisc": "E13, E13-T", "cc": "E13, E13-T", "fracs": "E14",
 	}
-	for _, k := range keys {
-		if !taken[k] {
-			t.Errorf("no experiment takes scenario key %q", k)
+	for i, line := range strings.Split(Usage(), "\n") {
+		if _, got, _ := strings.Cut(line, "; taken by "); got != want[keys[i]] {
+			t.Errorf("scenario key %q is taken by %q, want %q", keys[i], got, want[keys[i]])
 		}
 	}
 }

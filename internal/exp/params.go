@@ -21,10 +21,9 @@ import (
 // records the value of every field its driver reads, and every field
 // left zero keeps the recorded value. The six scenario fields have one
 // text form, Fields' "key=val;key=val;…" (ParseParams reads it, String
-// writes it); the rest are set in Go. Each row declares which keys it
-// takes (-h lists them), and Experiment.With binds them. A key no
-// experiment in hand takes is ignored by With — callers that must not
-// ignore it (cmd/experiments) check Takes first.
+// writes it); the rest are set in Go. A row takes the keys its recorded
+// scenario sets (-h lists them), and Experiment.With binds them; it
+// ignores a key the row does not take, so cmd/experiments checks Takes.
 type Params struct {
 	Topo     *topo.Spec        // the generated internet
 	Workload *workload.Spec    // the traffic mix
@@ -32,7 +31,6 @@ type Params struct {
 	Policies []phys.PolicySpec // gateway queue policies: a sweep runs the first, a tournament crosses all with CCs
 	CCs      []string          // host congestion responses: likewise
 	Fracs    []float64         // the loss sweep, fractions of infrastructure in (0,1]
-	Shards   int               // worker count: buys wall-clock, never changes a result or a title
 
 	// Scale-down knobs for the campaign-determinism tests; the CLI
 	// exposes none of them.
@@ -40,6 +38,7 @@ type Params struct {
 	Window  sim.Duration // flow-admission window
 	Drain   sim.Duration // time after the window for flows to finish, or for routing to reconverge after a failure
 	Regions int          // region count of a sharded internet
+	Shards  int          // worker count of a sharded internet, on which no result or title depends
 }
 
 // RandomFaults, as Params.Faults, makes every replica seed draw its own
@@ -49,28 +48,28 @@ var RandomFaults = &fault.Schedule{Name: "random"}
 
 // Fields is the scenario table, in rendering order: each key bound to
 // its field through that field's own grammar, rendered when set, and
-// documented for -h with the experiments whose rows take it. Terms are
-// joined by ";", since the values use ",". A list may not repeat the
-// label its elements' cells are named by in metric paths — a policy's
-// kind, a congestion response, a percentage — or two cells would merge
-// into one.
+// documented by its grammar (Usage adds the experiments that take it).
+// Terms are joined by ";", since the values use ",". A list may not
+// repeat the label its elements' cells are named by in metric paths — a
+// policy's kind, a congestion response, a percentage — or two cells
+// would merge into one.
 func (p *Params) Fields() spec.Fields {
 	keys := func(fs spec.Fields) string { return "keys: " + strings.Join(fs.Keys(), ", ") }
 	return spec.Fields{
 		spec.Func("topo", &p.Topo, ref(topo.ParseSpec), (*topo.Spec).String).When(p.Topo != nil).
 			Check(func() error { return twoHosts(p.Topo) }).
-			Doc("shape:key=val,... — the generated internet of " + TakenBy("topo") + " (shapes: " + strings.Join(topo.ShapeNames(), ", ") + "; " + keys(new(topo.Spec).Fields()) + ")"),
-		spec.Func("workload", &p.Workload, ref(workload.ParseSpec), (*workload.Spec).String).When(p.Workload != nil).Doc("key=val,... — the traffic mix of " + TakenBy("workload") + " (" + keys(new(workload.Spec).Fields()) + ")"),
-		spec.Func("faults", &p.Faults, parseFaults, func(s *fault.Schedule) string { return s.Name }).When(p.Faults != nil).Doc("name — the failure schedule of " + TakenBy("faults") + ": a preset (" + strings.Join(fault.PresetNames(), ", ") + "), random (each replica seed draws its own), or a schedule file"),
+			Doc("shape:key=val,... — the generated internet (shapes: " + strings.Join(topo.ShapeNames(), ", ") + "; " + keys(new(topo.Spec).Fields()) + ")"),
+		spec.Func("workload", &p.Workload, ref(workload.ParseSpec), (*workload.Spec).String).When(p.Workload != nil).Doc("key=val,... — the traffic mix (" + keys(new(workload.Spec).Fields()) + ")"),
+		spec.Func("faults", &p.Faults, parseFaults, func(s *fault.Schedule) string { return s.Name }).When(p.Faults != nil).Doc("name — the failure schedule: a preset (" + strings.Join(fault.PresetNames(), ", ") + "), random (each replica seed draws its own), or a schedule file"),
 		spec.List("qdisc", &p.Policies, "+", phys.ParsePolicySpec, phys.PolicySpec.String).When(len(p.Policies) > 0).
 			Check(func() error { return once(p.Policies, func(s phys.PolicySpec) string { return s.Kind }) }).
-			Doc("kind[:key=val,...]+... — gateway queue policies of " + TakenBy("qdisc") + " (" + strings.Join(phys.PolicyKinds(), "|") + "; " + keys(new(phys.PolicySpec).Fields()) + "), each kind once: a sweep runs the first, a tournament crosses them with cc"),
+			Doc("kind[:key=val,...]+... — gateway queue policies (" + strings.Join(phys.PolicyKinds(), "|") + "; " + keys(new(phys.PolicySpec).Fields()) + "), each kind once: a sweep runs the first, a tournament crosses them with cc"),
 		spec.List("cc", &p.CCs, "+", spec.OneOf(tcp.CCNames()...), func(s string) string { return s }).When(len(p.CCs) > 0).
 			Check(func() error { return once(p.CCs, func(s string) string { return s }) }).
-			Doc("name+... — host congestion responses of " + TakenBy("cc") + " (" + strings.Join(tcp.CCNames(), "|") + "), each once: a sweep runs the first, a tournament crosses them with qdisc"),
+			Doc("name+... — host congestion responses (" + strings.Join(tcp.CCNames(), "|") + "), each once: a sweep runs the first, a tournament crosses them with qdisc"),
 		spec.List("fracs", &p.Fracs, ",", parseFrac, pct).When(len(p.Fracs) > 0).
 			Check(func() error { return once(p.Fracs, pct) }).
-			Doc("pct,... — the loss sweep of " + TakenBy("fracs") + " in percent of infrastructure lost, each once, e.g. 2,5,10,20"),
+			Doc("pct,... — the loss sweep in percent of infrastructure lost, each once, e.g. 2,5,10,20"),
 	}
 }
 
@@ -83,15 +82,21 @@ func twoHosts(t *topo.Spec) error {
 	return nil
 }
 
-// TakenBy lists the experiments whose rows take key, in paper order.
-func TakenBy(key string) string {
-	var ids []string
-	for _, e := range All {
-		if e.Takes(key) {
-			ids = append(ids, e.ID)
+// Usage is the scenario table's -h text: a line per key giving its
+// grammar, then the experiments whose rows take it in paper order.
+func Usage() string {
+	fs := new(Params).Fields()
+	lines := strings.Split(fs.Usage(), "\n")
+	for i, key := range fs.Keys() {
+		var ids []string
+		for _, e := range All {
+			if e.Takes(key) {
+				ids = append(ids, e.ID)
+			}
 		}
+		lines[i] += "; taken by " + strings.Join(ids, ", ")
 	}
-	return strings.Join(ids, ", ")
+	return strings.Join(lines, "\n")
 }
 
 // once refuses a list in which two elements share a label.
@@ -155,8 +160,9 @@ func parseFrac(s string) (float64, error) {
 	return f / 100, err
 }
 
-// Takes reports whether the experiment consumes the named scenario key.
-func (e Experiment) Takes(key string) bool { return slices.Contains(e.takes, key) }
+// Takes reports whether the experiment consumes the named scenario key:
+// whether its recorded scenario sets it.
+func (e Experiment) Takes(key string) bool { return slices.Contains(e.scenario.Fields().Shown(), key) }
 
 // With returns the experiment reshaped by p: every field p sets
 // replaces the recorded value, and Title is suffixed with the scenario
@@ -177,11 +183,11 @@ func (e Experiment) With(p Params) (Experiment, error) {
 	}
 	sc := fill(p, e.scenario)
 	if e.check != nil {
-		if err := e.check(sc); err != nil {
+		if err := e.check(p, sc); err != nil {
 			return e, fmt.Errorf("%s: %w", e.ID, err)
 		}
 	}
-	if tag := p.Fields().Only(e.takes...).Join(";"); tag != "" {
+	if tag := p.Fields().Only(e.scenario.Fields().Shown()...).Join(";"); tag != "" {
 		e.Title += " [" + tag + "]"
 	}
 	e.scenario = sc

@@ -125,7 +125,7 @@ func (in *Injector) SetHopLimit(n int) { in.hopLimit = n }
 // path.
 func (in *Injector) Arm() error {
 	for _, st := range in.sched.Steps {
-		if _, _, err := in.resolve(st); err != nil {
+		if _, err := in.resolve(st); err != nil {
 			return fmt.Errorf("fault: step %q: %w", st, err)
 		}
 	}
@@ -145,24 +145,23 @@ func (in *Injector) Arm() error {
 	return nil
 }
 
-// resolve finds what st acts on — every medium of the net it names (both
-// halves of a cross trunk), or the region holding the node it names.
-func (in *Injector) resolve(st Step) ([]phys.Medium, *core.Network, error) {
+// resolve finds the media of the net st names (both halves of a cross
+// trunk), or checks that the internet holds the node it names.
+func (in *Injector) resolve(st Step) ([]phys.Medium, error) {
 	switch st.Op {
 	case OpCut, OpHeal, OpStormStart, OpStormEnd:
 		if media := in.nw.Media(st.Target); media != nil {
-			return media, nil, nil
+			return media, nil
 		}
-		return nil, nil, fmt.Errorf("no net %s in the internet", st.Target)
+		return nil, fmt.Errorf("no net %s in the internet", st.Target)
 	}
-	r := in.nw.Net(st.Target)
 	switch {
-	case r == nil:
-		return nil, nil, fmt.Errorf("no node %s in the internet", st.Target)
-	case (st.Op == OpIfDown || st.Op == OpIfUp) && r.Node(st.Target).Interface(st.Index) == nil:
-		return nil, nil, fmt.Errorf("%s has no interface %d", st.Target, st.Index)
+	case in.nw.Net(st.Target) == nil:
+		return nil, fmt.Errorf("no node %s in the internet", st.Target)
+	case (st.Op == OpIfDown || st.Op == OpIfUp) && in.nw.Node(st.Target).Interface(st.Index) == nil:
+		return nil, fmt.Errorf("%s has no interface %d", st.Target, st.Index)
 	}
-	return nil, r, nil
+	return nil, nil
 }
 
 // applyGroup fires one simultaneity group: every step injects and logs,
@@ -179,19 +178,15 @@ func (in *Injector) applyGroup(group []Step) {
 // apply fires one step: inject the fault and log the event.
 func (in *Injector) apply(st Step) {
 	ev := Event{At: in.nw.Now(), Op: st.Op, Target: st.Target, Index: st.Index}
-	media, r, _ := in.resolve(st) // Arm refused a step it cannot resolve
+	media, _ := in.resolve(st) // Arm refused a step it cannot resolve
 	switch st.Op {
 	case OpCut:
 		if !slices.ContainsFunc(media, phys.Medium.Down) {
 			in.openCut[st.Target] = lostWhileDown(media)
-			for _, m := range media {
-				m.SetDown(true)
-			}
+			in.nw.SetNetDown(st.Target, true)
 		}
 	case OpHeal:
-		for _, m := range media {
-			m.SetDown(false)
-		}
+		in.nw.SetNetDown(st.Target, false)
 		if snap, ok := in.openCut[st.Target]; ok {
 			ev.LostInWindow = lostWhileDown(media) - snap
 			in.totalLost += ev.LostInWindow
@@ -199,18 +194,18 @@ func (in *Injector) apply(st Step) {
 		}
 	case OpCrash:
 		if _, open := in.openCrash[st.Target]; !open {
-			in.openCrash[st.Target] = downDrops(r.Node(st.Target))
-			r.CrashNode(st.Target)
+			in.openCrash[st.Target] = downDrops(in.nw.Node(st.Target))
+			in.nw.CrashNode(st.Target)
 		}
 	case OpRestore:
-		r.RestoreNode(st.Target)
+		in.nw.RestoreNode(st.Target)
 		if snap, ok := in.openCrash[st.Target]; ok {
-			ev.LostInWindow = downDrops(r.Node(st.Target)) - snap
+			ev.LostInWindow = downDrops(in.nw.Node(st.Target)) - snap
 			in.totalLost += ev.LostInWindow
 			delete(in.openCrash, st.Target)
 		}
 	case OpIfDown, OpIfUp:
-		r.Node(st.Target).Interface(st.Index).NIC.SetUp(st.Op == OpIfUp)
+		in.nw.Node(st.Target).Interface(st.Index).NIC.SetUp(st.Op == OpIfUp)
 	case OpStormStart:
 		if _, open := in.baseLoss[st.Target]; !open {
 			in.baseLoss[st.Target] = media[0].Loss()

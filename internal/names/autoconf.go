@@ -94,7 +94,7 @@ type HostConfig struct {
 // exactly once — ok means the registration was acknowledged by a
 // directory replica. No manual route or table edits anywhere: the host
 // only needs to know its own name.
-func Autoconfigure(k *sim.Kernel, tr *udp.Transport, ifc *stack.Interface, r *Resolver, cfg HostConfig, done func(ok bool)) {
+func Autoconfigure(tr *udp.Transport, ifc *stack.Interface, r *Resolver, cfg HostConfig, done func(ok bool)) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 500 * time.Millisecond
 	}
@@ -151,7 +151,7 @@ func Autoconfigure(k *sim.Kernel, tr *udp.Transport, ifc *stack.Interface, r *Re
 		}
 		attempts++
 		sock.SendToVia(ifc, dst, b)
-		retry = k.After(cfg.Interval, probeOnce)
+		retry = node.Kernel().After(cfg.Interval, probeOnce)
 	}
 	probeOnce()
 }

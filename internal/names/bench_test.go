@@ -28,7 +28,6 @@ func benchResolverTopo(tb testing.TB) (*core.Network, ipv4.Addr, *uint64) {
 	nw.AddHost("h2", "n2")
 	nw.AddHost("d2", "n2")
 	nw.InstallStaticRoutes()
-	k := nw.Kernel()
 
 	eps := []udp.Endpoint{
 		{Addr: nw.Addr("gw"), Port: names.Port},
@@ -36,14 +35,14 @@ func benchResolverTopo(tb testing.TB) (*core.Network, ipv4.Addr, *uint64) {
 	}
 	scfg := names.ServerConfig{TTL: time.Hour, Sync: 10 * time.Second}
 	for i, d := range []string{"gw", "d2"} {
-		srv, err := names.NewServer(k, nw.UDP(d), d, scfg)
+		srv, err := names.NewServer(nw.UDP(d), d, scfg)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		srv.SetPeers([]udp.Endpoint{eps[1-i]})
 	}
 
-	r, err := names.NewResolver(k, nw.UDP("h1"), names.ResolverConfig{})
+	r, err := names.NewResolver(nw.UDP("h1"), names.ResolverConfig{})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func buildWorld(t *testing.T, cfg names.ServerConfig) *world {
 		w.replicas = append(w.replicas, udp.Endpoint{Addr: nw.Addr(g), Port: names.Port})
 	}
 	for i, g := range []string{"g1", "g2"} {
-		srv, err := names.NewServer(nw.Kernel(), nw.UDP(g), g, cfg)
+		srv, err := names.NewServer(nw.UDP(g), g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,12 +89,12 @@ func indexOf(n *stack.Node, via ipv4.Addr) int {
 func autoconf(t *testing.T, w *world, host string, serial uint32) *names.Resolver {
 	t.Helper()
 	nw := w.nw
-	r, err := names.NewResolver(nw.Kernel(), nw.UDP(host), names.ResolverConfig{})
+	r, err := names.NewResolver(nw.UDP(host), names.ResolverConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	node := nw.Node(host)
-	names.Autoconfigure(nw.Kernel(), nw.UDP(host), node.Interfaces()[len(node.Interfaces())-1], r,
+	names.Autoconfigure(nw.UDP(host), node.Interfaces()[len(node.Interfaces())-1], r,
 		names.HostConfig{Name: host, Serial: serial}, func(bool) {})
 	return r
 }
@@ -212,7 +212,7 @@ func TestRenumberReRegister(t *testing.T) {
 	h2 := w.nw.Node("h2")
 	h2.Interfaces()[0].NIC.SetUp(false)
 	w.nw.AttachNodeToNet("h2", "lan3")
-	names.Autoconfigure(w.nw.Kernel(), w.nw.UDP("h2"), h2.Interfaces()[1], r2,
+	names.Autoconfigure(w.nw.UDP("h2"), h2.Interfaces()[1], r2,
 		names.HostConfig{Name: "h2", Serial: 2}, func(bool) {})
 	w.nw.RunFor(3 * time.Second) // registration + old TTL fully elapsed
 

@@ -48,7 +48,7 @@ func TestPropertyResolutionMatchesTopology(t *testing.T) {
 					replicas[i] = names.Record{Name: d, Addr: nw.Addr(d), Serial: uint32(i)}
 				}
 				for i, d := range m.Directories {
-					srv, err := names.NewServer(nw.Kernel(), nw.UDP(d), d,
+					srv, err := names.NewServer(nw.UDP(d), d,
 						names.ServerConfig{TTL: ttl, NegTTL: negTTL, Sync: time.Second})
 					if err != nil {
 						t.Fatal(err)
@@ -81,7 +81,7 @@ func TestPropertyResolutionMatchesTopology(t *testing.T) {
 				resolvers := make(map[string]*names.Resolver, len(hostNames))
 				autoOK := make(map[string]bool, len(hostNames))
 				for i, h := range hostNames {
-					r, err := names.NewResolver(nw.Kernel(), nw.UDP(h), names.ResolverConfig{})
+					r, err := names.NewResolver(nw.UDP(h), names.ResolverConfig{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -89,7 +89,7 @@ func TestPropertyResolutionMatchesTopology(t *testing.T) {
 					h := h
 					node := nw.Node(h)
 					nw.Kernel().After(time.Duration(i)*10*time.Millisecond, func() {
-						names.Autoconfigure(nw.Kernel(), nw.UDP(h), node.Interfaces()[0], resolvers[h],
+						names.Autoconfigure(nw.UDP(h), node.Interfaces()[0], resolvers[h],
 							names.HostConfig{Name: h, Serial: 1}, func(ok bool) { autoOK[h] = ok })
 					})
 				}
@@ -144,7 +144,7 @@ func TestPropertyResolutionMatchesTopology(t *testing.T) {
 				node := nw.Node(victim)
 				node.Interfaces()[0].NIC.SetUp(false)
 				nw.AttachNodeToNet(victim, target)
-				names.Autoconfigure(nw.Kernel(), nw.UDP(victim), node.Interfaces()[len(node.Interfaces())-1],
+				names.Autoconfigure(nw.UDP(victim), node.Interfaces()[len(node.Interfaces())-1],
 					resolvers[victim], names.HostConfig{Name: victim, Serial: 2}, func(bool) {})
 				nw.RunFor(ttl + time.Second) // re-registration plus the whole old TTL
 

@@ -77,7 +77,7 @@ type Resolver struct {
 
 // NewResolver opens a resolver on the node behind tr, bound to an
 // ephemeral port.
-func NewResolver(k *sim.Kernel, tr *udp.Transport, cfg ResolverConfig) (*Resolver, error) {
+func NewResolver(tr *udp.Transport, cfg ResolverConfig) (*Resolver, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 250 * time.Millisecond
 	}
@@ -85,7 +85,7 @@ func NewResolver(k *sim.Kernel, tr *udp.Transport, cfg ResolverConfig) (*Resolve
 		cfg.Retries = 2
 	}
 	r := &Resolver{
-		k: k, cfg: cfg,
+		k: tr.Node().Kernel(), cfg: cfg,
 		cache:   make(map[string]*cacheEntry),
 		pending: make(map[uint16]*pendingQuery),
 	}

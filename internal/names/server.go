@@ -64,14 +64,14 @@ type Server struct {
 
 // NewServer starts a directory replica on the node behind tr, listening
 // on Port. Replication peers are wired afterwards with SetPeers.
-func NewServer(k *sim.Kernel, tr *udp.Transport, name string, cfg ServerConfig) (*Server, error) {
+func NewServer(tr *udp.Transport, name string, cfg ServerConfig) (*Server, error) {
 	if cfg.TTL <= 0 {
 		cfg.TTL = 3 * time.Second
 	}
 	if cfg.NegTTL <= 0 {
 		cfg.NegTTL = time.Second
 	}
-	s := &Server{name: name, k: k, cfg: cfg, zone: make(map[string]zoneEntry)}
+	s := &Server{name: name, k: tr.Node().Kernel(), cfg: cfg, zone: make(map[string]zoneEntry)}
 	sock, err := tr.Listen(Port, s.input)
 	if err != nil {
 		return nil, err
@@ -81,9 +81,9 @@ func NewServer(k *sim.Kernel, tr *udp.Transport, name string, cfg ServerConfig) 
 		var tick func()
 		tick = func() {
 			s.pushZone()
-			k.After(cfg.Sync, tick)
+			s.k.After(cfg.Sync, tick)
 		}
-		k.After(cfg.Sync, tick)
+		s.k.After(cfg.Sync, tick)
 	}
 	return s, nil
 }

@@ -59,17 +59,16 @@ func TestResolverStateMachine(t *testing.T) {
 			for _, n := range []string{"h1", "h2", "d1", "d2"} {
 				nw.AddHost(n, "lan")
 			}
-			k := nw.Kernel()
 			eps := make([]udp.Endpoint, 2)
 			for i, d := range []string{"d1", "d2"} {
-				if _, err := names.NewServer(k, nw.UDP(d), d, names.ServerConfig{TTL: ttl}); err != nil {
+				if _, err := names.NewServer(nw.UDP(d), d, names.ServerConfig{TTL: ttl}); err != nil {
 					t.Fatal(err)
 				}
 				eps[i] = udp.Endpoint{Addr: nw.Addr(d), Port: names.Port}
 			}
 			// Seed both zones with svc = h2 (no replication peers: the
 			// zones are independent, as after a missed update).
-			reg, err := names.NewResolver(k, nw.UDP("h2"), names.ResolverConfig{})
+			reg, err := names.NewResolver(nw.UDP("h2"), names.ResolverConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +82,7 @@ func TestResolverStateMachine(t *testing.T) {
 				nw.RunFor(100 * time.Millisecond)
 			}
 
-			r, err := names.NewResolver(k, nw.UDP("h1"), names.ResolverConfig{})
+			r, err := names.NewResolver(nw.UDP("h1"), names.ResolverConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -399,7 +399,7 @@ func TestCensusAtAnyRegionCount(t *testing.T) {
 							for _, tr := range trunks {
 								end := ends[tr][half]
 								for _, b := range builds {
-									b.Net(end).SetNetDown(tr, down)
+									b.Net(end).Medium(tr).SetDown(down) // this end's half only
 								}
 							}
 						}

@@ -97,15 +97,19 @@ type Engine struct {
 	keyBuf []byte // shared keystroke byte
 }
 
-// New creates an engine over the named hosts (at least two) of nw.
-// Its counters register immediately under workload/engine/ in the
-// kernel's metrics registry, as gauges summed over its flows.
+// New creates an engine over the named hosts (at least two) of nw. Its
+// counters register immediately under workload/engine/ in the kernel's
+// metrics registry, as gauges summed over its flows. nw must be one
+// region: the engine runs on one kernel and touches every host from it.
 func New(nw *core.Network, hosts []string, spec Spec, seed int64) *Engine {
 	if err := spec.validate(); err != nil {
 		panic(err)
 	}
 	if len(hosts) < 2 {
 		panic("workload: need at least two hosts")
+	}
+	if n := len(nw.Kernels()); n > 1 {
+		panic(fmt.Sprintf("workload: an internet of %d regions: the engine runs on one", n))
 	}
 	e := &Engine{
 		nw:         nw,

@@ -2,6 +2,7 @@ package workload_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -42,6 +43,25 @@ func labSpec() workload.Spec {
 	s.MaxBytes = 100_000
 	s.VJ = true
 	return s
+}
+
+// TestNewRefusesAShardedInternet: the engine runs on one kernel, so an
+// internet cut into regions is refused before anything is scheduled.
+func TestNewRefusesAShardedInternet(t *testing.T) {
+	cfg := phys.Config{BitsPerSec: 1_544_000, Delay: 3 * time.Millisecond, MTU: 1500}
+	rs := core.NewRegions(1, 2, 2)
+	core.AddCrossTrunk(rs[0], rs[1], "t0", "10.9.0.0/24", cfg)
+	for i, r := range rs {
+		r.AddNet(fmt.Sprint("lan", i), fmt.Sprintf("10.%d.0.0/24", i+1), core.LAN, cfg)
+		r.AddGateway(fmt.Sprint("g", i), "t0", fmt.Sprint("lan", i))
+		r.AddHost(fmt.Sprint("h", i), fmt.Sprint("lan", i))
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "2 regions") {
+			t.Fatalf("New on a 2-region internet: recovered %q, want a refusal naming the region count", msg)
+		}
+	}()
+	workload.New(rs[0], []string{"h0", "h1"}, labSpec(), 1)
 }
 
 func TestFlowsCompleteOnLab(t *testing.T) {

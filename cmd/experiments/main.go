@@ -13,7 +13,8 @@
 // -scenario 'key=val;...' (exp.Params' text form; -h lists the keys)
 // reshapes every selected experiment that takes a key and titles it. A
 // key no selected experiment takes is an error, as is an unknown -only
-// id or a -runs or -parallel count below 1.
+// id, a -runs or -parallel count below 1, or -metrics (one run's counter
+// tree) with -runs above 1.
 //
 // -export kind=file (repeatable) writes machine-readable JSON after the
 // run: campaign (every selected experiment, darpanet/campaign/v1),
@@ -36,7 +37,6 @@ import (
 
 	"darpanet/internal/exp"
 	"darpanet/internal/harness"
-	"darpanet/internal/metrics"
 )
 
 // options is one parsed command line.
@@ -93,7 +93,7 @@ func flagSet(o *options, p *exp.Params, only *string) *flag.FlagSet {
 	fs.StringVar(only, "only", "", "comma-separated experiment IDs to run (default: all)")
 	fs.IntVar(&o.runs, "runs", 1, "replicas per experiment (a Monte Carlo campaign when > 1)")
 	fs.IntVar(&o.parallel, "parallel", runtime.NumCPU(), "campaign worker-pool size (affects wall time only, never results)")
-	fs.BoolVar(&o.metrics, "metrics", false, "after each single-run table, dump the per-layer counter registry as a tree")
+	fs.BoolVar(&o.metrics, "metrics", false, "after a single run's table, dump the per-layer counter registry as a tree (an error with -runs > 1)")
 	fs.Func("export", "`kind=file`: write JSON after the run; kinds: campaign, leaderboard (E13-T), survive (E14), names (E15); repeatable", func(s string) error {
 		kind, file, ok := strings.Cut(s, "=")
 		if _, known := exportKinds[kind]; !ok || !known || file == "" {
@@ -111,8 +111,8 @@ func flagSet(o *options, p *exp.Params, only *string) *flag.FlagSet {
 // resolved against the registry, and the scenario bound to every
 // selected experiment that takes its keys. Like the flag package's own
 // command line it exits on a value a flag's parser rejects (and on -h);
-// what it returns as an error is what only the registry can judge, and a
-// count below 1.
+// what it returns as an error is what only the registry can judge, a
+// count below 1, and -metrics on a campaign.
 func parseArgs(args []string) (options, error) {
 	var o options
 	var p exp.Params
@@ -122,6 +122,9 @@ func parseArgs(args []string) (options, error) {
 		if n < 1 {
 			return o, fmt.Errorf("%s %d: want a count of at least 1", name, n)
 		}
+	}
+	if o.metrics && o.runs > 1 {
+		return o, fmt.Errorf("-metrics with -runs %d: the counter tree is one run's (a campaign reports counters as ctr/ metrics)", o.runs)
 	}
 
 	want := map[string]bool{}
@@ -182,7 +185,7 @@ func run(o options, stdout, stderr io.Writer) error {
 			if rep.First != nil {
 				fmt.Fprintln(stdout, rep.First.String())
 				if o.metrics {
-					fmt.Fprintf(stdout, "counters (schema %s):\n%s\n", metrics.Schema, rep.First.Counters().Tree())
+					fmt.Fprintf(stdout, "counters:\n%s\n", rep.First.Counters().Tree())
 				}
 			}
 		} else {

@@ -44,9 +44,9 @@ func TestParseArgsSelectsAndBinds(t *testing.T) {
 }
 
 // TestParseArgsFailsLoudly: an unknown experiment id, a scenario key
-// that no selected experiment takes, and a count below 1 are errors that
-// name the culprit — none may run a partial suite, or one replica for
-// none, and exit 0. (A value its grammar refuses exits 2 in the flag
+// that no selected experiment takes, a count below 1 and -metrics on a
+// campaign are errors that name the culprit — none may run a partial
+// suite, or one replica for none, or drop a flag, and exit 0. (A value its grammar refuses exits 2 in the flag
 // parser; exp.TestParseParamsRefuses holds those.)
 func TestParseArgsFailsLoudly(t *testing.T) {
 	for _, tc := range []struct {
@@ -58,6 +58,7 @@ func TestParseArgsFailsLoudly(t *testing.T) {
 		{[]string{"-only", "E13", "-scenario", "cc=reno;topo=ring:gw=4"}, []string{"topo: no selected"}},
 		{[]string{"-only", "E1", "-runs", "0"}, []string{"-runs 0"}},
 		{[]string{"-only", "E1", "-parallel", "-1"}, []string{"-parallel -1"}},
+		{[]string{"-only", "E11", "-runs", "2", "-metrics"}, []string{"-metrics", "-runs 2"}},
 	} {
 		_, err := parseArgs(tc.args)
 		if err == nil {
@@ -126,6 +127,55 @@ func TestFaultsNamingAMissingNodeFail(t *testing.T) {
 	}
 	if want := `fault: step "10s crash gwZ": no node gwZ in the internet`; !strings.Contains(stdout.String(), want) {
 		t.Fatalf("stdout does not carry %q:\n%s", want, stdout.String())
+	}
+}
+
+// TestMetricsTreeAsDocumented: -only E11 -metrics prints the counter
+// tree after the table, and the values EXPERIMENTS.md § Reading the
+// counters annotates are the ones it prints at seed 1988.
+func TestMetricsTreeAsDocumented(t *testing.T) {
+	o, err := parseArgs([]string{"-only", "E11", "-metrics"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout bytes.Buffer
+	if err := run(o, &stdout, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	_, tree, ok := strings.Cut(stdout.String(), "\ncounters:\n")
+	if !ok {
+		t.Fatalf("no counter tree after the table:\n%s", stdout.String())
+	}
+	// Read the tree back into paths: a line ending in "/" opens a
+	// directory at its indent, any other line is a leaf and its value.
+	got := map[string]string{}
+	var dirs []string
+	for _, line := range strings.Split(tree, "\n") {
+		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			break
+		}
+		depth := (len(line) - len(strings.TrimLeft(line, " "))) / 2
+		dirs = dirs[:depth]
+		if name, ok := strings.CutSuffix(fields[0], "/"); ok && len(fields) == 1 {
+			dirs = append(dirs, name)
+		} else {
+			got[strings.Join(append(dirs, fields[0]), "/")] = fields[1]
+		}
+	}
+	for path, want := range map[string]string{
+		"h1.if0/nic/tx_frames":  "7668",
+		"h1.if0/nic/rx_frames":  "3918",
+		"h1/tcp/bytes_sent":     "4000000",
+		"h1/tcp/bytes_retrans":  "36448",
+		"h1/tcp/retransmits":    "68",
+		"gwA/ip/forwarded":      "11314",
+		"gwA/rip/route_changes": "15",
+		"n1/medium/lost_down":   "53",
+	} {
+		if got[path] != want {
+			t.Errorf("%s = %q, want %q", path, got[path], want)
+		}
 	}
 }
 

@@ -13,22 +13,24 @@ import (
 	"darpanet/internal/stack"
 )
 
-// scopeOf strips the trailing node/layer/name segments, leaving the
-// AddCounters scope prefix ("" for single-kernel results like E11).
-func scopeOf(path string) string {
+// scopeOf strips a counter path's last tail segments — node/layer/name
+// for AddCounters, layer/name for AddCounterSums — leaving the scope
+// prefix ("" for single-kernel results like E11).
+func scopeOf(path string, tail int) string {
 	parts := strings.Split(path, "/")
-	if len(parts) <= 3 {
+	if len(parts) <= tail {
 		return ""
 	}
-	return strings.Join(parts[:len(parts)-3], "/")
+	return strings.Join(parts[:len(parts)-tail], "/")
 }
 
-// groupByKernel splits a result's counters back into one snapshot per
-// exported kernel (= per AddCounters scope).
-func groupByKernel(s metrics.Snapshot) map[string]metrics.Snapshot {
+// groupByScope splits a result's counters back into one snapshot per
+// scope: per exported kernel for AddCounters, per set of kernels summed
+// for AddCounterSums.
+func groupByScope(s metrics.Snapshot, tail int) map[string]metrics.Snapshot {
 	groups := map[string]metrics.Snapshot{}
 	for _, e := range s {
-		sc := scopeOf(e.Path)
+		sc := scopeOf(e.Path, tail)
 		groups[sc] = append(groups[sc], e)
 	}
 	return groups
@@ -47,26 +49,39 @@ func checkConservation(t *testing.T, scope string, g metrics.Snapshot) {
 // TestCounterConservation runs E1, E5 and E11 and checks the ledger on
 // every kernel each one exports: survivability (node crashes and
 // flushed queues), overhead (loss and saturated queues) and scripted
-// fault injection must all keep the frame ledger balanced.
+// fault injection must all keep the frame ledger balanced. E15's and
+// E16's multi-region internets export their counters summed over every
+// region (metrics.Totals), and each sum must close too: a region the
+// sums dropped would leave frames unaccounted. (metrics.TestSum holds
+// the repeats.)
 func TestCounterConservation(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs three full experiments")
+		t.Skip("runs five full experiments")
 	}
 	for _, run := range []struct {
 		name   string
 		driver func(seed int64) Result
+		tail   int      // segments after the scope: 3 per node, 2 summed
+		scopes []string // the scopes the result must export
 	}{
-		{"E1", RunE1},
-		{"E5", RunE5},
-		{"E11", row("E11").Run},
+		{"E1", RunE1, 3, nil},
+		{"E5", RunE5, 3, nil},
+		{"E11", row("E11").Run, 3, []string{""}},
+		{"E15", row("E15").Run, 2, []string{"name", "pin"}},
+		{"E16", row("E16").Run, 2, []string{"sharded"}},
 	} {
 		run := run
 		t.Run(run.name, func(t *testing.T) {
 			t.Parallel()
 			res := run.driver(1988)
-			groups := groupByKernel(res.Counters())
+			groups := groupByScope(res.Counters(), run.tail)
 			if len(groups) == 0 {
 				t.Fatal("result exports no counters")
+			}
+			for _, sc := range run.scopes {
+				if groups[sc] == nil {
+					t.Errorf("no counters under scope %q", sc)
+				}
 			}
 			var traffic uint64
 			for scope, g := range groups {

@@ -158,7 +158,7 @@ func runE14(seed int64, p Params) Result {
 				cell.reconv.Add(d.Seconds())
 			}
 
-			_, cell.ledgerDelta = frameLedger(metrics.For(nw.Kernel()).Snapshot())
+			_, cell.ledgerDelta = frameLedger(metrics.Totals(nw.Kernel()))
 
 			cells = append(cells, cell)
 			lastKernel = nw.Kernel()

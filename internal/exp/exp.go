@@ -7,7 +7,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -83,47 +82,28 @@ func (r *Result) AddLabelled(family string, labels []string, leaf, unit string, 
 // determinism across worker counts comes for free — the snapshot is
 // sorted and the registry is per-kernel.
 func (r *Result) AddCounters(scope string, k *sim.Kernel) {
-	for _, e := range metrics.For(k).Snapshot() {
-		if scope != "" {
-			e.Path = scope + "/" + e.Path
-		}
-		r.AddMetric("ctr/"+e.Path, "", float64(e.Value))
-	}
+	r.addCounters(scope, metrics.For(k).Snapshot())
 }
 
 // AddCounterSums records layer-level counter totals — every registry
-// descriptor summed across nodes, and across all the given kernels —
-// as "ctr/<scope>/<layer>/<name>" metrics. On generated internets
-// (internal/topo, hundreds of nodes) the per-node counters AddCounters
-// emits would swamp a campaign export with tens of
+// descriptor summed across nodes, and across all the given kernels
+// (metrics.Totals) — as "ctr/<scope>/<layer>/<name>" metrics. On
+// generated internets (internal/topo, hundreds of nodes) the per-node
+// counters AddCounters emits would swamp a campaign export with tens of
 // thousands of metrics; the sums keep it compact while preserving the
 // per-layer story. Sharded drivers pass every region kernel so the
 // totals cover the whole internet regardless of how it was cut.
 func (r *Result) AddCounterSums(scope string, ks ...*sim.Kernel) {
-	sums := make(map[string]uint64)
-	for _, k := range ks {
-		for _, e := range metrics.For(k).Snapshot() {
-			p := e.Path
-			if i := strings.LastIndex(p, "~"); i >= 0 && !strings.Contains(p[i:], "/") {
-				p = p[:i] // uniquified duplicate, fold into the base name
-			}
-			if i := strings.Index(p, "/"); i >= 0 {
-				p = p[i+1:] // drop the node segment
-			}
-			sums[p] += e.Value
-		}
-	}
-	order := make([]string, 0, len(sums))
-	for p := range sums {
-		order = append(order, p)
-	}
-	sort.Strings(order)
-	for _, p := range order {
-		path := p
+	r.addCounters(scope, metrics.Totals(ks...))
+}
+
+// addCounters records each entry of s as a "ctr/[<scope>/]<path>" metric.
+func (r *Result) addCounters(scope string, s metrics.Snapshot) {
+	for _, e := range s {
 		if scope != "" {
-			path = scope + "/" + p
+			e.Path = scope + "/" + e.Path
 		}
-		r.AddMetric("ctr/"+path, "", float64(sums[p]))
+		r.AddMetric("ctr/"+e.Path, "", float64(e.Value))
 	}
 }
 

@@ -76,13 +76,9 @@ func (tm *trafficMatrix) report(nw *core.Network, res *Result, ledgerLabel strin
 		}
 	}
 
-	// Every kernel's counters end to end: Sum scans, so it needs no
-	// order, and a frame that left a NIC in one region and arrived in
-	// another is still one frame.
-	var snap metrics.Snapshot
-	for _, k := range nw.Kernels() {
-		snap = append(snap, metrics.For(k).Snapshot()...)
-	}
+	// Every kernel's counters end to end: a frame that left a NIC in one
+	// region and arrived in another is still one frame.
+	snap := metrics.Totals(nw.Kernels()...)
 	fwdPerDelivery := 0.0
 	if delivers := snap.Sum("ip/in_delivers"); delivers > 0 {
 		fwdPerDelivery = float64(snap.Sum("ip/forwarded")) / float64(delivers)
@@ -110,7 +106,7 @@ func (tm *trafficMatrix) report(nw *core.Network, res *Result, ledgerLabel strin
 }
 
 // frameLedger closes the frame-conservation ledger over a counter
-// snapshot (one kernel's, or several kernels' end to end): every frame
+// snapshot (one kernel's, or metrics.Totals over several): every frame
 // a NIC originated is, by the end of the run, delivered, lost, dropped,
 // or still sitting in a queue — nothing vanishes and nothing is
 // double-counted.

@@ -19,10 +19,7 @@
 package metrics
 
 import (
-	"cmp"
-	"encoding/json"
 	"fmt"
-	"io"
 	"slices"
 	"sort"
 	"strings"
@@ -38,12 +35,24 @@ type binding struct {
 	gauge   func() uint64
 }
 
+// value reads the descriptor: the counter, or the gauge's closure.
+func (b *binding) value() uint64 {
+	switch {
+	case b.counter != nil:
+		return *b.counter
+	case b.gauge != nil:
+		return b.gauge()
+	}
+	return 0
+}
+
 // Registry holds the descriptors registered by every layer driven by one
 // kernel. Registration happens at topology-construction time; the only
 // operations during a run are the layers' own uint64 increments.
 //
-// It keeps one binding per descriptor and nothing else: two
-// registrations of one path are told apart at Snapshot time, not here.
+// It keeps one binding per descriptor and nothing else: Snapshot puts
+// the bindings in path order and tells two registrations of one path
+// apart, not Counter or Gauge.
 type Registry struct {
 	bindings []binding
 }
@@ -66,31 +75,27 @@ func For(k *sim.Kernel) *Registry {
 	return r
 }
 
-// Path joins a descriptor path from its node, layer and name parts.
-func Path(node, layer, name string) string {
-	return node + "/" + layer + "/" + name
-}
-
 // Counter binds the uint64 at v as the descriptor node/layer/name. The
 // owner keeps incrementing the field exactly as before registration;
 // the registry only reads it at snapshot time.
 func (r *Registry) Counter(node, layer, name string, v *uint64) {
-	r.add(binding{path: Path(node, layer, name), counter: v})
+	r.add(node, layer, name, binding{counter: v})
 }
 
 // Gauge binds fn as the descriptor node/layer/name; fn is invoked only
 // when a snapshot is taken and must be cheap and side-effect free.
 func (r *Registry) Gauge(node, layer, name string, fn func() uint64) {
-	r.add(binding{path: Path(node, layer, name), gauge: fn})
+	r.add(node, layer, name, binding{gauge: fn})
 }
 
-// add appends a binding. Its path may repeat an earlier one's (two
-// media may attach stations with the same name); Snapshot tells them
-// apart.
-func (r *Registry) add(b binding) {
+// add appends binding b at the path node/layer/name. The path may
+// repeat an earlier one's (two media may attach stations with the same
+// name); Snapshot tells them apart.
+func (r *Registry) add(node, layer, name string, b binding) {
 	if r == nil {
 		return
 	}
+	b.path = node + "/" + layer + "/" + name
 	r.bindings = append(r.bindings, b)
 }
 
@@ -102,10 +107,21 @@ func (r *Registry) Len() int {
 	return len(r.bindings)
 }
 
+// fold splits a descriptor path into its base — a repeat's "~n" folded
+// away — and its kind, the base without its node segment:
+// "g7/nic/tx_frames~2" is base "g7/nic/tx_frames", kind "nic/tx_frames".
+func fold(path string) (base, kind string) {
+	base = path
+	if i := strings.LastIndexByte(path, '~'); i >= 0 && strings.IndexByte(path[i:], '/') < 0 {
+		base = path[:i]
+	}
+	return base, base[strings.IndexByte(base, '/')+1:]
+}
+
 // Entry is one descriptor's value at snapshot time.
 type Entry struct {
-	Path  string `json:"path"`
-	Value uint64 `json:"value"`
+	Path  string
+	Value uint64
 }
 
 // Snapshot is a point-in-time reading of a registry, sorted by path.
@@ -113,40 +129,28 @@ type Snapshot []Entry
 
 // Snapshot reads every descriptor and returns the values sorted by
 // path, so two snapshots of the same topology are comparable
-// entry-by-entry and the JSON rendering is byte-stable.
+// entry-by-entry.
 //
 // A path registered more than once is uniquified deterministically: the
 // second registration of path p reads as "p~2", the third "p~3", and so
 // on, in registration order — topology-construction order, which is
-// deterministic, so the suffixes are too.
+// deterministic, so the suffixes are too. The registry's own bindings
+// are kept in path order, stably, so only a snapshot taken after a
+// registration broke that order sorts them.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return nil
 	}
-	// Sort binding indices first, parked in Value: ties on a path then
-	// break by registration order.
-	s := make(Snapshot, len(r.bindings))
-	for i, b := range r.bindings {
-		s[i] = Entry{Path: b.path, Value: uint64(i)}
+	byPath := func(a, b binding) int { return strings.Compare(a.path, b.path) }
+	if !slices.IsSortedFunc(r.bindings, byPath) {
+		slices.SortStableFunc(r.bindings, byPath)
 	}
-	slices.SortFunc(s, func(a, b Entry) int {
-		if c := strings.Compare(a.Path, b.Path); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Value, b.Value)
-	})
+	s := make(Snapshot, len(r.bindings))
 	repeats := false
-	for i := range s {
-		b := &r.bindings[s[i].Value]
-		switch {
-		case b.counter != nil:
-			s[i].Value = *b.counter
-		case b.gauge != nil:
-			s[i].Value = b.gauge()
-		default:
-			s[i].Value = 0
-		}
-		repeats = repeats || i > 0 && s[i].Path == s[i-1].Path
+	for i := range r.bindings {
+		b := &r.bindings[i]
+		s[i] = Entry{Path: b.path, Value: b.value()}
+		repeats = repeats || i > 0 && b.path == r.bindings[i-1].path
 	}
 	if repeats {
 		uniquify(s)
@@ -169,6 +173,27 @@ func uniquify(s Snapshot) {
 	slices.SortStableFunc(s, func(a, b Entry) int { return strings.Compare(a.Path, b.Path) })
 }
 
+// Totals returns one entry per kind — a descriptor's layer/name, its
+// node cut off — summed over every node, repeat and kernel of ks, and
+// sorted by kind: the per-layer story of an internet too large to read
+// node by node, however many regions it was cut into.
+func Totals(ks ...*sim.Kernel) Snapshot {
+	sums := map[string]uint64{}
+	for _, k := range ks {
+		r := For(k)
+		for i := range r.bindings {
+			_, kind := fold(r.bindings[i].path)
+			sums[kind] += r.bindings[i].value()
+		}
+	}
+	t := make(Snapshot, 0, len(sums))
+	for kind, v := range sums {
+		t = append(t, Entry{Path: kind, Value: v})
+	}
+	slices.SortFunc(t, func(a, b Entry) int { return strings.Compare(a.Path, b.Path) })
+	return t
+}
+
 // Get returns the value at path (0, false when absent).
 func (s Snapshot) Get(path string) (uint64, bool) {
 	i := sort.Search(len(s), func(i int) bool { return s[i].Path >= path })
@@ -178,62 +203,19 @@ func (s Snapshot) Get(path string) (uint64, bool) {
 	return 0, false
 }
 
-// Sum adds up every entry whose path ends in suffix at a "/" boundary
-// (or equals it): Sum("nic/tx_frames") totals the descriptor across all
-// nodes. Uniquified duplicate paths ("...~2") are included.
+// Sum adds up every entry whose base path (a repeat's "~n" folded away)
+// ends in suffix at a "/" boundary or equals it: Sum("nic/tx_frames")
+// totals the descriptor across all nodes and repeats of a snapshot, and
+// reads the one entry of Totals.
 func (s Snapshot) Sum(suffix string) uint64 {
+	tail := "/" + suffix
 	var total uint64
 	for _, e := range s {
-		p := e.Path
-		if i := strings.LastIndex(p, "~"); i >= 0 && !strings.Contains(p[i:], "/") {
-			p = p[:i]
-		}
-		if p == suffix || strings.HasSuffix(p, "/"+suffix) {
+		if base, _ := fold(e.Path); base == suffix || strings.HasSuffix(base, tail) {
 			total += e.Value
 		}
 	}
 	return total
-}
-
-// Sub returns the delta snapshot cur − prev: for every entry of cur,
-// its value minus the matching entry of prev (absent in prev means the
-// full value; a gauge that decreased clamps at zero).
-func (s Snapshot) Sub(prev Snapshot) Snapshot {
-	out := make(Snapshot, len(s))
-	for i, e := range s {
-		if v, ok := prev.Get(e.Path); ok {
-			if v >= e.Value {
-				e.Value = 0
-			} else {
-				e.Value -= v
-			}
-		}
-		out[i] = e
-	}
-	return out
-}
-
-// jsonDoc is the export schema: a versioned name plus the sorted entries.
-type jsonDoc struct {
-	Schema   string  `json:"schema"`
-	Counters []Entry `json:"counters"`
-}
-
-// Schema is the JSON export schema identifier.
-const Schema = "darpanet/metrics/v1"
-
-// WriteJSON writes the snapshot as deterministic indented JSON under the
-// darpanet/metrics/v1 schema. The byte stream depends only on the
-// snapshot contents — never on worker count, wall clock, or map order —
-// so exports are comparable byte for byte.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	doc := jsonDoc{Schema: Schema, Counters: s}
-	if doc.Counters == nil {
-		doc.Counters = []Entry{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(&doc)
 }
 
 // Tree renders the snapshot as an indented node/layer/name tree for

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
@@ -126,6 +125,9 @@ func TestRegistryFootprint(t *testing.T) {
 	}
 }
 
+// TestSum: Sum totals a layer/name across nodes and repeats, and Totals
+// folds every node, repeat and kernel into one entry per kind — the
+// per-path values summed by hand, and what Sum reads off each snapshot.
 func TestSum(t *testing.T) {
 	r := NewRegistry()
 	var a, b, other uint64 = 10, 32, 100
@@ -135,54 +137,48 @@ func TestSum(t *testing.T) {
 	if got := r.Snapshot().Sum("nic/tx_frames"); got != 42 {
 		t.Fatalf("Sum = %d, want 42", got)
 	}
-}
 
-func TestSubDelta(t *testing.T) {
-	r := NewRegistry()
-	var tx uint64
-	g := uint64(9)
-	r.Counter("h1", "nic", "tx_frames", &tx)
-	r.Gauge("h1", "nic", "queued", func() uint64 { return g })
-	tx, g = 10, 9
-	before := r.Snapshot()
-	tx, g = 25, 4 // gauge shrank: delta clamps at zero
-	d := r.Snapshot().Sub(before)
-	if v, _ := d.Get("h1/nic/tx_frames"); v != 15 {
-		t.Fatalf("counter delta = %d, want 15", v)
-	}
-	if v, _ := d.Get("h1/nic/queued"); v != 0 {
-		t.Fatalf("shrunk gauge delta = %d, want 0", v)
-	}
-}
+	k1, k2 := sim.NewKernel(1), sim.NewKernel(2)
+	tx := []uint64{1, 2, 4, 8, 32}
+	For(k1).Counter("h1", "nic", "tx_frames", &tx[0])
+	For(k1).Counter("h1", "nic", "tx_frames", &tx[1])
+	For(k1).Gauge("h1", "ip", "forwarded", func() uint64 { return 16 })
+	For(k1).Counter("h1", "nic", "tx_frames", &tx[2])
+	For(k1).Counter("h2", "nic", "tx_frames", &tx[3])
+	For(k2).Counter("g1", "nic", "tx_frames", &tx[4])
+	fwd := uint64(64)
+	For(k2).Counter("g1", "ip", "forwarded", &fwd)
 
-func TestWriteJSONDeterministic(t *testing.T) {
-	build := func() Snapshot {
-		r := NewRegistry()
-		var tx, rx uint64 = 3, 5
-		r.Counter("b", "nic", "tx_frames", &tx)
-		r.Counter("a", "nic", "rx_frames", &rx)
-		return r.Snapshot()
+	s1, s2 := For(k1).Snapshot(), For(k2).Snapshot()
+	byHand := map[string]uint64{}
+	for path, kind := range map[string]string{
+		"h1/nic/tx_frames": "nic/tx_frames", "h1/nic/tx_frames~2": "nic/tx_frames",
+		"h1/nic/tx_frames~3": "nic/tx_frames", "h2/nic/tx_frames": "nic/tx_frames",
+		"h1/ip/forwarded": "ip/forwarded",
+	} {
+		v, ok := s1.Get(path)
+		if !ok {
+			t.Fatalf("kernel 1 snapshot lacks %s: %v", path, s1)
+		}
+		byHand[kind] += v
 	}
-	var w1, w2 bytes.Buffer
-	if err := build().WriteJSON(&w1); err != nil {
-		t.Fatal(err)
+	byHand["nic/tx_frames"] += tx[4]
+	byHand["ip/forwarded"] += fwd
+	want := Snapshot{{"ip/forwarded", 80}, {"nic/tx_frames", 47}}
+	if byHand["ip/forwarded"] != 80 || byHand["nic/tx_frames"] != 47 {
+		t.Fatalf("per-path values sum to %v, want %v", byHand, want)
 	}
-	if err := build().WriteJSON(&w2); err != nil {
-		t.Fatal(err)
+	got := Totals(k1, k2)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Totals = %v, want %v", got, want)
 	}
-	if !bytes.Equal(w1.Bytes(), w2.Bytes()) {
-		t.Fatal("two exports of the same state differ")
-	}
-	if !strings.Contains(w1.String(), `"schema": "darpanet/metrics/v1"`) {
-		t.Fatalf("missing schema: %s", w1.String())
-	}
-	var empty Snapshot
-	var w3 bytes.Buffer
-	if err := empty.WriteJSON(&w3); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(w3.String(), `"counters": []`) {
-		t.Fatalf("empty snapshot should export an empty array: %s", w3.String())
+	for _, e := range got {
+		if sum := s1.Sum(e.Path) + s2.Sum(e.Path); sum != e.Value {
+			t.Errorf("Sum(%q) over the snapshots = %d, Totals says %d", e.Path, sum, e.Value)
+		}
+		if sum := got.Sum(e.Path); sum != e.Value {
+			t.Errorf("Totals.Sum(%q) = %d, want %d", e.Path, sum, e.Value)
+		}
 	}
 }
 

@@ -44,21 +44,18 @@ func runE12(seed int64, p Params) Result {
 	gws := m.GatewayNames()
 	const auditPairs = 256
 	audited, worksOK, optimalOK := 0, 0, 0
-	hopsCache := make(map[string]map[string]int)
+	hopsCache := make([][]int, len(gws))
 	for i := 0; i < auditPairs; i++ {
-		gw := gws[rng.Intn(len(gws))]
-		nd := m.NetDefs[rng.Intn(len(m.NetDefs))]
-		hops := hopsCache[gw]
-		if hops == nil {
-			hops = m.NetHops(gw)
-			hopsCache[gw] = hops
+		g, n := rng.Intn(len(gws)), rng.Intn(len(m.NetDefs))
+		if hopsCache[g] == nil {
+			hopsCache[g] = m.NetHops(gws[g])
 		}
-		want, reachable := hops[nd.Name]
-		if !reachable {
+		want := hopsCache[g][n]
+		if want < 0 {
 			continue
 		}
 		audited++
-		p := nw.Prefix(nd.Name)
+		gw, p := gws[g], nw.Prefix(m.NetDefs[n].Name)
 		if nw.CheckRoute(gw, p, 0) == core.RouteDelivered {
 			worksOK++
 		}

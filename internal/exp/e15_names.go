@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"time"
 
@@ -97,7 +96,7 @@ type e15Plan struct {
 
 func planE15(spec topo.Spec, seed int64, regions, workers int) *e15Plan {
 	m := topo.ManifestOnly(spec, seed)
-	hostLAN, dirLAN, eligible, err := e15Cast(m)
+	dirLAN, eligible, err := e15Cast(m)
 	if err != nil {
 		panic(err) // With refuses such a topo
 	}
@@ -108,21 +107,17 @@ func planE15(spec topo.Spec, seed int64, regions, workers int) *e15Plan {
 		m: m, dirs: m.Directories, crash: m.Directories[0],
 	}
 
-	nodeRegion := make(map[string]int, len(m.NodeDefs))
-	for i, nd := range m.NodeDefs {
-		nodeRegion[nd.Name] = part.NodeRegions[i]
-	}
-	netRegion := make(map[string]int, len(m.NetDefs))
-	for i, nf := range m.NetDefs {
-		netRegion[nf.Name] = part.NetRegions[i]
-	}
+	// nodeRegion and lanOf read m's index: a node's region, and the
+	// stub LAN (a NetDefs index) a host sits on.
+	nodeRegion := func(name string) int { return part.NodeRegions[m.NodeIndex(name)] }
+	lanOf := func(host string) int { return m.NetIndex(m.NodeDefs[m.NodeIndex(host)].Nets[0]) }
 	span := make(map[int]bool, len(p.dirs))
 	for _, d := range p.dirs {
-		span[nodeRegion[d]] = true
+		span[nodeRegion(d)] = true
 	}
 	p.dirRegions = len(span)
 
-	lanIdx := make(map[string]int, len(eligible))
+	lanIdx := make([]int, len(m.NetDefs))
 	for i, l := range eligible {
 		lanIdx[l] = i
 	}
@@ -130,9 +125,9 @@ func planE15(spec topo.Spec, seed int64, regions, workers int) *e15Plan {
 	// Cast: with >= 2 hosts per LAN, the first host on each eligible LAN
 	// serves and the rest are clients; with 1 host per LAN, alternate
 	// whole LANs between the roles.
-	seenLAN := make(map[string]bool)
+	seenLAN := make([]bool, len(m.NetDefs))
 	for _, h := range m.HostNames() {
-		lan := hostLAN[h]
+		lan := lanOf(h)
 		if dirLAN[lan] {
 			continue
 		}
@@ -159,17 +154,18 @@ func planE15(spec topo.Spec, seed int64, regions, workers int) *e15Plan {
 			break
 		}
 		for _, l := range eligible {
-			if l != hostLAN[svc] && netRegion[l] == nodeRegion[svc] {
+			if l != lanOf(svc) && part.NetRegions[l] == nodeRegion(svc) {
 				p.renumbers = append(p.renumbers, e15Renumber{
-					host: svc, toNet: l,
+					host: svc, toNet: m.NetDefs[l].Name,
 					at: e15RenumberAt + sim.Duration(len(p.renumbers))*250*time.Millisecond,
 				})
 				break
 			}
 		}
 	}
-	p.attachNet = eligible[len(eligible)-1]
-	p.attachRegion = netRegion[p.attachNet] // a stub LAN: in one region
+	last := eligible[len(eligible)-1]
+	p.attachNet = m.NetDefs[last].Name
+	p.attachRegion = part.NetRegions[last] // a stub LAN: in one region
 
 	// Attempt schedule: per client, exponential inter-attempt gaps
 	// around the mean, each client cycling through a small per-client
@@ -195,51 +191,46 @@ func planE15(spec topo.Spec, seed int64, regions, workers int) *e15Plan {
 	return p
 }
 
-// e15Cast sorts m's stub LANs: hostLAN maps each host to its LAN, and
-// dirLAN marks the LANs a directory gateway owns. Their hosts sit
-// behind the crash target, so they stay out of the client/service cast
-// — the experiment measures name-layer failover, not raw reachability
-// loss. eligible lists the other stub LANs, in manifest order. err
-// refuses an internet with no cast: fewer than two directory replicas,
-// one to crash and one to fail over to, or no eligible LAN.
-func e15Cast(m *topo.Manifest) (hostLAN map[string]string, dirLAN map[string]bool, eligible []string, err error) {
+// e15Cast sorts m's stub LANs, by NetDefs index: dirLAN marks the LANs
+// a directory gateway owns. Their hosts sit behind the crash target, so
+// they stay out of the client/service cast — the experiment measures
+// name-layer failover, not raw reachability loss. eligible lists the
+// other stub LANs, in manifest order. err refuses an internet with no
+// cast: fewer than two directory replicas, one to crash and one to fail
+// over to, or no eligible LAN.
+func e15Cast(m *topo.Manifest) (dirLAN []bool, eligible []int, err error) {
 	if len(m.Directories) < 2 {
-		return nil, nil, nil, fmt.Errorf("topo=%s places %d directory replica(s): want dirs >= 2, one to crash and one to fail over to", m.Spec, len(m.Directories))
+		return nil, nil, fmt.Errorf("topo=%s places %d directory replica(s): want dirs >= 2, one to crash and one to fail over to", m.Spec, len(m.Directories))
 	}
-	hostLAN = make(map[string]string, m.Hosts)
-	lanSet := make(map[string]bool)
+	lan := make([]bool, len(m.NetDefs))
 	for _, nd := range m.NodeDefs {
 		if !nd.Forwarding {
-			hostLAN[nd.Name] = nd.Nets[0]
-			lanSet[nd.Nets[0]] = true
+			lan[m.NetIndex(nd.Nets[0])] = true
 		}
 	}
-	dirLAN = make(map[string]bool)
-	for _, nd := range m.NodeDefs {
-		if nd.Forwarding && slices.Contains(m.Directories, nd.Name) {
-			for _, n := range nd.Nets {
-				if lanSet[n] {
-					dirLAN[n] = true
-				}
-			}
+	dirLAN = make([]bool, len(m.NetDefs))
+	for _, d := range m.Directories {
+		for _, n := range m.NodeDefs[m.NodeIndex(d)].Nets {
+			j := m.NetIndex(n)
+			dirLAN[j] = lan[j]
 		}
 	}
-	for _, nf := range m.NetDefs {
-		if lanSet[nf.Name] && !dirLAN[nf.Name] {
-			eligible = append(eligible, nf.Name)
+	for n := range m.NetDefs {
+		if lan[n] && !dirLAN[n] {
+			eligible = append(eligible, n)
 		}
 	}
 	if len(eligible) == 0 {
 		err = fmt.Errorf("topo=%s: its %d dirs own every stub LAN, leaving no host to cast: want fewer dirs or more stub gateways", m.Spec, len(m.Directories))
 	}
-	return hostLAN, dirLAN, eligible, err
+	return dirLAN, eligible, err
 }
 
 // e15Castable refuses, before any replica builds it, an internet E15
 // cannot cast. Which gateways host a replica, and which LANs they own,
 // does not depend on the seed.
 func e15Castable(_, sc Params) error {
-	_, _, _, err := e15Cast(topo.ManifestOnly(*sc.Topo, 0))
+	_, _, err := e15Cast(topo.ManifestOnly(*sc.Topo, 0))
 	return err
 }
 
@@ -389,7 +380,7 @@ func runE15Mode(p *e15Plan, pinned bool) *e15ModeOut {
 	// One autoconfiguration agent per gateway, its replica list sorted
 	// nearest-first by the manifest's BFS metric — a host learns its
 	// closest directory from whatever gateway answers its broadcast.
-	hops := make([]map[string]int, len(p.dirs))
+	hops := make([][]int, len(p.dirs))
 	for i, d := range p.dirs {
 		hops[i] = p.m.NetHops(d)
 	}
@@ -397,21 +388,14 @@ func runE15Mode(p *e15Plan, pinned bool) *e15ModeOut {
 		if !nd.Forwarding {
 			continue
 		}
-		firstNet := nd.Nets[0]
+		firstNet := p.m.NetIndex(nd.Nets[0])
 		idx := make([]int, len(p.dirs))
 		for i := range idx {
 			idx[i] = i
 		}
+		// As uint, an unreachable net's -1 is the farthest distance.
 		sort.SliceStable(idx, func(a, b int) bool {
-			da, ok := hops[idx[a]][firstNet]
-			if !ok {
-				da = 1 << 30
-			}
-			db, ok := hops[idx[b]][firstNet]
-			if !ok {
-				db = 1 << 30
-			}
-			return da < db
+			return uint(hops[idx[a]][firstNet]) < uint(hops[idx[b]][firstNet])
 		})
 		recs := make([]names.Record, len(p.dirs))
 		for rank, i := range idx {

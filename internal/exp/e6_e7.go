@@ -93,7 +93,8 @@ func RunE6(seed int64) Result {
 	res := Result{
 		Table: table,
 		Notes: []string{
-			"host attachment is cheap because reliability lives in the host — so nothing stops a bad host implementation from retransmitting into congestion and taking the victim's bandwidth with it.",
+			fmt.Sprintf("host attachment is cheap because reliability lives in the host — so nothing stops a bad host implementation from retransmitting into congestion: %s of the naive partner's bytes are retransmissions, and trunk queue drops go from %d beside a well-behaved partner to %d. The damage lands on the shared trunk, not on the victim's goodput: its own TCP recovers ack-clocked.",
+				withNaive.partnerRetr, withGood.drops, withNaive.drops),
 		},
 	}
 	res.AddMetric("victim_alone_goodput", "b/s", alone)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -66,28 +67,39 @@ func TestE1Shape(t *testing.T) {
 func TestE9Shape(t *testing.T) {
 	r := RunE9(1988)
 	// Repacketization must need strictly fewer retransmissions.
-	with := r.Table.Rows[0][2]
-	without := r.Table.Rows[1][2]
-	if with >= without && len(with) >= len(without) {
-		t.Fatalf("repacketization row not better: %q vs %q", with, without)
+	with, without := metric(t, r, "repack_retrans"), metric(t, r, "orig_retrans")
+	if with >= without {
+		t.Fatalf("repacketization took %v retransmissions, the original segmentation %v", with, without)
 	}
 }
 
 func TestE8Shape(t *testing.T) {
 	r := RunE8(1988)
-	for _, row := range r.Table.Rows {
-		for _, c := range row[1:] {
-			if c == "never" {
-				t.Fatalf("a first byte never arrived: %v", row)
-			}
+	// Every first byte arrives, UDP's strictly before the circuit's at
+	// every hop count, and the circuit's lag grows with the path.
+	gap := 0.0
+	for _, hops := range []int{1, 2, 4, 6} {
+		udp := metric(t, r, fmt.Sprintf("udp_first_byte_%dhops", hops))
+		vc := metric(t, r, fmt.Sprintf("vc_first_byte_%dhops", hops))
+		tcp := metric(t, r, fmt.Sprintf("tcp_first_byte_%dhops", hops))
+		if udp < 0 || vc < 0 || tcp < 0 {
+			t.Fatalf("%d hops: a first byte never arrived (udp %v, tcp %v, vc %v ms)", hops, udp, tcp, vc)
 		}
-	}
-	// UDP strictly faster than VC at every hop count.
-	for _, row := range r.Table.Rows {
-		if !strings.HasSuffix(row[1], "ms") || !strings.HasSuffix(row[3], "ms") {
-			t.Fatalf("bad cells: %v", row)
+		if vc-udp <= gap {
+			t.Fatalf("%d hops: VC lags UDP by %.1fms, not more than the %.1fms of the shorter path", hops, vc-udp, gap)
 		}
+		gap = vc - udp
 	}
+}
+
+// metric returns the named metric of r, failing the test if r lacks it.
+func metric(t *testing.T, r Result, name string) float64 {
+	t.Helper()
+	v, ok := r.Metric(name)
+	if !ok {
+		t.Fatalf("no metric %q", name)
+	}
+	return v
 }
 
 // TestEveryExperimentEmitsMetrics pins the campaign contract on the

@@ -62,15 +62,17 @@ func TestPropertyResolutionMatchesTopology(t *testing.T) {
 					srv.SetPeers(peers)
 				}
 				// Every gateway answers Discover, nearest replica first.
-				hops := make([]map[string]int, len(m.Directories))
+				// A record's serial is its placement rank, so it picks the
+				// replica's hops; as uint, unreachable (-1) sorts last.
+				hops := make([][]int, len(m.Directories))
 				for i, d := range m.Directories {
 					hops[i] = m.NetHops(d)
 				}
 				for _, g := range m.GatewayNames() {
-					firstNet := nodeNets(m, g)[0]
+					firstNet := lanOf(m, g)
 					recs := append([]names.Record(nil), replicas...)
 					sort.SliceStable(recs, func(a, b int) bool {
-						return dirDist(hops, recs[a].Serial, firstNet) < dirDist(hops, recs[b].Serial, firstNet)
+						return uint(hops[recs[a].Serial][firstNet]) < uint(hops[recs[b].Serial][firstNet])
 					})
 					if _, err := names.InstallAgent(nw.UDP(g), recs); err != nil {
 						t.Fatal(err)
@@ -130,11 +132,11 @@ func TestPropertyResolutionMatchesTopology(t *testing.T) {
 				// TTL boundary its old address must never be served.
 				victim := hostNames[len(hostNames)-1]
 				oldAddr := nw.Addr(victim)
-				victimLAN := nodeNets(m, victim)[0]
+				victimLAN := lanOf(m, victim)
 				target := ""
 				for _, h := range hostNames[:len(hostNames)-1] {
-					if l := nodeNets(m, h)[0]; l != victimLAN {
-						target = l
+					if l := lanOf(m, h); l != victimLAN {
+						target = m.NetDefs[l].Name
 						break
 					}
 				}
@@ -175,22 +177,7 @@ func drive(nw *core.Network, r *names.Resolver, name string) (ipv4.Addr, bool) {
 	return addr, ok
 }
 
-// nodeNets returns a node's attached networks from the manifest.
-func nodeNets(m *topo.Manifest, name string) []string {
-	for _, nd := range m.NodeDefs {
-		if nd.Name == name {
-			return nd.Nets
-		}
-	}
-	return nil
-}
-
-// dirDist is the BFS gateway-hop distance from directory replica i
-// (identified by its record serial, which is its placement rank) to a
-// network; unreachable sorts last.
-func dirDist(hops []map[string]int, rank uint32, net string) int {
-	if d, ok := hops[int(rank)][net]; ok {
-		return d
-	}
-	return 1 << 30
+// lanOf returns the NetDefs index of a node's first attached network.
+func lanOf(m *topo.Manifest, name string) int {
+	return m.NetIndex(m.NodeDefs[m.NodeIndex(name)].Nets[0])
 }

@@ -1,5 +1,7 @@
 package topo
 
+import "slices"
+
 // Adjacency is the bipartite gateway/net incidence view of a generated
 // manifest — the pure graph the survivability analysis works on,
 // decoupled from the live Network. Gateways keep wiring order and nets
@@ -18,30 +20,27 @@ type Adjacency struct {
 
 // Adjacency builds the bipartite incidence view of the manifest.
 func (m *Manifest) Adjacency() *Adjacency {
-	a := &Adjacency{}
-	netIdx := make(map[string]int, len(m.NetDefs))
-	for i, nd := range m.NetDefs {
-		netIdx[nd.Name] = i
+	a := &Adjacency{
+		NetGateways: make([][]int, len(m.NetDefs)),
+		HostsOn:     make([]int, len(m.NetDefs)),
+	}
+	for _, nd := range m.NetDefs {
 		a.Nets = append(a.Nets, nd.Name)
 	}
-	a.NetGateways = make([][]int, len(a.Nets))
-	a.HostsOn = make([]int, len(a.Nets))
-	for _, nd := range m.NodeDefs {
+	for i, nd := range m.NodeDefs {
+		nets := m.nodeNets.row(i)
 		if !nd.Forwarding {
-			for _, n := range nd.Nets {
-				a.HostsOn[netIdx[n]]++
+			for _, n := range nets {
+				a.HostsOn[n]++
 			}
 			continue
 		}
 		g := len(a.Gateways)
 		a.Gateways = append(a.Gateways, nd.Name)
-		nets := make([]int, 0, len(nd.Nets))
-		for _, n := range nd.Nets {
-			i := netIdx[n]
-			nets = append(nets, i)
-			a.NetGateways[i] = append(a.NetGateways[i], g)
+		for _, n := range nets {
+			a.NetGateways[n] = append(a.NetGateways[n], g)
 		}
-		a.GatewayNets = append(a.GatewayNets, nets)
+		a.GatewayNets = append(a.GatewayNets, slices.Clone(nets))
 	}
 	return a
 }

@@ -3,8 +3,7 @@ package topo
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
+	"slices"
 )
 
 // PartitionDef records how a sharded build split a generated internet
@@ -67,49 +66,34 @@ func PartitionManifest(spec Spec, m *Manifest, regions int, seed int64) *Partiti
 		return gi
 	}
 
-	// Pass 1: gateways by generated index; remember each net's first
-	// gateway so hosts can follow theirs.
-	netGwRegion := make(map[string]int, len(m.NetDefs))
+	// Gateways by generated index: g<N> is the N-th forwarding node.
+	gi := 0
 	for i, nd := range m.NodeDefs {
-		if !nd.Forwarding {
-			continue
-		}
-		gi, err := strconv.Atoi(strings.TrimPrefix(nd.Name, "g"))
-		if err != nil {
-			panic(fmt.Sprintf("topo: partition: gateway %q breaks the g<N> naming invariant", nd.Name))
-		}
-		r := arc(backboneUnit(gi))
-		def.NodeRegions[i] = r
-		for _, n := range nd.Nets {
-			if _, ok := netGwRegion[n]; !ok {
-				netGwRegion[n] = r
-			}
+		if nd.Forwarding {
+			def.NodeRegions[i] = arc(backboneUnit(gi))
+			gi++
 		}
 	}
-	// Pass 2: hosts follow the gateway of their (single) stub net.
+	// Hosts follow the first gateway, in NodeDefs order, on their
+	// (single) stub net.
 	for i, nd := range m.NodeDefs {
 		if nd.Forwarding {
 			continue
 		}
-		r, ok := netGwRegion[nd.Nets[0]]
-		if !ok {
+		on := m.netNodes.row(m.nodeNets.row(i)[0])
+		gw := slices.IndexFunc(on, func(v int) bool { return m.NodeDefs[v].Forwarding })
+		if gw < 0 {
 			panic(fmt.Sprintf("topo: partition: host %s on net %s with no gateway", nd.Name, nd.Nets[0]))
 		}
-		def.NodeRegions[i] = r
+		def.NodeRegions[i] = def.NodeRegions[on[gw]]
 	}
 
 	// Net regions: unanimous region of the attached nodes, or -1 for a
 	// cross link. Only point-to-point trunks may cross — a broadcast
 	// net's stations all follow one gateway by construction, and the
 	// boundary medium models exactly one station per side.
-	attached := make(map[string][]int, len(m.NetDefs))
-	for i, nd := range m.NodeDefs {
-		for _, n := range nd.Nets {
-			attached[n] = append(attached[n], i)
-		}
-	}
 	for i, nf := range m.NetDefs {
-		nodes := attached[nf.Name]
+		nodes := m.netNodes.row(i)
 		if len(nodes) == 0 {
 			panic(fmt.Sprintf("topo: partition: net %s has no stations", nf.Name))
 		}

@@ -44,9 +44,9 @@ func TestRIPConvergesToBFSShortestPaths(t *testing.T) {
 				}
 				for _, gw := range m.GatewayNames() {
 					hops := m.NetHops(gw)
-					for _, nd := range m.NetDefs {
-						want, reachable := hops[nd.Name]
-						if !reachable {
+					for i, nd := range m.NetDefs {
+						want := hops[i]
+						if want < 0 {
 							continue
 						}
 						p := nw.Prefix(nd.Name)

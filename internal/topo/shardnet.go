@@ -53,22 +53,7 @@ func GenerateSharded(spec Spec, seed int64, regions, workers int) *Sharded {
 	m.Partition = part
 
 	s := &Sharded{Manifest: m, Regions: core.NewRegions(seed, part.Regions, workers)}
-
-	// Where the second pass sends each node and net: its region, or — a
-	// cross trunk, marked -1 — the regions of its two ends.
-	l := &lab{regions: s.Regions, nodeRegion: make(map[string]int, len(m.NodeDefs)), netRegion: make(map[string]int, len(m.NetDefs)), ends: make(map[string][]int, part.CrossLinks)}
-	for i, nf := range m.NetDefs {
-		l.netRegion[nf.Name] = part.NetRegions[i]
-	}
-	for i, nd := range m.NodeDefs {
-		l.nodeRegion[nd.Name] = part.NodeRegions[i]
-		for _, n := range nd.Nets {
-			if l.netRegion[n] < 0 {
-				l.ends[n] = append(l.ends[n], part.NodeRegions[i])
-			}
-		}
-	}
-	generate(spec, seed, l)
+	generate(spec, seed, &lab{regions: s.Regions, part: m})
 	s.Group = s.Regions[0].Group()
 	s.Lookahead = s.Group.Lookahead()
 	core.InstallStaticRoutesAcross(s.Regions)

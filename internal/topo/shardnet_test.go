@@ -139,19 +139,14 @@ func TestShardedRoutesMatchOracle(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", spec.Shape, seed), func(t *testing.T) {
 				s := GenerateSharded(spec, seed, 4, 1)
-				hosts := s.Manifest.HostNames()
-				stubNet := make(map[string]string)
-				for _, nd := range s.Manifest.NodeDefs {
-					if !nd.Forwarding {
-						stubNet[nd.Name] = nd.Nets[0]
-					}
-				}
+				m := s.Manifest
+				hosts := m.HostNames()
 				for _, from := range hosts {
-					oracle := s.Manifest.NetHops(from)
+					oracle := m.NetHops(from)
 					for _, to := range hosts {
-						want, reachable := oracle[stubNet[to]]
+						want := oracle[m.nodeNets.row(m.NodeIndex(to))[0]]
 						got, ok := s.PathHops(from, to)
-						if !reachable {
+						if want < 0 {
 							if ok {
 								t.Errorf("%s -> %s: delivered but BFS says unreachable", from, to)
 							}

@@ -235,6 +235,11 @@ type Manifest struct {
 	// Partition records the region assignment a sharded build used;
 	// nil for serially built internets.
 	Partition *PartitionDef `json:"partition,omitempty"`
+
+	// The graph by position, built once by generate: node and net name
+	// to NodeDefs and NetDefs index, and the attachments both ways.
+	nodeAt, netAt      map[string]int
+	nodeNets, netNodes csr
 }
 
 // ManifestSchema identifies the manifest JSON layout.
@@ -263,54 +268,99 @@ func (m *Manifest) HostNames() []string {
 	return out
 }
 
-// NetHops computes, for every network reachable from the named node,
-// the minimum number of gateways a datagram crosses to enter it (0 for
-// directly attached nets). This is the BFS oracle the property tests
-// compare routing state against: the static oracle's route metric
-// equals NetHops exactly, and a converged distance-vector metric
-// equals NetHops+1 (direct routes advertise metric 1). Unreachable
-// nets are absent from the map.
-func (m *Manifest) NetHops(from string) map[string]int {
-	nodeNets := make(map[string][]string, len(m.NodeDefs))
-	netNodes := make(map[string][]string, len(m.NetDefs))
-	forwarding := make(map[string]bool, len(m.NodeDefs))
-	for _, nd := range m.NodeDefs {
-		nodeNets[nd.Name] = nd.Nets
-		forwarding[nd.Name] = nd.Forwarding
-		for _, n := range nd.Nets {
-			netNodes[n] = append(netNodes[n], nd.Name)
-		}
+// NodeIndex and NetIndex return a node's position in NodeDefs and a
+// net's in NetDefs, or -1 for a name the manifest lacks.
+func (m *Manifest) NodeIndex(name string) int { return lookup(m.nodeAt, name) }
+func (m *Manifest) NetIndex(name string) int  { return lookup(m.netAt, name) }
+
+func lookup(index map[string]int, name string) int {
+	if i, ok := index[name]; ok {
+		return i
 	}
-	dist := make(map[string]int)     // net -> gateway hops
-	nodeDist := make(map[string]int) // node -> hops spent reaching it
-	queue := make([]string, 0, len(m.NodeDefs))
-	nodeDist[from] = 0
-	queue = append(queue, from)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		d := nodeDist[v]
-		if v != from && !forwarding[v] {
-			continue // datagrams do not transit hosts
-		}
-		for _, n := range nodeNets[v] {
-			nd := d
-			if v != from {
-				nd = d + 1 // crossing gateway v
-			}
-			if cur, ok := dist[n]; ok && cur <= nd {
+	return -1
+}
+
+// NetHops computes, for every network, the minimum number of gateways a
+// datagram from the named node crosses to enter it (0 for directly
+// attached nets), indexed like NetDefs; -1 marks a net the node cannot
+// reach. This is the BFS oracle the property tests compare routing
+// state against: the static oracle's route metric equals NetHops
+// exactly, and a converged distance-vector metric equals NetHops+1
+// (direct routes advertise metric 1). It reads only the manifest's
+// graph, never core's routes.
+func (m *Manifest) NetHops(from string) []int {
+	dist := make([]int, len(m.NetDefs))
+	for i := range dist {
+		dist[i] = -1
+	}
+	src, ok := m.nodeAt[from]
+	if !ok {
+		return dist
+	}
+	// A breadth-first walk over nets: a net at distance d makes every
+	// gateway on it one more hop from the nets it also joins. Hosts
+	// other than the source do not forward, so they are never crossed.
+	queue := make([]int, 0, len(m.NetDefs))
+	for _, n := range m.nodeNets.row(src) {
+		dist[n] = 0
+		queue = append(queue, n)
+	}
+	crossed := make([]bool, len(m.NodeDefs))
+	crossed[src] = true
+	for q := 0; q < len(queue); q++ {
+		d := dist[queue[q]] + 1
+		for _, v := range m.netNodes.row(queue[q]) {
+			if crossed[v] || !m.NodeDefs[v].Forwarding {
 				continue
 			}
-			dist[n] = nd
-			for _, w := range netNodes[n] {
-				if _, seen := nodeDist[w]; !seen {
-					nodeDist[w] = nd
-					queue = append(queue, w)
+			crossed[v] = true
+			for _, n := range m.nodeNets.row(v) {
+				if dist[n] < 0 {
+					dist[n] = d
+					queue = append(queue, n)
 				}
 			}
 		}
 	}
 	return dist
+}
+
+// csr is one side of the manifest's incidence graph in compressed
+// sparse rows: row i is to[off[i]:off[i+1]].
+type csr struct{ off, to []int }
+
+func (c csr) row(i int) []int { return c.to[c.off[i]:c.off[i+1]] }
+
+// index lays out the incidence graph generate wired as flat rows, once
+// per manifest: each node's nets in attachment order, and each net's
+// nodes in NodeDefs order. The order matters: a cross trunk's two
+// sides are its nodes in that order (lab.AddNet), the same whichever
+// end a shape wired first.
+func (m *Manifest) index() {
+	n := 0
+	for _, nd := range m.NodeDefs {
+		n += len(nd.Nets)
+	}
+	m.nodeNets = csr{off: make([]int, len(m.NodeDefs)+1), to: make([]int, 0, n)}
+	m.netNodes = csr{off: make([]int, len(m.NetDefs)+1), to: make([]int, n)}
+	for i, nd := range m.NodeDefs {
+		for _, name := range nd.Nets {
+			j := m.netAt[name]
+			m.nodeNets.to = append(m.nodeNets.to, j)
+			m.netNodes.off[j+1]++
+		}
+		m.nodeNets.off[i+1] = len(m.nodeNets.to)
+	}
+	for j := range m.NetDefs {
+		m.netNodes.off[j+1] += m.netNodes.off[j]
+	}
+	next := slices.Clone(m.netNodes.off[:len(m.NetDefs)])
+	for i := range m.NodeDefs {
+		for _, j := range m.nodeNets.row(i) {
+			m.netNodes.to[next[j]] = i
+			next[j]++
+		}
+	}
 }
 
 // Media profiles. Index 0 is the fixed profile used when Spec.Mix is
@@ -337,26 +387,37 @@ var kindNames = map[core.NetKind]string{core.LAN: "lan", core.P2P: "p2p", core.R
 
 // lab is where the builder wires what it draws: a node goes to its
 // region, a net to the region of its stations, and a cross trunk becomes
-// a boundary pair between the regions of its ends — with no partition,
-// all to the one region (Generate). A nil lab keeps only the manifest
-// (a throwaway serial network would double a sharded build's cost).
+// a boundary pair between the regions of its ends. The regions are those
+// of part, the partitioned first pass of the same (spec, seed), whose
+// nodes and nets sit at the indices the builder is wiring; a nil part
+// wires all to the one region (Generate). A nil lab keeps only the
+// manifest (a throwaway serial network would double a sharded build's
+// cost).
 type lab struct {
-	regions    []*core.Network
-	nodeRegion map[string]int
-	netRegion  map[string]int   // by net name; -1 marks a cross trunk
-	ends       map[string][]int // cross trunk -> the regions of its two ends
+	regions []*core.Network
+	part    *Manifest
 }
 
-// Net returns the network the named node is, or is to be, wired into.
-func (l *lab) Net(node string) *core.Network { return l.regions[l.nodeRegion[node]] }
+// Net returns the network node i is, or is to be, wired into.
+func (l *lab) Net(i int) *core.Network {
+	if l.part == nil {
+		return l.regions[0]
+	}
+	return l.regions[l.part.Partition.NodeRegions[i]]
+}
 
-func (l *lab) AddNet(name, prefix string, kind core.NetKind, cfg phys.Config) {
-	if r := l.netRegion[name]; r >= 0 {
+// AddNet adds net j to its region, or to the regions of its two ends.
+func (l *lab) AddNet(j int, name, prefix string, kind core.NetKind, cfg phys.Config) {
+	r := 0
+	if l.part != nil {
+		r = l.part.Partition.NetRegions[j]
+	}
+	if r >= 0 {
 		l.regions[r].AddNet(name, prefix, kind, cfg)
 		return
 	}
-	e := l.ends[name]
-	core.AddCrossTrunk(l.regions[e[0]], l.regions[e[1]], name, prefix, cfg)
+	ends := l.part.netNodes.row(j)
+	core.AddCrossTrunk(l.Net(ends[0]), l.Net(ends[1]), name, prefix, cfg)
 }
 
 // builder accumulates the Network and Manifest in lockstep.
@@ -368,10 +429,6 @@ type builder struct {
 	netIdx  int
 	trunkID int
 	stubID  int
-	// nodeAt maps a node name to its NodeDefs index: link() runs once
-	// per trunk end, and a linear scan there made wiring a 2000-gateway
-	// internet quadratic.
-	nodeAt map[string]int
 }
 
 // prefix allocates the next /24 from 10/8.
@@ -387,8 +444,9 @@ func (b *builder) prefix() string {
 // addNet creates a net and records it in the manifest.
 func (b *builder) addNet(name, prefix string, kind core.NetKind, cfg phys.Config) {
 	if b.nw != nil {
-		b.nw.AddNet(name, prefix, kind, cfg)
+		b.nw.AddNet(len(b.m.NetDefs), name, prefix, kind, cfg)
 	}
+	b.m.netAt[name] = len(b.m.NetDefs)
 	b.m.NetDefs = append(b.m.NetDefs, NetDef{
 		Name: name, Prefix: prefix, Kind: kindNames[kind],
 		MTU: cfg.MTU, BitsPerSec: cfg.BitsPerSec,
@@ -428,9 +486,9 @@ func (b *builder) addStub() string {
 // addGateway creates a forwarding node attached to the given nets.
 func (b *builder) addGateway(name string, nets ...string) {
 	if b.nw != nil {
-		b.nw.Net(name).AddGateway(name, nets...)
+		b.nw.Net(len(b.m.NodeDefs)).AddGateway(name, nets...)
 	}
-	b.nodeAt[name] = len(b.m.NodeDefs)
+	b.m.nodeAt[name] = len(b.m.NodeDefs)
 	b.m.NodeDefs = append(b.m.NodeDefs, NodeDef{Name: name, Forwarding: true, Nets: nets})
 	b.m.Gateways++
 }
@@ -438,12 +496,12 @@ func (b *builder) addGateway(name string, nets ...string) {
 // link attaches an existing gateway to an existing net, updating the
 // manifest entry in place.
 func (b *builder) link(gw, net string) {
-	if b.nw != nil {
-		b.nw.Net(gw).AttachNodeToNet(gw, net)
-	}
-	i, ok := b.nodeAt[gw]
+	i, ok := b.m.nodeAt[gw]
 	if !ok {
 		panic("topo: link to unknown gateway " + gw)
+	}
+	if b.nw != nil {
+		b.nw.Net(i).AttachNodeToNet(gw, net)
 	}
 	b.m.NodeDefs[i].Nets = append(b.m.NodeDefs[i].Nets, net)
 }
@@ -454,11 +512,11 @@ func (b *builder) populate(stub, gw string, n int) {
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("h%d", b.m.Hosts)
 		if b.nw != nil {
-			nw := b.nw.Net(name)
+			nw := b.nw.Net(len(b.m.NodeDefs))
 			nw.AddHost(name, stub)
 			nw.SetDefaultRoute(name, gw)
 		}
-		b.nodeAt[name] = len(b.m.NodeDefs)
+		b.m.nodeAt[name] = len(b.m.NodeDefs)
 		b.m.NodeDefs = append(b.m.NodeDefs, NodeDef{Name: name, Nets: []string{stub}})
 		b.m.Hosts++
 	}
@@ -486,11 +544,14 @@ func generate(spec Spec, seed int64, into *lab) *Manifest {
 		panic(err)
 	}
 	b := &builder{
-		nw:     into,
-		m:      &Manifest{Schema: ManifestSchema, Spec: spec.String(), Seed: seed},
-		rng:    rand.New(rand.NewSource(seed)),
-		mix:    spec.Mix,
-		nodeAt: make(map[string]int),
+		nw: into,
+		m: &Manifest{
+			Schema: ManifestSchema, Spec: spec.String(), Seed: seed,
+			nodeAt: make(map[string]int),
+			netAt:  make(map[string]int, spec.minNets()),
+		},
+		rng: rand.New(rand.NewSource(seed)),
+		mix: spec.Mix,
 	}
 
 	// Phase 1: backbone gateways, each with (outside transit-stub) a
@@ -533,6 +594,7 @@ func generate(spec Spec, seed int64, into *lab) *Manifest {
 	}
 
 	b.m.Nets = len(b.m.NetDefs)
+	b.m.index()
 	if spec.Directories > 0 {
 		b.m.Directories = placeDirectories(b.m, spec, spec.Directories)
 	}
@@ -545,12 +607,7 @@ func generate(spec Spec, seed int64, into *lab) *Manifest {
 // transit-stub graphs the transit ring is skipped: directories belong
 // at the edge, where crashing one cannot cut the backbone.
 func placeDirectories(m *Manifest, spec Spec, n int) []string {
-	var cand []string
-	for _, nd := range m.NodeDefs {
-		if nd.Forwarding {
-			cand = append(cand, nd.Name)
-		}
-	}
+	cand := m.GatewayNames()
 	if spec.Shape == TransitStub && len(cand) > spec.Gateways {
 		cand = cand[spec.Gateways:]
 	}

@@ -3,6 +3,7 @@ package topo
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -197,7 +198,10 @@ func TestShapesConnected(t *testing.T) {
 			_, m := Generate(spec, seed)
 			hops := m.NetHops("g0")
 			if len(hops) != m.Nets {
-				t.Fatalf("%s seed %d: g0 reaches %d of %d nets", s, seed, len(hops), m.Nets)
+				t.Fatalf("%s seed %d: NetHops has %d entries for %d nets", s, seed, len(hops), m.Nets)
+			}
+			if n := slices.Index(hops, -1); n >= 0 {
+				t.Fatalf("%s seed %d: g0 does not reach %s", s, seed, m.NetDefs[n].Name)
 			}
 		}
 	}
@@ -208,12 +212,123 @@ func TestNetHopsLine(t *testing.T) {
 	_, m := Generate(spec, 1)
 	hops := m.NetHops("g0")
 	// g0's own stub s0 is direct; g4's stub s4 sits behind 4 gateways.
-	if hops["s0"] != 0 {
-		t.Fatalf("hops to s0 = %d, want 0", hops["s0"])
+	if h := hops[m.NetIndex("s0")]; h != 0 {
+		t.Fatalf("hops to s0 = %d, want 0", h)
 	}
-	if hops["s4"] != 4 {
-		t.Fatalf("hops to s4 = %d, want 4", hops["s4"])
+	if h := hops[m.NetIndex("s4")]; h != 4 {
+		t.Fatalf("hops to s4 = %d, want 4", h)
 	}
+}
+
+// refNetHops is NetHops as it was before the manifest carried its
+// index: a BFS over nodes through name-keyed maps rebuilt on every
+// call. It is the reference FuzzNetHopsMatchesReference holds the
+// indexed BFS to; an unreachable net is absent from its map.
+func refNetHops(m *Manifest, from string) map[string]int {
+	nodeNets := make(map[string][]string, len(m.NodeDefs))
+	netNodes := make(map[string][]string, len(m.NetDefs))
+	forwarding := make(map[string]bool, len(m.NodeDefs))
+	for _, nd := range m.NodeDefs {
+		nodeNets[nd.Name] = nd.Nets
+		forwarding[nd.Name] = nd.Forwarding
+		for _, n := range nd.Nets {
+			netNodes[n] = append(netNodes[n], nd.Name)
+		}
+	}
+	dist := make(map[string]int)     // net -> gateway hops
+	nodeDist := make(map[string]int) // node -> hops spent reaching it
+	queue := []string{from}
+	nodeDist[from] = 0
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		d := nodeDist[v]
+		if v != from && !forwarding[v] {
+			continue // datagrams do not transit hosts
+		}
+		for _, n := range nodeNets[v] {
+			nd := d
+			if v != from {
+				nd = d + 1 // crossing gateway v
+			}
+			if cur, ok := dist[n]; ok && cur <= nd {
+				continue
+			}
+			dist[n] = nd
+			for _, w := range netNodes[n] {
+				if _, seen := nodeDist[w]; !seen {
+					nodeDist[w] = nd
+					queue = append(queue, w)
+				}
+			}
+		}
+	}
+	return dist
+}
+
+// FuzzNetHopsMatchesReference: for a spec that parses small enough to
+// build, the manifest's name lookups invert NodeDefs and NetDefs, its
+// rows transpose them, and from every node, gateway or host, the
+// indexed NetHops equals the map-based reference net by net, -1 where
+// the reference has no entry.
+func FuzzNetHopsMatchesReference(f *testing.F) {
+	for _, s := range []string{
+		"line:gw=6,hosts=2", "ring:gw=7,hosts=1", "tree:gw=10,degree=3,hosts=0",
+		"transitstub:gw=6,stubs=2,hosts=1", "waxman:gw=12,alpha=0.3,beta=0.3,hosts=1",
+	} {
+		f.Add(s, int64(1))
+	}
+	f.Fuzz(func(t *testing.T, in string, seed int64) {
+		spec, err := ParseSpec(in)
+		if err != nil || spec.HostCount() > 300 || spec.minNets() > 300 || spec.Shape == Waxman && spec.Gateways > 60 {
+			return // every node runs both BFSes: keep the graph small
+		}
+		m := ManifestOnly(spec, seed)
+		for i, nd := range m.NodeDefs {
+			if m.NodeIndex(nd.Name) != i {
+				t.Fatalf("%s: NodeIndex(%s) = %d, want %d", spec, nd.Name, m.NodeIndex(nd.Name), i)
+			}
+		}
+		for j, nf := range m.NetDefs {
+			if m.NetIndex(nf.Name) != j {
+				t.Fatalf("%s: NetIndex(%s) = %d, want %d", spec, nf.Name, m.NetIndex(nf.Name), j)
+			}
+		}
+		// The rows transpose NodeDefs: a node's nets in attachment
+		// order, and a net's nodes in NodeDefs order, which is the order
+		// a cross trunk's two sides are wired in.
+		rows := make([][]int, len(m.NetDefs))
+		for i, nd := range m.NodeDefs {
+			var nets []int
+			for _, n := range nd.Nets {
+				nets = append(nets, m.NetIndex(n))
+				rows[m.NetIndex(n)] = append(rows[m.NetIndex(n)], i)
+			}
+			if got := m.nodeNets.row(i); !slices.Equal(got, nets) {
+				t.Fatalf("%s: node %s's row %v, want %v", spec, nd.Name, got, nets)
+			}
+		}
+		for j, want := range rows {
+			if got := m.netNodes.row(j); !slices.Equal(got, want) {
+				t.Fatalf("%s: net %s's row %v, want %v", spec, m.NetDefs[j].Name, got, want)
+			}
+		}
+		for _, nd := range m.NodeDefs {
+			got, want := m.NetHops(nd.Name), refNetHops(m, nd.Name)
+			if len(got) != len(m.NetDefs) {
+				t.Fatalf("%s: NetHops(%s) has %d entries for %d nets", spec, nd.Name, len(got), len(m.NetDefs))
+			}
+			for j, nf := range m.NetDefs {
+				w, ok := want[nf.Name]
+				if !ok {
+					w = -1
+				}
+				if got[j] != w {
+					t.Fatalf("%s seed %d: NetHops(%s)[%s] = %d, reference %d", spec, seed, nd.Name, nf.Name, got[j], w)
+				}
+			}
+		}
+	})
 }
 
 // TestStaticOracleMatchesManifestBFS cross-checks the two independent
@@ -226,9 +341,9 @@ func TestStaticOracleMatchesManifestBFS(t *testing.T) {
 		nw.InstallStaticRoutes()
 		for _, gw := range m.GatewayNames() {
 			hops := m.NetHops(gw)
-			for _, nd := range m.NetDefs {
-				want, reachable := hops[nd.Name]
-				if !reachable || want == 0 {
+			for i, nd := range m.NetDefs {
+				want := hops[i]
+				if want <= 0 {
 					continue // direct nets carry no static route
 				}
 				r, ok := nw.Node(gw).Table.Lookup(nw.Prefix(nd.Name).Host(1))

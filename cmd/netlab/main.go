@@ -149,12 +149,7 @@ func (l *lab) exec(line string) (err error) {
 	case "static":
 		l.nw.InstallStaticRoutes()
 	case "rip":
-		l.nw.EnableRIP(rip.Config{
-			UpdateInterval: 2 * time.Second,
-			RouteTimeout:   7 * time.Second,
-			GCTimeout:      4 * time.Second,
-			TriggeredDelay: 200 * time.Millisecond,
-		})
+		l.nw.EnableRIP(rip.FastConfig())
 	case "priority":
 		l.need(args, 1, "priority <node>")
 		l.nw.EnablePriorityQueueing(args[0], 32)

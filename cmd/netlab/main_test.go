@@ -1,24 +1,21 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
 
-// readme is the README's "Scriptable CLI" script.
-const readme = `net lanA 10.1.0.0/24 lan
-net lanB 10.2.0.0/24 lan
-host a lanA
-host b lanB
-gateway gw lanA lanB
-static
-ping a b 3
-run 2s
-transfer a b 1000000 80
-run 10s
-transfers
-routes a
-`
+// quickstart returns examples/quickstart.nl, the README's "Scriptable
+// CLI" script.
+func quickstart(t *testing.T) string {
+	t.Helper()
+	b, err := os.ReadFile("../../examples/quickstart.nl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
 
 func TestRunReadmeScript(t *testing.T) {
 	const want = `a: reply from b seq=0 rtt=4.12ms
@@ -32,8 +29,18 @@ routes at a:
 10.1.0.0/24        direct           if0 metric 0 (direct)
 10.2.0.0/24        via 10.1.0.2     if0 metric 1 (static)
 `
+	script := quickstart(t)
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, _ := strings.Cut(string(readme), "## Scriptable CLI")
+	_, block, _ = strings.Cut(block, "<<'EOF'\n")
+	if block, _, _ = strings.Cut(block, "\nEOF\n"); block+"\n" != script {
+		t.Fatalf("README's Scriptable CLI script is not examples/quickstart.nl:\n%s", block)
+	}
 	var out strings.Builder
-	if err := run(1, strings.NewReader(readme), &out); err != nil {
+	if err := run(1, strings.NewReader(script), &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.String() != want {
@@ -44,6 +51,7 @@ routes at a:
 // TestRunStopsAtTheBadLine: a value that does not convert is the line's
 // error, not a zero — rate=abc used to build an infinitely fast link.
 func TestRunStopsAtTheBadLine(t *testing.T) {
+	readme := quickstart(t)
 	for script, want := range map[string]string{
 		"net a 10.1.0.0/24 lan rate=abc":                "line 1: net option rate=abc: not an integer",
 		"# links\n\nnet a 10.1.0.0/24 lan mtu=x":        "line 3: net option mtu=x: not an integer",
@@ -66,7 +74,7 @@ func TestRunStopsAtTheBadLine(t *testing.T) {
 
 // TestTransfersPrintInStartOrder: the report used to range over a map.
 func TestTransfersPrintInStartOrder(t *testing.T) {
-	script := readme
+	script := quickstart(t)
 	for _, port := range []string{"85", "81", "84", "82", "83"} {
 		script += "transfer b a 1000 " + port + "\n"
 	}

@@ -54,8 +54,7 @@ func main() {
 	nw.AttachNodeToNet("as3-border", "x23")
 
 	// Interior routing: RIP runs only within each administration.
-	cfg := rip.Config{UpdateInterval: 2 * time.Second, RouteTimeout: 7 * time.Second,
-		GCTimeout: 4 * time.Second, TriggeredDelay: 200 * time.Millisecond}
+	cfg := rip.FastConfig()
 	nw.EnableRIP(cfg, "alice", "as1-igw", "as1-border")
 	nw.EnableRIP(cfg, "as2-border1", "as2-border2")
 	nw.EnableRIP(cfg, "carol", "as3-border")

@@ -49,12 +49,7 @@ func TestWholeInternet(t *testing.T) {
 	nw.AddGateway("gwC", "radio1", "radio2")
 	nw.AddGateway("gwD", "radio2", "lanB")
 
-	nw.EnableRIP(rip.Config{
-		UpdateInterval: 2 * time.Second,
-		RouteTimeout:   7 * time.Second,
-		GCTimeout:      4 * time.Second,
-		TriggeredDelay: 200 * time.Millisecond,
-	})
+	nw.EnableRIP(rip.FastConfig())
 	nw.RunFor(15 * time.Second)
 
 	// --- TCP bulk, alice -> bob -------------------------------------

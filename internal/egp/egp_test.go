@@ -337,7 +337,7 @@ func TestRIPInterfaceFilter(t *testing.T) {
 	nw.AddNet("outside", "192.0.9.0/24", core.LAN, lan)
 	nw.AddGateway("border", "inside", "outside")
 	nw.AddGateway("foreign", "outside")
-	nw.EnableRIP(fastRIPcfg(), "border", "foreign")
+	nw.EnableRIP(rip.FastConfig(), "border", "foreign")
 	nw.RIP("border").SetInterfaceFilter(func(ifc *stack.Interface) bool {
 		return ifc.Prefix == nw.Prefix("inside")
 	})
@@ -346,9 +346,4 @@ func TestRIPInterfaceFilter(t *testing.T) {
 	if _, ok := nw.Node("foreign").Table.Lookup(nw.Prefix("inside").Host(1)); ok {
 		t.Fatal("interior route leaked across the filtered interface")
 	}
-}
-
-func fastRIPcfg() rip.Config {
-	return rip.Config{UpdateInterval: 2 * time.Second, RouteTimeout: 7 * time.Second,
-		GCTimeout: 4 * time.Second, TriggeredDelay: 200 * time.Millisecond}
 }

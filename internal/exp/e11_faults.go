@@ -7,6 +7,7 @@ import (
 
 	"darpanet/internal/core"
 	"darpanet/internal/fault"
+	"darpanet/internal/rip"
 	"darpanet/internal/stats"
 	"darpanet/internal/tcp"
 	"darpanet/internal/workload"
@@ -60,7 +61,7 @@ func runE11(seed int64, p Params) Result {
 	}
 	const nbytes = 4_000_000
 	nw := recoveryNet(seed)
-	nw.EnableRIP(fastRIP())
+	nw.EnableRIP(rip.FastConfig())
 	nw.RunFor(15 * time.Second) // initial convergence
 	armAt := nw.Now()
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"darpanet/internal/core"
+	"darpanet/internal/rip"
 	"darpanet/internal/stats"
 	"darpanet/internal/topo"
 )
@@ -18,7 +19,7 @@ import (
 // generator can build (p.Topo).
 func runE12(seed int64, p Params) Result {
 	nw, m := topo.Generate(*p.Topo, seed)
-	cfg := fastRIP()
+	cfg := rip.FastConfig()
 	cfg.Batched = true
 	nw.EnableRIP(cfg, m.GatewayNames()...)
 

@@ -7,6 +7,7 @@ import (
 
 	"darpanet/internal/fault"
 	"darpanet/internal/metrics"
+	"darpanet/internal/rip"
 	"darpanet/internal/sim"
 	"darpanet/internal/stats"
 	"darpanet/internal/survive"
@@ -80,7 +81,7 @@ func e14ModeName(mode string) string {
 // post-failure reconvergence.
 func runE14(seed int64, p Params) Result {
 	spec, ws, fracs, window, reconv := *p.Topo, *p.Workload, p.Fracs, p.Window, p.Drain
-	cfg := fastRIP()
+	cfg := rip.FastConfig()
 	cfg.Batched = true
 	load := ws.WithRate(e14Load * e13RefBps / ws.WithRate(1).OfferedBps())
 

@@ -52,15 +52,6 @@ func squareNet(seed int64) *core.Network {
 	return hookNet(nw)
 }
 
-func fastRIP() rip.Config {
-	return rip.Config{
-		UpdateInterval: 2 * time.Second,
-		RouteTimeout:   7 * time.Second,
-		GCTimeout:      4 * time.Second,
-		TriggeredDelay: 200 * time.Millisecond,
-	}
-}
-
 // e1Fault describes one fault scenario of the survivability experiment.
 type e1Fault struct {
 	name    string
@@ -125,7 +116,7 @@ func RunE1(seed int64) Result {
 		// surviving gateway without manual reconfiguration.
 		nw := squareNet(seed)
 		nw.AttachNodeToNet("gwC", "lanB")
-		nw.EnableRIP(fastRIP())
+		nw.EnableRIP(rip.FastConfig())
 		nw.RunFor(15 * time.Second) // converge
 		tr := workload.StartBulk(nw, "h1", "h2", 5001, nbytes, tcp.Options{SendBufferSize: 65535})
 		f.inject(nw, nw.Kernel())

@@ -7,6 +7,7 @@ import (
 	"darpanet/internal/core"
 	"darpanet/internal/ipv4"
 	"darpanet/internal/phys"
+	"darpanet/internal/rip"
 	"darpanet/internal/sim"
 	"darpanet/internal/stats"
 )
@@ -67,7 +68,7 @@ func RunE4(seed int64) Result {
 		"event", "scheme", "reconverged", "time to converge", "routing msgs", "routing bytes",
 	}}
 
-	cfg := fastRIP()
+	cfg := rip.FastConfig()
 
 	// Cold start.
 	nw := gridNet(seed)

@@ -64,6 +64,28 @@ func TestE1Shape(t *testing.T) {
 	}
 }
 
+func TestE2Shape(t *testing.T) {
+	r := RunE2(1988)
+	// ToS precedence at the gateways must spare voice the bulk stream's queue.
+	if prio, fifo := metric(t, r, "prio_voice_miss"), metric(t, r, "fifo_voice_miss"); prio >= fifo {
+		t.Fatalf("voice missed %v%% of deadlines with priority queueing, %v%% without", prio, fifo)
+	}
+}
+
+func TestE3Shape(t *testing.T) {
+	r := RunE3(1988)
+	// Every net carries the transfer alone, and all four in one path,
+	// where the gateways must fragment the sender's 1400-byte segments.
+	for _, name := range []string{"single_lan_done", "single_serial_done", "single_radio_done", "single_tiny_done", "gauntlet_done"} {
+		if metric(t, r, name) != 1 {
+			t.Fatalf("%s: the transfer did not complete", name)
+		}
+	}
+	if metric(t, r, "gauntlet_frags") == 0 {
+		t.Fatal("no gateway on the gauntlet fragmented")
+	}
+}
+
 func TestE9Shape(t *testing.T) {
 	r := RunE9(1988)
 	// Repacketization must need strictly fewer retransmissions.

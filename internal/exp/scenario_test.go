@@ -7,6 +7,7 @@ import (
 
 	"darpanet/internal/fault"
 	"darpanet/internal/metrics"
+	"darpanet/internal/rip"
 	"darpanet/internal/tcp"
 	"darpanet/internal/topo"
 	"darpanet/internal/workload"
@@ -66,7 +67,7 @@ func FuzzScheduleRuns(f *testing.F) {
 			return
 		}
 		nw := recoveryNet(1)
-		nw.EnableRIP(fastRIP())
+		nw.EnableRIP(rip.FastConfig())
 		nw.RunFor(10 * time.Second)
 		if err := fault.New(nw, sched).Arm(); err != nil {
 			return

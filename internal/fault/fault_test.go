@@ -36,12 +36,7 @@ func recoveryNet(seed int64) *core.Network {
 	nw.AddGateway("gwC", "n2", "n3")
 	nw.AddGateway("gwD", "n3", "n4")
 	nw.AttachNodeToNet("gwC", "lanB")
-	nw.EnableRIP(rip.Config{
-		UpdateInterval: 2 * time.Second,
-		RouteTimeout:   7 * time.Second,
-		GCTimeout:      4 * time.Second,
-		TriggeredDelay: 200 * time.Millisecond,
-	})
+	nw.EnableRIP(rip.FastConfig())
 	return nw
 }
 
@@ -215,7 +210,7 @@ func TestCrashRecoveryMeasured(t *testing.T) {
 			t.Errorf("event %d (%s %s) never reconverged", i, ev.Op, ev.Target)
 			continue
 		}
-		// fastRIP: RouteTimeout 7s + GC + propagation; 20s is generous,
+		// rip.FastConfig: RouteTimeout 7s + GC + propagation; 20s is generous,
 		// and instant reconvergence would mean the watch measured nothing.
 		if ev.ReconvergeAfter <= 0 || ev.ReconvergeAfter > 20*time.Second {
 			t.Errorf("event %d reconverged in %s, want (0, 20s]", i, ev.ReconvergeAfter)
@@ -436,12 +431,7 @@ func TestHopLimitLoopAccounting(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			nw.AddGateway(fmt.Sprintf("g%d", i), fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1))
 		}
-		nw.EnableRIP(rip.Config{
-			UpdateInterval: 2 * time.Second,
-			RouteTimeout:   7 * time.Second,
-			GCTimeout:      4 * time.Second,
-			TriggeredDelay: 200 * time.Millisecond,
-		})
+		nw.EnableRIP(rip.FastConfig())
 		nw.RunFor(15 * time.Second) // converge
 		return nw
 	}

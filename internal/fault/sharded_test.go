@@ -20,12 +20,7 @@ import (
 // starts RIP in manifest order — the order, and so the kernel draws, of
 // the serial build's one EnableRIP. Hosts keep their default routes.
 func ripEverywhere(nw *core.Network, m *topo.Manifest) {
-	cfg := rip.Config{
-		UpdateInterval: 2 * time.Second,
-		RouteTimeout:   7 * time.Second,
-		GCTimeout:      4 * time.Second,
-		TriggeredDelay: 200 * time.Millisecond,
-	}
+	cfg := rip.FastConfig()
 	for _, g := range m.GatewayNames() {
 		r := nw.Net(g)
 		r.Node(g).Table.RemoveIf(func(rt stack.Route) bool { return rt.Source == stack.SourceStatic })

@@ -62,6 +62,18 @@ func DefaultConfig() Config {
 	}
 }
 
+// FastConfig returns the timer set the experiments, netlab and the
+// examples run: 2s updates, so a small internet converges, and
+// reconverges after a failure, in a few simulated seconds.
+func FastConfig() Config {
+	return Config{
+		UpdateInterval: 2 * 1e9,
+		RouteTimeout:   7 * 1e9,
+		GCTimeout:      4 * 1e9,
+		TriggeredDelay: 200 * 1e6,
+	}
+}
+
 // Stats counts protocol activity.
 type Stats struct {
 	UpdatesSent      uint64

@@ -12,16 +12,6 @@ import (
 	"darpanet/internal/stack"
 )
 
-// fastCfg converges in a few simulated seconds.
-func fastCfg() rip.Config {
-	return rip.Config{
-		UpdateInterval: 2 * time.Second,
-		RouteTimeout:   7 * time.Second,
-		GCTimeout:      4 * time.Second,
-		TriggeredDelay: 200 * time.Millisecond,
-	}
-}
-
 // squareNet builds the classic dual-path topology:
 //
 //	lanA--gwA --n1-- gwB--lanB
@@ -52,7 +42,7 @@ func squareNet(seed int64) *core.Network {
 
 func TestConvergenceFromColdStart(t *testing.T) {
 	nw := squareNet(1)
-	nw.EnableRIP(fastCfg(), "gwA", "gwB", "gwC", "gwD")
+	nw.EnableRIP(rip.FastConfig(), "gwA", "gwB", "gwC", "gwD")
 	if nw.Converged() {
 		t.Fatal("converged before any updates")
 	}
@@ -94,7 +84,7 @@ func addrOn(nw *core.Network, node, net string) ipv4.Addr {
 
 func TestDirectPathPreferred(t *testing.T) {
 	nw := squareNet(1)
-	nw.EnableRIP(fastCfg(), "gwA", "gwB", "gwC", "gwD")
+	nw.EnableRIP(rip.FastConfig(), "gwA", "gwB", "gwC", "gwD")
 	nw.RunFor(15 * time.Second)
 	// gwA's route to lanB should be one hop via gwB (metric 2: lanB is
 	// 1 at gwB, +1), not the long way around.
@@ -112,7 +102,7 @@ func TestDirectPathPreferred(t *testing.T) {
 
 func TestFailoverAfterGatewayCrash(t *testing.T) {
 	nw := squareNet(1)
-	nw.EnableRIP(fastCfg(), "gwA", "gwB", "gwC", "gwD")
+	nw.EnableRIP(rip.FastConfig(), "gwA", "gwB", "gwC", "gwD")
 	nw.RunFor(15 * time.Second)
 	if !nw.Converged() {
 		t.Fatal("not converged")
@@ -140,7 +130,7 @@ func TestFailoverAfterGatewayCrash(t *testing.T) {
 
 func TestRouteExpiresWhenSilent(t *testing.T) {
 	nw := squareNet(1)
-	cfg := fastCfg()
+	cfg := rip.FastConfig()
 	nw.EnableRIP(cfg, "gwA", "gwB", "gwC", "gwD")
 	nw.RunFor(15 * time.Second)
 	// Crash gwC and gwD AND cut n1: lanB becomes unreachable from gwA.
@@ -155,7 +145,7 @@ func TestRouteExpiresWhenSilent(t *testing.T) {
 
 func TestStatsProgress(t *testing.T) {
 	nw := squareNet(1)
-	nw.EnableRIP(fastCfg(), "gwA", "gwB", "gwC", "gwD")
+	nw.EnableRIP(rip.FastConfig(), "gwA", "gwB", "gwC", "gwD")
 	nw.RunFor(15 * time.Second)
 	st := nw.RIP("gwA").Stats()
 	if st.UpdatesSent == 0 || st.UpdatesReceived == 0 || st.RouteChanges == 0 {
@@ -171,7 +161,7 @@ func TestRIPRestartRecovers(t *testing.T) {
 	// relearns everything from neighbors — the state is regenerable,
 	// which is exactly why the architecture may keep it in gateways.
 	nw := squareNet(1)
-	nw.EnableRIP(fastCfg(), "gwA", "gwB", "gwC", "gwD")
+	nw.EnableRIP(rip.FastConfig(), "gwA", "gwB", "gwC", "gwD")
 	nw.RunFor(15 * time.Second)
 	nw.CrashNode("gwB")
 	nw.RunFor(20 * time.Second)
@@ -182,9 +172,9 @@ func TestRIPRestartRecovers(t *testing.T) {
 	}
 }
 
-// batchedCfg is fastCfg with the shared per-kernel ticker enabled.
+// batchedCfg is FastConfig with the shared per-kernel ticker enabled.
 func batchedCfg() rip.Config {
-	c := fastCfg()
+	c := rip.FastConfig()
 	c.Batched = true
 	return c
 }
@@ -227,7 +217,7 @@ func TestBatchedSharedTicker(t *testing.T) {
 		return nw.Kernel().PendingEvents()
 	}
 	b := pending(batchedCfg())
-	u := pending(fastCfg())
+	u := pending(rip.FastConfig())
 	if b >= u {
 		t.Fatalf("batched mode holds %d pending events, unbatched %d — batching should shrink the heap", b, u)
 	}

@@ -23,13 +23,8 @@ import (
 // Convergence must also settle at the optimum exactly: RIP on a stable
 // graph is Bellman–Ford, so metric == hops+1, not merely >=.
 func TestRIPConvergesToBFSShortestPaths(t *testing.T) {
-	cfg := rip.Config{
-		UpdateInterval: 2 * time.Second,
-		RouteTimeout:   7 * time.Second,
-		GCTimeout:      4 * time.Second,
-		TriggeredDelay: 200 * time.Millisecond,
-		Batched:        true,
-	}
+	cfg := rip.FastConfig()
+	cfg.Batched = true
 	for _, s := range []string{"waxman:gw=10,hosts=1", "transitstub:gw=4,stubs=2,hosts=1", "ring:gw=8,hosts=1"} {
 		spec, err := ParseSpec(s)
 		if err != nil {

@@ -10,7 +10,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-LEGS="static unused-api staticcheck race race-sim pooldebug smoke-E11 smoke-E12 smoke-E13 fuzz smoke-E5 smoke-E13-T smoke-E14 smoke-E16 smoke-E15 benchsmoke benchguard bench-api help-sync"
+LEGS="static unused-api staticcheck race race-sim pooldebug smoke-E11 smoke-E12 smoke-E13 fuzz smoke-E5 smoke-E13-T smoke-E14 smoke-E16 smoke-E15 smoke-examples benchsmoke benchguard bench-api help-sync"
 
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
@@ -215,6 +215,21 @@ run_leg() {
         experiments -only E15 -runs 2 -seed 1988 -parallel 3 -export names="$tmpdir/n-p3.json"
         cmp "$tmpdir/n-p1.json" "$tmpdir/n-p3.json"
         go test -count=1 -run '^TestE15NamesAtAnyWorkerCount$' ./cmd/experiments/
+        ;;
+    smoke-examples)
+        # The runnable examples end to end: the README's netlab script
+        # (netlab exits 1 at a line that fails), and the one program
+        # that runs EGP, whose pings must cross the three administrations
+        # and whose route through the crashed transit border must be
+        # withdrawn. A `!`-negated command never stops a `set -e`
+        # script, hence the `if`.
+        go run ./cmd/netlab examples/quickstart.nl > /dev/null
+        go run ./examples/interdomain > "$tmpdir/interdomain.txt"
+        grep -q 'cleanly withdrew' "$tmpdir/interdomain.txt"
+        if grep -q 'pings failed' "$tmpdir/interdomain.txt"; then
+            echo "check.sh: examples/interdomain: pings failed" >&2
+            exit 1
+        fi
         ;;
     benchsmoke)
         # Every benchmark still runs (one iteration each); -short keeps

@@ -32,7 +32,7 @@ type NetKind int
 const (
 	LAN   NetKind = iota // shared bus, Ethernet-like
 	P2P                  // point-to-point trunk, ARPANET-like
-	Radio                // lossy broadcast net, packet-radio-like
+	Radio                // packet-radio-like: a Bus whose MTU defaults to 576
 )
 
 // netInfo tracks one network and the stations on it.
@@ -194,7 +194,10 @@ func (nw *Network) AddNet(name, prefix string, kind NetKind, cfg phys.Config) {
 	case P2P:
 		m = phys.NewP2P(nw.kernel, name, cfg)
 	case Radio:
-		m = phys.NewRadio(nw.kernel, name, cfg)
+		if cfg.MTU <= 0 {
+			cfg.MTU = 576
+		}
+		m = phys.NewBus(nw.kernel, name, cfg)
 	default:
 		panic("core: unknown net kind")
 	}

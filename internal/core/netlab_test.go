@@ -119,6 +119,20 @@ func TestAddrAssignmentSequential(t *testing.T) {
 	}
 }
 
+// TestRadioDefaultsToPacketRadioMTU: a Radio net is a bus whose MTU,
+// left unset, is the packet-radio 576 bytes rather than a LAN's 1500.
+func TestRadioDefaultsToPacketRadioMTU(t *testing.T) {
+	nw := New(1)
+	nw.AddNet("pr", "10.6.0.0/24", Radio, phys.Config{Loss: 0.05})
+	nw.AddNet("lan", "10.7.0.0/24", LAN, phys.Config{})
+	nw.AddNet("big", "10.8.0.0/24", Radio, phys.Config{MTU: 1006})
+	for net, want := range map[string]int{"pr": 576, "lan": 1500, "big": 1006} {
+		if got := nw.Medium(net).MTU(); got != want {
+			t.Errorf("%s: MTU %d, want %d", net, got, want)
+		}
+	}
+}
+
 // TestAttachRefusesStationPastThePrefix: a net hands out host numbers 1
 // up to the one below its directed-broadcast address, and the station
 // after that is refused by net name and prefix rather than given an

@@ -98,24 +98,23 @@ func runE14(seed int64, p Params) Result {
 	baseNW.RunFor(window + e14Drain)
 	baseSum := baseEng.Summarize(window)
 
-	adj := m.Adjacency()
-	an := survive.Analyze(adj)
+	an := survive.Analyze(m)
 
 	var cells []e14Cell
 	var lastKernel *sim.Kernel
 	for _, mode := range []string{"t", "r"} {
 		for fi, frac := range fracs {
-			budget := survive.BudgetFor(adj, frac)
+			budget := an.BudgetFor(frac)
 			var sched fault.Schedule
 			if mode == "t" {
 				sched = an.Targeted(budget, e14Lead)
 			} else {
 				rng := rand.New(rand.NewSource(seed*997 + int64(fi)))
-				sched = survive.RandomSchedule(adj, budget, rng, e14Lead)
+				sched = an.RandomSchedule(budget, rng, e14Lead)
 			}
 
-			nw, m2 := topo.Generate(spec, seed)
-			nw.EnableRIP(cfg, m2.GatewayNames()...)
+			nw, _ := topo.Generate(spec, seed)
+			nw.EnableRIP(cfg, m.GatewayNames()...)
 			cell := e14Cell{mode: mode, frac: frac}
 			cell.convergedPrefail = timeUntil(nw, 2*time.Minute, nw.Converged) >= 0
 			nw.RunFor(2 * cfg.UpdateInterval)
@@ -123,7 +122,7 @@ func runE14(seed int64, p Params) Result {
 			in := fault.New(nw, sched)
 			// Hop budget just above any real path length: exhaustion
 			// means a loop, not a long route.
-			in.SetHopLimit(len(adj.Gateways) + 4)
+			in.SetHopLimit(m.Gateways + 4)
 			if err := in.Arm(); err != nil {
 				panic(err)
 			}
@@ -134,7 +133,7 @@ func runE14(seed int64, p Params) Result {
 			cell.largestFrac = census.LargestFrac()
 			cell.downNodes = census.Down
 
-			eng := workload.New(nw, m2.HostNames(), load, seed*1000+1)
+			eng := workload.New(nw, m.HostNames(), load, seed*1000+1)
 			eng.Arm(window)
 			nw.RunFor(window + e14Drain)
 			cell.sum = eng.Summarize(window)
@@ -186,8 +185,8 @@ func runE14(seed int64, p Params) Result {
 	res := Result{
 		Table: table,
 	}
-	res.AddMetric("gateways", "", float64(len(adj.Gateways)))
-	res.AddMetric("trunks", "", float64(adj.TrunkCount()))
+	res.AddMetric("gateways", "", float64(m.Gateways))
+	res.AddMetric("trunks", "", float64(m.Trunks))
 	res.AddMetric("cut_gateways", "", float64(len(an.CutGateways)))
 	res.AddMetric("cut_nets", "", float64(len(an.CutNets)))
 	res.AddMetric("cut_pairs", "", float64(len(an.CutPairs)))

@@ -110,7 +110,7 @@ func planE15(spec topo.Spec, seed int64, regions, workers int) *e15Plan {
 	// nodeRegion and lanOf read m's index: a node's region, and the
 	// stub LAN (a NetDefs index) a host sits on.
 	nodeRegion := func(name string) int { return part.NodeRegions[m.NodeIndex(name)] }
-	lanOf := func(host string) int { return m.NetIndex(m.NodeDefs[m.NodeIndex(host)].Nets[0]) }
+	lanOf := func(host string) int { return m.NodeNets(m.NodeIndex(host))[0] }
 	span := make(map[int]bool, len(p.dirs))
 	for _, d := range p.dirs {
 		span[nodeRegion(d)] = true
@@ -203,15 +203,14 @@ func e15Cast(m *topo.Manifest) (dirLAN []bool, eligible []int, err error) {
 		return nil, nil, fmt.Errorf("topo=%s places %d directory replica(s): want dirs >= 2, one to crash and one to fail over to", m.Spec, len(m.Directories))
 	}
 	lan := make([]bool, len(m.NetDefs))
-	for _, nd := range m.NodeDefs {
+	for i, nd := range m.NodeDefs {
 		if !nd.Forwarding {
-			lan[m.NetIndex(nd.Nets[0])] = true
+			lan[m.NodeNets(i)[0]] = true
 		}
 	}
 	dirLAN = make([]bool, len(m.NetDefs))
 	for _, d := range m.Directories {
-		for _, n := range m.NodeDefs[m.NodeIndex(d)].Nets {
-			j := m.NetIndex(n)
+		for _, j := range m.NodeNets(m.NodeIndex(d)) {
 			dirLAN[j] = lan[j]
 		}
 	}
@@ -384,11 +383,11 @@ func runE15Mode(p *e15Plan, pinned bool) *e15ModeOut {
 	for i, d := range p.dirs {
 		hops[i] = p.m.NetHops(d)
 	}
-	for _, nd := range p.m.NodeDefs {
+	for g, nd := range p.m.NodeDefs {
 		if !nd.Forwarding {
 			continue
 		}
-		firstNet := p.m.NetIndex(nd.Nets[0])
+		firstNet := p.m.NodeNets(g)[0]
 		idx := make([]int, len(p.dirs))
 		for i := range idx {
 			idx[i] = i

@@ -63,7 +63,7 @@ func runE16(seed int64, p Params) Result {
 			hopsCache[f] = m.NetHops(hosts[f])
 		}
 		from, to := hosts[f], hosts[t]
-		want := hopsCache[f][m.NetIndex(m.NodeDefs[m.NodeIndex(to)].Nets[0])]
+		want := hopsCache[f][m.NodeNets(m.NodeIndex(to))[0]]
 		if want < 0 {
 			continue
 		}

@@ -90,7 +90,7 @@ func RunE2(seed int64) Result {
 
 		var udpRTT stats.Sample
 		for _, r := range qd.RTTs {
-			udpRTT.AddDuration(r)
+			udpRTT.Add(float64(r) / 1e6) // ms
 		}
 		vs := recv.Stats()
 		return e2Result{

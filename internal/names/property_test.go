@@ -179,5 +179,5 @@ func drive(nw *core.Network, r *names.Resolver, name string) (ipv4.Addr, bool) {
 
 // lanOf returns the NetDefs index of a node's first attached network.
 func lanOf(m *topo.Manifest, name string) int {
-	return m.NetIndex(m.NodeDefs[m.NodeIndex(name)].Nets[0])
+	return m.NodeNets(m.NodeIndex(name))[0]
 }

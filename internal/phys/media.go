@@ -185,15 +185,12 @@ func (b *Bus) Attach(name string) *NIC {
 
 func (b *Bus) tx(*NIC) *transmitter { return b.xmit }
 
+// propagate delivers f to the stations it addresses, each copy lost
+// independently with the medium's loss probability.
 func (b *Bus) propagate(from *NIC, f Frame) {
-	if !b.lostToCut(f) {
-		b.fanOut(from, f, b.cfg.Loss)
+	if b.lostToCut(f) {
+		return
 	}
-}
-
-// fanOut delivers f to the stations it addresses, each copy lost
-// independently with probability loss.
-func (b *Bus) fanOut(from *NIC, f Frame, loss float64) {
 	delivered, accounted := false, false
 	for _, st := range b.stations {
 		if st == from {
@@ -202,7 +199,7 @@ func (b *Bus) fanOut(from *NIC, f Frame, loss float64) {
 		if f.Dst != Broadcast && f.Dst != st.addr {
 			continue
 		}
-		if loss > 0 && b.k.Rand().Float64() < loss {
+		if b.cfg.Loss > 0 && b.k.Rand().Float64() < b.cfg.Loss {
 			st.stats.RxLost++
 			if f.Dst == Broadcast {
 				// A lost broadcast copy is never cloned; count the
@@ -231,64 +228,5 @@ func (b *Bus) fanOut(from *NIC, f Frame, loss float64) {
 			b.noMatch++
 		}
 		f.Release()
-	}
-}
-
-// Radio is a lossy broadcast net modelling the DARPA packet-radio
-// networks: like a Bus but with high independent loss, optional burst loss
-// (a two-state Gilbert–Elliott channel), and per-frame jitter.
-type Radio struct {
-	*Bus
-	// Burst configures Gilbert–Elliott loss: while "bad", frames are
-	// lost with BadLoss; transitions happen per frame.
-	burst     bool
-	pGoodBad  float64 // P(good -> bad) per frame
-	pBadGood  float64 // P(bad -> good) per frame
-	badLoss   float64
-	stateGood bool
-}
-
-// NewRadio creates a lossy broadcast radio net. cfg.Loss is the
-// independent per-frame loss in the good state.
-func NewRadio(k *sim.Kernel, name string, cfg Config) *Radio {
-	if cfg.MTU <= 0 {
-		cfg.MTU = 576
-	}
-	r := &Radio{Bus: NewBus(k, name, cfg), stateGood: true}
-	r.xmit.deliver = r.propagate
-	return r
-}
-
-// EnableBurstLoss switches the radio to a Gilbert–Elliott loss model:
-// per-frame transition probabilities pGoodBad and pBadGood, and loss
-// probability badLoss while in the bad state (the good-state loss stays at
-// cfg.Loss).
-func (r *Radio) EnableBurstLoss(pGoodBad, pBadGood, badLoss float64) {
-	r.burst, r.pGoodBad, r.pBadGood, r.badLoss = true, pGoodBad, pBadGood, badLoss
-}
-
-func (r *Radio) lossNow() float64 {
-	if !r.burst {
-		return r.cfg.Loss
-	}
-	if r.stateGood {
-		if r.k.Rand().Float64() < r.pGoodBad {
-			r.stateGood = false
-		}
-	} else if r.k.Rand().Float64() < r.pBadGood {
-		r.stateGood = true
-	}
-	if r.stateGood {
-		return r.cfg.Loss
-	}
-	return r.badLoss
-}
-
-// propagate is the Bus's, at the loss the channel is in for this frame:
-// the Gilbert–Elliott transition is drawn once per frame, before the
-// per-station draws and never for a frame a cut swallows.
-func (r *Radio) propagate(from *NIC, f Frame) {
-	if !r.lostToCut(f) {
-		r.fanOut(from, f, r.lossNow())
 	}
 }

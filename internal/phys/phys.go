@@ -5,10 +5,11 @@
 // accommodate a variety of networks" by assuming almost nothing of them: a
 // network can carry a packet of some reasonable minimum size, with some
 // addressing, and nothing more. This package supplies that variety in
-// simulated form — point-to-point serial lines, shared-bus LANs, and lossy
-// packet-radio nets — each with its own bandwidth, propagation delay, MTU
-// and loss behaviour, so the IP layer above is exercised against the same
-// diversity the ARPANET-era internet faced.
+// simulated form — point-to-point serial lines and shared buses — each with
+// its own bandwidth, propagation delay, MTU, loss and jitter, so the IP
+// layer above is exercised against the same diversity the ARPANET-era
+// internet faced. A lossy packet-radio net is a Bus with a small MTU, high
+// loss and jitter; its burst loss is a fault storm (Medium.SetLoss).
 //
 // Frame payloads may be pool-backed (see packet.Pool): a NIC with a pool
 // attached stamps outgoing frames with it, ownership travels with the
@@ -234,7 +235,7 @@ type Medium interface {
 
 	// tx returns the transmitter that serves n's outgoing frames: one
 	// per end of a point-to-point or cross-shard link, one shared by
-	// every station of a bus or radio.
+	// every station of a bus.
 	tx(n *NIC) *transmitter
 }
 
@@ -273,7 +274,7 @@ func (c *Config) serializeTime(n int) sim.Duration {
 
 // transmitter serializes frames one at a time at the configured rate, with
 // a queueing discipline holding the frames that wait. Each medium owns one
-// transmitter per sending station (P2P) or one shared (bus, radio).
+// transmitter per sending station (P2P) or one shared (bus).
 //
 // The transmitter schedules no closures: the serialization-done callback
 // is bound once at construction (only one frame serializes at a time, so

@@ -238,9 +238,12 @@ func TestBusSharedTransmitter(t *testing.T) {
 	}
 }
 
+// TestRadioLossAndJitter runs a packet-radio net's properties — small
+// MTU, high independent loss, per-frame jitter — on the Bus that carries
+// them.
 func TestRadioLossAndJitter(t *testing.T) {
 	k := sim.NewKernel(11)
-	radio := NewRadio(k, "pr0", Config{MTU: 576, Loss: 0.2, Jitter: 5 * time.Millisecond, QueueLimit: 20000})
+	radio := NewBus(k, "pr0", Config{MTU: 576, Loss: 0.2, Jitter: 5 * time.Millisecond, QueueLimit: 20000})
 	a := radio.Attach("a")
 	b := radio.Attach("b")
 	n := 0
@@ -252,26 +255,6 @@ func TestRadioLossAndJitter(t *testing.T) {
 	k.Run()
 	if n < 700 || n > 900 {
 		t.Fatalf("delivered %d of %d at 20%% loss", n, total)
-	}
-}
-
-func TestRadioBurstLoss(t *testing.T) {
-	k := sim.NewKernel(11)
-	radio := NewRadio(k, "pr0", Config{MTU: 576, Loss: 0.0, QueueLimit: 50000})
-	radio.EnableBurstLoss(0.05, 0.2, 0.9)
-	a := radio.Attach("a")
-	b := radio.Attach("b")
-	n := 0
-	b.SetReceiver(func(f Frame) { n++ })
-	const total = 5000
-	for i := 0; i < total; i++ {
-		a.Send(b.Addr(), []byte("x"))
-	}
-	k.Run()
-	// Stationary bad-state fraction = 0.05/(0.05+0.2) = 0.2; expected
-	// loss = 0.2*0.9 = 18%. Allow wide slack.
-	if n < total*70/100 || n > total*92/100 {
-		t.Fatalf("delivered %d of %d under burst loss", n, total)
 	}
 }
 

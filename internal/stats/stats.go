@@ -24,21 +24,8 @@ func (s *Sample) Add(x float64) {
 	s.sorted = false
 }
 
-// AddDuration records a duration in milliseconds.
-func (s *Sample) AddDuration(d sim.Duration) {
-	s.Add(float64(d) / 1e6)
-}
-
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
-
-// Values returns a copy of the observations. The order is unspecified
-// once a rank query (Percentile/Min/Max) has sorted the sample.
-func (s *Sample) Values() []float64 {
-	out := make([]float64, len(s.xs))
-	copy(out, s.xs)
-	return out
-}
 
 // Mean returns the arithmetic mean (0 when empty).
 func (s *Sample) Mean() float64 {
@@ -50,19 +37,6 @@ func (s *Sample) Mean() float64 {
 		sum += x
 	}
 	return sum / float64(len(s.xs))
-}
-
-// Stddev returns the population standard deviation.
-func (s *Sample) Stddev() float64 {
-	if len(s.xs) < 2 {
-		return 0
-	}
-	m := s.Mean()
-	sum := 0.0
-	for _, x := range s.xs {
-		sum += (x - m) * (x - m)
-	}
-	return math.Sqrt(sum / float64(len(s.xs)))
 }
 
 // StddevSample returns the Bessel-corrected (n-1) standard deviation,
@@ -158,12 +132,6 @@ func (s *Sample) Max() float64 {
 	}
 	s.sortIfNeeded()
 	return s.xs[len(s.xs)-1]
-}
-
-// Summary formats n/mean/p50/p99/max on one line.
-func (s *Sample) Summary(unit string) string {
-	return fmt.Sprintf("n=%d mean=%.2f%s p50=%.2f%s p99=%.2f%s max=%.2f%s",
-		s.N(), s.Mean(), unit, s.Percentile(50), unit, s.Percentile(99), unit, s.Max(), unit)
 }
 
 // JainFairness returns Jain's fairness index (Σx)²/(n·Σx²) over the

@@ -24,9 +24,8 @@ func censusTopo(b testing.TB) (*core.Network, *topo.Manifest, *uint64) {
 	nw, m := topo.Generate(spec, 1)
 	nw.InstallStaticRoutes()
 
-	adj := m.Adjacency()
-	an := survive.Analyze(adj)
-	sched := an.Targeted(survive.BudgetFor(adj, 0.10), time.Hour)
+	an := survive.Analyze(m)
+	sched := an.Targeted(an.BudgetFor(0.10), time.Hour)
 	if len(sched.Steps) == 0 {
 		b.Fatal("targeted schedule is empty")
 	}

@@ -9,10 +9,11 @@
 // the targeted and random frontiers is the survivability margin E14
 // measures.
 //
-// Everything here works on topo.Adjacency, the pure incidence graph of
-// a manifest, and is deterministic: the same adjacency (and, for
-// random schedules, the same rng state) always yields the same
-// analysis and schedules.
+// Everything here reads a generated topo.Manifest's graph — its
+// NodeDefs, NetDefs and the rows between them — never the live
+// Network, and is deterministic: the same manifest (and, for random
+// schedules, the same rng state) always yields the same analysis and
+// schedules.
 package survive
 
 import (
@@ -25,8 +26,9 @@ import (
 	"darpanet/internal/topo"
 )
 
-// Analysis is the weak-point catalogue of one adjacency. Indices refer
-// to the adjacency's Gateways and Nets slices.
+// Analysis is the weak-point catalogue of one manifest. A gateway is
+// named by its NodeDefs index and a net by its NetDefs index; hosts are
+// not vertices of the graph, only weight on the nets they sit on.
 type Analysis struct {
 	// CutGateways are gateways whose crash alone increases the count of
 	// service components (groups of gateways and host-bearing nets that
@@ -40,46 +42,65 @@ type Analysis struct {
 	// highest-degree trunks (bounded search), sorted lexicographically.
 	CutPairs [][2]int
 
-	adj       *topo.Adjacency
-	baseComps int
+	m *topo.Manifest
+	// hostsOn[n] counts the hosts on net n, the service endpoints
+	// stranded if it is severed; gwsOn[n] counts its gateway
+	// attachments.
+	hostsOn, gwsOn []int
+	baseComps      int
 }
+
+// trunk reports whether net n carries transit: two or more gateway
+// attachments. Only trunks are meaningful cut targets — severing a
+// single-gateway stub LAN destroys its endpoints outright rather than
+// partitioning the internet.
+func (an *Analysis) trunk(n int) bool { return an.gwsOn[n] >= 2 }
 
 // maxPairCandidates bounds the 2-cut edge-subset search: pairs are
 // drawn from this many trunks, highest gateway-degree first, keeping
 // the search O(k²) censuses on internets with thousands of trunks.
 const maxPairCandidates = 64
 
-// Analyze catalogues the adjacency's weak points. Candidate vertices
+// Analyze catalogues the manifest's weak points. Candidate vertices
 // come from one Tarjan low-link pass over the bipartite graph; each
 // candidate (and each candidate pair) is then verified by an exact
 // union-find census of the damaged graph, because an articulation
 // vertex of the incidence graph need not split *service* — it may
 // merely dangle a hostless net.
-func Analyze(adj *topo.Adjacency) *Analysis {
-	G := len(adj.Gateways)
-	an := &Analysis{adj: adj}
-	gwDown := make([]bool, G)
-	netDown := make([]bool, len(adj.Nets))
-	an.baseComps, _ = serviceCensus(adj, gwDown, netDown)
+func Analyze(m *topo.Manifest) *Analysis {
+	V, N := len(m.NodeDefs), len(m.NetDefs)
+	an := &Analysis{m: m, hostsOn: make([]int, N), gwsOn: make([]int, N)}
+	for n := range m.NetDefs {
+		for _, v := range m.NetNodes(n) {
+			if m.NodeDefs[v].Forwarding {
+				an.gwsOn[n]++
+			} else {
+				an.hostsOn[n]++
+			}
+		}
+	}
+	gwDown := make([]bool, V)
+	netDown := make([]bool, N)
+	an.baseComps, _ = an.census(gwDown, netDown)
 
-	art := articulation(adj)
-	for g := 0; g < G; g++ {
-		if !art[g] {
+	art := an.articulation()
+	for g, nd := range m.NodeDefs {
+		if !nd.Forwarding || !art[g] {
 			continue
 		}
 		gwDown[g] = true
-		if c, _ := serviceCensus(adj, gwDown, netDown); c > an.baseComps {
+		if c, _ := an.census(gwDown, netDown); c > an.baseComps {
 			an.CutGateways = append(an.CutGateways, g)
 		}
 		gwDown[g] = false
 	}
 	cutNet := make(map[int]bool)
-	for n := range adj.Nets {
-		if !adj.Trunk(n) || !art[G+n] {
+	for n := range m.NetDefs {
+		if !an.trunk(n) || !art[V+n] {
 			continue
 		}
 		netDown[n] = true
-		if c, _ := serviceCensus(adj, gwDown, netDown); c > an.baseComps {
+		if c, _ := an.census(gwDown, netDown); c > an.baseComps {
 			an.CutNets = append(an.CutNets, n)
 			cutNet[n] = true
 		}
@@ -90,13 +111,13 @@ func Analyze(adj *topo.Adjacency) *Analysis {
 	// splits service. Bridges are excluded — a pair containing one is
 	// not minimal.
 	var cand []int
-	for n := range adj.Nets {
-		if adj.Trunk(n) && !cutNet[n] {
+	for n := range m.NetDefs {
+		if an.trunk(n) && !cutNet[n] {
 			cand = append(cand, n)
 		}
 	}
 	sort.SliceStable(cand, func(i, j int) bool {
-		return len(adj.NetGateways[cand[i]]) > len(adj.NetGateways[cand[j]])
+		return an.gwsOn[cand[i]] > an.gwsOn[cand[j]]
 	})
 	if len(cand) > maxPairCandidates {
 		cand = cand[:maxPairCandidates]
@@ -108,7 +129,7 @@ func Analyze(adj *topo.Adjacency) *Analysis {
 				a, b = b, a
 			}
 			netDown[a], netDown[b] = true, true
-			if c, _ := serviceCensus(adj, gwDown, netDown); c > an.baseComps {
+			if c, _ := an.census(gwDown, netDown); c > an.baseComps {
 				an.CutPairs = append(an.CutPairs, [2]int{a, b})
 			}
 			netDown[a], netDown[b] = false, false
@@ -123,33 +144,17 @@ func Analyze(adj *topo.Adjacency) *Analysis {
 	return an
 }
 
-// CutGatewayNames resolves CutGateways to node names.
-func (an *Analysis) CutGatewayNames() []string {
-	out := make([]string, 0, len(an.CutGateways))
-	for _, g := range an.CutGateways {
-		out = append(out, an.adj.Gateways[g])
-	}
-	return out
-}
-
-// CutNetNames resolves CutNets to net names.
-func (an *Analysis) CutNetNames() []string {
-	out := make([]string, 0, len(an.CutNets))
-	for _, n := range an.CutNets {
-		out = append(out, an.adj.Nets[n])
-	}
-	return out
-}
-
-// serviceCensus unions the bipartite incidence graph with the masked
-// elements removed and reports the service-component count and the
-// weight of the largest component. Service vertices are up gateways
-// and up nets carrying hosts; weight counts gateways plus hosts, so
-// "largest" tracks how much of the internet's population the biggest
-// surviving island holds.
-func serviceCensus(adj *topo.Adjacency, gwDown, netDown []bool) (comps, largest int) {
-	G, N := len(adj.Gateways), len(adj.Nets)
-	parent := make([]int, G+N)
+// census unions the gateway/net graph with the masked elements
+// removed and reports the service-component count and the weight of
+// the largest component. Service vertices are up gateways and up nets
+// carrying hosts; weight counts gateways plus hosts, so "largest"
+// tracks how much of the internet's population the biggest surviving
+// island holds. Vertex v < len(NodeDefs) is node v, and vertex
+// len(NodeDefs)+n is net n.
+func (an *Analysis) census(gwDown, netDown []bool) (comps, largest int) {
+	m := an.m
+	V := len(m.NodeDefs)
+	parent := make([]int, V+len(m.NetDefs))
 	for i := range parent {
 		parent[i] = i
 	}
@@ -160,59 +165,60 @@ func serviceCensus(adj *topo.Adjacency, gwDown, netDown []bool) (comps, largest 
 		}
 		return x
 	}
-	for g := 0; g < G; g++ {
-		if gwDown[g] {
+	for g, nd := range m.NodeDefs {
+		if !nd.Forwarding || gwDown[g] {
 			continue
 		}
-		for _, n := range adj.GatewayNets[g] {
+		for _, n := range m.NodeNets(g) {
 			if netDown[n] {
 				continue
 			}
-			if rg, rn := find(g), find(G+n); rg != rn {
+			if rg, rn := find(g), find(V+n); rg != rn {
 				parent[rg] = rn
 			}
 		}
 	}
-	weight := make(map[int]int)
-	for g := 0; g < G; g++ {
-		if !gwDown[g] {
+	weight := make([]int, len(parent))
+	for g, nd := range m.NodeDefs {
+		if nd.Forwarding && !gwDown[g] {
 			weight[find(g)]++
 		}
 	}
-	for n := 0; n < N; n++ {
-		if !netDown[n] && adj.HostsOn[n] > 0 {
-			weight[find(G+n)] += adj.HostsOn[n]
+	for n, h := range an.hostsOn {
+		if !netDown[n] && h > 0 {
+			weight[find(V+n)] += h
 		}
 	}
 	for _, w := range weight {
-		comps++
-		if w > largest {
-			largest = w
+		if w > 0 {
+			comps++
+			largest = max(largest, w)
 		}
 	}
 	return comps, largest
 }
 
-// articulation runs one Tarjan low-link DFS over the bipartite graph
-// (gateway vertices 0..G-1, net vertices G..G+N-1) and marks every
-// articulation vertex.
-func articulation(adj *topo.Adjacency) []bool {
-	G := len(adj.Gateways)
-	V := G + len(adj.Nets)
-	disc := make([]int, V)
-	low := make([]int, V)
-	art := make([]bool, V)
+// articulation runs one Tarjan low-link DFS over the gateway/net graph,
+// numbered as census numbers it, and marks every articulation vertex.
+func (an *Analysis) articulation() []bool {
+	m := an.m
+	V := len(m.NodeDefs)
+	disc := make([]int, V+len(m.NetDefs))
+	low := make([]int, len(disc))
+	art := make([]bool, len(disc))
 	for i := range disc {
 		disc[i] = -1
 	}
 	timer := 0
 	neighbors := func(v int, f func(int)) {
-		if v < G {
-			for _, n := range adj.GatewayNets[v] {
-				f(G + n)
+		if v < V {
+			for _, n := range m.NodeNets(v) {
+				f(V + n)
 			}
-		} else {
-			for _, g := range adj.NetGateways[v-G] {
+			return
+		}
+		for _, g := range m.NetNodes(v - V) {
+			if m.NodeDefs[g].Forwarding {
 				f(g)
 			}
 		}
@@ -241,8 +247,8 @@ func articulation(adj *topo.Adjacency) []bool {
 			art[v] = true
 		}
 	}
-	for v := 0; v < V; v++ {
-		if disc[v] == -1 {
+	for v := range disc {
+		if disc[v] == -1 && (v >= V || m.NodeDefs[v].Forwarding) {
 			dfs(v, -1)
 		}
 	}
@@ -260,8 +266,14 @@ type Budget struct {
 // budget: frac of the trunks (at least one — a campaign cell that cuts
 // nothing measures nothing) and frac of the gateways, both rounded to
 // nearest.
-func BudgetFor(adj *topo.Adjacency, frac float64) Budget {
-	trunks := adj.TrunkCount()
+func (an *Analysis) BudgetFor(frac float64) Budget {
+	trunks := 0
+	for n := range an.gwsOn {
+		if an.trunk(n) {
+			trunks++
+		}
+	}
+	gateways := an.m.Gateways
 	cuts := int(math.Round(frac * float64(trunks)))
 	if cuts < 1 {
 		cuts = 1
@@ -269,10 +281,7 @@ func BudgetFor(adj *topo.Adjacency, frac float64) Budget {
 	if cuts > trunks {
 		cuts = trunks
 	}
-	crashes := int(math.Round(frac * float64(len(adj.Gateways))))
-	if crashes > len(adj.Gateways) {
-		crashes = len(adj.Gateways)
-	}
+	crashes := min(int(math.Round(frac*float64(gateways))), gateways)
 	return Budget{Cuts: cuts, Crashes: crashes}
 }
 
@@ -286,22 +295,21 @@ func BudgetFor(adj *topo.Adjacency, frac float64) Budget {
 // instant `at`, making the whole attack one compound event for the
 // injector. Deterministic: ties break on the lowest index.
 func (an *Analysis) Targeted(b Budget, at sim.Duration) fault.Schedule {
-	adj := an.adj
-	G := len(adj.Gateways)
-	gwDown := make([]bool, G)
-	netDown := make([]bool, len(adj.Nets))
+	m := an.m
+	gwDown := make([]bool, len(m.NodeDefs))
+	netDown := make([]bool, len(m.NetDefs))
 	s := fault.Schedule{Name: "targeted"}
 
 	// eval scores hypothetically removing one more element.
 	evalGw := func(g int) (int, int) {
 		gwDown[g] = true
-		c, l := serviceCensus(adj, gwDown, netDown)
+		c, l := an.census(gwDown, netDown)
 		gwDown[g] = false
 		return c, l
 	}
 	evalNet := func(n int) (int, int) {
 		netDown[n] = true
-		c, l := serviceCensus(adj, gwDown, netDown)
+		c, l := an.census(gwDown, netDown)
 		netDown[n] = false
 		return c, l
 	}
@@ -311,8 +319,8 @@ func (an *Analysis) Targeted(b Budget, at sim.Duration) fault.Schedule {
 
 	for i := 0; i < b.Crashes; i++ {
 		best, bc, bl := -1, -1, 0
-		for g := 0; g < G; g++ {
-			if gwDown[g] {
+		for g, nd := range m.NodeDefs {
+			if !nd.Forwarding || gwDown[g] {
 				continue
 			}
 			if c, l := evalGw(g); best == -1 || beats(c, l, bc, bl) {
@@ -323,14 +331,14 @@ func (an *Analysis) Targeted(b Budget, at sim.Duration) fault.Schedule {
 			break
 		}
 		gwDown[best] = true
-		s.Steps = append(s.Steps, fault.Step{At: at, Op: fault.OpCrash, Target: adj.Gateways[best]})
+		s.Steps = append(s.Steps, fault.Step{At: at, Op: fault.OpCrash, Target: m.NodeDefs[best].Name})
 	}
 
-	curComps, _ := serviceCensus(adj, gwDown, netDown)
+	curComps, _ := an.census(gwDown, netDown)
 	for left := b.Cuts; left > 0; {
 		best, bc, bl := -1, -1, 0
-		for n := range adj.Nets {
-			if !adj.Trunk(n) || netDown[n] {
+		for n := range m.NetDefs {
+			if !an.trunk(n) || netDown[n] {
 				continue
 			}
 			if c, l := evalNet(n); best == -1 || beats(c, l, bc, bl) {
@@ -348,7 +356,7 @@ func (an *Analysis) Targeted(b Budget, at sim.Duration) fault.Schedule {
 					continue
 				}
 				netDown[pair[0]], netDown[pair[1]] = true, true
-				c, l := serviceCensus(adj, gwDown, netDown)
+				c, l := an.census(gwDown, netDown)
 				netDown[pair[0]], netDown[pair[1]] = false, false
 				if pBest == -1 || beats(c, l, pc, pl) {
 					pBest, pc, pl = pi, c, l
@@ -358,15 +366,15 @@ func (an *Analysis) Targeted(b Budget, at sim.Duration) fault.Schedule {
 				pair := an.CutPairs[pBest]
 				netDown[pair[0]], netDown[pair[1]] = true, true
 				s.Steps = append(s.Steps,
-					fault.Step{At: at, Op: fault.OpCut, Target: adj.Nets[pair[0]]},
-					fault.Step{At: at, Op: fault.OpCut, Target: adj.Nets[pair[1]]})
+					fault.Step{At: at, Op: fault.OpCut, Target: m.NetDefs[pair[0]].Name},
+					fault.Step{At: at, Op: fault.OpCut, Target: m.NetDefs[pair[1]].Name})
 				left -= 2
 				curComps = pc
 				continue
 			}
 		}
 		netDown[best] = true
-		s.Steps = append(s.Steps, fault.Step{At: at, Op: fault.OpCut, Target: adj.Nets[best]})
+		s.Steps = append(s.Steps, fault.Step{At: at, Op: fault.OpCut, Target: m.NetDefs[best].Name})
 		left--
 		curComps = bc
 	}
@@ -378,27 +386,20 @@ func (an *Analysis) Targeted(b Budget, at sim.Duration) fault.Schedule {
 // instant `at` — the matched-budget baseline the targeted frontier is
 // measured against. The same rng state always yields the same
 // schedule.
-func RandomSchedule(adj *topo.Adjacency, b Budget, rng *rand.Rand, at sim.Duration) fault.Schedule {
+func (an *Analysis) RandomSchedule(b Budget, rng *rand.Rand, at sim.Duration) fault.Schedule {
 	s := fault.Schedule{Name: "random"}
-	nCrash := b.Crashes
-	if nCrash > len(adj.Gateways) {
-		nCrash = len(adj.Gateways)
-	}
-	for _, g := range rng.Perm(len(adj.Gateways))[:nCrash] {
-		s.Steps = append(s.Steps, fault.Step{At: at, Op: fault.OpCrash, Target: adj.Gateways[g]})
+	gateways := an.m.GatewayNames()
+	for _, g := range rng.Perm(len(gateways))[:min(b.Crashes, len(gateways))] {
+		s.Steps = append(s.Steps, fault.Step{At: at, Op: fault.OpCrash, Target: gateways[g]})
 	}
 	var trunks []int
-	for n := range adj.Nets {
-		if adj.Trunk(n) {
+	for n := range an.gwsOn {
+		if an.trunk(n) {
 			trunks = append(trunks, n)
 		}
 	}
-	nCut := b.Cuts
-	if nCut > len(trunks) {
-		nCut = len(trunks)
-	}
-	for _, i := range rng.Perm(len(trunks))[:nCut] {
-		s.Steps = append(s.Steps, fault.Step{At: at, Op: fault.OpCut, Target: adj.Nets[trunks[i]]})
+	for _, i := range rng.Perm(len(trunks))[:min(b.Cuts, len(trunks))] {
+		s.Steps = append(s.Steps, fault.Step{At: at, Op: fault.OpCut, Target: an.m.NetDefs[trunks[i]].Name})
 	}
 	return s
 }

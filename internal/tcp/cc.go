@@ -118,18 +118,23 @@ func (ccVJ) growOnAck(c *Conn, acked int) {
 	}
 }
 
+// halveSSThresh sets the slow-start threshold to half the data in
+// flight, but never below two segments: every loss or congestion
+// signal starts here.
+func (c *Conn) halveSSThresh() {
+	c.ssthresh = max(int(c.sndNxt-c.sndUna)/2, 2*c.opts.MSS)
+}
+
 func (ccVJ) OnTimeout(c *Conn) {
 	// Collapse to one segment, halve the threshold.
-	flight := int(c.sndNxt - c.sndUna)
-	c.ssthresh = max(flight/2, 2*c.opts.MSS)
+	c.halveSSThresh()
 	c.cwnd = c.mss()
 	c.inFastRecovery = false
 	c.dupAcks = 0
 }
 
 func (ccVJ) OnQuench(c *Conn) {
-	flight := int(c.sndNxt - c.sndUna)
-	c.ssthresh = max(flight/2, 2*c.opts.MSS)
+	c.halveSSThresh()
 	c.cwnd = c.mss()
 	c.inFastRecovery = false
 }
@@ -147,8 +152,7 @@ func (t ccTahoe) OnAck(c *Conn, acked int) {
 }
 func (t ccTahoe) OnDupAck(c *Conn) {
 	if c.dupAcks == 3 {
-		flight := int(c.sndNxt - c.sndUna)
-		c.ssthresh = max(flight/2, 2*c.opts.MSS)
+		c.halveSSThresh()
 		c.retransmitOldest()
 		c.cwnd = c.mss()
 		c.stats.FastRetransmits++
@@ -176,8 +180,7 @@ func (r ccReno) OnAck(c *Conn, acked int) {
 func (ccReno) OnDupAck(c *Conn) {
 	switch {
 	case c.dupAcks == 3:
-		flight := int(c.sndNxt - c.sndUna)
-		c.ssthresh = max(flight/2, 2*c.opts.MSS)
+		c.halveSSThresh()
 		c.retransmitOldest()
 		c.cwnd = c.ssthresh + 3*c.opts.MSS
 		c.inFastRecovery = true
@@ -188,8 +191,7 @@ func (ccReno) OnDupAck(c *Conn) {
 	}
 }
 func (ccReno) OnECE(c *Conn) {
-	flight := int(c.sndNxt - c.sndUna)
-	c.ssthresh = max(flight/2, 2*c.opts.MSS)
+	c.halveSSThresh()
 	c.cwnd = max(c.ssthresh, 2*c.opts.MSS)
 	c.inFastRecovery = false
 }
@@ -245,8 +247,7 @@ func (ccNewReno) OnDupAck(c *Conn) {
 		c.cwnd += c.opts.MSS
 		c.output()
 	case c.dupAcks == 3:
-		flight := int(c.sndNxt - c.sndUna)
-		c.ssthresh = max(flight/2, 2*c.opts.MSS)
+		c.halveSSThresh()
 		c.frRecover = c.sndNxt
 		c.retransmitOldest()
 		c.cwnd = c.ssthresh + 3*c.opts.MSS
@@ -256,8 +257,7 @@ func (ccNewReno) OnDupAck(c *Conn) {
 }
 
 func (ccNewReno) OnECE(c *Conn) {
-	flight := int(c.sndNxt - c.sndUna)
-	c.ssthresh = max(flight/2, 2*c.opts.MSS)
+	c.halveSSThresh()
 	c.cwnd = max(c.ssthresh, 2*c.opts.MSS)
 	c.inFastRecovery = false
 }

@@ -11,11 +11,11 @@ import (
 	"darpanet/internal/stack"
 )
 
-// jitterNet builds two hosts over a single radio net whose jitter
+// jitterNet builds two hosts over a single radio-like bus whose jitter
 // reorders frames aggressively.
 func jitterNet(seed int64) (*sim.Kernel, *Transport, *Transport) {
 	k := sim.NewKernel(seed)
-	radio := phys.NewRadio(k, "r", phys.Config{
+	radio := phys.NewBus(k, "r", phys.Config{
 		BitsPerSec: 2_000_000, Delay: 2 * time.Millisecond,
 		Jitter: 30 * time.Millisecond, MTU: 576, QueueLimit: 128,
 	})
@@ -45,13 +45,16 @@ func TestStreamSurvivesHeavyReordering(t *testing.T) {
 	}
 }
 
+// TestReorderingPlusLoss runs a stream over a jittered, lossy bus whose
+// loss rises in short bursts, the way a fault storm raises it
+// (Medium.SetLoss): every 400 ms the loss jumps to 60 % for 100 ms.
 func TestReorderingPlusLoss(t *testing.T) {
+	const base, burst = 0.05, 0.6
 	k := sim.NewKernel(5)
-	radio := phys.NewRadio(k, "r", phys.Config{
+	radio := phys.NewBus(k, "r", phys.Config{
 		BitsPerSec: 1_000_000, Delay: 5 * time.Millisecond,
-		Jitter: 20 * time.Millisecond, Loss: 0.05, MTU: 576, QueueLimit: 128,
+		Jitter: 20 * time.Millisecond, Loss: base, MTU: 576, QueueLimit: 128,
 	})
-	radio.EnableBurstLoss(0.02, 0.3, 0.6)
 	net := ipv4.MustParsePrefix("10.0.0.0/24")
 	a := stack.NewNode(k, "a")
 	b := stack.NewNode(k, "b")
@@ -66,10 +69,36 @@ func TestReorderingPlusLoss(t *testing.T) {
 	c, _ := t1.Dial(Endpoint{Addr: b.Addr(), Port: 80}, Options{})
 	data := pattern(80_000)
 	c.OnEstablished(func() { pump(c, data, true) })
+
+	// lost and got tally the frames both stations lost and received
+	// while a burst was on; bursts stop once the stream is in.
+	var lost, got uint64
+	tally := func() (uint64, uint64) {
+		sa, sb := ia.NIC.Stats(), ib.NIC.Stats()
+		return sa.RxLost + sb.RxLost, sa.RxFrames + sb.RxFrames
+	}
+	var storm func()
+	storm = func() {
+		l0, g0 := tally()
+		radio.SetLoss(burst)
+		k.After(100*time.Millisecond, func() {
+			radio.SetLoss(base)
+			l1, g1 := tally()
+			lost, got = lost+l1-l0, got+g1-g0
+			if len(srv.data) < len(data) {
+				k.After(300*time.Millisecond, storm)
+			}
+		})
+	}
+	k.After(100*time.Millisecond, storm)
 	k.RunFor(20 * time.Minute)
 	if !bytes.Equal(srv.data, data) {
 		t.Fatalf("burst-lossy reordered stream corrupted: %d/%d", len(srv.data), len(data))
 	}
+	if lost == 0 || float64(lost) < 0.25*float64(lost+got) {
+		t.Fatalf("bursts lost %d of %d frames, want well above the %.0f%% base loss", lost, lost+got, base*100)
+	}
+	t.Logf("bursts lost %d of %d frames", lost, lost+got)
 }
 
 func TestRSTMidStream(t *testing.T) {

@@ -30,7 +30,7 @@ func BenchmarkScaleForward(b *testing.B) {
 	// Path length, for the ns/op denominator: ns/op ÷ (hops+1) is the
 	// per-hop cost the scale experiment reports.
 	hops := m.NetHops(src)
-	lastStub := m.NetIndex(m.NodeDefs[len(m.NodeDefs)-1].Nets[0])
+	lastStub := m.NodeNets(len(m.NodeDefs) - 1)[0]
 	b.ReportMetric(float64(hops[lastStub]+1), "hops")
 
 	for i := 0; i < 64; i++ {

@@ -273,6 +273,13 @@ func (m *Manifest) HostNames() []string {
 func (m *Manifest) NodeIndex(name string) int { return lookup(m.nodeAt, name) }
 func (m *Manifest) NetIndex(name string) int  { return lookup(m.netAt, name) }
 
+// NodeNets lists the nets node i (a NodeDefs index) attaches to, as
+// NetDefs indices in attachment order; NetNodes lists the nodes on net
+// j, as NodeDefs indices in NodeDefs order. Both are the manifest's own
+// rows: read them, do not modify them.
+func (m *Manifest) NodeNets(i int) []int { return m.nodeNets.row(i) }
+func (m *Manifest) NetNodes(j int) []int { return m.netNodes.row(j) }
+
 func lookup(index map[string]int, name string) int {
 	if i, ok := index[name]; ok {
 		return i
@@ -326,10 +333,11 @@ func (m *Manifest) NetHops(from string) []int {
 }
 
 // csr is one side of the manifest's incidence graph in compressed
-// sparse rows: row i is to[off[i]:off[i+1]].
+// sparse rows: row i is to[off[i]:off[i+1]], capped there so an append
+// to a row copies it rather than overwriting the next.
 type csr struct{ off, to []int }
 
-func (c csr) row(i int) []int { return c.to[c.off[i]:c.off[i+1]] }
+func (c csr) row(i int) []int { return c.to[c.off[i]:c.off[i+1]:c.off[i+1]] }
 
 // index lays out the incidence graph generate wired as flat rows, once
 // per manifest: each node's nets in attachment order, and each net's

@@ -296,7 +296,8 @@ func FuzzNetHopsMatchesReference(f *testing.F) {
 		}
 		// The rows transpose NodeDefs: a node's nets in attachment
 		// order, and a net's nodes in NodeDefs order, which is the order
-		// a cross trunk's two sides are wired in.
+		// a cross trunk's two sides are wired in. An append to one row
+		// copies it, so the next row checked is still intact.
 		rows := make([][]int, len(m.NetDefs))
 		for i, nd := range m.NodeDefs {
 			var nets []int
@@ -304,14 +305,16 @@ func FuzzNetHopsMatchesReference(f *testing.F) {
 				nets = append(nets, m.NetIndex(n))
 				rows[m.NetIndex(n)] = append(rows[m.NetIndex(n)], i)
 			}
-			if got := m.nodeNets.row(i); !slices.Equal(got, nets) {
+			if got := m.NodeNets(i); !slices.Equal(got, nets) {
 				t.Fatalf("%s: node %s's row %v, want %v", spec, nd.Name, got, nets)
 			}
+			_ = append(m.NodeNets(i), -1)
 		}
 		for j, want := range rows {
-			if got := m.netNodes.row(j); !slices.Equal(got, want) {
+			if got := m.NetNodes(j); !slices.Equal(got, want) {
 				t.Fatalf("%s: net %s's row %v, want %v", spec, m.NetDefs[j].Name, got, want)
 			}
+			_ = append(m.NetNodes(j), -1)
 		}
 		for _, nd := range m.NodeDefs {
 			got, want := m.NetHops(nd.Name), refNetHops(m, nd.Name)

@@ -7,6 +7,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -98,12 +99,28 @@ func (r *Result) AddCounterSums(scope string, ks ...*sim.Kernel) {
 }
 
 // addCounters records each entry of s as a "ctr/[<scope>/]<path>" metric.
+// The names are rendered into one string; each metric's is a piece of it.
 func (r *Result) addCounters(scope string, s metrics.Snapshot) {
+	prefix := "ctr/"
+	if scope != "" {
+		prefix += scope + "/"
+	}
+	size := 0
 	for _, e := range s {
-		if scope != "" {
-			e.Path = scope + "/" + e.Path
-		}
-		r.AddMetric("ctr/"+e.Path, "", float64(e.Value))
+		size += len(prefix) + len(e.Path)
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	for _, e := range s {
+		sb.WriteString(prefix)
+		sb.WriteString(e.Path)
+	}
+	names, start := sb.String(), 0
+	r.Metrics = slices.Grow(r.Metrics, len(s))
+	for _, e := range s {
+		end := start + len(prefix) + len(e.Path)
+		r.AddMetric(names[start:end], "", float64(e.Value))
+		start = end
 	}
 }
 

@@ -16,45 +16,53 @@
 // packet pools: parallel campaign replicas each get their own registry,
 // so no cross-replica state exists and exports are deterministic at any
 // worker count.
+//
+// A node name must not contain '/': the registry orders node/layer/name
+// paths by node and kind without rendering them.
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"darpanet/internal/sim"
 )
 
-// binding is one registered descriptor: a counter pointer or a gauge
-// closure, never both.
+// binding is one registered descriptor: owners[owner], and either the
+// counter it reads, of kind kinds[ref], or (counter nil) gauges[ref].
 type binding struct {
-	path    string
-	counter *uint64
-	gauge   func() uint64
+	owner, ref uint32
+	counter    *uint64
 }
 
-// value reads the descriptor: the counter, or the gauge's closure.
-func (b *binding) value() uint64 {
-	switch {
-	case b.counter != nil:
-		return *b.counter
-	case b.gauge != nil:
-		return b.gauge()
-	}
-	return 0
+// gauge is a gauge's kind and closure, kept off the binding so that a
+// counter, nine descriptors in ten, costs 16 bytes.
+type gauge struct {
+	kind uint32
+	fn   func() uint64
 }
 
 // Registry holds the descriptors registered by every layer driven by one
 // kernel. Registration happens at topology-construction time; the only
 // operations during a run are the layers' own uint64 increments.
 //
-// It keeps one binding per descriptor and nothing else: Snapshot puts
-// the bindings in path order and tells two registrations of one path
-// apart, not Counter or Gauge.
+// No path is stored: owners gains an entry when the owner differs from
+// the previous registration's (a node registers its descriptors
+// together), and kinds holds each "/layer/name" once, so that a path is
+// owner + kind. Snapshot renders the paths, puts the bindings in path
+// order and tells two registrations of one path apart, not Counter or
+// Gauge.
 type Registry struct {
 	bindings []binding
+	owners   []string
+	kinds    []string
+	gauges   []gauge
+	sorted   int // bindings[:sorted] are in path order
+	size     int // the bytes of every path, repeats' suffixes aside
 }
 
 // NewRegistry returns an empty registry. Most callers want For instead.
@@ -79,24 +87,87 @@ func For(k *sim.Kernel) *Registry {
 // owner keeps incrementing the field exactly as before registration;
 // the registry only reads it at snapshot time.
 func (r *Registry) Counter(node, layer, name string, v *uint64) {
-	r.add(node, layer, name, binding{counter: v})
+	r.add(node, layer, name, v, nil)
 }
 
 // Gauge binds fn as the descriptor node/layer/name; fn is invoked only
 // when a snapshot is taken and must be cheap and side-effect free.
 func (r *Registry) Gauge(node, layer, name string, fn func() uint64) {
-	r.add(node, layer, name, binding{gauge: fn})
+	r.add(node, layer, name, nil, fn)
 }
 
-// add appends binding b at the path node/layer/name. The path may
-// repeat an earlier one's (two media may attach stations with the same
-// name); Snapshot tells them apart.
-func (r *Registry) add(node, layer, name string, b binding) {
+// add appends a binding at the path node/layer/name: a counter when v is
+// set, else the gauge fn (a nil counter reads 0, as a nil fn does). The
+// path may repeat an earlier one's (two media may attach stations with
+// the same name); Snapshot tells them apart.
+func (r *Registry) add(node, layer, name string, v *uint64, fn func() uint64) {
 	if r == nil {
 		return
 	}
-	b.path = node + "/" + layer + "/" + name
+	if n := len(r.owners); n == 0 || r.owners[n-1] != node {
+		r.owners = append(r.owners, node)
+	}
+	b := binding{uint32(len(r.owners) - 1), r.kind(layer, name), v}
+	if v == nil {
+		r.gauges = append(r.gauges, gauge{b.ref, fn})
+		b.ref = uint32(len(r.gauges) - 1)
+	}
 	r.bindings = append(r.bindings, b)
+	r.size += len(node) + 2 + len(layer) + len(name)
+}
+
+// kind returns the index of "/layer/name" in kinds, interning it on
+// first use; a registry holds a few dozen.
+func (r *Registry) kind(layer, name string) uint32 {
+	if i := slices.Index(r.kinds, "/"+layer+"/"+name); i >= 0 {
+		return uint32(i)
+	}
+	r.kinds = append(r.kinds, "/"+layer+"/"+name)
+	return uint32(len(r.kinds) - 1)
+}
+
+// kindOf returns the index of b's kind in kinds.
+func (r *Registry) kindOf(b *binding) uint32 {
+	if b.counter != nil {
+		return b.ref
+	}
+	return r.gauges[b.ref].kind
+}
+
+// parts returns b's owner and kind: its path is owner + kind.
+func (r *Registry) parts(b *binding) (owner, kind string) {
+	return r.owners[b.owner], r.kinds[r.kindOf(b)]
+}
+
+// value reads the descriptor: the counter, or the gauge's closure.
+func (r *Registry) value(b *binding) uint64 {
+	if b.counter != nil {
+		return *b.counter
+	}
+	if fn := r.gauges[b.ref].fn; fn != nil {
+		return fn()
+	}
+	return 0
+}
+
+// comparePaths orders two bindings as strings.Compare orders their
+// paths, without building them. An owner holds no '/', so where one
+// owner is a prefix of the other, the byte after it decides against '/':
+// "g1.if0/nic/…" sorts before "g1/ip/…" ('.' < '/').
+func (r *Registry) comparePaths(a, b binding) int {
+	oa, ka := r.parts(&a)
+	ob, kb := r.parts(&b)
+	if oa == ob {
+		return strings.Compare(ka, kb)
+	}
+	n := min(len(oa), len(ob))
+	if c := strings.Compare(oa[:n], ob[:n]); c != 0 {
+		return c
+	}
+	if len(oa) < len(ob) {
+		return cmp.Compare('/', ob[n])
+	}
+	return cmp.Compare(oa[n], '/')
 }
 
 // Len returns the number of registered descriptors.
@@ -107,15 +178,12 @@ func (r *Registry) Len() int {
 	return len(r.bindings)
 }
 
-// fold splits a descriptor path into its base — a repeat's "~n" folded
-// away — and its kind, the base without its node segment:
-// "g7/nic/tx_frames~2" is base "g7/nic/tx_frames", kind "nic/tx_frames".
-func fold(path string) (base, kind string) {
-	base = path
+// fold returns a snapshot path's base: a repeat's "~n" folded away.
+func fold(path string) string {
 	if i := strings.LastIndexByte(path, '~'); i >= 0 && strings.IndexByte(path[i:], '/') < 0 {
-		base = path[:i]
+		return path[:i]
 	}
-	return base, base[strings.IndexByte(base, '/')+1:]
+	return path
 }
 
 // Entry is one descriptor's value at snapshot time.
@@ -129,48 +197,54 @@ type Snapshot []Entry
 
 // Snapshot reads every descriptor and returns the values sorted by
 // path, so two snapshots of the same topology are comparable
-// entry-by-entry.
+// entry-by-entry. Each entry's Path is a piece of one string.
 //
 // A path registered more than once is uniquified deterministically: the
 // second registration of path p reads as "p~2", the third "p~3", and so
 // on, in registration order — topology-construction order, which is
 // deterministic, so the suffixes are too. The registry's own bindings
-// are kept in path order, stably, so only a snapshot taken after a
-// registration broke that order sorts them.
+// are kept in path order, stably: a snapshot checks those registered
+// since the last one, and sorts only when they broke that order.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return nil
 	}
-	byPath := func(a, b binding) int { return strings.Compare(a.path, b.path) }
-	if !slices.IsSortedFunc(r.bindings, byPath) {
+	byPath := func(a, b binding) int { return r.comparePaths(a, b) }
+	if !slices.IsSortedFunc(r.bindings[max(r.sorted-1, 0):], byPath) {
 		slices.SortStableFunc(r.bindings, byPath)
 	}
+	r.sorted = len(r.bindings)
+	// Write the paths, parking each one's end in its entry's Value.
 	s := make(Snapshot, len(r.bindings))
-	repeats := false
+	var sb strings.Builder
+	sb.Grow(r.size)
+	var digits [20]byte
+	repeat, repeats := 1, false
 	for i := range r.bindings {
 		b := &r.bindings[i]
-		s[i] = Entry{Path: b.path, Value: b.value()}
-		repeats = repeats || i > 0 && b.path == r.bindings[i-1].path
+		owner, kind := r.parts(b)
+		sb.WriteString(owner)
+		sb.WriteString(kind)
+		if i > 0 && r.kindOf(&r.bindings[i-1]) == r.kindOf(b) && r.owners[r.bindings[i-1].owner] == owner {
+			repeat, repeats = repeat+1, true
+			sb.WriteByte('~')
+			sb.Write(strconv.AppendInt(digits[:0], int64(repeat), 10))
+		} else {
+			repeat = 1
+		}
+		s[i].Value = uint64(sb.Len())
 	}
+	paths, start := sb.String(), 0
+	for i := range s {
+		end := int(s[i].Value)
+		s[i] = Entry{Path: paths[start:end], Value: r.value(&r.bindings[i])}
+		start = end
+	}
+	// A suffixed path can sort past others ("p/x" < "p~2").
 	if repeats {
-		uniquify(s)
+		slices.SortStableFunc(s, func(a, b Entry) int { return strings.Compare(a.Path, b.Path) })
 	}
 	return s
-}
-
-// uniquify suffixes each repeat of a path in the sorted snapshot s —
-// "p~2", "p~3", … in the order the repeats stand — and sorts s again,
-// since a suffixed path can sort past others ("p/x" < "p~2").
-func uniquify(s Snapshot) {
-	for i := 1; i < len(s); {
-		j := i
-		for j < len(s) && s[j].Path == s[i-1].Path {
-			s[j].Path = fmt.Sprintf("%s~%d", s[j].Path, j-i+2)
-			j++
-		}
-		i = j + 1
-	}
-	slices.SortStableFunc(s, func(a, b Entry) int { return strings.Compare(a.Path, b.Path) })
 }
 
 // Totals returns one entry per kind — a descriptor's layer/name, its
@@ -181,9 +255,13 @@ func Totals(ks ...*sim.Kernel) Snapshot {
 	sums := map[string]uint64{}
 	for _, k := range ks {
 		r := For(k)
+		byKind := make([]uint64, len(r.kinds))
 		for i := range r.bindings {
-			_, kind := fold(r.bindings[i].path)
-			sums[kind] += r.bindings[i].value()
+			b := &r.bindings[i]
+			byKind[r.kindOf(b)] += r.value(b)
+		}
+		for id, v := range byKind {
+			sums[r.kinds[id][1:]] += v
 		}
 	}
 	t := make(Snapshot, 0, len(sums))
@@ -211,7 +289,7 @@ func (s Snapshot) Sum(suffix string) uint64 {
 	tail := "/" + suffix
 	var total uint64
 	for _, e := range s {
-		if base, _ := fold(e.Path); base == suffix || strings.HasSuffix(base, tail) {
+		if base := fold(e.Path); base == suffix || strings.HasSuffix(base, tail) {
 			total += e.Value
 		}
 	}

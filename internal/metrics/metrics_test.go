@@ -92,36 +92,48 @@ func TestDuplicateSuffixesFollowRegistrationOrder(t *testing.T) {
 }
 
 // TestRegistryFootprint pins what a descriptor costs the registry that
-// keeps it: one 32-byte binding (the path's string header, a counter
-// pointer, a gauge closure) plus its path's bytes, with at most the
-// binding slice's growth slack on top — no map of the paths seen, which
-// cost about as much again (repeats are told apart at Snapshot). The
-// bytes are counted from the capacities the registry holds, as
+// keeps it: one 16-byte binding (owner and kind ids, a counter pointer)
+// with the binding slice's growth slack, a share of the owner table (one
+// string header per run of one owner's registrations; the name's bytes
+// are the owner's own), the kind table, and for a gauge a 16-byte side
+// entry. No path is stored: on a registry shaped like a node's
+// descriptors (nine counters and a gauge per owner) that is at most
+// 24 B each, where a stored path alone was 15 to 19. The bytes are
+// counted from the capacities the registry holds, as
 // TestRouteTableFootprint counts a route table's, and the struct may
-// hold nothing but the binding slice, so no per-descriptor state escapes
-// the count. A snapshot with no repeated path allocates only itself.
+// hold nothing but its four tables and two counts, so no
+// per-descriptor state escapes the count. A snapshot with no repeated
+// path allocates its entries and the one string its paths are cut from.
 func TestRegistryFootprint(t *testing.T) {
-	if size := unsafe.Sizeof(binding{}); size != 32 {
-		t.Fatalf("binding is %d bytes, want 32", size)
+	if size := unsafe.Sizeof(binding{}); size != 16 {
+		t.Fatalf("binding is %d bytes, want 16", size)
 	}
-	if unsafe.Sizeof(Registry{}) != unsafe.Sizeof([]binding(nil)) {
-		t.Fatalf("Registry is %d bytes: it holds more than its bindings", unsafe.Sizeof(Registry{}))
+	if size, tables := unsafe.Sizeof(Registry{}), 4*unsafe.Sizeof([]byte(nil))+2*unsafe.Sizeof(0); size != tables {
+		t.Fatalf("Registry is %d bytes, want %d: it holds more than its tables", size, tables)
 	}
 	const n = 10_000
 	r := NewRegistry()
 	counters := make([]uint64, n)
 	for i := range counters {
-		r.Counter(fmt.Sprintf("g%d", i), "nic", "tx_frames", &counters[i])
+		node, name := fmt.Sprintf("g%d", i/10), fmt.Sprintf("c%d", i%10)
+		if i%10 == 9 {
+			r.Gauge(node, "nic", name, func() uint64 { return counters[i] })
+		} else {
+			r.Counter(node, "nic", name, &counters[i])
+		}
 	}
-	held := cap(r.bindings) * int(unsafe.Sizeof(binding{}))
-	for _, b := range r.bindings {
-		held += len(b.path) // 15 to 19 bytes here
+	held := cap(r.bindings)*int(unsafe.Sizeof(binding{})) +
+		cap(r.owners)*int(unsafe.Sizeof("")) +
+		cap(r.gauges)*int(unsafe.Sizeof(gauge{})) +
+		cap(r.kinds)*int(unsafe.Sizeof(""))
+	for _, k := range r.kinds {
+		held += len(k)
 	}
-	if per := float64(held) / n; per > 64 {
-		t.Fatalf("%d descriptors hold %.1f B each, want <= 64", n, per)
+	if per := float64(held) / n; per > 24 {
+		t.Fatalf("%d descriptors hold %.1f B each, want <= 24", n, per)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { r.Snapshot() }); allocs != 1 {
-		t.Fatalf("a snapshot of %d distinct paths made %.0f allocations, want 1", n, allocs)
+	if allocs := testing.AllocsPerRun(100, func() { r.Snapshot() }); allocs != 2 {
+		t.Fatalf("a snapshot of %d distinct paths made %.0f allocations, want 2", n, allocs)
 	}
 }
 

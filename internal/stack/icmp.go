@@ -114,13 +114,22 @@ func (n *Node) EnableSourceQuench() {
 	}
 }
 
+// watchEcho routes echo replies to fn under a fresh identifier, which it
+// returns. The map is made on first use: most nodes never ping.
+func (n *Node) watchEcho(fn func(seq uint16, rtt sim.Duration)) uint16 {
+	if n.pings == nil {
+		n.pings = make(map[uint16]func(uint16, sim.Duration))
+	}
+	n.pingID++
+	n.pings[n.pingID] = fn
+	return n.pingID
+}
+
 // Ping sends count echo requests to dst at the given interval. Each reply
 // invokes reply(seq, rtt); lost probes simply never call back. The
 // returned stop function cancels outstanding probes.
 func (n *Node) Ping(dst ipv4.Addr, count int, interval sim.Duration, reply func(seq uint16, rtt sim.Duration)) (stop func()) {
-	n.pingID++
-	id := n.pingID
-	n.pings[id] = reply
+	id := n.watchEcho(reply)
 	var timers []sim.Timer
 	for i := 0; i < count; i++ {
 		seq := uint16(i)

@@ -102,7 +102,6 @@ func NewNode(k *sim.Kernel, name string) *Node {
 		name:     name,
 		handlers: make(map[uint8]ProtocolHandler),
 		reasm:    ipv4.NewReassembler(k, 0),
-		pings:    make(map[uint16]func(uint16, sim.Duration)),
 		pool:     PoolFor(k),
 	}
 	n.reasm.SetPool(n.pool)

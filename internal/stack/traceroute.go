@@ -28,9 +28,7 @@ func (n *Node) Traceroute(dst ipv4.Addr, maxHops int, probeTimeout sim.Duration,
 		probeTimeout = 2 * 1e9
 	}
 	tr := &trWalk{n: n, dst: dst, maxHops: maxHops, timeout: probeTimeout, done: done}
-	n.pingID++
-	tr.echoID = n.pingID
-	n.pings[tr.echoID] = func(seq uint16, rtt sim.Duration) { tr.reached(rtt) }
+	tr.echoID = n.watchEcho(func(seq uint16, rtt sim.Duration) { tr.reached(rtt) })
 	n.OnIcmpError(tr.icmpError)
 	tr.probe(1)
 }

@@ -155,9 +155,10 @@ run_leg() {
         # reference loop, route-table operation sequences against the
         # linear scan, the oracle's same-next-hop blocks against a
         # route per prefix, the manifest's indexed BFS against the
-        # map-based one, and the survivability analysis's cut gateways,
+        # map-based one, the survivability analysis's cut gateways,
         # bridges and 2-cuts against brute-force removal on a name-keyed
-        # census. Their inputs are long; left to minimize each
+        # census, and the interned metrics registry against the
+        # path-string one. Their inputs are long; left to minimize each
         # interesting one (60s by default) the workers would spend the
         # ten seconds shrinking the first.
         go test -run '^$' -fuzz FuzzChecksumMatchesReference -fuzztime 10s -fuzzminimizetime 0 ./internal/packet/
@@ -165,6 +166,7 @@ run_leg() {
         go test -run '^$' -fuzz FuzzRouteCover -fuzztime 10s -fuzzminimizetime 0 ./internal/core/
         go test -run '^$' -fuzz FuzzNetHopsMatchesReference -fuzztime 10s -fuzzminimizetime 0 ./internal/topo/
         go test -run '^$' -fuzz FuzzWeakPointsMatchBruteForce -fuzztime 10s -fuzzminimizetime 0 ./internal/survive/
+        go test -run '^$' -fuzz FuzzRegistryMatchesPathReference -fuzztime 10s -fuzzminimizetime 0 ./internal/metrics/
         # The stateful fuzzers: a schedule that parses and arms runs on
         # E11's internet under a bulk transfer to the end, with no panic
         # and a frame ledger that closes.

@@ -25,6 +25,7 @@
 //	routes <node>               # dump a routing table
 //	stats <node>                # dump IP counters
 //	transfers                   # report all transfers' progress
+//	experiment <id>             # run one experiment at seed 1988, print its table
 //
 // Example:
 //

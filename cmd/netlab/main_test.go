@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -92,5 +93,48 @@ b->a:83: 1000 B / 1000 B (100.0%)
 `
 	if report != want {
 		t.Fatalf("transfers report:\n%s\nwant:\n%s", report, want)
+	}
+}
+
+// TestTourUsesEveryCommand: testdata/tour.nl, the script the reach leg
+// of scripts/check.sh runs under coverage, uses every command the usage
+// comment names and runs to the end, so a new command cannot escape
+// the programs that leg runs.
+func TestTourUsesEveryCommand(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tour, err := os.ReadFile("testdata/tour.nl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[string]bool{}
+	for _, line := range strings.Split(string(tour), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			used[f[0]] = true
+		}
+	}
+	_, usage, _ := strings.Cut(string(src), "// Script language")
+	usage, _, _ = strings.Cut(usage, "// Example:")
+	n := 0
+	for _, line := range strings.Split(usage, "\n") {
+		line, ok := strings.CutPrefix(line, "//\t")
+		if !ok {
+			continue
+		}
+		for _, alt := range strings.Split(line, " | ") {
+			cmd := strings.Fields(alt)[0]
+			n++
+			if !used[cmd] {
+				t.Errorf("the usage comment names %q, which testdata/tour.nl never uses", cmd)
+			}
+		}
+	}
+	if n < 20 {
+		t.Fatalf("read %d commands from the usage comment", n)
+	}
+	if err := run(1, strings.NewReader(string(tour)), io.Discard); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -40,11 +40,6 @@ type Config struct {
 	HoldTime sim.Duration
 }
 
-// DefaultConfig returns the default timers (10 s updates, 30 s hold).
-func DefaultConfig() Config {
-	return Config{UpdateInterval: 10 * 1e9, HoldTime: 30 * 1e9}
-}
-
 // Stats counts protocol activity.
 type Stats struct {
 	UpdatesSent     uint64
@@ -86,13 +81,13 @@ type Speaker struct {
 	learned map[ipv4.Prefix]map[ipv4.Addr]learnedRoute
 	stats   Stats
 	started bool
-	tick    sim.Timer
 }
 
-// New creates a speaker for autonomous system as on border gateway n.
+// New creates a speaker for autonomous system as on border gateway n. A
+// zero UpdateInterval takes 10 s updates and a 30 s hold.
 func New(n *stack.Node, t *udp.Transport, as AS, cfg Config) (*Speaker, error) {
 	if cfg.UpdateInterval <= 0 {
-		cfg = DefaultConfig()
+		cfg = Config{UpdateInterval: 10 * 1e9, HoldTime: 30 * 1e9}
 	}
 	s := &Speaker{
 		node:    n,
@@ -116,12 +111,6 @@ func New(n *stack.Node, t *udp.Transport, as AS, cfg Config) (*Speaker, error) {
 	return s, nil
 }
 
-// AS returns the speaker's autonomous system number.
-func (s *Speaker) AS() AS { return s.as }
-
-// Stats returns a copy of the protocol counters.
-func (s *Speaker) Stats() Stats { return s.stats }
-
 // Originate adds prefixes this AS delivers to (its interior networks) to
 // every future advertisement.
 func (s *Speaker) Originate(prefixes ...ipv4.Prefix) {
@@ -142,22 +131,13 @@ func (s *Speaker) Start() {
 	}
 	s.started = true
 	jitter := sim.Duration(s.k.Rand().Int63n(int64(s.cfg.UpdateInterval)/2 + 1))
-	s.tick = s.k.After(jitter, s.periodic)
-}
-
-// Stop halts the cycle.
-func (s *Speaker) Stop() {
-	s.started = false
-	s.tick.Stop()
+	s.k.After(jitter, s.periodic)
 }
 
 func (s *Speaker) periodic() {
-	if !s.started {
-		return
-	}
 	s.expirePeers()
 	s.advertise()
-	s.tick = s.k.After(s.cfg.UpdateInterval, s.periodic)
+	s.k.After(s.cfg.UpdateInterval, s.periodic)
 }
 
 func (s *Speaker) expirePeers() {
@@ -370,17 +350,6 @@ func (s *Speaker) reselect(prefix ipv4.Prefix) {
 		Metric:  len(best.path),
 		Source:  stack.SourceEGP,
 	})
-}
-
-// RouteCount returns the number of prefixes with a live exterior route.
-func (s *Speaker) RouteCount() int {
-	n := 0
-	for prefix := range s.learned {
-		if _, ok := s.best(prefix); ok {
-			n++
-		}
-	}
-	return n
 }
 
 // PathTo returns the selected AS path for a prefix, for tests and

@@ -7,6 +7,7 @@ import (
 	"darpanet/internal/core"
 	"darpanet/internal/egp"
 	"darpanet/internal/ipv4"
+	"darpanet/internal/metrics"
 	"darpanet/internal/phys"
 	"darpanet/internal/rip"
 	"darpanet/internal/sim"
@@ -63,6 +64,12 @@ func threeAS(seed int64) (*core.Network, map[int]*egp.Speaker) {
 		s.Start()
 	}
 	return nw, speakers
+}
+
+// counter reads one of a speaker's counters from the kernel's registry.
+func counter(nw *core.Network, node, name string) uint64 {
+	v, _ := metrics.For(nw.Kernel()).Snapshot().Get(node + "/egp/" + name)
+	return v
 }
 
 func addrOn(nw *core.Network, node, net string) ipv4.Addr {
@@ -131,10 +138,10 @@ func TestLoopPrevention(t *testing.T) {
 		sock.SendTo(udp.Endpoint{Addr: addrOn(nw, "bgA", "x"), Port: egp.Port}, evil)
 	})
 	nw.RunFor(10 * time.Second)
-	if sA.Stats().LoopsRejected != 1 {
-		t.Fatalf("LoopsRejected = %d, want 1", sA.Stats().LoopsRejected)
+	if n := counter(nw, "bgA", "loops_rejected"); n != 1 {
+		t.Fatalf("loops_rejected = %d, want 1", n)
 	}
-	if sA.RouteCount() != 0 {
+	if _, ok := sA.PathTo(ipv4.MustParsePrefix("10.5.0.0/24")); ok {
 		t.Fatal("looped route was installed")
 	}
 
@@ -149,10 +156,10 @@ func TestLoopPrevention(t *testing.T) {
 	// Check inside the hold time: a silent crafted peer legitimately
 	// expires afterwards.
 	nw.RunFor(3 * time.Second)
-	if sA.RouteCount() != 1 {
-		t.Fatalf("clean route not installed: %d", sA.RouteCount())
+	path, ok := sA.PathTo(ipv4.MustParsePrefix("10.5.0.0/24"))
+	if !ok {
+		t.Fatal("clean route not installed")
 	}
-	path, _ := sA.PathTo(ipv4.MustParsePrefix("10.5.0.0/24"))
 	if len(path) != 2 || path[0] != 9 || path[1] != 4 {
 		t.Fatalf("path = %v, want [9 4]", path)
 	}
@@ -192,7 +199,7 @@ func TestSteadyStateEchoSuppression(t *testing.T) {
 		s.Start()
 	}
 	nw.RunFor(30 * time.Second)
-	if ss[0].RouteCount() != 0 {
+	if _, ok := ss[0].PathTo(ipv4.MustParsePrefix("10.1.0.0/24")); ok {
 		t.Fatal("origin accepted an exterior route to its own prefix")
 	}
 	for i := 1; i <= 2; i++ {
@@ -206,16 +213,21 @@ func TestSteadyStateEchoSuppression(t *testing.T) {
 func TestPeerExpiryWithdrawsRoutes(t *testing.T) {
 	nw, speakers := threeAS(1)
 	nw.RunFor(20 * time.Second)
-	if speakers[1].RouteCount() < 2 {
-		t.Fatalf("bg1 routes = %d, want >= 2", speakers[1].RouteCount())
+	learned := []ipv4.Prefix{ipv4.MustParsePrefix("10.2.0.0/24"), ipv4.MustParsePrefix("10.3.0.0/24")}
+	for _, p := range learned {
+		if _, ok := speakers[1].PathTo(p); !ok {
+			t.Fatalf("bg1 has no route to %v", p)
+		}
 	}
 	// Silence AS2 entirely: AS1 must withdraw everything it learned.
 	nw.CrashNode("bg2")
 	nw.RunFor(30 * time.Second)
-	if speakers[1].RouteCount() != 0 {
-		t.Fatalf("routes survived peer death: %d", speakers[1].RouteCount())
+	for _, p := range learned {
+		if _, ok := speakers[1].PathTo(p); ok {
+			t.Fatalf("route to %v survived peer death", p)
+		}
 	}
-	if speakers[1].Stats().PeerExpiries == 0 {
+	if counter(nw, "bg1", "peer_expiries") == 0 {
 		t.Fatal("no peer expiry recorded")
 	}
 	if _, ok := nw.Node("bg1").Table.Lookup(nw.Addr("h3")); ok {

@@ -137,16 +137,6 @@ func (r *Result) Counters() metrics.Snapshot {
 	return s
 }
 
-// Metric returns the named metric's value (0, false when absent).
-func (r *Result) Metric(name string) (float64, bool) {
-	for _, m := range r.Metrics {
-		if m.Name == name {
-			return m.Value, true
-		}
-	}
-	return 0, false
-}
-
 // bool01 renders a boolean as the 0/1 metric convention: campaign means
 // of 0/1 metrics read directly as survival / completion rates.
 func bool01(b bool) float64 {

@@ -78,7 +78,7 @@ func TestTrafficMatrixOnEveryBuild(t *testing.T) {
 					{"tcp_done", 1}, {"tcp_bytes", 4 * matrixXferBytes},
 					{"frame_ledger_delta", 0}, // over all of the internet's kernels
 				} {
-					if got, ok := res.Metric(want.metric); !ok || got != want.value {
+					if got, ok := lookup(res, want.metric); !ok || got != want.value {
 						t.Errorf("%s = %v over %d kernel(s), want %v", want.metric, got, len(nw.Kernels()), want.value)
 					}
 				}

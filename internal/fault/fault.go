@@ -349,10 +349,6 @@ func (in *Injector) ReconvergeDurations() []sim.Duration {
 	return out
 }
 
-// TotalLost returns the frames lost across every closed blackout
-// window so far.
-func (in *Injector) TotalLost() uint64 { return in.totalLost }
-
 // Metric is one named recovery measurement, shaped for exp.Result.
 type Metric struct {
 	Name  string

@@ -219,9 +219,6 @@ func TestCrashRecoveryMeasured(t *testing.T) {
 	if evs[1].LostInWindow == 0 {
 		t.Error("blackout window lost no frames despite a UDP flood through the dead gateway")
 	}
-	if in.TotalLost() != evs[1].LostInWindow {
-		t.Errorf("TotalLost %d != restore window %d", in.TotalLost(), evs[1].LostInWindow)
-	}
 
 	ms := in.Metrics()
 	byName := map[string]float64{}
@@ -230,6 +227,9 @@ func TestCrashRecoveryMeasured(t *testing.T) {
 			t.Errorf("duplicate metric %q", m.Name)
 		}
 		byName[m.Name] = m.Value
+	}
+	if byName["blackout_lost_frames"] != float64(evs[1].LostInWindow) {
+		t.Errorf("blackout_lost_frames %v != restore window %d", byName["blackout_lost_frames"], evs[1].LostInWindow)
 	}
 	if byName["events_injected"] != 2 {
 		t.Errorf("events_injected = %v, want 2", byName["events_injected"])
@@ -614,7 +614,17 @@ func TestPartitionHealTransferIntegrity(t *testing.T) {
 	}
 	// The cuts must actually have blacked the transfer out: the closed
 	// windows swallowed frames.
-	if in.TotalLost() == 0 {
+	if lostFrames(in) == 0 {
 		t.Fatal("partition lost no frames — transfer was never interrupted")
 	}
+}
+
+// lostFrames returns the frames lost across every closed blackout window.
+func lostFrames(in *fault.Injector) float64 {
+	for _, m := range in.Metrics() {
+		if m.Name == "blackout_lost_frames" {
+			return m.Value
+		}
+	}
+	return 0
 }

@@ -28,10 +28,6 @@ const (
 // ECN extracts the ECN field from a TOS octet.
 func ECN(tos uint8) uint8 { return tos & ECNMask }
 
-// ECNCapable reports whether the TOS octet declares an ECN-capable
-// transport (ECT or already-marked CE).
-func ECNCapable(tos uint8) bool { return tos&ECNMask != NotECT }
-
 // SetCE rewrites the raw wire header in place to mark congestion
 // experienced, patching the header checksum incrementally (RFC 1624
 // eq. 3) exactly as DecrementTTL does for the TTL — the gateway's

@@ -82,12 +82,4 @@ func TestECNHelpers(t *testing.T) {
 	if ECN(TOSLowDelay|ECT0) != ECT0 {
 		t.Fatal("ECN did not mask to the low bits")
 	}
-	if ECNCapable(TOSLowDelay) {
-		t.Fatal("Not-ECT reported capable")
-	}
-	for _, cp := range []uint8{ECT0, ECT1, CE} {
-		if !ECNCapable(cp) {
-			t.Fatalf("codepoint %#02x reported not capable", cp)
-		}
-	}
 }

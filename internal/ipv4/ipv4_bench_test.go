@@ -12,7 +12,7 @@ func BenchmarkHeaderMarshal(b *testing.B) {
 	payload := make([]byte, 536)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf := packet.NewBuffer(HeaderLen, payload)
+		buf := newBuffer(HeaderLen, payload)
 		if err := h.Marshal(buf); err != nil {
 			b.Fatal(err)
 		}
@@ -22,7 +22,7 @@ func BenchmarkHeaderMarshal(b *testing.B) {
 
 func BenchmarkHeaderParse(b *testing.B) {
 	h := mkHeader()
-	buf := packet.NewBuffer(HeaderLen, make([]byte, 536))
+	buf := newBuffer(HeaderLen, make([]byte, 536))
 	h.Marshal(buf)
 	raw := buf.Bytes()
 	b.SetBytes(int64(len(raw)))
@@ -36,7 +36,7 @@ func BenchmarkHeaderParse(b *testing.B) {
 func BenchmarkDecrementTTL(b *testing.B) {
 	h := mkHeader()
 	h.TTL = 255
-	buf := packet.NewBuffer(HeaderLen, nil)
+	buf := newBuffer(HeaderLen, nil)
 	h.Marshal(buf)
 	raw := buf.Bytes()
 	for i := 0; i < b.N; i++ {

@@ -123,7 +123,7 @@ func mkHeader() Header {
 func TestHeaderMarshalParse(t *testing.T) {
 	h := mkHeader()
 	payload := []byte("hello world")
-	b := packet.NewBuffer(HeaderLen, payload)
+	b := newBuffer(HeaderLen, payload)
 	if err := h.Marshal(b); err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +145,11 @@ func TestHeaderMarshalParse(t *testing.T) {
 
 func TestParseRejectsCorruption(t *testing.T) {
 	h := mkHeader()
-	b := packet.NewBuffer(HeaderLen, []byte("data"))
+	b := newBuffer(HeaderLen, []byte("data"))
 	h.Marshal(b)
 	raw := b.Bytes()
 
-	bad := packet.Clone(raw)
+	bad := append([]byte(nil), raw...)
 	bad[12] ^= 0x40 // flip a src-address bit
 	if _, _, err := Parse(bad); err != ErrBadChecksum {
 		t.Fatalf("corrupt header err = %v, want ErrBadChecksum", err)
@@ -160,13 +160,13 @@ func TestParseRejectsCorruption(t *testing.T) {
 		t.Fatalf("short err = %v, want ErrTruncated", err)
 	}
 
-	v6 := packet.Clone(raw)
+	v6 := append([]byte(nil), raw...)
 	v6[0] = 0x65
 	if _, _, err := Parse(v6); err != ErrBadVersion {
 		t.Fatalf("version err = %v, want ErrBadVersion", err)
 	}
 
-	trunc := packet.Clone(raw)[:HeaderLen+2] // total length says more
+	trunc := append([]byte(nil), raw...)[:HeaderLen+2] // total length says more
 	if _, _, err := Parse(trunc); err != ErrBadLength {
 		t.Fatalf("truncated payload err = %v, want ErrBadLength", err)
 	}
@@ -174,7 +174,7 @@ func TestParseRejectsCorruption(t *testing.T) {
 
 func TestDecrementTTL(t *testing.T) {
 	h := mkHeader()
-	b := packet.NewBuffer(HeaderLen, []byte("x"))
+	b := newBuffer(HeaderLen, []byte("x"))
 	h.Marshal(b)
 	raw := b.Bytes()
 	// Decrement 17 -> 1; each step keeps the checksum valid and the
@@ -276,7 +276,7 @@ func TestPropertyHeaderRoundTrip(t *testing.T) {
 			ttl = 1
 		}
 		h := Header{TOS: tos, ID: id, TTL: ttl, Proto: proto, Src: Addr(src), Dst: Addr(dst)}
-		b := packet.NewBuffer(HeaderLen, make([]byte, int(n)))
+		b := newBuffer(HeaderLen, make([]byte, int(n)))
 		if err := h.Marshal(b); err != nil {
 			return false
 		}
@@ -288,4 +288,12 @@ func TestPropertyHeaderRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// newBuffer returns a buffer with headroom bytes of headers in front of
+// a copy of payload.
+func newBuffer(headroom int, payload []byte) *packet.Buffer {
+	b := new(packet.Buffer)
+	b.Reset(nil, headroom, payload)
+	return b
 }

@@ -11,12 +11,6 @@ import (
 
 var defaultPrefix = ipv4.MustParsePrefix("0.0.0.0/0")
 
-// AgentStats counts an autoconfiguration agent's activity.
-type AgentStats struct {
-	Discovers uint64 // discovery probes answered
-	BadMsgs   uint64 // datagrams that failed to parse
-}
-
 // Agent is the gateway-resident half of host autoconfiguration: it
 // answers Discover broadcasts on AgentPort with an Offer naming the
 // directory replicas (nearest this gateway first). The answering
@@ -26,7 +20,6 @@ type Agent struct {
 	node     *stack.Node
 	sock     *udp.Socket
 	replicas []Record
-	stats    AgentStats
 }
 
 // InstallAgent starts an autoconfiguration responder on the node behind
@@ -43,13 +36,9 @@ func InstallAgent(tr *udp.Transport, replicas []Record) (*Agent, error) {
 	return a, nil
 }
 
-// Stats returns the agent's counters.
-func (a *Agent) Stats() AgentStats { return a.stats }
-
 func (a *Agent) input(from udp.Endpoint, data []byte, _ ipv4.Header) {
 	m, err := Parse(data)
 	if err != nil || m.Op != OpDiscover {
-		a.stats.BadMsgs++
 		return
 	}
 	// Reply out the interface that faces the prober: a broadcast never
@@ -65,7 +54,6 @@ func (a *Agent) input(from udp.Endpoint, data []byte, _ ipv4.Header) {
 	if ifc == nil {
 		return
 	}
-	a.stats.Discovers++
 	resp := Message{Op: OpOffer, ID: m.ID, Records: a.replicas}
 	b, err := resp.Marshal()
 	if err != nil {

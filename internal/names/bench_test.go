@@ -63,7 +63,8 @@ func benchResolverTopo(tb testing.TB) (*core.Network, ipv4.Addr, *uint64) {
 	if dst == 0 {
 		tb.Fatal("warming resolve failed")
 	}
-	if r.CacheLen() == 0 {
+	r.Resolve("h2", func(ipv4.Addr, bool) {})
+	if r.Stats().Hits != 1 {
 		tb.Fatal("resolver cache not warm")
 	}
 

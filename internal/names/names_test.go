@@ -161,9 +161,6 @@ func TestCacheHitAndTTLExpiry(t *testing.T) {
 	if st := r1.Stats(); st.Expired == 0 {
 		t.Fatal("TTL timer never evicted the entry")
 	}
-	if r1.CacheLen() != 0 {
-		t.Fatalf("cache holds %d entries past expiry", r1.CacheLen())
-	}
 	if _, ok := resolve(w, r1, "h2"); !ok {
 		t.Fatal("post-expiry resolve failed")
 	}

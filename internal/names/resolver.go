@@ -112,9 +112,6 @@ func (r *Resolver) Latencies() []sim.Duration {
 	return append([]sim.Duration(nil), r.latencies...)
 }
 
-// CacheLen returns the number of live cache entries.
-func (r *Resolver) CacheLen() int { return len(r.cache) }
-
 // Resolve answers name→address from cache when fresh, otherwise by
 // querying the replicas; cb runs exactly once, asynchronously even on
 // a cache hit, with ok=false for negative answers and exhausted

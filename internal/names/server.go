@@ -21,18 +21,6 @@ type ServerConfig struct {
 	Sync sim.Duration
 }
 
-// ServerStats counts one server's protocol activity.
-type ServerStats struct {
-	Queries   uint64 // queries received
-	Hits      uint64 // answered positively
-	Negatives uint64 // answered with authoritative non-existence
-	Registers uint64 // registration requests received
-	Updates   uint64 // replication pushes received
-	Accepted  uint64 // zone mutations applied (register or update)
-	Stale     uint64 // register/update records ignored as not newer
-	BadMsgs   uint64 // datagrams that failed to parse
-}
-
 type zoneEntry struct {
 	addr   ipv4.Addr
 	serial uint32
@@ -55,7 +43,6 @@ type Server struct {
 
 	peers    []udp.Endpoint
 	onChange func()
-	stats    ServerStats
 
 	// Log, when set, receives one line per protocol event — the golden
 	// query traces tap it.
@@ -96,12 +83,6 @@ func (s *Server) SetPeers(peers []udp.Endpoint) {
 // OnChange registers fn to run after every accepted zone mutation.
 func (s *Server) OnChange(fn func()) { s.onChange = fn }
 
-// Stats returns the server's protocol counters.
-func (s *Server) Stats() ServerStats { return s.stats }
-
-// Len returns the number of names in the zone.
-func (s *Server) Len() int { return len(s.zone) }
-
 // Lookup returns the zone's binding for name.
 func (s *Server) Lookup(name string) (addr ipv4.Addr, serial uint32, ok bool) {
 	e, ok := s.zone[name]
@@ -129,7 +110,6 @@ func (s *Server) send(dst udp.Endpoint, m *Message) {
 func (s *Server) apply(r Record) bool {
 	e, ok := s.zone[r.Name]
 	if ok && e.serial >= r.Serial {
-		s.stats.Stale++
 		return false
 	}
 	if !ok {
@@ -137,7 +117,6 @@ func (s *Server) apply(r Record) bool {
 	}
 	s.zone[r.Name] = zoneEntry{addr: r.Addr, serial: r.Serial}
 	s.serial++
-	s.stats.Accepted++
 	if s.onChange != nil {
 		s.onChange()
 	}
@@ -169,24 +148,19 @@ func (s *Server) pushZone() {
 func (s *Server) input(from udp.Endpoint, data []byte, _ ipv4.Header) {
 	m, err := Parse(data)
 	if err != nil {
-		s.stats.BadMsgs++
 		return
 	}
 	switch m.Op {
 	case OpQuery:
 		if len(m.Records) != 1 {
-			s.stats.BadMsgs++
 			return
 		}
-		s.stats.Queries++
 		q := m.Records[0].Name
 		resp := &Message{Op: OpAnswer, ID: m.ID, Serial: s.serial}
 		if e, ok := s.zone[q]; ok {
-			s.stats.Hits++
 			resp.Records = []Record{{Name: q, Addr: e.addr, Serial: e.serial, TTLms: ttlMS(s.cfg.TTL)}}
 			s.logf("query %s from %s -> %s serial=%d", q, from, e.addr, e.serial)
 		} else {
-			s.stats.Negatives++
 			resp.Negative = true
 			resp.Records = []Record{{Name: q, TTLms: ttlMS(s.cfg.NegTTL)}}
 			s.logf("query %s from %s -> negative", q, from)
@@ -194,10 +168,8 @@ func (s *Server) input(from udp.Endpoint, data []byte, _ ipv4.Header) {
 		s.send(from, resp)
 	case OpRegister:
 		if len(m.Records) != 1 {
-			s.stats.BadMsgs++
 			return
 		}
-		s.stats.Registers++
 		r := m.Records[0]
 		accepted := s.apply(r)
 		s.logf("register %s=%s serial=%d from %s accepted=%t", r.Name, r.Addr, r.Serial, from, accepted)
@@ -212,7 +184,6 @@ func (s *Server) input(from udp.Endpoint, data []byte, _ ipv4.Header) {
 			}
 		}
 	case OpUpdate:
-		s.stats.Updates++
 		for _, r := range m.Records {
 			if s.apply(r) {
 				s.logf("update %s=%s serial=%d from %s", r.Name, r.Addr, r.Serial, from)
@@ -220,7 +191,6 @@ func (s *Server) input(from udp.Endpoint, data []byte, _ ipv4.Header) {
 		}
 	default:
 		// Discover/Offer belong to the agent port; a query-port peer
-		// sending them is confused.
-		s.stats.BadMsgs++
+		// sending them is confused, and ignored.
 	}
 }

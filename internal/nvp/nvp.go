@@ -21,15 +21,6 @@ import (
 // headerLen is seq(4) + timestamp(8) + streamID(2) + pad(2).
 const headerLen = 16
 
-// Frame is one voice packet as the receiver saw it.
-type Frame struct {
-	Seq        uint32
-	SentAt     sim.Time
-	Arrived    sim.Time
-	Payload    []byte
-	PlayableBy sim.Time
-}
-
 // Sender produces a constant-bit-rate voice stream: one frame of
 // FrameBytes every FrameInterval.
 type Sender struct {
@@ -48,10 +39,9 @@ type Sender struct {
 	// gateways honour it, priority.
 	TOS uint8
 
-	Sent   uint64
-	ticker sim.Timer
-	seq    uint32
-	buf    []byte // reusable frame image; Send copies it synchronously
+	Sent uint64
+	seq  uint32
+	buf  []byte // reusable frame image; Send copies it synchronously
 }
 
 // NewSender creates a voice sender on node n targeting dst with the given
@@ -68,7 +58,7 @@ func NewSender(n *stack.Node, dst ipv4.Addr, id uint16) *Sender {
 	}
 }
 
-// Start begins transmitting for the given duration (0 = until Stop).
+// Start begins transmitting for the given duration (0 = forever).
 func (s *Sender) Start(duration sim.Duration) {
 	stopAt := sim.Time(-1)
 	if duration > 0 {
@@ -80,14 +70,9 @@ func (s *Sender) Start(duration sim.Duration) {
 			return
 		}
 		s.emit()
-		s.ticker = s.k.After(s.FrameInterval, tick)
+		s.k.After(s.FrameInterval, tick)
 	}
 	tick()
-}
-
-// Stop halts transmission.
-func (s *Sender) Stop() {
-	s.ticker.Stop()
 }
 
 func (s *Sender) emit() {
@@ -102,7 +87,7 @@ func (s *Sender) emit() {
 	binary.BigEndian.PutUint64(payload[4:], uint64(s.k.Now()))
 	binary.BigEndian.PutUint16(payload[12:], s.id)
 	// Voice samples: deterministic filler derived from the sequence
-	// number, so a test can verify payload integrity.
+	// number.
 	for i := 0; i < s.FrameBytes; i++ {
 		payload[headerLen+i] = byte(int(s.seq) + i)
 	}
@@ -145,7 +130,6 @@ type Receiver struct {
 	stats   Stats
 	highSeq uint32
 	seen    map[uint32]bool
-	onFrame func(Frame)
 }
 
 // NewReceiver attaches a voice receiver for stream id to node n. It
@@ -211,10 +195,6 @@ func (m *Mux) input(h ipv4.Header, data []byte) {
 	}
 }
 
-// OnFrame registers a callback invoked for every frame that makes its
-// deadline.
-func (r *Receiver) OnFrame(fn func(Frame)) { r.onFrame = fn }
-
 // Stats returns the receiver's counters; Lost is computed against the
 // highest sequence number observed.
 func (r *Receiver) Stats() Stats {
@@ -265,12 +245,4 @@ func (r *Receiver) input(h ipv4.Header, data []byte) {
 		return // better dropped than delayed
 	}
 	r.stats.OnTime++
-	if r.onFrame != nil {
-		// Frames are meant to be held until PlayableBy, but data is a
-		// transient view of a pooled buffer — copy the voice payload out.
-		r.onFrame(Frame{
-			Seq: seq, SentAt: sentAt, Arrived: now,
-			Payload: append([]byte(nil), data[headerLen:]...), PlayableBy: deadline,
-		})
-	}
 }

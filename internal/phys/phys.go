@@ -96,17 +96,11 @@ func (n *NIC) OnTxDrop(fn func(payload []byte)) { n.onTxDrop = fn }
 // Send takes ownership and the frame's eventual consumer releases them.
 func (n *NIC) SetPool(p *packet.Pool) { n.pool = p }
 
-// Pool returns the interface's buffer pool, or nil.
-func (n *NIC) Pool() *packet.Pool { return n.pool }
-
 // Name returns the interface name given at attach time (e.g. "gw1.eth0").
 func (n *NIC) Name() string { return n.name }
 
 // Addr returns the interface's link-level address on its medium.
 func (n *NIC) Addr() Addr { return n.addr }
-
-// Medium returns the medium the interface is attached to.
-func (n *NIC) Medium() Medium { return n.medium }
 
 // MTU returns the largest payload one frame on this medium may carry.
 func (n *NIC) MTU() int { return n.medium.MTU() }
@@ -215,8 +209,6 @@ type Medium interface {
 	Attach(name string) *NIC
 	// MTU returns the medium's maximum frame payload size.
 	MTU() int
-	// Name returns the medium's configured name.
-	Name() string
 	// SetDown makes the whole medium lose every frame (true) or resume
 	// carrying traffic (false) — the "loss of networks" fault from the
 	// paper's survivability goal.

@@ -317,10 +317,10 @@ func TestPriorityBandCounters(t *testing.T) {
 		a.Send(b.Addr(), []byte{1, byte(i)})
 	}
 	a.Send(b.Addr(), []byte{0, 9})
-	if got := q.BandStats(1); got.Enqueues != 2 || got.Drops != 2 {
+	if got := q.stats[1]; got.Enqueues != 2 || got.Drops != 2 {
 		t.Fatalf("band 1 = %+v, want 2 enqueues 2 drops", got)
 	}
-	if got := q.BandStats(0); got.Enqueues != 1 || got.Drops != 0 {
+	if got := q.stats[0]; got.Enqueues != 1 || got.Drops != 0 {
 		t.Fatalf("band 0 = %+v, want 1 enqueue 0 drops", got)
 	}
 	reg := metrics.For(k)

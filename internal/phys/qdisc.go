@@ -136,9 +136,6 @@ func NewPriority(bands, perBand int, classify func(payload []byte) int) *PrioQdi
 	return q
 }
 
-// BandStats returns a copy of one band's counters.
-func (q *PrioQdisc) BandStats(band int) BandStats { return q.stats[band] }
-
 func (q *PrioQdisc) Enqueue(f queuedFrame) bool {
 	b := min(max(q.classify(f.f.Payload), 0), len(q.bands)-1)
 	if !q.bands[b].push(f) {

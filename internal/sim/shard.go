@@ -108,10 +108,6 @@ func (g *ShardGroup) SetExchange(fn func()) {
 	g.exchange = fn
 }
 
-// Now returns the group's common simulated time: the last barrier, or
-// the instant of the observer running.
-func (g *ShardGroup) Now() Time { return g.now }
-
 // Lookahead returns the epoch length.
 func (g *ShardGroup) Lookahead() Duration { return g.lookahead }
 

@@ -114,7 +114,7 @@ func TestShardGroupEpochBoundaries(t *testing.T) {
 	k := NewKernel(7)
 	g := NewShardGroup([]*Kernel{k}, time.Millisecond, 1)
 	var barriers []Time
-	g.SetExchange(func() { barriers = append(barriers, g.Now()) })
+	g.SetExchange(func() { barriers = append(barriers, g.now) })
 	var fired []Time
 	for _, at := range []Time{0, Time(time.Millisecond), Time(2500 * time.Microsecond)} {
 		at := at
@@ -160,14 +160,14 @@ func observerTrace(t *testing.T, n int, look Duration, workers int) (log []obser
 		k.After(300*time.Microsecond, tick)
 	}
 	g := NewShardGroup(kernels, look, workers)
-	g.SetExchange(func() { barriers = append(barriers, g.Now()) })
+	g.SetExchange(func() { barriers = append(barriers, g.now) })
 	observe := func(what string) {
 		for i, k := range kernels {
-			if k.Now() != g.Now() {
-				t.Errorf("%s at %d: kernel %d is at %d", what, g.Now(), i, k.Now())
+			if k.Now() != g.now {
+				t.Errorf("%s at %d: kernel %d is at %d", what, g.now, i, k.Now())
 			}
 		}
-		log = append(log, observed{g.Now(), what})
+		log = append(log, observed{g.now, what})
 	}
 
 	k0, at := kernels[0], Time(2500*time.Microsecond)
@@ -177,8 +177,8 @@ func observerTrace(t *testing.T, n int, look Duration, workers int) (log []obser
 	var every func()
 	every = func() {
 		observe("every")
-		if g.Now() < Time(6*time.Millisecond) {
-			g.At(g.Now().Add(1300*time.Microsecond), every)
+		if g.now < Time(6*time.Millisecond) {
+			g.At(g.now.Add(1300*time.Microsecond), every)
 		}
 	}
 	g.At(Time(700*time.Microsecond), every)

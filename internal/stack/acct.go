@@ -1,10 +1,6 @@
 package stack
 
-import (
-	"sort"
-
-	"darpanet/internal/ipv4"
-)
+import "darpanet/internal/ipv4"
 
 // FlowKey identifies an accountable flow as a gateway can see one: the
 // address pair and protocol of a datagram. The 1988 paper's seventh goal —
@@ -83,59 +79,4 @@ func (a *FlowAccounting) Flows() int {
 		return 0
 	}
 	return len(a.flows)
-}
-
-// Flow returns the counters for one flow, if present.
-func (a *FlowAccounting) Flow(k FlowKey) (FlowCounters, bool) {
-	if a == nil {
-		return FlowCounters{}, false
-	}
-	c, ok := a.flows[k]
-	if !ok {
-		return FlowCounters{}, false
-	}
-	return *c, true
-}
-
-// TopFlows returns up to n flows ordered by byte count, descending.
-func (a *FlowAccounting) TopFlows(n int) []struct {
-	Key FlowKey
-	FlowCounters
-} {
-	if a == nil {
-		return nil
-	}
-	type row struct {
-		Key FlowKey
-		FlowCounters
-	}
-	rows := make([]row, 0, len(a.flows))
-	for k, c := range a.flows {
-		rows = append(rows, row{k, *c})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Bytes != rows[j].Bytes {
-			return rows[i].Bytes > rows[j].Bytes
-		}
-		ki, kj := rows[i].Key, rows[j].Key
-		if ki.Src != kj.Src {
-			return ki.Src < kj.Src
-		}
-		if ki.Dst != kj.Dst {
-			return ki.Dst < kj.Dst
-		}
-		return ki.Proto < kj.Proto
-	})
-	if n > 0 && len(rows) > n {
-		rows = rows[:n]
-	}
-	out := make([]struct {
-		Key FlowKey
-		FlowCounters
-	}, len(rows))
-	for i, r := range rows {
-		out[i].Key = r.Key
-		out[i].FlowCounters = r.FlowCounters
-	}
-	return out
 }

@@ -45,6 +45,12 @@ func (i *Interface) linkAddr(ip ipv4.Addr) phys.Addr {
 // number.
 type ProtocolHandler func(h ipv4.Header, payload []byte)
 
+// protoHandler is one row of a node's protocol table.
+type protoHandler struct {
+	proto uint8
+	fn    ProtocolHandler
+}
+
 // Stats counts a node's IP-layer activity, in the spirit of the MIB
 // ip group.
 type Stats struct {
@@ -73,7 +79,7 @@ type Node struct {
 
 	ifaces   []*Interface
 	Table    RouteTable
-	handlers map[uint8]ProtocolHandler
+	handlers []protoHandler // ICMP, then at most UDP, TCP, XNET and NVP
 	reasm    *ipv4.Reassembler
 	ipID     uint16
 	stats    Stats
@@ -98,14 +104,13 @@ type PacketTap func(send bool, ifaceName string, raw []byte)
 // NewNode creates a node named name driven by kernel k.
 func NewNode(k *sim.Kernel, name string) *Node {
 	n := &Node{
-		kernel:   k,
-		name:     name,
-		handlers: make(map[uint8]ProtocolHandler),
-		reasm:    ipv4.NewReassembler(k, 0),
-		pool:     PoolFor(k),
+		kernel: k,
+		name:   name,
+		reasm:  ipv4.NewReassembler(k, 0),
+		pool:   PoolFor(k),
 	}
 	n.reasm.SetPool(n.pool)
-	n.handlers[ipv4.ProtoICMP] = n.icmpInput
+	n.handlers = []protoHandler{{ipv4.ProtoICMP, n.icmpInput}}
 	n.Table.SetUsableFilter(func(r Route) bool {
 		ifc := n.Interface(r.IfIndex)
 		return ifc != nil && ifc.NIC.Up()
@@ -221,15 +226,17 @@ func (n *Node) HasAddr(a ipv4.Addr) bool {
 }
 
 // RegisterProtocol directs reassembled datagrams with the given IP
-// protocol number to fn. Registering nil removes the handler. The
-// payload passed to fn is a view into a pooled receive buffer that is
-// recycled when fn returns: handlers that keep the bytes must copy.
+// protocol number to fn, in place of any handler it had. The payload
+// passed to fn is a view into a pooled receive buffer that is recycled
+// when fn returns: handlers that keep the bytes must copy.
 func (n *Node) RegisterProtocol(proto uint8, fn ProtocolHandler) {
-	if fn == nil {
-		delete(n.handlers, proto)
-		return
+	for i := range n.handlers {
+		if n.handlers[i].proto == proto {
+			n.handlers[i].fn = fn
+			return
+		}
 	}
-	n.handlers[proto] = fn
+	n.handlers = append(n.handlers, protoHandler{proto, fn})
 }
 
 // NextID returns a fresh IP identification value for a locally originated
@@ -401,8 +408,14 @@ func (n *Node) deliver(h ipv4.Header, payload []byte) {
 		return
 	}
 	reassembled := h.MF || h.FragOff > 0
-	fn, ok := n.handlers[full.Proto]
-	if !ok {
+	var fn ProtocolHandler
+	for _, ph := range n.handlers {
+		if ph.proto == full.Proto {
+			fn = ph.fn
+			break
+		}
+	}
+	if fn == nil {
 		n.stats.NoProto++
 		n.sendICMPError(full, data, icmp.TypeDestUnreachable, icmp.CodeProtoUnreachable)
 	} else {

@@ -261,7 +261,7 @@ func TestFlowAccounting(t *testing.T) {
 		t.Fatalf("TotalPackets = %d, want 5", acct.TotalPackets)
 	}
 	key := FlowKey{Src: h1.Addr(), Dst: h2.Addr(), Proto: proto}
-	c, ok := acct.Flow(key)
+	c, ok := acct.flows[key]
 	if !ok || c.Packets != 5 || c.Bytes != 5*(100+ipv4.HeaderLen) {
 		t.Fatalf("flow counters = %+v ok=%v", c, ok)
 	}
@@ -285,21 +285,6 @@ func TestFlowAccountingCapUnattributed(t *testing.T) {
 	}
 	if acct.TotalPackets != 3 {
 		t.Fatalf("TotalPackets = %d, want 3", acct.TotalPackets)
-	}
-}
-
-func TestAccountingTopFlows(t *testing.T) {
-	a := NewFlowAccounting(0)
-	h := ipv4.Header{Src: ipv4.MustParseAddr("1.1.1.1"), Dst: ipv4.MustParseAddr("2.2.2.2"), Proto: 6}
-	for i := 0; i < 3; i++ {
-		a.record(h, 100)
-	}
-	h2 := h
-	h2.Proto = 17
-	a.record(h2, 1000)
-	top := a.TopFlows(1)
-	if len(top) != 1 || top[0].Key.Proto != 17 {
-		t.Fatalf("TopFlows = %+v", top)
 	}
 }
 

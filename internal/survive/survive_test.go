@@ -3,6 +3,7 @@ package survive
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -280,7 +281,7 @@ func TestTargetedScheduleShape(t *testing.T) {
 		switch st.Op {
 		case fault.OpCut:
 			cuts++
-			netDown[m.NetIndex(st.Target)] = true
+			netDown[slices.IndexFunc(m.NetDefs, func(d topo.NetDef) bool { return d.Name == st.Target })] = true
 		case fault.OpCrash:
 			crashes++
 			gwDown[m.NodeIndex(st.Target)] = true

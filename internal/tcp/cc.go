@@ -14,8 +14,6 @@ import "sort"
 // the Conn (cwnd, ssthresh, dupAcks, inFastRecovery), so a response
 // can be shared by every connection without allocation.
 type CCResponse interface {
-	// Name identifies the response ("naive", "tahoe", "reno").
-	Name() string
 	// OnConnect initializes the window state at connection creation.
 	OnConnect(c *Conn)
 	// OnAck runs when new data is acknowledged (acked bytes).
@@ -87,7 +85,6 @@ func ccForOptions(o Options) CCResponse {
 // the shared output path's min(cwnd, sndWnd) never binds.
 type ccNaive struct{}
 
-func (ccNaive) Name() string { return CCNaive }
 func (ccNaive) OnConnect(c *Conn) {
 	c.cwnd = 1 << 30
 	c.ssthresh = 1 << 30
@@ -145,7 +142,6 @@ func (ccVJ) OnQuench(c *Conn) {
 // again, exactly as a timeout does.
 type ccTahoe struct{ ccVJ }
 
-func (ccTahoe) Name() string { return CCTahoe }
 func (t ccTahoe) OnAck(c *Conn, acked int) {
 	c.inFastRecovery = false
 	t.growOnAck(c, acked)
@@ -167,7 +163,6 @@ func (ccTahoe) OnECE(c *Conn) {}
 // loss.
 type ccReno struct{ ccVJ }
 
-func (ccReno) Name() string { return CCReno }
 func (r ccReno) OnAck(c *Conn, acked int) {
 	if c.inFastRecovery {
 		// New data acked: leave fast recovery.
@@ -205,8 +200,6 @@ func (ccReno) OnECE(c *Conn) {
 // in the same situation exits recovery on the first partial ACK and
 // must eat one retransmission timeout per additional lost segment.
 type ccNewReno struct{ ccVJ }
-
-func (ccNewReno) Name() string { return CCNewReno }
 
 func (nr ccNewReno) OnAck(c *Conn, acked int) {
 	if c.inFastRecovery {

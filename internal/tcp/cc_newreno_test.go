@@ -18,8 +18,8 @@ func newRenoConn(t *testing.T) (*testNet, *Conn) {
 		t.Fatal(err)
 	}
 	n.k.RunFor(time.Second)
-	if c.State() != StateEstablished {
-		t.Fatalf("state = %v, want established", c.State())
+	if c.state != StateEstablished {
+		t.Fatalf("state = %v, want established", c.state)
 	}
 	return n, c
 }

@@ -212,15 +212,6 @@ func (c *Conn) Read(n int) []byte {
 // Buffered returns the number of received bytes awaiting Read.
 func (c *Conn) Buffered() int { return len(c.recvQ) }
 
-// State returns the connection state.
-func (c *Conn) State() State { return c.state }
-
-// LocalEndpoint returns the connection's local address/port.
-func (c *Conn) LocalEndpoint() Endpoint { return c.local }
-
-// RemoteEndpoint returns the connection's remote address/port.
-func (c *Conn) RemoteEndpoint() Endpoint { return c.remote }
-
 // Stats returns a copy of the connection counters.
 func (c *Conn) Stats() Stats {
 	s := c.stats
@@ -228,9 +219,6 @@ func (c *Conn) Stats() Stats {
 	s.RTO = c.rto
 	return s
 }
-
-// CongestionWindow returns the current congestion window in bytes.
-func (c *Conn) CongestionWindow() int { return c.cwnd }
 
 // Write appends data to the send buffer, returning how many bytes were
 // accepted (possibly fewer than offered when the buffer is full).

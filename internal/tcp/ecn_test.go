@@ -33,8 +33,8 @@ func ecnConn(t *testing.T, tn *testNet, client, server Options) (*Conn, *Conn) {
 		t.Fatal(err)
 	}
 	tn.k.RunFor(time.Second)
-	if c.State() != StateEstablished || srv == nil || srv.State() != StateEstablished {
-		t.Fatalf("handshake did not complete: client %v, server %v", c.State(), srv)
+	if c.state != StateEstablished || srv == nil || srv.state != StateEstablished {
+		t.Fatalf("handshake did not complete: client %v, server %v", c.state, srv)
 	}
 	return c, srv
 }
@@ -259,7 +259,7 @@ func TestECNECTStamping(t *testing.T) {
 				t.Fatal(err)
 			}
 			tn.k.RunFor(time.Second)
-			if c.State() != StateEstablished || srv == nil {
+			if c.state != StateEstablished || srv == nil {
 				t.Fatal("handshake did not complete")
 			}
 			if _, err := c.Write(pattern(2000)); err != nil {

@@ -68,24 +68,24 @@ func TestTimeWaitExpiryAndReconnectAfterPooling(t *testing.T) {
 	}
 
 	first := transfer(pattern(40_000))
-	if first.State() != StateTimeWait {
-		t.Fatalf("active closer state = %v, want TIME-WAIT", first.State())
+	if first.state != StateTimeWait {
+		t.Fatalf("active closer state = %v, want TIME-WAIT", first.state)
 	}
 	n.k.RunFor(time.Minute)
-	if first.State() != StateClosed {
-		t.Fatalf("state after 2MSL = %v, want CLOSED", first.State())
+	if first.state != StateClosed {
+		t.Fatalf("state after 2MSL = %v, want CLOSED", first.state)
 	}
-	if n.t1.ConnCount() != 0 {
+	if len(n.t1.conns) != 0 {
 		t.Fatal("TIME-WAIT conn not removed from transport")
 	}
 
 	// Second lifecycle over the same port pair and the same pool.
 	second := transfer(pattern(40_000))
 	n.k.RunFor(time.Minute)
-	if second.State() != StateClosed {
-		t.Fatalf("second connection state = %v, want CLOSED", second.State())
+	if second.state != StateClosed {
+		t.Fatalf("second connection state = %v, want CLOSED", second.state)
 	}
-	if n.t1.ConnCount() != 0 || n.t2.ConnCount() != 0 {
+	if len(n.t1.conns) != 0 || len(n.t2.conns) != 0 {
 		t.Fatal("connections leaked after second lifecycle")
 	}
 }

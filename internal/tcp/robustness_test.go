@@ -36,7 +36,7 @@ func TestStreamSurvivesHeavyReordering(t *testing.T) {
 	k, t1, t2 := jitterNet(3)
 	var srv sink
 	t2.Listen(80, Options{}, func(c *Conn) { srv.attach(c) })
-	c, _ := t1.Dial(Endpoint{Addr: t2.Node().Addr(), Port: 80}, Options{})
+	c, _ := t1.Dial(Endpoint{Addr: t2.node.Addr(), Port: 80}, Options{})
 	data := pattern(150_000)
 	c.OnEstablished(func() { pump(c, data, true) })
 	k.RunFor(5 * time.Minute)
@@ -118,10 +118,10 @@ func TestRSTMidStream(t *testing.T) {
 	if cliErr != ErrReset {
 		t.Fatalf("client err = %v, want ErrReset", cliErr)
 	}
-	if c.State() != StateClosed {
-		t.Fatalf("client state = %v", c.State())
+	if c.state != StateClosed {
+		t.Fatalf("client state = %v", c.state)
 	}
-	if n.t1.ConnCount() != 0 || n.t2.ConnCount() != 0 {
+	if len(n.t1.conns) != 0 || len(n.t2.conns) != 0 {
 		t.Fatal("connections leaked after mid-stream reset")
 	}
 }
@@ -167,13 +167,13 @@ func TestTimeWaitReAcksRetransmittedFIN(t *testing.T) {
 	c, _ := n.t1.Dial(Endpoint{Addr: n.h2.Addr(), Port: 80}, Options{})
 	c.OnEstablished(func() { c.Close() })
 	n.k.RunFor(time.Second)
-	if c.State() != StateTimeWait {
-		t.Fatalf("client state = %v, want TIME-WAIT", c.State())
+	if c.state != StateTimeWait {
+		t.Fatalf("client state = %v, want TIME-WAIT", c.state)
 	}
 	// Inject a retransmitted FIN from the server side by asking the
 	// server conn to retransmit (simulate its ACK never arriving).
-	if server.State() != StateClosed {
-		t.Fatalf("server state = %v", server.State())
+	if server.state != StateClosed {
+		t.Fatalf("server state = %v", server.state)
 	}
 	segsBefore := c.Stats().SegsSent
 	fin := segment{
@@ -185,8 +185,8 @@ func TestTimeWaitReAcksRetransmittedFIN(t *testing.T) {
 	if c.Stats().SegsSent != segsBefore+1 {
 		t.Fatal("TIME-WAIT did not re-ACK a retransmitted FIN")
 	}
-	if c.State() != StateTimeWait {
-		t.Fatalf("state = %v after FIN re-ack", c.State())
+	if c.state != StateTimeWait {
+		t.Fatalf("state = %v after FIN re-ack", c.state)
 	}
 }
 

@@ -31,8 +31,8 @@ func synSentConn(t *testing.T, tn *testNet) *Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.State() != StateSynSent {
-		t.Fatalf("after Dial state = %v, want SYN-SENT", c.State())
+	if c.state != StateSynSent {
+		t.Fatalf("after Dial state = %v, want SYN-SENT", c.state)
 	}
 	return c
 }
@@ -49,13 +49,13 @@ func timeWaitConn(t *testing.T, tn *testNet) *Conn {
 		t.Fatal(err)
 	}
 	tn.k.RunFor(time.Second)
-	if c.State() != StateEstablished {
-		t.Fatalf("handshake did not complete: state = %v", c.State())
+	if c.state != StateEstablished {
+		t.Fatalf("handshake did not complete: state = %v", c.state)
 	}
 	c.Close()
 	tn.k.RunFor(time.Second)
-	if c.State() != StateTimeWait {
-		t.Fatalf("after orderly close state = %v, want TIME-WAIT", c.State())
+	if c.state != StateTimeWait {
+		t.Fatalf("after orderly close state = %v, want TIME-WAIT", c.state)
 	}
 	return c
 }
@@ -73,8 +73,8 @@ func finWait1Conn(t *testing.T, tn *testNet) *Conn {
 		t.Fatal(err)
 	}
 	tn.k.RunFor(time.Second)
-	if c.State() != StateEstablished {
-		t.Fatalf("handshake did not complete: state = %v", c.State())
+	if c.state != StateEstablished {
+		t.Fatalf("handshake did not complete: state = %v", c.state)
 	}
 	tn.nearLink.SetDown(true)
 	tn.farLink.SetDown(true)
@@ -82,8 +82,8 @@ func finWait1Conn(t *testing.T, tn *testNet) *Conn {
 		t.Fatalf("Write = %d, %v", n, err)
 	}
 	c.Close()
-	if c.State() != StateFinWait1 || !c.finSent {
-		t.Fatalf("after Close state = %v finSent = %v, want FIN-WAIT-1 with FIN sent", c.State(), c.finSent)
+	if c.state != StateFinWait1 || !c.finSent {
+		t.Fatalf("after Close state = %v finSent = %v, want FIN-WAIT-1 with FIN sent", c.state, c.finSent)
 	}
 	if got := c.sndNxt - c.sndUna; got != 11 {
 		t.Fatalf("outstanding sequence space = %d, want 11 (10 data + FIN)", got)
@@ -140,7 +140,7 @@ func TestSegmentStateMachine(t *testing.T) {
 			want:    StateClosed,
 			wantErr: ErrRefused,
 			after: func(t *testing.T, tn *testNet, c *Conn) {
-				if n := tn.t1.ConnCount(); n != 0 {
+				if n := len(tn.t1.conns); n != 0 {
 					t.Fatalf("refused connection still registered: ConnCount = %d", n)
 				}
 			},
@@ -205,7 +205,7 @@ func TestSegmentStateMachine(t *testing.T) {
 			want:  StateClosed,
 			rsts:  1,
 			after: func(t *testing.T, tn *testNet, c *Conn) {
-				if n := tn.t1.ConnCount(); n != 0 {
+				if n := len(tn.t1.conns); n != 0 {
 					t.Fatalf("reset TIME-WAIT connection still registered: ConnCount = %d", n)
 				}
 			},
@@ -254,8 +254,8 @@ func TestSegmentStateMachine(t *testing.T) {
 				if data == 0 || c.stats.Retransmits == 0 {
 					t.Fatalf("data not retransmitted: %d segments, Retransmits = %d", data, c.stats.Retransmits)
 				}
-				if c.State() != StateFinWait1 {
-					t.Fatalf("state = %v while FIN unacked, want FIN-WAIT-1", c.State())
+				if c.state != StateFinWait1 {
+					t.Fatalf("state = %v while FIN unacked, want FIN-WAIT-1", c.state)
 				}
 			},
 		},
@@ -278,12 +278,12 @@ func TestSegmentStateMachine(t *testing.T) {
 				if fins == 0 {
 					t.Fatal("FIN was not retransmitted after the partial ACK")
 				}
-				if c.State() != StateFinWait1 {
-					t.Fatalf("state = %v while FIN unacked, want FIN-WAIT-1", c.State())
+				if c.state != StateFinWait1 {
+					t.Fatalf("state = %v while FIN unacked, want FIN-WAIT-1", c.state)
 				}
 				inject(c, segment{flags: flagACK, seq: c.rcvNxt, ack: c.sndNxt, wnd: 65535})
-				if c.State() != StateFinWait2 {
-					t.Fatalf("state after full ACK = %v, want FIN-WAIT-2", c.State())
+				if c.state != StateFinWait2 {
+					t.Fatalf("state after full ACK = %v, want FIN-WAIT-2", c.state)
 				}
 			},
 		},
@@ -294,8 +294,8 @@ func TestSegmentStateMachine(t *testing.T) {
 			c := tc.setup(t, tn)
 			rst0, sent0 := tn.t1.rstsSent, c.stats.SegsSent
 			inject(c, tc.seg(c))
-			if c.State() != tc.want {
-				t.Fatalf("state = %v, want %v", c.State(), tc.want)
+			if c.state != tc.want {
+				t.Fatalf("state = %v, want %v", c.state, tc.want)
 			}
 			if c.closeErr != tc.wantErr {
 				t.Fatalf("closeErr = %v, want %v", c.closeErr, tc.wantErr)

@@ -56,8 +56,8 @@ func bulkSteadyState(t testing.TB) (step func(), received, mismatched *int) {
 		n.k.Run()
 	}
 	n.k.RunFor(time.Second)
-	if c.State() != StateEstablished {
-		t.Fatalf("state = %v, want ESTABLISHED", c.State())
+	if c.state != StateEstablished {
+		t.Fatalf("state = %v, want ESTABLISHED", c.state)
 	}
 	for i := 0; i < 16; i++ {
 		step()
@@ -252,8 +252,8 @@ func TestBulkAcrossFragmentingLossyPathStrandsNothing(t *testing.T) {
 	if reasm.Fragments == 0 || reasm.Timeouts == 0 {
 		t.Fatalf("reassembly saw %d fragments and %d timeouts: the lossy fragmenting path was not exercised", reasm.Fragments, reasm.Timeouts)
 	}
-	if n.t1.ConnCount() != 0 || n.t2.ConnCount() != 0 {
-		t.Fatalf("connections not torn down: %d + %d left", n.t1.ConnCount(), n.t2.ConnCount())
+	if len(n.t1.conns) != 0 || len(n.t2.conns) != 0 {
+		t.Fatalf("connections not torn down: %d + %d left", len(n.t1.conns), len(n.t2.conns))
 	}
 	for _, node := range []*stack.Node{n.h1, n.gw, n.h2} {
 		node.Reassembler().Flush()
@@ -279,8 +279,8 @@ func establishedPair(t *testing.T) (*testNet, *Conn) {
 		t.Fatal(err)
 	}
 	n.k.RunFor(time.Second)
-	if c.State() != StateEstablished {
-		t.Fatalf("handshake did not complete: state = %v", c.State())
+	if c.state != StateEstablished {
+		t.Fatalf("handshake did not complete: state = %v", c.state)
 	}
 	return n, c
 }
@@ -329,8 +329,8 @@ func TestFinishedSendSideHoldsNoRing(t *testing.T) {
 					t.Fatalf("%d frames lost to the cut, want 1 (the FIN)", n.nearLink.LostWhileDown())
 				}
 				n.k.RunFor(300 * time.Millisecond) // the delayed ACK of the data
-				if c.State() != StateFinWait1 || c.sndLen != 0 {
-					t.Fatalf("state %v with %d bytes queued, want FIN-WAIT-1 with the data acked and the FIN not", c.State(), c.sndLen)
+				if c.state != StateFinWait1 || c.sndLen != 0 {
+					t.Fatalf("state %v with %d bytes queued, want FIN-WAIT-1 with the data acked and the FIN not", c.state, c.sndLen)
 				}
 				if c.sndStore != nil || c.sndHead != 0 {
 					t.Fatalf("last byte acked after Close: ring of %d bytes, head %d, want none", len(c.sndStore), c.sndHead)
@@ -347,8 +347,8 @@ func TestFinishedSendSideHoldsNoRing(t *testing.T) {
 				t.Fatalf("Write after Close = %d, %v, want 0, ErrClosed", m, err)
 			}
 			n.k.RunFor(10 * time.Second)
-			if c.State() != StateTimeWait {
-				t.Fatalf("state = %v, want TIME-WAIT: the FIN was not acked", c.State())
+			if c.state != StateTimeWait {
+				t.Fatalf("state = %v, want TIME-WAIT: the FIN was not acked", c.state)
 			}
 			if c.sndStore != nil {
 				t.Fatalf("ring of %d bytes came back after the send side finished", len(c.sndStore))

@@ -3,7 +3,6 @@ package tcp
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"darpanet/internal/ipv4"
 	"darpanet/internal/metrics"
@@ -125,9 +124,6 @@ func (t *Transport) icmpError(e stack.IcmpError) {
 	}
 }
 
-// Node returns the node the transport runs on.
-func (t *Transport) Node() *stack.Node { return t.node }
-
 // Listener accepts incoming connections on a port.
 type Listener struct {
 	t      *Transport
@@ -160,9 +156,6 @@ func (t *Transport) Listen(port uint16, opts Options, accept func(*Conn)) (*List
 	t.lists[port] = l
 	return l, nil
 }
-
-// Port returns the listening port.
-func (l *Listener) Port() uint16 { return l.port }
 
 // Close stops accepting. Existing connections are unaffected.
 func (l *Listener) Close() {
@@ -218,10 +211,6 @@ func (t *Transport) pickEphemeral() uint16 {
 	return 0
 }
 
-// ConnCount returns the number of live connections (all states except
-// CLOSED), for tests and leak checks.
-func (t *Transport) ConnCount() int { return len(t.conns) }
-
 // input demultiplexes one IP datagram's worth of TCP.
 func (t *Transport) input(h ipv4.Header, payload []byte) {
 	seg, err := parseSegment(h.Src, h.Dst, payload)
@@ -276,10 +265,4 @@ func (t *Transport) remove(c *Conn) {
 		delete(t.conns, tuple)
 		t.closed.fold(c.stats)
 	}
-}
-
-// String summarizes the transport for diagnostics.
-func (t *Transport) String() string {
-	return fmt.Sprintf("tcp(%s): %d conns, %d listeners, in=%d bad=%d rst=%d",
-		t.node.Name(), len(t.conns), len(t.lists), t.segsIn, t.segsBad, t.rstsSent)
 }

@@ -23,7 +23,6 @@ package tcp
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"darpanet/internal/ipv4"
 	"darpanet/internal/packet"
@@ -64,7 +63,6 @@ type segment struct {
 func (s *segment) fin() bool    { return s.flags&flagFIN != 0 }
 func (s *segment) syn() bool    { return s.flags&flagSYN != 0 }
 func (s *segment) rst() bool    { return s.flags&flagRST != 0 }
-func (s *segment) psh() bool    { return s.flags&flagPSH != 0 }
 func (s *segment) hasACK() bool { return s.flags&flagACK != 0 }
 
 // segLen is the sequence space the segment occupies (payload + SYN + FIN).
@@ -77,26 +75,6 @@ func (s *segment) segLen() int {
 		n++
 	}
 	return n
-}
-
-func (s *segment) flagString() string {
-	names := []struct {
-		bit  uint8
-		name string
-	}{{flagSYN, "S"}, {flagACK, "."}, {flagFIN, "F"}, {flagRST, "R"}, {flagPSH, "P"}, {flagURG, "U"}, {flagECE, "E"}, {flagCWR, "W"}}
-	out := ""
-	for _, n := range names {
-		if s.flags&n.bit != 0 {
-			out += n.name
-		}
-	}
-	return out
-}
-
-// String formats the segment like a tcpdump line.
-func (s *segment) String() string {
-	return fmt.Sprintf("%d>%d [%s] seq=%d ack=%d wnd=%d len=%d",
-		s.srcPort, s.dstPort, s.flagString(), s.seq, s.ack, s.wnd, len(s.payload))
 }
 
 // marshalInto serializes the segment into scratch, growing it as needed
@@ -192,11 +170,3 @@ func seqLT(a, b uint32) bool  { return int32(a-b) < 0 }
 func seqLEQ(a, b uint32) bool { return int32(a-b) <= 0 }
 func seqGT(a, b uint32) bool  { return int32(a-b) > 0 }
 func seqGEQ(a, b uint32) bool { return int32(a-b) >= 0 }
-
-// seqMax returns the later of two sequence numbers.
-func seqMax(a, b uint32) uint32 {
-	if seqGT(a, b) {
-		return a
-	}
-	return b
-}

@@ -268,10 +268,9 @@ func (m *Manifest) HostNames() []string {
 	return out
 }
 
-// NodeIndex and NetIndex return a node's position in NodeDefs and a
-// net's in NetDefs, or -1 for a name the manifest lacks.
+// NodeIndex returns a node's position in NodeDefs, or -1 for a name the
+// manifest lacks.
 func (m *Manifest) NodeIndex(name string) int { return lookup(m.nodeAt, name) }
-func (m *Manifest) NetIndex(name string) int  { return lookup(m.netAt, name) }
 
 // NodeNets lists the nets node i (a NodeDefs index) attaches to, as
 // NetDefs indices in attachment order; NetNodes lists the nodes on net

@@ -212,10 +212,10 @@ func TestNetHopsLine(t *testing.T) {
 	_, m := Generate(spec, 1)
 	hops := m.NetHops("g0")
 	// g0's own stub s0 is direct; g4's stub s4 sits behind 4 gateways.
-	if h := hops[m.NetIndex("s0")]; h != 0 {
+	if h := hops[lookup(m.netAt, "s0")]; h != 0 {
 		t.Fatalf("hops to s0 = %d, want 0", h)
 	}
-	if h := hops[m.NetIndex("s4")]; h != 4 {
+	if h := hops[lookup(m.netAt, "s4")]; h != 4 {
 		t.Fatalf("hops to s4 = %d, want 4", h)
 	}
 }
@@ -290,8 +290,8 @@ func FuzzNetHopsMatchesReference(f *testing.F) {
 			}
 		}
 		for j, nf := range m.NetDefs {
-			if m.NetIndex(nf.Name) != j {
-				t.Fatalf("%s: NetIndex(%s) = %d, want %d", spec, nf.Name, m.NetIndex(nf.Name), j)
+			if lookup(m.netAt, nf.Name) != j {
+				t.Fatalf("%s: net %s indexed %d, want %d", spec, nf.Name, lookup(m.netAt, nf.Name), j)
 			}
 		}
 		// The rows transpose NodeDefs: a node's nets in attachment
@@ -302,8 +302,8 @@ func FuzzNetHopsMatchesReference(f *testing.F) {
 		for i, nd := range m.NodeDefs {
 			var nets []int
 			for _, n := range nd.Nets {
-				nets = append(nets, m.NetIndex(n))
-				rows[m.NetIndex(n)] = append(rows[m.NetIndex(n)], i)
+				nets = append(nets, lookup(m.netAt, n))
+				rows[lookup(m.netAt, n)] = append(rows[lookup(m.netAt, n)], i)
 			}
 			if got := m.NodeNets(i); !slices.Equal(got, nets) {
 				t.Fatalf("%s: node %s's row %v, want %v", spec, nd.Name, got, nets)

@@ -178,7 +178,10 @@ func TestTOSSymbolic(t *testing.T) {
 	}
 }
 
-// newBufferWith wraps packet.NewBuffer for the raw-building helper.
+// newBufferWith returns a buffer with room for an IP header in front of
+// a copy of payload, for the raw-building helper.
 func newBufferWith(payload []byte) *packet.Buffer {
-	return packet.NewBuffer(ipv4.HeaderLen, payload)
+	b := new(packet.Buffer)
+	b.Reset(nil, ipv4.HeaderLen, payload)
+	return b
 }

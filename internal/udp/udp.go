@@ -54,9 +54,6 @@ func New(n *stack.Node) *Transport {
 	return t
 }
 
-// Stats returns a copy of the transport counters.
-func (t *Transport) Stats() Stats { return t.stats }
-
 // Node returns the node the transport is attached to.
 func (t *Transport) Node() *stack.Node { return t.node }
 
@@ -104,9 +101,6 @@ func (t *Transport) pickEphemeral() uint16 {
 	}
 	return 0
 }
-
-// Port returns the socket's bound port.
-func (s *Socket) Port() uint16 { return s.port }
 
 // Close releases the port.
 func (s *Socket) Close() {
@@ -178,12 +172,6 @@ func (s *Socket) buildDatagram(dst Endpoint, data []byte, src ipv4.Addr) (ipv4.H
 	}
 	binary.BigEndian.PutUint16(hdr[6:], ck)
 	return h, b, nil
-}
-
-// SendBroadcast transmits data to the limited broadcast address on the
-// node's first network.
-func (s *Socket) SendBroadcast(port uint16, data []byte) error {
-	return s.SendTo(Endpoint{Addr: ipv4.Broadcast, Port: port}, data)
 }
 
 // input is the IP protocol handler.

@@ -48,10 +48,10 @@ func TestSendReceive(t *testing.T) {
 	if string(got) != "ping!" {
 		t.Fatalf("got %q", got)
 	}
-	if from.Addr != ta.Node().Addr() || from.Port != sa.Port() {
+	if from.Addr != ta.Node().Addr() || from.Port != sa.port {
 		t.Fatalf("from = %v", from)
 	}
-	if tb.Stats().InDatagrams != 1 || ta.Stats().OutDatagrams != 1 {
+	if tb.stats.InDatagrams != 1 || ta.stats.OutDatagrams != 1 {
 		t.Fatal("stats wrong")
 	}
 }
@@ -79,10 +79,10 @@ func TestEphemeralPortsDistinct(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seen[s.Port()] {
-			t.Fatalf("duplicate ephemeral port %d", s.Port())
+		if seen[s.port] {
+			t.Fatalf("duplicate ephemeral port %d", s.port)
 		}
-		seen[s.Port()] = true
+		seen[s.port] = true
 	}
 }
 
@@ -96,7 +96,7 @@ func TestPortUnreachable(t *testing.T) {
 	if errs != 1 {
 		t.Fatalf("icmp errors = %d, want 1 (port unreachable)", errs)
 	}
-	if tb.Stats().NoPorts != 1 {
+	if tb.stats.NoPorts != 1 {
 		t.Fatal("NoPorts not counted")
 	}
 }
@@ -119,7 +119,7 @@ func TestChecksumRejectsCorruption(t *testing.T) {
 	if got != 0 {
 		t.Fatal("corrupted datagram was delivered")
 	}
-	if tb.Stats().InErrors != 1 {
+	if tb.stats.InErrors != 1 {
 		t.Fatal("InErrors not counted")
 	}
 
@@ -135,14 +135,14 @@ func TestInputValidation(t *testing.T) {
 	_, _, tb := pair(t)
 	// Short datagram.
 	tb.input(ipv4.Header{Src: 1, Dst: 2}, []byte{1, 2, 3})
-	if tb.Stats().InErrors != 1 {
+	if tb.stats.InErrors != 1 {
 		t.Fatal("short datagram not rejected")
 	}
 	// Bad length field.
 	bad := make([]byte, HeaderLen)
 	bad[4], bad[5] = 0xff, 0xff
 	tb.input(ipv4.Header{Src: 1, Dst: 2}, bad)
-	if tb.Stats().InErrors != 2 {
+	if tb.stats.InErrors != 2 {
 		t.Fatal("bad length not rejected")
 	}
 }
@@ -193,7 +193,7 @@ func TestBroadcast(t *testing.T) {
 		transports = append(transports, tr)
 	}
 	s, _ := transports[0].Listen(0, nil)
-	s.SendBroadcast(777, []byte("hear ye"))
+	s.SendTo(Endpoint{Addr: ipv4.Broadcast, Port: 777}, []byte("hear ye"))
 	k.RunFor(time.Second)
 	if counts[0] != 0 || counts[1] != 1 || counts[2] != 1 {
 		t.Fatalf("counts = %v", counts)

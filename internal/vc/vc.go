@@ -17,7 +17,6 @@ const (
 	msgSetupOK  = 2 // circuit accepted
 	msgSetupErr = 3 // circuit refused (no route / no listener)
 	msgData     = 4
-	msgTeardown = 5 // orderly close
 	msgReset    = 6 // abnormal close (state lost somewhere)
 )
 
@@ -69,7 +68,7 @@ type Circuit struct {
 	open   bool
 	onOpen func(ok bool)
 	onData func([]byte)
-	onDown func() // reset or teardown
+	onDown func() // reset
 
 	BytesSent, BytesReceived uint64
 }
@@ -198,12 +197,6 @@ func (s *Switch) linkTo(nb NodeID) int {
 	return -1
 }
 
-// Host returns the host with the given id.
-func (n *Network) Host(id NodeID) *Host { return n.hosts[id] }
-
-// Switch returns the switch with the given id.
-func (n *Network) Switch(id NodeID) *Switch { return n.switches[id] }
-
 // CrashSwitch models a switch failure: its circuit table — the
 // in-network conversation state — is lost, and its links go down.
 func (n *Network) CrashSwitch(id NodeID) {
@@ -236,7 +229,7 @@ func (s *Switch) linkDeliver(l *linkEnd, payload []byte) {
 	switch typ {
 	case msgSetup:
 		s.handleSetup(l, vcid, body)
-	case msgData, msgSetupOK, msgSetupErr, msgTeardown, msgReset:
+	case msgData, msgSetupOK, msgSetupErr, msgReset:
 		s.relay(l, typ, vcid, body)
 	}
 }
@@ -273,7 +266,7 @@ func (s *Switch) relay(l *linkEnd, typ uint8, vcid uint16, body []byte) {
 	if typ == msgData {
 		s.DataForwarded++
 	}
-	if typ == msgTeardown || typ == msgReset {
+	if typ == msgReset {
 		delete(s.circuits, vcKey{l.index, vcid})
 		delete(s.circuits, vcKey{ent.outLink, ent.outVC})
 	}
@@ -354,7 +347,7 @@ func (h *Host) linkDeliver(l *linkEnd, payload []byte) {
 				c.onData(body)
 			}
 		}
-	case msgTeardown, msgReset:
+	case msgReset:
 		if c, ok := h.circuits[vcid]; ok {
 			delete(h.circuits, vcid)
 			c.open = false
@@ -382,8 +375,8 @@ func (h *Host) linkDead(*linkEnd) {
 // order — that is the service this architecture sells.
 func (c *Circuit) OnData(fn func([]byte)) { c.onData = fn }
 
-// OnDown registers the callback fired when the circuit is reset or torn
-// down by the network.
+// OnDown registers the callback fired when the network resets the
+// circuit.
 func (c *Circuit) OnDown(fn func()) { c.onDown = fn }
 
 // Open reports whether the circuit is established and alive.
@@ -396,14 +389,4 @@ func (c *Circuit) Send(data []byte) {
 	}
 	c.BytesSent += uint64(len(data))
 	c.host.link.send(msgData, c.vcid, data)
-}
-
-// Close tears the circuit down in an orderly way.
-func (c *Circuit) Close() {
-	if !c.open {
-		return
-	}
-	c.open = false
-	delete(c.host.circuits, c.vcid)
-	c.host.link.send(msgTeardown, c.vcid, nil)
 }

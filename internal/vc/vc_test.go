@@ -134,22 +134,6 @@ func TestSwitchCrashWithoutRestoreDetectedByARQ(t *testing.T) {
 	}
 }
 
-func TestTeardownFreesSwitchState(t *testing.T) {
-	k, n, h1, h2 := lineVC(1, 0)
-	h2.Listen(func(c *Circuit) {})
-	c := h1.Dial(2, func(ok bool) {})
-	k.RunFor(time.Second)
-	s1 := n.Switch(100)
-	if len(s1.circuits) == 0 {
-		t.Fatal("no circuit state installed")
-	}
-	c.Close()
-	k.RunFor(time.Second)
-	if len(s1.circuits) != 0 {
-		t.Fatalf("switch still holds %d circuit entries after teardown", len(s1.circuits))
-	}
-}
-
 func TestMultipleCircuitsIndependent(t *testing.T) {
 	k, _, h1, h2 := lineVC(1, 0)
 	recv := make(map[byte][]byte)

@@ -159,9 +159,6 @@ func b2i(b bool) int {
 	return 0
 }
 
-// Spec returns the engine's traffic spec.
-func (e *Engine) Spec() Spec { return e.spec }
-
 // Flows returns the admitted flows in admission order (live view).
 func (e *Engine) Flows() []*Flow { return e.flows }
 

@@ -22,11 +22,9 @@ import (
 
 // Operation codes.
 const (
-	OpPeek   = 1 // read target memory
-	OpPoke   = 2 // write target memory
-	OpStatus = 3 // read target status word
-	OpReply  = 0x80
-	OpError  = 0xff
+	OpPeek  = 1 // read target memory
+	OpReply = 0x80
+	OpError = 0xff
 )
 
 // headerLen is the fixed request/reply header: op(1) pad(1) id(2)
@@ -73,7 +71,6 @@ func parse(data []byte) (message, error) {
 type Target struct {
 	node   *stack.Node
 	memory []byte
-	status uint32
 	// Requests served, for tests.
 	Served uint64
 }
@@ -85,12 +82,6 @@ func NewTarget(n *stack.Node, memSize int) *Target {
 	n.RegisterProtocol(ipv4.ProtoXNET, t.input)
 	return t
 }
-
-// SetStatus sets the status word reported to OpStatus requests.
-func (t *Target) SetStatus(s uint32) { t.status = s }
-
-// Memory exposes the simulated memory for test setup.
-func (t *Target) Memory() []byte { return t.memory }
 
 func (t *Target) input(h ipv4.Header, data []byte) {
 	m, err := parse(data)
@@ -107,19 +98,6 @@ func (t *Target) input(h ipv4.Header, data []byte) {
 			reply.payload = t.memory[m.addr:end]
 			reply.count = m.count
 		}
-	case OpPoke:
-		end := int(m.addr) + len(m.payload)
-		if int(m.addr) > len(t.memory) || end > len(t.memory) {
-			reply.op = OpError
-		} else {
-			copy(t.memory[m.addr:end], m.payload)
-			reply.count = uint16(len(m.payload))
-		}
-	case OpStatus:
-		var w [4]byte
-		binary.BigEndian.PutUint32(w[:], t.status)
-		reply.payload = w[:]
-		reply.count = 4
 	default:
 		reply.op = OpError
 	}
@@ -173,29 +151,6 @@ func NewClient(n *stack.Node) *Client {
 // Peek reads count bytes at addr in the target's memory.
 func (c *Client) Peek(dst ipv4.Addr, addr uint32, count int, done func([]byte, error)) {
 	c.issue(dst, message{op: OpPeek, addr: addr, count: uint16(count)}, done)
-}
-
-// Poke writes data at addr in the target's memory.
-func (c *Client) Poke(dst ipv4.Addr, addr uint32, data []byte, done func([]byte, error)) {
-	c.issue(dst, message{op: OpPoke, addr: addr, payload: data}, done)
-}
-
-// Status reads the target's status word.
-func (c *Client) Status(dst ipv4.Addr, done func(uint32, error)) {
-	c.issue(dst, message{op: OpStatus}, func(p []byte, err error) {
-		if err != nil || len(p) < 4 {
-			done(0, errOr(err))
-			return
-		}
-		done(binary.BigEndian.Uint32(p), nil)
-	})
-}
-
-func errOr(err error) error {
-	if err != nil {
-		return err
-	}
-	return errBad
 }
 
 func (c *Client) issue(dst ipv4.Addr, m message, done func([]byte, error)) {

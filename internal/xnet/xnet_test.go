@@ -1,7 +1,6 @@
 package xnet
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -24,9 +23,9 @@ func debugPair(seed int64, loss float64) (*sim.Kernel, *Client, *Target, ipv4.Ad
 	return k, NewClient(a), NewTarget(b, 4096), b.Addr()
 }
 
-func TestPeekPoke(t *testing.T) {
+func TestPeek(t *testing.T) {
 	k, cli, tgt, addr := debugPair(1, 0)
-	copy(tgt.Memory()[100:], "crashed state")
+	copy(tgt.memory[100:], "crashed state")
 	var got []byte
 	cli.Peek(addr, 100, 13, func(p []byte, err error) {
 		if err != nil {
@@ -37,26 +36,6 @@ func TestPeekPoke(t *testing.T) {
 	k.RunFor(time.Second)
 	if string(got) != "crashed state" {
 		t.Fatalf("peek got %q", got)
-	}
-	var pokeErr error
-	cli.Poke(addr, 200, []byte{0xde, 0xad}, func(_ []byte, err error) { pokeErr = err })
-	k.RunFor(time.Second)
-	if pokeErr != nil {
-		t.Fatal(pokeErr)
-	}
-	if !bytes.Equal(tgt.Memory()[200:202], []byte{0xde, 0xad}) {
-		t.Fatal("poke did not write")
-	}
-}
-
-func TestStatus(t *testing.T) {
-	k, cli, tgt, addr := debugPair(1, 0)
-	tgt.SetStatus(0xfeedface)
-	var got uint32
-	cli.Status(addr, func(s uint32, err error) { got = s })
-	k.RunFor(time.Second)
-	if got != 0xfeedface {
-		t.Fatalf("status = %#x", got)
 	}
 }
 
@@ -72,7 +51,7 @@ func TestOutOfRangeRejected(t *testing.T) {
 
 func TestRetriesThroughLoss(t *testing.T) {
 	k, cli, tgt, addr := debugPair(7, 0.4)
-	copy(tgt.Memory()[0:], "persistent")
+	copy(tgt.memory[0:], "persistent")
 	ok := 0
 	for i := 0; i < 20; i++ {
 		cli.Peek(addr, 0, 10, func(p []byte, err error) {
@@ -117,7 +96,7 @@ func TestTargetStateless(t *testing.T) {
 	}
 	tgtNode := mk("tgt", 1)
 	tgt := NewTarget(tgtNode, 128)
-	copy(tgt.Memory(), "shared")
+	copy(tgt.memory, "shared")
 	c1 := NewClient(mk("c1", 2))
 	c2 := NewClient(mk("c2", 3))
 	got := 0

@@ -10,14 +10,20 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-LEGS="static unused-api staticcheck race race-sim pooldebug smoke-E11 smoke-E12 smoke-E13 fuzz smoke-E5 smoke-E13-T smoke-E14 smoke-E16 smoke-E15 smoke-examples benchsmoke benchguard bench-api help-sync"
+LEGS="static reach staticcheck race race-sim pooldebug smoke-E11 smoke-E12 smoke-E13 fuzz smoke-E5 smoke-E13-T smoke-E14 smoke-E16 smoke-E15 smoke-examples benchsmoke benchguard bench-api help-sync"
 
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 
+# The programs the smoke legs run. The reach leg points these at
+# coverage-built binaries and runs the same legs.
+experiments_cmd="go run ./cmd/experiments"
+netlab_cmd="go run ./cmd/netlab"
+interdomain_cmd="go run ./examples/interdomain"
+
 # The CLI exits 1 when any replica fails, so a smoke is more than "it
 # printed something".
-experiments() { go run ./cmd/experiments "$@" > /dev/null; }
+experiments() { $experiments_cmd "$@" > /dev/null; }
 
 run_leg() {
     case "$1" in
@@ -28,34 +34,77 @@ run_leg() {
         # The scripts nothing else in the gate runs must at least parse.
         for f in scripts/*.sh; do sh -n "$f"; done
         ;;
-    unused-api)
-        # Keep the dead-API list empty: every exported func or method
-        # declared in a non-test file under internal/ must be named on
-        # some other non-comment line of some .go file in the repository
-        # (tests, cmd/, examples/ and bench/ count as callers). A name
-        # declared twice vouches for itself, and a mention inside a
-        # string counts — the leg is a tripwire, not a linker.
-        find . -name '*.go' -not -path './.bench_build/*' -print0 | xargs -0 awk '
-            /^[ \t]*\/\// { next }
+    reach)
+        # Every non-test function outside bench/ is run by a program, or
+        # scripts/reach.allow names it with a reason: a test is not a
+        # caller. The programs are built with coverage counters and run
+        # on the digest run, the smoke legs, bench's workloads and the
+        # surface no smoke leg reaches; a function none of whose blocks
+        # ran fails the leg. Blocks, not `covdata func`'s percentages,
+        # decide: a body with no statements reads 0.0 % even when it ran.
+        reach="$tmpdir/reach"
+        mkdir -p "$reach/counters" "$reach/bench-out"
+        for p in cmd/experiments cmd/netlab examples/interdomain; do
+            go build -cover -coverpkg=./... -o "$reach/${p##*/}" "./$p"
+        done
+        # bench/ is its own module, built offline as bench/run.sh builds it.
+        (cd bench && GOFLAGS=-mod=mod GOPROXY=off go build -cover -coverpkg=darpanet/... -o "$reach/bench" .)
+        export GOCOVERDIR="$reach/counters"
+        experiments_cmd="$reach/experiments"
+        netlab_cmd="$reach/netlab"
+        interdomain_cmd="$reach/interdomain"
+        experiments -seed 1988
+        for leg in smoke-E5 smoke-E11 smoke-E12 smoke-E13 smoke-E13-T smoke-E14 smoke-E15 smoke-examples; do
+            run_leg "$leg"
+        done
+        # What the smoke legs leave out: every netlab command, a drawn
+        # fault schedule, the counter tree, on/off sources and the other
+        # queue policies and congestion responses.
+        $netlab_cmd cmd/netlab/testdata/tour.nl > /dev/null
+        experiments -only E11 -scenario faults=random
+        experiments -only E1 -metrics
+        experiments -only E13 -scenario 'workload=onoff=1;qdisc=red;cc=tahoe'
+        experiments -only E13 -scenario 'qdisc=ecn;cc=reno'
+        for w in fwd_chain_64b tcp_bulk_hetero collapse_mix scale_sharded_2000gw campaign_mc; do
+            "$reach/bench" -workload "$w" -trace 1 -seconds 1 -seed 1988 -out "$reach/bench-out" > /dev/null
+        done
+        unset GOCOVERDIR
+        go tool covdata func -i "$reach/counters" > "$reach/funcs"
+        go tool covdata textfmt -i "$reach/counters" -o "$reach/blocks"
+        # One stream sorted by file and line: each block follows the
+        # function it sits in, so a function is reached when any block
+        # after it, before the next function, ran.
+        {
+            awk '$1 != "total:" { split($1, a, ":"); f = $2; sub(/^\*/, "", f); print a[1], a[2], 0, f }' "$reach/funcs"
+            awk 'NR > 1 { split($1, a, ":"); split(a[2], l, "."); print a[1], l[1], 1, $3 }' "$reach/blocks"
+        } | sed 's|^darpanet/||' | grep -v '^bench/' | sort -k1,1 -k2,2n -k3,3n | awk '
+            $3 == 0 { if (fn != "" && !ran) print fn; fn = $1 " " $4; ran = 0; next }
+            $4 > 0 { ran = 1 }
+            END { if (fn != "" && !ran) print fn }' | sort > "$reach/unreached"
+        # Every file that declares a function is in some program, unless
+        # a build tag the programs do not set keeps it out.
+        find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' \
+            -exec grep -l '^func ' {} + | xargs grep -L '^//go:build' | sed 's|^\./||' | sort > "$reach/files"
+        awk -F: '$1 != "total" { print $1 }' "$reach/funcs" | sed 's|^darpanet/||' | sort -u |
+            comm -23 "$reach/files" - > "$reach/unlinked"
+        # Each allowlist line is "<file> <func> <reason>", the reason one
+        # of five; a line that names a function some program runs, or one
+        # that is gone, is stale and fails too.
+        awk -v unreached="$reach/unreached" '
+            BEGIN { while ((getline l < unreached) > 0) { split(l, f, " "); dead[f[1] " " f[2]] = 1 } }
+            /^[ \t]*(#|$)/ { next }
             {
-                if (FILENAME ~ /^\.\/internal\// && FILENAME !~ /_test\.go$/ &&
-                    match($0, /^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*/)) {
-                    name = substr($0, RSTART, RLENGTH)
-                    sub(/.*[ .]/, "", name)
-                    decl[name] = FILENAME ":" FNR
-                }
-                line = $0
-                delete seen
-                while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
-                    word = substr(line, RSTART, RLENGTH)
-                    line = substr(line, RSTART + RLENGTH)
-                    if (!(word in seen)) { seen[word] = 1; lines[word]++ }
-                }
+                key = $1 " " $2; reason = $0; sub(/^[^ ]+ +[^ ]+ +/, "", reason)
+                if (reason !~ /^(error path|debug String|grammar fixed point|test harness|deferred: item [0-9]+)/)
+                    print "scripts/reach.allow:" FNR ": bad reason: " reason
+                if (!(key in dead)) print "scripts/reach.allow:" FNR ": " key ": no longer unreached; drop the line"
+                allowed[key] = 1
             }
-            END { for (name in decl) if (lines[name] < 2) print decl[name] ": " name }' | sort > "$tmpdir/unused"
-        if [ -s "$tmpdir/unused" ]; then
-            echo "check.sh: exported under internal/ but called by nothing:" >&2
-            cat "$tmpdir/unused" >&2
+            END { for (k in dead) if (!(k in allowed)) print k ": no program runs it" }' scripts/reach.allow > "$reach/report"
+        if [ -s "$reach/unlinked" ] || [ -s "$reach/report" ]; then
+            echo "check.sh: reach:" >&2
+            sed 's/$/: in no program/' "$reach/unlinked" >&2
+            sort "$reach/report" >&2
             exit 1
         fi
         ;;
@@ -228,8 +277,8 @@ run_leg() {
         # and whose route through the crashed transit border must be
         # withdrawn. A `!`-negated command never stops a `set -e`
         # script, hence the `if`.
-        go run ./cmd/netlab examples/quickstart.nl > /dev/null
-        go run ./examples/interdomain > "$tmpdir/interdomain.txt"
+        $netlab_cmd examples/quickstart.nl > /dev/null
+        $interdomain_cmd > "$tmpdir/interdomain.txt"
         grep -q 'cleanly withdrew' "$tmpdir/interdomain.txt"
         if grep -q 'pings failed' "$tmpdir/interdomain.txt"; then
             echo "check.sh: examples/interdomain: pings failed" >&2

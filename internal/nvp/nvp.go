@@ -78,7 +78,8 @@ func (s *Sender) Start(duration sim.Duration) {
 func (s *Sender) emit() {
 	// The IP layer copies the payload into pooled storage synchronously,
 	// so one scratch image serves every frame: a steady voice stream
-	// allocates nothing per packet.
+	// allocates nothing per packet. The samples stay zero: nothing reads
+	// a voice payload, only its size on the wire matters.
 	if cap(s.buf) < headerLen+s.FrameBytes {
 		s.buf = make([]byte, headerLen+s.FrameBytes)
 	}
@@ -86,11 +87,6 @@ func (s *Sender) emit() {
 	binary.BigEndian.PutUint32(payload[0:], s.seq)
 	binary.BigEndian.PutUint64(payload[4:], uint64(s.k.Now()))
 	binary.BigEndian.PutUint16(payload[12:], s.id)
-	// Voice samples: deterministic filler derived from the sequence
-	// number.
-	for i := 0; i < s.FrameBytes; i++ {
-		payload[headerLen+i] = byte(int(s.seq) + i)
-	}
 	s.seq++
 	s.Sent++
 	s.node.Send(ipv4.Header{Dst: s.dst, Proto: ipv4.ProtoNVP, TOS: s.TOS}, payload)

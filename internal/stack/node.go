@@ -18,16 +18,31 @@ type Interface struct {
 	NIC       *phys.NIC
 	Addr      ipv4.Addr
 	Prefix    ipv4.Prefix
-	neighbors map[ipv4.Addr]phys.Addr
+	neighbors []neighbor
+}
+
+// neighbor is one row of an interface's neighbor table. A table holds a
+// station per other attachment of its net — one on a point-to-point
+// link, a dozen on the busiest LAN any experiment builds — so a slice
+// scanned in order is both smaller and faster than a map.
+type neighbor struct {
+	ip   ipv4.Addr
+	link phys.Addr
 }
 
 // AddNeighbor records the link-level address of an IP neighbor on this
-// interface. darpanet resolves neighbors from this static table (populated
-// by the topology builder); an unknown neighbor falls back to link
-// broadcast, which is correct but chatty — the hub behaviour of an
-// ARP-less LAN.
+// interface, replacing the one recorded for ip. darpanet resolves
+// neighbors from this static table (populated by the topology builder);
+// an unknown neighbor falls back to link broadcast, which is correct but
+// chatty — the hub behaviour of an ARP-less LAN.
 func (i *Interface) AddNeighbor(ip ipv4.Addr, link phys.Addr) {
-	i.neighbors[ip] = link
+	for j := range i.neighbors {
+		if i.neighbors[j].ip == ip {
+			i.neighbors[j].link = link
+			return
+		}
+	}
+	i.neighbors = append(i.neighbors, neighbor{ip, link})
 }
 
 // linkAddr resolves an on-link IP address to a link address.
@@ -35,8 +50,10 @@ func (i *Interface) linkAddr(ip ipv4.Addr) phys.Addr {
 	if ip == ipv4.Broadcast {
 		return phys.Broadcast
 	}
-	if a, ok := i.neighbors[ip]; ok {
-		return a
+	for _, nb := range i.neighbors {
+		if nb.ip == ip {
+			return nb.link
+		}
 	}
 	return phys.Broadcast
 }
@@ -146,11 +163,10 @@ func (n *Node) AttachInterface(m phys.Medium, addr ipv4.Addr, prefix ipv4.Prefix
 	}
 	nic := m.Attach(fmt.Sprintf("%s.if%d", n.name, idx))
 	ifc := &Interface{
-		Index:     idx,
-		NIC:       nic,
-		Addr:      addr,
-		Prefix:    prefix,
-		neighbors: make(map[ipv4.Addr]phys.Addr),
+		Index:  idx,
+		NIC:    nic,
+		Addr:   addr,
+		Prefix: prefix,
 	}
 	nic.SetPool(n.pool)
 	nic.SetReceiver(func(f phys.Frame) { n.inputFrame(ifc, f) })

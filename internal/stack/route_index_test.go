@@ -3,6 +3,7 @@ package stack
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -125,16 +126,17 @@ func (p *refTable) removeIf(t *testing.T, match func(Route) bool) {
 	}
 }
 
-// check compares the stored routes, unpacked (order included: first-wins
-// tie-breaks depend on it), the index's own invariants, and a lookup of
-// every dst.
+// check compares a lookup of every dst — first, so that a lookup
+// served by a stale index before anything merges the table is caught —
+// then the stored routes, unpacked (order included: first-wins
+// tie-breaks depend on it), and the index's own invariants.
 func (p *refTable) check(t *testing.T, dsts ...ipv4.Addr) {
 	t.Helper()
+	p.lookups(t, dsts...)
 	if !slices.Equal(p.tbl.stored(), p.ref) {
 		t.Fatalf("stored routes diverged from the reference: %d vs %d entries", p.tbl.Len(), len(p.ref))
 	}
 	checkIndex(t, &p.tbl)
-	p.lookups(t, dsts...)
 }
 
 // lookups is the per-destination half of check.
@@ -149,52 +151,73 @@ func (p *refTable) lookups(t *testing.T, dsts ...ipv4.Addr) {
 	}
 }
 
-// checkIndex verifies the structure a present index promises: one chain
-// per distinct prefix, in insertion order, reaching every route exactly
-// once; slots at most half full; bits descending and complete.
+// checkIndex verifies the structure a present index promises: it
+// covers every route, all of them merged; the intervals start at
+// 0.0.0.0, ascend, and no two adjacent ones share a head; at every
+// address where either the index's answer or the longest covering prefix
+// can change — each interval start, each prefix's first address and the
+// address after its last — the head is the first stored route of the
+// longest covering prefix, so the two agree everywhere between; and one
+// chain per distinct prefix, in stored order, reaches every route
+// exactly once.
 func checkIndex(t *testing.T, tbl *RouteTable) {
 	t.Helper()
 	x := tbl.idx
 	if x == nil {
 		return
 	}
+	if tbl.merged != len(tbl.recs) {
+		t.Fatalf("index: %d of %d routes merged", tbl.merged, len(tbl.recs))
+	}
+	if len(x.starts) == 0 || x.starts[0] != 0 || len(x.heads) != len(x.starts) {
+		t.Fatalf("index: %d starts from %v, %d heads", len(x.starts), x.starts[:min(1, len(x.starts))], len(x.heads))
+	}
+	for i := 1; i < len(x.starts); i++ {
+		if x.starts[i] <= x.starts[i-1] || x.heads[i] == x.heads[i-1] {
+			t.Fatalf("index: interval %d starts %s after %s, head %d after %d", i, x.starts[i], x.starts[i-1], x.heads[i], x.heads[i-1])
+		}
+	}
+	longest := func(a ipv4.Addr) int32 {
+		best := int32(-1)
+		for i := range tbl.recs {
+			if c := &tbl.recs[i]; a.Mask(int(c.bits)) == c.addr && (best < 0 || c.bits > tbl.recs[best].bits) {
+				best = int32(i)
+			}
+		}
+		return best
+	}
+	points := slices.Clone(x.starts)
+	first := map[ipv4.Prefix]int32{}
+	for i := range tbl.recs {
+		p := tbl.recs[i].route().Prefix
+		if _, ok := first[p]; !ok {
+			first[p] = int32(i)
+		}
+		points = append(points, p.Addr)
+		if end := uint64(p.Addr) + 1<<(32-p.Bits); end < 1<<32 {
+			points = append(points, ipv4.Addr(end))
+		}
+	}
+	for _, a := range points {
+		if got, want := x.chain(a), longest(a); got != want {
+			t.Fatalf("index: head at %s is route %d, want %d", a, got, want)
+		}
+	}
 	if x.next != nil && len(x.next) != len(tbl.recs) {
 		t.Fatalf("index: next has %d entries for %d routes", len(x.next), len(tbl.recs))
 	}
-	if n := len(x.slots); n&(n-1) != 0 || 2*x.used > n {
-		t.Fatalf("index: %d of %d slots used", x.used, n)
-	}
 	seen := make([]bool, len(tbl.recs))
-	heads, lengths := 0, map[uint8]bool{}
-	for _, h := range x.slots {
-		if h == 0 {
-			continue
-		}
-		heads++
-		head := &tbl.recs[h-1]
-		p := head.route().Prefix
-		lengths[head.bits] = true
-		if s := x.probe(tbl.recs, head.addr, head.bits); x.slots[s] != h {
-			t.Fatalf("index: probe(%s) does not find its own slot", p)
-		}
+	for p, h := range first {
 		prev := int32(-1)
-		for i := h - 1; i >= 0; i = x.after(i) {
+		for i := h; i >= 0; i = x.after(i) {
 			if seen[i] || i <= prev || tbl.recs[i].route().Prefix != p {
 				t.Fatalf("index: chain of %s broken at route %d", p, i)
 			}
 			seen[i], prev = true, i
 		}
 	}
-	if heads != x.used {
-		t.Fatalf("index: used=%d but %d slots occupied", x.used, heads)
-	}
 	if i := slices.Index(seen, false); i >= 0 {
 		t.Fatalf("index: route %d (%v) on no chain", i, tbl.recs[i].route())
-	}
-	for i, b := range x.bits {
-		if !lengths[b] || (i > 0 && b >= x.bits[i-1]) || len(x.bits) != len(lengths) {
-			t.Fatalf("index: bits %v for lengths %v", x.bits, lengths)
-		}
 	}
 }
 
@@ -214,6 +237,47 @@ func e16ShapedRoutes(n int) ([]Route, []ipv4.Addr) {
 			Source:  SourceStatic,
 		}
 		dsts[i] = a + 2
+	}
+	return routes, dsts
+}
+
+// blockRoutes returns a table of the shape the sharded static-route
+// oracle gives a transit gateway of the 2000-gateway internet: the /24s
+// from 10.1.0.0 to 10.16.255.0 in runs that leave through one neighbor,
+// each run covered by the fewest aligned blocks, a directly attached net
+// with a stub net behind it here and there, and a default: 82 routes
+// of 11 prefix lengths, where the oracle's transit tables hold 70 to 103
+// of 10 to 12. It also returns a host address in every /24.
+func blockRoutes() ([]Route, []ipv4.Addr) {
+	rng := rand.New(rand.NewSource(28))
+	routes := []Route{{Via: 0xac100001, IfIndex: 0, Metric: 1, Source: SourceStatic}}
+	var dsts []ipv4.Addr
+	const first, end = 0x0a010000 >> 8, 0x0a110000 >> 8 // in /24s
+	for u, hop := first, 0; u < end; hop = 1 - hop {
+		if rng.Intn(8) == 0 { // an attached net and the stub behind it
+			stub := 2 + rng.Intn(6)
+			routes = append(routes,
+				Route{Prefix: ipv4.Prefix{Addr: ipv4.Addr(u << 8), Bits: 24}, IfIndex: stub, Source: SourceDirect},
+				Route{Prefix: ipv4.Prefix{Addr: ipv4.Addr((u + 1) << 8), Bits: 24}, Via: ipv4.Addr(u<<8 + 2), IfIndex: stub, Metric: 1, Source: SourceStatic})
+			dsts = append(dsts, ipv4.Addr(u<<8+9), ipv4.Addr((u+1)<<8+9))
+			u += 2
+			continue
+		}
+		run := min(end, u+1+int(rng.ExpFloat64()*450))
+		metric := 1 + rng.Intn(60)
+		for u < run {
+			size := 1
+			for u%(2*size) == 0 && u+2*size <= run {
+				size *= 2
+			}
+			routes = append(routes, Route{
+				Prefix: ipv4.Prefix{Addr: ipv4.Addr(u << 8), Bits: 24 - bits.TrailingZeros(uint(size))},
+				Via:    ipv4.Addr(0xac100001 + hop), IfIndex: hop, Metric: metric, Source: SourceStatic,
+			})
+			for ; size > 0; size, u = size-1, u+1 {
+				dsts = append(dsts, ipv4.Addr(u<<8+2))
+			}
+		}
 	}
 	return routes, dsts
 }
@@ -277,30 +341,29 @@ func TestRouteIndexEquivalence(t *testing.T) {
 		}
 	})
 
-	// One table grown a route at a time from empty to 8 192, so the
-	// linear-to-indexed switch and every slot-array doubling happen in
-	// the middle of an append.
+	// One table grown a route at a time from empty to 2 048, looked up
+	// after every Add: each Lookup past the threshold merges and indexes
+	// the table anew, so the switch from the scan and every size after it
+	// are crossed.
 	t.Run("grow", func(t *testing.T) {
-		routes, dsts := e16ShapedRoutes(8192)
+		routes, dsts := e16ShapedRoutes(2048)
 		rng := rand.New(rand.NewSource(7))
 		var p refTable
-		resizes, slots := 0, 0
 		for i, r := range routes {
 			p.add(r)
-			if x := p.tbl.idx; x != nil && len(x.slots) != slots {
-				resizes, slots = resizes+1, len(x.slots)
-				p.check(t, dsts[:i+1]...) // everything installed so far, right at the boundary
-			}
 			p.lookups(t, dsts[i], dsts[rng.Intn(i+1)], dsts[(i+1)%len(dsts)])
+			if n := i + 1; n&(n-1) == 0 || n == indexThreshold-1 || n == indexThreshold+1 {
+				p.check(t, dsts[:n]...) // everything installed so far
+			}
 		}
-		if resizes < 8 {
-			t.Fatalf("only %d slot-array sizes seen growing to %d routes", resizes, len(routes))
-		}
-		// Replacing through the index keeps position and chain.
+		// Replacing through the index keeps position, chain and index.
 		for i := 0; i < len(routes); i += 97 {
 			r := routes[i]
 			r.Metric, r.Via = 99, 1
 			p.add(r)
+			if p.tbl.idx == nil {
+				t.Fatalf("replacing %s dropped the index", r.Prefix)
+			}
 		}
 		p.check(t, dsts...)
 	})
@@ -360,6 +423,117 @@ func TestRouteIndexEquivalence(t *testing.T) {
 			if ok != (floor >= 0) || (ok && got.Prefix.Bits != floor) {
 				t.Fatalf("with lengths above /%d unusable: Lookup = %v,%v", floor, got, ok)
 			}
+		}
+	})
+
+	// Fall-through three levels deep on a table of blocks: the /32, /24
+	// and /16 covering the destination leave through interface 1, which
+	// the filter calls down, so the /8 answers; with the /8 gone, the
+	// default does.
+	t.Run("deep", func(t *testing.T) {
+		routes, dsts := blockRoutes()
+		var p refTable
+		p.addBatch(routes)
+		dst := ipv4.MustParseAddr("172.16.5.9")
+		for _, l := range []struct{ n, ifc int }{{32, 1}, {24, 1}, {16, 1}, {8, 2}} {
+			p.add(Route{Prefix: ipv4.Prefix{Addr: dst.Mask(l.n), Bits: l.n}, Via: ipv4.Addr(l.n), IfIndex: l.ifc, Source: SourceRIP})
+		}
+		p.tbl.SetUsableFilter(usableFilters[1])
+		for _, want := range []int{8, 0} {
+			p.check(t, append(dsts, dst)...)
+			if got, ok := p.tbl.Lookup(dst); !ok || got.Prefix.Bits != want {
+				t.Fatalf("Lookup(%s) = %v,%v, want the /%d", dst, got, ok, want)
+			}
+			p.remove(t, ipv4.Prefix{Addr: dst.Mask(8), Bits: 8}, SourceRIP)
+		}
+	})
+
+	// Prefixes that end at 255.255.255.255, whose interval end is 2^32.
+	t.Run("top", func(t *testing.T) {
+		filler, _ := e16ShapedRoutes(2 * indexThreshold)
+		var p refTable
+		p.addBatch(filler)
+		for i, s := range []string{"255.255.255.255/32", "255.255.255.254/31", "255.255.255.0/24", "255.0.0.0/8", "224.0.0.0/3", "128.0.0.0/1"} {
+			p.add(Route{Prefix: ipv4.MustParsePrefix(s), Via: ipv4.Addr(i + 1), IfIndex: i % 2, Source: SourceStatic})
+		}
+		dsts := []ipv4.Addr{ipv4.Broadcast, ipv4.Broadcast - 1, ipv4.Broadcast - 2, 0xffffff00, 0xfffffeff, 0xff000000, 0xfeffffff, 0xe0000000, 0xdfffffff, 0x80000000, 0x7fffffff}
+		for _, f := range usableFilters {
+			p.tbl.SetUsableFilter(f)
+			p.check(t, dsts...)
+		}
+		if x := p.tbl.idx; x == nil || x.heads[len(x.heads)-1] < 0 || p.tbl.recs[x.heads[len(x.heads)-1]].bits != 32 {
+			t.Fatal("the last interval is not the /32 at 255.255.255.255")
+		}
+	})
+
+	// A table holding only a default: 64 sources on 0.0.0.0/0 make one
+	// interval and one chain, and a lone /0 indexed by hand makes one
+	// interval of one route.
+	t.Run("default only", func(t *testing.T) {
+		dsts := []ipv4.Addr{0, 1, 0x0a000001, ipv4.Broadcast}
+		var p refTable
+		for src := 0; src < 2*indexThreshold; src++ {
+			p.add(Route{Via: ipv4.Addr(src + 1), IfIndex: src % 4, Metric: src % 3, Source: RouteSource(src)})
+		}
+		for _, f := range append(usableFilters, func(Route) bool { return false }) {
+			p.tbl.SetUsableFilter(f)
+			p.check(t, dsts...)
+		}
+		if x := p.tbl.idx; x == nil || len(x.starts) != 1 || x.heads[0] != 0 {
+			t.Fatalf("one interval headed by route 0, got %+v", x)
+		}
+		var one refTable
+		one.add(Route{Via: 9, Source: SourceStatic})
+		one.tbl.index(one.tbl.merge())
+		if x := one.tbl.idx; len(x.starts) != 1 || x.heads[0] != 0 {
+			t.Fatalf("one interval headed by route 0, got %+v", x)
+		}
+		one.check(t, dsts...)
+	})
+
+	// Remove, then re-add, a prefix: the route comes back at the end of
+	// the stored order, and the index is rebuilt around it.
+	t.Run("remove and re-add", func(t *testing.T) {
+		routes, dsts := blockRoutes()
+		var p refTable
+		p.addBatch(slices.Clone(routes))
+		p.check(t, dsts...)
+		for _, i := range []int{0, 1, len(routes) / 2, len(routes) - 1} {
+			r := routes[i]
+			p.remove(t, r.Prefix, r.Source)
+			p.check(t, dsts...)
+			p.add(r)
+			p.check(t, dsts...)
+		}
+	})
+
+	// A replacing Add of an existing (prefix, source) keeps its position:
+	// through the index when the prefix heads the interval at its address,
+	// and through the merge when a longer prefix at the same address
+	// shadows it there.
+	t.Run("replace", func(t *testing.T) {
+		filler, dsts := e16ShapedRoutes(2 * indexThreshold)
+		var p refTable
+		p.addBatch(slices.Clone(filler))
+		wide := Route{Prefix: ipv4.MustParsePrefix("10.0.0.0/16"), Via: 3, Source: SourceRIP}
+		p.add(wide)
+		dsts = append(dsts, ipv4.MustParseAddr("10.0.200.1"))
+		p.check(t, dsts...)
+		r := filler[5]
+		r.Metric, r.Via = 77, 9
+		p.add(r)
+		if p.tbl.idx == nil {
+			t.Fatalf("replacing %s, which heads its interval, dropped the index", r.Prefix)
+		}
+		p.check(t, dsts...)
+		wide.Metric = 5
+		p.add(wide) // 10.0.0.0/24 shadows it at 10.0.0.0
+		if p.tbl.idx != nil {
+			t.Fatalf("the index placed %s, which 10.0.0.0/24 shadows", wide.Prefix)
+		}
+		p.check(t, dsts...)
+		if p.tbl.Len() != len(filler)+1 {
+			t.Fatalf("%d routes after replacing, want %d", p.tbl.Len(), len(filler)+1)
 		}
 	})
 }
@@ -430,18 +604,19 @@ func FuzzRouteTableOps(f *testing.F) {
 }
 
 // TestRouteIndexLookupAllocs pins what the compact index is for:
-// building an E16-shaped table takes a handful of allocations — the
-// record slice and the index's arrays, not one slice per distinct
-// prefix — and the lookup that sits on every large gateway's forwarding
-// path takes none.
+// building an E16-shaped table and indexing it on the first lookup takes
+// a handful of allocations — the record slice, the merge's keys and the
+// index's arrays, not one slice per distinct prefix — and the lookup
+// that sits on every large gateway's forwarding path takes none.
 func TestRouteIndexLookupAllocs(t *testing.T) {
 	batch, dsts := e16ShapedRoutes(3800)
 	var tbl RouteTable
 	if allocs := testing.AllocsPerRun(5, func() {
 		tbl = RouteTable{}
 		tbl.AddBatch(batch)
+		tbl.Lookup(dsts[0])
 	}); allocs > 8 {
-		t.Fatalf("AddBatch of %d routes into an empty table: %.0f allocations", len(batch), allocs)
+		t.Fatalf("AddBatch of %d routes into an empty table and a lookup: %.0f allocations", len(batch), allocs)
 	}
 	if tbl.idx == nil || tbl.Len() != len(batch) {
 		t.Fatalf("table not indexed: len %d", tbl.Len())
@@ -562,14 +737,15 @@ func TestAttachInterfaceRefusesUnnameableIndex(t *testing.T) {
 }
 
 // TestRouteTableFootprint pins what the packed record is for: 16 bytes a
-// route, and a transit gateway's table of the 2000-gateway internet —
-// 3 800 /24s, sized by Grow as the static oracle does — holding no more
-// than 28 B of heap per route, index included, built in five allocations
-// or fewer (four: records, index, slots, lengths). The bytes are
-// counted from the capacities the table holds, which is what stays
-// resident and does not vary with the allocator or the race detector. No
-// prefix there has a second route, so no next array is made; giving one
-// prefix a second route makes it.
+// route, and a table of 3 800 /24s — a transit gateway's table of the
+// 2000-gateway internet before same-next-hop blocks, sized by Grow —
+// holding no more than 28 B of heap per route, index included, built
+// and indexed by its first lookup in five allocations or fewer: records,
+// the merge's keys, index, starts and heads. The bytes are counted from
+// the capacities the table holds, which is what stays resident and does
+// not vary with the allocator or the race detector. No prefix there has
+// a second route, so no next array is made; giving one prefix a second
+// route makes it.
 func TestRouteTableFootprint(t *testing.T) {
 	const recSize = unsafe.Sizeof(routeRec{})
 	if recSize != 16 {
@@ -583,12 +759,13 @@ func TestRouteTableFootprint(t *testing.T) {
 		for _, r := range routes {
 			tbl.Add(r)
 		}
+		tbl.Lookup(dsts[len(dsts)/2])
 	})
 	if _, ok := tbl.Lookup(dsts[len(dsts)/2]); !ok || tbl.idx == nil || tbl.Len() != len(routes) {
 		t.Fatalf("table not built: len %d, indexed %v", tbl.Len(), tbl.idx != nil)
 	}
 	x := tbl.idx
-	held := cap(tbl.recs)*int(recSize) + 4*cap(x.slots) + 4*cap(x.next) + cap(x.bits) + int(unsafe.Sizeof(*x))
+	held := cap(tbl.recs)*int(recSize) + 4*cap(x.starts) + 4*cap(x.heads) + 4*cap(x.next) + int(unsafe.Sizeof(*x))
 	// AllocsPerRun counts every malloc in the process, not the table's
 	// own, and under -race -shuffle=on it reads mallocs no table made
 	// (6 against 5): the count is held in other builds only. The bytes
@@ -602,8 +779,9 @@ func TestRouteTableFootprint(t *testing.T) {
 	second := routes[7]
 	second.Source = SourceRIP
 	tbl.Add(second)
-	if len(tbl.idx.next) != tbl.Len() {
-		t.Fatalf("next has %d entries for %d routes after a prefix got a second source", len(tbl.idx.next), tbl.Len())
+	tbl.Lookup(second.Prefix.Addr)
+	if tbl.idx == nil || len(tbl.idx.next) != tbl.Len() {
+		t.Fatalf("no next array of %d entries after a prefix got a second source", tbl.Len())
 	}
 	checkIndex(t, &tbl)
 }

@@ -361,3 +361,46 @@ func TestClassifyPrecedence(t *testing.T) {
 		t.Fatal("empty should classify to band 0")
 	}
 }
+
+// TestNeighborTable: every station on a bus of many resolves every
+// other to its NIC, AddNeighbor on a known address replaces its link
+// address in place, and an unknown or broadcast address resolves to link
+// broadcast.
+func TestNeighborTable(t *testing.T) {
+	k := sim.NewKernel(1)
+	lan := phys.NewBus(k, "lan", phys.Config{MTU: 1500})
+	net := ipv4.MustParsePrefix("10.0.5.0/24")
+	var ifcs []*Interface
+	for i := 0; i < 40; i++ {
+		ifc := NewNode(k, "h").AttachInterface(lan, net.Host(i+1), net)
+		for _, other := range ifcs {
+			other.AddNeighbor(ifc.Addr, ifc.NIC.Addr())
+			ifc.AddNeighbor(other.Addr, other.NIC.Addr())
+		}
+		ifcs = append(ifcs, ifc)
+	}
+	for _, ifc := range ifcs {
+		if len(ifc.neighbors) != len(ifcs)-1 {
+			t.Fatalf("%s has %d neighbors, want %d", ifc.Addr, len(ifc.neighbors), len(ifcs)-1)
+		}
+		for _, other := range ifcs {
+			want := other.NIC.Addr()
+			if other == ifc {
+				want = phys.Broadcast // a station is not its own neighbor
+			}
+			if got := ifc.linkAddr(other.Addr); got != want {
+				t.Fatalf("%s resolves %s to %v, want %v", ifc.Addr, other.Addr, got, want)
+			}
+		}
+	}
+	a, b := ifcs[0], ifcs[len(ifcs)-1]
+	a.AddNeighbor(b.Addr, 77)
+	if got := a.linkAddr(b.Addr); got != 77 || len(a.neighbors) != len(ifcs)-1 {
+		t.Fatalf("after replacing: %s resolves to %v with %d neighbors", b.Addr, got, len(a.neighbors))
+	}
+	for _, ip := range []ipv4.Addr{net.Host(200), ipv4.MustParseAddr("192.168.0.1"), ipv4.Broadcast} {
+		if got := a.linkAddr(ip); got != phys.Broadcast {
+			t.Fatalf("%s resolves to %v, want link broadcast", ip, got)
+		}
+	}
+}

@@ -77,7 +77,7 @@ func TestAllExperimentsProduceStableResults(t *testing.T) {
 	for _, e := range exp.All {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			r := e.Run(pinnedSeed)
+			r := runPinned(e)
 			if len(r.Table.Rows) == 0 {
 				t.Fatalf("%s produced no rows", e.ID)
 			}

@@ -61,11 +61,8 @@ func TestBlocksForwardLikePerNetRoutes(t *testing.T) {
 					serial.InstallStaticRoutes()
 
 					nets := map[ipv4.Prefix]bool{{}: true}
-					var dsts []ipv4.Addr
 					for _, p := range serial.AllPrefixes() {
 						nets[p] = true
-						size := ipv4.Addr(1) << (32 - p.Bits)
-						dsts = append(dsts, p.Addr, p.Addr+size/2, p.Addr+size-1)
 					}
 					var names []string
 					aggRoutes, perNet, blocks := 0, 0, 0
@@ -83,32 +80,7 @@ func TestBlocksForwardLikePerNetRoutes(t *testing.T) {
 					if aggRoutes >= perNet || blocks == 0 {
 						t.Fatalf("aggregated tables hold %d routes (%d blocks wider than a net), per-net ones %d", aggRoutes, blocks, perNet)
 					}
-					compare := func(when string) {
-						diffs := 0
-						for _, name := range names {
-							a, s := agg.Net(name).Node(name), serial.Node(name)
-							for _, d := range dsts {
-								got, gok := a.Table.Lookup(d)
-								want, wok := s.Table.Lookup(d)
-								if gok != wok || got.Via != want.Via || got.IfIndex != want.IfIndex || got.Source != want.Source {
-									if diffs++; diffs <= 3 {
-										t.Errorf("%s: %s looks up %v as %v,%v; per-net %v,%v", when, name, d, got, gok, want, wok)
-									}
-								}
-							}
-						}
-						if diffs > 0 {
-							t.Fatalf("%s: %d lookups differ", when, diffs)
-						}
-					}
-					compare("intact")
-					for _, g := range m.GatewayNames() {
-						setUp(agg.Net(g).Node(g), false)
-						setUp(serial.Node(g), false)
-						compare(g + " down")
-						setUp(agg.Net(g).Node(g), true)
-						setUp(serial.Node(g), true)
-					}
+					sameLookups(t, serial.AllPrefixes(), names, m.GatewayNames(), agg.Net, func(string) *core.Network { return serial })
 				})
 			}
 		}
@@ -155,9 +127,11 @@ func TestOracleRerunLeavesNoStaleBlock(t *testing.T) {
 
 // TestNestedNetsKeepARoutePerNet: blocks are exact only over disjoint
 // nets, so where one net's prefix holds another's the cross-region oracle
-// gives a node that does not collapse its route per net, as the
-// per-network oracle does. Gateway m reaches each of three LANs, one of
-// them a /16 around the other two, through a different neighbour.
+// does not aggregate, and every node holds the per-network oracle's
+// table, route for route. Gateway m reaches each of three LANs, one of
+// them a /16 around the other two, through a different neighbour; each
+// gi reaches every net but its own two through m, and would otherwise
+// collapse to a default.
 func TestNestedNetsKeepARoutePerNet(t *testing.T) {
 	build := func() *core.Network {
 		nw := core.New(1)
@@ -173,9 +147,58 @@ func TestNestedNetsKeepARoutePerNet(t *testing.T) {
 	across, perNet := build(), build()
 	core.InstallStaticRoutesAcross([]*core.Network{across})
 	perNet.InstallStaticRoutes()
-	got, want := across.Node("m").Table.String(), perNet.Node("m").Table.String()
-	if got != want || across.Node("m").Table.Len() != 6 {
-		t.Fatalf("m across the regions:\n%sper network:\n%s", got, want)
+	for _, name := range perNet.Nodes() {
+		got, want := across.Node(name).Table.String(), perNet.Node(name).Table.String()
+		if got != want || across.Node(name).Table.Len() != 6 {
+			t.Fatalf("%s across the regions:\n%sper network:\n%s", name, got, want)
+		}
+		if agg := across.AggRoutes(name); len(agg) != 0 {
+			t.Fatalf("%s recorded aggregates %v over nested nets", name, agg)
+		}
+	}
+}
+
+// TestOperatorDefaultElsewhereGetsBlocks: host h reaches every net it is
+// not on through gateway ga, but its operator default points at gb, the
+// other gateway on its LAN. The aggregating oracle must not collapse h
+// to a second default: h keeps the operator's and covers its run with
+// blocks through ga, as the reference oracle does.
+func TestOperatorDefaultElsewhereGetsBlocks(t *testing.T) {
+	build := func() *core.Network {
+		nw := core.New(1)
+		cfg := phys.Config{BitsPerSec: 10_000_000, Delay: time.Millisecond, MTU: 1500}
+		nw.AddNet("lan", "10.1.1.0/24", core.LAN, cfg)
+		nw.AddNet("trunk", "10.1.2.0/24", core.P2P, cfg)
+		nw.AddNet("far", "10.1.3.0/24", core.LAN, cfg)
+		nw.AddGateway("ga", "lan", "trunk")
+		nw.AddGateway("gb", "lan")
+		nw.AddGateway("r", "trunk", "far")
+		nw.AddHost("h", "lan")
+		nw.SetDefaultRoute("h", "gb")
+		return nw
+	}
+	nw, ref := build(), build()
+	core.InstallStaticRoutesAcross([]*core.Network{nw})
+	core.InstallStaticRoutesReference([]*core.Network{ref}, true)
+	sameTables(t, "aggregated", nw.Nodes(), func(string) *core.Network { return nw }, func(string) *core.Network { return ref })
+
+	h, ga, gb := nw.Node("h"), nw.Addr("ga"), nw.Addr("gb")
+	var defaults []stack.Route
+	for _, r := range h.Table.Routes() {
+		if r.Prefix.Bits == 0 {
+			defaults = append(defaults, r)
+		}
+	}
+	if len(defaults) != 1 || defaults[0].Via != gb {
+		t.Fatalf("h holds defaults %v, want only the operator's via gb (%v)\n%s", defaults, gb, h.Table.String())
+	}
+	if agg := nw.AggRoutes("h"); fmt.Sprint(agg) != "[10.1.2.0/23]" {
+		t.Fatalf("h recorded aggregates %v, want the block [10.1.2.0/23]", agg)
+	}
+	for _, net := range []string{"trunk", "far"} {
+		if r, ok := h.Table.Lookup(nw.Prefix(net).Host(9)); !ok || r.Via != ga || r.Prefix.Bits == 0 {
+			t.Fatalf("h routes toward %s as %v,%v; want a block via ga (%v)", net, r, ok, ga)
+		}
 	}
 }
 

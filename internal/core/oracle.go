@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 
@@ -38,9 +39,9 @@ func (nw *Network) recomputeStaticRoutes() { installStaticRoutes(nw.in.regions, 
 // InstallStaticRoutesAcross runs the static oracle globally over a set
 // of region networks joined by AddCrossTrunk boundary links: one
 // all-pairs computation over the union graph, crossing shard boundaries
-// exactly where a boundary net holds a station in each region. It always
-// aggregates — a 2000-gateway internet would otherwise hold a route per
-// net on every node — in two ways:
+// exactly where a boundary net holds a station in each region. It
+// aggregates disjoint nets — a 2000-gateway internet would otherwise
+// hold a route per net on every node — in two ways:
 //   - a node whose next hop is the same toward every net it reaches (the
 //     stub tier) gets one default route;
 //   - every other node covers each run of consecutive nets it reaches
@@ -52,6 +53,8 @@ func (nw *Network) recomputeStaticRoutes() { installStaticRoutes(nw.in.regions, 
 // interface's route falling through the same way; only an address no
 // net owns may now be forwarded where the per-net table has no route.
 // The 2000-gateway internet holds 31 420 routes instead of 958 750.
+// Where one net's prefix holds another's, blocks would not be exact, and
+// every node gets its route per net.
 //
 // Call it after the sharded topology is final: unlike the per-network
 // oracle it does not re-run on later topology changes, and a region's
@@ -73,25 +76,27 @@ func installStaticRoutes(regions []*Network, aggregate bool) {
 	// the BFS crosses regions on, and come in attach order as on any net,
 	// so the BFS breaks equal-cost ties as it does on the serial build.
 	var nodes []*stack.Node
-	merged := make(map[ipv4.Prefix]bool)
 	var nets []*netInfo
 	for _, nw := range regions {
 		for _, name := range nw.order {
 			nodes = append(nodes, nw.nodes[name])
 		}
 		for _, name := range nw.netOrder {
-			ni := nw.nets[name]
-			if !merged[ni.prefix] {
-				merged[ni.prefix] = true
-				nets = append(nets, ni)
-			}
+			nets = append(nets, nw.nets[name])
 		}
 	}
+	// A boundary net's two halves share its stations: either will do.
+	slices.SortFunc(nets, func(a, b *netInfo) int { return a.prefix.Compare(b.prefix) })
+	nets = slices.CompactFunc(nets, func(a, b *netInfo) bool { return a.prefix == b.prefix })
 
 	for _, n := range nodes {
 		held := agg[n]
 		n.Table.RemoveIf(func(r stack.Route) bool {
-			return r.Source == stack.SourceStatic && (merged[r.Prefix] || slices.Contains(held, r.Prefix))
+			if r.Source != stack.SourceStatic {
+				return false
+			}
+			_, isNet := netAt(nets, r.Prefix)
+			return isNet || slices.Contains(held, r.Prefix)
 		})
 		delete(agg, n)
 	}
@@ -177,6 +182,11 @@ func (r *hopRun) cover(nets []*netInfo, add func(stack.Route)) {
 // lastAddr is the last address p holds.
 func lastAddr(p ipv4.Prefix) uint64 { return uint64(p.Addr) | (1<<(32-p.Bits) - 1) }
 
+// netAt finds the net with prefix p among nets, sorted by prefix.
+func netAt(nets []*netInfo, p ipv4.Prefix) (int, bool) {
+	return slices.BinarySearchFunc(nets, p, func(ni *netInfo, p ipv4.Prefix) int { return ni.prefix.Compare(p) })
+}
+
 // disjoint reports whether no two of the sorted nets share an address.
 func disjoint(nets []*netInfo) bool {
 	for i := 1; i < len(nets); i++ {
@@ -187,11 +197,19 @@ func disjoint(nets []*netInfo) bool {
 	return true
 }
 
+// keptRun is a run its node's sweep has closed: kept, with the node's
+// index, until the sweep ends and the node decides what its runs become.
+type keptRun struct {
+	hopRun
+	node int32
+}
+
 // computeStaticRoutes is the static oracle's core: a multi-source
-// reverse BFS per destination net over the station graph, installing a
-// static route (metric = gateway hops) on every node that can reach the
-// net. nets may arrive in any order; they are processed in sorted-prefix
-// order so each node's routes install deterministically.
+// reverse BFS per destination net over the station graph, one sweep over
+// the nets in sorted-prefix order, giving every node that can reach a
+// net its next hop (metric = gateway hops) toward it. nets are sorted by
+// prefix, one per prefix, so each node's routes install
+// deterministically.
 //
 // The graph is flattened once into integer-indexed arrays — a CSR
 // adjacency, epoch-stamped visit marks — so the per-net BFS touches no
@@ -201,23 +219,28 @@ func disjoint(nets []*netInfo) bool {
 // stations in attach order), so the computed routes, and the order they
 // install in, match the historical per-net walk.
 //
-// With aggregate set, a node whose next hop is uniform across every
-// reachable net collapses to a single 0.0.0.0/0 route. A node holding an
-// operator default (SetDefaultRoute) to the same next hop is left as-is;
-// to a different next hop, it does not collapse. A node that does not
-// collapse gets blocks (hopRun) for its routes, as long as the nets are
-// disjoint — every generated internet's /24s are. note records each
-// default and block installed, so a recompute can retract it.
+// Without aggregate, or where one net's prefix holds another's, every
+// node gets a static route per net it reaches, as the sweep reaches it.
+// With aggregate over disjoint nets — every generated internet's /24s
+// are — a node instead extends its open run (hopRun) by each net, and
+// keeps a run the next net does not continue. When the sweep ends, each
+// node decides from its own runs. If they all leave through one next hop
+// and interface, it collapses to a single 0.0.0.0/0 route, unless it
+// holds an operator default (SetDefaultRoute): to the same next hop it
+// stands for the collapse, to another the node does not collapse. A node
+// that does not collapse covers each run with blocks, in run order. note
+// records each default and block installed, so a recompute can retract
+// it.
 func computeStaticRoutes(nodes []*stack.Node, nets []*netInfo, aggregate bool, note func(*stack.Node, ipv4.Prefix)) {
-	slices.SortFunc(nets, func(a, b *netInfo) int { return a.prefix.Compare(b.prefix) })
-
 	idxOf := make(map[*stack.Node]int32, len(nodes))
 	for i, n := range nodes {
 		idxOf[n] = int32(i)
 	}
-	netIdx := make(map[ipv4.Prefix]int32, len(nets))
-	for i := range nets {
-		netIdx[nets[i].prefix] = int32(i)
+	// A net of s stations gives at most s(s-1) edges.
+	stations, links := 0, 0
+	for _, ni := range nets {
+		stations += len(ni.stations)
+		links += len(ni.stations) * (len(ni.stations) - 1)
 	}
 	type edge struct {
 		to, net int32
@@ -225,11 +248,11 @@ func computeStaticRoutes(nodes []*stack.Node, nets []*netInfo, aggregate bool, n
 		via     ipv4.Addr // next-hop address (the relaying node's)
 	}
 	estart := make([]int32, len(nodes)+1)
-	var edges []edge
+	edges := make([]edge, 0, links)
 	for i, b := range nodes {
 		estart[i] = int32(len(edges))
 		for _, bi := range b.Interfaces() {
-			bn, ok := netIdx[bi.Prefix]
+			bn, ok := netAt(nets, bi.Prefix)
 			if !ok {
 				continue
 			}
@@ -238,7 +261,7 @@ func computeStaticRoutes(nodes []*stack.Node, nets []*netInfo, aggregate bool, n
 					continue
 				}
 				edges = append(edges, edge{
-					to: idxOf[st.node], net: bn,
+					to: idxOf[st.node], net: int32(bn),
 					ifIdx: int32(st.ifc.Index), via: bi.Addr,
 				})
 			}
@@ -287,109 +310,75 @@ func computeStaticRoutes(nodes []*stack.Node, nets []*netInfo, aggregate bool, n
 		}
 	}
 
-	// With aggregation on, a first sweep finds the nodes whose next hop
-	// is uniform across every reachable net: those collapse to one
-	// default route.
-	var collapse, covered []bool
-	var uVia []ipv4.Addr
-	var uIf []int32
+	aggregate = aggregate && disjoint(nets)
+	var runs []hopRun  // each node's open run
+	var kept []keptRun // the runs the sweep has closed, in closing order
 	if aggregate {
-		reached := make([]bool, len(nodes))
-		uniform := make([]bool, len(nodes))
-		uVia = make([]ipv4.Addr, len(nodes))
-		uIf = make([]int32, len(nodes))
-		for dn := range nets {
-			bfs(int32(dn))
-			for _, i := range queue {
-				if arr[i].dist == 0 {
-					continue
-				}
-				if !reached[i] {
-					reached[i], uniform[i], uVia[i], uIf[i] = true, true, arr[i].via, arr[i].ifIndex
-				} else if uniform[i] && (uVia[i] != arr[i].via || uIf[i] != arr[i].ifIndex) {
-					uniform[i] = false
-				}
-			}
-		}
-		collapse = make([]bool, len(nodes))
-		covered = make([]bool, len(nodes))
-		for i, n := range nodes {
-			if !uniform[i] {
-				continue
-			}
-			var op *stack.Route
-			for _, r := range n.Table.Routes() {
-				if r.Prefix.Bits == 0 && r.Source == stack.SourceStatic {
-					r := r
-					op = &r
-					break
-				}
-			}
-			switch {
-			case op == nil:
-				collapse[i] = true
-			case op.Via == uVia[i] && op.IfIndex == int(uIf[i]):
-				collapse[i], covered[i] = true, true // operator default already points there
-			}
-		}
-	}
-
-	// Install straight into each table, in destination order: a route per
-	// net, or, on an aggregating node that did not collapse, its open run
-	// extended by the net — and covered with blocks once the next net
-	// does not continue it.
-	var runs []hopRun
-	if aggregate && disjoint(nets) {
+		// A node's run ends at each net it is attached to, so the sweep
+		// closes about one run per station, and more where a node's next
+		// hop changes.
 		runs = make([]hopRun, len(nodes))
-	}
-	flush := func(i int32) {
-		n := nodes[i]
-		runs[i].cover(nets, func(r stack.Route) {
-			n.Table.Add(r)
-			note(n, r.Prefix)
-		})
+		kept = make([]keptRun, 0, stations)
 	}
 	for dn := range nets {
 		bfs(int32(dn))
-		p := nets[dn].prefix
 		for _, i := range queue {
 			a := arr[i]
 			switch {
 			case a.dist == 0:
 				// attached directly; the direct route wins anyway
-			case collapse != nil && collapse[i]:
-				// replaced by the node's single default route
-			case runs != nil:
-				if !runs[i].extend(int32(dn), a) {
-					flush(i)
-					runs[i] = hopRun{first: int32(dn), end: int32(dn) + 1, arrival: a}
-				}
-			default:
+			case !aggregate:
 				nodes[i].Table.Add(stack.Route{
-					Prefix:  p,
+					Prefix:  nets[dn].prefix,
 					Via:     a.via,
 					IfIndex: int(a.ifIndex),
 					Metric:  int(a.dist),
 					Source:  stack.SourceStatic,
 				})
+			case !runs[i].extend(int32(dn), a):
+				if runs[i].end > runs[i].first {
+					kept = append(kept, keptRun{runs[i], i})
+				}
+				runs[i] = hopRun{first: int32(dn), end: int32(dn) + 1, arrival: a}
 			}
 		}
 	}
-	for i := range runs {
-		flush(int32(i))
+	if !aggregate {
+		return
 	}
 
+	// Bucket the kept runs by node, each node's in run order; its open
+	// run follows them.
+	slices.SortFunc(kept, func(a, b keptRun) int { return cmp.Or(cmp.Compare(a.node, b.node), cmp.Compare(a.first, b.first)) })
 	for i, n := range nodes {
-		if collapse == nil || !collapse[i] || covered[i] {
-			continue
+		last := runs[i]
+		if last.end == last.first {
+			continue // reaches no net
 		}
-		n.Table.Add(stack.Route{
-			Prefix:  ipv4.Prefix{},
-			Via:     uVia[i],
-			IfIndex: int(uIf[i]),
-			Metric:  1,
-			Source:  stack.SourceStatic,
-		})
-		note(n, ipv4.Prefix{})
+		own := 0
+		oneHop := true
+		for ; own < len(kept) && kept[own].node == int32(i); own++ {
+			oneHop = oneHop && kept[own].via == last.via && kept[own].ifIndex == last.ifIndex
+		}
+		closed := kept[:own]
+		kept = kept[own:]
+		install := func(r stack.Route) {
+			n.Table.Add(r)
+			note(n, r.Prefix)
+		}
+		if oneHop {
+			rs := n.Table.Routes()
+			switch op := slices.IndexFunc(rs, func(r stack.Route) bool { return r.Prefix.Bits == 0 && r.Source == stack.SourceStatic }); {
+			case op < 0:
+				install(stack.Route{Via: last.via, IfIndex: int(last.ifIndex), Metric: 1, Source: stack.SourceStatic})
+				continue
+			case rs[op].Via == last.via && rs[op].IfIndex == int(last.ifIndex):
+				continue // the operator default already points there
+			}
+		}
+		for _, r := range closed {
+			r.cover(nets, install)
+		}
+		last.cover(nets, install)
 	}
 }

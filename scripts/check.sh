@@ -203,7 +203,8 @@ run_leg() {
         # The differential fuzzers: the checksum against its 16-bit
         # reference loop, route-table operation sequences against the
         # linear scan, the oracle's same-next-hop blocks against a
-        # route per prefix, the manifest's indexed BFS against the
+        # route per prefix, the one-sweep oracle's tables against the
+        # two-sweep reference's, the manifest's indexed BFS against the
         # map-based one, the survivability analysis's cut gateways,
         # bridges and 2-cuts against brute-force removal on a name-keyed
         # census, and the interned metrics registry against the
@@ -213,6 +214,7 @@ run_leg() {
         go test -run '^$' -fuzz FuzzChecksumMatchesReference -fuzztime 10s -fuzzminimizetime 0 ./internal/packet/
         go test -run '^$' -fuzz FuzzRouteTableOps -fuzztime 10s -fuzzminimizetime 0 ./internal/stack/
         go test -run '^$' -fuzz FuzzRouteCover -fuzztime 10s -fuzzminimizetime 0 ./internal/core/
+        go test -run '^$' -fuzz FuzzStaticRoutesMatchReference -fuzztime 10s -fuzzminimizetime 0 ./internal/core/
         go test -run '^$' -fuzz FuzzNetHopsMatchesReference -fuzztime 10s -fuzzminimizetime 0 ./internal/topo/
         go test -run '^$' -fuzz FuzzWeakPointsMatchBruteForce -fuzztime 10s -fuzzminimizetime 0 ./internal/survive/
         go test -run '^$' -fuzz FuzzRegistryMatchesPathReference -fuzztime 10s -fuzzminimizetime 0 ./internal/metrics/

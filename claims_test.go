@@ -24,12 +24,19 @@ func runPinned(e exp.Experiment) exp.Result {
 	return r
 }
 
-// claimTests are the paper's arguments that E12 and E16 carry, as named
-// metrics and the value each must read at the recorded seed.
+// claimTests are the paper's arguments that E12, E13, E14 and E16 carry,
+// as named metrics and the value each must read at the recorded seed.
 //   - E12: RIP converges on the 200-gateway internet with no central
 //     control, and the routes it learned deliver every audited pair along
 //     a shortest path; every bulk transfer completes, and every frame is
 //     accounted for. (udp_delivered reads 479/480: not a claim.)
+//   - E13: datagram gateways leave congestion to the hosts, and hosts
+//     that retransmit on fixed timers with no congestion response drive
+//     the network past its knee into collapse: goodput peaks, then falls
+//     as the offered load grows.
+//   - E14: survivability rests on the topology's weak points. An attack
+//     that cuts the bridges and cut gateways first destroys more service
+//     than a random one of the same size, summed over the budgets.
 //   - E16: on the sharded 2000-gateway internet the oracle's aggregated
 //     tables deliver every audited pair along a shortest path, across
 //     region boundaries; every query and transfer arrives, and the frame
@@ -39,6 +46,8 @@ var claimTests = map[string][]struct {
 	want   float64
 }{
 	"E12": {{"converged", 1}, {"audit_routeworks", 1}, {"audit_optimal", 1}, {"tcp_done", 1}, {"frame_ledger_delta", 0}},
+	"E13": {{"collapsed", 1}},
+	"E14": {{"targeted_worse", 1}},
 	"E16": {{"audit_delivers", 1}, {"audit_optimal", 1}, {"udp_delivered", 1}, {"tcp_done", 1}, {"frame_ledger_delta", 0}},
 }
 
@@ -48,7 +57,7 @@ func TestClaimsHoldAtTheRecordedSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments take a few seconds")
 	}
-	for _, id := range []string{"E12", "E16"} {
+	for _, id := range []string{"E12", "E13", "E14", "E16"} {
 		t.Run(id, func(t *testing.T) {
 			e, ok := exp.ByID(id)
 			if !ok {

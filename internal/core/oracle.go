@@ -14,11 +14,14 @@ import (
 // "routing without the distributed protocol" baseline, also handy for
 // topologies whose tests do not exercise routing dynamics.
 //
-// The computation is one all-pairs pass: a reverse BFS per network over
-// the node graph memoizes, for every node, the next hop toward that
-// network. With the prefix index this is O(nets · edges) total — the
-// per-node O(n²) walk it replaced made 200-gateway internets (see
-// internal/topo) unbuildable in reasonable time.
+// The computation is one all-pairs pass: a reverse BFS toward each
+// network gives every node its next hop toward it. A network that one
+// gateway cuts off from the rest of the internet (a stub domain) is
+// searched on its own side only: every node beyond that gateway inherits
+// the gateway's one search outward, shared by all the domain's networks
+// (computeStaticRoutes). The per-node O(n²) walk this replaced made
+// 200-gateway internets (see internal/topo) unbuildable in reasonable
+// time.
 //
 // Later topology changes (AttachNodeToNet, AddHost/AddGateway)
 // recompute the oracle automatically, so nodes attached mid-run are
@@ -89,19 +92,24 @@ func installStaticRoutes(regions []*Network, aggregate bool) {
 	slices.SortFunc(nets, func(a, b *netInfo) int { return a.prefix.Compare(b.prefix) })
 	nets = slices.CompactFunc(nets, func(a, b *netInfo) bool { return a.prefix == b.prefix })
 
-	for _, n := range nodes {
+	ops := make([]stack.Route, len(nodes)) // each node's operator default, if any
+	for i, n := range nodes {
 		held := agg[n]
 		n.Table.RemoveIf(func(r stack.Route) bool {
 			if r.Source != stack.SourceStatic {
 				return false
 			}
 			_, isNet := netAt(nets, r.Prefix)
-			return isNet || slices.Contains(held, r.Prefix)
+			drop := isNet || slices.Contains(held, r.Prefix)
+			if !drop && r.Prefix.Bits == 0 {
+				ops[i] = r
+			}
+			return drop
 		})
 		delete(agg, n)
 	}
 
-	computeStaticRoutes(nodes, nets, aggregate, func(n *stack.Node, p ipv4.Prefix) { agg[n] = append(agg[n], p) })
+	computeStaticRoutes(nodes, nets, ops, aggregate, func(n *stack.Node, p ipv4.Prefix) { agg[n] = append(agg[n], p) })
 }
 
 // arrival is how the oracle's BFS toward one net reached a node: the
@@ -205,33 +213,47 @@ type keptRun struct {
 }
 
 // computeStaticRoutes is the static oracle's core: a multi-source
-// reverse BFS per destination net over the station graph, one sweep over
-// the nets in sorted-prefix order, giving every node that can reach a
-// net its next hop (metric = gateway hops) toward it. nets are sorted by
-// prefix, one per prefix, so each node's routes install
+// reverse BFS toward each destination net over the station graph, one
+// sweep over the nets in sorted-prefix order, giving every node that can
+// reach a net its next hop (metric = gateway hops) toward it. nets are
+// sorted by prefix, one per prefix, so each node's routes install
 // deterministically.
 //
 // The graph is flattened once into integer-indexed arrays — a CSR
-// adjacency, epoch-stamped visit marks — so the per-net BFS touches no
-// maps and allocates nothing: at 2000 gateways a pointer-keyed scratch
-// map spends the whole recompute hashing. Edge order mirrors the
-// original nested iteration exactly (interfaces in attach order,
-// stations in attach order), so the computed routes, and the order they
-// install in, match the historical per-net walk.
+// adjacency, epoch-stamped visit marks — so a BFS touches no maps and
+// allocates nothing: at 2000 gateways a pointer-keyed scratch map spends
+// the whole recompute hashing. Edge order mirrors the original nested
+// iteration exactly (interfaces in attach order, stations in attach
+// order), so the computed routes, and the order they install in, match
+// the historical per-net walk.
+//
+// Stub domains inherit. One low-link DFS finds each node's top: the
+// outermost forwarding node that cuts it off from the rest in a domain
+// of at most half of all nodes (a larger one leaves less beyond it than
+// the searches inside it cost). A net whose stations, but for that
+// node, all have it for top is anchored there. A node beyond the anchor
+// v reaches such a net only through v, and the BFS toward the net
+// reaches it just as v's own BFS outward (its tail) does, dist raised by
+// v's. So the BFS toward the net stays inside v's domain, and the tail
+// runs once for the run of consecutive nets v anchors — a transit
+// gateway's stub nets — and serves every node beyond. A host relays
+// nothing, but the DFS joins its nets through it, so that no host is
+// reached from both sides of a cut.
 //
 // Without aggregate, or where one net's prefix holds another's, every
 // node gets a static route per net it reaches, as the sweep reaches it.
 // With aggregate over disjoint nets — every generated internet's /24s
-// are — a node instead extends its open run (hopRun) by each net, and
-// keeps a run the next net does not continue. When the sweep ends, each
-// node decides from its own runs. If they all leave through one next hop
-// and interface, it collapses to a single 0.0.0.0/0 route, unless it
-// holds an operator default (SetDefaultRoute): to the same next hop it
-// stands for the collapse, to another the node does not collapse. A node
-// that does not collapse covers each run with blocks, in run order. note
-// records each default and block installed, so a recompute can retract
-// it.
-func computeStaticRoutes(nodes []*stack.Node, nets []*netInfo, aggregate bool, note func(*stack.Node, ipv4.Prefix)) {
+// are — a node instead extends its open run (hopRun) by each net, a node
+// beyond an anchor by every consecutive net the anchor reaches at once,
+// and keeps a run the next net does not continue. When the sweep ends,
+// each node decides from its own runs. If they all leave through one
+// next hop and interface, it collapses to a single 0.0.0.0/0 route,
+// unless it holds an operator default (ops, set by SetDefaultRoute): to
+// the same next hop it stands for the collapse, to another the node does
+// not collapse. A node that does not collapse covers each run with
+// blocks, in run order. note records each default and block installed,
+// so a recompute can retract it.
+func computeStaticRoutes(nodes []*stack.Node, nets []*netInfo, ops []stack.Route, aggregate bool, note func(*stack.Node, ipv4.Prefix)) {
 	idxOf := make(map[*stack.Node]int32, len(nodes))
 	for i, n := range nodes {
 		idxOf[n] = int32(i)
@@ -269,26 +291,74 @@ func computeStaticRoutes(nodes []*stack.Node, nets []*netInfo, aggregate bool, n
 	}
 	estart[len(nodes)] = int32(len(edges))
 
+	// The DFS marks the root of each subtree a forwarding parent cuts off
+	// with it; pre-order then hands every node its outermost mark.
+	half := int32(len(nodes) / 2)
+	disc, low, parent, top := make([]int32, len(nodes)), make([]int32, len(nodes)), make([]int32, len(nodes)), make([]int32, len(nodes))
+	order := make([]int32, 0, len(nodes))
+	var dfs func(u int32)
+	dfs = func(u int32) {
+		order = append(order, u)
+		disc[u], low[u], top[u] = int32(len(order)), int32(len(order)), -1
+		for _, e := range edges[estart[u]:estart[u+1]] {
+			if w := e.to; disc[w] != 0 {
+				low[u] = min(low[u], disc[w])
+			} else {
+				parent[w] = u
+				dfs(w)
+				low[u] = min(low[u], low[w])
+				if low[w] >= disc[u] && nodes[u].Forwarding && int32(len(order))-disc[w]+1 <= half {
+					top[w] = u
+				}
+			}
+		}
+	}
+	for u := range int32(len(nodes)) {
+		if disc[u] == 0 {
+			parent[u] = -1
+			dfs(u)
+		}
+	}
+	for _, u := range order {
+		if p := parent[u]; p >= 0 && top[p] >= 0 {
+			top[u] = top[p]
+		}
+	}
+	// A net's stations are a clique, all below the first the DFS reached:
+	// their anchor is its top, else it or none, so their largest top.
+	anchor := make([]int32, len(nets))
+	for dn, ni := range nets {
+		anchor[dn] = -1
+		for _, st := range ni.stations {
+			anchor[dn] = max(anchor[dn], top[idxOf[st.node]])
+		}
+	}
+
 	arr := make([]arrival, len(nodes))
 	mark := make([]uint32, len(nodes)) // visited in epoch e iff mark==e
 	queue := make([]int32, 0, len(nodes))
 	var epoch uint32
 
 	// bfs runs the multi-source reverse BFS for destination net dn,
-	// leaving the reached set (sources first, distance order) in queue.
-	bfs := func(dn int32) {
+	// leaving the reached set (sources first, distance order) in queue;
+	// from dn's anchor v it steps only into v's domain. For dn < 0 it runs
+	// v's tail instead: from v alone, every way.
+	bfs := func(dn, v int32) {
 		epoch++
 		queue = queue[:0]
-		// Multi-source start: every station of the destination net is at
-		// distance 0 (it holds the direct route already).
-		for _, st := range nets[dn].stations {
-			i := idxOf[st.node]
-			if mark[i] == epoch {
-				continue
+		stop := v
+		if dn < 0 {
+			stop, mark[v], arr[v] = -1, epoch, arrival{}
+			queue = append(queue, v)
+		} else {
+			// Multi-source start: every station of the destination net is
+			// at distance 0 (it holds the direct route already).
+			for _, st := range nets[dn].stations {
+				if i := idxOf[st.node]; mark[i] != epoch {
+					mark[i], arr[i] = epoch, arrival{}
+					queue = append(queue, i)
+				}
 			}
-			mark[i] = epoch
-			arr[i] = arrival{}
-			queue = append(queue, i)
 		}
 		for qi := 0; qi < len(queue); qi++ {
 			b := queue[qi]
@@ -300,7 +370,7 @@ func computeStaticRoutes(nodes []*stack.Node, nets []*netInfo, aggregate bool, n
 			}
 			d := arr[b].dist
 			for _, e := range edges[estart[b]:estart[b+1]] {
-				if e.net == dn || mark[e.to] == epoch {
+				if e.net == dn || mark[e.to] == epoch || b == stop && top[e.to] != stop {
 					continue
 				}
 				mark[e.to] = epoch
@@ -320,28 +390,82 @@ func computeStaticRoutes(nodes []*stack.Node, nets []*netInfo, aggregate bool, n
 		runs = make([]hopRun, len(nodes))
 		kept = make([]keptRun, 0, stations)
 	}
-	for dn := range nets {
-		bfs(int32(dn))
-		for _, i := range queue {
-			a := arr[i]
+	// reach hands each node i of reached, which its BFS reached as at[i],
+	// nets[first:end] (one net unless aggregating), off hops further away.
+	reach := func(reached []int32, at []arrival, first, end, off int32) {
+		for _, i := range reached {
+			a := at[i]
+			a.dist += off
 			switch {
 			case a.dist == 0:
 				// attached directly; the direct route wins anyway
 			case !aggregate:
 				nodes[i].Table.Add(stack.Route{
-					Prefix:  nets[dn].prefix,
+					Prefix:  nets[first].prefix,
 					Via:     a.via,
 					IfIndex: int(a.ifIndex),
 					Metric:  int(a.dist),
 					Source:  stack.SourceStatic,
 				})
-			case !runs[i].extend(int32(dn), a):
-				if runs[i].end > runs[i].first {
-					kept = append(kept, keptRun{runs[i], i})
+			default:
+				if !runs[i].extend(first, a) {
+					if runs[i].end > runs[i].first {
+						kept = append(kept, keptRun{runs[i], i})
+					}
+					runs[i] = hopRun{first: first, arrival: a}
 				}
-				runs[i] = hopRun{first: int32(dn), end: int32(dn) + 1, arrival: a}
+				runs[i].end = end // the rest of the nets follow the first
 			}
 		}
+	}
+
+	// The sweep takes the nets in groups: an unanchored net alone, or the
+	// consecutive nets of one anchor v. far holds the nodes beyond v, and
+	// tailArr how v's tail reached them; offs is v's dist toward each net
+	// of the group, or -1 where v does not reach it.
+	var far, offs []int32
+	tailArr := make([]arrival, len(nodes))
+	tailOf := int32(-1)
+	for first := 0; first < len(nets); {
+		v, end := anchor[first], first+1
+		for v >= 0 && end < len(nets) && anchor[end] == v {
+			end++
+		}
+		if v >= 0 && v != tailOf {
+			bfs(-1, v)
+			far, tailOf = far[:0], v
+			for _, u := range queue {
+				if u != v && top[u] != v {
+					far = append(far, u)
+					tailArr[u] = arr[u]
+				}
+			}
+		}
+		offs = offs[:0]
+		for dn := first; dn < end; dn++ {
+			bfs(int32(dn), v)
+			reach(queue, arr, int32(dn), int32(dn)+1, 0)
+			if v >= 0 && mark[v] == epoch {
+				offs = append(offs, arr[v].dist)
+			} else {
+				offs = append(offs, -1)
+			}
+		}
+		// Beyond v, a node reaches each run of nets v reaches through v,
+		// the nearest of them min(offs) hops further than v's tail says.
+		for i := 0; i < len(offs); i++ {
+			if offs[i] < 0 {
+				continue
+			}
+			j, off := i+1, offs[i]
+			for aggregate && j < len(offs) && offs[j] >= 0 {
+				off = min(off, offs[j])
+				j++
+			}
+			reach(far, tailArr, int32(first+i), int32(first+j), off)
+			i = j - 1
+		}
+		first = end
 	}
 	if !aggregate {
 		return
@@ -367,12 +491,11 @@ func computeStaticRoutes(nodes []*stack.Node, nets []*netInfo, aggregate bool, n
 			note(n, r.Prefix)
 		}
 		if oneHop {
-			rs := n.Table.Routes()
-			switch op := slices.IndexFunc(rs, func(r stack.Route) bool { return r.Prefix.Bits == 0 && r.Source == stack.SourceStatic }); {
-			case op < 0:
+			switch op := ops[i]; {
+			case op.Source != stack.SourceStatic:
 				install(stack.Route{Via: last.via, IfIndex: int(last.ifIndex), Metric: 1, Source: stack.SourceStatic})
 				continue
-			case rs[op].Via == last.via && rs[op].IfIndex == int(last.ifIndex):
+			case op.Via == last.via && op.IfIndex == int(last.ifIndex):
 				continue // the operator default already points there
 			}
 		}

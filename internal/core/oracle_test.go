@@ -184,6 +184,12 @@ func FuzzStaticRoutesMatchReference(f *testing.F) {
 		add(sp, 2, 4)
 	}
 	add(exp.E16Spec(), 1988, 8)
+	// Every gateway of a line or a tree is a cut vertex: stub domains
+	// nest to the graph's depth, and the DFS meets them end to end.
+	add(topo.Spec{Shape: topo.Line, Gateways: 30, Hosts: 1}, 3, 1)
+	add(topo.Spec{Shape: topo.Line, Gateways: 12, Hosts: 2, Mix: true}, 5, 3)
+	add(topo.Spec{Shape: topo.Tree, Gateways: 40, Degree: 2, Hosts: 1}, 7, 1)
+	add(topo.Spec{Shape: topo.Tree, Gateways: 31, Degree: 2, Hosts: 2, Mix: true}, 9, 4)
 	f.Fuzz(func(t *testing.T, shape, size, knob, hosts uint8, mix bool, seed int64, regions uint8) {
 		sp := topo.Spec{Shape: shapes[int(shape)%len(shapes)], Gateways: max(1, int(size)), Hosts: int(hosts % 4), Mix: mix}
 		switch sp.Shape {

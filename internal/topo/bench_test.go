@@ -57,8 +57,9 @@ func BenchmarkScaleForward(b *testing.B) {
 // gateways. Each op is one GenerateSharded; it reports the build's wall
 // seconds, the routes the static oracle installed and the live heap
 // with the built internet held. Under -short (check.sh benchsmoke) only
-// the 2 000-gateway build runs: the oracle is O(nets · edges), and the
-// 10 000-gateway one takes ~20 s.
+// the 2 000-gateway build runs: the oracle still searches the whole
+// graph once per backbone trunk and once per transit gateway, and on a
+// 2-vCPU host the three builds take about 0.13 s, 0.45 s and 2 s.
 func BenchmarkTransitStubScale(b *testing.B) {
 	for _, gateways := range []int{2000, 4000, 10_000} {
 		b.Run(fmt.Sprintf("gw=%d", gateways), func(b *testing.B) {

@@ -49,8 +49,8 @@ func perNetOnly(t *testing.T, nw *core.Network, name string) {
 // a lookup of the first, middle and last address of every net, from
 // every node, with the same next hop, interface and source, or both
 // find no route — on the intact internet and with each gateway's
-// interfaces downed in turn, so that every block the usable filter
-// skips falls through as the net's own route does.
+// interfaces downed in turn, so that every block out of a down
+// interface falls through as the net's own route does.
 func TestBlocksForwardLikePerNetRoutes(t *testing.T) {
 	for _, sp := range aggregateSpecs {
 		for _, seed := range []int64{1, 2, 3} {

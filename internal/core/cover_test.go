@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"darpanet/internal/ipv4"
+	"darpanet/internal/phys"
+	"darpanet/internal/sim"
 	"darpanet/internal/stack"
 )
 
@@ -24,7 +26,8 @@ const (
 // same-next-hop prefixes, built as computeStaticRoutes builds them. Both
 // tables get the same direct routes, the same operator default when the
 // input asks for one, and the same interface taken down, and must answer
-// every owned address alike. It is the body of FuzzRouteCover.
+// every owned address alike, never out the interface that is down. It is
+// the body of FuzzRouteCover.
 func routeCover(t *testing.T, data []byte) {
 	next := func() int {
 		if len(data) == 0 {
@@ -50,12 +53,25 @@ func routeCover(t *testing.T, data []byte) {
 		at = start + size
 	}
 
-	down := opts & 3 // the interface whose routes are unusable; 3 is none
-	var perNet, blocks stack.RouteTable
-	for _, tbl := range []*stack.RouteTable{&perNet, &blocks} {
-		tbl.SetUsableFilter(func(r stack.Route) bool { return r.IfIndex != down })
+	// Two nodes, each with interfaces 0-2 on nets outside 10/8; down is
+	// the interface both take down, and 3 is none.
+	k := sim.NewKernel(1)
+	nodes := []*stack.Node{stack.NewNode(k, "per-net"), stack.NewNode(k, "blocks")}
+	for i := range 3 {
+		link := phys.NewP2P(k, fmt.Sprint("l", i), phys.Config{MTU: 1500})
+		lan := ipv4.Prefix{Addr: ipv4.Addr(0xc0a80000 + i<<8), Bits: 24}
+		for j, n := range nodes {
+			n.AttachInterface(link, lan.Host(1+j), lan)
+		}
+	}
+	down := opts & 3
+	perNet, blocks := &nodes[0].Table, &nodes[1].Table
+	for _, n := range nodes {
+		if down < 3 {
+			n.Interface(down).NIC.SetUp(false)
+		}
 		if opts&4 != 0 {
-			tbl.Add(stack.Route{Via: 99, IfIndex: 2, Source: stack.SourceStatic})
+			n.Table.Add(stack.Route{Via: 99, IfIndex: 2, Source: stack.SourceStatic})
 		}
 	}
 	var run hopRun
@@ -98,6 +114,9 @@ func routeCover(t *testing.T, data []byte) {
 			have, hok := blocks.Lookup(ipv4.Addr(a))
 			if wok != hok || want.Via != have.Via || want.IfIndex != have.IfIndex || want.Source != have.Source {
 				t.Fatalf("%v in %v: blocks %v answer %v,%v; per-net %v,%v", ipv4.Addr(a), ni.prefix, got, have, hok, want, wok)
+			}
+			if hok && have.IfIndex == down {
+				t.Fatalf("%v in %v: answered %v, out the interface that is down", ipv4.Addr(a), ni.prefix, have)
 			}
 		}
 	}

@@ -150,8 +150,8 @@ func (r *hopRun) extend(dn int32, a arrival) bool {
 // operator's default. nets must be sorted and pairwise disjoint.
 //
 // So every owned address matches exactly one of the node's static routes
-// before and after, with the same next hop and interface; a block the
-// usable filter skips falls through exactly as the net's own route did.
+// before and after, with the same next hop and interface; a block out of
+// a down interface falls through exactly as the net's own route did.
 // (ORTC, the optimal cover, nests prefixes and would lose that.)
 func (r *hopRun) cover(nets []*netInfo, add func(stack.Route)) {
 	if r.end == r.first {

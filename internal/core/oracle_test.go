@@ -66,7 +66,7 @@ func sameTables(t *testing.T, when string, names []string, a, b func(string) *co
 // address of every net answers alike from each named node of a and b —
 // the same next hop, interface and source, or no route on both — on the
 // intact internet and with each of the gateways' interfaces downed in
-// turn, so that every route the usable filter skips on a falls through
+// turn, so that every route out of a down interface on a falls through
 // as it does on b.
 func sameLookups(t *testing.T, prefixes []ipv4.Prefix, names, gateways []string, a, b func(string) *core.Network) {
 	t.Helper()

@@ -370,6 +370,57 @@ func BenchmarkRouteLookupBlocks(b *testing.B) {
 	}
 }
 
+// BenchmarkRouteLookupDownInterface measures the fall-through lookup: a
+// node whose interface 1 is down, and every destination's longest
+// covering prefix leaving by it, so that a shorter prefix out of an
+// interface that is up answers. On indexed, blockRoutes' table, the
+// index finds only routes that are down and the scan decides; small is
+// eight /24s out of interface 1 and a default, below indexThreshold. The
+// benchguard baseline pins both at 0 allocs/op.
+func BenchmarkRouteLookupDownInterface(b *testing.B) {
+	blocks, blockDsts := blockRoutes()
+	small, smallDsts := e16ShapedRoutes(8)
+	for i := range small {
+		small[i].IfIndex = 1
+	}
+	small = append(small, Route{Via: 0xac100001, Source: SourceStatic})
+	for _, tc := range []struct {
+		name    string
+		indexed bool
+		routes  []Route
+		dsts    []ipv4.Addr
+	}{{"indexed", true, blocks, blockDsts}, {"small", false, small, smallDsts}} {
+		k := sim.NewKernel(1)
+		n := NewNode(k, "gw")
+		for i := range 8 {
+			lan := ipv4.Prefix{Addr: ipv4.Addr(0xc0a80000 + i<<8), Bits: 24}
+			n.AttachInterface(phys.NewP2P(k, fmt.Sprint("l", i), phys.Config{MTU: 1500}), lan.Host(1), lan)
+		}
+		n.Table.AddBatch(tc.routes)
+		var dsts []ipv4.Addr
+		for _, dst := range tc.dsts {
+			if rt, ok := n.Table.Lookup(dst); ok && rt.IfIndex == 1 {
+				dsts = append(dsts, dst)
+			}
+		}
+		rand.New(rand.NewSource(1988)).Shuffle(len(dsts), func(i, j int) { dsts[i], dsts[j] = dsts[j], dsts[i] })
+		n.Interface(1).NIC.SetUp(false)
+		if len(dsts) == 0 || (n.Table.idx != nil) != tc.indexed {
+			b.Fatalf("%s: %d destinations out of interface 1, indexed %v", tc.name, len(dsts), n.Table.idx != nil)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, ok := n.Table.Lookup(dsts[i%len(dsts)])
+				if !ok || r.IfIndex == 1 {
+					b.Fatal("lookup took the down interface or missed")
+				}
+				routeSink += r.IfIndex
+			}
+		})
+	}
+}
+
 // routeSink keeps the looked-up route live, so the benchmarks pay for
 // returning it as a forwarding gateway does.
 var routeSink int
@@ -408,7 +459,7 @@ func BenchmarkRouteLookupCrossover(b *testing.B) {
 		tbl.index(tbl.merge())
 		b.Run(fmt.Sprintf("n=%d/linear", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r, ok := refLookup(routes, nil, dsts[i%n])
+				r, ok := refLookup(routes, 0, dsts[i%n])
 				if !ok {
 					b.Fatal("lookup missed")
 				}

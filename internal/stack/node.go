@@ -128,10 +128,7 @@ func NewNode(k *sim.Kernel, name string) *Node {
 	}
 	n.reasm.SetPool(n.pool)
 	n.handlers = []protoHandler{{ipv4.ProtoICMP, n.icmpInput}}
-	n.Table.SetUsableFilter(func(r Route) bool {
-		ifc := n.Interface(r.IfIndex)
-		return ifc != nil && ifc.NIC.Up()
-	})
+	n.Table.ifUp = make([]uint64, 1) // a node's table: no interface is up until one attaches
 	registerNode(n)
 	return n
 }
@@ -170,7 +167,9 @@ func (n *Node) AttachInterface(m phys.Medium, addr ipv4.Addr, prefix ipv4.Prefix
 	}
 	nic.SetPool(n.pool)
 	nic.SetReceiver(func(f phys.Frame) { n.inputFrame(ifc, f) })
+	n.Table.setIfUp(idx, nic.Up())
 	nic.OnStateChange(func(up bool) {
+		n.Table.setIfUp(idx, up) // first, so that a watcher's lookups see it
 		for _, fn := range n.linkWatchers {
 			fn(ifc, up)
 		}
@@ -274,10 +273,7 @@ func (n *Node) SourceFor(dst ipv4.Addr) ipv4.Addr {
 	if !ok {
 		return 0
 	}
-	if ifc := n.Interface(rt.IfIndex); ifc != nil {
-		return ifc.Addr
-	}
-	return 0
+	return n.ifaces[rt.IfIndex].Addr
 }
 
 // Errors returned by Send.
@@ -473,11 +469,6 @@ func (n *Node) forward(in *Interface, f phys.Frame, h ipv4.Header, payload []byt
 	n.stats.Forwarded++
 	n.acct.record(h, len(raw))
 	if len(raw) <= out.NIC.MTU() {
-		if !out.NIC.Up() {
-			n.stats.IfaceDown++
-			f.Release()
-			return
-		}
 		if n.tap != nil {
 			n.tap(true, out.NIC.Name(), raw)
 		}
@@ -494,11 +485,6 @@ func (n *Node) forward(in *Interface, f phys.Frame, h ipv4.Header, payload []byt
 		return
 	}
 	n.stats.FragCreated += uint64(frags.Count())
-	if !out.NIC.Up() {
-		n.stats.IfaceDown++
-		f.Release()
-		return
-	}
 	link := out.linkAddr(nexthop)
 	for fh, p, ok := frags.Next(); ok; fh, p, ok = frags.Next() {
 		b := &n.txBuf

@@ -17,14 +17,15 @@ import (
 )
 
 // refLookup is the pre-index linear algorithm, kept verbatim as the
-// semantic reference the index must reproduce bit for bit.
-func refLookup(routes []Route, usable func(Route) bool, dst ipv4.Addr) (Route, bool) {
+// semantic reference the index must reproduce bit for bit. down is the
+// set of interfaces, by bit index, whose routes it skips.
+func refLookup(routes []Route, down uint64, dst ipv4.Addr) (Route, bool) {
 	best := -1
 	for i, r := range routes {
 		if !r.Prefix.Contains(dst) {
 			continue
 		}
-		if usable != nil && !usable(r) {
+		if down>>r.IfIndex&1 != 0 {
 			continue
 		}
 		if best < 0 {
@@ -64,19 +65,28 @@ func refAdd(routes []Route, r Route) []Route {
 
 var allSources = []RouteSource{SourceEGP, SourceRIP, SourceStatic, SourceDirect}
 
-// usableFilters are the predicates the tests flip between; index 0 is
-// "no filter".
-var usableFilters = []func(Route) bool{
-	nil,
-	func(r Route) bool { return r.IfIndex != 1 },
-	func(r Route) bool { return r.Metric < 3 },
-}
+// downSets are the sets of interfaces the tests take down in turn, by
+// bit index; index 0 is none. The random routes carry their metric in
+// their interface index above its low two bits, so the second set takes
+// down the routes whose low bits are 1 and the third those of metric 3
+// or more.
+var downSets = []uint64{0, 0x2222_2222_2222_2222, ^uint64(0xfff)}
 
 // refTable drives a RouteTable and the linear reference side by side.
 // Every mutation goes to both; check compares them.
 type refTable struct {
-	tbl RouteTable
-	ref []Route
+	tbl  RouteTable
+	ref  []Route
+	down uint64 // the interfaces down, by bit index
+}
+
+// setDown makes the table a node's with interfaces 0-63, those in down
+// down and the rest up.
+func (p *refTable) setDown(down uint64) {
+	p.down = down
+	for i := range 64 {
+		p.tbl.setIfUp(i, down>>i&1 == 0)
+	}
 }
 
 func (p *refTable) add(r Route) {
@@ -144,7 +154,7 @@ func (p *refTable) lookups(t *testing.T, dsts ...ipv4.Addr) {
 	t.Helper()
 	for _, dst := range dsts {
 		got, gok := p.tbl.Lookup(dst)
-		want, wok := refLookup(p.ref, p.tbl.usable, dst)
+		want, wok := refLookup(p.ref, p.down, dst)
 		if gok != wok || got != want {
 			t.Fatalf("Lookup(%s) = %v,%v want %v,%v (len=%d)", dst, got, gok, want, wok, p.tbl.Len())
 		}
@@ -286,10 +296,10 @@ func blockRoutes() ([]Route, []ipv4.Addr) {
 // reference: every stored route, every lookup, and the index's own
 // structure, under each way the table is mutated.
 func TestRouteIndexEquivalence(t *testing.T) {
-	// Randomized adds, batches, capacity hints, removes and usable
-	// filters far past the index threshold. The route set is built so
-	// same-length prefixes, duplicate (prefix, source) pairs, overlapping
-	// lengths and a default route all occur.
+	// Randomized adds, batches, capacity hints, removes and interfaces
+	// going down and up, far past the index threshold. The route set is
+	// built so same-length prefixes, duplicate (prefix, source) pairs,
+	// overlapping lengths and a default route all occur.
 	t.Run("random", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(42))
 		addr := func() ipv4.Addr {
@@ -298,13 +308,15 @@ func TestRouteIndexEquivalence(t *testing.T) {
 		}
 		route := func() Route {
 			bits := []int{0, 8, 16, 24, 32}[rng.Intn(5)]
-			return Route{
+			r := Route{
 				Prefix:  ipv4.Prefix{Addr: addr().Mask(bits), Bits: bits},
 				Via:     addr(),
 				IfIndex: rng.Intn(4),
 				Metric:  rng.Intn(5),
 				Source:  allSources[rng.Intn(len(allSources))],
 			}
+			r.IfIndex |= r.Metric << 2 // see downSets
+			return r
 		}
 		var p refTable
 		dsts := make([]ipv4.Addr, 40)
@@ -327,8 +339,8 @@ func TestRouteIndexEquivalence(t *testing.T) {
 			case op < 18: // bulk remove, as recomputeStaticRoutes does
 				src, m := allSources[rng.Intn(len(allSources))], rng.Intn(5)
 				p.removeIf(t, func(r Route) bool { return r.Source == src && r.Metric == m })
-			default: // flip the usable filter
-				p.tbl.SetUsableFilter(usableFilters[rng.Intn(len(usableFilters))])
+			default: // interfaces go down and up
+				p.setDown(downSets[rng.Intn(len(downSets))])
 			}
 			for i := range dsts {
 				dsts[i] = addr()
@@ -368,9 +380,9 @@ func TestRouteIndexEquivalence(t *testing.T) {
 		p.check(t, dsts...)
 	})
 
-	// All four sources on one prefix, in every insertion order, with
-	// every subset of them unusable: the chain walk must pick what the
-	// scan picks.
+	// All four sources on one prefix, in every insertion order, each out
+	// its own interface, with every subset of them down: the chain walk
+	// must pick what the scan picks.
 	t.Run("sources", func(t *testing.T) {
 		filler, _ := e16ShapedRoutes(2 * indexThreshold)
 		pfx := ipv4.MustParsePrefix("192.168.7.0/24")
@@ -393,10 +405,10 @@ func TestRouteIndexEquivalence(t *testing.T) {
 				var p refTable
 				p.addBatch(slices.Clone(filler))
 				for j, s := range perm {
-					p.add(Route{Prefix: pfx, Via: ipv4.Addr(j + 1), Metric: metric(j), Source: allSources[s]})
+					p.add(Route{Prefix: pfx, Via: ipv4.Addr(j + 1), IfIndex: 8 + s, Metric: metric(j), Source: allSources[s]})
 				}
-				for down := 0; down < 1<<len(allSources); down++ {
-					p.tbl.SetUsableFilter(func(r Route) bool { return r.Prefix != pfx || down&(1<<r.Source) == 0 })
+				for down := uint64(0); down < 1<<len(allSources); down++ {
+					p.setDown(down << 8) // the filler leaves by interfaces 0-6
 					p.check(t, dst)
 				}
 			}
@@ -405,8 +417,8 @@ func TestRouteIndexEquivalence(t *testing.T) {
 	})
 
 	// Fall-through: a destination covered at /32, /30, /24, /16, /8 and
-	// /0, with the usable filter knocking out the longest lengths one
-	// more at a time until nothing is left.
+	// /0, each out its own interface, with the interfaces of the longest
+	// lengths going down one more at a time until nothing is left.
 	t.Run("fallthrough", func(t *testing.T) {
 		filler, _ := e16ShapedRoutes(2 * indexThreshold)
 		var p refTable
@@ -414,10 +426,11 @@ func TestRouteIndexEquivalence(t *testing.T) {
 		dst := ipv4.MustParseAddr("10.0.5.77")
 		lengths := []int{32, 30, 24, 16, 8, 0}
 		for i, n := range lengths {
-			p.add(Route{Prefix: ipv4.Prefix{Addr: dst.Mask(n), Bits: n}, Via: ipv4.Addr(n + 1), Source: allSources[i%len(allSources)]})
+			p.add(Route{Prefix: ipv4.Prefix{Addr: dst.Mask(n), Bits: n}, Via: ipv4.Addr(n + 1), IfIndex: 8 + i, Source: allSources[i%len(allSources)]})
 		}
-		for _, floor := range append(lengths, -1) {
-			p.tbl.SetUsableFilter(func(r Route) bool { return r.Prefix.Bits <= floor })
+		for i, floor := range append(lengths, -1) {
+			p.setDown((1<<i - 1) << 8) // the routes longer than floor
+
 			p.check(t, dst)
 			got, ok := p.tbl.Lookup(dst)
 			if ok != (floor >= 0) || (ok && got.Prefix.Bits != floor) {
@@ -428,8 +441,7 @@ func TestRouteIndexEquivalence(t *testing.T) {
 
 	// Fall-through three levels deep on a table of blocks: the /32, /24
 	// and /16 covering the destination leave through interface 1, which
-	// the filter calls down, so the /8 answers; with the /8 gone, the
-	// default does.
+	// is down, so the /8 answers; with the /8 gone, the default does.
 	t.Run("deep", func(t *testing.T) {
 		routes, dsts := blockRoutes()
 		var p refTable
@@ -438,7 +450,7 @@ func TestRouteIndexEquivalence(t *testing.T) {
 		for _, l := range []struct{ n, ifc int }{{32, 1}, {24, 1}, {16, 1}, {8, 2}} {
 			p.add(Route{Prefix: ipv4.Prefix{Addr: dst.Mask(l.n), Bits: l.n}, Via: ipv4.Addr(l.n), IfIndex: l.ifc, Source: SourceRIP})
 		}
-		p.tbl.SetUsableFilter(usableFilters[1])
+		p.setDown(1 << 1)
 		for _, want := range []int{8, 0} {
 			p.check(t, append(dsts, dst)...)
 			if got, ok := p.tbl.Lookup(dst); !ok || got.Prefix.Bits != want {
@@ -457,8 +469,8 @@ func TestRouteIndexEquivalence(t *testing.T) {
 			p.add(Route{Prefix: ipv4.MustParsePrefix(s), Via: ipv4.Addr(i + 1), IfIndex: i % 2, Source: SourceStatic})
 		}
 		dsts := []ipv4.Addr{ipv4.Broadcast, ipv4.Broadcast - 1, ipv4.Broadcast - 2, 0xffffff00, 0xfffffeff, 0xff000000, 0xfeffffff, 0xe0000000, 0xdfffffff, 0x80000000, 0x7fffffff}
-		for _, f := range usableFilters {
-			p.tbl.SetUsableFilter(f)
+		for _, down := range downSets {
+			p.setDown(down)
 			p.check(t, dsts...)
 		}
 		if x := p.tbl.idx; x == nil || x.heads[len(x.heads)-1] < 0 || p.tbl.recs[x.heads[len(x.heads)-1]].bits != 32 {
@@ -475,8 +487,8 @@ func TestRouteIndexEquivalence(t *testing.T) {
 		for src := 0; src < 2*indexThreshold; src++ {
 			p.add(Route{Via: ipv4.Addr(src + 1), IfIndex: src % 4, Metric: src % 3, Source: RouteSource(src)})
 		}
-		for _, f := range append(usableFilters, func(Route) bool { return false }) {
-			p.tbl.SetUsableFilter(f)
+		for _, down := range append(downSets, ^uint64(0)) {
+			p.setDown(down)
 			p.check(t, dsts...)
 		}
 		if x := p.tbl.idx; x == nil || len(x.starts) != 1 || x.heads[0] != 0 {
@@ -561,7 +573,7 @@ func routeOps(t *testing.T, data []byte) {
 	}
 	route := func() Route {
 		b := next()
-		return Route{Prefix: prefix(), Via: addr(), IfIndex: b & 3, Metric: b >> 2 & 3, Source: allSources[b>>4&3]}
+		return Route{Prefix: prefix(), Via: addr(), IfIndex: b & 15, Metric: b >> 2 & 3, Source: allSources[b>>4&3]} // see downSets
 	}
 	var p refTable
 	for len(data) > 0 {
@@ -582,7 +594,7 @@ func routeOps(t *testing.T, data []byte) {
 			b := next()
 			p.removeIf(t, func(r Route) bool { return r.Source == allSources[b&3] && r.Metric == b>>2&3 })
 		case 6:
-			p.tbl.SetUsableFilter(usableFilters[next()%len(usableFilters)])
+			p.setDown(downSets[next()%len(downSets)])
 		case 7: // a lookup can be what builds the index
 		}
 		p.check(t, addr(), addr(), addr(), addr())

@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -234,6 +235,71 @@ func TestDownInterfaceSkippedAtLookup(t *testing.T) {
 		t.Fatal("route not restored")
 	}
 	_ = k
+}
+
+// TestForwardFollowsInterfaceState drives a gateway with two ways to
+// h2's net: its direct route out if1, and a static route via h2's second
+// address out if2. Forwarding follows if1's state within one datagram
+// either way; a link watcher's lookup already sees the new state; a
+// longer route out an interface the gateway lacks is never chosen; and
+// with both ways down, a datagram draws net-unreachable.
+func TestForwardFollowsInterfaceState(t *testing.T) {
+	k, h1, gw, h2 := lineTopo(t, 1500, 1500)
+	l3 := phys.NewP2P(k, "l3", phys.Config{BitsPerSec: 10_000_000, Delay: time.Millisecond, MTU: 1500})
+	net2, net3 := ipv4.MustParsePrefix("10.0.2.0/24"), ipv4.MustParsePrefix("10.0.3.0/24")
+	g3 := gw.AttachInterface(l3, net3.Host(254), net3)
+	i3 := h2.AttachInterface(l3, net3.Host(1), net3)
+	g3.AddNeighbor(i3.Addr, i3.NIC.Addr())
+	gw.Table.Add(Route{Prefix: net2, Via: i3.Addr, IfIndex: g3.Index, Metric: 1, Source: SourceStatic})
+	gw.Table.Add(Route{Prefix: ipv4.Prefix{Addr: h2.Addr(), Bits: 32}, IfIndex: 7, Source: SourceDirect})
+	if rt, ok := gw.Table.Lookup(h2.Addr()); !ok || rt.IfIndex != 1 {
+		t.Fatalf("Lookup = %v,%v, want the direct route out if1", rt, ok)
+	}
+
+	var out []string
+	gw.SetPacketTap(func(send bool, ifc string, _ []byte) {
+		if send {
+			out = append(out, ifc)
+		}
+	})
+	var seen []int
+	gw.OnLinkChange(func(*Interface, bool) {
+		rt, ok := gw.Table.Lookup(h2.Addr())
+		if !ok {
+			rt.IfIndex = -1
+		}
+		seen = append(seen, rt.IfIndex)
+	})
+	delivered := 0
+	h2.RegisterProtocol(200, func(ipv4.Header, []byte) { delivered++ })
+
+	// A datagram every 10 ms; if1 is down from 35 to 65 ms.
+	for i := range 10 {
+		k.After(time.Duration(i)*10*time.Millisecond, func() {
+			h1.Send(ipv4.Header{Dst: h2.Addr(), Proto: 200}, make([]byte, 64))
+		})
+	}
+	k.After(35*time.Millisecond, func() { gw.Interface(1).NIC.SetUp(false) })
+	k.After(65*time.Millisecond, func() { gw.Interface(1).NIC.SetUp(true) })
+	k.RunFor(time.Second)
+	want := []string{"gw.if1", "gw.if1", "gw.if1", "gw.if1", "gw.if2", "gw.if2", "gw.if2", "gw.if1", "gw.if1", "gw.if1"}
+	if !slices.Equal(out, want) || delivered != len(want) {
+		t.Fatalf("forwarded out %v, %d delivered; want %v", out, delivered, want)
+	}
+
+	var gotErr *IcmpError
+	h1.OnIcmpError(func(e IcmpError) { gotErr = &e })
+	gw.Interface(1).NIC.SetUp(false)
+	gw.Interface(2).NIC.SetUp(false)
+	if !slices.Equal(seen, []int{2, 1, 2, -1}) {
+		t.Fatalf("link watchers looked up %v, want [2 1 2 -1]", seen)
+	}
+	h1.Send(ipv4.Header{Dst: h2.Addr(), Proto: 200}, make([]byte, 64))
+	k.RunFor(time.Second)
+	if st := gw.Stats(); st.NoRoute != 1 || st.IfaceDown != 0 || gotErr == nil ||
+		gotErr.Type != icmp.TypeDestUnreachable || gotErr.Code != icmp.CodeNetUnreachable {
+		t.Fatalf("with both ways down: %d no-route, %d interface-down drops, ICMP %+v", st.NoRoute, st.IfaceDown, gotErr)
+	}
 }
 
 func TestPingStopCancels(t *testing.T) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # benchguard: allocation-regression gate for the datagram hot path, the
 # header decode under it, the deep output queue, the fragmenting path,
-# the established TCP byte path and the large-table route lookups.
+# the established TCP byte path, the large-table route lookups and the
+# lookup that falls through a down interface.
 #
 # Runs the hot-path benchmarks with -benchmem and compares allocs/op
 # against the committed baseline (BENCH_baseline.txt). Any benchmark
@@ -18,7 +19,7 @@ cd "$(dirname "$0")/.."
 
 BASELINE=BENCH_baseline.txt
 PKGS="./internal/sim/ ./internal/ipv4/ ./internal/phys/ ./internal/stack/ ./internal/tcp/ ./internal/fault/ ./internal/topo/ ./internal/workload/ ./internal/survive/ ./internal/names/"
-PATTERN='BenchmarkEventThroughput|BenchmarkTimerChurn|BenchmarkManyPendingTimers|BenchmarkPolicyQueueDeep|BenchmarkForwardHotPath|BenchmarkSingleHopSend|BenchmarkForwardHotPathIdleInjector|BenchmarkScaleForward|BenchmarkForwardHotPathActiveWorkload|BenchmarkForwardHotPathSurviveCensus|BenchmarkShardedForward|BenchmarkForwardHotPathWithResolverCache|BenchmarkFragmentForwardReassemble|BenchmarkTCPBulkSteadyState|BenchmarkRouteLookupLarge|BenchmarkRouteLookupBlocks|BenchmarkHeaderParse'
+PATTERN='BenchmarkEventThroughput|BenchmarkTimerChurn|BenchmarkManyPendingTimers|BenchmarkPolicyQueueDeep|BenchmarkForwardHotPath|BenchmarkSingleHopSend|BenchmarkForwardHotPathIdleInjector|BenchmarkScaleForward|BenchmarkForwardHotPathActiveWorkload|BenchmarkForwardHotPathSurviveCensus|BenchmarkShardedForward|BenchmarkForwardHotPathWithResolverCache|BenchmarkFragmentForwardReassemble|BenchmarkTCPBulkSteadyState|BenchmarkRouteLookupLarge|BenchmarkRouteLookupBlocks|BenchmarkRouteLookupDownInterface|BenchmarkHeaderParse'
 
 out=$(go test -run '^$' -bench "$PATTERN" -benchmem -benchtime 1000x $PKGS)
 printf '%s\n' "$out"

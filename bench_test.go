@@ -44,6 +44,21 @@ var updatePinned = flag.Bool("update", false, "rewrite testdata/results_seed1988
 // pinnedSeed is the seed every recorded table in EXPERIMENTS.md uses.
 const pinnedSeed = 1988
 
+// pinnedRuns holds every experiment's result at the recorded seed, so
+// that the digest test and the claim test share one run of each. Tests
+// in this package run one at a time.
+var pinnedRuns = map[string]exp.Result{}
+
+// runPinned runs e at the recorded seed, once per test binary.
+func runPinned(e exp.Experiment) exp.Result {
+	r, ok := pinnedRuns[e.ID]
+	if !ok {
+		r = e.Run(pinnedSeed)
+		pinnedRuns[e.ID] = r
+	}
+	return r
+}
+
 // TestAllExperimentsProduceStableResults runs every experiment once at
 // the recorded seed with default parameters and compares a sha256 over
 // what the reader of EXPERIMENTS.md sees — the rendered table and the
@@ -99,5 +114,20 @@ func TestAllExperimentsProduceStableResults(t *testing.T) {
 		if err := os.WriteFile(path, []byte(recorded.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestClaimsHoldAtTheRecordedSeed checks every row's claim on the run
+// the digest test makes.
+func TestClaimsHoldAtTheRecordedSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments take a few seconds")
+	}
+	for _, e := range exp.All {
+		t.Run(e.ID, func(t *testing.T) {
+			if err := e.Claim(runPinned(e)); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }

@@ -195,6 +195,9 @@ func run(o options, stdout, stderr io.Writer) error {
 				rep.Runs, rep.BaseSeed, rep.BaseSeed+int64(rep.Runs)-1, o.parallel)
 			tbl := rep.Table()
 			fmt.Fprintln(stdout, tbl.String())
+			if e.Claimed() {
+				fmt.Fprintf(stdout, "claim held in %d/%d\n", rep.Held, rep.Runs)
+			}
 		}
 		for _, f := range rep.Failures {
 			fmt.Fprintf(stdout, "FAILED replica seed %d: %s\n", f.Seed, f.Error)

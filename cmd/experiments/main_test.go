@@ -12,6 +12,7 @@ import (
 
 	"darpanet/internal/exp"
 	"darpanet/internal/fault"
+	"darpanet/internal/harness"
 	"darpanet/internal/phys"
 	"darpanet/internal/tcp"
 	"darpanet/internal/topo"
@@ -104,6 +105,46 @@ func TestRunReportsReplicaFailures(t *testing.T) {
 	o.selected = o.selected[1:]
 	if err := run(o, io.Discard, io.Discard); err != nil {
 		t.Fatalf("clean run returned %v", err)
+	}
+}
+
+// TestCampaignCountsItsClaim: a campaign prints how many replicas held
+// the row's claim, and nothing for a row -scenario moved off its recorded
+// scenario. A broken claim (E13 does not collapse at seed 25) is counted,
+// not failed: the run exits 0 and writes the export a claimless run does.
+func TestCampaignCountsItsClaim(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		held string // the claim line, "" for none
+	}{
+		{[]string{"-only", "E5", "-runs", "2"}, "claim held in 2/2"},
+		{[]string{"-only", "E13", "-runs", "2", "-scenario", "qdisc=red;cc=reno"}, ""},
+		{[]string{"-only", "E13", "-seed", "24", "-runs", "2"}, "claim held in 1/2"},
+	} {
+		file := filepath.Join(t.TempDir(), "c.json")
+		o, err := parseArgs(append(tc.args, "-export", "campaign="+file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stdout bytes.Buffer
+		if err := run(o, &stdout, io.Discard); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if got := regexp.MustCompile(`(?m)^claim held.*$`).FindString(stdout.String()); got != tc.held {
+			t.Fatalf("%v: claim line %q, want %q:\n%s", tc.args, got, tc.held, stdout.String())
+		}
+		if tc.held != "claim held in 1/2" {
+			continue
+		}
+		var want bytes.Buffer
+		e := o.selected[0]
+		c := harness.Campaign{Runs: o.runs, BaseSeed: o.seed}
+		if err := harness.WriteJSON(&want, o.seed, o.runs, []*harness.Report{c.RunFunc(e.ID, e.Title, e.Run)}); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(file); err != nil || !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%v: the campaign export differs from one that checks no claim (%v)", tc.args, err)
+		}
 	}
 }
 

@@ -174,6 +174,71 @@ type Experiment struct {
 	// run otherwise than set asks, so With fails before any replica
 	// does: set is the caller's Params, sc that filled from scenario.
 	check func(set, sc Params) error
+	// claim is the paper's argument the experiment carries, as checks on
+	// its result's named metrics (EXPERIMENTS.md states each in words);
+	// With drops it from a row it moves off the recorded scenario.
+	claim func(*claims)
+}
+
+// Claim checks r against the row's claim: nil if it held, else an error
+// naming the metric and the value that broke it. A metric r lacks breaks
+// it, and a row that carries no claim answers every result with an error.
+func (e Experiment) Claim(r Result) error {
+	if e.claim == nil {
+		return fmt.Errorf("%s: no claim off the recorded scenario", e.ID)
+	}
+	c := claims{r: r}
+	if e.claim(&c); c.err != nil {
+		return fmt.Errorf("%s claim: %w", e.ID, c.err)
+	}
+	return nil
+}
+
+// Claimed reports whether the row carries a claim.
+func (e Experiment) Claimed() bool { return e.claim != nil }
+
+// claims reads a result's named metrics for a claim and keeps the first
+// check that failed — a metric the result lacks, or one whose value
+// breaks its bound — so a claim is a list of checks with no plumbing.
+type claims struct {
+	r   Result
+	err error
+}
+
+// v returns the named metric; a metric the result lacks fails the claim.
+func (c *claims) v(name string) float64 {
+	for _, m := range c.r.Metrics {
+		if m.Name == name {
+			return m.Value
+		}
+	}
+	if c.err == nil {
+		c.err = fmt.Errorf("no metric %s", name)
+	}
+	return 0
+}
+
+// at checks that the named metric reads op want.
+func (c *claims) at(name, op string, want float64) {
+	if v := c.v(name); c.err == nil && !ops[op](v, want) {
+		c.err = fmt.Errorf("%s = %g, want %s %g", name, v, op, want)
+	}
+}
+
+// vs checks that metric a reads op metric b.
+func (c *claims) vs(a, op, b string) {
+	if x, y := c.v(a), c.v(b); c.err == nil && !ops[op](x, y) {
+		c.err = fmt.Errorf("%s = %g, want %s %s = %g", a, x, op, b, y)
+	}
+}
+
+// ops are the comparisons a claim states.
+var ops = map[string]func(x, y float64) bool{
+	"<":  func(x, y float64) bool { return x < y },
+	"<=": func(x, y float64) bool { return x <= y },
+	"==": func(x, y float64) bool { return x == y },
+	">=": func(x, y float64) bool { return x >= y },
+	">":  func(x, y float64) bool { return x > y },
 }
 
 // Run drives the experiment at seed under its scenario and stamps the
@@ -194,24 +259,86 @@ func lab(run func(seed int64) Result) func(int64, Params) Result {
 func ptr[T any](v T) *T { return &v }
 
 // All lists the experiments in paper order, each with the scenario its
-// EXPERIMENTS.md tables record.
+// EXPERIMENTS.md tables record and the claim they defend.
 var All = []Experiment{
-	{ID: "E1", Title: "Survivability: fate-sharing datagrams vs virtual circuits under gateway failure", drive: lab(RunE1)},
-	{ID: "E2", Title: "Types of service: four transports on one datagram layer", drive: lab(RunE2)},
-	{ID: "E3", Title: "Varieties of networks: one TCP connection across four unlike subnets", drive: lab(RunE3)},
-	{ID: "E4", Title: "Distributed management: routing convergence without central control", drive: lab(RunE4)},
-	{ID: "E5", Title: "Cost of generality: header and retransmission overhead", drive: lab(RunE5)},
-	{ID: "E6", Title: "Host attachment: the damage a naive host's TCP does", drive: lab(RunE6)},
-	{ID: "E7", Title: "Accountability: the datagram is the wrong accounting unit", drive: lab(RunE7)},
-	{ID: "E8", Title: "Datagrams need no setup: first-byte latency vs circuit establishment", drive: lab(RunE8)},
-	{ID: "E9", Title: "Byte-stream sequence space: repacketization on retransmit", drive: lab(RunE9)},
-	{ID: "E10", Title: "Flow/congestion control: 1988 TCP with and without Van Jacobson", drive: lab(RunE10)},
+	{ID: "E1", Title: "Survivability: fate-sharing datagrams vs virtual circuits under gateway failure", drive: lab(RunE1),
+		claim: func(c *claims) {
+			c.at("dg_crash_survived", "==", 1)
+			c.at("vc_crash_survived", "==", 0)
+		}},
+	{ID: "E2", Title: "Types of service: four transports on one datagram layer", drive: lab(RunE2),
+		claim: func(c *claims) { c.vs("prio_voice_miss", "<", "fifo_voice_miss") }},
+	{ID: "E3", Title: "Varieties of networks: one TCP connection across four unlike subnets", drive: lab(RunE3),
+		claim: func(c *claims) {
+			for _, name := range []string{"single_lan_done", "single_serial_done", "single_radio_done", "single_tiny_done", "gauntlet_done"} {
+				c.at(name, "==", 1)
+			}
+			c.at("gauntlet_frags", ">", 0)
+		}},
+	{ID: "E4", Title: "Distributed management: routing convergence without central control", drive: lab(RunE4),
+		claim: func(c *claims) {
+			c.at("linkcut_reconverged", "==", 1)
+			c.at("crash_reconverged", "==", 1)
+			c.at("static_linkcut_repaired", "==", 0)
+		}},
+	{ID: "E5", Title: "Cost of generality: header and retransmission overhead", drive: lab(RunE5),
+		claim: func(c *claims) {
+			for _, loss := range []int{0, 2, 5, 10} {
+				c.at(fmt.Sprintf("tcp_delivered_loss%d", loss), "==", 300_000)
+			}
+		}},
+	{ID: "E6", Title: "Host attachment: the damage a naive host's TCP does", drive: lab(RunE6),
+		claim: func(c *claims) { c.vs("naive_partner_drops", ">", "good_partner_drops") }},
+	{ID: "E7", Title: "Accountability: the datagram is the wrong accounting unit", drive: lab(RunE7),
+		claim: func(c *claims) {
+			c.vs("attributed_limit36", "<", "attributed_limit0")
+			c.vs("attributed_limit8", "<", "attributed_limit36")
+			c.vs("attributed_limit1", "<", "attributed_limit8")
+		}},
+	{ID: "E8", Title: "Datagrams need no setup: first-byte latency vs circuit establishment", drive: lab(RunE8),
+		claim: func(c *claims) {
+			gap := 0.0
+			for _, hops := range []int{1, 2, 4, 6} {
+				udp, vc := fmt.Sprintf("udp_first_byte_%dhops", hops), fmt.Sprintf("vc_first_byte_%dhops", hops)
+				for _, name := range []string{udp, fmt.Sprintf("tcp_first_byte_%dhops", hops), vc} {
+					c.at(name, ">=", 0)
+				}
+				if lag := c.v(vc) - c.v(udp); c.err == nil && lag <= gap {
+					c.err = fmt.Errorf("%s - %s = %g, want > %g, the lag one path shorter", vc, udp, lag, gap)
+				} else {
+					gap = lag
+				}
+			}
+		}},
+	{ID: "E9", Title: "Byte-stream sequence space: repacketization on retransmit", drive: lab(RunE9),
+		claim: func(c *claims) { c.vs("repack_retrans", "<", "orig_retrans") }},
+	{ID: "E10", Title: "Flow/congestion control: 1988 TCP with and without Van Jacobson", drive: lab(RunE10),
+		claim: func(c *claims) {
+			for _, n := range []int{1, 4, 8} {
+				c.vs(fmt.Sprintf("drops_%dsenders_nocc", n), ">", fmt.Sprintf("drops_%dsenders_vj", n))
+			}
+		}},
 	{ID: "E11", Title: "Recovery under scripted failure: fault injection, reconvergence, blackout loss",
-		drive: runE11, scenario: Params{Faults: preset("mixed")}},
+		drive: runE11, scenario: Params{Faults: preset("mixed")},
+		claim: func(c *claims) {
+			c.at("events_injected", "==", 12)
+			c.at("tcp_survived", "==", 1)
+			c.at("tcp_delivered", ">=", 4_000_000)
+			c.at("reconverge_mean_s", ">", 0)
+			c.at("reconverge_mean_s", "<=", 30)
+			c.at("blackout_lost_frames", ">", 0)
+			c.at("events_reconverged", ">=", 8)
+		}},
 	{ID: "E12", Title: "Scale: convergence, forwarding cost and conservation on a generated internet",
-		drive: runE12, scenario: Params{Topo: ptr(topo.DefaultSpec())}},
+		drive: runE12, scenario: Params{Topo: ptr(topo.DefaultSpec())},
+		claim: func(c *claims) {
+			for _, name := range []string{"converged", "audit_routeworks", "audit_optimal", "tcp_done"} {
+				c.at(name, "==", 1)
+			}
+			c.at("frame_ledger_delta", "==", 0)
+		}},
 	{ID: "E13", Title: "Congestion collapse: goodput vs offered load through the cliff",
-		drive: runE13, check: e13Hosts,
+		drive: runE13, check: e13Hosts, claim: func(c *claims) { c.at("collapsed", "==", 1) },
 		// Loads are T1 multiples: 12 T1 stub trunks feed a 3-trunk
 		// transit ring, so the sweep pushes well past one trunk and its
 		// top points sit far beyond the knee. Flows are admitted for
@@ -228,9 +355,19 @@ var All = []Experiment{
 		scenario: Params{Topo: ptr(e13Topo()),
 			Policies: []phys.PolicySpec{{Kind: phys.PolicyDropTail}, {Kind: phys.PolicyRED}, {Kind: phys.PolicyECN}},
 			CCs:      []string{tcp.CCNaive, tcp.CCTahoe, tcp.CCReno, tcp.CCNewReno},
-			Loads:    []float64{1, 4, 16, 32}, Window: 15 * time.Second, Drain: 10 * time.Second}},
+			Loads:    []float64{1, 4, 16, 32}, Window: 15 * time.Second, Drain: 10 * time.Second},
+		claim: func(c *claims) {
+			cell := func(policy, cc, leaf string) string { return "t/transitstub/" + policy + "/" + cc + "/" + leaf }
+			for _, policy := range []string{"droptail", "red", "ecn"} {
+				for _, cc := range []string{"tahoe", "reno", "newreno"} {
+					c.vs(cell(policy, cc, "peak_goodput"), ">", cell(policy, "naive", "peak_goodput"))
+					c.vs(cell(policy, cc, "collapse_ratio"), ">=", cell(policy, "naive", "collapse_ratio"))
+				}
+			}
+			c.at(cell("droptail", "naive", "collapse_ratio"), "<", 1)
+		}},
 	{ID: "E14", Title: "Survivability frontier: cut-set-targeted vs random failure at matched budgets",
-		drive: runE14,
+		drive: runE14, claim: func(c *claims) { c.at("targeted_worse", "==", 1) },
 		// A 4-transit ring with 4 stub gateways each — 20 gateways, 36
 		// nets, 16 hosts, T1 trunks: the ring is 2-connected, but every
 		// access trunk is a bridge and every transit gateway an
@@ -247,9 +384,19 @@ var All = []Experiment{
 		// Three directory replicas on stub gateways spread across a
 		// transit-stub graph, cut into two regions.
 		scenario: Params{Topo: &topo.Spec{Shape: topo.TransitStub, Gateways: 6, StubsPer: 3, Hosts: 2, Directories: 3},
-			Regions: 2, Shards: 1}},
+			Regions: 2, Shards: 1},
+		claim: func(c *claims) {
+			c.vs("n/name/continuity", ">", "n/pin/continuity")
+			c.at("n/name/attach_ok", "==", 1)
+		}},
 	{ID: "E16", Title: "Sharded kernel: 2000 gateways under conservative link-delay synchronization",
-		drive: runE16, scenario: Params{Topo: ptr(E16Spec()), Regions: 8, Shards: 1}},
+		drive: runE16, scenario: Params{Topo: ptr(E16Spec()), Regions: 8, Shards: 1},
+		claim: func(c *claims) {
+			for _, name := range []string{"audit_delivers", "audit_optimal", "udp_delivered", "tcp_done"} {
+				c.at(name, "==", 1)
+			}
+			c.at("frame_ledger_delta", "==", 0)
+		}},
 }
 
 // ByID returns the experiment with the given ID.

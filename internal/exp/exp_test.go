@@ -1,9 +1,9 @@
 package exp
 
 import (
-	"fmt"
 	"math"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -25,7 +25,7 @@ func TestRegistryComplete(t *testing.T) {
 			t.Fatalf("duplicate id %s", e.ID)
 		}
 		seen[e.ID] = true
-		if e.drive == nil || e.Title == "" {
+		if e.drive == nil || e.Title == "" || e.claim == nil {
 			t.Fatalf("%s incomplete", e.ID)
 		}
 	}
@@ -34,6 +34,17 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if _, ok := ByID("E99"); ok {
 		t.Fatal("ByID invented an experiment")
+	}
+}
+
+// TestNoVacuousClaim: every row's claim reads the metrics it judges, so
+// on a result that has none it fails, naming the first it missed — a
+// claim that checks nothing would pass.
+func TestNoVacuousClaim(t *testing.T) {
+	for _, e := range All {
+		if err := e.Claim(Result{}); err == nil || !regexp.MustCompile(`^`+e.ID+` claim: no metric [a-z0-9_/]+$`).MatchString(err.Error()) {
+			t.Errorf("%s.Claim(Result{}) = %v, want an error naming a missing metric", e.ID, err)
+		}
 	}
 }
 
@@ -46,130 +57,28 @@ func row(id string) Experiment {
 	return e
 }
 
-// The experiment smoke tests assert the *shape* of each result — who
-// wins, roughly by how much — matching the reproduction contract in
-// EXPERIMENTS.md. Full determinism is asserted at the repo root.
+// The shape tests check, at the recorded seed, the claims of the
+// experiments that run in well under a second; the root package checks
+// every claim on the run it digests.
 
-func cell(r Result, row, col int) string { return r.Table.Rows[row][col] }
-
-func TestE1Shape(t *testing.T) {
-	r := RunE1(1988)
-	// Row layout: pairs of (datagram, vc) per fault; fault #2 is the
-	// gateway crash.
-	if cell(r, 2, 2) != "yes" {
-		t.Fatalf("datagram connection did not survive the crash: %v", r.Table.Rows[2])
-	}
-	if cell(r, 3, 2) != "no" {
-		t.Fatalf("virtual circuit survived a switch crash: %v", r.Table.Rows[3])
-	}
-}
-
-func TestE2Shape(t *testing.T) {
-	r := RunE2(1988)
-	// ToS precedence at the gateways must spare voice the bulk stream's queue.
-	if prio, fifo := metric(t, r, "prio_voice_miss"), metric(t, r, "fifo_voice_miss"); prio >= fifo {
-		t.Fatalf("voice missed %v%% of deadlines with priority queueing, %v%% without", prio, fifo)
-	}
-}
-
-func TestE3Shape(t *testing.T) {
-	r := RunE3(1988)
-	// Every net carries the transfer alone, and all four in one path,
-	// where the gateways must fragment the sender's 1400-byte segments.
-	for _, name := range []string{"single_lan_done", "single_serial_done", "single_radio_done", "single_tiny_done", "gauntlet_done"} {
-		if metric(t, r, name) != 1 {
-			t.Fatalf("%s: the transfer did not complete", name)
-		}
-	}
-	if metric(t, r, "gauntlet_frags") == 0 {
-		t.Fatal("no gateway on the gauntlet fragmented")
-	}
-}
-
-func TestE4Shape(t *testing.T) {
-	r := RunE4(1988)
-	// Distance-vector routing repairs a cut link and a crashed gateway
-	// with no central control; static routes leave the cut unrepaired.
-	for _, name := range []string{"linkcut_reconverged", "crash_reconverged"} {
-		if metric(t, r, name) != 1 {
-			t.Fatalf("%s: RIP never reconverged", name)
-		}
-	}
-	if metric(t, r, "static_linkcut_repaired") != 0 {
-		t.Fatal("static routes repaired a cut link")
-	}
-}
-
-func TestE6Shape(t *testing.T) {
-	r := RunE6(1988)
-	// A naive host's TCP costs the shared gateway more drops than a
-	// well-behaved one does.
-	if naive, good := metric(t, r, "naive_partner_drops"), metric(t, r, "good_partner_drops"); naive <= good {
-		t.Fatalf("the naive partner caused %v drops, the good one %v", naive, good)
-	}
-}
-
-func TestE7Shape(t *testing.T) {
-	r := RunE7(1988)
-	// Attribution falls strictly as the gateway's flow table shrinks:
-	// unlimited, then capped at 36, 8 and 1 entries.
-	prev := 101.0
-	for _, limit := range []int{0, 36, 8, 1} {
-		got := metric(t, r, fmt.Sprintf("attributed_limit%d", limit))
-		if got >= prev {
-			t.Fatalf("a table of %d attributes %.1f%% of packets, not less than the %.1f%% of the larger one", limit, got, prev)
-		}
-		prev = got
-	}
-}
-
-func TestE9Shape(t *testing.T) {
-	r := RunE9(1988)
-	// Repacketization must need strictly fewer retransmissions.
-	with, without := metric(t, r, "repack_retrans"), metric(t, r, "orig_retrans")
-	if with >= without {
-		t.Fatalf("repacketization took %v retransmissions, the original segmentation %v", with, without)
-	}
-}
-
-func TestE8Shape(t *testing.T) {
-	r := RunE8(1988)
-	// Every first byte arrives, UDP's strictly before the circuit's at
-	// every hop count, and the circuit's lag grows with the path.
-	gap := 0.0
-	for _, hops := range []int{1, 2, 4, 6} {
-		udp := metric(t, r, fmt.Sprintf("udp_first_byte_%dhops", hops))
-		vc := metric(t, r, fmt.Sprintf("vc_first_byte_%dhops", hops))
-		tcp := metric(t, r, fmt.Sprintf("tcp_first_byte_%dhops", hops))
-		if udp < 0 || vc < 0 || tcp < 0 {
-			t.Fatalf("%d hops: a first byte never arrived (udp %v, tcp %v, vc %v ms)", hops, udp, tcp, vc)
-		}
-		if vc-udp <= gap {
-			t.Fatalf("%d hops: VC lags UDP by %.1fms, not more than the %.1fms of the shorter path", hops, vc-udp, gap)
-		}
-		gap = vc - udp
-	}
-}
-
-// lookup returns the named metric of r (0, false when absent).
-func lookup(r Result, name string) (float64, bool) {
-	for _, m := range r.Metrics {
-		if m.Name == name {
-			return m.Value, true
-		}
-	}
-	return 0, false
-}
-
-// metric returns the named metric of r, failing the test if r lacks it.
-func metric(t *testing.T, r Result, name string) float64 {
+// claimHolds runs row id at seed 1988 and fails t unless its claim held.
+func claimHolds(t *testing.T, id string) {
 	t.Helper()
-	v, ok := lookup(r, name)
-	if !ok {
-		t.Fatalf("no metric %q", name)
+	e := row(id)
+	if err := e.Claim(e.Run(1988)); err != nil {
+		t.Fatal(err)
 	}
-	return v
 }
+
+func TestE1Shape(t *testing.T)  { claimHolds(t, "E1") }
+func TestE2Shape(t *testing.T)  { claimHolds(t, "E2") }
+func TestE3Shape(t *testing.T)  { claimHolds(t, "E3") }
+func TestE4Shape(t *testing.T)  { claimHolds(t, "E4") }
+func TestE6Shape(t *testing.T)  { claimHolds(t, "E6") }
+func TestE7Shape(t *testing.T)  { claimHolds(t, "E7") }
+func TestE8Shape(t *testing.T)  { claimHolds(t, "E8") }
+func TestE9Shape(t *testing.T)  { claimHolds(t, "E9") }
+func TestE11Shape(t *testing.T) { claimHolds(t, "E11") }
 
 // TestEveryExperimentEmitsMetrics pins the campaign contract on the
 // drivers: every experiment records named scalar metrics with unique
@@ -230,61 +139,33 @@ func TestYesNoAndHelpers(t *testing.T) {
 	}
 }
 
-func TestE11Shape(t *testing.T) {
-	r := row("E11").Run(1988)
-	get := func(name string) float64 {
-		v, ok := lookup(r, name)
-		if !ok {
-			t.Fatalf("metric %s missing", name)
-		}
-		return v
-	}
-	if got := get("events_injected"); got != 12 {
-		t.Fatalf("events_injected = %g, want 12 (mixed preset)", got)
-	}
-	if get("tcp_survived") != 1 {
-		t.Fatal("transfer did not survive the mixed schedule")
-	}
-	if got := get("tcp_delivered"); got < 4_000_000 {
-		t.Fatalf("tcp_delivered = %g, want >= 4MB", got)
-	}
-	if v := get("reconverge_mean_s"); v <= 0 || v > 30 {
-		t.Fatalf("reconverge_mean_s = %g, want (0, 30]", v)
-	}
-	if get("blackout_lost_frames") == 0 {
-		t.Fatal("no frames lost across blackout windows — loss accounting broken")
-	}
-	// Most events recover before the next one fires; only the fast flap
-	// cuts are legitimately superseded.
-	if got := get("events_reconverged"); got < 8 {
-		t.Fatalf("events_reconverged = %g, want >= 8", got)
-	}
-}
-
 // TestWithBindsOnlyWhatAnExperimentTakes pins Experiment.With: keys an
-// experiment does not take leave its title untouched, keys it takes
-// suffix Title in the scenario form — Shards leaves no trace in a
-// report — every field left zero keeps the recorded value, and values
-// the text form refuses, or a negative count, are rejected.
+// experiment does not take leave its title and claim untouched, keys it
+// takes suffix Title in the scenario form and drop the claim — Shards
+// does neither — every field left zero keeps the recorded value, and
+// values the text form refuses, or a negative count, are rejected.
 func TestWithBindsOnlyWhatAnExperimentTakes(t *testing.T) {
 	spec := topo.Spec{Shape: topo.Waxman, Gateways: 12, Alpha: 0.25, Beta: 0.4, Hosts: 1}
 
 	e1 := row("E1")
 	got, err := e1.With(Params{Topo: &spec, Shards: 2, Fracs: []float64{0.1}})
-	if err != nil || got.Title != e1.Title {
-		t.Fatalf("E1 takes no parameter but With changed its title: %q, %v", got.Title, err)
+	if err != nil || got.Title != e1.Title || !got.Claimed() {
+		t.Fatalf("E1 takes no parameter but With changed its title to %q or dropped its claim (claimed %v): %v", got.Title, got.Claimed(), err)
 	}
 
 	e15 := row("E15")
 	got, err = e15.With(Params{Shards: 2})
-	if err != nil || got.Title != e15.Title || got.scenario.Shards != 2 || got.scenario.Regions != e15.scenario.Regions {
-		t.Fatalf("E15 with Shards: title %q (want unchanged), scenario %+v, err %v", got.Title, got.scenario, err)
+	if err != nil || got.Title != e15.Title || got.scenario.Shards != 2 || got.scenario.Regions != e15.scenario.Regions || !got.Claimed() {
+		t.Fatalf("E15 with Shards: title %q (want unchanged), scenario %+v, claimed %v (want true), err %v", got.Title, got.scenario, got.Claimed(), err)
+	}
+	if got, err = e15.With(Params{Regions: 3}); err != nil || got.Claimed() {
+		t.Fatalf("E15 with Regions 3, a Go-only knob, kept its claim (err %v)", err)
 	}
 
 	e13 := row("E13")
 	got, err = e13.With(Params{CCs: []string{tcp.CCReno}})
-	if want := e13.Title + " [cc=reno]"; err != nil || got.Title != want || got.scenario.Policies[0] != e13.scenario.Policies[0] {
-		t.Fatalf("E13 with cc: title %q, want %q; scenario %+v (err %v)", got.Title, want, got.scenario, err)
+	if want := e13.Title + " [cc=reno]"; err != nil || got.Title != want || got.scenario.Policies[0] != e13.scenario.Policies[0] || got.Claimed() {
+		t.Fatalf("E13 with cc: title %q, want %q; scenario %+v; claimed %v, want false (err %v)", got.Title, want, got.scenario, got.Claimed(), err)
 	}
 
 	e13t := row("E13-T")
@@ -338,9 +219,6 @@ func TestRunStampsTheRowTitle(t *testing.T) {
 	}
 }
 
-// TestParseParamsRefuses: every refusal names the scenario and the term
-// whole — a key given twice, a key no table has, and a value its own
-// grammar refuses — and a blank scenario is the zero Params.
 // TestE15RefusesATopoItCannotCast: a topo that places fewer than two
 // directory replicas, or whose replicas own every stub LAN, used to pass
 // With and fail every replica with a panic in E15's driver.
@@ -372,6 +250,9 @@ func TestE15RefusesATopoItCannotCast(t *testing.T) {
 	}
 }
 
+// TestParseParamsRefuses: every refusal names the scenario and the term
+// whole — a key given twice, a key no table has, and a value its own
+// grammar refuses — and a blank scenario is the zero Params.
 func TestParseParamsRefuses(t *testing.T) {
 	for text, want := range map[string]string{
 		"cc=vegas":               "scenario: cc=vegas: want one of naive, newreno, reno, tahoe",
@@ -415,15 +296,12 @@ func TestE13CCRunsTheTournamentCell(t *testing.T) {
 	e13 := withRun(t, "E13", p)
 	p.Policies = []phys.PolicySpec{{Kind: phys.PolicyDropTail}}
 	e13t := withRun(t, "E13-T", p)
-	for _, m := range []struct{ e13, e13t string }{
-		{"peak_goodput", "t/transitstub/droptail/reno/peak_goodput"},
-		{"l0_done", "t/transitstub/droptail/reno/done"},
-	} {
-		got, ok := lookup(e13, m.e13)
-		want, wantOK := lookup(e13t, m.e13t)
-		if !ok || !wantOK || got != want {
-			t.Errorf("E13 -cc reno %s = %g (present %v), E13-T %s = %g (present %v)", m.e13, got, ok, m.e13t, want, wantOK)
-		}
+	// The two results name no metric alike, so one claims reads both.
+	c := claims{r: Result{Metrics: append(e13.Metrics, e13t.Metrics...)}}
+	c.vs("peak_goodput", "==", "t/transitstub/droptail/reno/peak_goodput")
+	c.vs("l0_done", "==", "t/transitstub/droptail/reno/done")
+	if c.err != nil {
+		t.Errorf("E13 -cc reno against E13-T's droptail/reno cell: %v", c.err)
 	}
 }
 

@@ -171,7 +171,8 @@ func (e Experiment) Takes(key string) bool { return slices.Contains(e.scenario.F
 // results and title, and With on E1–E10 changes nothing a run shows. A
 // value built in Go is held to what the text form accepts by parsing
 // its text back — all but Faults, since a schedule in hand was parsed
-// already and its name need not be a file that can be read.
+// already and its name need not be a file that can be read. A row moved
+// off its recorded scenario carries no claim.
 func (e Experiment) With(p Params) (Experiment, error) {
 	q := p
 	q.Faults = nil
@@ -189,6 +190,13 @@ func (e Experiment) With(p Params) (Experiment, error) {
 	}
 	if tag := p.Fields().Only(e.scenario.Fields().Shown()...).Join(";"); tag != "" {
 		e.Title += " [" + tag + "]"
+	}
+	// A claim is the recorded scenario's: it goes when a field the driver
+	// reads moves, but not for Shards, on which no result depends.
+	same := sc
+	same.Shards = e.scenario.Shards
+	if !reflect.DeepEqual(fill(e.scenario, same), same) {
+		e.claim = nil
 	}
 	e.scenario = sc
 	return e, nil

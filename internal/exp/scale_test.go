@@ -70,17 +70,14 @@ func TestTrafficMatrixOnEveryBuild(t *testing.T) {
 				if len(tm.queries) != 8 || len(tm.xfers) != 4 {
 					t.Fatalf("matrix = %d queries + %d transfers, want 8 + 4 on 16 hosts", len(tm.queries), len(tm.xfers))
 				}
-				for _, want := range []struct {
-					metric string
-					value  float64
-				}{
-					{"udp_sent", 8 * 20}, {"udp_delivered", 1},
-					{"tcp_done", 1}, {"tcp_bytes", 4 * matrixXferBytes},
-					{"frame_ledger_delta", 0}, // over all of the internet's kernels
-				} {
-					if got, ok := lookup(res, want.metric); !ok || got != want.value {
-						t.Errorf("%s = %v over %d kernel(s), want %v", want.metric, got, len(nw.Kernels()), want.value)
-					}
+				c := claims{r: res}
+				c.at("udp_sent", "==", 8*20)
+				c.at("udp_delivered", "==", 1)
+				c.at("tcp_done", "==", 1)
+				c.at("tcp_bytes", "==", 4*matrixXferBytes)
+				c.at("frame_ledger_delta", "==", 0) // over all of the internet's kernels
+				if c.err != nil {
+					t.Errorf("over %d kernel(s): %v", len(nw.Kernels()), c.err)
 				}
 				for i, tr := range tm.xfers {
 					if tr.Err != nil || tr.BytesRx != tr.Size || tr.Mismatched != 0 {

@@ -18,6 +18,7 @@ package harness
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"darpanet/internal/exp"
 )
@@ -43,9 +44,19 @@ type replica struct {
 	err    error
 }
 
-// RunExperiment executes the campaign for one registered experiment.
+// RunExperiment executes the campaign for one registered experiment and
+// counts the replicas whose result holds its claim.
 func (c Campaign) RunExperiment(e exp.Experiment) *Report {
-	return c.RunFunc(e.ID, e.Title, e.Run)
+	var held atomic.Int64
+	rep := c.RunFunc(e.ID, e.Title, func(seed int64) exp.Result {
+		r := e.Run(seed)
+		if e.Claim(r) == nil {
+			held.Add(1)
+		}
+		return r
+	})
+	rep.Held = int(held.Load())
+	return rep
 }
 
 // RunFunc executes the campaign for any seeded experiment function and

@@ -201,7 +201,8 @@ func TestReportTable(t *testing.T) {
 
 // TestRunRegisteredExperiment closes the loop with the real registry: a
 // small campaign over E5 must aggregate every driver metric with one
-// sample per replica, concurrently.
+// sample per replica, concurrently, and count the replicas that held
+// its claim.
 func TestRunRegisteredExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real experiment campaign")
@@ -226,7 +227,7 @@ func TestRunRegisteredExperiment(t *testing.T) {
 			t.Fatalf("%s: mean=%v", m.Name, m.Mean)
 		}
 	}
-	if fmt.Sprint(rep.ID) != "E5" {
-		t.Fatalf("id = %s", rep.ID)
+	if fmt.Sprint(rep.ID) != "E5" || rep.Held != 8 {
+		t.Fatalf("id = %s, claim held in %d/8", rep.ID, rep.Held)
 	}
 }

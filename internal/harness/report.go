@@ -51,6 +51,9 @@ type Report struct {
 	// single-seed table campaign callers print alongside the
 	// aggregates. Not part of the machine-readable export.
 	First *exp.Result `json:"-"`
+	// Held counts the replicas whose result held the experiment's
+	// claim (exp.Experiment.Claim); not exported either.
+	Held int `json:"-"`
 }
 
 // aggregate folds the finished replicas into per-metric summaries.

@@ -53,20 +53,21 @@ type gauge struct {
 // No path is stored: owners gains an entry when the owner differs from
 // the previous registration's (a node registers its descriptors
 // together), and kinds holds each "/layer/name" once, so that a path is
-// owner + kind. Snapshot renders the paths, puts the bindings in path
-// order and tells two registrations of one path apart, not Counter or
-// Gauge.
+// owner + kind; kindIDs finds a kind's index from its layer and name.
+// Snapshot renders the paths, puts the bindings in path order and tells
+// two registrations of one path apart, not Counter or Gauge.
 type Registry struct {
 	bindings []binding
 	owners   []string
 	kinds    []string
 	gauges   []gauge
+	kindIDs  map[[2]string]uint32
 	sorted   int // bindings[:sorted] are in path order
 	size     int // the bytes of every path, repeats' suffixes aside
 }
 
 // NewRegistry returns an empty registry. Most callers want For instead.
-func NewRegistry() *Registry { return &Registry{} }
+func NewRegistry() *Registry { return &Registry{kindIDs: map[[2]string]uint32{}} }
 
 // regKey is the kernel-value key under which a kernel's registry lives.
 type regKey struct{}
@@ -119,11 +120,19 @@ func (r *Registry) add(node, layer, name string, v *uint64, fn func() uint64) {
 // kind returns the index of "/layer/name" in kinds, interning it on
 // first use; a registry holds a few dozen.
 func (r *Registry) kind(layer, name string) uint32 {
-	if i := slices.Index(r.kinds, "/"+layer+"/"+name); i >= 0 {
-		return uint32(i)
+	key := [2]string{layer, name}
+	if i, ok := r.kindIDs[key]; ok {
+		return i
 	}
-	r.kinds = append(r.kinds, "/"+layer+"/"+name)
-	return uint32(len(r.kinds) - 1)
+	// A layer or a name may hold '/', so two keys can render one kind.
+	k := "/" + layer + "/" + name
+	i := slices.Index(r.kinds, k)
+	if i < 0 {
+		i = len(r.kinds)
+		r.kinds = append(r.kinds, k)
+	}
+	r.kindIDs[key] = uint32(i)
+	return uint32(i)
 }
 
 // kindOf returns the index of b's kind in kinds.

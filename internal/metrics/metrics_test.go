@@ -101,14 +101,15 @@ func TestDuplicateSuffixesFollowRegistrationOrder(t *testing.T) {
 // 24 B each, where a stored path alone was 15 to 19. The bytes are
 // counted from the capacities the registry holds, as
 // TestRouteTableFootprint counts a route table's, and the struct may
-// hold nothing but its four tables and two counts, so no
-// per-descriptor state escapes the count. A snapshot with no repeated
+// hold nothing but its four tables, the kind index and two counts, so
+// no per-descriptor state escapes the count. The index is counted as
+// one key and id per kind. A snapshot with no repeated
 // path allocates its entries and the one string its paths are cut from.
 func TestRegistryFootprint(t *testing.T) {
 	if size := unsafe.Sizeof(binding{}); size != 16 {
 		t.Fatalf("binding is %d bytes, want 16", size)
 	}
-	if size, tables := unsafe.Sizeof(Registry{}), 4*unsafe.Sizeof([]byte(nil))+2*unsafe.Sizeof(0); size != tables {
+	if size, tables := unsafe.Sizeof(Registry{}), 4*unsafe.Sizeof([]byte(nil))+unsafe.Sizeof(map[[2]string]uint32(nil))+2*unsafe.Sizeof(0); size != tables {
 		t.Fatalf("Registry is %d bytes, want %d: it holds more than its tables", size, tables)
 	}
 	const n = 10_000
@@ -125,7 +126,8 @@ func TestRegistryFootprint(t *testing.T) {
 	held := cap(r.bindings)*int(unsafe.Sizeof(binding{})) +
 		cap(r.owners)*int(unsafe.Sizeof("")) +
 		cap(r.gauges)*int(unsafe.Sizeof(gauge{})) +
-		cap(r.kinds)*int(unsafe.Sizeof(""))
+		cap(r.kinds)*int(unsafe.Sizeof("")) +
+		len(r.kindIDs)*int(unsafe.Sizeof([2]string{})+4)
 	for _, k := range r.kinds {
 		held += len(k)
 	}

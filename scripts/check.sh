@@ -235,9 +235,12 @@ run_leg() {
         # Metrics determinism: the campaign JSON (which embeds the full
         # per-layer counter registry as ctr/ metrics) must be
         # byte-identical no matter how many workers ran the replicas.
+        # And E5's claim, every byte delivered at every loss rate, holds
+        # on all four replicas.
         experiments -only E5 -runs 4 -parallel 1 -export campaign="$tmpdir/p1.json"
-        experiments -only E5 -runs 4 -parallel "$(nproc)" -export campaign="$tmpdir/pn.json"
+        $experiments_cmd -only E5 -runs 4 -parallel "$(nproc)" -export campaign="$tmpdir/pn.json" > "$tmpdir/pn.out"
         cmp "$tmpdir/p1.json" "$tmpdir/pn.json"
+        grep -qx 'claim held in 4/4' "$tmpdir/pn.out"
         ;;
     smoke-E13-T)
         # A 2x2 tournament grid (with the topology axis pinned

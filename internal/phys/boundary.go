@@ -14,12 +14,14 @@ import (
 // calls Drain on each half single-threaded.
 //
 // Serialization happens in the sender's epoch at the configured link
-// rate; the propagation delay and jitter are applied at export time, so
-// a frame serialized at time t arrives at t+Delay(+jitter). Because the
-// shard group's lookahead never exceeds the smallest boundary Delay,
-// the arrival instant can never precede the receiving kernel's clock at
-// the barrier — Drain panics if it ever would, making a lookahead
-// misconfiguration loud instead of silently non-causal.
+// rate, and the instant it ends the frame parks in the outbox (export).
+// The propagation delay and jitter are applied at the barrier, so a
+// frame serialized at time t arrives at t+Delay(+jitter), in flight on
+// the peer's wire. Because the shard group's lookahead never exceeds
+// the smallest boundary Delay, the arrival instant can never precede
+// the receiving kernel's clock at the barrier — Drain panics if it ever
+// would, making a lookahead misconfiguration loud instead of silently
+// non-causal.
 //
 // The wire underneath is this half's own: SetDown cuts this half — frames
 // from either direction are lost at the barrier while either half is down
@@ -27,20 +29,17 @@ import (
 // them only from this half's kernel (or at the barrier).
 type Boundary struct {
 	wire
-	txCfg Config // Delay/Jitter zeroed: the transmitter only serializes
-	nic   *NIC
-	peer  *Boundary
-	xmit  *transmitter
+	nic  *NIC
+	peer *Boundary
+	xmit *transmitter
 
 	// outbox holds frames that finished serializing this epoch and wait
 	// for the barrier; the slice is reset (capacity kept) every Drain.
-	// They stay on xmit.inFlight, as do the arrivals Drain has scheduled
-	// into this half's kernel until they are delivered, so the global
-	// conservation ledger (summed across all region registries) balances.
+	// They count in this half's inFlight, as the arrivals Drain puts in
+	// flight on the peer's wire count in the peer's until delivered, so
+	// the global conservation ledger (summed across all region
+	// registries) balances.
 	outbox []outFrame
-	// free recycles crossing records (with their prebound callbacks) so
-	// the barrier handoff allocates nothing in steady state.
-	free []*crossing
 }
 
 // outFrame is a frame awaiting export: serialization finished at "at"
@@ -48,22 +47,6 @@ type Boundary struct {
 type outFrame struct {
 	f  Frame
 	at sim.Time
-}
-
-// crossing is one frame in flight across the boundary, owned by the
-// receiving half. Its callback is bound once and the record recycled.
-type crossing struct {
-	b    *Boundary
-	f    Frame
-	fire func()
-}
-
-func (c *crossing) run() {
-	b, f := c.b, c.f
-	c.f = Frame{}
-	b.free = append(b.free, c)
-	b.xmit.inFlight--
-	b.nic.deliver(f)
 }
 
 // NewBoundaryPair creates the two halves of a cross-shard link between
@@ -78,10 +61,8 @@ func NewBoundaryPair(ka, kb *sim.Kernel, name string, cfg Config) (*Boundary, *B
 		panic(fmt.Sprintf("phys: boundary link %s needs a positive propagation delay (it is the shard lookahead)", name))
 	}
 	mk := func(k *sim.Kernel) *Boundary {
-		b := &Boundary{wire: wire{k: k, name: name, cfg: cfg}}
-		b.txCfg = cfg
-		b.txCfg.Delay, b.txCfg.Jitter = 0, 0
-		b.xmit = newTransmitter(k, &b.txCfg, b.export, &b.Drops)
+		b := &Boundary{wire: wire{k: k, name: name, cfg: cfg, arrive: (*NIC).deliver}}
+		b.xmit = newTransmitter(&b.wire, b.export)
 		registerMedium(&b.wire, nil, nil, b.xmit)
 		return b
 	}
@@ -100,7 +81,7 @@ func (b *Boundary) Attach(name string) *NIC {
 	if b.nic != nil {
 		panic(fmt.Sprintf("phys: boundary half %s already has its end", b.name))
 	}
-	n := &NIC{name: name, addr: 1, medium: b, up: true}
+	n := &NIC{name: name, addr: 1, tx: b.xmit, up: true}
 	if b.peer.nic != nil {
 		n.addr = 2
 	}
@@ -109,12 +90,10 @@ func (b *Boundary) Attach(name string) *NIC {
 	return n
 }
 
-func (b *Boundary) tx(*NIC) *transmitter { return b.xmit }
-
-// export runs in the sending kernel when a frame finishes serializing:
-// the frame parks in the outbox until the epoch barrier.
+// export runs in the sending kernel the instant a frame finishes
+// serializing: the frame parks in the outbox until the epoch barrier.
 func (b *Boundary) export(_ *NIC, f Frame) {
-	b.xmit.inFlight++
+	b.inFlight++
 	b.outbox = append(b.outbox, outFrame{f: f, at: b.k.Now()})
 }
 
@@ -135,18 +114,7 @@ func (b *Boundary) Drain() {
 			f.Release()
 			continue
 		}
-		if b.cfg.Loss > 0 && p.k.Rand().Float64() < b.cfg.Loss {
-			if p.nic != nil {
-				p.nic.stats.RxLost++
-			} else {
-				b.noMatch++
-			}
-			f.Release()
-			continue
-		}
-		if p.nic == nil || (f.Dst != Broadcast && f.Dst != p.nic.addr) {
-			b.noMatch++
-			f.Release()
+		if b.lost(p.k.Rand(), p.nic, f) {
 			continue
 		}
 		arrival := of.at.Add(b.cfg.Delay)
@@ -162,25 +130,8 @@ func (b *Boundary) Drain() {
 		g := Frame{Src: f.Src, Dst: f.Dst, pool: p.nic.pool}
 		g.Payload = clonePayload(p.nic.pool, f.Payload)
 		f.Release()
-		c := p.getCrossing()
-		c.f = g
-		p.xmit.inFlight++
-		p.k.At(arrival, c.fire)
+		p.fly(arrival, p.nic, g)
 	}
-	b.xmit.inFlight -= uint64(len(b.outbox))
+	b.inFlight -= uint64(len(b.outbox))
 	b.outbox = b.outbox[:0]
-}
-
-// getCrossing takes a recycled crossing record or makes one, binding
-// its callback exactly once.
-func (b *Boundary) getCrossing() *crossing {
-	if n := len(b.free); n > 0 {
-		c := b.free[n-1]
-		b.free[n-1] = nil
-		b.free = b.free[:n-1]
-		return c
-	}
-	c := &crossing{b: b}
-	c.fire = c.run
-	return c
 }

@@ -142,7 +142,7 @@ func TestBoundaryDeterministicAcrossWorkers(t *testing.T) {
 
 // TestBoundarySteadyStateAllocs pins the zero-allocation handoff: after
 // warm-up, a sustained cross-boundary stream allocates nothing — not in
-// the transmitter, not in the outbox, not in the crossing records.
+// the transmitter, not in the outbox, not in the peer wire's flights.
 func TestBoundarySteadyStateAllocs(t *testing.T) {
 	cfg := Config{BitsPerSec: 100_000_000, Delay: time.Millisecond, MTU: 1500}
 	g, _, _, na, nb := boundaryWorld(1, 2, cfg, 1)
@@ -163,5 +163,63 @@ func TestBoundarySteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("boundary steady state allocates: %.1f allocs/run", allocs)
+	}
+}
+
+// TestBoundaryExportsAtSerializationEnd pins the send side: the event
+// that ends serialization parks the frame in the outbox itself, leaving
+// the sending kernel nothing to run for it before the barrier.
+func TestBoundaryExportsAtSerializationEnd(t *testing.T) {
+	ka, kb := sim.NewKernel(1), sim.NewKernel(2)
+	ba, bb := NewBoundaryPair(ka, kb, "x0", Config{BitsPerSec: 1_000_000, Delay: time.Millisecond})
+	na, nb := ba.Attach("a.if0"), bb.Attach("b.if0")
+	na.Send(nb.Addr(), make([]byte, 100))
+	ka.Step()
+	if pending, parked := ka.PendingEvents(), len(ba.outbox); pending != 0 || parked != 1 {
+		t.Fatalf("after serialization: %d pending, %d parked; want 0 pending, 1 parked", pending, parked)
+	}
+}
+
+// TestBoundaryLosesWhatP2PLoses holds the two point-to-point media to
+// one loss-and-match rule: with the same configuration and the same
+// receiving-side random stream, a boundary pair loses exactly the
+// frames a P2P link loses.
+func TestBoundaryLosesWhatP2PLoses(t *testing.T) {
+	const frames = 200
+	cfg := Config{BitsPerSec: 1_000_000, Delay: time.Millisecond, MTU: 1500, Loss: 0.3}
+	send := func(k *sim.Kernel, from, to *NIC) {
+		for i := range frames {
+			k.At(sim.Time(i)*sim.Time(time.Millisecond), func() { from.Send(to.Addr(), []byte{byte(i)}) })
+		}
+	}
+	record := func(n *NIC, got *[]byte) {
+		n.SetReceiver(func(f Frame) {
+			*got = append(*got, f.Payload[0])
+			f.Release()
+		})
+	}
+
+	k := sim.NewKernel(2)
+	link := NewP2P(k, "p0", cfg)
+	pa, pb := link.Attach("a.if0"), link.Attach("b.if0")
+	var viaP2P []byte
+	record(pb, &viaP2P)
+	send(k, pa, pb)
+	k.RunFor(frames * 2 * time.Millisecond)
+
+	g, _, _, na, nb := boundaryWorld(1, 2, cfg, 1)
+	var viaBoundary []byte
+	record(nb, &viaBoundary)
+	send(g.Kernels()[0], na, nb)
+	g.RunFor(frames * 2 * time.Millisecond)
+
+	if len(viaP2P) == 0 || len(viaP2P) == frames {
+		t.Fatalf("P2P delivered %d of %d: the loss rule was not exercised", len(viaP2P), frames)
+	}
+	if !reflect.DeepEqual(viaBoundary, viaP2P) {
+		t.Fatalf("boundary delivered %d frames %v,\nP2P %d frames %v", len(viaBoundary), viaBoundary, len(viaP2P), viaP2P)
+	}
+	if lb, lp := nb.Stats().RxLost, pb.Stats().RxLost; lb != lp {
+		t.Fatalf("rx_lost: boundary %d, P2P %d", lb, lp)
 	}
 }

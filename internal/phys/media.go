@@ -2,6 +2,7 @@ package phys
 
 import (
 	"fmt"
+	"math/rand"
 
 	"darpanet/internal/packet"
 	"darpanet/internal/sim"
@@ -19,7 +20,9 @@ func clonePayload(pool *packet.Pool, p []byte) []byte {
 // wire is what every medium is underneath: a named, configured stretch
 // of one kernel's network that can be cut and made lossy, with the
 // counters the conservation ledger reads. P2P, Bus and Boundary embed
-// it, so the fault switches of Medium are written once.
+// it, so the fault switches of Medium are written once. The wire owns
+// every frame in flight on it: one pool of flight records, whose
+// landings all go to arrive.
 type wire struct {
 	k        *sim.Kernel
 	name     string
@@ -28,6 +31,12 @@ type wire struct {
 	lostDown uint64
 	noMatch  uint64 // frames released with no station to deliver to
 	Drops    uint64 // frames dropped at a full output queue or flushed by a crashing node
+	inFlight uint64 // frames past serialization, arrival pending
+	// arrive takes each frame that lands, with the station fly was
+	// given: the sender on a P2P link or bus, the receiver on a
+	// boundary half (the barrier matched the frame already).
+	arrive  func(n *NIC, f Frame)
+	flights []*flight // free flight records
 }
 
 // MTU returns the medium's maximum frame payload size.
@@ -59,6 +68,71 @@ func (w *wire) lostToCut(f Frame) bool {
 	return w.down
 }
 
+// lost is the one loss-and-match rule of a link with one station at the
+// far end, to: with the wire's loss probability (drawn from rng) the
+// frame is lost on the way in, and a frame with no station to reach, or
+// addressed to another, is released unmatched. It reports whether f was
+// consumed.
+func (w *wire) lost(rng *rand.Rand, to *NIC, f Frame) bool {
+	switch {
+	case w.cfg.Loss > 0 && rng.Float64() < w.cfg.Loss:
+		if to != nil {
+			to.stats.RxLost++
+		} else {
+			w.noMatch++
+		}
+	case to == nil || (f.Dst != Broadcast && f.Dst != to.addr):
+		w.noMatch++
+	default:
+		return false
+	}
+	f.Release()
+	return true
+}
+
+// send puts a frame that has finished serializing in flight for the
+// propagation delay plus jitter.
+func (w *wire) send(from *NIC, f Frame) {
+	d := w.cfg.Delay
+	if w.cfg.Jitter > 0 {
+		d += sim.Duration(w.k.Rand().Int63n(int64(w.cfg.Jitter)))
+	}
+	w.fly(w.k.Now().Add(d), from, f)
+}
+
+// flight is one frame in flight on a wire. Its callback is bound once
+// and the record reused.
+type flight struct {
+	w    *wire
+	n    *NIC
+	f    Frame
+	fire func() // prebound run
+}
+
+// fly hands f, with station n, to arrive at instant at.
+func (w *wire) fly(at sim.Time, n *NIC, f Frame) {
+	var fl *flight
+	if k := len(w.flights); k > 0 {
+		fl = w.flights[k-1]
+		w.flights[k-1] = nil
+		w.flights = w.flights[:k-1]
+	} else {
+		fl = &flight{w: w}
+		fl.fire = fl.run
+	}
+	fl.n, fl.f = n, f
+	w.inFlight++
+	w.k.At(at, fl.fire)
+}
+
+func (fl *flight) run() {
+	w, n, f := fl.w, fl.n, fl.f
+	fl.n, fl.f = nil, Frame{}
+	w.flights = append(w.flights, fl)
+	w.inFlight--
+	w.arrive(n, f)
+}
+
 // P2P is a full-duplex point-to-point link — the simulated analogue of the
 // 56 kb/s serial trunks the ARPANET was built from. Exactly two stations
 // may attach; each direction has its own transmitter and queue.
@@ -74,8 +148,9 @@ func NewP2P(k *sim.Kernel, name string, cfg Config) *P2P {
 		cfg.MTU = 1500
 	}
 	p := &P2P{wire: wire{k: k, name: name, cfg: cfg}}
+	p.arrive = p.propagate
 	for i := range p.txs {
-		p.txs[i] = newTransmitter(k, &p.cfg, p.propagate, &p.Drops)
+		p.txs[i] = newTransmitter(&p.wire, p.send)
 	}
 	registerMedium(&p.wire, nil, nil, p.txs[:]...)
 	return p
@@ -86,7 +161,7 @@ func NewP2P(k *sim.Kernel, name string, cfg Config) *P2P {
 func (p *P2P) Attach(name string) *NIC {
 	for i := range p.ends {
 		if p.ends[i] == nil {
-			n := &NIC{name: name, addr: Addr(i + 1), medium: p, up: true}
+			n := &NIC{name: name, addr: Addr(i + 1), tx: p.txs[i], up: true}
 			p.ends[i] = n
 			registerNIC(p.k, n)
 			return n
@@ -106,38 +181,15 @@ func (p *P2P) Peer(n *NIC) *NIC {
 	return nil
 }
 
-func (p *P2P) tx(n *NIC) *transmitter {
-	if n == p.ends[1] {
-		return p.txs[1]
-	}
-	return p.txs[0]
-}
-
+// propagate delivers a landed frame to the other end, unless the link is
+// cut or the frame is lost or unmatched on the way.
 func (p *P2P) propagate(from *NIC, f Frame) {
 	if p.lostToCut(f) {
 		return
 	}
-	if p.cfg.Loss > 0 && p.k.Rand().Float64() < p.cfg.Loss {
-		if peer := p.Peer(from); peer != nil {
-			peer.stats.RxLost++
-		} else {
-			p.noMatch++
-		}
-		f.Release()
-		return
+	if peer := p.Peer(from); !p.lost(p.k.Rand(), peer, f) {
+		peer.deliver(f)
 	}
-	peer := p.Peer(from)
-	if peer == nil {
-		p.noMatch++
-		f.Release()
-		return
-	}
-	if f.Dst != Broadcast && f.Dst != peer.addr {
-		p.noMatch++
-		f.Release()
-		return
-	}
-	peer.deliver(f)
 }
 
 // Bus is a shared-medium LAN in the spirit of early Ethernet: every station
@@ -163,21 +215,20 @@ func NewBus(k *sim.Kernel, name string, cfg Config) *Bus {
 		cfg.MTU = 1500
 	}
 	b := &Bus{wire: wire{k: k, name: name, cfg: cfg}, next: 1}
-	b.xmit = newTransmitter(k, &b.cfg, b.propagate, &b.Drops)
+	b.arrive = b.propagate
+	b.xmit = newTransmitter(&b.wire, b.send)
 	registerMedium(&b.wire, &b.bcastCopies, &b.bcastFanout, b.xmit)
 	return b
 }
 
 // Attach connects a new station to the LAN.
 func (b *Bus) Attach(name string) *NIC {
-	n := &NIC{name: name, addr: b.next, medium: b, up: true}
+	n := &NIC{name: name, addr: b.next, tx: b.xmit, up: true}
 	b.next++
 	b.stations = append(b.stations, n)
 	registerNIC(b.k, n)
 	return n
 }
-
-func (b *Bus) tx(*NIC) *transmitter { return b.xmit }
 
 // propagate delivers f to the stations it addresses, each copy lost
 // independently with the medium's loss probability.

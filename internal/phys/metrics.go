@@ -50,11 +50,5 @@ func registerMedium(w *wire, bcastCopies, bcastFanout *uint64, txs ...*transmitt
 		}
 		return n
 	})
-	reg.Gauge(w.name, "medium", "in_flight", func() uint64 {
-		var n uint64
-		for _, t := range txs {
-			n += t.inFlight
-		}
-		return n
-	})
+	reg.Gauge(w.name, "medium", "in_flight", func() uint64 { return w.inFlight })
 }

@@ -76,7 +76,7 @@ type Stats struct {
 type NIC struct {
 	name     string
 	addr     Addr
-	medium   Medium
+	tx       *transmitter // serves this NIC's outgoing frames
 	up       bool
 	recv     func(Frame)
 	onTxDrop func(payload []byte)
@@ -103,7 +103,7 @@ func (n *NIC) Name() string { return n.name }
 func (n *NIC) Addr() Addr { return n.addr }
 
 // MTU returns the largest payload one frame on this medium may carry.
-func (n *NIC) MTU() int { return n.medium.MTU() }
+func (n *NIC) MTU() int { return n.tx.w.MTU() }
 
 // Up reports whether the interface is administratively up.
 func (n *NIC) Up() bool { return n.up }
@@ -139,7 +139,7 @@ func (n *NIC) OnStateChange(fn func(up bool)) {
 // committed to the wire and is left to propagate. Returns the number of
 // frames dropped.
 func (n *NIC) FlushQueue() int {
-	t := n.medium.tx(n)
+	t := n.tx
 	if t.qdisc == nil {
 		return 0
 	}
@@ -183,7 +183,7 @@ func (n *NIC) Send(dst Addr, payload []byte) {
 	}
 	n.stats.TxFrames++
 	n.stats.TxBytes += uint64(len(payload))
-	n.medium.tx(n).enqueue(n, f)
+	n.tx.enqueue(n, f)
 }
 
 // deliver hands a frame up to the stack if the interface is up.
@@ -224,11 +224,6 @@ type Medium interface {
 	// LostWhileDown returns how many frames the medium has swallowed
 	// because it was down, for blackout-loss accounting.
 	LostWhileDown() uint64
-
-	// tx returns the transmitter that serves n's outgoing frames: one
-	// per end of a point-to-point or cross-shard link, one shared by
-	// every station of a bus.
-	tx(n *NIC) *transmitter
 }
 
 // Config holds the transmission characteristics shared by all media.
@@ -264,63 +259,29 @@ func (c *Config) serializeTime(n int) sim.Duration {
 	return sim.Duration(bits * int64(1e9) / c.BitsPerSec)
 }
 
-// transmitter serializes frames one at a time at the configured rate, with
-// a queueing discipline holding the frames that wait. Each medium owns one
-// transmitter per sending station (P2P) or one shared (bus).
+// transmitter serializes frames one at a time at its wire's rate, with a
+// queueing discipline holding the frames that wait. Each NIC holds the
+// transmitter that serves it: one per end of a point-to-point or
+// cross-shard link, one shared by every station of a bus.
 //
 // The transmitter schedules no closures: the serialization-done callback
 // is bound once at construction (only one frame serializes at a time, so
-// its state lives in cur), and propagation delays — several frames can be
-// in flight at once — run through a free list of flight records whose
-// callbacks are bound at first allocation and reused thereafter.
+// its state lives in cur). A frame that has serialized goes to done — the
+// wire's send on a P2P link or bus, a boundary half's export — before the
+// next frame is dequeued.
 type transmitter struct {
-	k           *sim.Kernel
-	cfg         *Config
-	qdisc       Qdisc
-	busy        bool
-	deliver     func(from *NIC, f Frame)
-	drops       *uint64
-	inFlight    uint64      // frames past serialization, propagation pending
-	cur         queuedFrame // the frame occupying the transmitter
-	serialized  func()      // prebound onSerialized
-	freeFlights []*flight
+	w          *wire
+	qdisc      Qdisc
+	busy       bool
+	cur        queuedFrame // the frame occupying the transmitter
+	serialized func()      // prebound onSerialized
+	done       func(from *NIC, f Frame)
 }
 
-func newTransmitter(k *sim.Kernel, cfg *Config, deliver func(from *NIC, f Frame), drops *uint64) *transmitter {
-	t := &transmitter{k: k, cfg: cfg, deliver: deliver, drops: drops}
+func newTransmitter(w *wire, done func(from *NIC, f Frame)) *transmitter {
+	t := &transmitter{w: w, done: done}
 	t.serialized = t.onSerialized
 	return t
-}
-
-// flight is one frame crossing the medium: serialization has finished and
-// the propagation delay is running.
-type flight struct {
-	t    *transmitter
-	from *NIC
-	f    Frame
-	fire func() // prebound run
-}
-
-func (t *transmitter) getFlight(from *NIC, f Frame) *flight {
-	var fl *flight
-	if n := len(t.freeFlights); n > 0 {
-		fl = t.freeFlights[n-1]
-		t.freeFlights[n-1] = nil
-		t.freeFlights = t.freeFlights[:n-1]
-	} else {
-		fl = &flight{t: t}
-		fl.fire = fl.run
-	}
-	fl.from, fl.f = from, f
-	return fl
-}
-
-func (fl *flight) run() {
-	t, from, f := fl.t, fl.from, fl.f
-	fl.from, fl.f = nil, Frame{}
-	t.freeFlights = append(t.freeFlights, fl)
-	t.inFlight--
-	t.deliver(from, f)
 }
 
 type queuedFrame struct {
@@ -331,7 +292,7 @@ type queuedFrame struct {
 func (t *transmitter) enqueue(from *NIC, f Frame) {
 	if t.busy {
 		if t.qdisc == nil {
-			t.qdisc = NewPolicyQdisc(t.cfg.QueueLimit, PolicySpec{}, nil, nil)
+			t.qdisc = NewPolicyQdisc(t.w.cfg.QueueLimit, PolicySpec{}, nil, nil)
 		}
 		if !t.qdisc.Enqueue(queuedFrame{from, f}) {
 			t.countDrop(from)
@@ -347,29 +308,23 @@ func (t *transmitter) enqueue(from *NIC, f Frame) {
 
 // countDrop books one of from's frames dying at this transmitter's queue.
 func (t *transmitter) countDrop(from *NIC) {
-	*t.drops++
+	t.w.Drops++
 	from.stats.TxDrops++
 }
 
 func (t *transmitter) start(from *NIC, f Frame) {
 	t.busy = true
 	t.cur = queuedFrame{from, f}
-	t.k.After(t.cfg.serializeTime(len(f.Payload)), t.serialized)
+	t.w.k.After(t.w.cfg.serializeTime(len(f.Payload)), t.serialized)
 }
 
-// onSerialized runs when the current frame finishes serializing:
-// propagation begins, and the next queued frame takes the transmitter.
+// onSerialized runs when the current frame finishes serializing: done
+// takes it, and the next queued frame takes the transmitter.
 func (t *transmitter) onSerialized() {
 	qf := t.cur
 	t.cur = queuedFrame{}
 	t.busy = false
-	d := t.cfg.Delay
-	if t.cfg.Jitter > 0 {
-		d += sim.Duration(t.k.Rand().Int63n(int64(t.cfg.Jitter)))
-	}
-	fl := t.getFlight(qf.from, qf.f)
-	t.inFlight++
-	t.k.After(d, fl.fire)
+	t.done(qf.from, qf.f)
 	if t.qdisc != nil {
 		if next, ok := t.qdisc.Dequeue(); ok {
 			t.start(next.from, next.f)
@@ -380,7 +335,7 @@ func (t *transmitter) onSerialized() {
 // QueueLen returns the number of frames waiting at the transmitter serving
 // this interface, for tests and congestion diagnostics.
 func (n *NIC) QueueLen() int {
-	if q := n.medium.tx(n).qdisc; q != nil {
+	if q := n.tx.qdisc; q != nil {
 		return q.Len()
 	}
 	return 0

@@ -184,4 +184,4 @@ func (q *PrioQdisc) RegisterMetrics(reg *metrics.Registry, node string) {
 // this interface. On a point-to-point or cross-shard link each end has its
 // own transmitter; on a bus the single shared transmitter is
 // replaced (all stations share the discipline, as they share the medium).
-func (n *NIC) SetQdisc(q Qdisc) { n.medium.tx(n).qdisc = q }
+func (n *NIC) SetQdisc(q Qdisc) { n.tx.qdisc = q }

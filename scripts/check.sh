@@ -166,6 +166,10 @@ run_leg() {
         # And a crash on a shared LAN: the flush takes the dead station's
         # frames and leaves the others' queued, none stranded on the way.
         go test -tags pooldebug -count=1 -run 'TestCrashFlushLeavesSharedQueueToTheSurvivors' ./internal/exp/
+        # The link layer itself: a wire's one flight pool carries the
+        # frames the barrier re-pools into the peer kernel's pool, beside
+        # the P2P and bus frames; run it uncached.
+        go test -tags pooldebug -count=1 -run 'TestBoundary|TestP2P|TestBus' ./internal/phys/
         ;;
     smoke-E11)
         # The fault-injection recovery experiment end to end through the
